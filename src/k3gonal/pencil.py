@@ -18,13 +18,21 @@ pencil; concretely the symmetric form
 rewritten in the elementary-symmetric coordinates.  Restricting that curve
 to the diagonal recovers the Wronskian f g' - f' g (up to a nonzero scalar),
 whose 2(k-1) projective roots are the ramification points of the degree-k
-map; all of this is verified exactly, with squarefreeness decided by gcd
-computations and degree-drop bookkeeping, never by root finding.
+map; all of this is verified exactly, never by root finding.
+
+Representation.  Forms and curves hold integer coefficients over one
+positive common denominator in lowest terms, a canonical form, so equality
+and hashing are exact; rational coefficients are read back through
+`.coeffs`.  All arithmetic runs on plain integers.  Squarefreeness and
+distinct-root counts come from the degree of gcd(a, a'), computed by a
+primitive pseudo-remainder sequence over the integers (Collins 1967;
+Brown-Traub 1971) together with degree-drop bookkeeping at infinity.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvariantViolation
 
@@ -61,101 +69,128 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-_Q = Fraction
-_ZERO = _Q(0)
-_ONE = _Q(1)
+
+# -- integer coefficient lists (index = power)
 
 
-# -- dense univariate helpers over Fraction (index = power, no trailing zeros)
+def _over_common_den(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common positive denominator."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    qs = [Fraction(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
 
-def _trim(cs: list[Fraction]) -> list[Fraction]:
+
+def _lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """Cancel the common factor of integer numerators and a positive den."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    return tuple(nums), den
+
+
+def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _add(a, b):
-    n = max(len(a), len(b))
-    return _trim([
-        (a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO)
-        for i in range(n)
-    ])
-
-
-def _scale(a, c):
-    if c == 0:
-        return []
-    return [x * c for x in a]
-
-
-def _mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+def _conv(a, b) -> list[int]:
+    """Product of two coefficient lists (no trimming)."""
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+    return out
 
 
-def _divmod(a, b):
-    """Exact polynomial division with remainder over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _deriv(a) -> list[int]:
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _horner(cs, x0: int, x1: int) -> int:
+    """Homogeneous Horner evaluation of sum_i cs[i] x0^(n-i) x1^i."""
+    acc = cs[-1]
+    x0p = 1
+    for c in cs[-2::-1]:
+        x0p *= x0
+        acc = acc * x1 + c * x0p
+    return acc
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b (b nonzero)."""
     rem = list(a)
-    quot = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        d = len(rem) - len(b)
-        quot[d] = c
-        for i, y in enumerate(b):
-            rem[d + i] -= c * y
-        rem = _trim(rem)
-        if not rem:
-            break
-    return _trim(quot), rem
+    lead, n = b[-1], len(b)
+    while len(rem) >= n:
+        c, shift = rem[-1], len(rem) - n
+        rem = [lead * x for x in rem[:shift]] + [
+            lead * x - c * y for x, y in zip(rem[shift:], b)
+        ]
+        _trim(rem)
+    return rem
 
 
-def _gcd(a, b):
-    """Monic gcd over the rationals."""
-    a, b = list(a), list(b)
+def _primitive(a: list[int]) -> list[int]:
+    g = gcd(*a)
+    return a if g <= 1 else [x // g for x in a]
+
+
+def _gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over Q by a primitive PRS over Z (-1 if both zero).
+
+    Each pseudo-remainder is a nonzero constant times the Euclidean
+    remainder over Q, so the remainder degrees are the same as Euclid's.
+    """
     while b:
-        a, b = b, _divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _deriv(a):
-    return _trim([i * a[i] for i in range(1, len(a))])
+        a, b = b, _primitive(_prem(a, b))
+    return len(a) - 1
 
 
 @dataclass(frozen=True)
 class BinaryForm:
     """A binary form at a declared degree bound.
 
-    coeffs[i] multiplies x0^(bound-i) x1^i; leading (high-i) coefficients may
-    vanish only in the sense that low-i ones do; a zero tail means roots at
-    infinity with multiplicity bound - affine_degree.
+    coeffs[i] = nums[i] / den multiplies x0^(bound-i) x1^i; den > 0 and the
+    fraction is in lowest terms.  A zero tail means roots at infinity with
+    multiplicity bound - affine_degree.
     """
 
     bound: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, bound: int, coeffs):
         if bound < 0:
             raise ValueError(f"need bound >= 0, got {bound}")
-        cs = tuple(_Q(c) for c in coeffs)
-        if len(cs) != bound + 1:
+        nums, den = _over_common_den(coeffs)
+        if len(nums) != bound + 1:
             raise ValueError(
-                f"degree bound {bound} needs {bound + 1} coefficients, got {len(cs)}"
+                f"degree bound {bound} needs {bound + 1} coefficients, got {len(nums)}"
             )
+        self._set(bound, nums, den)
+
+    @classmethod
+    def _make(cls, bound: int, nums, den: int = 1) -> "BinaryForm":
+        """Construct from bound + 1 integer numerators over a positive den."""
+        self = object.__new__(cls)
+        self._set(bound, nums, den)
+        return self
+
+    def _set(self, bound: int, nums, den: int) -> None:
+        nums, den = _lowest_terms(nums, den)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @classmethod
     def from_affine(cls, coeffs, bound: int) -> "BinaryForm":
@@ -163,16 +198,16 @@ class BinaryForm:
         cs = list(coeffs)
         if len(cs) > bound + 1:
             raise ValueError(f"affine degree {len(cs) - 1} exceeds bound {bound}")
-        cs += [_ZERO] * (bound + 1 - len(cs))
+        cs += [0] * (bound + 1 - len(cs))
         return cls(bound, cs)
 
     @classmethod
     def zero(cls, bound: int) -> "BinaryForm":
-        return cls(bound, [_ZERO] * (bound + 1))
+        return cls(bound, [0] * (bound + 1))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     @property
     def affine(self) -> list[Fraction]:
@@ -182,7 +217,7 @@ class BinaryForm:
     @property
     def affine_degree(self) -> int:
         """Degree of the affine part; -1 for the zero form."""
-        return len(self.affine) - 1
+        return len(_trim(list(self.nums))) - 1
 
     @property
     def infinity_multiplicity(self) -> int:
@@ -193,51 +228,36 @@ class BinaryForm:
 
     def eval_proj(self, x0, x1) -> Fraction:
         """Evaluate at the projective point (x0 : x1), exactly."""
-        x0, x1 = _Q(x0), _Q(x1)
-        acc = _ZERO
-        p0 = _ONE
-        pows1 = [_ONE]
-        for _ in range(self.bound):
-            pows1.append(pows1[-1] * x1)
-        for i in range(self.bound, -1, -1):
-            c = self.coeffs[i]
-            if c:
-                acc += c * p0 * pows1[i]
-            p0 *= x0
-        return acc
+        (p0, p1), den = _over_common_den((x0, x1))
+        return Fraction(_horner(self.nums, p0, p1), den**self.bound * self.den)
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        out = [_ZERO] * (self.bound + other.bound + 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return BinaryForm(self.bound + other.bound, out)
+        return BinaryForm._make(
+            self.bound + other.bound, _conv(self.nums, other.nums), self.den * other.den
+        )
 
     def power(self, n: int) -> "BinaryForm":
-        out = BinaryForm(0, [_ONE])
+        out = [1]
         for _ in range(n):
-            out = out * self
-        return out
+            out = _conv(out, self.nums)
+        return BinaryForm._make(n * self.bound, out, self.den**n)
 
     def substitute(self, a, b, c, d) -> "BinaryForm":
         """Apply (x0, x1) -> (a x0 + b x1, c x0 + d x1); needs ad - bc != 0."""
-        a, b, c, d = _Q(a), _Q(b), _Q(c), _Q(d)
+        (a, b, c, d), scale = _over_common_den((a, b, c, d))
         if a * d - b * c == 0:
             raise ValueError("substitution matrix is singular")
-        u = BinaryForm(1, (a, b))
-        v = BinaryForm(1, (c, d))
-        out = BinaryForm.zero(self.bound)
-        for i, coeff in enumerate(self.coeffs):
-            if coeff == 0:
-                continue
-            term = u.power(self.bound - i) * v.power(i)
-            out = BinaryForm(
-                self.bound,
-                [x + coeff * y for x, y in zip(out.coeffs, term.coeffs)],
-            )
-        return out
+        n = self.bound
+        upow, vpow = [[1]], [[1]]
+        for _ in range(n):
+            upow.append(_conv(upow[-1], (a, b)))
+            vpow.append(_conv(vpow[-1], (c, d)))
+        out = [0] * (n + 1)
+        for i, coeff in enumerate(self.nums):
+            if coeff:
+                term = _conv(upow[n - i], vpow[i])
+                out = [x + coeff * y for x, y in zip(out, term)]
+        return BinaryForm._make(n, out, self.den * scale**n)
 
     def to_payload(self) -> dict:
         """Serialize as numerator/denominator string pairs at the bound."""
@@ -256,14 +276,12 @@ def proportional(u: BinaryForm, v: BinaryForm) -> bool:
     """True iff u = c*v for a nonzero scalar c (zero ~ zero only)."""
     if u.bound != v.bound:
         raise ValueError("cannot compare forms at different bounds")
-    if u.is_zero or v.is_zero:
-        return u.is_zero and v.is_zero
-    n = u.bound
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if u.coeffs[i] * v.coeffs[j] != u.coeffs[j] * v.coeffs[i]:
-                return False
-    return True
+    a, b = u.nums, v.nums
+    pivot = next((i for i, x in enumerate(a) if x), None)
+    if pivot is None or not b[pivot]:
+        return pivot is None and not any(b)
+    pa, pb = a[pivot], b[pivot]
+    return all(x * pb == y * pa for x, y in zip(a, b))
 
 
 def is_squarefree(form: BinaryForm) -> bool:
@@ -272,22 +290,21 @@ def is_squarefree(form: BinaryForm) -> bool:
         return False
     if form.infinity_multiplicity >= 2:
         return False
-    a = form.affine
+    a = _trim(list(form.nums))
     if len(a) <= 1:
         return True
-    return len(_gcd(a, _deriv(a))) <= 1
+    return _gcd_degree(a, _deriv(a)) <= 0
 
 
 def distinct_root_count(form: BinaryForm) -> int:
     """Number of distinct projective roots (degree of the squarefree part)."""
     if form.is_zero:
         raise ValueError("the zero form has no root divisor")
-    a = form.affine
-    at_infinity = 1 if form.infinity_multiplicity >= 1 else 0
+    a = _trim(list(form.nums))
+    at_infinity = 1 if len(a) <= form.bound else 0
     if len(a) <= 1:
         return at_infinity
-    g = _gcd(a, _deriv(a))
-    return (len(a) - 1) - (len(g) - 1) + at_infinity
+    return (len(a) - 1) - _gcd_degree(a, _deriv(a)) + at_infinity
 
 
 @dataclass(frozen=True)
@@ -317,75 +334,121 @@ class Pencil:
 class SymPlaneCurve:
     """A plane curve of declared degree in the coordinates (e0 : e1 : e2).
 
-    Coefficients are stored sparsely as {(a, b, c): value} with a+b+c equal
-    to the degree; zero entries are dropped.
+    Coefficients are stored sparsely as sorted ((a, b, c), numerator) terms
+    with a+b+c equal to the degree, over one positive common denominator in
+    lowest terms; zero entries are dropped.
     """
 
     degree: int
-    coeffs: tuple[tuple[tuple[int, int, int], Fraction], ...]
+    terms: tuple[tuple[tuple[int, int, int], int], ...]
+    den: int
 
     def __init__(self, degree: int, coeffs):
         if degree < 0:
             raise ValueError(f"need degree >= 0, got {degree}")
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = tuple(coeffs)
-        store: dict[tuple[int, int, int], Fraction] = {}
+        items = coeffs.items() if isinstance(coeffs, dict) else tuple(coeffs)
+        expos, values = [], []
         for expo, value in items:
             a, b, c = expo
             if a < 0 or b < 0 or c < 0 or a + b + c != degree:
                 raise ValueError(f"exponent {expo} is not of total degree {degree}")
-            v = _Q(value)
-            if v:
-                store[(a, b, c)] = store.get((a, b, c), _ZERO) + v
+            expos.append((a, b, c))
+            values.append(value)
+        nums, den = _over_common_den(values)
+        store: dict[tuple[int, int, int], int] = {}
+        for expo, v in zip(expos, nums):
+            store[expo] = store.get(expo, 0) + v
+        self._set(degree, store, den)
+
+    @classmethod
+    def _make(cls, degree: int, store: dict, den: int = 1) -> "SymPlaneCurve":
+        """Construct from {(a, b, c): integer numerator} over a positive den."""
+        self = object.__new__(cls)
+        self._set(degree, store, den)
+        return self
+
+    def _set(self, degree: int, store: dict, den: int) -> None:
+        expos = sorted(e for e, v in store.items() if v)
+        nums, den = _lowest_terms([store[e] for e in expos], den)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(
-            self, "coeffs", tuple(sorted((e, v) for e, v in store.items() if v))
-        )
+        object.__setattr__(self, "terms", tuple(zip(expos, nums)))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coeffs(self) -> tuple[tuple[tuple[int, int, int], Fraction], ...]:
+        return tuple((e, Fraction(v, self.den)) for e, v in self.terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def coefficient(self, a: int, b: int, c: int) -> Fraction:
-        return dict(self.coeffs).get((a, b, c), _ZERO)
+        return Fraction(dict(self.terms).get((a, b, c), 0), self.den)
+
+    def _rows(self) -> list[list[int]]:
+        """Numerators by power c of e2: rows[c][b] is the e0^(d-c-b) e1^b e2^c term."""
+        d = self.degree
+        rows = [[0] * (d - c + 1) for c in range(d + 1)]
+        for (_, b, c), v in self.terms:
+            rows[c][b] = v
+        return rows
+
+    def _numerator_at(self, e0: int, e1: int, e2: int) -> int:
+        """den times the value at an integer point."""
+        return _ternary_horner(self._rows(), e0, e1, e2)
 
     def evaluate(self, e0, e1, e2) -> Fraction:
-        e0, e1, e2 = _Q(e0), _Q(e1), _Q(e2)
-        acc = _ZERO
-        for (a, b, c), v in self.coeffs:
-            acc += v * e0**a * e1**b * e2**c
-        return acc
+        (p0, p1, p2), den = _over_common_den((e0, e1, e2))
+        return Fraction(self._numerator_at(p0, p1, p2), den**self.degree * self.den)
 
     def pullback(self, f0: BinaryForm, f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
-        """Substitute binary forms of a common bound for (e0, e1, e2)."""
+        """Substitute binary forms of a common bound for (e0, e1, e2).
+
+        The same nested Horner scheme as `_ternary_horner`, on coefficient
+        lists: numerators over one common denominator go in, and each
+        multiplication is by a form of the small bound.
+        """
         if not f0.bound == f1.bound == f2.bound:
             raise ValueError("pullback forms must share a degree bound")
-        pows = []
-        for form in (f0, f1, f2):
-            table = [BinaryForm(0, (_ONE,))]
-            for _ in range(self.degree):
-                table.append(table[-1] * form)
-            pows.append(table)
-        acc = [_ZERO] * (self.degree * f0.bound + 1)
-        for (a, b, c), v in self.coeffs:
-            term = pows[0][a] * pows[1][b] * pows[2][c]
-            for i, x in enumerate(term.coeffs):
-                if x:
-                    acc[i] += v * x
-        return BinaryForm(self.degree * f0.bound, acc)
+        d = self.degree
+        den = lcm(f0.den, f1.den, f2.den)
+        m0, m1, m2 = ([x * (den // f.den) for x in f.nums] for f in (f0, f1, f2))
+        pows0 = [[1]]
+        for _ in range(d):
+            pows0.append(_conv(m0, pows0[-1]))
+        rows = self._rows()
+        acc = rows[d]
+        for c in range(d - 1, -1, -1):
+            row, n = rows[c], d - c
+            part = [row[n]]
+            for b in range(n - 1, -1, -1):
+                part = _conv(m1, part)
+                if row[b]:
+                    part = [x + row[b] * y for x, y in zip(part, pows0[n - b])]
+            acc = [x + y for x, y in zip(_conv(m2, acc), part)]
+        return BinaryForm._make(d * f0.bound, acc, self.den * den**d)
 
 
-def _symmetric_to_ternary(sym: dict[tuple[int, int], Fraction], degree: int) -> SymPlaneCurve:
+def _ternary_horner(rows: list[list[int]], e0: int, e1: int, e2: int) -> int:
+    """Evaluate a ternary form given as `SymPlaneCurve._rows` at an integer point."""
+    acc = 0
+    for row in reversed(rows):
+        acc = acc * e2 + _horner(row, e0, e1)
+    return acc
+
+
+def _symmetric_to_ternary(
+    sym: dict[tuple[int, int], int], degree: int, den: int
+) -> SymPlaneCurve:
     """Rewrite a symmetric affine polynomial in (x, y) as a ternary form.
 
     Repeatedly strips the lexicographically largest monomial x^i y^j (i >= j
     by symmetry), emitting e0^(d-i) e1^(i-j) e2^j and subtracting
-    (x+y)^(i-j) (xy)^j; termination is by strict lex descent.
+    (x+y)^(i-j) (xy)^j; termination is by strict lex descent.  `sym` holds
+    integer numerators over `den`.
     """
     work = {e: v for e, v in sym.items() if v}
-    out: dict[tuple[int, int, int], Fraction] = {}
+    out: dict[tuple[int, int, int], int] = {}
     binom = [[1]]
     while work:
         i, j = max(work)
@@ -405,10 +468,10 @@ def _symmetric_to_ternary(sym: dict[tuple[int, int], Fraction], degree: int) -> 
         row = binom[i - j]
         for u in range(i - j + 1):
             key = (u + j, i - u)
-            work[key] = work.get(key, _ZERO) - c * row[u]
+            work[key] = work.get(key, 0) - c * row[u]
             if work[key] == 0:
                 del work[key]
-    return SymPlaneCurve(degree, out)
+    return SymPlaneCurve._make(degree, out, den)
 
 
 def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
@@ -418,8 +481,8 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
     and rewrites it in elementary-symmetric coordinates.
     """
     k = pencil.k
-    a, b = pencil.f.coeffs, pencil.g.coeffs
-    sym: dict[tuple[int, int], Fraction] = {}
+    a, b = pencil.f.nums, pencil.g.nums
+    sym: dict[tuple[int, int], int] = {}
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             w = a[i] * b[j] - a[j] * b[i]
@@ -428,8 +491,8 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
             # (x^i y^j - x^j y^i)/(x - y) = -sum_{u+v=j-i-1} x^(i+u) y^(i+v)
             for u in range(j - i):
                 key = (i + u, j - 1 - u)
-                sym[key] = sym.get(key, _ZERO) - w
-    curve = _symmetric_to_ternary(sym, k - 1)
+                sym[key] = sym.get(key, 0) - w
+    curve = _symmetric_to_ternary(sym, k - 1, pencil.f.den * pencil.g.den)
     if curve.is_zero:
         raise InvariantViolation("wedge curve vanished for a valid pencil")
     return curve
@@ -437,9 +500,11 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
 
 def wronskian(pencil: Pencil) -> BinaryForm:
     """f g' - f' g at degree bound 2k-2; roots are the ramification points."""
-    f, g = pencil.f.affine, pencil.g.affine
-    w = _add(_mul(f, _deriv(g)), _scale(_mul(_deriv(f), g), _Q(-1)))
-    return BinaryForm.from_affine(w, 2 * pencil.k - 2)
+    f, g = pencil.f.nums, pencil.g.nums
+    bound = 2 * pencil.k - 2
+    # both products have bound + 2 entries; the top ones cancel
+    w = [x - y for x, y in zip(_conv(f, _deriv(g)), _conv(_deriv(f), g))]
+    return BinaryForm._make(bound, w[: bound + 1], pencil.f.den * pencil.g.den)
 
 
 def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
@@ -448,9 +513,9 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
         raise ValueError(
             f"curve has degree {curve.degree}, expected k-1 = {k - 1}"
         )
-    e0 = BinaryForm(2, (_ONE, _ZERO, _ZERO))
-    e1 = BinaryForm(2, (_ZERO, _Q(2), _ZERO))
-    e2 = BinaryForm(2, (_ZERO, _ZERO, _ONE))
+    e0 = BinaryForm._make(2, (1, 0, 0))
+    e1 = BinaryForm._make(2, (0, 2, 0))
+    e2 = BinaryForm._make(2, (0, 0, 1))
     return curve.pullback(e0, e1, e2)
 
 
@@ -459,17 +524,30 @@ def simple_ramification(pencil: Pencil) -> bool:
     return is_squarefree(wronskian(pencil))
 
 
-def _as_point(x) -> tuple[Fraction, Fraction]:
+def _as_point(x) -> tuple[int, int]:
+    """Integer coordinates (x0 : x1) of a rational number or INFINITY."""
     if x is INFINITY:
-        return _ZERO, _ONE
-    return _ONE, _Q(x)
+        return 0, 1
+    q = Fraction(x)
+    return q.denominator, q.numerator
 
 
 def divisor_point(x, y) -> tuple[Fraction, Fraction, Fraction]:
-    """Sym^2 coordinates of the unordered pair {x, y}; INFINITY allowed."""
+    """Sym^2 coordinates of the unordered pair {x, y}; INFINITY allowed.
+
+    Normalized so that the first nonzero coordinate is 1.
+    """
     a0, a1 = _as_point(x)
     b0, b1 = _as_point(y)
-    return a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+    e = (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+    lead = next(v for v in e if v)
+    return tuple(Fraction(v, lead) for v in e)
+
+
+def _pair_determinant(pencil: Pencil, p: tuple[int, int], q: tuple[int, int]) -> int:
+    """det [[f(p), g(p)], [f(q), g(q)]] on numerators, at integer points."""
+    f, g = pencil.f.nums, pencil.g.nums
+    return _horner(f, *p) * _horner(g, *q) - _horner(g, *p) * _horner(f, *q)
 
 
 def contains_divisor(pencil: Pencil, x, y) -> bool:
@@ -479,26 +557,20 @@ def contains_divisor(pencil: Pencil, x, y) -> bool:
     a rational number or INFINITY.  On the diagonal x == y the determinant
     vanishes identically, so the oracle is informative only for x != y.
     """
-    p0, p1 = _as_point(x)
-    q0, q1 = _as_point(y)
-    det = pencil.f.eval_proj(p0, p1) * pencil.g.eval_proj(q0, q1) - pencil.g.eval_proj(
-        p0, p1
-    ) * pencil.f.eval_proj(q0, q1)
-    return det == 0
+    return _pair_determinant(pencil, _as_point(x), _as_point(y)) == 0
 
 
-def _conic_matrix(conic: SymPlaneCurve) -> list[list[Fraction]]:
+def _conic_matrix(conic: SymPlaneCurve) -> list[list[int]]:
+    """Integer symmetric matrix M with x^T M x = 2 den (conic)(x)."""
     if conic.degree != 2:
         raise ValueError(f"need a conic, got degree {conic.degree}")
-    c = conic.coefficient
-    return [
-        [c(2, 0, 0), c(1, 1, 0) / 2, c(1, 0, 1) / 2],
-        [c(1, 1, 0) / 2, c(0, 2, 0), c(0, 1, 1) / 2],
-        [c(1, 0, 1) / 2, c(0, 1, 1) / 2, c(0, 0, 2)],
-    ]
+    c = dict(conic.terms)
+    a00, a11, a22 = (2 * c.get(e, 0) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    a01, a02, a12 = (c.get(e, 0) for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
 
 
-def _det3(m) -> Fraction:
+def _det3(m) -> int:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -508,7 +580,7 @@ def _det3(m) -> Fraction:
 
 #: the diagonal conic e1^2 - 4 e0 e2 and a rational point on it
 DIAGONAL = SymPlaneCurve(2, {(0, 2, 0): 1, (1, 0, 1): -4})
-DIAGONAL_POINT = (_ONE, _ZERO, _ZERO)
+DIAGONAL_POINT = (1, 0, 0)
 
 
 def _conic_parametrization(
@@ -519,32 +591,32 @@ def _conic_parametrization(
     The line through `point` in direction V = s*v1 + t*v2 meets the conic
     again at Q(V) * point - 2 B(point, V) * V, quadratic in (s, t); v1, v2
     span a complement of `point`, so the map is everywhere defined and hits
-    every point of the conic exactly once.
+    every point of the conic exactly once.  Q and B come from an integer
+    multiple of the conic's matrix, and `point` is scaled to integers; both
+    rescale the parametrization by a nonzero constant only.
     """
     m = _conic_matrix(conic)
     if _det3(m) == 0:
         raise ValueError("conic is singular")
-    pt = [_Q(v) for v in point]
+    pt = _over_common_den(point)[0]
     if not any(pt):
         raise ValueError("point must be a nonzero projective triple")
-    if conic.evaluate(*pt) != 0:
+    if conic._numerator_at(*pt) != 0:
         raise ValueError(f"point {point} does not lie on the conic")
 
     def bil(u, v):
         return sum(u[i] * m[i][j] * v[j] for i in range(3) for j in range(3))
 
     pivot = next(i for i in range(3) if pt[i] != 0)
-    basis = [[_ONE if i == j else _ZERO for j in range(3)] for i in range(3)]
+    basis = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     v1, v2 = (basis[i] for i in range(3) if i != pivot)
-    qv = BinaryForm(2, (bil(v1, v1), 2 * bil(v1, v2), bil(v2, v2)))
-    bpv = BinaryForm(1, (bil(pt, v1), bil(pt, v2)))
+    qv = (bil(v1, v1), 2 * bil(v1, v2), bil(v2, v2))
+    bpv = (bil(pt, v1), bil(pt, v2))
     coords = []
     for i in range(3):
-        vi = BinaryForm(1, (v1[i], v2[i]))
-        first = BinaryForm(2, tuple(pt[i] * c for c in qv.coeffs))
-        second = bpv * vi
+        second = _conv(bpv, (v1[i], v2[i]))
         coords.append(
-            BinaryForm(2, [x - 2 * y for x, y in zip(first.coeffs, second.coeffs)])
+            BinaryForm._make(2, [pt[i] * x - 2 * y for x, y in zip(qv, second)])
         )
     return tuple(coords)
 
@@ -574,9 +646,9 @@ def conic_intersection(
 
 def _random_form(k: int, rng: random.Random, lo: int = -9, hi: int = 9) -> BinaryForm:
     while True:
-        cs = [Fraction(rng.randint(lo, hi)) for _ in range(k + 1)]
+        cs = [rng.randint(lo, hi) for _ in range(k + 1)]
         if any(cs):
-            return BinaryForm(k, cs)
+            return BinaryForm._make(k, cs)
 
 
 def random_pencil(k: int, rng: random.Random) -> Pencil:
@@ -588,9 +660,9 @@ def random_pencil(k: int, rng: random.Random) -> Pencil:
 
 
 def _forms_coprime(f: BinaryForm, g: BinaryForm) -> bool:
-    if f.affine_degree < f.bound and g.affine_degree < g.bound:
+    if f.nums[-1] == 0 and g.nums[-1] == 0:
         return False  # common root at infinity
-    return len(_gcd(f.affine, g.affine)) <= 1
+    return _gcd_degree(_trim(list(f.nums)), _trim(list(g.nums))) <= 0
 
 
 def random_coprime_pencil(k: int, rng: random.Random) -> Pencil:
@@ -618,8 +690,8 @@ def _adjugate3(a):
 
 def random_smooth_conic(
     rng: random.Random,
-) -> tuple[SymPlaneCurve, tuple[Fraction, Fraction, Fraction]]:
-    """A random smooth conic together with a rational point on it.
+) -> tuple[SymPlaneCurve, tuple[int, int, int]]:
+    """A random smooth conic together with an integer point on it.
 
     Produced as a random projective image of the diagonal conic, so the point
     (the image of (1 : 0 : 0)) lies on it by construction.
@@ -650,28 +722,8 @@ def random_smooth_conic(
             (0, 1, 1): 2 * mt[1][2],
         },
     )
-    point = tuple(_Q(a[i][0]) for i in range(3))
+    point = tuple(a[i][0] for i in range(3))
     return conic, point
-
-
-def _int_coeffs(coeffs) -> list[int]:
-    """Integer coefficient list; requires every denominator to be 1."""
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InvariantViolation("expected integer coefficients in fast path")
-        out.append(c.numerator)
-    return out
-
-
-def _ieval(cs: list[int], x0: int, x1: int) -> int:
-    """Homogeneous Horner evaluation of an integer binary form."""
-    acc = cs[-1]
-    x0p = 1
-    for i in range(len(cs) - 2, -1, -1):
-        x0p *= x0
-        acc = acc * x1 + cs[i] * x0p
-    return acc
 
 
 def verification_suite(
@@ -693,35 +745,34 @@ def verification_suite(
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got samples={samples}")
+    if membership_points < 0:
+        raise ValueError(
+            f"need membership_points >= 0, got membership_points={membership_points}"
+        )
     rng = random.Random(f"k3gonal:{seed}:{k}")
     failures: list[str] = []
     transversal = 0
     for index in range(samples):
         pencil = random_coprime_pencil(k, rng)
         curve = wedge_curve(pencil)
-        if curve.degree != k - 1 or not any(a == 0 for (a, _, _), _ in curve.coeffs):
+        if curve.degree != k - 1 or not any(a == 0 for (a, _, _), _ in curve.terms):
             failures.append(f"sample {index}: wedge degree law")
         diag = diagonal_restriction(curve, k)
         if not proportional(diag, wronskian(pencil)):
             failures.append(f"sample {index}: diagonal/Wronskian identity")
-        # membership at random rational pairs x = nx/dx, y = ny/dy; clearing
-        # the (positive) denominators keeps both zero-tests exact in integers
-        fa = _int_coeffs(pencil.f.coeffs)
-        ga = _int_coeffs(pencil.g.coeffs)
-        tvals = _int_coeffs(v for _, v in curve.coeffs)
-        tmon = [(e, v) for (e, _), v in zip(curve.coeffs, tvals)]
+        # membership at random rational pairs x = nx/dx, y = ny/dy, taken as
+        # the integer points (dx : nx), (dy : ny) and (e0 : e1 : e2) below;
+        # the denominators are positive, so both zero-tests stay exact
+        rows = curve._rows()
         for _ in range(membership_points):
             nx, dx = rng.randint(-12, 12), rng.randint(1, 4)
             ny, dy = rng.randint(-12, 12), rng.randint(1, 4)
             while ny * dx == nx * dy:
                 ny, dy = rng.randint(-12, 12), rng.randint(1, 4)
-            det = _ieval(fa, dx, nx) * _ieval(ga, dy, ny) - _ieval(ga, dx, nx) * _ieval(
-                fa, dy, ny
-            )
-            e0, e1, e2 = dx * dy, nx * dy + ny * dx, nx * ny
-            on_curve = (
-                sum(v * e0**a * e1**b * e2**c for (a, b, c), v in tmon) == 0
-            )
+            det = _pair_determinant(pencil, (dx, nx), (dy, ny))
+            on_curve = _ternary_horner(rows, dx * dy, nx * dy + ny * dx, nx * ny) == 0
             if on_curve != (det == 0):
                 x, y = Fraction(nx, dx), Fraction(ny, dy)
                 failures.append(f"sample {index}: membership oracle at ({x}, {y})")
@@ -745,5 +796,5 @@ def verification_suite(
         "membership_points": membership_points,
         "failures": failures,
         "transversal": transversal,
-        "transversal_rate": Fraction(transversal, samples) if samples else _ONE,
+        "transversal_rate": Fraction(transversal, samples) if samples else Fraction(1),
     }

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from k3gonal import gonality
 from k3gonal.cli import main
@@ -223,6 +226,44 @@ def test_pencil_verify_small(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["seed"] == 5 and payload["failures"] == []
+
+
+# SHA-256 of `--format json pencil verify -k K --samples 20 --seed 0`, recorded
+# from the Fraction implementation: the integer core must reproduce the rng
+# stream, the failure lists and the transversal counts byte for byte
+PENCIL_VERIFY_SHA256 = {
+    2: "1b0a1bf33bbe77ddd947f47b45287cf3e0da4095c428c6327a7316f44f2594bd",
+    3: "84718b5d3b2e3686cb4e84e37b4654c4d0329c98e60f2d2f8f47d0bd0c93655e",
+    4: "f5396b2475921b06e7eba41684aad48016269518b7ba7a007ff1f026343cf7b1",
+    5: "8c13cc4cd94332b2051f0710c3812b83014e7cc97796c92633bc6dce40f747a9",
+    6: "ac62e0aea8b27c34be2c0f1882bac14a9079113534bb4ef8e6f4f80dc017dc24",
+    7: "f8d545ff7a3327e4cec84343db9ae83d767532c727252add669bcba4eeeb7703",
+    8: "3c3ee738edfc097ccdc0378e7617fd6a6fe2c2b94109bed63f7febe47523fa19",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PENCIL_VERIFY_SHA256))
+def test_pencil_verify_bytes_pinned(capsys, k):
+    code, out, _ = run(
+        capsys, "--format", "json", "pencil", "verify", "-k", str(k),
+        "--samples", "20", "--seed", "0",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PENCIL_VERIFY_SHA256[k]
+
+
+def test_pencil_verify_sample_count_bounds(capsys):
+    code, out, err = run(capsys, "pencil", "verify", "-k", "3", "--samples", "-5")
+    assert code == 1 and out == ""
+    assert "samples" in err and "invariant violation" not in err
+    code, out, _ = run(
+        capsys, "--format", "json", "pencil", "verify", "-k", "3", "--samples", "0"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "k": 3, "samples": 0, "seed": 0, "membership_points": 100,
+        "failures": [], "transversal": 0, "transversal_rate": "1",
+    }
 
 
 def test_lagrangian_cli(capsys):

@@ -53,6 +53,15 @@ def test_binary_form_serialization_roundtrip():
         "coeffs": [["1", "2"], ["-2", "1"], ["0", "1"], ["7", "3"]],
     }
     assert BinaryForm.from_payload(payload) == f
+    # rationals are stored in lowest terms over one denominator, and the
+    # payload still lists each coefficient reduced on its own
+    g = BinaryForm(2, (Fraction(2, 4), Fraction(6, 3), 0))
+    assert g.to_payload() == {
+        "bound": 2,
+        "coeffs": [["1", "2"], ["2", "1"], ["0", "1"]],
+    }
+    assert BinaryForm.from_payload(g.to_payload()) == g
+    assert g.coeffs == (Fraction(1, 2), 2, 0)
 
 
 def test_binary_form_bookkeeping():
@@ -63,6 +72,68 @@ def test_binary_form_bookkeeping():
     assert f.eval_proj(0, 1) == 0
     with pytest.raises(ValueError):
         BinaryForm(2, (1, 2))
+    # canonical form: equal rationals in other terms give equal, equally
+    # hashed forms
+    half = BinaryForm(2, (Fraction(1, 2), 1, 0))
+    assert BinaryForm(2, (Fraction(2, 4), 1, 0)) == half
+    assert hash(BinaryForm(2, (Fraction(2, 4), 1, 0))) == hash(half)
+    assert BinaryForm(2, ("1/2", Fraction(3, 3), 0)) == half
+    assert BinaryForm(1, (2, 4)) != BinaryForm(1, (1, 2))
+    assert half.eval_proj(2, Fraction(1, 3)) == Fraction(8, 3)
+    g = BinaryForm(3, (Fraction(1, 2), -2, 0, Fraction(7, 3)))
+    for c in (Fraction(-3, 4), Fraction(5, 2), 7, Fraction(1, 6)):
+        scaled = BinaryForm(3, [c * x for x in g.coeffs])
+        assert proportional(g, scaled) and proportional(scaled, g)
+    assert not proportional(g, BinaryForm(3, (Fraction(1, 2), -2, 1, Fraction(7, 3))))
+    assert not proportional(g, BinaryForm.zero(3))
+    assert proportional(BinaryForm.zero(3), BinaryForm.zero(3))
+
+
+def test_sym_plane_curve_canonical_form():
+    a = SymPlaneCurve(2, {(2, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(3, 4)})
+    b = SymPlaneCurve(
+        2,
+        [((0, 1, 1), Fraction(6, 8)), ((2, 0, 0), Fraction(1, 4)),
+         ((2, 0, 0), "1/4"), ((1, 1, 0), 1), ((1, 1, 0), -1)],
+    )
+    assert a == b and hash(a) == hash(b)
+    assert a.coeffs == (((0, 1, 1), Fraction(3, 4)), ((2, 0, 0), Fraction(1, 2)))
+    assert a.coefficient(2, 0, 0) == Fraction(1, 2)
+    assert a.coefficient(0, 2, 0) == 0
+    assert a.evaluate(1, 2, Fraction(1, 3)) == 1  # 1/2 + 3/4 * 2/3
+    assert SymPlaneCurve(1, {(1, 0, 0): 2}) != SymPlaneCurve(1, {(1, 0, 0): 1})
+    assert SymPlaneCurve(1, {(1, 0, 0): Fraction(1, 3), (0, 1, 0): 0}).is_zero is False
+    assert SymPlaneCurve(1, {(1, 0, 0): Fraction(0, 3)}).is_zero
+
+
+def test_rational_arithmetic_matches_evaluation():
+    # products, powers, substitutions and pullbacks with rational
+    # coefficients, checked pointwise against direct evaluation
+    rng = random.Random("rational-arithmetic")
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(30):
+        f = BinaryForm(2, [q() for _ in range(3)])
+        g = BinaryForm(3, [q() for _ in range(4)])
+        m = [q() for _ in range(4)]
+        forms = [BinaryForm(2, [q() for _ in range(3)]) for _ in range(3)]
+        curve = SymPlaneCurve(
+            3, {(a, b, 3 - a - b): q() for a in range(4) for b in range(4 - a)}
+        )
+        pull = curve.pullback(*forms)
+        for _ in range(4):
+            x0, x1 = q(), q()
+            assert (f * g).eval_proj(x0, x1) == f.eval_proj(x0, x1) * g.eval_proj(x0, x1)
+            assert f.power(3).eval_proj(x0, x1) == f.eval_proj(x0, x1) ** 3
+            if m[0] * m[3] != m[1] * m[2]:
+                assert g.substitute(*m).eval_proj(x0, x1) == g.eval_proj(
+                    m[0] * x0 + m[1] * x1, m[2] * x0 + m[3] * x1
+                )
+            assert pull.eval_proj(x0, x1) == curve.evaluate(
+                *(h.eval_proj(x0, x1) for h in forms)
+            )
 
 
 def test_pencil_rejects_degenerate():
@@ -302,6 +373,86 @@ def test_verification_suite_small():
     assert result["failures"] == []
     assert result["transversal_rate"] >= Fraction(95, 100)
     assert result["seed"] == 11
+
+
+def test_verification_suite_rejects_negative_counts():
+    with pytest.raises(ValueError, match="samples"):
+        verification_suite(3, samples=-1)
+    with pytest.raises(ValueError, match="membership_points"):
+        verification_suite(3, samples=5, membership_points=-1)
+    empty = verification_suite(3, samples=0)
+    assert empty["failures"] == [] and empty["transversal_rate"] == 1
+
+
+# -- reference oracle: monic Euclid over the rationals
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_rem(a, b):
+    rem = list(a)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        d = len(rem) - len(b)
+        for i, y in enumerate(b):
+            rem[d + i] -= c * y
+        rem = _ref_trim(rem)
+    return rem
+
+
+def _ref_gcd(a, b):
+    """Monic gcd over the rationals, by Euclid."""
+    while b:
+        a, b = b, _ref_rem(a, b)
+    return [x / a[-1] for x in a] if a else a
+
+
+def _ref_counts(coeffs):
+    """(distinct projective roots, squarefree) of a nonzero binary form."""
+    a = _ref_trim(coeffs)
+    at_infinity = len(coeffs) - len(a)
+    if len(a) <= 1:
+        return min(at_infinity, 1), at_infinity <= 1
+    g = _ref_gcd(a, _ref_trim(i * a[i] for i in range(1, len(a))))
+    distinct = (len(a) - 1) - (len(g) - 1) + min(at_infinity, 1)
+    return distinct, at_infinity <= 1 and len(g) <= 1
+
+
+@st.composite
+def root_test_form(draw):
+    """Rational forms up to bound 8 with 0, 1 or 2 roots at infinity.
+
+    Half are products of small linear factors, drawn with repeats so that
+    repeated roots are common.
+    """
+    tail = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        head = draw(st.lists(small, min_size=1, max_size=9 - tail))
+        head[-1] = head[-1] or Fraction(1)
+    else:
+        factors = draw(st.lists(st.tuples(small, small.filter(bool)), max_size=8 - tail))
+        head = [draw(small.filter(bool))]
+        for c0, c1 in factors:
+            head = [
+                (head[i] if i < len(head) else 0) * c0
+                + (head[i - 1] if i >= 1 else 0) * c1
+                for i in range(len(head) + 1)
+            ]
+    cs = head + [Fraction(0)] * tail
+    return BinaryForm(len(cs) - 1, cs)
+
+
+@given(root_test_form())
+@settings(max_examples=300, deadline=None)
+def test_root_counts_match_rational_euclid(form):
+    distinct, squarefree = _ref_counts(list(form.coeffs))
+    assert distinct_root_count(form) == distinct
+    assert is_squarefree(form) == squarefree
 
 
 def test_verification_suite_deterministic():
