@@ -47,7 +47,6 @@ from .hilbert import (
     optimal_class,
     pairing,
     q_case,
-    q_curve,
     q_optimal_form,
     tau,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "conic_intersection",
     "CurveClass",
     "DivisorClass",
-    "q_curve",
     "pairing",
     "gonality_class",
     "optimal_class",

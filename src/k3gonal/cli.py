@@ -464,6 +464,11 @@ def hilb_scan(ctx, pmax, kmax, pmin, kmin, fmt, out):
     """One row per (p, k): delta0, g, optimal class, q, cone and flags."""
     if pmin < 2 or kmin < 2:
         raise ValueError("need pmin >= 2 and kmin >= 2")
+    if pmin > pmax or kmin > kmax:
+        raise ValueError(
+            f"empty grid: need pmin <= pmax and kmin <= kmax, got "
+            f"pmin={pmin}, pmax={pmax}, kmin={kmin}, kmax={kmax}"
+        )
     rows = []
     for k in range(kmin, kmax + 1):
         for p in range(pmin, pmax + 1):
@@ -487,7 +492,7 @@ def hilb_scan(ctx, pmax, kmax, pmin, kmin, fmt, out):
                 }
             )
     payload = {"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": rows}
-    header = list(rows[0].keys()) if rows else []
+    header = list(rows[0].keys())
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(str(row[h]) for h in header))
@@ -499,9 +504,6 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ brute-force scan `delta0_bruteforce` is the test oracle.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from . import brillnoether
 from .errors import InvariantViolation
@@ -115,6 +116,12 @@ def admissible(p: int, k: int, delta: int) -> bool:
 def decompose(p: int, k: int) -> Decomposition:
     """Decompose p as (k-1)m(m+1) + t(m+1) + lam with m maximal.
 
+    m is read off in closed form: (k-1)n(n+1) <= p iff n(n+1) <= q with
+    q = floor(p/(k-1)), iff (2n+1)^2 <= 4q+1, so
+    m = (isqrt(4q+1) - 1) // 2, in O(log p) integer operations.  The range
+    check and the reconstruction check below guard it: an m one too small
+    would give t >= 2(k-1), one too large would give t < 0.
+
     Requires p >= 2(k-1) so that m >= 1; below that the delta0 = 0 regime
     applies and there is nothing to decompose.
     """
@@ -124,9 +131,7 @@ def decompose(p: int, k: int) -> Decomposition:
             f"p={p} < 2(k-1)={2 * (k - 1)}: m would be 0; "
             "this is the delta0 = 0 regime"
         )
-    m = 1
-    while (k - 1) * (m + 1) * (m + 2) <= p:
-        m += 1
+    m = (isqrt(4 * (p // (k - 1)) + 1) - 1) // 2
     t = floor_div(p, m + 1) - m * (k - 1)
     lam = p - (k - 1) * m * (m + 1) - t * (m + 1)
     dec = Decomposition(m, t, lam)

@@ -21,18 +21,16 @@ minimal delta.  Every such identity is computed both ways and cross-checked
 at runtime; disagreement raises InvariantViolation.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
 from .exactmath import exact_sqrt, floor_div
-from .gonality import GonalityCase, decompose, delta0
+from .gonality import GonalityCase, _check_pk, decompose, delta0
 
 __all__ = [
     "CurveClass",
     "DivisorClass",
-    "q_curve",
-    "q_divisor",
     "pairing",
     "gonality_class",
     "optimal_class",
@@ -65,13 +63,6 @@ def rat_str(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _check_pk(p: int, k: int) -> None:
-    if p < 2:
-        raise ValueError(f"need p >= 2, got p={p}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
-
-
 @dataclass(frozen=True)
 class CurveClass:
     """The 1-cycle class a*H - y*r_k on the Hilbert scheme of k points.
@@ -95,6 +86,7 @@ class CurveClass:
 
     @property
     def q(self) -> Fraction:
+        """Beauville-Bogomolov square a^2 (2p-2) - y^2/(2(k-1))."""
         return self.a * self.a * (2 * self.p - 2) - Fraction(
             self.y * self.y, 2 * (self.k - 1)
         )
@@ -134,17 +126,8 @@ class DivisorClass:
 
     @property
     def q(self) -> Fraction:
+        """Beauville-Bogomolov square a^2 (2p-2) - 2(k-1) c^2."""
         return self.a * self.a * (2 * self.p - 2) - 2 * (self.k - 1) * self.c * self.c
-
-
-def q_curve(cls: CurveClass) -> Fraction:
-    """Beauville-Bogomolov square a^2 (2p-2) - y^2/(2(k-1))."""
-    return cls.q
-
-
-def q_divisor(cls: DivisorClass) -> Fraction:
-    """Beauville-Bogomolov square a^2 (2p-2) - 2(k-1) c^2."""
-    return cls.q
 
 
 def pairing(d: DivisorClass, r: CurveClass) -> Fraction:
@@ -338,18 +321,7 @@ class LagrangianReport:
     n: int | None = None
 
     def to_payload(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "has_isotropic": self.has_isotropic,
-            "s": self.s,
-            "alpha": self.alpha,
-            "value": self.value,
-            "not_nef": self.not_nef,
-            "necessary_condition_holds": self.necessary_condition_holds,
-            "primitive": self.primitive,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def _primitive_isotropic_n(p: int, k: int) -> int | None:
@@ -502,17 +474,6 @@ class HTConeReport:
     rbar: CurveClass | None = None
     q_rbar: Fraction | None = None
     violation: bool | None = None
-
-    def to_payload(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "applicable": self.applicable,
-            "n": self.n,
-            "rbar": self.rbar.to_payload() if self.rbar else None,
-            "q_rbar": rat_str(self.q_rbar) if self.q_rbar is not None else None,
-            "violation": self.violation,
-        }
 
 
 def ht_violation_check(p: int, k: int) -> HTConeReport:

@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from k3gonal import gonality
 from k3gonal.cli import main
+from k3gonal.hilbert import rat_str
 
 
 def run(capsys, *argv):
@@ -290,3 +292,67 @@ def test_table_unicode_fraction(capsys):
     code, out, _ = run(capsys, "hilb", "q", "-p", "9", "-k", "4", "--delta", "2")
     assert code == 0
     assert out.strip() == "-2⁄3"
+
+
+# SHA-256 of `--format json hilb CMD -p P -k K`, recorded before the duplicate
+# guard, the wrappers and the hand-written payloads of hilbert.py were removed
+HILB_JSON_SHA256 = {
+    ("lagrangian", 10, 2): "ebd735ea42878ed5644ee081063c5b58b9de025ec9ea53f4912ff12e1ce6b38e",
+    ("lagrangian", 10, 5): "243ebb267d0b6b9cba03410ac588cdf5490774b7cb6a004f2cec59b44384b037",
+    ("lagrangian", 11, 2): "76abc3543d871ae2c6593b9ff02070dc7aa7084779250b1788c243fd9081b3ba",
+    ("rays", 1000003, 3): "d0533bebdf4eb11e165a9d303350254624fa5d8a3749f392adeb9f0082784987",
+    ("cone", 1000003, 3): "ff17d3e2562f051814a7b26fa3eeb3d3b49a002815df9036a613dcbf471309b4",
+    ("rays", 8, 2): "0a08d46c9f64f8a5f822e0e4debbf38b80cbd7bc5ad80fa580dd9a23d87bbcdd",
+    ("cone", 8, 2): "e87370fea4a3992ef1ec6f19c9b5bd8656106a4d88a2f8d73a5dee17fd2258a7",
+}
+
+
+@pytest.mark.parametrize("cmd,p,k", sorted(HILB_JSON_SHA256))
+def test_hilb_json_bytes_pinned(capsys, cmd, p, k):
+    code, out, _ = run(
+        capsys, "--format", "json", "hilb", cmd, "-p", str(p), "-k", str(k)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HILB_JSON_SHA256[cmd, p, k]
+
+
+@pytest.mark.parametrize("k", [2, 10**6])
+def test_closed_forms_at_extreme_p(capsys, k):
+    p = 10**40 + 1
+    pk = ("-p", str(p), "-k", str(k))
+    code, out, _ = run(capsys, "--format", "json", "gonality", "delta0", *pk)
+    assert code == 0
+    d0 = json.loads(out)["delta0"]
+    assert gonality.admissible(p, k, d0) and not gonality.admissible(p, k, d0 - 1)
+    y = p - d0 + k - 1
+    tau = Fraction(2 * (p - 1), y)
+    q = 2 * (p - 1) - Fraction(y * y, 2 * (k - 1))
+    code, out, _ = run(capsys, "--format", "json", "hilb", "cone", *pk)
+    assert code == 0
+    cone = json.loads(out)
+    assert cone["delta0"] == d0
+    assert cone["optimal_class"] == {"a": 1, "y": y}
+    assert cone["tau"] == rat_str(tau) and cone["q_optimal"] == rat_str(q)
+    code, out, _ = run(capsys, "--format", "json", "hilb", "rays", *pk)
+    assert code == 0
+    rays = json.loads(out)
+    assert rays["rays"] == [{"a": 0, "y": -1}, {"a": 1, "y": y}]
+    assert rays["q"] == rat_str(q)
+    if k == 2:
+        # p = n^2 + 1 with n = 10^20: the primitive isotropic family
+        assert (y, tau, q) == (2 * 10**20, 10**20, 0)
+        assert rays["status"] == "PROVEN_ISOPRIM"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--pmin", "5", "--pmax", "3", "--kmax", "2"),
+        ("--pmax", "8", "--kmin", "4", "--kmax", "3"),
+    ],
+)
+def test_scan_inverted_bounds_exit_1(capsys, fmt, bounds):
+    code, out, err = run(capsys, "hilb", "scan", *bounds, "--format", fmt)
+    assert code == 1 and out == ""
+    assert "pmin" in err and "kmax" in err

@@ -58,6 +58,49 @@ def test_decomposition_roundtrip(p, k):
     assert (k - 1) * (dec.m + 1) * (dec.m + 2) > p
 
 
+def _decompose_by_search(p, k):
+    """Reference decomposition: m by linear search, O(sqrt(p/(k-1))) steps."""
+    m = 1
+    while (k - 1) * (m + 1) * (m + 2) <= p:
+        m += 1
+    t = p // (m + 1) - m * (k - 1)
+    return Decomposition(m, t, p - (k - 1) * m * (m + 1) - t * (m + 1))
+
+
+def test_decompose_matches_search_reference():
+    for k in range(2, 21):
+        for p in range(2 * (k - 1), 5001):
+            assert decompose(p, k) == _decompose_by_search(p, k)
+
+
+def _boundary_p(args):
+    # p next to a threshold (k-1)n(n+1), where an off-by-one m would show
+    k, n, offset = args
+    return max(2 * (k - 1), (k - 1) * n * (n + 1) + offset), k
+
+
+_EXTREME_PK = st.one_of(
+    st.integers(2, 10**6).flatmap(
+        lambda k: st.tuples(st.integers(2 * (k - 1), 10**40), st.just(k))
+    ),
+    st.tuples(
+        st.integers(2, 10**6), st.integers(1, 10**17), st.integers(-1, 1)
+    ).map(_boundary_p),
+)
+
+
+@given(pk=_EXTREME_PK)
+@settings(max_examples=300, deadline=None)
+def test_decompose_extremes(pk):
+    p, k = pk
+    dec = decompose(p, k)
+    m, t, lam = dec.m, dec.t, dec.lam
+    assert (k - 1) * m * (m + 1) + t * (m + 1) + lam == p
+    assert 0 <= t < 2 * (k - 1)
+    assert 0 <= lam <= m
+    assert (k - 1) * m * (m + 1) <= p < (k - 1) * (m + 1) * (m + 2)
+
+
 def test_delta0_examples():
     assert delta0(8, 2) == 4
     assert delta0(12, 3) == 4  # p = s(s+1)(k-1) with s=2: p - 2s(k-1)

@@ -20,8 +20,6 @@ from k3gonal.hilbert import (
     optimal_class,
     pairing,
     q_case,
-    q_curve,
-    q_divisor,
     q_optimal_form,
     rat_str,
     tau,
@@ -32,10 +30,10 @@ F = Fraction
 
 def test_q_curve_examples():
     for k in (2, 3, 5):
-        assert q_curve(CurveClass(6, k, 0, 1)) == F(-1, 2 * (k - 1))
-    assert q_curve(CurveClass(9, 4, 1, 10)) == F(-2, 3)
+        assert CurveClass(6, k, 0, 1).q == F(-1, 2 * (k - 1))
+    assert CurveClass(9, 4, 1, 10).q == F(-2, 3)
     for p in (2, 7, 11):
-        assert q_curve(CurveClass(p, 3, 1, 0)) == 2 * p - 2
+        assert CurveClass(p, 3, 1, 0).q == 2 * p - 2
 
 
 def test_fiber_class():
@@ -160,9 +158,9 @@ def test_cone_range_helpers():
 
 
 def test_q_divisor():
-    assert q_divisor(DivisorClass(9, 4, 1, 0)) == 16
-    assert q_divisor(DivisorClass(9, 4, 0, 1)) == -6  # q(e_k) = -2(k-1)
-    assert q_divisor(DivisorClass(8, 2, 1, F(1, 2))) == 14 - F(1, 2)
+    assert DivisorClass(9, 4, 1, 0).q == 16
+    assert DivisorClass(9, 4, 0, 1).q == -6  # q(e_k) = -2(k-1)
+    assert DivisorClass(8, 2, 1, F(1, 2)).q == 14 - F(1, 2)
 
 
 def test_minimal_q_family_examples():
