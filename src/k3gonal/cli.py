@@ -23,6 +23,7 @@ warning).
 
 import csv
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -35,49 +36,40 @@ from .hilbert import rat_str
 
 __all__ = ["cli", "main"]
 
+# `gonality delta0 --verify` builds one case per delta up to delta0, O(p)
+VERIFY_MAX_P = 10**5
+# `hilb scan` holds every row in memory until it renders them
+SCAN_MAX_ROWS = 10**5
+
+FORMATS = click.Choice(["table", "json", "csv"])
+
 
 def _rat_table(q) -> str:
     """Table-mode rendering: unicode fraction slash, integers bare."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}⁄{q.denominator}"
+    return rat_str(q).replace("/", "⁄")
 
 
-def _output_options(command):
-    """Attach trailing --format/--out flags that override the group-level ones."""
-    command = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["table", "json", "csv"]),
-        default=None,
-        help="Output format (overrides the global flag).",
-    )(command)
-    command = click.option(
-        "--out",
-        "out",
-        type=click.Path(),
-        default=None,
-        help="Write output to FILE (overrides the global flag).",
-    )(command)
-    return command
+def _emit(fmt: str, out_path: str | None, payload: dict, table, csv_rows=None) -> None:
+    """Render one result in the selected format and write it out.
 
-
-def _emit(ctx: click.Context, payload: dict, table: str, csv_rows=None) -> None:
-    """Render one result in the selected format and write it out."""
-    fmt = ctx.params.get("fmt") or ctx.obj["format"]
+    `table` is the text or an iterable of its lines; `csv_rows` defaults to
+    one header row and one value row taken from the flat payload.  Only the
+    selected rendering is consumed.
+    """
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
-        rows = csv_rows
-        if rows is None:
-            rows = [list(payload.keys()), [_csv_cell(v) for v in payload.values()]]
+        if csv_rows is None:
+            cells = [json.dumps(v) if isinstance(v, (list, dict)) else v
+                     for v in payload.values()]
+            csv_rows = [list(payload), cells]
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = table if table.endswith("\n") else table + "\n"
-    out_path = ctx.params.get("out") or ctx.obj["out"]
+        text = table if isinstance(table, str) else "\n".join(table)
+        if not text.endswith("\n"):
+            text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -85,31 +77,56 @@ def _emit(ctx: click.Context, payload: dict, table: str, csv_rows=None) -> None:
         click.echo(text, nl=False)
 
 
-def _csv_cell(v):
-    if isinstance(v, Fraction):
-        return rat_str(v)
-    if isinstance(v, (list, dict)):
-        return json.dumps(v)
-    return v
+class _LeafCommand(click.Command):
+    """A command whose callback returns (payload, table[, csv_rows]).
+
+    It takes trailing --format/--out flags, which win over the global ones,
+    and renders the result once in the selected format.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params += [
+            click.Option(
+                ["--out"],
+                type=click.Path(),
+                help="Write output to FILE (overrides the global flag).",
+            ),
+            click.Option(
+                ["--format", "fmt"],
+                type=FORMATS,
+                help="Output format (overrides the global flag).",
+            ),
+        ]
+
+    def invoke(self, ctx: click.Context) -> None:
+        root = ctx.find_root().params
+        fmt = ctx.params.pop("fmt") or root["fmt"]
+        out = ctx.params.pop("out") or root["out"]
+        _emit(fmt, out, *super().invoke(ctx))
 
 
-@click.group()
+class _Group(click.Group):
+    """Makes every subgroup a _Group and every command a _LeafCommand."""
+
+    command_class = _LeafCommand
+    group_class = type
+
+
+@click.group(cls=_Group)
 @click.option(
     "--format",
     "fmt",
-    type=click.Choice(["table", "json", "csv"]),
+    type=FORMATS,
     default="table",
     show_default=True,
     help="Output format.",
 )
 @click.option("--out", type=click.Path(), default=None, help="Write output to FILE.")
-@click.pass_context
-def cli(ctx, fmt, out):
+def cli(fmt, out):
     """Exact calculators for gonality loci on K3 surfaces and the Mori cone
     of punctual Hilbert schemes."""
-    ctx.ensure_object(dict)
-    ctx.obj["format"] = fmt
-    ctx.obj["out"] = out
+    # the leaf commands read --format and --out from the root context
 
 
 # -- bn -----------------------------------------------------------------
@@ -124,12 +141,10 @@ def bn():
 @click.option("-g", "g", type=int, required=True, help="Genus.")
 @click.option("-r", "r", type=int, required=True, help="Series dimension.")
 @click.option("-d", "d", type=int, required=True, help="Series degree.")
-@_output_options
-@click.pass_context
-def bn_rho(ctx, g, r, d, fmt, out):
+def bn_rho(g, r, d):
     """The Brill-Noether number g - (r+1)(r+g-d)."""
     value = brillnoether.rho(g, r, d)
-    _emit(ctx, {"g": g, "r": r, "d": d, "rho": value}, table=str(value))
+    return {"g": g, "r": r, "d": d, "rho": value}, str(value)
 
 
 @bn.command("check")
@@ -138,9 +153,7 @@ def bn_rho(ctx, g, r, d, fmt, out):
 @click.option("--delta", type=int, required=True, help="Marked node count.")
 @click.option("-r", "r", type=int, default=None, help="Series dimension (default 1).")
 @click.option("-d", "d", type=int, default=None, help="Series degree (default k).")
-@_output_options
-@click.pass_context
-def bn_check(ctx, p, k, delta, r, d, fmt, out):
+def bn_check(p, k, delta, r, d):
     """Existence bound for a g^r_d on the normalization."""
     if d is None:
         if k is None:
@@ -163,7 +176,7 @@ def bn_check(ctx, p, k, delta, r, d, fmt, out):
         f"{verdict} (alpha={report.alpha}, rho={report.rho_at_alpha}, "
         f"threshold={report.threshold_delta})"
     )
-    _emit(ctx, payload, table=table)
+    return payload, table
 
 
 # -- gonality -----------------------------------------------------------
@@ -178,13 +191,16 @@ def gonality_group():
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--verify", is_flag=True, help="Cross-check against the brute-force scan.")
-@_output_options
-@click.pass_context
-def gonality_delta0(ctx, p, k, verify, fmt, out):
+def gonality_delta0(p, k, verify):
     """Minimal admissible node number, in closed form."""
     value = gonality.delta0(p, k)
     verified = False
     if verify:
+        if p > VERIFY_MAX_P:
+            raise ValueError(
+                f"--verify scans every delta up to delta0 and is limited to "
+                f"p <= {VERIFY_MAX_P}, got p={p}"
+            )
         oracle = gonality.delta0_bruteforce(p, k)
         if oracle != value:
             raise InvariantViolation(
@@ -194,20 +210,18 @@ def gonality_delta0(ctx, p, k, verify, fmt, out):
         verified = True
     payload = {"p": p, "k": k, "delta0": value, "verified": verified}
     table = f"{value} (verified)" if verified else str(value)
-    _emit(ctx, payload, table=table)
+    return payload, table
 
 
 @gonality_group.command("dims")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--delta", type=int, required=True)
-@_output_options
-@click.pass_context
-def gonality_dims(ctx, p, k, delta, fmt, out):
+def gonality_dims(p, k, delta):
     """Expected dimension of the k-gonal locus and of W^1_k."""
     dim_vk, dim_w1k = gonality.expected_dims(p, k, delta)
     payload = {"p": p, "k": k, "delta": delta, "dim_Vk": dim_vk, "dim_W1k": dim_w1k}
-    _emit(ctx, payload, table=f"dim V^k = {dim_vk}, dim W^1_k = {dim_w1k}")
+    return payload, f"dim V^k = {dim_vk}, dim W^1_k = {dim_w1k}"
 
 
 # -- chains -------------------------------------------------------------
@@ -227,53 +241,47 @@ def _partition_table(part: chains.ChainPartition) -> str:
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--delta", type=int, required=True)
-@_output_options
-@click.pass_context
-def chains_witness(ctx, p, k, delta, fmt, out):
+def chains_witness(p, k, delta):
     """A valid partition realizing the requested node number."""
     part = chains.witness(p, k, delta)
-    _emit(ctx, part.to_payload(), table=_partition_table(part))
+    return part.to_payload(), _partition_table(part)
 
 
 @chains_group.command("enumerate")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
-@_output_options
-@click.pass_context
-def chains_enumerate(ctx, p, k, fmt, out):
+def chains_enumerate(p, k):
     """All valid partitions for (p, k), in stable order."""
     parts = chains.enumerate_partitions(p, k)
-    payload = {"p": p, "k": k, "count": len(parts), "partitions": [
-        part.to_payload() for part in parts
-    ]}
-    table = "\n".join(_partition_table(part) for part in parts)
-    csv_rows = [["delta", "g", "parts"]] + [
-        [part.delta, part.g, json.dumps(part.to_payload()["parts"])]
-        for part in parts
-    ]
-    _emit(ctx, payload, table=table, csv_rows=csv_rows)
+    payloads = [part.to_payload() for part in parts]
+    payload = {"p": p, "k": k, "count": len(parts), "partitions": payloads}
+    table = (_partition_table(part) for part in parts)
+    csv_rows = itertools.chain(
+        [["delta", "g", "parts"]],
+        ([d["delta"], d["g"], json.dumps(d["parts"])] for d in payloads),
+    )
+    return payload, table, csv_rows
 
 
-def _parse_alpha(text: str) -> dict[int, int]:
-    mult: dict[int, int] = {}
+def _parse_alpha(text: str) -> list[tuple[int, int]]:
+    """The (j, multiplicity) pairs in order; ChainPartition sums repeated j."""
+    pairs = []
     try:
         for piece in text.split(","):
             j, a = piece.split(":")
-            mult[int(j)] = int(a)
+            pairs.append((int(j), int(a)))
     except (ValueError, TypeError) as exc:
         raise click.UsageError(
             f"--alpha expects comma-separated j:multiplicity pairs, got {text!r}"
         ) from exc
-    return mult
+    return pairs
 
 
 @chains_group.command("stable")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--alpha", required=True, help="Sparse multiplicities, e.g. 1:2,2:1,4:1.")
-@_output_options
-@click.pass_context
-def chains_stable(ctx, p, k, alpha, fmt, out):
+def chains_stable(p, k, alpha):
     """Stable-model node count and bookkeeping for a given partition."""
     part = chains.ChainPartition(p, k, _parse_alpha(alpha))
     if not chains.validate(part):
@@ -288,7 +296,7 @@ def chains_stable(ctx, p, k, alpha, fmt, out):
         f"lines={curve.line_count} ruling2={curve.ruling2_lines} "
         f"marked={curve.marked_nodes} e_points={curve.e_points}"
     )
-    _emit(ctx, payload, table=table)
+    return payload, table
 
 
 # -- pencil -------------------------------------------------------------
@@ -303,9 +311,7 @@ def pencil_group():
 @click.option("-k", "k", type=int, required=True)
 @click.option("--samples", type=int, default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_output_options
-@click.pass_context
-def pencil_verify(ctx, k, samples, seed, fmt, out):
+def pencil_verify(k, samples, seed):
     """Degree law, diagonal identity, membership oracle, conic counts."""
     result = pencil.verification_suite(k, samples=samples, seed=seed)
     rate = result["transversal_rate"]
@@ -332,7 +338,7 @@ def pencil_verify(ctx, k, samples, seed, fmt, out):
         raise InvariantViolation(
             f"transversality rate {rate} below 95% at k={k}, seed={seed}"
         )
-    _emit(ctx, payload, table=table)
+    return payload, table
 
 
 # -- hilb ---------------------------------------------------------------
@@ -347,9 +353,7 @@ def hilb():
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--delta", type=int, required=True)
-@_output_options
-@click.pass_context
-def hilb_class(ctx, p, k, delta, fmt, out):
+def hilb_class(p, k, delta):
     """The curve class H - (g+k-1) r_k of an admissible case."""
     cls = hilbert.gonality_class(p, k, delta)
     payload = {
@@ -360,28 +364,24 @@ def hilb_class(ctx, p, k, delta, fmt, out):
         "q": rat_str(cls.q),
         "display": cls.display(),
     }
-    _emit(ctx, payload, table=cls.display())
+    return payload, cls.display()
 
 
 @hilb.command("q")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--delta", type=int, required=True)
-@_output_options
-@click.pass_context
-def hilb_q(ctx, p, k, delta, fmt, out):
+def hilb_q(p, k, delta):
     """Self-intersection of the gonality class, both closed forms."""
     q = hilbert.q_case(p, k, delta)
     payload = {"p": p, "k": k, "delta": delta, "q": rat_str(q)}
-    _emit(ctx, payload, table=_rat_table(q))
+    return payload, _rat_table(q)
 
 
 @hilb.command("cone")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
-@_output_options
-@click.pass_context
-def hilb_cone(ctx, p, k, fmt, out):
+def hilb_cone(p, k):
     """Cone bound tau(p, k) and the optimal class behind it."""
     t = hilbert.tau(p, k)
     opt = hilbert.optimal_class(p, k)
@@ -400,29 +400,25 @@ def hilb_cone(ctx, p, k, fmt, out):
         f"(q = {_rat_table(opt.q)})\n"
         f"H - t*e_k ample only if 0 < t < tau, nef only if 0 <= t <= tau"
     )
-    _emit(ctx, payload, table=table)
+    return payload, table
 
 
 @hilb.command("qvalues")
 @click.option("-k", "k", type=int, required=True)
 @click.option("--pmax", type=int, required=True)
-@_output_options
-@click.pass_context
-def hilb_qvalues(ctx, k, pmax, fmt, out):
+def hilb_qvalues(k, pmax):
     """Negative optimal self-intersections attained up to pmax."""
     values = hilbert.attained_q_values(k, pmax)
     payload = {"k": k, "pmax": pmax, "qvalues": [rat_str(v) for v in values]}
-    table = "\n".join(_rat_table(v) for v in values)
-    csv_rows = [["q"]] + [[rat_str(v)] for v in values]
-    _emit(ctx, payload, table=table, csv_rows=csv_rows)
+    table = (_rat_table(v) for v in values)
+    csv_rows = itertools.chain([["q"]], ([q] for q in payload["qvalues"]))
+    return payload, table, csv_rows
 
 
 @hilb.command("lagrangian")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
-@_output_options
-@click.pass_context
-def hilb_lagrangian(ctx, p, k, fmt, out):
+def hilb_lagrangian(p, k):
     """Isotropy detection and the Lagrangian-fibration necessary condition."""
     report = hilbert.lagrangian_report(p, k)
     if not report.has_isotropic:
@@ -435,22 +431,20 @@ def hilb_lagrangian(ctx, p, k, fmt, out):
         )
         prim = f", primitive (n={report.n})" if report.primitive else ""
         table = f"s={report.s} alpha={report.alpha} value={report.value}: {verdict}{prim}"
-    _emit(ctx, report.to_payload(), table=table)
+    return report.to_payload(), table
 
 
 @hilb.command("rays")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
-@_output_options
-@click.pass_context
-def hilb_rays(ctx, p, k, fmt, out):
+def hilb_rays(p, k):
     """Extremal-ray status of the Mori cone for (p, k)."""
     report = hilbert.extremal_ray_status(p, k)
     rays = ", ".join(r.display() for r in report.rays)
     table = f"{report.status}: rays {{{rays}}} (q = {_rat_table(report.q)})"
     if report.notes:
         table += "\n" + "\n".join(f"note: {n}" for n in report.notes)
-    _emit(ctx, report.to_payload(), table=table)
+    return report.to_payload(), table
 
 
 @hilb.command("scan")
@@ -458,9 +452,7 @@ def hilb_rays(ctx, p, k, fmt, out):
 @click.option("--kmax", type=int, required=True)
 @click.option("--pmin", type=int, default=2, show_default=True)
 @click.option("--kmin", type=int, default=2, show_default=True)
-@_output_options
-@click.pass_context
-def hilb_scan(ctx, pmax, kmax, pmin, kmin, fmt, out):
+def hilb_scan(pmax, kmax, pmin, kmin):
     """One row per (p, k): delta0, g, optimal class, q, cone and flags."""
     if pmin < 2 or kmin < 2:
         raise ValueError("need pmin >= 2 and kmin >= 2")
@@ -468,6 +460,11 @@ def hilb_scan(ctx, pmax, kmax, pmin, kmin, fmt, out):
         raise ValueError(
             f"empty grid: need pmin <= pmax and kmin <= kmax, got "
             f"pmin={pmin}, pmax={pmax}, kmin={kmin}, kmax={kmax}"
+        )
+    size = (pmax - pmin + 1) * (kmax - kmin + 1)
+    if size > SCAN_MAX_ROWS:
+        raise ValueError(
+            f"grid of {size} rows is over the limit of {SCAN_MAX_ROWS} rows"
         )
     rows = []
     for k in range(kmin, kmax + 1):
@@ -492,12 +489,8 @@ def hilb_scan(ctx, pmax, kmax, pmin, kmin, fmt, out):
                 }
             )
     payload = {"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": rows}
-    header = list(rows[0].keys())
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(str(row[h]) for h in header))
-    csv_rows = [header] + [[_csv_cell(row[h]) for h in header] for row in rows]
-    _emit(ctx, payload, table="\n".join(lines), csv_rows=csv_rows)
+    grid = [list(rows[0]), *(row.values() for row in rows)]
+    return payload, ("\t".join(map(str, line)) for line in grid), grid
 
 
 def main(argv=None) -> int:

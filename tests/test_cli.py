@@ -1,12 +1,17 @@
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
+import click
 import pytest
 
-from k3gonal import gonality
+from k3gonal import cli, gonality
 from k3gonal.cli import main
 from k3gonal.hilbert import rat_str
 
@@ -356,3 +361,197 @@ def test_scan_inverted_bounds_exit_1(capsys, fmt, bounds):
     code, out, err = run(capsys, "hilb", "scan", *bounds, "--format", fmt)
     assert code == 1 and out == ""
     assert "pmin" in err and "kmax" in err
+
+# SHA-256 of stdout for `--format FMT COMMAND`, one or two small inputs for
+# each leaf command, recorded before the leaf commands shared one output path
+LEAF_SHA256 = {
+    ('bn rho -g 9 -r 1 -d 6', 'table'): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ('bn rho -g 9 -r 1 -d 6', 'json'): "3580ea33447df81c6f0757d4008ae8ee1b11b950a6000a301d1aba98bd37fece",
+    ('bn rho -g 9 -r 1 -d 6', 'csv'): "5db69ff20f660399f5d626e5a7503f1a2c4c27140ae6c69015ffbb851e9956ee",
+    ('bn rho -g 4 -r 2 -d 3', 'table'): "0b2f06dddfa807ee574a78468d3a05904873b97f44377eb93481e091c257b800",
+    ('bn rho -g 4 -r 2 -d 3', 'json'): "f59feb4c41c63b6faa1ede2563e31378ec2a5ed871f5f13f4a869880d30ccfda",
+    ('bn rho -g 4 -r 2 -d 3', 'csv'): "6547f42b9d71264ef71423edd8b1e346b70b1bc7ced799f3fd17cdbd2b0d73f6",
+    ('bn check -p 9 -k 4 --delta 2', 'table'): "913d16910d99ef12ddd1723a62cf8db3ced145818137325dd26621a4e16c1d6b",
+    ('bn check -p 9 -k 4 --delta 2', 'json'): "e373dca532290cbe36dfc820af997650b7027095ddfd5a6b22765e593ea5bcbe",
+    ('bn check -p 9 -k 4 --delta 2', 'csv'): "f66c2a5d5e7981a220c62151eb40a6670e68df1723cec254836813b90e4d12d1",
+    ('bn check -p 8 --delta 3 -r 1 -d 2', 'table'): "93053e2a433ed54cc85d26bf7326f6d870713a3b86310621e8d46a98435cf50f",
+    ('bn check -p 8 --delta 3 -r 1 -d 2', 'json'): "bdffa869ebdbf3767bdd3b1777e2c6ca5932f6956c2bc23aee9c67a0806657a4",
+    ('bn check -p 8 --delta 3 -r 1 -d 2', 'csv'): "19f0a26937037df580d6d8b4ba29a4317b12b8125c547774eaee30bd4ee04d6b",
+    ('gonality delta0 -p 9 -k 4 --verify', 'table'): "eaf1ce615e42d12ed3065c7b7c250861a5740c720307d18bae63629be6ab21c3",
+    ('gonality delta0 -p 9 -k 4 --verify', 'json'): "83c5ed6b00cd3245dd50e620a2e1679b6ddf8a22a3fe025619965492fcb8a700",
+    ('gonality delta0 -p 9 -k 4 --verify', 'csv'): "f7cd8ac0e927838f943acadcb0df73f4b342a9f576db407294b4cd62606ff0b4",
+    ('gonality delta0 -p 20 -k 3', 'table'): "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469",
+    ('gonality delta0 -p 20 -k 3', 'json'): "cf7cac362049a3c11bb4d06fd3e08f87ac768c879f04c9372cfd1d1a7f787126",
+    ('gonality delta0 -p 20 -k 3', 'csv'): "f15b03459b8aad0a96ba0850d3fe35d065ead27e7462b4bfee92767c06e8dad1",
+    ('gonality dims -p 8 -k 2 --delta 4', 'table'): "bdc6c2820dce3f6a655a18ffe68a1f1b05ac075ac52bf6706ecf6237e725b118",
+    ('gonality dims -p 8 -k 2 --delta 4', 'json'): "a9b222238ce1f7761ee91074dc2be1819620921da0cb77c8b7a945cb424ddc2b",
+    ('gonality dims -p 8 -k 2 --delta 4', 'csv'): "dfdf012b74e60c2fc363ea978022d7a4a19bb780c14310575c0e104ed7311588",
+    ('gonality dims -p 20 -k 5 --delta 8', 'table'): "b919aa6b375a2c22c7472f08d50e2ac1d59446ecf74021641caec32d646a2459",
+    ('gonality dims -p 20 -k 5 --delta 8', 'json'): "1330c9a03aaf8d75c2a0e2775a65a89e1e433553d8320e313476fc625fa375c5",
+    ('gonality dims -p 20 -k 5 --delta 8', 'csv'): "5c329d75af3c422e12a73f352112fe7b3007ad227b142b942167897a7b5332ee",
+    ('chains witness -p 8 -k 2 --delta 5', 'table'): "1609f2f19ad03e353d78b94424c5bae987dc33054b8b50a9f5bc5f7befdf15d9",
+    ('chains witness -p 8 -k 2 --delta 5', 'json'): "040c80cf1ba92825c24e28ae8ab1180add79e747978f6c184cd3d7f9b48e357c",
+    ('chains witness -p 8 -k 2 --delta 5', 'csv'): "2e9dc553d274c380a67ed0bf7506f88879066739031109158e51eb8b6ddb8fa1",
+    ('chains witness -p 12 -k 3 --delta 4', 'table'): "306043cc13df3b80c9791d9c57596ffa872ea366138b7b43d52a48b1f00fb709",
+    ('chains witness -p 12 -k 3 --delta 4', 'json'): "c46001b78365eaf721cf3d51dbbd0bf10ce8de1bc493556f8fdbf70558a0586e",
+    ('chains witness -p 12 -k 3 --delta 4', 'csv'): "c29a7b56caf2ba5bcd244cfbe5af4429fdaa42b360fc5ec7b91af9e232877890",
+    ('chains enumerate -p 6 -k 2', 'table'): "d77a8995e9a320520ec590e1b01a9ede0200c8da770d7d1c312b9a3e0d7460c3",
+    ('chains enumerate -p 6 -k 2', 'json'): "3a84757eb9c3275e8a60c4670693ff8bd1deaf66247c28ef260d568ad2a72d65",
+    ('chains enumerate -p 6 -k 2', 'csv'): "4c61973a8f889a147d256cdcfc39f64815c9be960a0c9fcfa1d70022e675a008",
+    ('chains enumerate -p 5 -k 3', 'table'): "ea69385df66e9ccf191d563409cc9b1dcab5b19c2cd77a3fd18cdbc87303b608",
+    ('chains enumerate -p 5 -k 3', 'json'): "7d264ba55e6d49532a2c17deb369c9704e7cc3c83a571949d51e97c5e6df322f",
+    ('chains enumerate -p 5 -k 3', 'csv'): "ca7482d3f4febaa26940df1318d7ce7aa2ebaee9f4ceb223927647d3abbb5129",
+    ('chains stable -p 8 -k 2 --alpha 1:2,2:1,4:1', 'table'): "5a2f13f9d12706b9693810080b5dbe2492258f0e8d69463925bf511e822b10db",
+    ('chains stable -p 8 -k 2 --alpha 1:2,2:1,4:1', 'json'): "8d8a3d2f9718a65afa6d6a7dc67dffb7c870607947d576dc89ca2c6a649fbe9a",
+    ('chains stable -p 8 -k 2 --alpha 1:2,2:1,4:1', 'csv'): "84961c743f18c028b96a88fc03cbba305c8732c2498a93512f8b6b5bbb748c7c",
+    ('chains stable -p 9 -k 3 --alpha 3:1,1:4,2:1', 'table'): "239823650cee04abb48c1bfd9bb16bf84d2b2f5dfe6e04fbd8412a3d5d67d7b7",
+    ('chains stable -p 9 -k 3 --alpha 3:1,1:4,2:1', 'json'): "cda18202881764b548e09fa377b4cb6b11b09fb6f4f3c94d4c1ceb4fab27d30b",
+    ('chains stable -p 9 -k 3 --alpha 3:1,1:4,2:1', 'csv'): "394a552088d58cb1135b2e1ee438395a2101e426042d9d996b02bd5a1832278d",
+    ('pencil verify -k 3 --samples 5 --seed 1', 'table'): "7061651d4bcdc67686b8b4f5092d78993578ce53bb3485af0a8fe1a5810ed786",
+    ('pencil verify -k 3 --samples 5 --seed 1', 'json'): "44e8077f4ccc136134dc6e956b406b40226a46b78c8a2609aabed51ef387f5ff",
+    ('pencil verify -k 3 --samples 5 --seed 1', 'csv'): "3c882276d19a466810c6c06c18847bfde8882ad26e0587e887b39a59202c571b",
+    ('hilb class -p 8 -k 2 --delta 4', 'table'): "41a4b589d3a9680c2fd018766aa040027b911766a529bb70375e56fb5621c4e9",
+    ('hilb class -p 8 -k 2 --delta 4', 'json'): "ec0fa1f4f4c12dac5392da51dcf2989d0a561272a3bf5e484b4b620f36083e97",
+    ('hilb class -p 8 -k 2 --delta 4', 'csv'): "ff17be6a597b19d28874b19b98200fe2dc1081885d432d2fed1cf561b33b12d7",
+    ('hilb class -p 9 -k 4 --delta 2', 'table'): "ff8b1f2f639906919166665d9825e8a405583f6d978622ed56d6eb9c1f34d2b7",
+    ('hilb class -p 9 -k 4 --delta 2', 'json'): "de2427f5e85b4694fcf8bf17c4dc3ee2fb09e4807b407fe4e8d8397ea4494daa",
+    ('hilb class -p 9 -k 4 --delta 2', 'csv'): "43677d150cd7fe73773dc5a7b4bf7e9ffe64a93a3c5b7023ea4ef6e4ce52d8c6",
+    ('hilb q -p 9 -k 4 --delta 2', 'table'): "20aeb28bb896c4d1ba14254710d43147dbed3c70eb4da8a5059af207c0cb2a89",
+    ('hilb q -p 9 -k 4 --delta 2', 'json'): "fde55467c87ba8887d9e7f05dac4efceb5d183b32e30afe95048070e2d4c2ae4",
+    ('hilb q -p 9 -k 4 --delta 2', 'csv'): "e9f9c295b832857c27f2e7b19867f6fb10fe0d81785bc4a44e6176dc2203caf0",
+    ('hilb q -p 8 -k 2 --delta 4', 'table'): "1c2469c1dfa4fff379f3c2e972344ccec02882b4428f78d33bd24937764ebfde",
+    ('hilb q -p 8 -k 2 --delta 4', 'json'): "5f1ee947545b9a57aeb18b685ff2adf156f03b358b1bab4e9b61aad9320c2791",
+    ('hilb q -p 8 -k 2 --delta 4', 'csv'): "83a870379b093c11cd5da8453caecd39c7de3c47cafdef8caee8ea5d9a70947b",
+    ('hilb cone -p 8 -k 2', 'table'): "69b3ec441c7d20998d2d8f6464adccee2beb16160e2046e5f9131c566ac2da2d",
+    ('hilb cone -p 8 -k 2', 'json'): "e87370fea4a3992ef1ec6f19c9b5bd8656106a4d88a2f8d73a5dee17fd2258a7",
+    ('hilb cone -p 8 -k 2', 'csv'): "6519a5885be5351716e45443adbffd5fb4adba7ceab26996eb1150d4b819eae7",
+    ('hilb cone -p 12 -k 3', 'table'): "d12188467c597b6ce0b4cfaef8796a17e266d0466b1369fc8e2fa6e3e06fcb9c",
+    ('hilb cone -p 12 -k 3', 'json'): "144b45e82f37352acd08df97aecb9e15c33a8e88d7f7a3350f2f375e87f4664d",
+    ('hilb cone -p 12 -k 3', 'csv'): "0802d276bceff6147a767920871b35e14786123fbe6f35ee0aa7733ed07f4c23",
+    ('hilb qvalues -k 3 --pmax 300', 'table'): "a07c161e79b868f9fcf02c11c9ebe668cf4a8d325865f932651c88c1f3682ba4",
+    ('hilb qvalues -k 3 --pmax 300', 'json'): "80ca97755d81d21b67199647741ee85ce741afd6fcc9245c02d0e539c2c952f4",
+    ('hilb qvalues -k 3 --pmax 300', 'csv'): "af5fd474ecd76b3ca1bd17000206f80be46582f02f9d69f1076cf323a4493407",
+    ('hilb qvalues -k 2 --pmax 50', 'table'): "4e26d98359590fb450f630d93a24f1e88c1a32c6148dece9d6942e01e1468606",
+    ('hilb qvalues -k 2 --pmax 50', 'json'): "3d2e96908cf7894044f595a7127c0c9f6251806d52bfb7d6df162d4fb8449337",
+    ('hilb qvalues -k 2 --pmax 50', 'csv'): "ede3078d3aa8e57b7c8f9c93da5f3f0e2de5afaf58bb00de8840ff11025a59ae",
+    ('hilb lagrangian -p 10 -k 2', 'table'): "e6f79a74a6f9d2721b0f6182709354877ce2fae7cc32865458ead6822d6bae83",
+    ('hilb lagrangian -p 10 -k 2', 'json'): "ebd735ea42878ed5644ee081063c5b58b9de025ec9ea53f4912ff12e1ce6b38e",
+    ('hilb lagrangian -p 10 -k 2', 'csv'): "063c768cd08ff0b9df57a9317af51e01f95ee14d85fe99c669afbed0ed4c5c11",
+    ('hilb lagrangian -p 11 -k 2', 'table'): "47b84303913e68e22b37c2a7183f50e7f69a987b3650db55ae9d825a44e9204f",
+    ('hilb lagrangian -p 11 -k 2', 'json'): "76abc3543d871ae2c6593b9ff02070dc7aa7084779250b1788c243fd9081b3ba",
+    ('hilb lagrangian -p 11 -k 2', 'csv'): "cc86b234f75a4810469712770af3fbe5b8e429c32322d17998655cb740002fc9",
+    ('hilb lagrangian -p 10 -k 5', 'table'): "70e472a322ad866dad8d075ef4bcd988e7da26f3cc009eda4f4fb1dd22dde447",
+    ('hilb lagrangian -p 10 -k 5', 'json'): "243ebb267d0b6b9cba03410ac588cdf5490774b7cb6a004f2cec59b44384b037",
+    ('hilb lagrangian -p 10 -k 5', 'csv'): "181a451f91582a3979ceabdced34fb3d63647854505de66c98b2ce0f503fb04c",
+    ('hilb rays -p 8 -k 2', 'table'): "96050d71c192dd286e15d1a5ceb77560c5463590d7b23fa93ebd12f505e2f3d9",
+    ('hilb rays -p 8 -k 2', 'json'): "0a08d46c9f64f8a5f822e0e4debbf38b80cbd7bc5ad80fa580dd9a23d87bbcdd",
+    ('hilb rays -p 8 -k 2', 'csv'): "a0184a9fd9f8b48fb076ce941ea52b573273f1ff76c6b00ae85b0521ddee1374",
+    ('hilb rays -p 12 -k 3', 'table'): "bfb4fdf2de8d2d96c42972e2ff2be2e58af337449aca52c9f7807a6269624ddc",
+    ('hilb rays -p 12 -k 3', 'json'): "b4fcc369ba75a8f5ef239f87f9b6d52308a2a7945f06e39991f348a41ba40816",
+    ('hilb rays -p 12 -k 3', 'csv'): "fd2593745d51e6dcc98c6092bd450226a6decd7a17b6a0cdab44666ec65ef214",
+    ('hilb scan --pmax 12 --kmax 3', 'table'): "e5efe3ee2689043a800eb674c02d3195241761878254b6f750665731a69b5b57",
+    ('hilb scan --pmax 12 --kmax 3', 'json'): "61b97057ce00f6085448c678cf2613d705465f349894a8494f89b5cbf48d3c27",
+    ('hilb scan --pmax 12 --kmax 3', 'csv'): "fff1931cf609db89db3b1251d60578f05db69d3e5b53eb7379b6e65527eb3da2",
+    ('hilb scan --pmin 5 --pmax 9 --kmin 3 --kmax 4', 'table'): "4473f07ce7df87d1ce01c1c95a81a41edacac55ca09b455e50e03c6480becc3b",
+    ('hilb scan --pmin 5 --pmax 9 --kmin 3 --kmax 4', 'json'): "b3ee98c78cb610283021bcbe6939d91d769b9abe3e93944f8088ef19ca57bc7b",
+    ('hilb scan --pmin 5 --pmax 9 --kmin 3 --kmax 4', 'csv'): "6717f095bfd452e1565b4265136d745e02542167b78d44e002f10b6fc71c28f7",
+}
+LEAF_CASES = sorted({command for command, _ in LEAF_SHA256})
+FORMATS = ["table", "json", "csv"]
+
+
+def _leaf_names(group, prefix=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_names(command, (*prefix, name))
+        else:
+            yield " ".join((*prefix, name))
+
+
+def test_leaf_cases_cover_every_command():
+    assert {" ".join(c.split()[:2]) for c in LEAF_CASES} == set(_leaf_names(cli.cli))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", LEAF_CASES)
+def test_leaf_bytes_pinned(capsys, tmp_path, command, fmt):
+    argv = command.split()
+    code, out, err = run(capsys, "--format", fmt, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LEAF_SHA256[command, fmt]
+    other = "json" if fmt == "table" else "table"
+    # a trailing --format wins over the global one
+    assert run(capsys, *argv, "--format", fmt) == (0, out, "")
+    assert run(capsys, "--format", other, *argv, "--format", fmt) == (0, out, "")
+    target = tmp_path / "result"
+    for flags in (
+        ["--format", fmt, "--out", str(target), *argv],
+        [*argv, "--format", fmt, "--out", str(target)],
+        ["--out", str(tmp_path / "unused"), *argv, "--format", fmt, "--out", str(target)],
+    ):
+        assert run(capsys, *flags) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+        target.unlink()
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_chains_enumerate_renders_no_table(capsys, monkeypatch, fmt):
+    def refuse(part):
+        raise AssertionError("table line rendered for --format " + fmt)
+
+    monkeypatch.setattr(cli, "_partition_table", refuse)
+    code, out, _ = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "6", "-k", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LEAF_SHA256[
+        "chains enumerate -p 6 -k 2", fmt
+    ]
+
+
+def test_chains_stable_sums_repeated_lengths(capsys):
+    stable = ("--format", "json", "chains", "stable", "-p", "8", "-k", "3", "--alpha")
+    code, out, err = run(capsys, *stable, "1:2,1:2,2:2")
+    assert (code, err) == (0, "")
+    assert run(capsys, *stable, "1:4,2:2") == (0, out, "")
+    assert json.loads(out)["partition"]["parts"] == [[1, 4], [2, 2]]
+
+
+def test_delta0_verify_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gonality", "delta0", "-p", "100001", "-k", "2", "--verify")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert "100000" in err and "--verify" in err
+    code, out, _ = run(capsys, "gonality", "delta0", "-p", "100001", "-k", "2")
+    assert code == 0 and out.strip() == str(gonality.delta0(100001, 2))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_scan_grid_limit(capsys, fmt):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hilb", "scan", "--pmax", "100001", "--kmax", "3", "--format", fmt)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert "200000 rows" in err and "100000" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    checked = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "k3gonal"
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        # a quoted or numeric comment is the expected output, other comments
+        # describe; the README writes the ASCII slash where the table has U+2044
+        expected = comment.strip()
+        if expected.startswith('"') or re.fullmatch(r"-?\d+(/\d+)?", expected):
+            assert out.strip().replace("⁄", "/") == expected.strip('"'), line
+            checked.append(expected)
+    assert checked == ["1", '"2 (verified)"', '"H - 5*r_k"', "-2/3"]
