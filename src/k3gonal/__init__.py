@@ -22,7 +22,7 @@ from .chains import (
     witness,
 )
 from .errors import InvariantViolation
-from .exactmath import Rational, ceil_div, exact_sqrt, floor_div
+from .exactmath import ceil_div, exact_sqrt, floor_div
 from .gonality import (
     Decomposition,
     GonalityCase,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InvariantViolation",
-    "Rational",
     "floor_div",
     "ceil_div",
     "exact_sqrt",

@@ -71,8 +71,11 @@ def _emit(fmt: str, out_path: str | None, payload: dict, table, csv_rows=None) -
         if not text.endswith("\n"):
             text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.FileError(out_path, hint=exc.strerror or str(exc)) from exc
     else:
         click.echo(text, nl=False)
 

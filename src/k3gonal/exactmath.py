@@ -7,12 +7,8 @@ cone bounds) is built on these three helpers; no floating point anywhere.
 """
 
 import math
-from fractions import Fraction
 
-__all__ = ["Rational", "floor_div", "ceil_div", "exact_sqrt"]
-
-#: exact rational type used throughout the package
-Rational = Fraction
+__all__ = ["floor_div", "ceil_div", "exact_sqrt"]
 
 
 def floor_div(a: int, b: int) -> int:

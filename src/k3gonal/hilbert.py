@@ -445,16 +445,33 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
 
 
 def attained_q_values(k: int, p_max: int) -> list[Fraction]:
-    """Sorted negative self-intersections of optimal classes for p <= p_max."""
+    """Sorted negative self-intersections of optimal classes for p <= p_max.
+
+    Below p = 2(k-1) (the delta0 = 0 regime) every optimal q is negative and
+    is read off q_case(p, k, 0).  From p = 2(k-1) on, the optimal q is
+    2(rho-1) - beta^2/(2(k-1)), which is negative only on the finite family
+    of pairs (rho, beta) with 0 <= beta <= k-1 and 4(rho-1) < k-1 (beta and
+    -beta give the same q, and beta >= 0 has the smaller p).  Each pair is
+    first realized at m = max(1, rho) by genus_for_invariants, whose p grows
+    as beta falls and as rho grows, so the walk stops at q >= 0 or p > p_max.
+    The cost is O(k) for the regime plus about two pairs per value returned,
+    whatever p_max is.
+    """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if p_max < 2:
         raise ValueError(f"need p_max >= 2, got p_max={p_max}")
-    values = set()
-    for p in range(2, p_max + 1):
-        q = q_case(p, k, delta0(p, k))
-        if q < 0:
+    values = {q_case(p, k, 0) for p in range(2, min(p_max + 1, 2 * (k - 1)))}
+    rho = 0
+    while 4 * (rho - 1) < k - 1:
+        for beta in range(k - 1, -1, -1):
+            q = 2 * (rho - 1) - Fraction(beta * beta, 2 * (k - 1))
+            if q >= 0 or genus_for_invariants(k, rho, beta, max(1, rho)) > p_max:
+                break
             values.add(q)
+        if beta == k - 1:
+            break  # even the first p of this rho is past p_max
+        rho += 1
     return sorted(values)
 
 

@@ -216,6 +216,17 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(target.read_text(encoding="utf-8"))["q"] == "-2/3"
 
 
+@pytest.mark.parametrize("trailing", [False, True])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_out_unwritable_exit_1(capsys, tmp_path, target, trailing):
+    path = str(tmp_path / "no" / "such" / "x" if target == "missing" else tmp_path)
+    argv = ["bn", "rho", "-g", "9", "-r", "1", "-d", "6"]
+    argv = [*argv, "--out", path] if trailing else ["--out", path, *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert path in err and "Traceback" not in err
+
+
 def test_pencil_verify_small(capsys):
     code, out, _ = run(
         capsys,
@@ -347,6 +358,27 @@ def test_closed_forms_at_extreme_p(capsys, k):
         # p = n^2 + 1 with n = 10^20: the primitive isotropic family
         assert (y, tau, q) == (2 * 10**20, 10**20, 0)
         assert rays["status"] == "PROVEN_ISOPRIM"
+
+
+def test_qvalues_at_extreme_pmax(capsys):
+    # every spectrum with k <= 15 is complete by p = 290
+    start = time.perf_counter()
+    for k in range(2, 16):
+        outputs = {}
+        for pmax in (3000, 10**40):
+            for fmt in ("json", "table"):
+                code, out, err = run(
+                    capsys, "--format", fmt, "hilb", "qvalues", "-k", str(k), "--pmax", str(pmax)
+                )
+                assert (code, err) == (0, ""), (k, pmax, fmt)
+                outputs[pmax, fmt] = out
+        assert json.loads(outputs[10**40, "json"])["pmax"] == 10**40
+        assert (
+            json.loads(outputs[10**40, "json"])["qvalues"]
+            == json.loads(outputs[3000, "json"])["qvalues"]
+        ), k
+        assert outputs[10**40, "table"] == outputs[3000, "table"], k
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

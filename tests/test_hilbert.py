@@ -303,6 +303,31 @@ def test_attained_q_values_known_tables():
     ]
 
 
+def scanned_q_values(k, p_max):
+    """Reference scan: yields (p, sorted negative optimal q over 2..p)."""
+    values = set()
+    for p in range(2, p_max + 1):
+        q = q_case(p, k, delta0(p, k))
+        if q < 0:
+            values.add(q)
+        yield p, sorted(values)
+
+
+def test_attained_q_values_matches_scan():
+    checkpoints = {*range(2, 401), 1000, 3000}
+    for k in range(2, 16):
+        for p, expected in scanned_q_values(k, 3000):
+            if p in checkpoints:
+                assert attained_q_values(k, p) == expected, (k, p)
+
+
+def test_attained_q_values_rejects_bad_domain():
+    with pytest.raises(ValueError):
+        attained_q_values(1, 10)
+    with pytest.raises(ValueError):
+        attained_q_values(3, 1)
+
+
 def test_ht_violation_examples():
     rep = ht_violation_check(37, 10)  # n=2
     assert rep.applicable and rep.n == 2
