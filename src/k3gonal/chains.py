@@ -77,6 +77,14 @@ class ChainPartition:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "parts", tuple(sorted(mult.items())))
 
+    @classmethod
+    def _trusted(cls, p: int, k: int, parts: tuple[tuple[int, int], ...]):
+        """A partition from parts already sorted by j, with 1 <= j <= p and
+        every alpha_j >= 1; nothing is checked or copied."""
+        partition = object.__new__(cls)
+        partition.__dict__.update(p=p, k=k, parts=parts)
+        return partition
+
     @property
     def multiplicities(self) -> dict[int, int]:
         return dict(self.parts)
@@ -263,8 +271,12 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
 
     Parts are chosen largest-first with multiplicities descending, so the
     output order is decreasing lexicographic on the (length, multiplicity)
-    sequence and stable across runs.  Refuses p above the cap (default 60,
-    overridable via the K3GONAL_MAX_P environment variable or `max_p`).
+    sequence and stable across runs.  With cap = 2(k-1), parts of length
+    index <= top carry a weight of at most cap * top * (top + 1) / 2, and a
+    branch whose remaining weight exceeds that is never entered; so every
+    branch followed ends in a partition, which is built without being
+    checked again.  Refuses p above the cap (default 60, overridable via the
+    K3GONAL_MAX_P environment variable or `max_p`).
     """
     if max_p is None:
         max_p = int(os.environ.get(MAX_P_ENV, str(DEFAULT_MAX_P)))
@@ -278,17 +290,24 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     cap = 2 * (k - 1)
+    make = ChainPartition._trusted
     out: list[ChainPartition] = []
     acc: list[tuple[int, int]] = []
 
-    def rec(remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            out.append(ChainPartition(p, k, tuple(acc)))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            for a in range(min(cap, remaining // part), 0, -1):
+    def rec(remaining: int, top: int) -> None:
+        for part in range(min(top, remaining), 0, -1):
+            below = cap * part * (part - 1) // 2  # the most parts < part carry
+            if remaining > below + cap * part:
+                break
+            most = remaining // part
+            # a > fewest means part * a leaves at most `below` to the rest
+            fewest = (remaining - below - 1) // part
+            for a in range(cap if most > cap else most, fewest if fewest > 0 else 0, -1):
                 acc.append((part, a))
-                rec(remaining - part * a, part - 1)
+                if remaining == part * a:
+                    out.append(make(p, k, tuple(reversed(acc))))
+                else:
+                    rec(remaining - part * a, part - 1)
                 acc.pop()
 
     rec(p, p)

@@ -27,6 +27,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -40,6 +41,8 @@ __all__ = ["cli", "main"]
 VERIFY_MAX_P = 10**5
 # `hilb scan` holds every row in memory until it renders them
 SCAN_MAX_ROWS = 10**5
+# `hilb qvalues` builds one value per candidate of hilbert.q_candidate_count
+QVALUES_MAX_VALUES = 10**5
 
 FORMATS = click.Choice(["table", "json", "csv"])
 
@@ -49,15 +52,60 @@ def _rat_table(q) -> str:
     return rat_str(q).replace("/", "⁄")
 
 
+# the leaf renderers of _json_text, keyed by exact type so a bool is no int
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)` for str, int, bool, None, list, tuple and
+    str-keyed dict trees; `pad` is the newline and indent of obj's own line.
+
+    Leaves are rendered inline by their exact type and only containers
+    recurse.  Anything else raises TypeError: a float or a Fraction here, a
+    key that is not a str in encode_basestring_ascii.
+    """
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            scalar = _JSON_SCALARS.get(type(value))
+            text = scalar(value) if scalar is not None else _json_text(value, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj) is list or type(obj) is tuple:
+        if not obj:
+            return "[]"
+        items = []
+        for value in obj:
+            scalar = _JSON_SCALARS.get(type(value))
+            items.append(scalar(value) if scalar is not None else _json_text(value, inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
 def _emit(fmt: str, out_path: str | None, payload: dict, table, csv_rows=None) -> None:
     """Render one result in the selected format and write it out.
 
-    `table` is the text or an iterable of its lines; `csv_rows` defaults to
-    one header row and one value row taken from the flat payload.  Only the
-    selected rendering is consumed.
+    The json rendering is byte for byte `json.dumps(payload, indent=2)` plus
+    a newline, produced by `_json_text`: the payload may hold only str, int,
+    bool, None, lists, tuples and dicts with str keys, and any other value
+    (a float, a Fraction, an int key) raises TypeError.  `table` is the text
+    or an iterable of its lines; `csv_rows` defaults to one header row and
+    one value row taken from the flat payload.  Only the selected rendering
+    is consumed.
     """
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     elif fmt == "csv":
         if csv_rows is None:
             cells = [json.dumps(v) if isinstance(v, (list, dict)) else v
@@ -411,6 +459,12 @@ def hilb_cone(p, k):
 @click.option("--pmax", type=int, required=True)
 def hilb_qvalues(k, pmax):
     """Negative optimal self-intersections attained up to pmax."""
+    if hilbert.q_candidate_count(k, pmax, stop=QVALUES_MAX_VALUES) > QVALUES_MAX_VALUES:
+        raise ValueError(
+            f"the spectrum at k={k}, pmax={pmax} has more than "
+            f"{QVALUES_MAX_VALUES} candidate values, over the limit "
+            f"QVALUES_MAX_VALUES = {QVALUES_MAX_VALUES}"
+        )
     values = hilbert.attained_q_values(k, pmax)
     payload = {"k": k, "pmax": pmax, "qvalues": [rat_str(v) for v in values]}
     table = (_rat_table(v) for v in values)

@@ -23,6 +23,7 @@ at runtime; disagreement raises InvariantViolation.
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InvariantViolation
 from .exactmath import exact_sqrt, floor_div
@@ -49,6 +50,7 @@ __all__ = [
     "extremal_ray_status",
     "genus_for_invariants",
     "attained_q_values",
+    "q_candidate_count",
     "HTConeReport",
     "ht_violation_check",
     "rat_str",
@@ -473,6 +475,38 @@ def attained_q_values(k: int, p_max: int) -> list[Fraction]:
             break  # even the first p of this rho is past p_max
         rho += 1
     return sorted(values)
+
+
+def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:
+    """How many candidates attained_q_values(k, p_max) walks, in closed form.
+
+    The candidates are the p in the delta0 = 0 regime 2 <= p < 2(k-1) and
+    p <= p_max, and the pairs (rho, beta) with q < 0 whose first p is at
+    most p_max; their number bounds the length of the spectrum.  For each
+    rho, q < 0 means beta^2 > 4(k-1)(rho-1), and p <= p_max means
+    (k-1-beta)(m+1) <= p_max - rho - (k-1)m(m+1) with m = max(1, rho); both
+    hold for every beta from a least one up to k-1.  The sum over rho ends
+    at the first rho with no pair, or as soon as it passes `stop`.
+    """
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
+    if p_max < 2:
+        raise ValueError(f"need p_max >= 2, got p_max={p_max}")
+    count = max(0, min(p_max + 1, 2 * (k - 1)) - 2)
+    rho = 0
+    while 4 * (rho - 1) < k - 1 and (stop is None or count <= stop):
+        m = max(1, rho)
+        room = p_max - rho - (k - 1) * m * (m + 1)
+        if room < 0:
+            break
+        least = max(k - 1 - room // (m + 1), 0)
+        if rho > 0:
+            least = max(least, isqrt(4 * (k - 1) * (rho - 1)) + 1)
+        if least > k - 1:
+            break
+        count += k - least
+        rho += 1
+    return count
 
 
 @dataclass(frozen=True)

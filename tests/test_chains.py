@@ -143,6 +143,37 @@ def test_enumerate_cap(monkeypatch):
     assert enumerate_partitions(61, 2)
 
 
+def _enumerate_by_search(p, k):
+    """Reference enumeration: the unpruned recursion, every result validated."""
+    cap = 2 * (k - 1)
+    out = []
+    acc = []
+
+    def rec(remaining, max_part):
+        if remaining == 0:
+            out.append(ChainPartition(p, k, tuple(acc)))
+            return
+        for part in range(min(max_part, remaining), 0, -1):
+            for a in range(min(cap, remaining // part), 0, -1):
+                acc.append((part, a))
+                rec(remaining - part * a, part - 1)
+                acc.pop()
+
+    rec(p, p)
+    return out
+
+
+def test_enumerate_matches_search_reference():
+    for k in range(2, 7):
+        for p in range(1, 31):
+            found = enumerate_partitions(p, k)
+            assert isinstance(found, list)
+            assert found == _enumerate_by_search(p, k), (p, k)
+            for q in found:
+                rebuilt = ChainPartition(p, k, q.parts)
+                assert q == rebuilt and q.parts == rebuilt.parts, (p, k, q)
+
+
 def test_enumerate_invariants_small_grid():
     for k in range(2, 5):
         for p in range(3, 21):

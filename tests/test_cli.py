@@ -10,8 +10,9 @@ from pathlib import Path
 
 import click
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k3gonal import cli, gonality
+from k3gonal import cli, gonality, hilbert
 from k3gonal.cli import main
 from k3gonal.hilbert import rat_str
 
@@ -565,6 +566,73 @@ def test_scan_grid_limit(capsys, fmt):
     assert time.perf_counter() - start < 0.5
     assert code == 1 and out == ""
     assert "200000 rows" in err and "100000" in err
+
+
+def test_qvalues_limit(capsys, monkeypatch):
+    start = time.perf_counter()
+    for fmt in FORMATS:
+        code, out, err = run(
+            capsys, "hilb", "qvalues", "-k", "1000000", "--pmax", str(10**40), "--format", fmt
+        )
+        assert code == 1 and out == ""
+        assert "over the limit QVALUES_MAX_VALUES = 100000" in err
+    assert time.perf_counter() - start < 0.5
+    code, out, err = run(capsys, "--format", "json", "hilb", "qvalues", "-k", "1000000", "--pmax", "400")
+    assert (code, err) == (0, "") and len(json.loads(out)["qvalues"]) == 399
+    # the limit is inclusive: exactly as many candidates as allowed still runs
+    count = hilbert.q_candidate_count(15, 10**40)
+    monkeypatch.setattr(cli, "QVALUES_MAX_VALUES", count)
+    assert run(capsys, "hilb", "qvalues", "-k", "15", "--pmax", str(10**40))[0] == 0
+    monkeypatch.setattr(cli, "QVALUES_MAX_VALUES", count - 1)
+    code, _, err = run(capsys, "hilb", "qvalues", "-k", "15", "--pmax", str(10**40))
+    assert code == 1 and f"QVALUES_MAX_VALUES = {count - 1}" in err
+
+
+@pytest.mark.parametrize("command", LEAF_CASES)
+def test_json_output_round_trips(capsys, command):
+    # the README's contract: json.dumps(json.loads(out), indent=2) gives out back
+    code, out, err = run(capsys, "--format", "json", *command.split())
+    assert (code, err) == (0, "")
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+_JSON_STRINGS = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x01\x1f\x7f\t\n\r\u00e9\u2044\u4e2d\U0001f600\ud800'),
+)
+_JSON_TREES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**64 - 2, max_value=2**70),
+        st.integers(min_value=-(2**70), max_value=-(2**64)),
+        _JSON_STRINGS,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(tree=_JSON_TREES)
+@settings(max_examples=200, deadline=None)
+def test_json_text_matches_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+    assert cli._json_text({"payload": [tree, []], "empty": {}}) == json.dumps(
+        {"payload": [tree, []], "empty": {}}, indent=2
+    )
+
+
+@pytest.mark.parametrize(
+    "tree", [1.5, {"q": 0.5}, {1: "a"}, [{"k": 1}, {2: 3}], Fraction(1, 2), {"q": [Fraction(3)]}]
+)
+def test_json_text_rejects_other_types(tree):
+    with pytest.raises(TypeError):
+        cli._json_text(tree)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -19,6 +19,7 @@ from k3gonal.hilbert import (
     nef_range_contains,
     optimal_class,
     pairing,
+    q_candidate_count,
     q_case,
     q_optimal_form,
     rat_str,
@@ -319,6 +320,36 @@ def test_attained_q_values_matches_scan():
         for p, expected in scanned_q_values(k, 3000):
             if p in checkpoints:
                 assert attained_q_values(k, p) == expected, (k, p)
+
+
+def test_q_candidate_count_matches_box_count():
+    for k in range(2, 16):
+        # first p of every (rho, beta) with q < 0, over a box that holds them all
+        firsts = [
+            genus_for_invariants(k, rho, beta, max(1, rho))
+            for rho in range(k + 1)
+            for beta in range(k)
+            if 2 * (rho - 1) - F(beta * beta, 2 * (k - 1)) < 0
+        ]
+        for p_max in [*range(2, 301), 1000, 10**40]:
+            regime = sum(1 for p in range(2, 2 * (k - 1)) if p <= p_max)
+            count = regime + sum(1 for p in firsts if p <= p_max)
+            assert q_candidate_count(k, p_max) == count, (k, p_max)
+            if p_max in (50, 300, 10**40):
+                assert len(attained_q_values(k, p_max)) <= count, (k, p_max)
+            for stop in range(max(0, count - 2), count + 2):
+                assert (q_candidate_count(k, p_max, stop=stop) > stop) == (count > stop)
+
+
+def test_q_candidate_count_at_extremes():
+    # the regime alone has 2k - 4 candidates once p_max >= 2(k-1)
+    assert q_candidate_count(10**6, 10**40, stop=10**5) > 10**5
+    assert q_candidate_count(10**12, 10**40, stop=10) > 10
+    assert q_candidate_count(10**6, 400) == 399
+    with pytest.raises(ValueError):
+        q_candidate_count(1, 10)
+    with pytest.raises(ValueError):
+        q_candidate_count(3, 1)
 
 
 def test_attained_q_values_rejects_bad_domain():
