@@ -93,19 +93,25 @@ def _json_text(obj, pad: str = "\n") -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _emit(fmt: str, out_path: str | None, payload: dict, table, csv_rows=None) -> None:
+# text chunks joined into one write by _emit: about 0.3 MB of partitions
+_EMIT_BATCH = 1024
+
+
+def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None:
     """Render one result in the selected format and write it out.
 
-    The json rendering is byte for byte `json.dumps(payload, indent=2)` plus
-    a newline, produced by `_json_text`: the payload may hold only str, int,
-    bool, None, lists, tuples and dicts with str keys, and any other value
-    (a float, a Fraction, an int key) raises TypeError.  `table` is the text
-    or an iterable of its lines; `csv_rows` defaults to one header row and
-    one value row taken from the flat payload.  Only the selected rendering
-    is consumed.
+    `payload` is a dict, or, from `chains enumerate`, the text chunks of its
+    json rendering, which are written in batches as they are made, so the
+    whole text is never held at once.  A dict is rendered by `_json_text`,
+    byte for byte `json.dumps(payload, indent=2)` plus a newline: it may hold
+    only str, int, bool, None, lists, tuples and dicts with str keys, and any
+    other value (a float, a Fraction, an int key) raises TypeError.  `table`
+    is the text or an iterable of its lines; `csv_rows` defaults to one
+    header row and one value row taken from the flat payload.  Only the
+    selected rendering is consumed.
     """
     if fmt == "json":
-        text = _json_text(payload) + "\n"
+        chunks = [_json_text(payload) + "\n"] if isinstance(payload, dict) else payload
     elif fmt == "csv":
         if csv_rows is None:
             cells = [json.dumps(v) if isinstance(v, (list, dict)) else v
@@ -113,19 +119,27 @@ def _emit(fmt: str, out_path: str | None, payload: dict, table, csv_rows=None) -
             csv_rows = [list(payload), cells]
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-        text = buf.getvalue()
+        chunks = [buf.getvalue()]
     else:
         text = table if isinstance(table, str) else "\n".join(table)
         if not text.endswith("\n"):
             text += "\n"
+        chunks = [text]
+    chunks = iter(chunks)
+    batches = iter(lambda: "".join(itertools.islice(chunks, _EMIT_BATCH)), "")
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                for text in batches:
+                    fh.write(text)
         except OSError as exc:
             raise click.FileError(out_path, hint=exc.strerror or str(exc)) from exc
     else:
-        click.echo(text, nl=False)
+        # looked up here, because click.echo's own lookup caches every
+        # sys.stdout it meets for good, and with it all that was written
+        stdout = click.get_text_stream("stdout")
+        for text in batches:
+            click.echo(text, file=stdout, nl=False)
 
 
 class _LeafCommand(click.Command):
@@ -298,20 +312,53 @@ def chains_witness(p, k, delta):
     return part.to_payload(), _partition_table(part)
 
 
+def _partitions_json(p: int, k: int, parts: list[chains.ChainPartition]):
+    """The json rendering of the `chains enumerate` payload plus a newline,
+    as text chunks: the envelope's head, one chunk per partition, its tail.
+    `parts` is never empty: every p >= 1 has the single chain of length p.
+
+    The envelope goes through `_json_text`, and so does each distinct
+    [j, a] pair, once; every partition is then written from its delta, g
+    and pair texts, without a payload dict.  The bytes are those of
+    `_json_text` on the payload of `to_payload()` dicts.
+    """
+    envelope = _json_text({"p": p, "k": k, "count": len(parts), "partitions": []})
+    head, tail = envelope.rsplit("[]", 1)
+    line = "\n    "  # each partition's own line
+    key = line + "  "  # its keys
+    pad = key + "  "  # its [j, a] pairs
+    lead = "{" + key + '"p": ' + str(p) + "," + key + '"k": ' + str(k) + "," + key + '"delta": '
+    g_key = "," + key + '"g": '
+    parts_key = "," + key + '"parts": [' + pad
+    close = key + "]" + line + "}"
+    texts = {}
+    yield head + "["
+    sep = line
+    for part in parts:
+        pairs = []
+        for pair in part.parts:
+            text = texts.get(pair)
+            if text is None:
+                text = texts[pair] = _json_text(pair, pad)
+            pairs.append(text)
+        yield (sep + lead + str(part.delta) + g_key + str(part.g) + parts_key
+               + ("," + pad).join(pairs) + close)
+        sep = "," + line
+    yield "\n  ]" + tail + "\n"
+
+
 @chains_group.command("enumerate")
 @click.option("-p", "p", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 def chains_enumerate(p, k):
     """All valid partitions for (p, k), in stable order."""
     parts = chains.enumerate_partitions(p, k)
-    payloads = [part.to_payload() for part in parts]
-    payload = {"p": p, "k": k, "count": len(parts), "partitions": payloads}
     table = (_partition_table(part) for part in parts)
     csv_rows = itertools.chain(
         [["delta", "g", "parts"]],
-        ([d["delta"], d["g"], json.dumps(d["parts"])] for d in payloads),
+        ([part.delta, part.g, json.dumps(part.parts)] for part in parts),
     )
-    return payload, table, csv_rows
+    return _partitions_json(p, k, parts), table, csv_rows
 
 
 def _parse_alpha(text: str) -> list[tuple[int, int]]:

@@ -19,7 +19,6 @@ brute-force scan `delta0_bruteforce` is the test oracle.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 
 from . import brillnoether
@@ -81,8 +80,8 @@ class GonalityCase:
             raise InvariantViolation(
                 f"beta={beta} outside (-(k-1), k-1] at (p={p}, k={k}, delta={delta})"
             )
-        # third reading of admissibility: delta >= ((g-k+1)^2 - beta^2) / (4(k-1))
-        by_quadratic = delta >= Fraction((g - k + 1) ** 2 - beta * beta, 4 * (k - 1))
+        # third reading of admissibility: 4(k-1) delta >= (g-k+1)^2 - beta^2
+        by_quadratic = 4 * (k - 1) * delta >= (g - k + 1) ** 2 - beta * beta
         if by_quadratic != report.satisfied:
             raise InvariantViolation(
                 f"quadratic admissibility reading disagrees at "

@@ -59,10 +59,17 @@ __all__ = [
 
 def rat_str(q: Fraction | int) -> str:
     """num/den rendering used in JSON and CSV output; integers stay bare."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _scaled_q(p: int, k: int, a: int, y: int) -> int:
+    """2(k-1) q(aH - y r_k) = 4(k-1)(p-1) a^2 - y^2, the integer behind
+    every comparison of a curve class's square."""
+    return 4 * (k - 1) * (p - 1) * a * a - y * y
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,7 @@ class CurveClass:
     @property
     def q(self) -> Fraction:
         """Beauville-Bogomolov square a^2 (2p-2) - y^2/(2(k-1))."""
-        return self.a * self.a * (2 * self.p - 2) - Fraction(
-            self.y * self.y, 2 * (self.k - 1)
-        )
+        return Fraction(_scaled_q(self.p, self.k, self.a, self.y), 2 * (self.k - 1))
 
     def display(self) -> str:
         if self.a == 0:
@@ -178,25 +183,27 @@ def q_case(p: int, k: int, delta: int) -> Fraction:
     """q of the gonality class, by both closed forms, bound-checked.
 
     Evaluates 2(p-1) - (g+k-1)^2/(2(k-1)) and 2(rho-1) - beta^2/(2(k-1)),
-    requires them equal, and asserts the lower bound -(k+3)/2.
+    requires them equal, and asserts the lower bound -(k+3)/2.  All three
+    are compared as the integers 2(k-1) q: 4(k-1)(p-1) - (g+k-1)^2,
+    4(k-1)(rho-1) - beta^2 and -(k+3)(k-1).
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
         raise ValueError(f"(p={p}, k={k}, delta={delta}) is inadmissible")
-    g = case.g
-    first = 2 * (p - 1) - Fraction((g + k - 1) ** 2, 2 * (k - 1))
-    second = 2 * (case.rho - 1) - Fraction(case.beta**2, 2 * (k - 1))
+    den = 2 * (k - 1)
+    first = _scaled_q(p, k, 1, case.g + k - 1)
+    second = 4 * (k - 1) * (case.rho - 1) - case.beta**2
     if first != second:
         raise InvariantViolation(
-            f"q closed forms disagree: {first} != {second} at "
-            f"(p={p}, k={k}, delta={delta})"
+            f"q closed forms disagree: {Fraction(first, den)} != "
+            f"{Fraction(second, den)} at (p={p}, k={k}, delta={delta})"
         )
-    if first < Fraction(-(k + 3), 2):
+    if first < -(k + 3) * (k - 1):
         raise InvariantViolation(
-            f"q={first} below -(k+3)/2 on an admissible case "
+            f"q={Fraction(first, den)} below -(k+3)/2 on an admissible case "
             f"(p={p}, k={k}, delta={delta})"
         )
-    return first
+    return Fraction(first, den)
 
 
 def q_optimal_form(p: int, k: int) -> Fraction:
@@ -265,7 +272,7 @@ def minimal_q_family(p: int, k: int) -> MinimalQClass | None:
         raise InvariantViolation(
             f"minimal-q family class mismatch at (p={p}, k={k})"
         )
-    if curve.q != Fraction(-(k + 3), 2):
+    if _scaled_q(p, k, 1, curve.y) != -(k + 3) * (k - 1):
         raise InvariantViolation(
             f"minimal-q family q={curve.q} != -(k+3)/2 at (p={p}, k={k})"
         )
@@ -294,7 +301,7 @@ def isotropic_case(p: int, k: int) -> IsotropicClass | None:
         return None
     delta = p - 2 * s + k - 1
     curve = gonality_class(p, k, delta)
-    if curve.q != 0:
+    if _scaled_q(p, k, 1, curve.y) != 0:
         raise InvariantViolation(
             f"isotropic class has q={curve.q} != 0 at (p={p}, k={k})"
         )
@@ -414,9 +421,9 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
     """The genus p realizing prescribed (rho, beta) at a chosen scale m.
 
     p = (k-1)m(m+1) + (k-1-beta)(m+1) + rho; the decomposition of p then is
-    exactly (m, k-1-beta, rho) and the optimal q equals
-    2(rho-1) - beta^2/(2(k-1)).  Requires k >= 2, rho >= 0, 0 <= beta <= k-1
-    and m >= max(1, rho).
+    exactly (m, k-1-beta, rho), whose optimal-form reading of q is
+    2(rho-1) - beta^2/(2(k-1)), and q_case at delta0 must equal it.
+    Requires k >= 2, rho >= 0, 0 <= beta <= k-1 and m >= max(1, rho).
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
@@ -433,12 +440,8 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
         raise InvariantViolation(
             f"decomposition of p={p} is {dec}, expected (m={m}, t={t}, lam={rho})"
         )
-    predicted = 2 * (rho - 1) - Fraction(beta * beta, 2 * (k - 1))
-    # the boundary p = 2(k-1) (only at rho=0, beta=k-1, m=1) has no
-    # optimal-form reading; q_case at delta0 covers it
-    actual = (
-        q_optimal_form(p, k) if p > 2 * (k - 1) else q_case(p, k, delta0(p, k))
-    )
+    predicted = Fraction(4 * (k - 1) * (rho - 1) - beta * beta, 2 * (k - 1))
+    actual = q_case(p, k, delta0(p, k))
     if actual != predicted:
         raise InvariantViolation(
             f"optimal q at (p={p}, k={k}) is {actual}, predicted {predicted}"
@@ -467,10 +470,10 @@ def attained_q_values(k: int, p_max: int) -> list[Fraction]:
     rho = 0
     while 4 * (rho - 1) < k - 1:
         for beta in range(k - 1, -1, -1):
-            q = 2 * (rho - 1) - Fraction(beta * beta, 2 * (k - 1))
-            if q >= 0 or genus_for_invariants(k, rho, beta, max(1, rho)) > p_max:
+            scaled = 4 * (k - 1) * (rho - 1) - beta * beta  # 2(k-1) q
+            if scaled >= 0 or genus_for_invariants(k, rho, beta, max(1, rho)) > p_max:
                 break
-            values.add(q)
+            values.add(Fraction(scaled, 2 * (k - 1)))
         if beta == k - 1:
             break  # even the first p of this rho is past p_max
         rho += 1
@@ -535,12 +538,15 @@ def ht_violation_check(p: int, k: int) -> HTConeReport:
         return HTConeReport(p=p, k=k, applicable=False)
     opt = optimal_class(p, k)
     rbar = CurveClass(p, k, opt.a, opt.y + 1)
-    expected = Fraction(-2 * n) - Fraction(1, 2 * (k - 1))
-    if rbar.q != expected:
+    # 2(k-1) times q(R-bar), its prediction -2n - 1/(2(k-1)) and -(k+3)/2
+    scaled = _scaled_q(p, k, rbar.a, rbar.y)
+    expected = -4 * n * (k - 1) - 1
+    if scaled != expected:
         raise InvariantViolation(
-            f"q(R-bar) = {rbar.q} != -2n - 1/(2(k-1)) = {expected} at (p={p}, k={k})"
+            f"q(R-bar) = {rbar.q} != -2n - 1/(2(k-1)) = "
+            f"{Fraction(expected, 2 * (k - 1))} at (p={p}, k={k})"
         )
-    violation = rbar.q >= Fraction(-(k + 3), 2)
+    violation = scaled >= -(k + 3) * (k - 1)
     if violation != (4 * n <= k + 2):
         raise InvariantViolation(
             f"bound reading disagrees with 4n <= k+2 at (p={p}, k={k})"

@@ -1,10 +1,15 @@
+import contextlib
+import csv
+import gc
 import hashlib
+import io
 import json
 import re
 import shlex
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +17,7 @@ import click
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3gonal import cli, gonality, hilbert
+from k3gonal import chains, cli, gonality, hilbert
 from k3gonal.cli import main
 from k3gonal.hilbert import rat_str
 
@@ -539,6 +544,63 @@ def test_chains_enumerate_renders_no_table(capsys, monkeypatch, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == LEAF_SHA256[
         "chains enumerate -p 6 -k 2", fmt
     ]
+
+
+ENUMERATE_CASES = [
+    *((p, k) for k in range(2, 6) for p in range(1, 31)),
+    (40, 2),
+    (61, 2),
+]
+
+
+@pytest.mark.parametrize("p,k", ENUMERATE_CASES)
+def test_chains_enumerate_bytes_match_payload_rendering(capsys, monkeypatch, tmp_path, p, k):
+    # the streamed json equals json.dumps of the payload dict built from
+    # to_payload(), and the csv the rows built from those dicts
+    monkeypatch.setenv("K3GONAL_MAX_P", "65")
+    payloads = [part.to_payload() for part in chains.enumerate_partitions(p, k)]
+    payload = {"p": p, "k": k, "count": len(payloads), "partitions": payloads}
+    expected = json.dumps(payload, indent=2) + "\n"
+    argv = ["chains", "enumerate", "-p", str(p), "-k", str(k)]
+    assert run(capsys, "--format", "json", *argv) == (0, expected, "")
+    target = tmp_path / "partitions.json"
+    assert run(capsys, "--format", "json", "--out", str(target), *argv) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["delta", "g", "parts"], *([d["delta"], d["g"], json.dumps(d["parts"])] for d in payloads)]
+    )
+    assert run(capsys, "--format", "csv", *argv) == (0, buf.getvalue(), "")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_chains_enumerate_writes_nothing_before_failing(capsys, monkeypatch, tmp_path, fmt):
+    monkeypatch.delenv("K3GONAL_MAX_P", raising=False)
+    target = tmp_path / "no" / "such" / "partitions"
+    argv = ["--format", fmt, "chains", "enumerate", "-p", "12", "-k", "2"]
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == "" and str(target) in err
+    assert not target.exists() and not target.parent.exists()
+    code, out, err = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "61", "-k", "2")
+    assert code == 1 and out == "" and "K3GONAL_MAX_P" in err
+    target = tmp_path / "partitions"
+    code, out, err = run(
+        capsys, "--format", fmt, "--out", str(target), "chains", "enumerate", "-p", "61", "-k", "2"
+    )
+    assert code == 1 and out == "" and not target.exists()
+
+
+def test_main_keeps_no_reference_to_stdout():
+    # an in-process caller that gives each call its own sys.stdout gets it
+    # back: the output written to it is not kept alive by the CLI
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", "json", "chains", "enumerate", "-p", "4", "-k", "2"]) == 0
+    assert json.loads(out.getvalue())["count"] == 4
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
 
 
 def test_chains_stable_sums_repeated_lengths(capsys):
