@@ -607,10 +607,11 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         return 1
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        # stderr is looked up here for the reason given in `_emit`
+        click.echo(f"error: {exc}", file=click.get_text_stream("stderr"))
         return 1
     except InvariantViolation as exc:
-        click.echo(f"invariant violation: {exc}", err=True)
+        click.echo(f"invariant violation: {exc}", file=click.get_text_stream("stderr"))
         return 2
     return 0
 

@@ -40,9 +40,8 @@ __all__ = [
     "tau",
     "nef_range_contains",
     "ample_range_contains",
-    "MinimalQClass",
+    "FamilyWitness",
     "minimal_q_family",
-    "IsotropicClass",
     "isotropic_case",
     "LagrangianReport",
     "lagrangian_report",
@@ -243,15 +242,18 @@ def nef_range_contains(p: int, k: int, t) -> bool:
 
 
 @dataclass(frozen=True)
-class MinimalQClass:
-    """Witness for the minimal self-intersection -(k+3)/2."""
+class FamilyWitness:
+    """The parameter s, node number delta and curve class of a closed family.
+
+    Returned by `minimal_q_family` (q = -(k+3)/2) and `isotropic_case` (q = 0).
+    """
 
     s: int
     delta: int
     curve: CurveClass
 
 
-def minimal_q_family(p: int, k: int) -> MinimalQClass | None:
+def minimal_q_family(p: int, k: int) -> FamilyWitness | None:
     """Detect p = s(s+1)(k-1) and return the q = -(k+3)/2 optimal class.
 
     Solved exactly: when (k-1) | p, s is read off the square root of
@@ -276,19 +278,10 @@ def minimal_q_family(p: int, k: int) -> MinimalQClass | None:
         raise InvariantViolation(
             f"minimal-q family q={curve.q} != -(k+3)/2 at (p={p}, k={k})"
         )
-    return MinimalQClass(s=s, delta=delta, curve=curve)
+    return FamilyWitness(s=s, delta=delta, curve=curve)
 
 
-@dataclass(frozen=True)
-class IsotropicClass:
-    """Witness for a gonality curve class with q = 0."""
-
-    s: int
-    delta: int
-    curve: CurveClass
-
-
-def isotropic_case(p: int, k: int) -> IsotropicClass | None:
+def isotropic_case(p: int, k: int) -> FamilyWitness | None:
     """The q = 0 gonality class, existing iff (k-1)(p-1) is a perfect square.
 
     With s the positive root, the class sits at delta = p - 2s + k - 1; that
@@ -305,7 +298,7 @@ def isotropic_case(p: int, k: int) -> IsotropicClass | None:
         raise InvariantViolation(
             f"isotropic class has q={curve.q} != 0 at (p={p}, k={k})"
         )
-    return IsotropicClass(s=s, delta=delta, curve=curve)
+    return FamilyWitness(s=s, delta=delta, curve=curve)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ pencil; concretely the symmetric form
 
     B(x, y) = (f(x) g(y) - f(y) g(x)) / (x - y)
 
-rewritten in the elementary-symmetric coordinates.  Restricting that curve
-to the diagonal recovers the Wronskian f g' - f' g (up to a nonzero scalar),
-whose 2(k-1) projective roots are the ramification points of the degree-k
-map; all of this is verified exactly, never by root finding.
+rewritten in the elementary-symmetric coordinates, where it is read off the
+closed form of the complete symmetric polynomial h_n in (e1, e2).
+Restricting that curve to the diagonal recovers the Wronskian f g' - f' g
+(up to a nonzero scalar), whose 2(k-1) projective roots are the
+ramification points of the degree-k map; all of this is verified exactly,
+never by root finding.
 
 Representation.  Forms and curves hold integer coefficients over one
 positive common denominator in lowest terms, a canonical form, so equality
@@ -32,7 +34,7 @@ Brown-Traub 1971) together with degree-drop bookkeeping at infinity.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import InvariantViolation
 
@@ -208,11 +210,6 @@ class BinaryForm:
     @property
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    @property
-    def affine(self) -> list[Fraction]:
-        """Affine coefficient list (trailing zeros stripped)."""
-        return _trim(list(self.coeffs))
 
     @property
     def affine_degree(self) -> int:
@@ -437,62 +434,32 @@ def _ternary_horner(rows: list[list[int]], e0: int, e1: int, e2: int) -> int:
     return acc
 
 
-def _symmetric_to_ternary(
-    sym: dict[tuple[int, int], int], degree: int, den: int
-) -> SymPlaneCurve:
-    """Rewrite a symmetric affine polynomial in (x, y) as a ternary form.
-
-    Repeatedly strips the lexicographically largest monomial x^i y^j (i >= j
-    by symmetry), emitting e0^(d-i) e1^(i-j) e2^j and subtracting
-    (x+y)^(i-j) (xy)^j; termination is by strict lex descent.  `sym` holds
-    integer numerators over `den`.
-    """
-    work = {e: v for e, v in sym.items() if v}
-    out: dict[tuple[int, int, int], int] = {}
-    binom = [[1]]
-    while work:
-        i, j = max(work)
-        if i < j or work.get((j, i)) != work[(i, j)]:
-            raise InvariantViolation("symmetric reduction fed an asymmetric input")
-        if i > degree:
-            raise InvariantViolation(
-                f"monomial degree {i} exceeds declared form degree {degree}"
-            )
-        c = work[(i, j)]
-        out[(degree - i, i - j, j)] = c
-        while len(binom) <= i - j:
-            prev = binom[-1]
-            binom.append(
-                [1] + [prev[u] + prev[u + 1] for u in range(len(prev) - 1)] + [1]
-            )
-        row = binom[i - j]
-        for u in range(i - j + 1):
-            key = (u + j, i - u)
-            work[key] = work.get(key, 0) - c * row[u]
-            if work[key] == 0:
-                del work[key]
-    return SymPlaneCurve._make(degree, out, den)
-
-
 def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
     """The degree k-1 plane curve of pairs lying in a member of the pencil.
 
-    Expands B(x, y) = (f(x) g(y) - f(y) g(x)) / (x - y) (division is exact)
-    and rewrites it in elementary-symmetric coordinates.
+    With w_ij = f_i g_j - f_j g_i, B(x, y) = -sum_{i<j} w_ij e2^i h_{j-i-1},
+    and the complete symmetric polynomial has the closed form
+    h_n = sum_l (-1)^l C(n-l, l) e1^(n-2l) e2^l, so each w_ij is written
+    straight into the (e0 : e1 : e2) coefficients.
+
+    >>> f, g = BinaryForm(3, (0, 0, 0, 1)), BinaryForm(3, (1, 0, 0, 0))
+    >>> wedge_curve(Pencil(f, g)).terms  # e1^2 - e0 e2
+    (((0, 2, 0), 1), ((1, 0, 1), -1))
     """
     k = pencil.k
     a, b = pencil.f.nums, pencil.g.nums
-    sym: dict[tuple[int, int], int] = {}
+    store: dict[tuple[int, int, int], int] = {}
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             w = a[i] * b[j] - a[j] * b[i]
             if w == 0:
                 continue
-            # (x^i y^j - x^j y^i)/(x - y) = -sum_{u+v=j-i-1} x^(i+u) y^(i+v)
-            for u in range(j - i):
-                key = (i + u, j - 1 - u)
-                sym[key] = sym.get(key, 0) - w
-    curve = _symmetric_to_ternary(sym, k - 1, pencil.f.den * pencil.g.den)
+            n = j - i - 1
+            for l in range(n // 2 + 1):
+                key = (k - j + l, n - 2 * l, i + l)
+                c = comb(n - l, l) * w
+                store[key] = store.get(key, 0) + (c if l % 2 else -c)
+    curve = SymPlaneCurve._make(k - 1, store, pencil.f.den * pencil.g.den)
     if curve.is_zero:
         raise InvariantViolation("wedge curve vanished for a valid pencil")
     return curve
@@ -570,12 +537,17 @@ def _conic_matrix(conic: SymPlaneCurve) -> list[list[int]]:
     return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
 
 
-def _det3(m) -> int:
+def _cross(u, v) -> tuple[int, int, int]:
+    """u x v, whose entries are the signed 2x2 minors of the rows u, v."""
     return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
     )
+
+
+def _det3(m) -> int:
+    return sum(x * y for x, y in zip(m[0], _cross(m[1], m[2])))
 
 
 #: the diagonal conic e1^2 - 4 e0 e2 and a rational point on it
@@ -644,15 +616,17 @@ def conic_intersection(
 # -- seeded sampling and the randomized verification suite
 
 
-def _random_form(k: int, rng: random.Random, lo: int = -9, hi: int = 9) -> BinaryForm:
+def _random_form(k: int, rng: random.Random) -> BinaryForm:
     while True:
-        cs = [rng.randint(lo, hi) for _ in range(k + 1)]
+        cs = [rng.randint(-9, 9) for _ in range(k + 1)]
         if any(cs):
             return BinaryForm._make(k, cs)
 
 
 def random_pencil(k: int, rng: random.Random) -> Pencil:
-    """A random pencil with small integer coefficients."""
+    """A random pencil with small integer coefficients (k >= 1)."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     while True:
         f, g = _random_form(k, rng), _random_form(k, rng)
         if not proportional(f, g):
@@ -676,18 +650,6 @@ def random_coprime_pencil(k: int, rng: random.Random) -> Pencil:
 _DIAGONAL_MATRIX = ((0, 0, -2), (0, 1, 0), (-2, 0, 0))  # e1^2 - 4 e0 e2
 
 
-def _adjugate3(a):
-    def minor(r, s):
-        rows = [i for i in range(3) if i != r]
-        cols = [j for j in range(3) if j != s]
-        return (
-            a[rows[0]][cols[0]] * a[rows[1]][cols[1]]
-            - a[rows[0]][cols[1]] * a[rows[1]][cols[0]]
-        )
-
-    return [[(-1) ** (r + s) * minor(s, r) for s in range(3)] for r in range(3)]
-
-
 def random_smooth_conic(
     rng: random.Random,
 ) -> tuple[SymPlaneCurve, tuple[int, int, int]]:
@@ -698,18 +660,15 @@ def random_smooth_conic(
     """
     while True:
         a = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-        det = _det3(a)
-        if det != 0:
+        if _det3(a) != 0:
             break
-    adj = _adjugate3(a)
+    # matrix of the image conic, up to scale: adj(A)^T M0 adj(A), whose
+    # entries pair the rows of adj(A)^T, the cross products of A's rows
+    cof = (_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1]))
     m0 = _DIAGONAL_MATRIX
-    # matrix of the image conic, up to scale: adj(A)^T M0 adj(A)
     mt = [
-        [
-            sum(adj[r][i] * m0[r][s] * adj[s][j] for r in range(3) for s in range(3))
-            for j in range(3)
-        ]
-        for i in range(3)
+        [sum(u[r] * m0[r][s] * v[s] for r in range(3) for s in range(3)) for v in cof]
+        for u in cof
     ]
     conic = SymPlaneCurve(
         2,

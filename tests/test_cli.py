@@ -603,6 +603,26 @@ def test_main_keeps_no_reference_to_stdout():
     assert ref() is None
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["hilb", "q", "-p", "8", "-k", "2", "--delta", "3"], 1),
+        (["gonality", "delta0", "-p", "9", "-k", "4", "--verify"], 2),
+    ],
+)
+def test_main_keeps_no_reference_to_stderr(monkeypatch, argv, code):
+    # the same for the error messages of exit 1 and exit 2
+    monkeypatch.setattr(gonality, "delta0_bruteforce", lambda p, k: 99)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert err.getvalue().startswith(("error: ", "invariant violation: ")[code - 1])
+    ref = weakref.ref(err)
+    del err
+    gc.collect()
+    assert ref() is None
+
+
 def test_chains_stable_sums_repeated_lengths(capsys):
     stable = ("--format", "json", "chains", "stable", "-p", "8", "-k", "3", "--alpha")
     code, out, err = run(capsys, *stable, "1:2,1:2,2:2")

@@ -459,3 +459,72 @@ def test_verification_suite_deterministic():
     a = verification_suite(4, samples=10, seed=3)
     b = verification_suite(4, samples=10, seed=3)
     assert a == b
+
+
+# -- reference oracle: expand B(x, y) and reduce it to (e0 : e1 : e2) term by term
+
+
+def _ref_symmetric_to_ternary(sym, degree, den):
+    """Strip the lex-largest monomial x^i y^j (i >= j) of a symmetric
+    polynomial, emit e0^(d-i) e1^(i-j) e2^j and subtract (x+y)^(i-j) (xy)^j,
+    until nothing is left."""
+    work = {e: v for e, v in sym.items() if v}
+    out = {}
+    binom = [[1]]
+    while work:
+        i, j = max(work)
+        assert i >= j and work.get((j, i)) == work[(i, j)] and i <= degree
+        c = work[(i, j)]
+        out[(degree - i, i - j, j)] = c
+        while len(binom) <= i - j:
+            prev = binom[-1]
+            binom.append([1] + [prev[u] + prev[u + 1] for u in range(len(prev) - 1)] + [1])
+        for u, b in enumerate(binom[i - j]):
+            key = (u + j, i - u)
+            work[key] = work.get(key, 0) - c * b
+            if work[key] == 0:
+                del work[key]
+    return SymPlaneCurve._make(degree, out, den)
+
+
+def _ref_wedge_curve(pencil):
+    k = pencil.k
+    a, b = pencil.f.nums, pencil.g.nums
+    sym = {}
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            w = a[i] * b[j] - a[j] * b[i]
+            # (x^i y^j - x^j y^i)/(x - y) = -sum_{u+v=j-i-1} x^(i+u) y^(i+v)
+            for u in range(j - i):
+                key = (i + u, j - 1 - u)
+                sym[key] = sym.get(key, 0) - w
+    return _ref_symmetric_to_ternary(sym, k - 1, pencil.f.den * pencil.g.den)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_wedge_curve_matches_term_by_term_reduction(rational):
+    rng = random.Random(f"wedge-reduction:{rational}")
+
+    def coeff():
+        n = rng.randint(-9, 9)
+        return Fraction(n, rng.randint(1, 6)) if rational else n
+
+    for k in range(1, 13):
+        for _ in range(20):
+            f = BinaryForm(k, [coeff() for _ in range(k + 1)])
+            g = BinaryForm(k, [coeff() for _ in range(k + 1)])
+            if f.is_zero or g.is_zero or proportional(f, g):
+                continue
+            pencil = Pencil(f, g)
+            got, want = wedge_curve(pencil), _ref_wedge_curve(pencil)
+            assert (got.degree, got.terms, got.den) == (want.degree, want.terms, want.den)
+
+
+@pytest.mark.parametrize("sample", [random_pencil, random_coprime_pencil])
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_pencils_reject_k_below_one(sample, k):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"k={k}"):
+        sample(k, rng)
+    assert rng.getstate() == state
