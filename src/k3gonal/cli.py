@@ -43,6 +43,10 @@ VERIFY_MAX_P = 10**5
 SCAN_MAX_ROWS = 10**5
 # `hilb qvalues` builds one value per candidate of hilbert.q_candidate_count
 QVALUES_MAX_VALUES = 10**5
+# `pencil verify` time grows with samples and steeply with k (its PRS runs
+# at degree 2k - 2); the largest accepted command takes about 30 s
+PENCIL_MAX_K = 16
+PENCIL_MAX_SAMPLES = 1000
 
 FORMATS = click.Choice(["table", "json", "csv"])
 
@@ -411,6 +415,12 @@ def pencil_group():
 @click.option("--seed", type=int, default=0, show_default=True)
 def pencil_verify(k, samples, seed):
     """Degree law, diagonal identity, membership oracle, conic counts."""
+    if k > PENCIL_MAX_K:
+        raise ValueError(f"k={k} is over the limit PENCIL_MAX_K = {PENCIL_MAX_K}")
+    if samples > PENCIL_MAX_SAMPLES:
+        raise ValueError(
+            f"samples={samples} is over the limit PENCIL_MAX_SAMPLES = {PENCIL_MAX_SAMPLES}"
+        )
     result = pencil.verification_suite(k, samples=samples, seed=seed)
     rate = result["transversal_rate"]
     payload = {

@@ -17,10 +17,10 @@ pencil; concretely the symmetric form
 
 rewritten in the elementary-symmetric coordinates, where it is read off the
 closed form of the complete symmetric polynomial h_n in (e1, e2).
-Restricting that curve to the diagonal recovers the Wronskian f g' - f' g
-(up to a nonzero scalar), whose 2(k-1) projective roots are the
-ramification points of the degree-k map; all of this is verified exactly,
-never by root finding.
+Restricting that curve to the diagonal, which sends each monomial to one
+monomial, recovers the Wronskian f g' - f' g (up to a nonzero scalar), whose
+2(k-1) projective roots are the ramification points of the degree-k map; all
+of this is verified exactly, never by root finding.
 
 Representation.  Forms and curves hold integer coefficients over one
 positive common denominator in lowest terms, a canonical form, so equality
@@ -29,6 +29,7 @@ and hashing are exact; rational coefficients are read back through
 distinct-root counts come from the degree of gcd(a, a'), computed by a
 primitive pseudo-remainder sequence over the integers (Collins 1967;
 Brown-Traub 1971) together with degree-drop bookkeeping at infinity.
+Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
 """
 
 import random
@@ -316,6 +317,8 @@ class Pencil:
             raise ValueError("pencil members must share the degree bound")
         if self.f.bound < 1:
             raise ValueError("need degree bound >= 1")
+        if self.f.is_zero or self.g.is_zero:
+            raise ValueError("pencil members must be nonzero forms")
         if proportional(self.f, self.g):
             raise ValueError("degenerate pencil: the two forms are proportional")
 
@@ -475,15 +478,19 @@ def wronskian(pencil: Pencil) -> BinaryForm:
 
 
 def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
-    """Restrict to the diagonal via (e0, e1, e2) = (x0^2, 2 x0 x1, x1^2)."""
+    """Restrict to the diagonal via (e0, e1, e2) = (x0^2, 2 x0 x1, x1^2).
+
+    The substitution sends e0^a e1^b e2^c to the single monomial
+    2^b x0^(2a+b) x1^(b+2c), so each term is scattered into its coefficient.
+    """
     if curve.degree != k - 1:
         raise ValueError(
             f"curve has degree {curve.degree}, expected k-1 = {k - 1}"
         )
-    e0 = BinaryForm._make(2, (1, 0, 0))
-    e1 = BinaryForm._make(2, (0, 2, 0))
-    e2 = BinaryForm._make(2, (0, 0, 1))
-    return curve.pullback(e0, e1, e2)
+    out = [0] * (2 * curve.degree + 1)
+    for (_, b, c), v in curve.terms:
+        out[b + 2 * c] += v << b
+    return BinaryForm._make(2 * curve.degree, out, curve.den)
 
 
 def simple_ramification(pencil: Pencil) -> bool:
@@ -511,12 +518,6 @@ def divisor_point(x, y) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(v, lead) for v in e)
 
 
-def _pair_determinant(pencil: Pencil, p: tuple[int, int], q: tuple[int, int]) -> int:
-    """det [[f(p), g(p)], [f(q), g(q)]] on numerators, at integer points."""
-    f, g = pencil.f.nums, pencil.g.nums
-    return _horner(f, *p) * _horner(g, *q) - _horner(g, *p) * _horner(f, *q)
-
-
 def contains_divisor(pencil: Pencil, x, y) -> bool:
     """Determinant membership oracle: does some member vanish on {x, y}?
 
@@ -524,7 +525,9 @@ def contains_divisor(pencil: Pencil, x, y) -> bool:
     a rational number or INFINITY.  On the diagonal x == y the determinant
     vanishes identically, so the oracle is informative only for x != y.
     """
-    return _pair_determinant(pencil, _as_point(x), _as_point(y)) == 0
+    f, g = pencil.f.nums, pencil.g.nums
+    p, q = _as_point(x), _as_point(y)
+    return _horner(f, *p) * _horner(g, *q) == _horner(g, *p) * _horner(f, *q)
 
 
 def _conic_matrix(conic: SymPlaneCurve) -> list[list[int]]:
@@ -616,9 +619,21 @@ def conic_intersection(
 # -- seeded sampling and the randomized verification suite
 
 
+def _randint(bits, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)` from `bits = rng.getrandbits`, by randint's own
+    rule: the same values, bits consumed and final state."""
+    n = hi - lo + 1
+    w = n.bit_length()
+    r = bits(w)
+    while r >= n:
+        r = bits(w)
+    return lo + r
+
+
 def _random_form(k: int, rng: random.Random) -> BinaryForm:
+    bits = rng.getrandbits
     while True:
-        cs = [rng.randint(-9, 9) for _ in range(k + 1)]
+        cs = [_randint(bits, -9, 9) for _ in range(k + 1)]
         if any(cs):
             return BinaryForm._make(k, cs)
 
@@ -658,8 +673,9 @@ def random_smooth_conic(
     Produced as a random projective image of the diagonal conic, so the point
     (the image of (1 : 0 : 0)) lies on it by construction.
     """
+    bits = rng.getrandbits
     while True:
-        a = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        a = [[_randint(bits, -4, 4) for _ in range(3)] for _ in range(3)]
         if _det3(a) != 0:
             break
     # matrix of the image conic, up to scale: adj(A)^T M0 adj(A), whose
@@ -695,8 +711,9 @@ def verification_suite(
 
     Per sampled coprime pencil: the wedge curve must be nonzero of exact
     total degree k-1; its diagonal restriction must be proportional to the
-    Wronskian; the determinant oracle must agree with curve evaluation at
-    `membership_points` random distinct pairs; the pullback to a random
+    Wronskian; at `membership_points` random distinct pairs {x, y} the
+    determinant oracle must equal (x - y) times the curve's value exactly, a
+    value identity stronger than agreeing on zeros; the pullback to a random
     smooth conic must have Bezout total 2(k-1), with the distinct-point count
     recorded (transversality statistic) and every non-transversal case
     re-checked to be genuinely non-squarefree.  Exact identity failures are
@@ -711,6 +728,7 @@ def verification_suite(
             f"need membership_points >= 0, got membership_points={membership_points}"
         )
     rng = random.Random(f"k3gonal:{seed}:{k}")
+    bits = rng.getrandbits
     failures: list[str] = []
     transversal = 0
     for index in range(samples):
@@ -722,17 +740,24 @@ def verification_suite(
         if not proportional(diag, wronskian(pencil)):
             failures.append(f"sample {index}: diagonal/Wronskian identity")
         # membership at random rational pairs x = nx/dx, y = ny/dy, taken as
-        # the integer points (dx : nx), (dy : ny) and (e0 : e1 : e2) below;
-        # the denominators are positive, so both zero-tests stay exact
+        # the integer points (dx : nx), (dy : ny) and (e0 : e1 : e2) below; the
+        # determinant must equal (x - y) B(x, y), compared as values on integers,
+        # and (f, g) is evaluated once per point of the 100-point grid
         rows = curve._rows()
+        f, g = pencil.f.nums, pencil.g.nums
+        scale = pencil.f.den * pencil.g.den
+        values: dict[tuple[int, int], tuple[int, int]] = {}
         for _ in range(membership_points):
-            nx, dx = rng.randint(-12, 12), rng.randint(1, 4)
-            ny, dy = rng.randint(-12, 12), rng.randint(1, 4)
+            nx, dx = _randint(bits, -12, 12), _randint(bits, 1, 4)
+            ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
             while ny * dx == nx * dy:
-                ny, dy = rng.randint(-12, 12), rng.randint(1, 4)
-            det = _pair_determinant(pencil, (dx, nx), (dy, ny))
-            on_curve = _ternary_horner(rows, dx * dy, nx * dy + ny * dx, nx * ny) == 0
-            if on_curve != (det == 0):
+                ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
+            for pt in (dx, nx), (dy, ny):
+                if pt not in values:
+                    values[pt] = _horner(f, *pt), _horner(g, *pt)
+            (fx, gx), (fy, gy) = values[dx, nx], values[dy, ny]
+            value = _ternary_horner(rows, dx * dy, nx * dy + ny * dx, nx * ny)
+            if (fx * gy - gx * fy) * curve.den != (nx * dy - ny * dx) * value * scale:
                 x, y = Fraction(nx, dx), Fraction(ny, dy)
                 failures.append(f"sample {index}: membership oracle at ({x}, {y})")
                 break

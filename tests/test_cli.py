@@ -670,6 +670,22 @@ def test_qvalues_limit(capsys, monkeypatch):
     assert code == 1 and f"QVALUES_MAX_VALUES = {count - 1}" in err
 
 
+@pytest.mark.parametrize(
+    "args, limit",
+    [("-k 17 --samples 20", "PENCIL_MAX_K = 16"),
+     ("-k 3 --samples 1001", "PENCIL_MAX_SAMPLES = 1000")],
+)
+def test_pencil_verify_limits(capsys, args, limit):
+    start = time.perf_counter()
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "--format", fmt, "pencil", "verify", *args.split())
+        assert code == 1 and out == ""
+        assert f"over the limit {limit}" in err and "invariant violation" not in err
+    assert time.perf_counter() - start < 0.5
+    # the limits are inclusive
+    assert run(capsys, "pencil", "verify", "-k", "16", "--samples", "1")[0] == 0
+
+
 @pytest.mark.parametrize("command", LEAF_CASES)
 def test_json_output_round_trips(capsys, command):
     # the README's contract: json.dumps(json.loads(out), indent=2) gives out back

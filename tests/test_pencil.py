@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3gonal import pencil as pencil_module
 from k3gonal.pencil import (
     DIAGONAL,
     DIAGONAL_POINT,
@@ -11,6 +12,7 @@ from k3gonal.pencil import (
     BinaryForm,
     Pencil,
     SymPlaneCurve,
+    _randint,
     conic_intersection,
     contains_divisor,
     diagonal_restriction,
@@ -142,6 +144,14 @@ def test_pencil_rejects_degenerate():
         Pencil(f, BinaryForm(2, (2, 4, 2)))
     with pytest.raises(ValueError):
         Pencil(f, BinaryForm(3, (1, 0, 0, 0)))
+
+
+def test_pencil_rejects_zero_member():
+    # zero is proportional only to zero, so this needs its own check
+    for f, g in [(BinaryForm.zero(1), BinaryForm(1, (0, -1))),
+                 (BinaryForm(2, (1, 2, 1)), BinaryForm.zero(2))]:
+        with pytest.raises(ValueError, match="nonzero"):
+            Pencil(f, g)
 
 
 def test_wedge_curve_k2():
@@ -453,6 +463,37 @@ def test_root_counts_match_rational_euclid(form):
     distinct, squarefree = _ref_counts(list(form.coeffs))
     assert distinct_root_count(form) == distinct
     assert is_squarefree(form) == squarefree
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-4, 4), (-12, 12), (1, 4)])
+def test_randint_matches_random_randint(lo, hi):
+    # the seeded pencil streams rest on _randint consuming randint's bits
+    for seed in range(300):
+        ours, ref = random.Random(seed), random.Random(seed)
+        bits = ours.getrandbits
+        assert [_randint(bits, lo, hi) for _ in range(200)] == [
+            ref.randint(lo, hi) for _ in range(200)
+        ]
+        assert ours.getstate() == ref.getstate()
+
+
+def _wedge_plus_diagonal_multiple(pencil):
+    """The wedge curve plus e0^(k-3) (e1^2 - 4 e0 e2), which vanishes on the
+    diagonal: a wrong curve that the Wronskian identity cannot see."""
+    curve, k = wedge_curve(pencil), pencil.k
+    store = dict(curve.terms)
+    for expo, v in (((k - 3, 2, 0), 1), ((k - 2, 0, 1), -4)):
+        store[expo] = store.get(expo, 0) + v * curve.den
+    return SymPlaneCurve._make(k - 1, store, curve.den)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 8])
+def test_membership_oracle_catches_wrong_curve(monkeypatch, k):
+    monkeypatch.setattr(pencil_module, "wedge_curve", _wedge_plus_diagonal_multiple)
+    failures = verification_suite(k, samples=20, seed=0)["failures"]
+    assert len(failures) == 20
+    assert all("membership oracle" in f for f in failures)
+    assert not any("Wronskian" in f for f in failures)
 
 
 def test_verification_suite_deterministic():
