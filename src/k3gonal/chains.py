@@ -12,10 +12,21 @@ j nodes on the second, and meets the double curve in 2j points; contracting
 every ruling line identifies one pair of points per chain, so the stable
 model is a rational curve with g nodes and arithmetic genus g.
 
-`construct_minimal` realizes the minimal node number delta0(p, k) by the
-three-case construction driven by the (m, t, lambda) decomposition;
-`increment` merges the two longest chains to raise delta by exactly one;
-`enumerate_partitions` is the exhaustive oracle.
+Every witness is read off one rule: with cap = 2(k-1) and g = p - delta,
+take the g - 1 lightest chains the cap allows (cap chains of each length
+index 1, 2, 3, ...) plus one chain carrying the rest of the weight.  In
+run-length form, with (q, r) = divmod(g - 1, cap),
+
+    alpha_j = cap for j <= q,   alpha_{q+1} = r,   plus one chain of index
+    p - lightest(g - 1),        lightest(n) = cap q(q+1)/2 + r(q+1),
+
+the last chain adding to alpha_{q+1} when its index is q + 1.
+`construct_minimal` is the rule at delta0(p, k), where it reproduces the
+three-case construction on the (m, t, lambda) decomposition of p, and
+certifies delta0's minimality by lightest(g0) <= p < lightest(g0 + 1);
+`witness` is the rule at any delta in [delta0, p-1]; `increment` merges
+the two longest chains to raise delta by exactly one, and takes each
+witness to the next; `enumerate_partitions` is the exhaustive oracle.
 """
 
 import os
@@ -23,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .gonality import decompose, delta0
+from .gonality import delta0
 
 __all__ = [
     "ChainPartition",
@@ -128,8 +139,12 @@ class SymbolicChainCurve:
     partition: ChainPartition
 
     def __post_init__(self):
-        if not validate(self.partition):
-            raise ValueError("partition does not define a curve: validation failed")
+        part = self.partition
+        if not validate(part):
+            raise ValueError(
+                f"partition invalid: weight {part.weight()} vs p={part.p}, "
+                f"cap {2 * (part.k - 1)}"
+            )
 
     @property
     def line_count(self) -> int:
@@ -172,49 +187,52 @@ class SymbolicChainCurve:
         }
 
 
+def _lightest(n: int, cap: int) -> int:
+    """Total weight of the n lightest chains the cap allows: cap chains of
+    each length index 1, 2, 3, ..., filled in that order."""
+    q, r = divmod(n, cap)
+    return cap * q * (q + 1) // 2 + r * (q + 1)
+
+
+def _lightest_plus_one(p: int, k: int, delta: int) -> ChainPartition:
+    """The g - 1 lightest chains plus one chain carrying the rest of the
+    weight, g = p - delta; validated, and its delta checked."""
+    cap = 2 * (k - 1)
+    n = p - delta - 1
+    q, r = divmod(n, cap)
+    rest = p - _lightest(n, cap)
+    partition = ChainPartition(p, k, [(j, cap) for j in range(1, q + 1)] + [(q + 1, r), (rest, 1)])
+    if not validate(partition) or partition.delta != delta:
+        raise InvariantViolation(
+            f"chain witness failed at (p={p}, k={k}): "
+            f"delta={partition.delta}, expected {delta}"
+        )
+    return partition
+
+
 def construct_minimal(p: int, k: int) -> ChainPartition:
-    """The partition realizing delta0(p, k), by the three-case construction.
+    """The partition realizing delta0(p, k): the module's rule at
+    g0 = p - delta0, which reproduces the three-case construction on the
+    (m, t, lambda) decomposition of p, and alpha_1 = p below p = 2(k-1).
 
-    With cap = 2(k-1) and p = (k-1)m(m+1) + t(m+1) + lambda:
-
-      lambda = 0:          alpha_j = cap for j <= m, alpha_{m+1} = t;
-      t = 0, lambda > 0:   alpha_j = cap for j <= m-1, alpha_m = cap - 1,
-                           alpha_{m+lambda} = 1;
-      t > 0, lambda > 0:   alpha_j = cap for j <= m, alpha_{m+1} = t - 1,
-                           alpha_{m+1+lambda} = 1.
-
-    Below the decomposition regime (p < 2(k-1)) the single case alpha_1 = p
-    realizes delta = 0.
+    A valid partition with g chains exists iff lightest(g) <= p, so delta0's
+    minimality is certified, before anything is built, by
+    lightest(g0) <= p < lightest(g0 + 1): g0 chains fit and g0 + 1 do not.
     """
     if p < 3:
         raise ValueError(f"need p >= 3, got p={p}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     cap = 2 * (k - 1)
-    if p < cap:
-        mult = {1: p}
-    else:
-        dec = decompose(p, k)
-        m, t, lam = dec.m, dec.t, dec.lam
-        if lam == 0:
-            mult = {j: cap for j in range(1, m + 1)}
-            mult[m + 1] = t
-        elif t == 0:
-            mult = {j: cap for j in range(1, m)}
-            mult[m] = cap - 1
-            mult[m + lam] = 1
-        else:
-            mult = {j: cap for j in range(1, m + 1)}
-            mult[m + 1] = t - 1
-            mult[m + 1 + lam] = 1
-    partition = ChainPartition(p, k, mult)
     d0 = delta0(p, k)
-    if not validate(partition) or partition.delta != d0:
+    g0 = p - d0
+    if not _lightest(g0, cap) <= p < _lightest(g0 + 1, cap):
         raise InvariantViolation(
-            f"minimal construction failed at (p={p}, k={k}): "
-            f"delta={partition.delta}, expected {d0}"
+            f"delta0={d0} at (p={p}, k={k}) is not minimal for chains: "
+            f"{g0} lightest chains weigh {_lightest(g0, cap)}, "
+            f"{g0 + 1} weigh {_lightest(g0 + 1, cap)}"
         )
-    return partition
+    return _lightest_plus_one(p, k, d0)
 
 
 def increment(partition: ChainPartition) -> ChainPartition:
@@ -223,7 +241,8 @@ def increment(partition: ChainPartition) -> ChainPartition:
     The two largest lengths present, counted with multiplicity, are j1 >= j2
     (j1 = j2 only when alpha_{j1} >= 2); both lose a chain and a single chain
     of length index j1 + j2 appears.  Since j1 + j2 exceeds every occupied
-    index, the multiplicity cap is preserved automatically.
+    index, the multiplicity cap is preserved automatically.  Applied to a
+    witness it gives the witness one delta up.
     """
     if not validate(partition):
         raise ValueError("cannot increment an invalid partition")
@@ -248,7 +267,9 @@ def increment(partition: ChainPartition) -> ChainPartition:
 def witness(p: int, k: int, delta: int) -> ChainPartition:
     """A valid partition with the requested delta in [delta0(p,k), p-1].
 
-    Built as the minimal construction followed by delta - delta0 merges.
+    The module's rule at g = p - delta, built once, in time proportional to
+    its number of chain lengths, at most (g-1) // 2(k-1) + 2.  It equals the
+    minimal construction followed by delta - delta0 `increment` merges.
     delta = p (g = 0) has no chain witness and is rejected.
     """
     if p < 3:
@@ -260,10 +281,7 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
         raise ValueError(f"inadmissible: delta={delta} < delta0={d0}")
     if delta > p - 1:
         raise ValueError(f"no chain witness for delta={delta} > p-1={p - 1}")
-    partition = construct_minimal(p, k)
-    for _ in range(delta - d0):
-        partition = increment(partition)
-    return partition
+    return _lightest_plus_one(p, k, delta)
 
 
 def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[ChainPartition]:
@@ -279,7 +297,13 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
     K3GONAL_MAX_P environment variable or `max_p`).
     """
     if max_p is None:
-        max_p = int(os.environ.get(MAX_P_ENV, str(DEFAULT_MAX_P)))
+        raw = os.environ.get(MAX_P_ENV, str(DEFAULT_MAX_P))
+        try:
+            max_p = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"the {MAX_P_ENV} environment variable must be an integer, got {raw!r}"
+            ) from None
     if p > max_p:
         raise ValueError(
             f"p={p} exceeds the enumeration cap {max_p}; raise it via the "

@@ -47,6 +47,8 @@ QVALUES_MAX_VALUES = 10**5
 # at degree 2k - 2); the largest accepted command takes about 30 s
 PENCIL_MAX_K = 16
 PENCIL_MAX_SAMPLES = 1000
+# `chains witness` builds and renders one [j, a] pair per chain length
+WITNESS_MAX_LENGTHS = 10**5
 
 FORMATS = click.Choice(["table", "json", "csv"])
 
@@ -312,6 +314,14 @@ def _partition_table(part: chains.ChainPartition) -> str:
 @click.option("--delta", type=int, required=True)
 def chains_witness(p, k, delta):
     """A valid partition realizing the requested node number."""
+    if k >= 2:
+        # the g - 1 lightest chains fill (g-1) // 2(k-1) + 1 lengths, the rest one more
+        lengths = (p - delta - 1) // (2 * (k - 1)) + 2
+        if lengths > WITNESS_MAX_LENGTHS:
+            raise ValueError(
+                f"the witness at p={p}, k={k}, delta={delta} has up to {lengths} "
+                f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {WITNESS_MAX_LENGTHS}"
+            )
     part = chains.witness(p, k, delta)
     return part.to_payload(), _partition_table(part)
 
@@ -385,12 +395,7 @@ def _parse_alpha(text: str) -> list[tuple[int, int]]:
 @click.option("--alpha", required=True, help="Sparse multiplicities, e.g. 1:2,2:1,4:1.")
 def chains_stable(p, k, alpha):
     """Stable-model node count and bookkeeping for a given partition."""
-    part = chains.ChainPartition(p, k, _parse_alpha(alpha))
-    if not chains.validate(part):
-        raise ValueError(
-            f"partition invalid: weight {part.weight()} vs p={p}, cap {2 * (k - 1)}"
-        )
-    curve = chains.SymbolicChainCurve(part)
+    curve = chains.SymbolicChainCurve(chains.ChainPartition(p, k, _parse_alpha(alpha)))
     nodes, genus = chains.stable_model(curve)
     payload = curve.to_payload() | {"stable_nodes": nodes, "arithmetic_genus": genus}
     table = (

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3gonal import chains
 from k3gonal.chains import (
     ChainPartition,
     SymbolicChainCurve,
@@ -11,7 +12,8 @@ from k3gonal.chains import (
     validate,
     witness,
 )
-from k3gonal.gonality import delta0
+from k3gonal.errors import InvariantViolation
+from k3gonal.gonality import decompose, delta0
 
 
 def part(p, k, mult):
@@ -60,6 +62,67 @@ def test_construct_minimal_matches_delta0():
             q = construct_minimal(p, k)
             assert validate(q)
             assert q.delta == delta0(p, k)
+
+
+def _three_case_minimal(p, k):
+    """Reference minimal construction on the (m, t, lambda) decomposition."""
+    cap = 2 * (k - 1)
+    if p < cap:
+        return {1: p}
+    dec = decompose(p, k)
+    m, t, lam = dec.m, dec.t, dec.lam
+    mult = {j: cap for j in range(1, m + 1)}
+    if lam == 0:
+        mult[m + 1] = t
+    elif t == 0:
+        mult[m] = cap - 1
+        mult[m + lam] = 1
+    else:
+        mult[m + 1] = t - 1
+        mult[m + 1 + lam] = 1
+    return mult
+
+
+def test_construct_minimal_matches_three_case_reference():
+    for k in range(2, 10):
+        for p in range(3, 121):
+            assert construct_minimal(p, k) == part(p, k, _three_case_minimal(p, k)), (p, k)
+
+
+def test_witness_matches_increment_reference():
+    # every delta for p <= 60, k = 2..8: the minimal construction followed by
+    # delta - delta0 merges, so increment(witness(delta)) == witness(delta + 1)
+    cases = 0
+    for k in range(2, 9):
+        for p in range(3, 61):
+            reference = construct_minimal(p, k)
+            for delta in range(delta0(p, k), p):
+                assert witness(p, k, delta) == reference, (p, k, delta)
+                cases += 1
+                if delta < p - 1:
+                    reference = increment(reference)
+    assert cases == 6702
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_construct_minimal_rejects_wrong_delta0(monkeypatch, shift):
+    # delta0 one off, as chains sees it, fails the certificate
+    # lightest(g0) <= p < lightest(g0 + 1)
+    for k in range(2, 6):
+        for p in range(3, 41):
+            true = delta0(p, k)
+            monkeypatch.setattr(chains, "delta0", lambda p, k: true + shift)
+            with pytest.raises(InvariantViolation, match="not minimal"):
+                construct_minimal(p, k)
+    monkeypatch.undo()
+    assert construct_minimal(8, 2).delta == 4
+
+
+def test_witness_at_extreme_p():
+    p = 10**40 + 1
+    assert witness(p, 2, p - 1).parts == ((p, 1),)
+    q = witness(p, 10**9, p - 5)
+    assert q.parts == ((1, 4), (p - 4, 1)) and q.delta == p - 5
 
 
 def test_increment_examples():
@@ -141,6 +204,12 @@ def test_enumerate_cap(monkeypatch):
     assert enumerate_partitions(61, 2, max_p=61)
     monkeypatch.setenv("K3GONAL_MAX_P", "70")
     assert enumerate_partitions(61, 2)
+
+
+def test_enumerate_cap_env_not_an_integer(monkeypatch):
+    monkeypatch.setenv("K3GONAL_MAX_P", "abc")
+    with pytest.raises(ValueError, match="K3GONAL_MAX_P.*'abc'"):
+        enumerate_partitions(4, 2)
 
 
 def _enumerate_by_search(p, k):

@@ -670,6 +670,48 @@ def test_qvalues_limit(capsys, monkeypatch):
     assert code == 1 and f"QVALUES_MAX_VALUES = {count - 1}" in err
 
 
+def test_chains_witness_at_extreme_p(capsys):
+    p = 10**40 + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--format", "json", "chains", "witness",
+                         "-p", str(p), "-k", "2", "--delta", str(p - 1))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "") and json.loads(out)["parts"] == [[p, 1]]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "chains", "witness", "-p", "10000000", "-k", "2",
+                       "--delta", "9999999")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out == "p=10000000 k=2 delta=9999999 g=1 parts[10000000:1]\n"
+
+
+def test_chains_witness_length_limit(capsys):
+    p = 10**40 + 1
+    start = time.perf_counter()
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "--format", fmt, "chains", "witness", "-p", str(p),
+                             "-k", "2", "--delta", str(gonality.delta0(p, 2)))
+        assert code == 1 and out == ""
+        assert "over the limit WITNESS_MAX_LENGTHS = 100000" in err
+    assert time.perf_counter() - start < 0.5
+    # g chains at cap 2 fill (g - 1) // 2 + 2 lengths: 100001 at g = 199999
+    code, out, err = run(capsys, "chains", "witness", "-p", str(p), "-k", "2",
+                         "--delta", str(p - 199999))
+    assert code == 1 and out == "" and "up to 100001 chain lengths" in err
+    # the limit is inclusive
+    code, out, err = run(capsys, "--format", "json", "chains", "witness", "-p", str(p),
+                         "-k", "2", "--delta", str(p - 199998))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["g"] == 199998 and len(payload["parts"]) == 100000
+
+
+def test_chains_enumerate_cap_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("K3GONAL_MAX_P", "abc")
+    code, out, err = run(capsys, "chains", "enumerate", "-p", "4", "-k", "2")
+    assert code == 1 and out == ""
+    assert "K3GONAL_MAX_P" in err and "'abc'" in err
+
+
 @pytest.mark.parametrize(
     "args, limit",
     [("-k 17 --samples 20", "PENCIL_MAX_K = 16"),
