@@ -264,13 +264,16 @@ def increment(partition: ChainPartition) -> ChainPartition:
     return merged
 
 
-def witness(p: int, k: int, delta: int) -> ChainPartition:
+def witness(p: int, k: int, delta: int, max_lengths: int | None = None) -> ChainPartition:
     """A valid partition with the requested delta in [delta0(p,k), p-1].
 
     The module's rule at g = p - delta, built once, in time proportional to
     its number of chain lengths, at most (g-1) // 2(k-1) + 2.  It equals the
     minimal construction followed by delta - delta0 `increment` merges.
-    delta = p (g = 0) has no chain witness and is rejected.
+    delta = p (g = 0) has no chain witness and is rejected.  With
+    `max_lengths`, an admissible delta whose count of chain lengths may
+    exceed it is refused before anything is built; the message names the
+    limit as the CLI's WITNESS_MAX_LENGTHS, which is passed here.
     """
     if p < 3:
         raise ValueError(f"need p >= 3, got p={p}")
@@ -281,6 +284,14 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
         raise ValueError(f"inadmissible: delta={delta} < delta0={d0}")
     if delta > p - 1:
         raise ValueError(f"no chain witness for delta={delta} > p-1={p - 1}")
+    if max_lengths is not None:
+        # the g - 1 lightest chains fill (g-1) // 2(k-1) + 1 lengths, the rest one more
+        lengths = (p - delta - 1) // (2 * (k - 1)) + 2
+        if lengths > max_lengths:
+            raise ValueError(
+                f"the witness at p={p}, k={k}, delta={delta} has up to {lengths} "
+                f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {max_lengths}"
+            )
     return _lightest_plus_one(p, k, delta)
 
 

@@ -43,8 +43,9 @@ VERIFY_MAX_P = 10**5
 SCAN_MAX_ROWS = 10**5
 # `hilb qvalues` builds one value per candidate of hilbert.q_candidate_count
 QVALUES_MAX_VALUES = 10**5
-# `pencil verify` time grows with samples and steeply with k (its PRS runs
-# at degree 2k - 2); the largest accepted command takes about 30 s
+# `pencil verify` time grows with samples and with k (its conic pullback and
+# gcd run at degree 2k - 2); the largest accepted command, -k 16 --samples
+# 1000, takes about 4.5 s (Python 3.11, 2-vCPU Linux machine)
 PENCIL_MAX_K = 16
 PENCIL_MAX_SAMPLES = 1000
 # `chains witness` builds and renders one [j, a] pair per chain length
@@ -314,15 +315,7 @@ def _partition_table(part: chains.ChainPartition) -> str:
 @click.option("--delta", type=int, required=True)
 def chains_witness(p, k, delta):
     """A valid partition realizing the requested node number."""
-    if k >= 2:
-        # the g - 1 lightest chains fill (g-1) // 2(k-1) + 1 lengths, the rest one more
-        lengths = (p - delta - 1) // (2 * (k - 1)) + 2
-        if lengths > WITNESS_MAX_LENGTHS:
-            raise ValueError(
-                f"the witness at p={p}, k={k}, delta={delta} has up to {lengths} "
-                f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {WITNESS_MAX_LENGTHS}"
-            )
-    part = chains.witness(p, k, delta)
+    part = chains.witness(p, k, delta, max_lengths=WITNESS_MAX_LENGTHS)
     return part.to_payload(), _partition_table(part)
 
 

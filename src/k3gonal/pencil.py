@@ -26,9 +26,14 @@ Representation.  Forms and curves hold integer coefficients over one
 positive common denominator in lowest terms, a canonical form, so equality
 and hashing are exact; rational coefficients are read back through
 `.coeffs`.  All arithmetic runs on plain integers.  Squarefreeness and
-distinct-root counts come from the degree of gcd(a, a'), computed by a
-primitive pseudo-remainder sequence over the integers (Collins 1967;
-Brown-Traub 1971) together with degree-drop bookkeeping at infinity.
+distinct-root counts come from the degree of gcd(a, a') together with
+degree-drop bookkeeping at infinity.  That degree is first certified to be
+0 by Euclid modulo the prime 2^61 - 1, when it divides neither leading
+coefficient (Brown 1971); any other outcome falls back to a primitive
+pseudo-remainder sequence over the integers (Collins 1967; Brown-Traub
+1971).  The membership identity det(x, y) = (x - y) B(x, y) is checked as
+bihomogeneous polynomials on P^1 x P^1, with B expanded independently of
+the h_n closed form; its random pairs are evaluated only when that fails.
 Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
 """
 
@@ -144,7 +149,7 @@ def _primitive(a: list[int]) -> list[int]:
     return a if g <= 1 else [x // g for x in a]
 
 
-def _gcd_degree(a: list[int], b: list[int]) -> int:
+def _prs_gcd_degree(a: list[int], b: list[int]) -> int:
     """Degree of gcd(a, b) over Q by a primitive PRS over Z (-1 if both zero).
 
     Each pseudo-remainder is a nonzero constant times the Euclidean
@@ -153,6 +158,47 @@ def _gcd_degree(a: list[int], b: list[int]) -> int:
     while b:
         a, b = b, _primitive(_prem(a, b))
     return len(a) - 1
+
+
+#: the Mersenne prime 2^61 - 1, modulus of the gcd certificate
+_PRIME = (1 << 61) - 1
+
+
+def _mod_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a mod l, b mod l) over F_l, l = _PRIME, by monic Euclid.
+
+    Needs both leading coefficients prime to l.  Then the primitive gcd over
+    Z keeps its degree mod l and divides both reductions, so the result is
+    at least the degree over Q, and 0 proves degree 0 over Q (Brown 1971).
+    """
+    p = _PRIME
+    a = [x % p for x in a]
+    inv = pow(b[-1], -1, p)
+    b = [x * inv % p for x in b]
+    while len(b) > 1:
+        n, body = len(b) - 1, b[:-1]
+        while len(a) > n:
+            c = a.pop()
+            if c:
+                s = len(a) - n
+                a[s:] = [(x - c * y) % p for x, y in zip(a[s:], body)]
+        _trim(a)
+        if not a:
+            return n
+        inv = pow(a[-1], -1, p)
+        a, b = b, [x * inv % p for x in a]
+    return 0
+
+
+def _gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over Q (-1 if both zero), for trimmed lists.
+
+    Degree 0 is certified modulo _PRIME when that is possible; any other
+    outcome is decided by the primitive PRS over Z.
+    """
+    if a and b and a[-1] % _PRIME and b[-1] % _PRIME and _mod_gcd_degree(a, b) == 0:
+        return 0
+    return _prs_gcd_degree(a, b)
 
 
 @dataclass(frozen=True)
@@ -493,6 +539,47 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
     return BinaryForm._make(2 * curve.degree, out, curve.den)
 
 
+def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> bool:
+    """Whether det(x, y) = (x - y) curve(x, y) holds as bihomogeneous forms.
+
+    With x = (x0 : x1), y = (y0 : y1) and det = f(x) g(y) - g(x) f(y), the
+    check is den det == scale (x1 y0 - x0 y1) M on P^1 x P^1, coefficient by
+    coefficient, where den is the curve's denominator, scale = f.den g.den and
+    M is the curve's numerator at (e0, e1, e2) = (x0 y0, x1 y0 + x0 y1, x1 y1),
+    expanded term by term as e0^a e1^b e2^c =
+    sum_s C(b, s) x0^(a+s) x1^(b-s+c) y0^(a+b-s) y1^(s+c).  Both sides are
+    antisymmetric in x and y, so only the pairs i < j of powers (x1^i, y1^j)
+    are compared.  A curve not of degree k - 1 fails.
+
+    >>> f, g = BinaryForm(3, (0, 0, 0, 1)), BinaryForm(3, (1, 0, 0, 0))
+    >>> curve = wedge_curve(Pencil(f, g))
+    >>> _value_identity(Pencil(f, g), curve), _value_identity(Pencil(g, f), curve)
+    (True, False)
+    """
+    k = pencil.k
+    if curve.degree != k - 1:
+        return False
+    # m[i][j] multiplies x1^i y1^j (x0 and y0 fill the degree k - 1 in each);
+    # row and column k stay zero, so m[i - 1] at i = 0 reads zeros
+    m = [[0] * (k + 1) for _ in range(k + 1)]
+    binoms = [[1]]
+    for _ in range(k - 1):
+        row = binoms[-1]
+        binoms.append([1] + [x + y for x, y in zip(row, row[1:])] + [1])
+    for (_, b, c), v in curve.terms:
+        for s, bs in enumerate(binoms[b]):
+            m[b - s + c][s + c] += bs * v
+    f, g = pencil.f.nums, pencil.g.nums
+    den, scale = curve.den, pencil.f.den * pencil.g.den
+    # the x1^i y1^j coefficient of (x1 y0 - x0 y1) M is m[i-1][j] - m[i][j-1]
+    for i in range(k):
+        fi, gi, up, here = f[i], g[i], m[i - 1], m[i]
+        for j in range(i + 1, k + 1):
+            if den * (fi * g[j] - gi * f[j]) != scale * (up[j] - here[j - 1]):
+                return False
+    return True
+
+
 def simple_ramification(pencil: Pencil) -> bool:
     """True iff the ramification divisor is reduced (Wronskian squarefree)."""
     return is_squarefree(wronskian(pencil))
@@ -701,6 +788,39 @@ def random_smooth_conic(
     return conic, point
 
 
+def _draw_pair(bits) -> tuple[int, int, int, int]:
+    """A random pair x = nx/dx != y = ny/dy as (nx, dx, ny, dy)."""
+    nx, dx = _randint(bits, -12, 12), _randint(bits, 1, 4)
+    ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
+    while ny * dx == nx * dy:
+        ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
+    return nx, dx, ny, dy
+
+
+def _value_mismatch(pencil: Pencil, curve: SymPlaneCurve, bits, points: int):
+    """The first of `points` random pairs at which det(x, y) differs from
+    (x - y) curve(x, y), rendered "(x, y)", or None.
+
+    The pairs are taken as the integer points (dx : nx), (dy : ny) and
+    (e0 : e1 : e2) = (dx dy, nx dy + ny dx, nx ny), compared as values on
+    integers, with (f, g) evaluated once per grid point.
+    """
+    rows = curve._rows()
+    f, g = pencil.f.nums, pencil.g.nums
+    scale = pencil.f.den * pencil.g.den
+    values: dict[tuple[int, int], tuple[int, int]] = {}
+    for _ in range(points):
+        nx, dx, ny, dy = _draw_pair(bits)
+        for pt in (dx, nx), (dy, ny):
+            if pt not in values:
+                values[pt] = _horner(f, *pt), _horner(g, *pt)
+        (fx, gx), (fy, gy) = values[dx, nx], values[dy, ny]
+        value = _ternary_horner(rows, dx * dy, nx * dy + ny * dx, nx * ny)
+        if (fx * gy - gx * fy) * curve.den != (nx * dy - ny * dx) * value * scale:
+            return f"({Fraction(nx, dx)}, {Fraction(ny, dy)})"
+    return None
+
+
 def verification_suite(
     k: int,
     samples: int = 200,
@@ -711,9 +831,13 @@ def verification_suite(
 
     Per sampled coprime pencil: the wedge curve must be nonzero of exact
     total degree k-1; its diagonal restriction must be proportional to the
-    Wronskian; at `membership_points` random distinct pairs {x, y} the
-    determinant oracle must equal (x - y) times the curve's value exactly, a
-    value identity stronger than agreeing on zeros; the pullback to a random
+    Wronskian; the determinant oracle must equal (x - y) times the curve
+    exactly, a value identity stronger than agreeing on zeros, checked as
+    bihomogeneous polynomials and so at every pair.  `membership_points`
+    random distinct pairs {x, y} are drawn either way, and evaluated only when
+    the polynomial check fails, to name the first pair at which the values
+    differ (a failure without such a pair is reported as one "as
+    polynomials"); the pullback to a random
     smooth conic must have Bezout total 2(k-1), with the distinct-point count
     recorded (transversality statistic) and every non-transversal case
     re-checked to be genuinely non-squarefree.  Exact identity failures are
@@ -739,28 +863,16 @@ def verification_suite(
         diag = diagonal_restriction(curve, k)
         if not proportional(diag, wronskian(pencil)):
             failures.append(f"sample {index}: diagonal/Wronskian identity")
-        # membership at random rational pairs x = nx/dx, y = ny/dy, taken as
-        # the integer points (dx : nx), (dy : ny) and (e0 : e1 : e2) below; the
-        # determinant must equal (x - y) B(x, y), compared as values on integers,
-        # and (f, g) is evaluated once per point of the 100-point grid
-        rows = curve._rows()
-        f, g = pencil.f.nums, pencil.g.nums
-        scale = pencil.f.den * pencil.g.den
-        values: dict[tuple[int, int], tuple[int, int]] = {}
-        for _ in range(membership_points):
-            nx, dx = _randint(bits, -12, 12), _randint(bits, 1, 4)
-            ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
-            while ny * dx == nx * dy:
-                ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
-            for pt in (dx, nx), (dy, ny):
-                if pt not in values:
-                    values[pt] = _horner(f, *pt), _horner(g, *pt)
-            (fx, gx), (fy, gy) = values[dx, nx], values[dy, ny]
-            value = _ternary_horner(rows, dx * dy, nx * dy + ny * dx, nx * ny)
-            if (fx * gy - gx * fy) * curve.den != (nx * dy - ny * dx) * value * scale:
-                x, y = Fraction(nx, dx), Fraction(ny, dy)
-                failures.append(f"sample {index}: membership oracle at ({x}, {y})")
-                break
+        # membership: the determinant must equal (x - y) B(x, y).  Checked as
+        # polynomials, it holds at every pair, and the random pairs are only
+        # drawn, since the conic draws below follow them in the stream
+        if _value_identity(pencil, curve):
+            for _ in range(membership_points):
+                _draw_pair(bits)
+        else:
+            pair = _value_mismatch(pencil, curve, bits, membership_points)
+            where = "as polynomials" if pair is None else f"at {pair}"
+            failures.append(f"sample {index}: membership oracle {where}")
         conic, point = random_smooth_conic(rng)
         total, distinct = conic_intersection(curve, conic, point)
         if total != 2 * (k - 1):

@@ -125,6 +125,19 @@ def test_witness_at_extreme_p():
     assert q.parts == ((1, 4), (p - 4, 1)) and q.delta == p - 5
 
 
+def test_witness_length_limit_after_admissibility():
+    p = 10**40 + 1
+    with pytest.raises(ValueError, match="inadmissible"):
+        witness(p, 2, 0, max_lengths=10)
+    with pytest.raises(ValueError, match="no chain witness"):
+        witness(p, 2, p, max_lengths=10)
+    # g chains at cap 2 fill (g - 1) // 2 + 2 lengths; the limit is inclusive
+    assert witness(p, 2, p - 17, max_lengths=10) == witness(p, 2, p - 17)
+    with pytest.raises(ValueError, match="up to 11 chain lengths, over the limit"):
+        witness(p, 2, p - 19, max_lengths=10)
+    assert witness(100, 3, 80) == witness(100, 3, 80, max_lengths=10**5)
+
+
 def test_increment_examples():
     q = increment(part(8, 2, {1: 2, 2: 1, 4: 1}))
     assert q.parts == ((1, 2), (6, 1)) and q.delta == 5

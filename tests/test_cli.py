@@ -705,6 +705,20 @@ def test_chains_witness_length_limit(capsys):
     assert payload["g"] == 199998 and len(payload["parts"]) == 100000
 
 
+def test_chains_witness_admissibility_before_length_limit(capsys):
+    # an inadmissible delta is refused as such, however many chain lengths
+    # its (nonexistent) witness would have
+    p = 10**40 + 1
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "--format", fmt, "chains", "witness", "-p", str(p),
+                             "-k", "2", "--delta", "0")
+        assert code == 1 and out == ""
+        assert "inadmissible: delta=0 < delta0=" in err and "WITNESS_MAX_LENGTHS" not in err
+    code, out, err = run(capsys, "--format", "json", "chains", "witness", "-p", str(p),
+                         "-k", "2", "--delta", str(p - 1))
+    assert (code, err) == (0, "") and json.loads(out)["parts"] == [[p, 1]]
+
+
 def test_chains_enumerate_cap_env_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("K3GONAL_MAX_P", "abc")
     code, out, err = run(capsys, "chains", "enumerate", "-p", "4", "-k", "2")

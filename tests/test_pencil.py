@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from k3gonal import pencil as pencil_module
 from k3gonal.pencil import (
@@ -12,7 +13,12 @@ from k3gonal.pencil import (
     BinaryForm,
     Pencil,
     SymPlaneCurve,
+    _PRIME,
+    _gcd_degree,
+    _mod_gcd_degree,
+    _prs_gcd_degree,
     _randint,
+    _value_identity,
     conic_intersection,
     contains_divisor,
     diagonal_restriction,
@@ -569,3 +575,154 @@ def test_random_pencils_reject_k_below_one(sample, k):
     with pytest.raises(ValueError, match=f"k={k}"):
         sample(k, rng)
     assert rng.getstate() == state
+
+
+# -- the membership identity as bihomogeneous polynomials
+
+
+@st.composite
+def pencil_at_k(draw, ks=st.integers(1, 12)):
+    """A seeded small-integer pencil or one with rational coefficients."""
+    k = draw(ks)
+    if draw(st.booleans()):
+        return random_pencil(k, random.Random(draw(st.integers(0, 10**6))))
+    f, g = draw(form_strategy(k)), draw(form_strategy(k))
+    assume(not proportional(f, g))
+    return Pencil(f, g)
+
+
+@given(pencil_at_k())
+@settings(max_examples=150, deadline=None)
+def test_value_identity_holds_for_the_wedge_curve(pencil):
+    assert _value_identity(pencil, wedge_curve(pencil))
+
+
+def _perturbed(curve, expo, delta):
+    """The curve with delta added to the coefficient of e0^a e1^b e2^c."""
+    store = dict(curve.terms)
+    store[expo] = store.get(expo, 0) + delta
+    return SymPlaneCurve._make(curve.degree, store, curve.den)
+
+
+@st.composite
+def monomial_change(draw, degree):
+    a = draw(st.integers(0, degree))
+    b = draw(st.integers(0, degree - a))
+    return (a, b, degree - a - b), draw(st.integers(-50, 50).filter(bool))
+
+
+@given(pencil_at_k(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_value_identity_fails_after_any_coefficient_change(pencil, data):
+    curve = wedge_curve(pencil)
+    expo, delta = data.draw(monomial_change(curve.degree))
+    assert not _value_identity(pencil, _perturbed(curve, expo, delta))
+    # a curve of another degree fails too
+    assert not _value_identity(pencil, SymPlaneCurve._make(pencil.k, {(0, 0, pencil.k): 1}))
+
+
+@given(st.integers(2, 6), st.integers(0, 10**6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_membership_points_evaluated_when_identity_fails(k, seed, data):
+    # the same change to every sampled curve: each sample evaluates its pairs
+    expo, delta = data.draw(monomial_change(k - 1))
+    calls, value_mismatch = [], pencil_module._value_mismatch
+
+    def wrong_curve(pencil):
+        curve = wedge_curve(pencil)
+        return _perturbed(curve, expo, delta * curve.den)
+
+    def counted(*args):
+        calls.append(args[-1])  # the number of pairs to evaluate
+        return value_mismatch(*args)
+
+    with mock.patch.object(pencil_module, "wedge_curve", wrong_curve), \
+            mock.patch.object(pencil_module, "_value_mismatch", counted):
+        failures = verification_suite(k, samples=3, seed=seed)["failures"]
+    assert calls == [100] * 3
+    assert sum("membership oracle" in f for f in failures) == 3
+
+
+def test_membership_failure_without_points_is_reported(monkeypatch):
+    # no pair is drawn, and the polynomial check alone names the failure
+    monkeypatch.setattr(pencil_module, "wedge_curve", _wedge_plus_diagonal_multiple)
+    failures = verification_suite(4, samples=5, seed=0, membership_points=0)["failures"]
+    assert failures == [f"sample {i}: membership oracle as polynomials" for i in range(5)]
+
+
+# -- the gcd degree: certificate modulo 2^61 - 1 against the PRS
+
+
+def _int_poly(degree):
+    """Integer coefficient lists of exact degree (nonzero leading coefficient)."""
+    return st.tuples(
+        st.lists(st.integers(-20, 20), min_size=degree, max_size=degree),
+        st.integers(-20, 20).filter(bool),
+    ).map(lambda t: t[0] + [t[1]])
+
+
+@st.composite
+def planted_pair(draw):
+    """(a, b, d): a = h u and b = h v share the factor h of degree d."""
+    d = draw(st.integers(0, 4))
+    h = draw(_int_poly(d))
+    u = draw(st.integers(0, 4).flatmap(_int_poly))
+    v = draw(st.integers(0, 4).flatmap(_int_poly))
+    return _mul(h, u), _mul(h, v), d
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _counting_prs():
+    calls = []
+
+    def prs(a, b):
+        calls.append((a, b))
+        return _prs_gcd_degree(a, b)
+
+    return calls, mock.patch.object(pencil_module, "_prs_gcd_degree", prs)
+
+
+@given(planted_pair())
+@settings(max_examples=300, deadline=None)
+def test_modular_gcd_degree_agrees_with_prs(pair):
+    a, b, d = pair
+    want = len(_ref_gcd([Fraction(x) for x in a], [Fraction(x) for x in b])) - 1
+    assert _prs_gcd_degree(a, b) == want >= d
+    # the reduction mod l can only gain common factors
+    assert _mod_gcd_degree(a, b) >= want
+    calls, patch = _counting_prs()
+    with patch:
+        assert _gcd_degree(a, b) == want
+    # the PRS runs unless the modulus certified degree 0
+    assert len(calls) == (0 if _mod_gcd_degree(a, b) == 0 else 1)
+
+
+@given(planted_pair(), st.integers(1, 3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_gcd_degree_falls_back_when_the_prime_divides_a_lead(pair, multiple, first):
+    a, b, _ = pair
+    if first:
+        a = a[:-1] + [multiple * _PRIME]
+    else:
+        b = b[:-1] + [multiple * _PRIME]
+    want = len(_ref_gcd([Fraction(x) for x in a], [Fraction(x) for x in b])) - 1
+    calls, patch = _counting_prs()
+    with patch:
+        assert _gcd_degree(a, b) == want
+    assert calls == [(a, b)]
+
+
+def test_gcd_degree_certificate_skips_the_prs():
+    # x^2 + 1 and x are coprime; l divides neither lead, so no PRS runs
+    calls, patch = _counting_prs()
+    with patch:
+        assert _gcd_degree([1, 0, 1], [0, 1]) == 0
+        assert _gcd_degree([-1, 0, 1], [1, 1]) == 1  # common factor x + 1
+    assert calls == [([-1, 0, 1], [1, 1])]
