@@ -47,7 +47,6 @@ from .hilbert import (
     optimal_class,
     pairing,
     q_case,
-    q_optimal_form,
     tau,
 )
 from .pencil import (
@@ -105,7 +104,6 @@ __all__ = [
     "gonality_class",
     "optimal_class",
     "q_case",
-    "q_optimal_form",
     "tau",
     "minimal_q_family",
     "isotropic_case",

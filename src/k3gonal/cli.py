@@ -227,10 +227,15 @@ def bn_rho(g, r, d):
 @click.option("-d", "d", type=int, default=None, help="Series degree (default k).")
 def bn_check(p, k, delta, r, d):
     """Existence bound for a g^r_d on the normalization."""
-    if d is None:
-        if k is None:
-            raise click.UsageError("provide -k, or an explicit degree via -d")
+    if k is not None:
+        # -k is the series g^1_k: an explicit -d or -r must agree with it
+        if d is not None and d != k:
+            raise click.UsageError(f"-k {k} sets d={k}, which conflicts with -d {d}")
+        if r is not None and r != 1:
+            raise click.UsageError(f"-k {k} sets r=1, which conflicts with -r {r}")
         d = k
+    elif d is None:
+        raise click.UsageError("provide -k, or an explicit degree via -d")
     r = 1 if r is None else r
     report = brillnoether.necessary_condition(p, delta, r, d)
     payload = {

@@ -36,7 +36,6 @@ __all__ = [
     "gonality_class",
     "optimal_class",
     "q_case",
-    "q_optimal_form",
     "tau",
     "nef_range_contains",
     "ample_range_contains",
@@ -203,23 +202,6 @@ def q_case(p: int, k: int, delta: int) -> Fraction:
             f"(p={p}, k={k}, delta={delta})"
         )
     return Fraction(first, den)
-
-
-def q_optimal_form(p: int, k: int) -> Fraction:
-    """q at minimal delta straight from the decomposition: 2(lam-1) - (k-1-t)^2/(2(k-1))."""
-    _check_pk(p, k)
-    if p <= 2 * (k - 1):
-        raise ValueError(
-            f"p={p} <= 2(k-1)={2 * (k - 1)}: no decomposition; use q_case at delta=0"
-        )
-    dec = decompose(p, k)
-    value = 2 * (dec.lam - 1) - Fraction((k - 1 - dec.t) ** 2, 2 * (k - 1))
-    direct = q_case(p, k, delta0(p, k))
-    if value != direct:
-        raise InvariantViolation(
-            f"optimal-form q {value} != q_case at delta0 {direct} for (p={p}, k={k})"
-        )
-    return value
 
 
 def tau(p: int, k: int) -> Fraction:

@@ -31,9 +31,10 @@ degree-drop bookkeeping at infinity.  That degree is first certified to be
 0 by Euclid modulo the prime 2^61 - 1, when it divides neither leading
 coefficient (Brown 1971); any other outcome falls back to a primitive
 pseudo-remainder sequence over the integers (Collins 1967; Brown-Traub
-1971).  The membership identity det(x, y) = (x - y) B(x, y) is checked as
-bihomogeneous polynomials on P^1 x P^1, with B expanded independently of
-the h_n closed form; its random pairs are evaluated only when that fails.
+1971).  The membership identity det(x, y) = (x - y) B(x, y) is checked once,
+as bihomogeneous polynomials on P^1 x P^1, with B expanded independently of
+the h_n closed form; a failure names the first coefficient that differs, and
+the suite's random pairs are only drawn, to keep the seeded stream.
 Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
 """
 
@@ -440,8 +441,11 @@ class SymPlaneCurve:
         return rows
 
     def _numerator_at(self, e0: int, e1: int, e2: int) -> int:
-        """den times the value at an integer point."""
-        return _ternary_horner(self._rows(), e0, e1, e2)
+        """den times the value at an integer point, by Horner in e2 over the rows."""
+        acc = 0
+        for row in reversed(self._rows()):
+            acc = acc * e2 + _horner(row, e0, e1)
+        return acc
 
     def evaluate(self, e0, e1, e2) -> Fraction:
         (p0, p1, p2), den = _over_common_den((e0, e1, e2))
@@ -450,7 +454,7 @@ class SymPlaneCurve:
     def pullback(self, f0: BinaryForm, f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
         """Substitute binary forms of a common bound for (e0, e1, e2).
 
-        The same nested Horner scheme as `_ternary_horner`, on coefficient
+        The same nested Horner scheme as `_numerator_at`, on coefficient
         lists: numerators over one common denominator go in, and each
         multiplication is by a form of the small bound.
         """
@@ -473,14 +477,6 @@ class SymPlaneCurve:
                     part = [x + row[b] * y for x, y in zip(part, pows0[n - b])]
             acc = [x + y for x, y in zip(_conv(m2, acc), part)]
         return BinaryForm._make(d * f0.bound, acc, self.den * den**d)
-
-
-def _ternary_horner(rows: list[list[int]], e0: int, e1: int, e2: int) -> int:
-    """Evaluate a ternary form given as `SymPlaneCurve._rows` at an integer point."""
-    acc = 0
-    for row in reversed(rows):
-        acc = acc * e2 + _horner(row, e0, e1)
-    return acc
 
 
 def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
@@ -539,8 +535,8 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
     return BinaryForm._make(2 * curve.degree, out, curve.den)
 
 
-def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> bool:
-    """Whether det(x, y) = (x - y) curve(x, y) holds as bihomogeneous forms.
+def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
+    """Where det(x, y) = (x - y) curve(x, y) fails as polynomials, or None.
 
     With x = (x0 : x1), y = (y0 : y1) and det = f(x) g(y) - g(x) f(y), the
     check is den det == scale (x1 y0 - x0 y1) M on P^1 x P^1, coefficient by
@@ -549,16 +545,17 @@ def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> bool:
     expanded term by term as e0^a e1^b e2^c =
     sum_s C(b, s) x0^(a+s) x1^(b-s+c) y0^(a+b-s) y1^(s+c).  Both sides are
     antisymmetric in x and y, so only the pairs i < j of powers (x1^i, y1^j)
-    are compared.  A curve not of degree k - 1 fails.
+    are compared, i before j in lexicographic order; the first that differs is
+    named "at x1^i y1^j".  A curve not of degree k - 1 fails "in degree".
 
     >>> f, g = BinaryForm(3, (0, 0, 0, 1)), BinaryForm(3, (1, 0, 0, 0))
     >>> curve = wedge_curve(Pencil(f, g))
     >>> _value_identity(Pencil(f, g), curve), _value_identity(Pencil(g, f), curve)
-    (True, False)
+    (None, 'at x1^0 y1^3')
     """
     k = pencil.k
     if curve.degree != k - 1:
-        return False
+        return "in degree"
     # m[i][j] multiplies x1^i y1^j (x0 and y0 fill the degree k - 1 in each);
     # row and column k stay zero, so m[i - 1] at i = 0 reads zeros
     m = [[0] * (k + 1) for _ in range(k + 1)]
@@ -576,8 +573,8 @@ def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> bool:
         fi, gi, up, here = f[i], g[i], m[i - 1], m[i]
         for j in range(i + 1, k + 1):
             if den * (fi * g[j] - gi * f[j]) != scale * (up[j] - here[j - 1]):
-                return False
-    return True
+                return f"at x1^{i} y1^{j}"
+    return None
 
 
 def simple_ramification(pencil: Pencil) -> bool:
@@ -788,6 +785,11 @@ def random_smooth_conic(
     return conic, point
 
 
+#: random pairs drawn and discarded per sample: the conic draws that follow
+#: them in the stream, and so every seeded output, must stay byte-identical
+MEMBERSHIP_POINTS = 100
+
+
 def _draw_pair(bits) -> tuple[int, int, int, int]:
     """A random pair x = nx/dx != y = ny/dy as (nx, dx, ny, dy)."""
     nx, dx = _randint(bits, -12, 12), _randint(bits, 1, 4)
@@ -797,60 +799,23 @@ def _draw_pair(bits) -> tuple[int, int, int, int]:
     return nx, dx, ny, dy
 
 
-def _value_mismatch(pencil: Pencil, curve: SymPlaneCurve, bits, points: int):
-    """The first of `points` random pairs at which det(x, y) differs from
-    (x - y) curve(x, y), rendered "(x, y)", or None.
-
-    The pairs are taken as the integer points (dx : nx), (dy : ny) and
-    (e0 : e1 : e2) = (dx dy, nx dy + ny dx, nx ny), compared as values on
-    integers, with (f, g) evaluated once per grid point.
-    """
-    rows = curve._rows()
-    f, g = pencil.f.nums, pencil.g.nums
-    scale = pencil.f.den * pencil.g.den
-    values: dict[tuple[int, int], tuple[int, int]] = {}
-    for _ in range(points):
-        nx, dx, ny, dy = _draw_pair(bits)
-        for pt in (dx, nx), (dy, ny):
-            if pt not in values:
-                values[pt] = _horner(f, *pt), _horner(g, *pt)
-        (fx, gx), (fy, gy) = values[dx, nx], values[dy, ny]
-        value = _ternary_horner(rows, dx * dy, nx * dy + ny * dx, nx * ny)
-        if (fx * gy - gx * fy) * curve.den != (nx * dy - ny * dx) * value * scale:
-            return f"({Fraction(nx, dx)}, {Fraction(ny, dy)})"
-    return None
-
-
-def verification_suite(
-    k: int,
-    samples: int = 200,
-    seed: int = 0,
-    membership_points: int = 100,
-) -> dict:
+def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
     """Run the randomized pencil checks at degree k and report counts.
 
     Per sampled coprime pencil: the wedge curve must be nonzero of exact
     total degree k-1; its diagonal restriction must be proportional to the
-    Wronskian; the determinant oracle must equal (x - y) times the curve
-    exactly, a value identity stronger than agreeing on zeros, checked as
-    bihomogeneous polynomials and so at every pair.  `membership_points`
-    random distinct pairs {x, y} are drawn either way, and evaluated only when
-    the polynomial check fails, to name the first pair at which the values
-    differ (a failure without such a pair is reported as one "as
-    polynomials"); the pullback to a random
-    smooth conic must have Bezout total 2(k-1), with the distinct-point count
-    recorded (transversality statistic) and every non-transversal case
-    re-checked to be genuinely non-squarefree.  Exact identity failures are
-    collected in `failures`; only the transversality rate is statistical.
+    Wronskian; det(x, y) must equal (x - y) times the curve, a value identity
+    checked once as polynomials by `_value_identity`, so at every pair, with
+    a failure naming the first coefficient that differs (the MEMBERSHIP_POINTS
+    random pairs are only drawn); and a pullback to a random smooth conic with
+    fewer than 2(k-1) distinct points (the transversality statistic) must be
+    genuinely non-squarefree.  Exact identity failures are collected in
+    `failures`; only the transversality rate is statistical.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if samples < 0:
         raise ValueError(f"need samples >= 0, got samples={samples}")
-    if membership_points < 0:
-        raise ValueError(
-            f"need membership_points >= 0, got membership_points={membership_points}"
-        )
     rng = random.Random(f"k3gonal:{seed}:{k}")
     bits = rng.getrandbits
     failures: list[str] = []
@@ -863,20 +828,13 @@ def verification_suite(
         diag = diagonal_restriction(curve, k)
         if not proportional(diag, wronskian(pencil)):
             failures.append(f"sample {index}: diagonal/Wronskian identity")
-        # membership: the determinant must equal (x - y) B(x, y).  Checked as
-        # polynomials, it holds at every pair, and the random pairs are only
-        # drawn, since the conic draws below follow them in the stream
-        if _value_identity(pencil, curve):
-            for _ in range(membership_points):
-                _draw_pair(bits)
-        else:
-            pair = _value_mismatch(pencil, curve, bits, membership_points)
-            where = "as polynomials" if pair is None else f"at {pair}"
+        where = _value_identity(pencil, curve)
+        if where is not None:
             failures.append(f"sample {index}: membership oracle {where}")
+        for _ in range(MEMBERSHIP_POINTS):
+            _draw_pair(bits)
         conic, point = random_smooth_conic(rng)
         total, distinct = conic_intersection(curve, conic, point)
-        if total != 2 * (k - 1):
-            failures.append(f"sample {index}: Bezout total {total}")
         if distinct == total:
             transversal += 1
         else:
@@ -889,7 +847,7 @@ def verification_suite(
         "k": k,
         "samples": samples,
         "seed": seed,
-        "membership_points": membership_points,
+        "membership_points": MEMBERSHIP_POINTS,
         "failures": failures,
         "transversal": transversal,
         "transversal_rate": Fraction(transversal, samples) if samples else Fraction(1),

@@ -126,7 +126,7 @@ def test_criterion_5_q_identity_and_bound(capsys):
 def test_criterion_6_pencil_suite(capsys):
     started = time.perf_counter()
     for k in range(2, 9):
-        result = verification_suite(k, samples=200, seed=0, membership_points=100)
+        result = verification_suite(k, samples=200, seed=0)
         assert result["failures"] == [], (k, result["failures"][:3])
         assert result["transversal_rate"] >= F(95, 100), (
             k,

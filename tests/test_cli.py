@@ -128,6 +128,25 @@ def test_bn_check_explicit_series(capsys):
     assert json.loads(out)["satisfied"] is False
 
 
+@pytest.mark.parametrize(
+    "extra, flag", [(("-d", "5"), "-d 5"), (("-r", "2"), "-r 2")]
+)
+def test_bn_check_k_conflicts_with_explicit_series(capsys, extra, flag):
+    code, out, err = run(
+        capsys, "bn", "check", "-p", "9", "-k", "4", "--delta", "2", *extra
+    )
+    assert code == 1 and out == ""
+    assert "-k 4" in err and flag in err
+
+
+@pytest.mark.parametrize("extra", [("-d", "4"), ("-r", "1"), ("-d", "4", "-r", "1")])
+def test_bn_check_k_agrees_with_explicit_series(capsys, extra):
+    argv = ("--format", "json", "bn", "check", "-p", "9", "-k", "4", "--delta", "2")
+    _, alone, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, *extra)
+    assert (code, err, out) == (0, "", alone)
+
+
 def test_chains_witness_json(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "chains", "witness", "-p", "8", "-k", "2",
@@ -802,10 +821,10 @@ def test_readme_commands(capsys):
         assert program == "k3gonal"
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), line
-        # a quoted or numeric comment is the expected output, other comments
-        # describe; the README writes the ASCII slash where the table has U+2044
+        # a quoted or numeric comment is the table output, character for
+        # character (fractions with U+2044), other comments describe
         expected = comment.strip()
-        if expected.startswith('"') or re.fullmatch(r"-?\d+(/\d+)?", expected):
-            assert out.strip().replace("⁄", "/") == expected.strip('"'), line
+        if expected.startswith('"') or re.fullmatch(r"-?\d+([/⁄]\d+)?", expected):
+            assert out.strip() == expected.strip('"'), line
             checked.append(expected)
-    assert checked == ["1", '"2 (verified)"', '"H - 5*r_k"', "-2/3"]
+    assert checked == ["1", '"2 (verified)"', '"H - 5*r_k"', "-2⁄3"]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3gonal.gonality import GonalityCase, admissible, delta0
+from k3gonal.gonality import GonalityCase, admissible, decompose, delta0
 from k3gonal.hilbert import (
     CurveClass,
     DivisorClass,
@@ -21,7 +21,6 @@ from k3gonal.hilbert import (
     pairing,
     q_candidate_count,
     q_case,
-    q_optimal_form,
     rat_str,
     tau,
 )
@@ -135,12 +134,26 @@ def test_q_identity_holds_even_off_admissible_range():
                 assert first == second
 
 
+def _q_optimal_form(p, k):
+    """q at delta0 read off the decomposition: 2(lam-1) - (k-1-t)^2/(2(k-1))."""
+    dec = decompose(p, k)
+    return 2 * (dec.lam - 1) - F((k - 1 - dec.t) ** 2, 2 * (k - 1))
+
+
 def test_q_optimal_form_examples():
-    assert q_optimal_form(9, 4) == F(-2, 3)
-    assert q_optimal_form(12, 3) == -3
-    assert q_optimal_form(8, 2) == F(3, 2)
-    with pytest.raises(ValueError):
-        q_optimal_form(2, 2)  # p <= 2(k-1): no decomposition
+    assert _q_optimal_form(9, 4) == F(-2, 3)
+    assert _q_optimal_form(12, 3) == -3
+    assert _q_optimal_form(8, 2) == F(3, 2)
+
+
+def test_q_optimal_form_matches_q_case_at_delta0():
+    for k in range(2, 7):
+        ts = set()
+        for p in range(2 * (k - 1) + 1, 301):
+            assert _q_optimal_form(p, k) == q_case(p, k, delta0(p, k)), (p, k)
+            ts.add(decompose(p, k).t)
+        # t runs over [0, 2(k-1)), past k - 1 too, where k-1-t is negative
+        assert ts == set(range(2 * (k - 1))), k
 
 
 def test_tau_examples():
@@ -286,7 +299,7 @@ def test_genus_for_invariants_roundtrip():
                     p = genus_for_invariants(k, rho, beta, m)
                     predicted = 2 * (rho - 1) - F(beta * beta, 2 * (k - 1))
                     if p > 2 * (k - 1):
-                        assert q_optimal_form(p, k) == predicted
+                        assert _q_optimal_form(p, k) == predicted
                     assert q_case(p, k, delta0(p, k)) == predicted
 
 

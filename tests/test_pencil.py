@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -394,8 +395,6 @@ def test_verification_suite_small():
 def test_verification_suite_rejects_negative_counts():
     with pytest.raises(ValueError, match="samples"):
         verification_suite(3, samples=-1)
-    with pytest.raises(ValueError, match="membership_points"):
-        verification_suite(3, samples=5, membership_points=-1)
     empty = verification_suite(3, samples=0)
     assert empty["failures"] == [] and empty["transversal_rate"] == 1
 
@@ -594,7 +593,7 @@ def pencil_at_k(draw, ks=st.integers(1, 12)):
 @given(pencil_at_k())
 @settings(max_examples=150, deadline=None)
 def test_value_identity_holds_for_the_wedge_curve(pencil):
-    assert _value_identity(pencil, wedge_curve(pencil))
+    assert _value_identity(pencil, wedge_curve(pencil)) is None
 
 
 def _perturbed(curve, expo, delta):
@@ -616,38 +615,64 @@ def monomial_change(draw, degree):
 def test_value_identity_fails_after_any_coefficient_change(pencil, data):
     curve = wedge_curve(pencil)
     expo, delta = data.draw(monomial_change(curve.degree))
-    assert not _value_identity(pencil, _perturbed(curve, expo, delta))
+    assert _value_identity(pencil, _perturbed(curve, expo, delta)) is not None
     # a curve of another degree fails too
-    assert not _value_identity(pencil, SymPlaneCurve._make(pencil.k, {(0, 0, pencil.k): 1}))
+    other = SymPlaneCurve._make(pencil.k, {(0, 0, pencil.k): 1})
+    assert _value_identity(pencil, other) == "in degree"
 
 
-@given(st.integers(2, 6), st.integers(0, 10**6), st.data())
-@settings(max_examples=25, deadline=None)
-def test_membership_points_evaluated_when_identity_fails(k, seed, data):
-    # the same change to every sampled curve: each sample evaluates its pairs
-    expo, delta = data.draw(monomial_change(k - 1))
-    calls, value_mismatch = [], pencil_module._value_mismatch
-
-    def wrong_curve(pencil):
-        curve = wedge_curve(pencil)
-        return _perturbed(curve, expo, delta * curve.den)
-
-    def counted(*args):
-        calls.append(args[-1])  # the number of pairs to evaluate
-        return value_mismatch(*args)
-
-    with mock.patch.object(pencil_module, "wedge_curve", wrong_curve), \
-            mock.patch.object(pencil_module, "_value_mismatch", counted):
-        failures = verification_suite(k, samples=3, seed=seed)["failures"]
-    assert calls == [100] * 3
-    assert sum("membership oracle" in f for f in failures) == 3
+def _poly_mul(a, b):
+    """Product of polynomials given as {(i, j): coefficient of x1^i y1^j}."""
+    out = {}
+    for (i, j), u in a.items():
+        for (r, s), v in b.items():
+            out[i + r, j + s] = out.get((i + r, j + s), 0) + u * v
+    return out
 
 
-def test_membership_failure_without_points_is_reported(monkeypatch):
-    # no pair is drawn, and the polynomial check alone names the failure
-    monkeypatch.setattr(pencil_module, "wedge_curve", _wedge_plus_diagonal_multiple)
-    failures = verification_suite(4, samples=5, seed=0, membership_points=0)["failures"]
-    assert failures == [f"sample {i}: membership oracle as polynomials" for i in range(5)]
+def _identity_sides(pencil, curve):
+    """Both sides of den det(x, y) = scale (x1 y0 - x0 y1) M at x0 = y0 = 1,
+    expanded by multiplying out each monomial of the curve."""
+    f, g = pencil.f.nums, pencil.g.nums
+    k = pencil.k
+    det = {(i, j): curve.den * (f[i] * g[j] - g[i] * f[j])
+           for i in range(k + 1) for j in range(k + 1)}
+    e0, e1, e2 = {(0, 0): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 1): 1}
+    value = {}
+    for (a, b, c), v in curve.terms:
+        term = {(0, 0): v}
+        for factor, n in ((e0, a), (e1, b), (e2, c)):
+            for _ in range(n):
+                term = _poly_mul(term, factor)
+        for key, x in term.items():
+            value[key] = value.get(key, 0) + x
+    scale = pencil.f.den * pencil.g.den
+    rhs = _poly_mul({(1, 0): scale, (0, 1): -scale}, value)
+    return det, rhs
+
+
+@given(pencil_at_k(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_value_identity_names_the_first_differing_coefficient(pencil, data):
+    # one coefficient changed, or a few, so that a row can differ twice
+    curve = wedge_curve(pencil)
+    changes = data.draw(st.lists(
+        monomial_change(curve.degree), min_size=1, max_size=3, unique_by=lambda c: c[0]
+    ))
+    wrong = curve
+    for expo, delta in changes:
+        wrong = _perturbed(wrong, expo, delta)
+    where = _value_identity(pencil, wrong)
+    i, j = map(int, re.fullmatch(r"at x1\^(\d+) y1\^(\d+)", where).groups())
+    lhs, rhs = _identity_sides(pencil, wrong)
+    order = [(r, s) for r in range(pencil.k) for s in range(r + 1, pencil.k + 1)]
+    named = order.index((i, j))
+    assert lhs.get((i, j), 0) != rhs.get((i, j), 0)
+    for key in order[:named]:
+        assert lhs.get(key, 0) == rhs.get(key, 0), key
+    # the wedge curve itself makes the two expansions agree everywhere
+    lhs, rhs = _identity_sides(pencil, curve)
+    assert {e: v for e, v in lhs.items() if v} == {e: v for e, v in rhs.items() if v}
 
 
 # -- the gcd degree: certificate modulo 2^61 - 1 against the PRS
