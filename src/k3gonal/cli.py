@@ -16,11 +16,19 @@ Usage sketch (global flags go before the subcommand):
 
 Output formats: table (default, unicode fractions), json (stable schema,
 rationals as "num/den" strings), csv.  `--out FILE` redirects to a UTF-8
-file.  Exit codes: 0 success, 1 domain/usage error, 2 internal invariant
-violation (a failed cross-check aborts loudly, never downgrades to a
-warning).
+file.  Both go before the subcommand or trail its options; the later one
+wins.  Exit codes: 0 success (and `--help`), 1 domain/usage error, 2
+internal invariant violation (a failed cross-check aborts loudly, never
+downgrades to a warning).
+
+`cli` is the command table: each leaf is registered once, with its
+callback, its options and its docstring as help, and one stdlib argparse
+tree is built from it at import.  A callback returns (payload, table[,
+csv_rows]), which `_emit` renders in the selected format.
 """
 
+import argparse
+import codecs
 import csv
 import io
 import itertools
@@ -28,8 +36,6 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-
-import click
 
 from . import brillnoether, chains, gonality, hilbert, pencil
 from .errors import InvariantViolation
@@ -51,7 +57,7 @@ PENCIL_MAX_SAMPLES = 1000
 # `chains witness` builds and renders one [j, a] pair per chain length
 WITNESS_MAX_LENGTHS = 10**5
 
-FORMATS = click.Choice(["table", "json", "csv"])
+FORMATS = ("table", "json", "csv")
 
 
 def _rat_table(q) -> str:
@@ -134,108 +140,105 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
         chunks = [text]
     chunks = iter(chunks)
     batches = iter(lambda: "".join(itertools.islice(chunks, _EMIT_BATCH)), "")
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 for text in batches:
                     fh.write(text)
         except OSError as exc:
-            raise click.FileError(out_path, hint=exc.strerror or str(exc)) from exc
-    else:
-        # looked up here, because click.echo's own lookup caches every
-        # sys.stdout it meets for good, and with it all that was written
-        stdout = click.get_text_stream("stdout")
-        for text in batches:
-            click.echo(text, file=stdout, nl=False)
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
+        return
+    # looked up at each call and not kept; on a stream whose encoding is
+    # ASCII the text goes to its binary buffer as UTF-8, so that table
+    # fractions (U+2044) print all the same
+    stdout = sys.stdout
+    if hasattr(stdout, "buffer") and codecs.lookup(stdout.encoding).name == "ascii":
+        stdout.flush()
+        stdout, batches = stdout.buffer, (text.encode("utf-8") for text in batches)
+    for text in batches:
+        stdout.write(text)
+    stdout.flush()
 
 
-class _LeafCommand(click.Command):
-    """A command whose callback returns (payload, table[, csv_rows]).
+class _Leaf:
+    """A command: its callback, which returns (payload, table[, csv_rows]),
+    and its options as (flag, argparse keyword arguments) pairs.
 
-    It takes trailing --format/--out flags, which win over the global ones,
-    and renders the result once in the selected format.
+    `main` reads `callback` at each call, so it may be rebound.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.params += [
-            click.Option(
-                ["--out"],
-                type=click.Path(),
-                help="Write output to FILE (overrides the global flag).",
-            ),
-            click.Option(
-                ["--format", "fmt"],
-                type=FORMATS,
-                help="Output format (overrides the global flag).",
-            ),
-        ]
-
-    def invoke(self, ctx: click.Context) -> None:
-        root = ctx.find_root().params
-        fmt = ctx.params.pop("fmt") or root["fmt"]
-        out = ctx.params.pop("out") or root["out"]
-        _emit(fmt, out, *super().invoke(ctx))
+    def __init__(self, callback, options):
+        self.callback = callback
+        self.options = options
+        self.help = callback.__doc__
 
 
-class _Group(click.Group):
-    """Makes every subgroup a _Group and every command a _LeafCommand."""
+class _Group:
+    """A node of the command table: its help and its commands by name."""
 
-    command_class = _LeafCommand
-    group_class = type
+    def __init__(self, help):
+        self.help = help
+        self.commands = {}
+
+    def group(self, name, help):
+        group = self.commands[name] = _Group(help)
+        return group
+
+    def command(self, name, *options):
+        """Register the decorated callback as the leaf `name`."""
+
+        def register(callback):
+            self.commands[name] = _Leaf(callback, options)
+            return callback
+
+        return register
 
 
-@click.group(cls=_Group)
-@click.option(
-    "--format",
-    "fmt",
-    type=FORMATS,
-    default="table",
-    show_default=True,
-    help="Output format.",
+def _opt(flag, help=None, **kwargs):
+    """A (flag, argparse keyword arguments) pair; an option that is no flag
+    is by default an int, required unless it has a default."""
+    if kwargs.get("action") != "store_true":
+        kwargs = {"type": int, "required": "default" not in kwargs, **kwargs}
+    return flag, {"help": help, **kwargs}
+
+
+_P = _opt("-p", "Arithmetic genus.")
+_K = _opt("-k", "Gonality.")
+_DELTA = _opt("--delta", "Marked node count.")
+
+cli = _Group(
+    "Exact calculators for gonality loci on K3 surfaces and the Mori cone "
+    "of punctual Hilbert schemes."
 )
-@click.option("--out", type=click.Path(), default=None, help="Write output to FILE.")
-def cli(fmt, out):
-    """Exact calculators for gonality loci on K3 surfaces and the Mori cone
-    of punctual Hilbert schemes."""
-    # the leaf commands read --format and --out from the root context
 
 
-# -- bn -----------------------------------------------------------------
+bn = cli.group("bn", "Brill-Noether numbers and the existence bound.")
 
 
-@cli.group()
-def bn():
-    """Brill-Noether numbers and the existence bound."""
-
-
-@bn.command("rho")
-@click.option("-g", "g", type=int, required=True, help="Genus.")
-@click.option("-r", "r", type=int, required=True, help="Series dimension.")
-@click.option("-d", "d", type=int, required=True, help="Series degree.")
+@bn.command("rho", _opt("-g", "Genus."), _opt("-r", "Series dimension."),
+            _opt("-d", "Series degree."))
 def bn_rho(g, r, d):
     """The Brill-Noether number g - (r+1)(r+g-d)."""
     value = brillnoether.rho(g, r, d)
     return {"g": g, "r": r, "d": d, "rho": value}, str(value)
 
 
-@bn.command("check")
-@click.option("-p", "p", type=int, required=True, help="Arithmetic genus.")
-@click.option("-k", "k", type=int, default=None, help="Gonality (sets d=k, r=1).")
-@click.option("--delta", type=int, required=True, help="Marked node count.")
-@click.option("-r", "r", type=int, default=None, help="Series dimension (default 1).")
-@click.option("-d", "d", type=int, default=None, help="Series degree (default k).")
+@bn.command("check", _P, _opt("-k", "Gonality (sets d=k, r=1).", default=None), _DELTA,
+            _opt("-r", "Series dimension (default 1).", default=None),
+            _opt("-d", "Series degree (default k).", default=None))
 def bn_check(p, k, delta, r, d):
     """Existence bound for a g^r_d on the normalization."""
     if k is not None:
+        if k < 2:
+            raise ValueError(f"need k >= 2, got k={k}")
         # -k is the series g^1_k: an explicit -d or -r must agree with it
         if d is not None and d != k:
-            raise click.UsageError(f"-k {k} sets d={k}, which conflicts with -d {d}")
+            raise ValueError(f"-k {k} sets d={k}, which conflicts with -d {d}")
         if r is not None and r != 1:
-            raise click.UsageError(f"-k {k} sets r=1, which conflicts with -r {r}")
+            raise ValueError(f"-k {k} sets r=1, which conflicts with -r {r}")
         d = k
     elif d is None:
-        raise click.UsageError("provide -k, or an explicit degree via -d")
+        raise ValueError("provide -k, or an explicit degree via -d")
     r = 1 if r is None else r
     report = brillnoether.necessary_condition(p, delta, r, d)
     payload = {
@@ -256,18 +259,12 @@ def bn_check(p, k, delta, r, d):
     return payload, table
 
 
-# -- gonality -----------------------------------------------------------
+gonality_group = cli.group("gonality",
+                           "Admissibility, minimal node numbers, expected dimensions.")
 
 
-@cli.group("gonality")
-def gonality_group():
-    """Admissibility, minimal node numbers, expected dimensions."""
-
-
-@gonality_group.command("delta0")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--verify", is_flag=True, help="Cross-check against the brute-force scan.")
+@gonality_group.command("delta0", _P, _K, _opt(
+    "--verify", "Cross-check against the brute-force scan.", action="store_true"))
 def gonality_delta0(p, k, verify):
     """Minimal admissible node number, in closed form."""
     value = gonality.delta0(p, k)
@@ -290,10 +287,7 @@ def gonality_delta0(p, k, verify):
     return payload, table
 
 
-@gonality_group.command("dims")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--delta", type=int, required=True)
+@gonality_group.command("dims", _P, _K, _DELTA)
 def gonality_dims(p, k, delta):
     """Expected dimension of the k-gonal locus and of W^1_k."""
     dim_vk, dim_w1k = gonality.expected_dims(p, k, delta)
@@ -301,12 +295,8 @@ def gonality_dims(p, k, delta):
     return payload, f"dim V^k = {dim_vk}, dim W^1_k = {dim_w1k}"
 
 
-# -- chains -------------------------------------------------------------
-
-
-@cli.group("chains")
-def chains_group():
-    """Chain partitions: witnesses, enumeration, stable models."""
+chains_group = cli.group("chains",
+                         "Chain partitions: witnesses, enumeration, stable models.")
 
 
 def _partition_table(part: chains.ChainPartition) -> str:
@@ -314,10 +304,7 @@ def _partition_table(part: chains.ChainPartition) -> str:
     return f"p={part.p} k={part.k} delta={part.delta} g={part.g} parts[{body}]"
 
 
-@chains_group.command("witness")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--delta", type=int, required=True)
+@chains_group.command("witness", _P, _K, _DELTA)
 def chains_witness(p, k, delta):
     """A valid partition realizing the requested node number."""
     part = chains.witness(p, k, delta, max_lengths=WITNESS_MAX_LENGTHS)
@@ -359,9 +346,7 @@ def _partitions_json(p: int, k: int, parts: list[chains.ChainPartition]):
     yield "\n  ]" + tail + "\n"
 
 
-@chains_group.command("enumerate")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
+@chains_group.command("enumerate", _P, _K)
 def chains_enumerate(p, k):
     """All valid partitions for (p, k), in stable order."""
     parts = chains.enumerate_partitions(p, k)
@@ -381,16 +366,14 @@ def _parse_alpha(text: str) -> list[tuple[int, int]]:
             j, a = piece.split(":")
             pairs.append((int(j), int(a)))
     except (ValueError, TypeError) as exc:
-        raise click.UsageError(
+        raise ValueError(
             f"--alpha expects comma-separated j:multiplicity pairs, got {text!r}"
         ) from exc
     return pairs
 
 
-@chains_group.command("stable")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--alpha", required=True, help="Sparse multiplicities, e.g. 1:2,2:1,4:1.")
+@chains_group.command("stable", _P, _K, _opt(
+    "--alpha", "Sparse multiplicities, e.g. 1:2,2:1,4:1.", type=str))
 def chains_stable(p, k, alpha):
     """Stable-model node count and bookkeeping for a given partition."""
     curve = chains.SymbolicChainCurve(chains.ChainPartition(p, k, _parse_alpha(alpha)))
@@ -404,18 +387,13 @@ def chains_stable(p, k, alpha):
     return payload, table
 
 
-# -- pencil -------------------------------------------------------------
+pencil_group = cli.group("pencil",
+                         "Randomized exact verification of the Sym^2(P^1) pencil algebra.")
 
 
-@cli.group("pencil")
-def pencil_group():
-    """Randomized exact verification of the Sym^2(P^1) pencil algebra."""
-
-
-@pencil_group.command("verify")
-@click.option("-k", "k", type=int, required=True)
-@click.option("--samples", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@pencil_group.command("verify", _K,
+                       _opt("--samples", "Pencils to sample (default %(default)s).", default=200),
+                       _opt("--seed", "Random seed (default %(default)s).", default=0))
 def pencil_verify(k, samples, seed):
     """Degree law, diagonal identity, membership oracle, conic counts."""
     if k > PENCIL_MAX_K:
@@ -452,18 +430,10 @@ def pencil_verify(k, samples, seed):
     return payload, table
 
 
-# -- hilb ---------------------------------------------------------------
+hilb = cli.group("hilb", "Curve classes, q-values and cone bounds on the Hilbert scheme.")
 
 
-@cli.group("hilb")
-def hilb():
-    """Curve classes, q-values and cone bounds on the Hilbert scheme."""
-
-
-@hilb.command("class")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--delta", type=int, required=True)
+@hilb.command("class", _P, _K, _DELTA)
 def hilb_class(p, k, delta):
     """The curve class H - (g+k-1) r_k of an admissible case."""
     cls = hilbert.gonality_class(p, k, delta)
@@ -478,10 +448,7 @@ def hilb_class(p, k, delta):
     return payload, cls.display()
 
 
-@hilb.command("q")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--delta", type=int, required=True)
+@hilb.command("q", _P, _K, _DELTA)
 def hilb_q(p, k, delta):
     """Self-intersection of the gonality class, both closed forms."""
     q = hilbert.q_case(p, k, delta)
@@ -489,9 +456,7 @@ def hilb_q(p, k, delta):
     return payload, _rat_table(q)
 
 
-@hilb.command("cone")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
+@hilb.command("cone", _P, _K)
 def hilb_cone(p, k):
     """Cone bound tau(p, k) and the optimal class behind it."""
     t = hilbert.tau(p, k)
@@ -514,9 +479,7 @@ def hilb_cone(p, k):
     return payload, table
 
 
-@hilb.command("qvalues")
-@click.option("-k", "k", type=int, required=True)
-@click.option("--pmax", type=int, required=True)
+@hilb.command("qvalues", _K, _opt("--pmax", "Largest p."))
 def hilb_qvalues(k, pmax):
     """Negative optimal self-intersections attained up to pmax."""
     if hilbert.q_candidate_count(k, pmax, stop=QVALUES_MAX_VALUES) > QVALUES_MAX_VALUES:
@@ -532,9 +495,7 @@ def hilb_qvalues(k, pmax):
     return payload, table, csv_rows
 
 
-@hilb.command("lagrangian")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
+@hilb.command("lagrangian", _P, _K)
 def hilb_lagrangian(p, k):
     """Isotropy detection and the Lagrangian-fibration necessary condition."""
     report = hilbert.lagrangian_report(p, k)
@@ -551,9 +512,7 @@ def hilb_lagrangian(p, k):
     return report.to_payload(), table
 
 
-@hilb.command("rays")
-@click.option("-p", "p", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
+@hilb.command("rays", _P, _K)
 def hilb_rays(p, k):
     """Extremal-ray status of the Mori cone for (p, k)."""
     report = hilbert.extremal_ray_status(p, k)
@@ -564,11 +523,9 @@ def hilb_rays(p, k):
     return report.to_payload(), table
 
 
-@hilb.command("scan")
-@click.option("--pmax", type=int, required=True)
-@click.option("--kmax", type=int, required=True)
-@click.option("--pmin", type=int, default=2, show_default=True)
-@click.option("--kmin", type=int, default=2, show_default=True)
+@hilb.command("scan", _opt("--pmax", "Largest p."), _opt("--kmax", "Largest k."),
+              _opt("--pmin", "Smallest p (default %(default)s).", default=2),
+              _opt("--kmin", "Smallest k (default %(default)s).", default=2))
 def hilb_scan(pmax, kmax, pmin, kmin):
     """One row per (p, k): delta0, g, optimal class, q, cone and flags."""
     if pmin < 2 or kmin < 2:
@@ -610,21 +567,59 @@ def hilb_scan(pmax, kmax, pmin, kmin):
     return payload, ("\t".join(map(str, line)) for line in grid), grid
 
 
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("need a file name, got ''")
+    return text
+
+
+def _output_flags(parser, fmt, out) -> None:
+    parser.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt,
+                        help="Output format (default: table).")
+    parser.add_argument("--out", type=_out_path, default=out, metavar="FILE",
+                        help="Write output to FILE instead of stdout.")
+
+
+def _add_node(parser, node) -> None:
+    """Add the flags and subcommands of the table node `node` to `parser`."""
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    if isinstance(node, _Leaf):
+        for flag, kwargs in node.options:
+            parser.add_argument(flag, **kwargs)
+        # trailing copies of the root's flags, set only when given, so the
+        # later one wins
+        _output_flags(parser, argparse.SUPPRESS, argparse.SUPPRESS)
+        parser.set_defaults(leaf=node)
+        return
+    # a metavar, without which Python 3.10 fails to name a missing command
+    subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
+    for name, child in node.commands.items():
+        _add_node(subparsers.add_parser(name, help=child.help, description=child.help,
+                                        add_help=False, allow_abbrev=False), child)
+
+
+_PARSER = argparse.ArgumentParser(
+    prog="k3gonal", description=cli.help, add_help=False, allow_abbrev=False
+)
+_output_flags(_PARSER, "table", None)
+_add_node(_PARSER, cli)
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.exceptions.Abort:
-        return 1
+        args = vars(_PARSER.parse_args(argv))
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 after printing a usage error
+        return 0 if exc.code == 0 else 1
+    leaf = args.pop("leaf")
+    try:
+        _emit(args.pop("fmt"), args.pop("out"), *leaf.callback(**args))
     except ValueError as exc:
-        # stderr is looked up here for the reason given in `_emit`
-        click.echo(f"error: {exc}", file=click.get_text_stream("stderr"))
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
-        click.echo(f"invariant violation: {exc}", file=click.get_text_stream("stderr"))
+        print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -13,7 +14,6 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
-import click
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,6 +218,75 @@ def test_unknown_command_exit_1(capsys):
 def test_unknown_flag_exit_1(capsys):
     code, _, err = run(capsys, "bn", "rho", "--bogus", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bn"],
+        ["gonality", "delta0", "-p", "9", "-k", "4", "--ver"],
+        ["--form", "json", "gonality", "delta0", "-p", "9", "-k", "4"],
+        ["--format", "xml", "gonality", "delta0", "-p", "9", "-k", "4"],
+        ["gonality", "delta0", "-p", "9", "-k", "4", "--format", "xml"],
+        ["bn", "rho", "-g", "x", "-r", "1", "-d", "6"],
+        ["bn", "rho", "-r", "1", "-d", "6"],
+    ],
+)
+def test_usage_error_exit_1(capsys, argv):
+    # a missing command or option, a prefix of a flag, a bad choice or int
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bn", "--help"], ["bn", "rho", "--help"]])
+def test_help_exit_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.lower().startswith("usage:")
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_bn_check_refuses_k_below_2(capsys, k):
+    code, out, err = run(capsys, "bn", "check", "-p", "9", "-k", str(k), "--delta", "2")
+    assert code == 1 and out == ""
+    assert f"need k >= 2, got k={k}" in err and "-d" not in err
+
+
+@pytest.mark.parametrize("where", ["global", "trailing", "trailing-after-global"])
+def test_out_empty_exit_1(capsys, tmp_path, where):
+    # refused before any work; a trailing empty --out does not fall back to
+    # the global one, since the later one wins
+    target = tmp_path / "result"
+    argv = ["hilb", "q", "-p", "9", "-k", "4", "--delta", "2"]
+    argv = {
+        "global": ["--out", "", *argv],
+        "trailing": [*argv, "--out", ""],
+        "trailing-after-global": ["--out", str(target), *argv, "--out", ""],
+    }[where]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "--out" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_encoding(encoding):
+    # table fractions (U+2044) are written as UTF-8 on a stdout set to ASCII;
+    # an encoding without them is an error with exit 1, not a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3gonal", "hilb", "q", "-p", "9", "-k", "4", "--delta", "2"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING=encoding),
+    )
+    if encoding == "ascii":
+        assert (proc.returncode, proc.stdout) == (0, "-2⁄3\n".encode("utf-8"))
+    else:
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+def test_import_needs_no_click():
+    code = "import sys, k3gonal.cli; sys.exit('click' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_out_file(capsys, tmp_path):
@@ -518,10 +587,12 @@ FORMATS = ["table", "json", "csv"]
 
 
 def _leaf_names(group, prefix=()):
+    # walks the command table: a group holds `commands`, a leaf a `callback`
     for name, command in group.commands.items():
-        if isinstance(command, click.Group):
+        if hasattr(command, "commands"):
             yield from _leaf_names(command, (*prefix, name))
         else:
+            assert callable(command.callback)
             yield " ".join((*prefix, name))
 
 
