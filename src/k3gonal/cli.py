@@ -51,7 +51,7 @@ SCAN_MAX_ROWS = 10**5
 QVALUES_MAX_VALUES = 10**5
 # `pencil verify` time grows with samples and with k (its conic pullback and
 # gcd run at degree 2k - 2); the largest accepted command, -k 16 --samples
-# 1000, takes about 4.5 s (Python 3.11, 2-vCPU Linux machine)
+# 1000, takes about 3 s (Python 3.11, 2-vCPU Linux machine)
 PENCIL_MAX_K = 16
 PENCIL_MAX_SAMPLES = 1000
 # `chains witness` builds and renders one [j, a] pair per chain length
@@ -148,15 +148,20 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
         except OSError as exc:
             raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
         return
-    # looked up at each call and not kept; on a stream whose encoding is
-    # ASCII the text goes to its binary buffer as UTF-8, so that table
-    # fractions (U+2044) print all the same
+    # looked up at each call and not kept; on an ASCII stream the text goes to
+    # its binary buffer as UTF-8, so table fractions (U+2044) print all the
+    # same, and any other encoding without them is an error that names it
     stdout = sys.stdout
     if hasattr(stdout, "buffer") and codecs.lookup(stdout.encoding).name == "ascii":
         stdout.flush()
         stdout, batches = stdout.buffer, (text.encode("utf-8") for text in batches)
-    for text in batches:
-        stdout.write(text)
+    try:
+        for text in batches:
+            stdout.write(text)
+    except UnicodeEncodeError as exc:
+        char = f"U+{ord(exc.object[exc.start]):04X}"
+        raise ValueError(f"stdout encoding {sys.stdout.encoding} cannot write {char}; use "
+                         "--format json or csv, or set PYTHONIOENCODING=utf-8") from None
     stdout.flush()
 
 

@@ -28,8 +28,8 @@ and hashing are exact; rational coefficients are read back through
 `.coeffs`.  All arithmetic runs on plain integers.  Squarefreeness and
 distinct-root counts come from the degree of gcd(a, a') together with
 degree-drop bookkeeping at infinity.  That degree is first certified to be
-0 by Euclid modulo the prime 2^61 - 1, when it divides neither leading
-coefficient (Brown 1971); any other outcome falls back to a primitive
+0 by fraction-free Euclid mod the prime 2^30 - 35, if it divides neither
+leading coefficient (Brown 1971); any other outcome falls back to a primitive
 pseudo-remainder sequence over the integers (Collins 1967; Brown-Traub
 1971).  The membership identity det(x, y) = (x - y) B(x, y) is checked once,
 as bihomogeneous polynomials on P^1 x P^1, with B expanded independently of
@@ -118,6 +118,13 @@ def _conv(a, b) -> list[int]:
     return out
 
 
+def _conv3(q, p) -> list[int]:
+    """_conv(q, p) for q of three coefficients, in one pass over p."""
+    q0, q1, q2 = q
+    shifted = zip([*p, 0, 0], [0, *p, 0], [0, 0, *p])
+    return [q0 * x + q1 * y + q2 * z for x, y, z in shifted]
+
+
 def _deriv(a) -> list[int]:
     return [i * a[i] for i in range(1, len(a))]
 
@@ -161,33 +168,34 @@ def _prs_gcd_degree(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-#: the Mersenne prime 2^61 - 1, modulus of the gcd certificate
-_PRIME = (1 << 61) - 1
+#: the prime 2^30 - 35, modulus of the gcd certificate: every residue fits
+#: in one 30-bit CPython digit
+_PRIME = (1 << 30) - 35
 
 
 def _mod_gcd_degree(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a mod l, b mod l) over F_l, l = _PRIME, by monic Euclid.
+    """Degree of gcd(a mod l, b mod l) over F_l, l = _PRIME, by fraction-free
+    Euclid: a <- lc(b) a - c x^s b needs no inverse mod l.
 
     Needs both leading coefficients prime to l.  Then the primitive gcd over
     Z keeps its degree mod l and divides both reductions, so the result is
     at least the degree over Q, and 0 proves degree 0 over Q (Brown 1971).
     """
     p = _PRIME
-    a = [x % p for x in a]
-    inv = pow(b[-1], -1, p)
-    b = [x * inv % p for x in b]
+    a, b = [x % p for x in a], [x % p for x in b]
     while len(b) > 1:
-        n, body = len(b) - 1, b[:-1]
+        n, lead, body = len(b) - 1, b[-1], b[:-1]
         while len(a) > n:
             c = a.pop()
             if c:
                 s = len(a) - n
-                a[s:] = [(x - c * y) % p for x, y in zip(a[s:], body)]
+                a = [lead * x % p for x in a[:s]] + [
+                    (lead * x - c * y) % p for x, y in zip(a[s:], body)
+                ]
         _trim(a)
         if not a:
             return n
-        inv = pow(a[-1], -1, p)
-        a, b = b, [x * inv % p for x in a]
+        a, b = b, a
     return 0
 
 
@@ -456,26 +464,27 @@ class SymPlaneCurve:
 
         The same nested Horner scheme as `_numerator_at`, on coefficient
         lists: numerators over one common denominator go in, and each
-        multiplication is by a form of the small bound.
+        multiplication is by a form of the small bound (by `_conv3` for a conic).
         """
         if not f0.bound == f1.bound == f2.bound:
             raise ValueError("pullback forms must share a degree bound")
         d = self.degree
         den = lcm(f0.den, f1.den, f2.den)
         m0, m1, m2 = ([x * (den // f.den) for x in f.nums] for f in (f0, f1, f2))
+        mul = _conv3 if f0.bound == 2 else _conv
         pows0 = [[1]]
         for _ in range(d):
-            pows0.append(_conv(m0, pows0[-1]))
+            pows0.append(mul(m0, pows0[-1]))
         rows = self._rows()
         acc = rows[d]
         for c in range(d - 1, -1, -1):
             row, n = rows[c], d - c
             part = [row[n]]
             for b in range(n - 1, -1, -1):
-                part = _conv(m1, part)
+                part = mul(m1, part)
                 if row[b]:
                     part = [x + row[b] * y for x, y in zip(part, pows0[n - b])]
-            acc = [x + y for x, y in zip(_conv(m2, acc), part)]
+            acc = [x + y for x, y in zip(mul(m2, acc), part)]
         return BinaryForm._make(d * f0.bound, acc, self.den * den**d)
 
 
@@ -647,12 +656,14 @@ def _conic_parametrization(
 ) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
     """Degree-2 parametrization of a smooth conic by lines through `point`.
 
-    The line through `point` in direction V = s*v1 + t*v2 meets the conic
-    again at Q(V) * point - 2 B(point, V) * V, quadratic in (s, t); v1, v2
-    span a complement of `point`, so the map is everywhere defined and hits
-    every point of the conic exactly once.  Q and B come from an integer
-    multiple of the conic's matrix, and `point` is scaled to integers; both
-    rescale the parametrization by a nonzero constant only.
+    The line through `point` in direction V = s*e_i + t*e_j meets the conic
+    again at Q(V) * point - 2 B(point, V) * V, quadratic in (s, t); the unit
+    vectors e_i, e_j off the first nonzero coordinate of `point` span a
+    complement of it, so the map is everywhere defined and hits every point
+    of the conic exactly once.  Q and B come from an integer multiple M of
+    the conic's matrix, read off as entries M[i][j] and row sums point . M[i],
+    and `point` is scaled to integers; both rescale the parametrization by a
+    nonzero constant only.
     """
     m = _conic_matrix(conic)
     if _det3(m) == 0:
@@ -663,21 +674,15 @@ def _conic_parametrization(
     if conic._numerator_at(*pt) != 0:
         raise ValueError(f"point {point} does not lie on the conic")
 
-    def bil(u, v):
-        return sum(u[i] * m[i][j] * v[j] for i in range(3) for j in range(3))
-
     pivot = next(i for i in range(3) if pt[i] != 0)
-    basis = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    v1, v2 = (basis[i] for i in range(3) if i != pivot)
-    qv = (bil(v1, v1), 2 * bil(v1, v2), bil(v2, v2))
-    bpv = (bil(pt, v1), bil(pt, v2))
-    coords = []
-    for i in range(3):
-        second = _conv(bpv, (v1[i], v2[i]))
-        coords.append(
-            BinaryForm._make(2, [pt[i] * x - 2 * y for x, y in zip(qv, second)])
-        )
-    return tuple(coords)
+    i1, i2 = (i for i in range(3) if i != pivot)
+    qv = (m[i1][i1], 2 * m[i1][i2], m[i2][i2])
+    b1, b2 = (sum(x * y for x, y in zip(pt, m[i])) for i in (i1, i2))
+    second = {i1: (b1, b2, 0), i2: (0, b1, b2), pivot: (0, 0, 0)}
+    return tuple(
+        BinaryForm._make(2, [pt[i] * x - 2 * y for x, y in zip(qv, second[i])])
+        for i in range(3)
+    )
 
 
 def conic_intersection(
@@ -746,9 +751,6 @@ def random_coprime_pencil(k: int, rng: random.Random) -> Pencil:
             return pencil
 
 
-_DIAGONAL_MATRIX = ((0, 0, -2), (0, 1, 0), (-2, 0, 0))  # e1^2 - 4 e0 e2
-
-
 def random_smooth_conic(
     rng: random.Random,
 ) -> tuple[SymPlaneCurve, tuple[int, int, int]]:
@@ -763,24 +765,15 @@ def random_smooth_conic(
         if _det3(a) != 0:
             break
     # matrix of the image conic, up to scale: adj(A)^T M0 adj(A), whose
-    # entries pair the rows of adj(A)^T, the cross products of A's rows
+    # entries pair the rows of adj(A)^T, the cross products of A's rows, by
+    # the matrix M0 of e1^2 - 4 e0 e2: u^T M0 v = u1 v1 - 2 (u0 v2 + u2 v0)
     cof = (_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1]))
-    m0 = _DIAGONAL_MATRIX
-    mt = [
-        [sum(u[r] * m0[r][s] * v[s] for r in range(3) for s in range(3)) for v in cof]
-        for u in cof
-    ]
-    conic = SymPlaneCurve(
-        2,
-        {
-            (2, 0, 0): mt[0][0],
-            (0, 2, 0): mt[1][1],
-            (0, 0, 2): mt[2][2],
-            (1, 1, 0): 2 * mt[0][1],
-            (1, 0, 1): 2 * mt[0][2],
-            (0, 1, 1): 2 * mt[1][2],
-        },
-    )
+    mt = [[u[1] * v[1] - 2 * (u[0] * v[2] + u[2] * v[0]) for v in cof] for u in cof]
+    # x^T mt x: the e_r e_s coefficient is mt[r][s], doubled for r != s
+    conic = SymPlaneCurve._make(2, {
+        tuple((r == i) + (s == i) for i in range(3)): mt[r][s] * (1 + (r != s))
+        for r in range(3) for s in range(r, 3)
+    })
     point = tuple(a[i][0] for i in range(3))
     return conic, point
 
@@ -788,15 +781,6 @@ def random_smooth_conic(
 #: random pairs drawn and discarded per sample: the conic draws that follow
 #: them in the stream, and so every seeded output, must stay byte-identical
 MEMBERSHIP_POINTS = 100
-
-
-def _draw_pair(bits) -> tuple[int, int, int, int]:
-    """A random pair x = nx/dx != y = ny/dy as (nx, dx, ny, dy)."""
-    nx, dx = _randint(bits, -12, 12), _randint(bits, 1, 4)
-    ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
-    while ny * dx == nx * dy:
-        ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
-    return nx, dx, ny, dy
 
 
 def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
@@ -831,8 +815,19 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
         where = _value_identity(pencil, curve)
         if where is not None:
             failures.append(f"sample {index}: membership oracle {where}")
+        # each pair x = (nx - 12)/(dx + 1) != y = (ny - 12)/(dy + 1) is drawn by
+        # randint's rule for [-12, 12] and [1, 4], (ny, dy) again while y == x
         for _ in range(MEMBERSHIP_POINTS):
-            _draw_pair(bits)
+            while (nx := bits(5)) >= 25:
+                pass
+            while (dx := bits(3)) >= 4:
+                pass
+            ny, dy = nx, dx
+            while (ny - 12) * (dx + 1) == (nx - 12) * (dy + 1):
+                while (ny := bits(5)) >= 25:
+                    pass
+                while (dy := bits(3)) >= 4:
+                    pass
         conic, point = random_smooth_conic(rng)
         total, distinct = conic_intersection(curve, conic, point)
         if distinct == total:

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import gc
@@ -282,6 +283,23 @@ def test_stdout_encoding(encoding):
     else:
         assert proc.returncode == 1 and proc.stdout == b""
         assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "cp1252"])
+def test_stdout_encoding_error_names_the_encoding(encoding):
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3gonal", "hilb", "cone", "-p", "8", "-k", "2"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING=encoding),
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    named = re.fullmatch(
+        r"error: stdout encoding (\S+) cannot write U\+2044; use --format json "
+        r"or csv, or set PYTHONIOENCODING=utf-8\n",
+        proc.stderr.decode("ascii"),
+    )
+    # the stream may report the codec under another of its names
+    assert named and codecs.lookup(named[1]).name == codecs.lookup(encoding).name
 
 
 def test_import_needs_no_click():

@@ -15,6 +15,8 @@ from k3gonal.pencil import (
     Pencil,
     SymPlaneCurve,
     _PRIME,
+    _conv,
+    _conv3,
     _gcd_degree,
     _mod_gcd_degree,
     _prs_gcd_degree,
@@ -675,7 +677,7 @@ def test_value_identity_names_the_first_differing_coefficient(pencil, data):
     assert {e: v for e, v in lhs.items() if v} == {e: v for e, v in rhs.items() if v}
 
 
-# -- the gcd degree: certificate modulo 2^61 - 1 against the PRS
+# -- the gcd degree: certificate modulo _PRIME = 2^30 - 35 against the PRS
 
 
 def _int_poly(degree):
@@ -751,3 +753,107 @@ def test_gcd_degree_certificate_skips_the_prs():
         assert _gcd_degree([1, 0, 1], [0, 1]) == 0
         assert _gcd_degree([-1, 0, 1], [1, 1]) == 1  # common factor x + 1
     assert calls == [([-1, 0, 1], [1, 1])]
+
+
+@st.composite
+def intermediate_drop_pair(draw):
+    """(a, b): b = h v and a = h (u v + r), where l divides the lead of r.
+
+    The first remainder of a by b is h r, whose leading coefficient vanishes
+    mod l, so Euclid mod l and over Q take different degree sequences.
+    """
+    h = draw(st.integers(0, 3).flatmap(_int_poly))
+    v = draw(st.integers(1, 4).flatmap(_int_poly))
+    u = draw(st.integers(0, 3).flatmap(_int_poly))
+    low = draw(st.lists(st.integers(-20, 20), min_size=len(v) - 2, max_size=len(v) - 2))
+    r = low + [draw(st.integers(1, 3)) * _PRIME]
+    a = [x + y for x, y in zip(_mul(u, v), r + [0] * len(u))]
+    return _mul(h, a), _mul(h, v)
+
+
+@given(intermediate_drop_pair())
+@settings(max_examples=200, deadline=None)
+def test_gcd_degree_when_the_prime_divides_an_intermediate_lead(pair):
+    a, b = pair
+    want = len(_ref_gcd([Fraction(x) for x in a], [Fraction(x) for x in b])) - 1
+    assert _gcd_degree(a, b) == _prs_gcd_degree(a, b) == want
+
+
+def test_gcd_degree_examples_with_an_intermediate_lead_divisible_by_the_prime():
+    b = [1, 0, 1]  # x^2 + 1
+    a = [1, _PRIME + 1, 0, 1]  # x b + (l x + 1): remainder 1 mod l
+    calls, patch = _counting_prs()
+    with patch:
+        assert _gcd_degree(a, b) == _prs_gcd_degree(a, b) == 0
+    assert calls == []  # degree 0 mod l is still a certificate
+    b = [-1, 0, 1]  # x^2 - 1
+    for r, want in (([-2 * _PRIME, _PRIME], 0), ([_PRIME, _PRIME], 1)):
+        # x b + l (x - 2) and x b + l (x + 1) vanish mod l on all of b
+        a = [r[0], r[1] - 1, 0, 1]
+        assert _mod_gcd_degree(a, b) == 2
+        with patch:
+            assert _gcd_degree(a, b) == _prs_gcd_degree(a, b) == want
+
+
+@given(
+    st.lists(st.integers(-10**12, 10**12), min_size=3, max_size=3),
+    st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=20),
+)
+def test_one_pass_quadratic_product_matches_conv(q, p):
+    assert _conv3(q, p) == _conv(q, p)
+    assert _conv3(tuple(q), tuple(p)) == _conv(q, p)
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_pullback_at_other_bounds_matches_evaluation(bound):
+    # pullback multiplies by _conv3 only at bound 2
+    rng = random.Random(f"pullback-{bound}")
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(10):
+        forms = [BinaryForm(bound, [q() for _ in range(bound + 1)]) for _ in range(3)]
+        curve = SymPlaneCurve(
+            3, {(a, b, 3 - a - b): q() for a in range(4) for b in range(4 - a)}
+        )
+        pull = curve.pullback(*forms)
+        assert pull.bound == 3 * bound
+        for _ in range(4):
+            x0, x1 = q(), q()
+            assert pull.eval_proj(x0, x1) == curve.evaluate(
+                *(h.eval_proj(x0, x1) for h in forms)
+            )
+
+
+# -- the discarded membership pairs: the suite's inlined draws against a
+# -- reference drawn through _randint
+
+
+def _draw_pair(bits):
+    """A random pair x = nx/dx != y = ny/dy as (nx, dx, ny, dy)."""
+    nx, dx = _randint(bits, -12, 12), _randint(bits, 1, 4)
+    ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
+    while ny * dx == nx * dy:
+        ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
+    return nx, dx, ny, dy
+
+
+def test_membership_skip_matches_drawn_pairs(monkeypatch):
+    # the stream state at the conic draw, after MEMBERSHIP_POINTS pairs
+    states = []
+    conic = pencil_module.random_smooth_conic
+
+    def recording(rng):
+        states.append(rng.getstate())
+        return conic(rng)
+
+    monkeypatch.setattr(pencil_module, "random_smooth_conic", recording)
+    for seed in range(300):
+        verification_suite(2, samples=1, seed=seed)
+        rng = random.Random(f"k3gonal:{seed}:2")
+        random_coprime_pencil(2, rng)
+        for _ in range(pencil_module.MEMBERSHIP_POINTS):
+            _draw_pair(rng.getrandbits)
+        assert states[-1] == rng.getstate()
+    assert pencil_module.MEMBERSHIP_POINTS == 100
