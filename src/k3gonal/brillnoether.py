@@ -7,11 +7,15 @@ implemented here is
     rho(p, alpha*r, alpha*d + delta) >= 0,
     alpha = floor( (g*r + (d-r)(r-1)) / (2r(d-r)) ),
 
-equivalently  delta >= alpha * (r*g - (d-r)(alpha*r + 1)),  where
-rho(g, r, d) = g - (r+1)(r + g - d) is the classical Brill-Noether number.
-Both formulations are evaluated on every call and must agree; a mismatch
-aborts with :class:`InvariantViolation` rather than silently trusting one
-transcription of the inequality.
+where rho(g, r, d) = g - (r+1)(r + g - d) is the classical Brill-Noether
+number.  For every l >= 0,
+
+    rho(p, l*r, l*d + delta) = delta - l*(r*g - (d-r)(l*r + 1)),
+
+so the condition reads delta >= threshold, the l = alpha term.  Every call
+evaluates rho directly and checks that its value equals delta - threshold;
+a mismatch aborts with :class:`InvariantViolation` rather than silently
+trusting one transcription of the inequality.
 """
 
 from dataclasses import dataclass
@@ -22,14 +26,16 @@ from .exactmath import floor_div
 __all__ = [
     "rho",
     "alpha_general",
-    "rho_quadratic",
     "NecessityReport",
     "necessary_condition",
 ]
 
 
 def rho(g: int, r: int, d: int) -> int:
-    """Brill-Noether number g - (r+1)(r + g - d)."""
+    """Brill-Noether number g - (r+1)(r + g - d).  Requires g, r, d >= 0."""
+    if g < 0 or r < 0 or d < 0:
+        name, value = next(arg for arg in (("g", g), ("r", r), ("d", d)) if arg[1] < 0)
+        raise ValueError(f"need {name} >= 0, got {name}={value}")
     return g - (r + 1) * (r + g - d)
 
 
@@ -45,33 +51,6 @@ def alpha_general(g: int, r: int, d: int) -> int:
     return floor_div(g * r + (d - r) * (r - 1), 2 * r * (d - r))
 
 
-def _check_case(p: int, delta: int, r: int, d: int) -> None:
-    if r < 1 or d <= r:
-        raise ValueError(f"need d > r >= 1, got r={r}, d={d}")
-    if not 0 <= delta <= p:
-        raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
-
-
-def rho_quadratic(p: int, delta: int, r: int, d: int, l: int) -> int:
-    """Evaluate rho(p, l*r, l*d + delta) in its quadratic-in-l closed form.
-
-    Returns l^2 r(d-r) - l(g*r + r - d) + delta with g = p - delta, and
-    cross-checks the value against a direct rho() evaluation.
-    """
-    _check_case(p, delta, r, d)
-    if l < 1:
-        raise ValueError(f"need l >= 1, got l={l}")
-    g = p - delta
-    value = l * l * r * (d - r) - l * (g * r + r - d) + delta
-    direct = rho(p, l * r, l * d + delta)
-    if value != direct:
-        raise InvariantViolation(
-            f"quadratic form {value} != rho(p, lr, ld+delta) = {direct} "
-            f"at (p={p}, delta={delta}, r={r}, d={d}, l={l})"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class NecessityReport:
     """Outcome of the existence bound at the minimizing integer alpha."""
@@ -85,30 +64,28 @@ class NecessityReport:
 def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
     """Evaluate the necessary condition for a g^r_d on the normalization.
 
-    Computes alpha, rho(p, alpha*r, alpha*d + delta) and the threshold
-    alpha*(r*g - (d-r)(alpha*r + 1)); `satisfied` holds iff delta reaches the
-    threshold, iff rho_at_alpha >= 0.  The two readings must agree.
+    Requires p >= 2 and 0 <= delta <= p; alpha_general checks d > r >= 1.
+    Computes alpha, the threshold alpha*(r*g - (d-r)(alpha*r + 1)) and
+    rho(p, alpha*r, alpha*d + delta), which must equal delta - threshold;
+    `satisfied` holds iff rho_at_alpha >= 0.
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got p={p}")
-    _check_case(p, delta, r, d)
+    if not 0 <= delta <= p:
+        raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
     g = p - delta
     alpha = alpha_general(g, r, d)
     threshold = alpha * (r * g - (d - r) * (alpha * r + 1))
-    by_threshold = delta >= threshold
-    if alpha >= 1:
-        rho_at_alpha = rho_quadratic(p, delta, r, d, alpha)
-    else:
-        rho_at_alpha = rho(p, 0, delta)  # alpha = 0: rho(p, 0, delta) = delta
-    by_rho = rho_at_alpha >= 0
-    if by_threshold != by_rho:
+    rho_at_alpha = rho(p, alpha * r, alpha * d + delta)
+    if rho_at_alpha != delta - threshold:
         raise InvariantViolation(
-            f"threshold reading ({by_threshold}) disagrees with rho reading "
-            f"({by_rho}) at (p={p}, delta={delta}, r={r}, d={d})"
+            f"rho(p, alpha*r, alpha*d + delta) = {rho_at_alpha} != "
+            f"delta - threshold = {delta - threshold} "
+            f"at (p={p}, delta={delta}, r={r}, d={d}, alpha={alpha})"
         )
     return NecessityReport(
         alpha=alpha,
         rho_at_alpha=rho_at_alpha,
-        satisfied=by_rho,
+        satisfied=rho_at_alpha >= 0,
         threshold_delta=threshold,
     )

@@ -43,8 +43,6 @@ from .hilbert import rat_str
 
 __all__ = ["cli", "main"]
 
-# `gonality delta0 --verify` builds one case per delta up to delta0, O(p)
-VERIFY_MAX_P = 10**5
 # `hilb scan` holds every row in memory until it renders them
 SCAN_MAX_ROWS = 10**5
 # `hilb qvalues` builds one value per candidate of hilbert.q_candidate_count
@@ -269,26 +267,17 @@ gonality_group = cli.group("gonality",
 
 
 @gonality_group.command("delta0", _P, _K, _opt(
-    "--verify", "Cross-check against the brute-force scan.", action="store_true"))
+    "--verify", "Certify that delta0 is the least admissible delta: it is admissible "
+    "and delta0 - 1 is not.", action="store_true"))
 def gonality_delta0(p, k, verify):
     """Minimal admissible node number, in closed form."""
     value = gonality.delta0(p, k)
-    verified = False
-    if verify:
-        if p > VERIFY_MAX_P:
-            raise ValueError(
-                f"--verify scans every delta up to delta0 and is limited to "
-                f"p <= {VERIFY_MAX_P}, got p={p}"
-            )
-        oracle = gonality.delta0_bruteforce(p, k)
-        if oracle != value:
-            raise InvariantViolation(
-                f"delta0 closed form {value} != brute-force oracle {oracle} "
-                f"at (p={p}, k={k})"
-            )
-        verified = True
-    payload = {"p": p, "k": k, "delta0": value, "verified": verified}
-    table = f"{value} (verified)" if verified else str(value)
+    if verify and not gonality.is_least_admissible(p, k, value):
+        raise InvariantViolation(
+            f"delta0 closed form {value} is not the least admissible delta at (p={p}, k={k})"
+        )
+    payload = {"p": p, "k": k, "delta0": value, "verified": verify}
+    table = f"{value} (verified)" if verify else str(value)
     return payload, table
 
 

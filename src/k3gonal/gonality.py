@@ -14,8 +14,10 @@ minimal admissible delta has a closed form driven by the unique writing
 
 namely  delta0 = (k-1) m (m-1) + t m + lambda = ceil(m p / (m+1)) - m (k-1)
 whenever p > 2(k-1), and delta0 = 0 otherwise.  Both closed forms are
-evaluated on every call and checked against each other; the independent
-brute-force scan `delta0_bruteforce` is the test oracle.
+evaluated on every call and checked against each other.  Admissibility is
+monotone in delta, so `is_least_admissible` certifies a claimed delta0 with
+two evaluations of the bound at any p; the brute-force scan
+`delta0_bruteforce` is the independent test oracle.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +35,7 @@ __all__ = [
     "delta0",
     "delta0_bruteforce",
     "expected_dims",
+    "is_least_admissible",
     "is_optimal",
 ]
 
@@ -44,20 +47,15 @@ def _check_pk(p: int, k: int) -> None:
         raise ValueError(f"need k >= 2, got k={k}")
 
 
-def _check_pkdelta(p: int, k: int, delta: int) -> None:
-    _check_pk(p, k)
-    if not 0 <= delta <= p:
-        raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
-
-
 @dataclass(frozen=True)
 class GonalityCase:
     """A triple (p, k, delta) with every derived invariant precomputed.
 
     g = p - delta, alpha = floor(g / (2(k-1))), beta = (k-1)(2 alpha + 1) - g,
-    rho = rho(p, alpha, k alpha + delta).  Construction verifies the beta
-    range -(k-1) < beta <= k-1 and the equivalence of the three admissibility
-    readings (rho sign, integer threshold, quadratic-in-beta form).
+    rho = rho(p, alpha, k alpha + delta), read from necessary_condition, and
+    admissible iff rho >= 0.  Construction verifies the beta range
+    -(k-1) < beta <= k-1 and the completed square in beta as a value
+    identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.
     """
 
     p: int
@@ -70,28 +68,28 @@ class GonalityCase:
     admissible: bool = field(init=False)
 
     def __post_init__(self):
-        _check_pkdelta(self.p, self.k, self.delta)
         p, k, delta = self.p, self.k, self.delta
+        _check_pk(p, k)
         g = p - delta
+        # checks 0 <= delta <= p
         report = brillnoether.necessary_condition(p, delta, 1, k)
-        alpha = report.alpha
+        alpha, rho = report.alpha, report.rho_at_alpha
         beta = (k - 1) * (2 * alpha + 1) - g
         if not -(k - 1) < beta <= k - 1:
             raise InvariantViolation(
                 f"beta={beta} outside (-(k-1), k-1] at (p={p}, k={k}, delta={delta})"
             )
-        # third reading of admissibility: 4(k-1) delta >= (g-k+1)^2 - beta^2
-        by_quadratic = 4 * (k - 1) * delta >= (g - k + 1) ** 2 - beta * beta
-        if by_quadratic != report.satisfied:
+        by_square = 4 * (k - 1) * delta - (g - k + 1) ** 2 + beta * beta
+        if 4 * (k - 1) * rho != by_square:
             raise InvariantViolation(
-                f"quadratic admissibility reading disagrees at "
-                f"(p={p}, k={k}, delta={delta})"
+                f"4(k-1)rho = {4 * (k - 1) * rho} != 4(k-1)delta - (g-k+1)^2 + "
+                f"beta^2 = {by_square} at (p={p}, k={k}, delta={delta})"
             )
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "rho", report.rho_at_alpha)
-        object.__setattr__(self, "admissible", report.satisfied)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "admissible", rho >= 0)
 
 
 @dataclass(frozen=True)
@@ -162,6 +160,29 @@ def delta0(p: int, k: int) -> int:
             f"delta0 closed forms disagree: {value} != {other} at (p={p}, k={k})"
         )
     return value
+
+
+def is_least_admissible(p: int, k: int, delta: int) -> bool:
+    """True iff delta is the least admissible node number for (p, k).
+
+    Two evaluations of the bound certify it: 0 <= delta <= p, delta is
+    admissible, and delta = 0 or delta - 1 is not.  This suffices because
+    admissibility is monotone in delta: it says delta >= T(p - delta), where
+    T(g) is the maximum over integers l >= 0 of l(g - (k-1)(l+1)), attained
+    at l = alpha (the term is concave in l, with its vertex within 1/2 of
+    alpha).  Each term is nondecreasing in g, so T(p - delta) is
+    nonincreasing in delta, and every delta above an admissible one is
+    admissible too.
+
+    >>> is_least_admissible(9, 4, 2), is_least_admissible(9, 4, 3)
+    (True, False)
+    """
+    _check_pk(p, k)
+    return (
+        0 <= delta <= p
+        and admissible(p, k, delta)
+        and (delta == 0 or not admissible(p, k, delta - 1))
+    )
 
 
 def delta0_bruteforce(p: int, k: int) -> int:

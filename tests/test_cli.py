@@ -48,10 +48,12 @@ def test_delta0_verified(capsys):
 
 
 def test_delta0_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(gonality, "delta0_bruteforce", lambda p, k: 99)
-    code, out, err = run(capsys, "gonality", "delta0", "-p", "9", "-k", "4", "--verify")
-    assert code == 2
-    assert "invariant violation" in err
+    # delta0(9, 4) = 2: one above, one below, and one past p
+    for wrong in (3, 1, 99):
+        monkeypatch.setattr(gonality, "delta0", lambda p, k: wrong)
+        code, out, err = run(capsys, "gonality", "delta0", "-p", "9", "-k", "4", "--verify")
+        assert (code, out) == (2, "")
+        assert f"invariant violation: delta0 closed form {wrong} " in err
 
 
 def test_qvalues_csv(capsys):
@@ -87,6 +89,17 @@ def test_deterministic_output(capsys):
 def test_bn_rho(capsys):
     code, out, _ = run(capsys, "bn", "rho", "-g", "9", "-r", "1", "-d", "6")
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("g", ["-g", "-1", "-r", "1", "-d", "3"]),
+    ("r", ["-g", "4", "-r", "-1", "-d", "3"]),
+    ("d", ["-g", "4", "-r", "1", "-d", "-3"]),
+])
+def test_bn_rho_refuses_negative_arguments(capsys, name, argv):
+    code, out, err = run(capsys, "bn", "rho", *argv)
+    assert (code, out) == (1, "")
+    assert f"error: need {name} >= 0, got {name}=-" in err
 
 
 def test_gonality_dims(capsys):
@@ -720,7 +733,7 @@ def test_main_keeps_no_reference_to_stdout():
 )
 def test_main_keeps_no_reference_to_stderr(monkeypatch, argv, code):
     # the same for the error messages of exit 1 and exit 2
-    monkeypatch.setattr(gonality, "delta0_bruteforce", lambda p, k: 99)
+    monkeypatch.setattr(gonality, "delta0", lambda p, k: 99)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert main(argv) == code
@@ -740,13 +753,13 @@ def test_chains_stable_sums_repeated_lengths(capsys):
 
 
 def test_delta0_verify_limit(capsys):
+    # the certificate evaluates the bound twice, so --verify has no limit on p
+    p = str(10**40 + 1)
     start = time.perf_counter()
-    code, out, err = run(capsys, "gonality", "delta0", "-p", "100001", "-k", "2", "--verify")
-    assert time.perf_counter() - start < 0.5
-    assert code == 1 and out == ""
-    assert "100000" in err and "--verify" in err
-    code, out, _ = run(capsys, "gonality", "delta0", "-p", "100001", "-k", "2")
-    assert code == 0 and out.strip() == str(gonality.delta0(100001, 2))
+    code, out, err = run(capsys, "gonality", "delta0", "-p", p, "-k", "1000000", "--verify")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.strip() == f"{gonality.delta0(10**40 + 1, 10**6)} (verified)"
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
