@@ -34,8 +34,9 @@ __all__ = [
 def rho(g: int, r: int, d: int) -> int:
     """Brill-Noether number g - (r+1)(r + g - d).  Requires g, r, d >= 0."""
     if g < 0 or r < 0 or d < 0:
-        name, value = next(arg for arg in (("g", g), ("r", r), ("d", d)) if arg[1] < 0)
-        raise ValueError(f"need {name} >= 0, got {name}={value}")
+        for name, value in (("g", g), ("r", r), ("d", d)):
+            if value < 0:
+                raise ValueError(f"need {name} >= 0, got {name}={value}")
     return g - (r + 1) * (r + g - d)
 
 
@@ -64,13 +65,15 @@ class NecessityReport:
 def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
     """Evaluate the necessary condition for a g^r_d on the normalization.
 
-    Requires p >= 2 and 0 <= delta <= p; alpha_general checks d > r >= 1.
+    Requires p >= 2, d > r >= 1 and 0 <= delta <= p, checked in that order.
     Computes alpha, the threshold alpha*(r*g - (d-r)(alpha*r + 1)) and
     rho(p, alpha*r, alpha*d + delta), which must equal delta - threshold;
     `satisfied` holds iff rho_at_alpha >= 0.
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got p={p}")
+    if r < 1 or d <= r:
+        raise ValueError(f"need d > r >= 1, got r={r}, d={d}")
     if not 0 <= delta <= p:
         raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
     g = p - delta

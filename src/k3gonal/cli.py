@@ -272,7 +272,7 @@ gonality_group = cli.group("gonality",
 def gonality_delta0(p, k, verify):
     """Minimal admissible node number, in closed form."""
     value = gonality.delta0(p, k)
-    if verify and not gonality.is_least_admissible(p, k, value):
+    if verify and not gonality.is_optimal(p, k, value):
         raise InvariantViolation(
             f"delta0 closed form {value} is not the least admissible delta at (p={p}, k={k})"
         )

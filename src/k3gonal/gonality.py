@@ -15,7 +15,7 @@ minimal admissible delta has a closed form driven by the unique writing
 namely  delta0 = (k-1) m (m-1) + t m + lambda = ceil(m p / (m+1)) - m (k-1)
 whenever p > 2(k-1), and delta0 = 0 otherwise.  Both closed forms are
 evaluated on every call and checked against each other.  Admissibility is
-monotone in delta, so `is_least_admissible` certifies a claimed delta0 with
+monotone in delta, so `is_optimal` certifies a claimed delta0 with
 two evaluations of the bound at any p; the brute-force scan
 `delta0_bruteforce` is the independent test oracle.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "delta0",
     "delta0_bruteforce",
     "expected_dims",
-    "is_least_admissible",
     "is_optimal",
 ]
 
@@ -162,29 +161,6 @@ def delta0(p: int, k: int) -> int:
     return value
 
 
-def is_least_admissible(p: int, k: int, delta: int) -> bool:
-    """True iff delta is the least admissible node number for (p, k).
-
-    Two evaluations of the bound certify it: 0 <= delta <= p, delta is
-    admissible, and delta = 0 or delta - 1 is not.  This suffices because
-    admissibility is monotone in delta: it says delta >= T(p - delta), where
-    T(g) is the maximum over integers l >= 0 of l(g - (k-1)(l+1)), attained
-    at l = alpha (the term is concave in l, with its vertex within 1/2 of
-    alpha).  Each term is nondecreasing in g, so T(p - delta) is
-    nonincreasing in delta, and every delta above an admissible one is
-    admissible too.
-
-    >>> is_least_admissible(9, 4, 2), is_least_admissible(9, 4, 3)
-    (True, False)
-    """
-    _check_pk(p, k)
-    return (
-        0 <= delta <= p
-        and admissible(p, k, delta)
-        and (delta == 0 or not admissible(p, k, delta - 1))
-    )
-
-
 def delta0_bruteforce(p: int, k: int) -> int:
     """Minimal admissible delta by linear scan; independent oracle for delta0.
 
@@ -216,10 +192,23 @@ def expected_dims(p: int, k: int, delta: int) -> tuple[int, int]:
 
 
 def is_optimal(p: int, k: int, delta: int) -> bool:
-    """True iff the case is admissible with rho <= alpha.
+    """True iff delta is the least admissible node number for (p, k).
 
-    Equivalent to delta == delta0(p, k); the equivalence is exercised on a
-    grid in the test suite.
+    Two evaluations of the bound certify it: 0 <= delta <= p, delta is
+    admissible, and delta = 0 or delta - 1 is not.  This suffices because
+    admissibility is monotone in delta: it says delta >= T(p - delta), where
+    T(g) is the maximum over integers l >= 0 of l(g - (k-1)(l+1)), attained
+    at l = alpha (the term is concave in l, with its vertex within 1/2 of
+    alpha).  Each term is nondecreasing in g, so T(p - delta) is
+    nonincreasing in delta, and every delta above an admissible one is
+    admissible too.
+
+    >>> is_optimal(9, 4, 2), is_optimal(9, 4, 3)
+    (True, False)
     """
-    case = GonalityCase(p, k, delta)
-    return case.admissible and case.rho <= case.alpha
+    _check_pk(p, k)
+    return (
+        0 <= delta <= p
+        and admissible(p, k, delta)
+        and (delta == 0 or not admissible(p, k, delta - 1))
+    )

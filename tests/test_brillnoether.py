@@ -92,6 +92,8 @@ def test_necessary_condition_rejects_bad_domain():
         necessary_condition(5, 6, 1, 2)
     with pytest.raises(ValueError):
         necessary_condition(5, 2, 2, 2)
+    with pytest.raises(ValueError, match=r"need d > r >= 1, got r=1, d=1"):
+        necessary_condition(5, 6, 1, 1)
 
 
 @given(

@@ -266,6 +266,13 @@ def test_bn_check_refuses_k_below_2(capsys, k):
     assert f"need k >= 2, got k={k}" in err and "-d" not in err
 
 
+def test_bn_check_reports_series_before_delta(capsys):
+    # when both the series and delta are out of range, the series is named
+    code, out, err = run(capsys, "bn", "check", "-p", "9", "-d", "1", "--delta", "20")
+    assert code == 1 and out == ""
+    assert "need d > r >= 1, got r=1, d=1" in err
+
+
 @pytest.mark.parametrize("where", ["global", "trailing", "trailing-after-global"])
 def test_out_empty_exit_1(capsys, tmp_path, where):
     # refused before any work; a trailing empty --out does not fall back to

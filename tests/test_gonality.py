@@ -10,7 +10,6 @@ from k3gonal.gonality import (
     delta0,
     delta0_bruteforce,
     expected_dims,
-    is_least_admissible,
     is_optimal,
 )
 
@@ -121,12 +120,12 @@ def test_delta0_matches_bruteforce_on_grid():
         assert delta0(p, k) == delta0_bruteforce(p, k)
 
 
-def test_least_admissible_certificate_holds_exactly_at_bruteforce():
+def test_is_optimal_holds_exactly_at_bruteforce():
     for k in range(2, 10):
         for p in range(2, 201):
             d0 = delta0_bruteforce(p, k)
             for delta in range(-1, p + 2):
-                assert is_least_admissible(p, k, delta) == (delta == d0), (p, k, delta)
+                assert is_optimal(p, k, delta) == (delta == d0), (p, k, delta)
 
 
 def test_genus_at_minimum():
