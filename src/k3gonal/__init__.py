@@ -50,14 +50,11 @@ from .hilbert import (
     tau,
 )
 from .pencil import (
-    INFINITY,
     BinaryForm,
     Pencil,
     SymPlaneCurve,
     conic_intersection,
-    contains_divisor,
     diagonal_restriction,
-    simple_ramification,
     wedge_curve,
     wronskian,
 )
@@ -91,12 +88,9 @@ __all__ = [
     "BinaryForm",
     "Pencil",
     "SymPlaneCurve",
-    "INFINITY",
     "wedge_curve",
     "wronskian",
     "diagonal_restriction",
-    "simple_ramification",
-    "contains_divisor",
     "conic_intersection",
     "CurveClass",
     "DivisorClass",

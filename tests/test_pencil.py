@@ -4,39 +4,90 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3gonal import pencil as pencil_module
+from k3gonal.cli import main
+from k3gonal.errors import InvariantViolation
 from k3gonal.pencil import (
     DIAGONAL,
     DIAGONAL_POINT,
-    INFINITY,
     BinaryForm,
     Pencil,
     SymPlaneCurve,
     _PRIME,
-    _conv,
-    _conv3,
     _gcd_degree,
+    _horner,
     _mod_gcd_degree,
+    _mul,
+    _pack,
     _prs_gcd_degree,
     _randint,
+    _unpack,
     _value_identity,
     conic_intersection,
-    contains_divisor,
     diagonal_restriction,
     distinct_root_count,
-    divisor_point,
     is_squarefree,
     proportional,
     random_coprime_pencil,
     random_pencil,
     random_smooth_conic,
-    simple_ramification,
     verification_suite,
     wedge_curve,
     wronskian,
 )
+
+# -- test-local references for the pointwise membership oracle and the
+# -- simple-ramification predicate, which the library no longer exports
+
+
+class _Infinity:
+    """Marker for the point at infinity of P^1."""
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
+
+
+def simple_ramification(pencil):
+    """True iff the ramification divisor is reduced (Wronskian squarefree)."""
+    return is_squarefree(wronskian(pencil))
+
+
+def _as_point(x):
+    """Integer coordinates (x0 : x1) of a rational number or INFINITY."""
+    if x is INFINITY:
+        return 0, 1
+    q = Fraction(x)
+    return q.denominator, q.numerator
+
+
+def divisor_point(x, y):
+    """Sym^2 coordinates of the unordered pair {x, y}; INFINITY allowed.
+
+    Normalized so that the first nonzero coordinate is 1.
+    """
+    a0, a1 = _as_point(x)
+    b0, b1 = _as_point(y)
+    e = (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+    lead = next(v for v in e if v)
+    return tuple(Fraction(v, lead) for v in e)
+
+
+def contains_divisor(pencil, x, y):
+    """Determinant membership oracle: does some member vanish on {x, y}?
+
+    Evaluates det [[f(x), g(x)], [f(y), g(y)]] projectively; each argument is
+    a rational number or INFINITY.  On the diagonal x == y the determinant
+    vanishes identically, so the oracle is informative only for x != y.
+    """
+    f, g = pencil.f.nums, pencil.g.nums
+    p, q = _as_point(x), _as_point(y)
+    return _horner(f, *p) * _horner(g, *q) == _horner(g, *p) * _horner(f, *q)
+
 
 # frequently used forms: x1^k and x0^k at bound k
 def monomial_pencil(k):
@@ -695,10 +746,11 @@ def planted_pair(draw):
     h = draw(_int_poly(d))
     u = draw(st.integers(0, 4).flatmap(_int_poly))
     v = draw(st.integers(0, 4).flatmap(_int_poly))
-    return _mul(h, u), _mul(h, v), d
+    return _schoolbook(h, u), _schoolbook(h, v), d
 
 
-def _mul(a, b):
+def _schoolbook(a, b):
+    """Product of two coefficient lists, one term at a time."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -767,8 +819,8 @@ def intermediate_drop_pair(draw):
     u = draw(st.integers(0, 3).flatmap(_int_poly))
     low = draw(st.lists(st.integers(-20, 20), min_size=len(v) - 2, max_size=len(v) - 2))
     r = low + [draw(st.integers(1, 3)) * _PRIME]
-    a = [x + y for x, y in zip(_mul(u, v), r + [0] * len(u))]
-    return _mul(h, a), _mul(h, v)
+    a = [x + y for x, y in zip(_schoolbook(u, v), r + [0] * len(u))]
+    return _schoolbook(h, a), _schoolbook(h, v)
 
 
 @given(intermediate_drop_pair())
@@ -795,18 +847,88 @@ def test_gcd_degree_examples_with_an_intermediate_lead_divisible_by_the_prime():
             assert _gcd_degree(a, b) == _prs_gcd_degree(a, b) == want
 
 
-@given(
-    st.lists(st.integers(-10**12, 10**12), min_size=3, max_size=3),
-    st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=20),
+coefficient_lists = st.one_of(
+    st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=20),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=20),
+    st.lists(st.just(0), min_size=1, max_size=20),
 )
-def test_one_pass_quadratic_product_matches_conv(q, p):
-    assert _conv3(q, p) == _conv(q, p)
-    assert _conv3(tuple(q), tuple(p)) == _conv(q, p)
+
+
+@given(coefficient_lists, coefficient_lists)
+@example([0], [0])
+@example([7], [-3])
+@example([0, 0, 0], [10**40, -10**40])
+@example([-10**40] * 20, [-10**40] * 20)
+def test_packed_product_matches_schoolbook(a, b):
+    assert _mul(a, b) == _schoolbook(a, b)
+    assert _mul(tuple(a), tuple(b)) == _schoolbook(a, b)
+
+
+@given(st.integers(1, 200), st.data())
+def test_unpack_inverts_pack_on_balanced_digits(width, data):
+    half = 1 << (width - 1)
+    digit = st.integers(-half, half - 1)
+    cs = data.draw(st.lists(st.one_of(digit, st.sampled_from([-half, half - 1])), min_size=1))
+    assert _unpack(_pack(cs, width), width, len(cs)) == cs
+    # a top digit one past the balanced range leaves a carry above the top slot
+    with pytest.raises(InvariantViolation, match="does not fit"):
+        _unpack(_pack(cs[:-1] + [half], width), width, len(cs))
+
+
+def test_pullback_with_huge_rational_coefficients_matches_evaluation():
+    # numerators and denominators near 10^30: common denominators and the
+    # slot width reach thousands of bits; 2d + 1 points pin a form of bound 2d
+    rng = random.Random("pullback-huge")
+
+    def q():
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+    for d in (0, 1, 2, 5):
+        forms = [BinaryForm(2, [q() for _ in range(3)]) for _ in range(3)]
+        curve = SymPlaneCurve(
+            d, {(a, b, d - a - b): q() for a in range(d + 1) for b in range(d + 1 - a)}
+        )
+        pull = curve.pullback(*forms)
+        assert pull.bound == 2 * d
+        for x1 in range(2 * d + 1):
+            assert pull.eval_proj(1, x1) == curve.evaluate(
+                *(h.eval_proj(1, x1) for h in forms)
+            )
+        f, m = forms[0], [q() for _ in range(4)]
+        for x1 in range(5):
+            assert f.power(2).eval_proj(1, x1) == f.eval_proj(1, x1) ** 2
+            assert f.substitute(*m).eval_proj(1, x1) == f.eval_proj(
+                m[0] + m[1] * x1, m[2] + m[3] * x1
+            )
+
+
+def test_power_rejects_a_negative_exponent():
+    f = BinaryForm(2, (1, Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match="n=-1"):
+        f.power(-1)
+    assert f.power(0) == BinaryForm(0, (1,))
+    assert f.power(2) == f * f
+
+
+def test_too_narrow_slots_are_caught(monkeypatch, capsys):
+    # with two-bit slots no product of the suite fits: the packed kernels
+    # raise instead of returning wrapped digits, and the CLI exits 2
+    monkeypatch.setattr(pencil_module, "_width", lambda bound: 2)
+    with pytest.raises(InvariantViolation, match="does not fit"):
+        _mul([9, 1], [9, 1])
+    pencil = random_coprime_pencil(3, random.Random("narrow"))
+    with pytest.raises(InvariantViolation, match="does not fit"):
+        wronskian(pencil)
+    conic, point = random_smooth_conic(random.Random("narrow"))
+    with pytest.raises(InvariantViolation, match="does not fit"):
+        conic_intersection(wedge_curve(pencil), conic, point)
+    assert main(["pencil", "verify", "-k", "3", "--samples", "5"]) == 2
+    assert "does not fit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bound", [1, 3])
 def test_pullback_at_other_bounds_matches_evaluation(bound):
-    # pullback multiplies by _conv3 only at bound 2
+    # the packed pullback at bounds other than the conic's
     rng = random.Random(f"pullback-{bound}")
 
     def q():
