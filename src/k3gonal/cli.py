@@ -49,7 +49,7 @@ SCAN_MAX_ROWS = 10**5
 QVALUES_MAX_VALUES = 10**5
 # `pencil verify` time grows with samples and with k (its conic pullback and
 # gcd run at degree 2k - 2); the largest accepted command, -k 16 --samples
-# 1000, takes about 0.9 s (Python 3.11.7, 2-vCPU Intel Xeon Linux machine)
+# 1000, takes about 0.7 s (Python 3.11.7, 2-vCPU Intel Xeon Linux machine)
 PENCIL_MAX_K = 16
 PENCIL_MAX_SAMPLES = 1000
 # `chains witness` builds and renders one [j, a] pair per chain length

@@ -7,6 +7,8 @@ instead, so callers (in particular the CLI, which maps it to exit code 2)
 can tell a user mistake from a broken identity.
 """
 
+__all__ = ["InvariantViolation"]
+
 
 class InvariantViolation(Exception):
     """An internal consistency check failed; never a user error."""

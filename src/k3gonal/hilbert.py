@@ -122,6 +122,9 @@ class DivisorClass:
 
     def __init__(self, p: int, k: int, a: int, c):
         _check_pk(p, k)
+        for v in (a, c):
+            if isinstance(v, float):
+                raise TypeError(f"need an exact coefficient, got the float {v!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "a", a)

@@ -20,7 +20,11 @@ closed form of the complete symmetric polynomial h_n in (e1, e2).
 Restricting that curve to the diagonal, which sends each monomial to one
 monomial, recovers the Wronskian f g' - f' g (up to a nonzero scalar), whose
 2(k-1) projective roots are the ramification points of the degree-k map; all
-of this is verified exactly, never by root finding.
+of this is verified exactly, never by root finding.  Every other smooth conic
+the suite meets is the image A(diagonal) under an invertible matrix A, and is
+parametrized by A composed with that of the diagonal, so the conic is held as
+A alone: a curve meets it where its pullback through the three quadratic
+forms (a_i0, 2 a_i1, a_i2) of A's rows vanishes.
 
 Representation.  Forms and curves hold integer coefficients over one
 positive common denominator in lowest terms, a canonical form, so equality
@@ -55,8 +59,6 @@ __all__ = [
     "BinaryForm",
     "Pencil",
     "SymPlaneCurve",
-    "DIAGONAL",
-    "DIAGONAL_POINT",
     "wedge_curve",
     "wronskian",
     "diagonal_restriction",
@@ -75,10 +77,17 @@ __all__ = [
 
 
 def _over_common_den(values) -> tuple[list[int], int]:
-    """Integer numerators over the least common positive denominator."""
+    """Integer numerators over the least common positive denominator.
+
+    A float is refused: Fraction(0.1) is the binary rational nearest 0.1,
+    with denominator 2^55, not 1/10.
+    """
     values = list(values)
     if all(type(v) is int for v in values):
         return values, 1
+    for v in values:
+        if isinstance(v, float):
+            raise TypeError(f"need exact numbers, got the float {v!r}")
     qs = [Fraction(v) for v in values]
     den = lcm(*(q.denominator for q in qs))
     return [q.numerator * (den // q.denominator) for q in qs], den
@@ -339,18 +348,6 @@ class BinaryForm:
         width = _width(sum(map(abs, nums)) * norm**n)
         value = _horner(nums, _pack((a, b), width), _pack((c, d), width))
         return BinaryForm._make(n, _unpack(value, width, n + 1), self.den * scale**n)
-
-    def to_payload(self) -> dict:
-        """Serialize as numerator/denominator string pairs at the bound."""
-        return {
-            "bound": self.bound,
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "BinaryForm":
-        coeffs = [Fraction(int(n), int(d)) for n, d in payload["coeffs"]]
-        return cls(payload["bound"], coeffs)
 
 
 def proportional(u: BinaryForm, v: BinaryForm) -> bool:
@@ -618,80 +615,35 @@ def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
     return None
 
 
-def _conic_matrix(conic: SymPlaneCurve) -> list[list[int]]:
-    """Integer symmetric matrix M with x^T M x = 2 den (conic)(x)."""
-    if conic.degree != 2:
-        raise ValueError(f"need a conic, got degree {conic.degree}")
-    c = dict(conic.terms)
-    a00, a11, a22 = (2 * c.get(e, 0) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-    a01, a02, a12 = (c.get(e, 0) for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
-    return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
-
-
-def _cross(u, v) -> tuple[int, int, int]:
-    """u x v, whose entries are the signed 2x2 minors of the rows u, v."""
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _det3(m) -> int:
-    return sum(x * y for x, y in zip(m[0], _cross(m[1], m[2])))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-#: the diagonal conic e1^2 - 4 e0 e2 and a rational point on it
-DIAGONAL = SymPlaneCurve(2, {(0, 2, 0): 1, (1, 0, 1): -4})
-DIAGONAL_POINT = (1, 0, 0)
+def _conic_forms(a) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
+    """The quadratic forms (a_i0, 2 a_i1, a_i2) of A's rows: A composed with
+    (x0^2 : 2 x0 x1 : x1^2), a parametrization of the conic A(diagonal)."""
+    return tuple(BinaryForm(2, (r[0], 2 * r[1], r[2])) for r in a)
 
 
-def _conic_parametrization(
-    conic: SymPlaneCurve, point
-) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
-    """Degree-2 parametrization of a smooth conic by lines through `point`.
+def conic_intersection(curve: SymPlaneCurve, a) -> tuple[int, int]:
+    """Intersect a plane curve with the smooth conic A(diagonal).
 
-    The line through `point` in direction V = s*e_i + t*e_j meets the conic
-    again at Q(V) * point - 2 B(point, V) * V, quadratic in (s, t); the unit
-    vectors e_i, e_j off the first nonzero coordinate of `point` span a
-    complement of it, so the map is everywhere defined and hits every point
-    of the conic exactly once.  Q and B come from an integer multiple M of
-    the conic's matrix, read off as entries M[i][j] and row sums point . M[i],
-    and `point` is scaled to integers; both rescale the parametrization by a
-    nonzero constant only.
+    `a` is an invertible 3x3 matrix A, given by rows; the conic is the image
+    of the diagonal e1^2 = 4 e0 e2 under A, parametrized by
+    A (x0^2, 2 x0 x1, x1^2).  The curve is pulled back through it to a binary
+    form of degree 2*deg(curve), and the result is the pair (total,
+    distinct) of intersection counts: total by Bezout, distinct as the
+    degree of the squarefree part.  A curve containing the conic
+    (identically vanishing pullback) is an error.
+
+    >>> line = wedge_curve(Pencil(BinaryForm(2, (0, 0, 1)), BinaryForm(2, (1, 0, 0))))
+    >>> conic_intersection(line, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    (2, 2)
     """
-    m = _conic_matrix(conic)
-    if _det3(m) == 0:
-        raise ValueError("conic is singular")
-    pt = _over_common_den(point)[0]
-    if not any(pt):
-        raise ValueError("point must be a nonzero projective triple")
-    if conic._numerator_at(*pt) != 0:
-        raise ValueError(f"point {point} does not lie on the conic")
-
-    pivot = next(i for i in range(3) if pt[i] != 0)
-    i1, i2 = (i for i in range(3) if i != pivot)
-    qv = (m[i1][i1], 2 * m[i1][i2], m[i2][i2])
-    b1, b2 = (sum(x * y for x, y in zip(pt, m[i])) for i in (i1, i2))
-    second = {i1: (b1, b2, 0), i2: (0, b1, b2), pivot: (0, 0, 0)}
-    return tuple(
-        BinaryForm._make(2, [pt[i] * x - 2 * y for x, y in zip(qv, second[i])])
-        for i in range(3)
-    )
-
-
-def conic_intersection(
-    curve: SymPlaneCurve, conic: SymPlaneCurve, point
-) -> tuple[int, int]:
-    """Intersect a plane curve with a smooth conic through a rational point.
-
-    Parametrizes the conic by lines through `point` (which must lie on it),
-    pulls the curve back to a binary form of degree 2*deg(curve) and returns
-    (total, distinct) intersection counts: total by Bezout, distinct as the
-    degree of the squarefree part.  A curve containing the conic (identically
-    vanishing pullback) is an error.
-    """
-    pull = curve.pullback(*_conic_parametrization(conic, point))
+    if _det3(a) == 0:
+        raise ValueError("conic matrix is singular")
+    pull = curve.pullback(*_conic_forms(a))
     if pull.is_zero:
         raise ValueError("curve contains the conic")
     total = 2 * curve.degree
@@ -746,31 +698,17 @@ def random_coprime_pencil(k: int, rng: random.Random) -> Pencil:
             return pencil
 
 
-def random_smooth_conic(
-    rng: random.Random,
-) -> tuple[SymPlaneCurve, tuple[int, int, int]]:
-    """A random smooth conic together with an integer point on it.
+def random_smooth_conic(rng: random.Random) -> list[list[int]]:
+    """A random invertible 3x3 integer matrix A, by rows, entries in [-4, 4].
 
-    Produced as a random projective image of the diagonal conic, so the point
-    (the image of (1 : 0 : 0)) lies on it by construction.
+    It stands for the smooth conic A(diagonal), the random projective image
+    of the diagonal that `conic_intersection` pulls a curve back to.
     """
     bits = rng.getrandbits
     while True:
         a = [[_randint(bits, -4, 4) for _ in range(3)] for _ in range(3)]
         if _det3(a) != 0:
-            break
-    # matrix of the image conic, up to scale: adj(A)^T M0 adj(A), whose
-    # entries pair the rows of adj(A)^T, the cross products of A's rows, by
-    # the matrix M0 of e1^2 - 4 e0 e2: u^T M0 v = u1 v1 - 2 (u0 v2 + u2 v0)
-    cof = (_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1]))
-    mt = [[u[1] * v[1] - 2 * (u[0] * v[2] + u[2] * v[0]) for v in cof] for u in cof]
-    # x^T mt x: the e_r e_s coefficient is mt[r][s], doubled for r != s
-    conic = SymPlaneCurve._make(2, {
-        tuple((r == i) + (s == i) for i in range(3)): mt[r][s] * (1 + (r != s))
-        for r in range(3) for s in range(r, 3)
-    })
-    point = tuple(a[i][0] for i in range(3))
-    return conic, point
+            return a
 
 
 #: random pairs drawn and discarded per sample: the conic draws that follow
@@ -823,12 +761,12 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
                     pass
                 while (dy := bits(3)) >= 4:
                     pass
-        conic, point = random_smooth_conic(rng)
-        total, distinct = conic_intersection(curve, conic, point)
+        a = random_smooth_conic(rng)
+        total, distinct = conic_intersection(curve, a)
         if distinct == total:
             transversal += 1
         else:
-            pull = curve.pullback(*_conic_parametrization(conic, point))
+            pull = curve.pullback(*_conic_forms(a))
             if is_squarefree(pull):
                 failures.append(
                     f"sample {index}: non-transversal report with squarefree pullback"

@@ -402,6 +402,25 @@ def test_pencil_verify_bytes_pinned(capsys, k):
     assert hashlib.sha256(out.encode()).hexdigest() == PENCIL_VERIFY_SHA256[k]
 
 
+# SHA-256 of `--format json pencil verify -k K --samples 200 --seed 3` past the
+# k <= 8 of the recorded golden cases, up to PENCIL_MAX_K
+PENCIL_VERIFY_LARGE_K_SHA256 = {
+    9: "17d97959416fdc9fe6272b0d7a1a565c2a0e7d8b741253faa23d263dd526c39f",
+    12: "f0c8e9bdcac7adeea173359c4a6e24cd558bb2866cb9a397f5702383fc20e014",
+    16: "43ca8d76c0b74de3e7347cb05534b4fb22b9dd19b874edf6577f9f942af3ca9e",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PENCIL_VERIFY_LARGE_K_SHA256))
+def test_pencil_verify_bytes_pinned_at_large_k(capsys, k):
+    code, out, _ = run(
+        capsys, "--format", "json", "pencil", "verify", "-k", str(k),
+        "--samples", "200", "--seed", "3",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PENCIL_VERIFY_LARGE_K_SHA256[k]
+
+
 def test_pencil_verify_sample_count_bounds(capsys):
     code, out, err = run(capsys, "pencil", "verify", "-k", "3", "--samples", "-5")
     assert code == 1 and out == ""

@@ -185,6 +185,13 @@ def test_q_divisor():
     assert DivisorClass(9, 4, 1, 0).q == 16
     assert DivisorClass(9, 4, 0, 1).q == -6  # q(e_k) = -2(k-1)
     assert DivisorClass(8, 2, 1, F(1, 2)).q == 14 - F(1, 2)
+    assert DivisorClass(8, 2, 1, "1/2") == DivisorClass(8, 2, 1, F(1, 2))
+    # Fraction(0.3) has denominator 2^54: a float is refused, never stored as
+    # the binary rational nearest it
+    with pytest.raises(TypeError, match=r"float 0\.3"):
+        DivisorClass(8, 2, 1, 0.3)
+    with pytest.raises(TypeError, match=r"float 1\.0"):
+        DivisorClass(8, 2, 1.0, 0)
 
 
 def test_minimal_q_family_examples():

@@ -10,8 +10,6 @@ from k3gonal import pencil as pencil_module
 from k3gonal.cli import main
 from k3gonal.errors import InvariantViolation
 from k3gonal.pencil import (
-    DIAGONAL,
-    DIAGONAL_POINT,
     BinaryForm,
     Pencil,
     SymPlaneCurve,
@@ -107,25 +105,6 @@ def form_strategy(k):
     )
 
 
-def test_binary_form_serialization_roundtrip():
-    f = BinaryForm(3, (Fraction(1, 2), -2, 0, Fraction(7, 3)))
-    payload = f.to_payload()
-    assert payload == {
-        "bound": 3,
-        "coeffs": [["1", "2"], ["-2", "1"], ["0", "1"], ["7", "3"]],
-    }
-    assert BinaryForm.from_payload(payload) == f
-    # rationals are stored in lowest terms over one denominator, and the
-    # payload still lists each coefficient reduced on its own
-    g = BinaryForm(2, (Fraction(2, 4), Fraction(6, 3), 0))
-    assert g.to_payload() == {
-        "bound": 2,
-        "coeffs": [["1", "2"], ["2", "1"], ["0", "1"]],
-    }
-    assert BinaryForm.from_payload(g.to_payload()) == g
-    assert g.coeffs == (Fraction(1, 2), 2, 0)
-
-
 def test_binary_form_bookkeeping():
     f = BinaryForm(3, (1, 2, 0, 0))
     assert f.affine_degree == 1
@@ -140,6 +119,8 @@ def test_binary_form_bookkeeping():
     assert BinaryForm(2, (Fraction(2, 4), 1, 0)) == half
     assert hash(BinaryForm(2, (Fraction(2, 4), 1, 0))) == hash(half)
     assert BinaryForm(2, ("1/2", Fraction(3, 3), 0)) == half
+    # rationals are stored in lowest terms over one denominator
+    assert BinaryForm(2, (Fraction(2, 4), Fraction(6, 3), 0)).coeffs == (Fraction(1, 2), 2, 0)
     assert BinaryForm(1, (2, 4)) != BinaryForm(1, (1, 2))
     assert half.eval_proj(2, Fraction(1, 3)) == Fraction(8, 3)
     g = BinaryForm(3, (Fraction(1, 2), -2, 0, Fraction(7, 3)))
@@ -149,6 +130,21 @@ def test_binary_form_bookkeeping():
     assert not proportional(g, BinaryForm(3, (Fraction(1, 2), -2, 1, Fraction(7, 3))))
     assert not proportional(g, BinaryForm.zero(3))
     assert proportional(BinaryForm.zero(3), BinaryForm.zero(3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BinaryForm(2, (0.1, 1, 0)),
+    lambda: BinaryForm.from_affine([1, 0.5], 2),
+    lambda: SymPlaneCurve(1, {(1, 0, 0): 1, (0, 1, 0): 0.1}),
+    lambda: BinaryForm(1, (1, 2)).eval_proj(1, 0.1),
+    lambda: SymPlaneCurve(1, {(1, 0, 0): 1}).evaluate(0.1, 1, 0),
+    lambda: BinaryForm(1, (1, 2)).substitute(1, 0.1, 0, 1),
+])
+def test_floats_are_refused(build):
+    # Fraction(0.1) has denominator 2^55: a float is refused, never stored
+    # as the binary rational nearest it
+    with pytest.raises(TypeError, match=r"float 0\.[15]"):
+        build()
 
 
 def test_sym_plane_curve_canonical_form():
@@ -340,42 +336,121 @@ def test_diagonal_points_are_ramification_points():
             assert (diag_val == 0) == (w.eval_proj(1, x0) == 0)
 
 
+# -- test-local reference for conic_intersection: the equation of A(diagonal)
+# -- from A's cofactors, parametrized by lines through its point A (1, 0, 0)
+
+#: the matrix of the diagonal itself, and the diagonal as a curve
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+DIAGONAL = SymPlaneCurve(2, {(0, 2, 0): 1, (1, 0, 1): -4})
+
+
+def _cross(u, v):
+    """u x v, whose entries are the signed 2x2 minors of the rows u, v."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _ref_det(m):
+    return sum(x * y for x, y in zip(m[0], _cross(m[1], m[2])))
+
+
+def _ref_conic(a):
+    """The conic A(diagonal) as a curve, and the integer point A (1, 0, 0) on it."""
+    # matrix of the image conic, up to scale: adj(A)^T M0 adj(A), whose
+    # entries pair the rows of adj(A)^T, the cross products of A's rows, by
+    # the matrix M0 of e1^2 - 4 e0 e2: u^T M0 v = u1 v1 - 2 (u0 v2 + u2 v0)
+    cof = (_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1]))
+    mt = [[u[1] * v[1] - 2 * (u[0] * v[2] + u[2] * v[0]) for v in cof] for u in cof]
+    # x^T mt x: the e_r e_s coefficient is mt[r][s], doubled for r != s
+    conic = SymPlaneCurve._make(2, {
+        tuple((r == i) + (s == i) for i in range(3)): mt[r][s] * (1 + (r != s))
+        for r in range(3) for s in range(r, 3)
+    })
+    return conic, tuple(a[i][0] for i in range(3))
+
+
+def _conic_matrix(conic):
+    """Integer symmetric matrix M with x^T M x = 2 den (conic)(x)."""
+    c = dict(conic.terms)
+    a00, a11, a22 = (2 * c.get(e, 0) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    a01, a02, a12 = (c.get(e, 0) for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
+
+
+def _conic_parametrization(conic, pt):
+    """Degree-2 parametrization of a smooth conic by lines through the
+    integer point `pt` on it.
+
+    The line through `pt` in direction V = s*e_i + t*e_j meets the conic
+    again at Q(V) * pt - 2 B(pt, V) * V, quadratic in (s, t); the unit
+    vectors e_i, e_j off the first nonzero coordinate of `pt` span a
+    complement of it, so the map is everywhere defined and hits every point
+    of the conic exactly once.
+    """
+    m = _conic_matrix(conic)
+    assert _ref_det(m) != 0 and conic.evaluate(*pt) == 0
+    pivot = next(i for i in range(3) if pt[i] != 0)
+    i1, i2 = (i for i in range(3) if i != pivot)
+    qv = (m[i1][i1], 2 * m[i1][i2], m[i2][i2])
+    b1, b2 = (sum(x * y for x, y in zip(pt, m[i])) for i in (i1, i2))
+    second = {i1: (b1, b2, 0), i2: (0, b1, b2), pivot: (0, 0, 0)}
+    return tuple(
+        BinaryForm(2, [pt[i] * x - 2 * y for x, y in zip(qv, second[i])])
+        for i in range(3)
+    )
+
+
+def sym2(a, b, c, d):
+    """The matrix on (e0, e1, e2) induced by the Mobius map (x0, x1) ->
+    (a x0 + b x1, c x0 + d x1): it sends (s^2, 2st, t^2) to
+    (x0^2, 2 x0 x1, x1^2) at the image point, so it maps the diagonal onto
+    itself with another parametrization."""
+    return (
+        (a * a, a * b, b * b),
+        (2 * a * c, a * d + b * c, 2 * b * d),
+        (c * c, c * d, d * d),
+    )
+
+
 def test_conic_intersection_examples():
     line = wedge_curve(monomial_pencil(2))
-    assert conic_intersection(line, DIAGONAL, DIAGONAL_POINT) == (2, 2)
+    assert conic_intersection(line, IDENTITY) == (2, 2)
     conic3 = wedge_curve(monomial_pencil(3))
-    total, distinct = conic_intersection(conic3, DIAGONAL, DIAGONAL_POINT)
+    total, distinct = conic_intersection(conic3, IDENTITY)
     assert total == 4 and distinct == 2
     # Bezout against the diagonal at several degrees
     rng = random.Random("bezout-diagonal")
     for k in range(2, 7):
         curve = wedge_curve(random_coprime_pencil(k, rng))
-        total, _ = conic_intersection(curve, DIAGONAL, DIAGONAL_POINT)
+        total, _ = conic_intersection(curve, IDENTITY)
         assert total == 2 * (k - 1)
 
 
 def test_conic_intersection_errors():
     line = wedge_curve(monomial_pencil(2))
-    singular = SymPlaneCurve(2, {(0, 2, 0): 1})  # double line e1^2
+    singular = ((1, 0, 0), (0, 1, 0), (1, 1, 0))  # maps the plane onto a line
     with pytest.raises(ValueError, match="singular"):
-        conic_intersection(line, singular, (1, 0, 0))
-    with pytest.raises(ValueError, match="not lie"):
-        conic_intersection(line, DIAGONAL, (1, 1, 1))
+        conic_intersection(line, singular)
     # the diagonal contains the diagonal
     with pytest.raises(ValueError, match="contains"):
-        conic_intersection(DIAGONAL, DIAGONAL, (1, 0, 0))
+        conic_intersection(DIAGONAL, IDENTITY)
 
 
 def test_diagonal_intersection_counts_match_wronskian():
     # two routes to the ramification divisor: pulling the wedge curve back
-    # through the conic parametrization of the diagonal, and gcd-counting the
-    # Wronskian's distinct roots directly
+    # to the diagonal, parametrized through a Mobius map M != I rather than
+    # the scatter of diagonal_restriction, and gcd-counting the Wronskian's
+    # distinct roots directly
     rng = random.Random("dual-route")
+    mobius = sym2(1, -3, 2, 5)
     for k in range(2, 7):
         for _ in range(8):
             pencil = random_coprime_pencil(k, rng)
             curve = wedge_curve(pencil)
-            total, distinct = conic_intersection(curve, DIAGONAL, DIAGONAL_POINT)
+            total, distinct = conic_intersection(curve, mobius)
             w = wronskian(pencil)
             assert total == 2 * (k - 1)
             assert distinct == distinct_root_count(w)
@@ -387,10 +462,45 @@ def test_conic_intersection_bezout_on_samples():
     for k in range(2, 7):
         pencil = random_coprime_pencil(k, rng)
         curve = wedge_curve(pencil)
-        conic, point = random_smooth_conic(rng)
-        total, distinct = conic_intersection(curve, conic, point)
+        total, distinct = conic_intersection(curve, random_smooth_conic(rng))
         assert total == 2 * (k - 1)
         assert 1 <= distinct <= total
+
+
+small_ints = st.integers(-2, 2)
+
+
+@st.composite
+def small_pencil(draw):
+    """Pencils with coefficients in [-2, 2], so that tangencies are common."""
+    k = draw(st.integers(2, 5))
+    form = st.lists(small_ints, min_size=k + 1, max_size=k + 1).filter(any)
+    f, g = BinaryForm(k, draw(form)), BinaryForm(k, draw(form))
+    assume(not proportional(f, g))
+    return Pencil(f, g)
+
+
+invertible = st.lists(
+    st.lists(small_ints, min_size=3, max_size=3), min_size=3, max_size=3
+).filter(lambda a: _ref_det(a) != 0)
+
+
+@given(small_pencil(), invertible)
+@example(monomial_pencil(3), IDENTITY)  # tangent: 2 of 4
+@example(monomial_pencil(3), sym2(1, -3, 2, 5))
+@settings(max_examples=300, deadline=None)
+def test_conic_intersection_matches_lines_through_a_point(pencil, a):
+    # A composed with the diagonal's parametrization and the parametrization
+    # by lines through A (1, 0, 0) differ by a Mobius map, which keeps the
+    # count of distinct roots
+    curve = wedge_curve(pencil)
+    pull = curve.pullback(*_conic_parametrization(*_ref_conic(a)))
+    if pull.is_zero:
+        with pytest.raises(ValueError, match="contains"):
+            conic_intersection(curve, a)
+    else:
+        want = (2 * curve.degree, _ref_counts(list(pull.coeffs))[0])
+        assert conic_intersection(curve, a) == want
 
 
 @given(st.data())
@@ -919,9 +1029,9 @@ def test_too_narrow_slots_are_caught(monkeypatch, capsys):
     pencil = random_coprime_pencil(3, random.Random("narrow"))
     with pytest.raises(InvariantViolation, match="does not fit"):
         wronskian(pencil)
-    conic, point = random_smooth_conic(random.Random("narrow"))
+    a = random_smooth_conic(random.Random("narrow"))
     with pytest.raises(InvariantViolation, match="does not fit"):
-        conic_intersection(wedge_curve(pencil), conic, point)
+        conic_intersection(wedge_curve(pencil), a)
     assert main(["pencil", "verify", "-k", "3", "--samples", "5"]) == 2
     assert "does not fit" in capsys.readouterr().err
 
