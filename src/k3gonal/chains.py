@@ -270,7 +270,8 @@ def witness(p: int, k: int, delta: int, max_lengths: int | None = None) -> Chain
     The module's rule at g = p - delta, built once, in time proportional to
     its number of chain lengths, at most (g-1) // 2(k-1) + 2.  It equals the
     minimal construction followed by delta - delta0 `increment` merges.
-    delta = p (g = 0) has no chain witness and is rejected.  With
+    delta = p (g = 0) has no chain witness and is rejected; a negative delta
+    is refused with the range message of `necessary_condition`.  With
     `max_lengths`, an admissible delta whose count of chain lengths may
     exceed it is refused before anything is built; the message names the
     limit as the CLI's WITNESS_MAX_LENGTHS, which is passed here.
@@ -279,6 +280,8 @@ def witness(p: int, k: int, delta: int, max_lengths: int | None = None) -> Chain
         raise ValueError(f"need p >= 3, got p={p}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
+    if delta < 0:
+        raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
     d0 = delta0(p, k)
     if delta < d0:
         raise ValueError(f"inadmissible: delta={delta} < delta0={d0}")

@@ -23,7 +23,12 @@ downgrades to a warning).
 
 `cli` is the command table: each leaf is registered once, with its
 callback, its options and its docstring as help, and one stdlib argparse
-tree is built from it at import.  A callback returns (payload, table[,
+tree is built from it at import.  `main` parses a well-formed command
+(root flags with values the root accepts, a leaf's two names, then only what
+that leaf accepts) once, with that leaf's parser in the tree; anything else,
+such as help at the root or a group, an unknown command or a leftover
+argument, goes through the whole tree.  The messages are the same either
+way.  A callback returns (payload, table[,
 csv_rows]), which `_emit` renders in the selected format.
 """
 
@@ -574,8 +579,12 @@ def _output_flags(parser, fmt, out) -> None:
                         help="Write output to FILE instead of stdout.")
 
 
-def _add_node(parser, node) -> None:
-    """Add the flags and subcommands of the table node `node` to `parser`."""
+# each leaf's own parser in the tree, keyed by its two names
+_LEAF_PARSERS = {}
+
+
+def _add_node(parser, node, path=()) -> None:
+    """Add the flags and subcommands of the table node `node` at `path` to `parser`."""
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     if isinstance(node, _Leaf):
         for flag, kwargs in node.options:
@@ -584,12 +593,14 @@ def _add_node(parser, node) -> None:
         # later one wins
         _output_flags(parser, argparse.SUPPRESS, argparse.SUPPRESS)
         parser.set_defaults(leaf=node)
+        _LEAF_PARSERS[path] = parser
         return
     # a metavar, without which Python 3.10 fails to name a missing command
     subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
     for name, child in node.commands.items():
         _add_node(subparsers.add_parser(name, help=child.help, description=child.help,
-                                        add_help=False, allow_abbrev=False), child)
+                                        add_help=False, allow_abbrev=False),
+                  child, (*path, name))
 
 
 _PARSER = argparse.ArgumentParser(
@@ -599,10 +610,32 @@ _output_flags(_PARSER, "table", None)
 _add_node(_PARSER, cli)
 
 
+def _parse(argv: list[str]) -> dict:
+    """The options of `argv`, as the whole tree would parse them."""
+    # skip the root flags whose values the root accepts and no parser reads as a flag
+    i = 0
+    while i + 1 < len(argv) and (
+        argv[i] == "--format" and argv[i + 1] in FORMATS
+        or argv[i] == "--out" and argv[i + 1][:1] not in ("", "-")
+    ):
+        i += 2
+    parser = _LEAF_PARSERS.get(tuple(argv[i:i + 2]))
+    # `--` is left to the tree, so that no release's handling of it in the
+    # group parsers has to be matched
+    if parser is not None and "--" not in argv:
+        # the root flags go first, so a trailing copy still wins
+        args, extra = parser.parse_known_args(argv[:i] + argv[i + 2:])
+        if not extra:
+            return {"fmt": "table", "out": None, **vars(args)}
+    return vars(_PARSER.parse_args(argv))
+
+
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit-code mapping.  `argv` defaults to
+    `sys.argv[1:]`; a command is parsed once, by its leaf's own parser, which
+    reports that leaf's usage errors, and anything else by the whole tree."""
     try:
-        args = vars(_PARSER.parse_args(argv))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 after printing a usage error
         return 0 if exc.code == 0 else 1

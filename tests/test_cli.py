@@ -14,9 +14,10 @@ import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from k3gonal import chains, cli, gonality, hilbert
 from k3gonal.cli import main
@@ -680,6 +681,99 @@ def test_leaf_bytes_pinned(capsys, tmp_path, command, fmt):
     assert not (tmp_path / "unused").exists()
 
 
+def test_leaf_parsers_cover_every_command():
+    assert {" ".join(path) for path in cli._LEAF_PARSERS} == set(_leaf_names(cli.cli))
+
+
+_OUT = "result"
+_ARG_PIECES = [
+    *([name] for name in sorted({n for leaf in _leaf_names(cli.cli) for n in leaf.split()})),
+    *(["--format", fmt] for fmt in (*FORMATS, "xml")),
+    ["--format=json"], ["--format"],
+    ["--out", _OUT], ["--out", ""], ["--out", "-"], [f"--out={_OUT}"], ["--out"],
+    ["--"], ["--help"], ["-p9"], ["-k=3"], ["-5"], ["--ver"], ["--bogus"],
+]
+_PIECE_LISTS = st.lists(st.sampled_from(_ARG_PIECES), max_size=3).map(
+    lambda pieces: [arg for piece in pieces for arg in piece]
+)
+_ARGVS = st.builds(
+    lambda head, command, tail: [*head, *command, *tail],
+    _PIECE_LISTS,
+    st.sampled_from(LEAF_CASES).map(str.split) | _PIECE_LISTS,
+    _PIECE_LISTS,
+)
+_CONE = ["hilb", "cone", "-p", "8", "-k", "2"]
+
+
+def _tree_parse(argv):
+    return vars(cli._PARSER.parse_args(argv))
+
+
+@given(argv=_ARGVS)
+# parsed by the leaf: root flags, repeated root and trailing flags
+@example(argv=["--format", "csv", "--out", _OUT, "--format", "json", *_CONE, "--format", "table"])
+@example(argv=[*_CONE, "-p9", "-k=3", f"--out={_OUT}"])
+@example(argv=["--out", "hilb", *_CONE])
+# through the tree: a leftover argument, an unknown or partial path
+@example(argv=[*_CONE, "--bogus"])
+@example(argv=["gonality", "delta0", "-p", "9", "-k", "4", "--ver"])
+@example(argv=["bn", "nosuch"])
+@example(argv=["--format", "json", "hilb"])
+@example(argv=[])
+# through the tree: a root flag in one token, or a root value that is no
+# format, is empty, starts with a dash or is missing
+@example(argv=["--format=json", *_CONE])
+@example(argv=[f"--out={_OUT}", *_CONE])
+@example(argv=["--format", "xml", *_CONE])
+@example(argv=["--out", "", *_CONE])
+@example(argv=["--out", "-", *_CONE])
+@example(argv=["--out", "-5", *_CONE])
+@example(argv=["--out", "--help", *_CONE])
+@example(argv=["--format", *_CONE])
+# through the tree: help at the root or a group, and `--`
+@example(argv=["--help"])
+@example(argv=["--format", "json", "hilb", "--help"])
+@example(argv=["hilb", "cone", "--", "-p", "8", "-k", "2"])
+@example(argv=["--", *_CONE])
+@settings(max_examples=300, deadline=None)
+def test_main_matches_the_whole_tree(tmp_path_factory, argv):
+    # each command gives the exit code, output, messages and files that it
+    # gives when the whole tree parses it; it runs in a directory of its own,
+    # where any --out file, such as "result" or "hilb", is written
+    where = tmp_path_factory.mktemp("out")
+
+    def outcome():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        files = {}
+        for path in where.iterdir():
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        return code, stdout.getvalue(), stderr.getvalue(), files
+
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        got = outcome()
+        with mock.patch.object(cli, "_parse", _tree_parse):
+            assert outcome() == got
+    finally:
+        os.chdir(cwd)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # with no argv, both a command the leaf parses and one the tree parses
+    # come from sys.argv
+    monkeypatch.setattr(sys, "argv", ["k3gonal", "--format", "json", *_CONE])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LEAF_SHA256["hilb cone -p 8 -k 2", "json"]
+    monkeypatch.setattr(sys, "argv", ["k3gonal", "hilb", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: k3gonal hilb")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_chains_enumerate_renders_no_table(capsys, monkeypatch, fmt):
     def refuse(part):
@@ -864,6 +958,18 @@ def test_chains_witness_admissibility_before_length_limit(capsys):
     code, out, err = run(capsys, "--format", "json", "chains", "witness", "-p", str(p),
                          "-k", "2", "--delta", str(p - 1))
     assert (code, err) == (0, "") and json.loads(out)["parts"] == [[p, 1]]
+
+
+@pytest.mark.parametrize(
+    "command", ["chains witness", "gonality dims", "hilb class", "hilb q", "bn check"]
+)
+def test_negative_delta_is_out_of_range(capsys, monkeypatch, command):
+    # refused as out of range by every command that takes --delta; the
+    # witness refuses it before it computes delta0
+    monkeypatch.setattr(chains, "delta0", lambda p, k: pytest.fail("delta0 was computed"))
+    code, out, err = run(capsys, *command.split(), "-p", "5", "-k", "2", "--delta", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: need 0 <= delta <= p, got delta=-1, p=5\n"
 
 
 def test_chains_enumerate_cap_env_not_an_integer(capsys, monkeypatch):
