@@ -31,7 +31,7 @@ witness to the next; `enumerate_partitions` is the exhaustive oracle.
 
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
 from .gonality import delta0
@@ -53,19 +53,26 @@ MAX_P_ENV = "K3GONAL_MAX_P"
 DEFAULT_MAX_P = 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainPartition:
-    """Multiplicities of chain lengths, stored sparsely.
+    """Multiplicities of chain lengths, stored sparsely, with g and delta.
 
     `parts` holds (j, alpha_j) pairs with alpha_j > 0, sorted by j; the
-    constructor also accepts a mapping j -> alpha_j and drops zero entries.
-    Construction enforces 1 <= j <= p only; the summation condition is what
-    `validate` checks, so invalid partitions are representable.
+    constructor also accepts a mapping j -> alpha_j, sums repeated j and
+    drops zero entries.  Construction enforces 1 <= j <= p only; the
+    summation condition is what `validate` checks, so invalid partitions are
+    representable.  `g` = sum_j alpha_j (chains, the geometric genus of the
+    marked-node smoothing) and `delta` = sum_j (j-1) alpha_j (marked nodes)
+    are stored, computed once from the merged multiplicities; they take no
+    part in `==`, `hash` or `repr`, which stay over (p, k, parts).  The
+    class is slotted: no `__dict__` and no weak references.
     """
 
     p: int
     k: int
     parts: tuple[tuple[int, int], ...]
+    g: int = field(init=False, repr=False, compare=False)
+    delta: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, p: int, k: int, parts):
         if p < 1:
@@ -87,28 +94,25 @@ class ChainPartition:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "parts", tuple(sorted(mult.items())))
+        object.__setattr__(self, "g", sum(mult.values()))
+        object.__setattr__(self, "delta", sum((j - 1) * a for j, a in mult.items()))
 
     @classmethod
-    def _trusted(cls, p: int, k: int, parts: tuple[tuple[int, int], ...]):
+    def _trusted(cls, p: int, k: int, parts: tuple[tuple[int, int], ...], g: int, delta: int):
         """A partition from parts already sorted by j, with 1 <= j <= p and
-        every alpha_j >= 1; nothing is checked or copied."""
+        every alpha_j >= 1, and their g and delta; nothing is checked or
+        copied."""
         partition = object.__new__(cls)
-        partition.__dict__.update(p=p, k=k, parts=parts)
+        _set_p(partition, p)
+        _set_k(partition, k)
+        _set_parts(partition, parts)
+        _set_g(partition, g)
+        _set_delta(partition, delta)
         return partition
 
     @property
     def multiplicities(self) -> dict[int, int]:
         return dict(self.parts)
-
-    @property
-    def g(self) -> int:
-        """Number of chains = geometric genus of the marked-node smoothing."""
-        return sum(a for _, a in self.parts)
-
-    @property
-    def delta(self) -> int:
-        """Marked node count sum_j (j-1) alpha_j."""
-        return sum((j - 1) * a for j, a in self.parts)
 
     def weight(self) -> int:
         """sum_j j * alpha_j; equals p exactly when the partition is valid."""
@@ -122,6 +126,12 @@ class ChainPartition:
             "g": self.g,
             "parts": [[j, a] for j, a in self.parts],
         }
+
+
+# the slot descriptors' setters, which `_trusted` calls past the frozen
+# __setattr__, at well under the cost of object.__setattr__ by name
+_set_p, _set_k, _set_parts, _set_g, _set_delta = (
+    getattr(ChainPartition, name).__set__ for name in ("p", "k", "parts", "g", "delta"))
 
 
 def validate(partition: ChainPartition) -> bool:
@@ -307,8 +317,16 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
     index <= top carry a weight of at most cap * top * (top + 1) / 2, and a
     branch whose remaining weight exceeds that is never entered; so every
     branch followed ends in a partition, which is built without being
-    checked again.  Refuses p above the cap (default 60, overridable via the
-    K3GONAL_MAX_P environment variable or `max_p`).
+    checked again.  Once the parts of index 2 are chosen, the rest is at
+    most cap and is one run of 1s, closed without a further call.
+
+    Each partition carries its g and delta, summed down the recursion, and
+    its ascending parts, extended at the front; the (j, alpha_j) pairs are
+    shared, taken from one table of every j <= p and alpha_j <= cap with
+    j * alpha_j <= p.  g + delta = p is checked once per partition, where it
+    is emitted, and a failure raises InvariantViolation.  Refuses p above
+    the cap (default 60, overridable via the K3GONAL_MAX_P environment
+    variable or `max_p`).
     """
     if max_p is None:
         raw = os.environ.get(MAX_P_ENV, str(DEFAULT_MAX_P))
@@ -328,11 +346,13 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     cap = 2 * (k - 1)
+    # pairs[j][a] is the shared (j, a); O(p log p) entries, however large k is
+    pairs = [()] + [tuple((j, a) for a in range(min(cap, p // j) + 1)) for j in range(1, p + 1)]
+    ones = pairs[1]
     make = ChainPartition._trusted
     out: list[ChainPartition] = []
-    acc: list[tuple[int, int]] = []
 
-    def rec(remaining: int, top: int) -> None:
+    def rec(remaining: int, top: int, tail: tuple, g: int, delta: int) -> None:
         for part in range(min(top, remaining), 0, -1):
             below = cap * part * (part - 1) // 2  # the most parts < part carry
             if remaining > below + cap * part:
@@ -340,15 +360,25 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
             most = remaining // part
             # a > fewest means part * a leaves at most `below` to the rest
             fewest = (remaining - below - 1) // part
+            row = pairs[part]
             for a in range(cap if most > cap else most, fewest if fewest > 0 else 0, -1):
-                acc.append((part, a))
-                if remaining == part * a:
-                    out.append(make(p, k, tuple(reversed(acc))))
-                else:
-                    rec(remaining - part * a, part - 1)
-                acc.pop()
+                parts = (row[a],) + tail
+                rest = remaining - part * a
+                if rest:
+                    if part > 2:
+                        rec(rest, part - 1, parts, g + a, delta + (part - 1) * a)
+                        continue
+                    parts = (ones[rest],) + parts  # part 2 leaves rest <= cap
+                g_sum = g + a + rest
+                delta_sum = delta + (part - 1) * a
+                if g_sum + delta_sum != p:
+                    raise InvariantViolation(
+                        f"enumerated partition at (p={p}, k={k}) has g={g_sum}, "
+                        f"delta={delta_sum}, g + delta != p: parts={parts}"
+                    )
+                out.append(make(p, k, parts, g_sum, delta_sum))
 
-    rec(p, p)
+    rec(p, p, (), 0, 0)
     return out
 
 

@@ -38,6 +38,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -161,11 +162,16 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
     try:
         for text in batches:
             stdout.write(text)
+        stdout.flush()
     except UnicodeEncodeError as exc:
         char = f"U+{ord(exc.object[exc.start]):04X}"
         raise ValueError(f"stdout encoding {sys.stdout.encoding} cannot write {char}; use "
                          "--format json or csv, or set PYTHONIOENCODING=utf-8") from None
-    stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (`| head`): what is still buffered goes to devnull,
+        # so the interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError("stdout was closed before the output was complete") from None
 
 
 class _Leaf:

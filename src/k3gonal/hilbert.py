@@ -21,7 +21,7 @@ minimal delta.  Every such identity is computed both ways and cross-checked
 at runtime; disagreement raises InvariantViolation.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -294,7 +294,18 @@ class LagrangianReport:
     n: int | None = None
 
     def to_payload(self) -> dict:
-        return asdict(self)
+        return {
+            "p": self.p,
+            "k": self.k,
+            "has_isotropic": self.has_isotropic,
+            "s": self.s,
+            "alpha": self.alpha,
+            "value": self.value,
+            "not_nef": self.not_nef,
+            "necessary_condition_holds": self.necessary_condition_holds,
+            "primitive": self.primitive,
+            "n": self.n,
+        }
 
 
 def _primitive_isotropic_n(p: int, k: int) -> int | None:

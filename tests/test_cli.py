@@ -323,6 +323,26 @@ def test_stdout_encoding_error_names_the_encoding(encoding):
     assert named and codecs.lookup(named[1]).name == codecs.lookup(encoding).name
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_closed_stdout_pipe_is_an_error_not_a_traceback(encoding):
+    # `| head -c 10`: the reader takes 10 bytes and closes the pipe; the
+    # output, about 1.9 MB in several batches, cannot all fit in the pipe's
+    # buffer, so a later write fails; on an ASCII stdout it goes to the buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "k3gonal", "--format", "json", "chains", "enumerate",
+         "-p", "40", "-k", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONIOENCODING=encoding),
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"error: stdout was closed before the output was complete\n"
+
+
 def test_import_needs_no_click():
     code = "import sys, k3gonal.cli; sys.exit('click' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

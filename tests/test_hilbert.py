@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -408,3 +409,12 @@ def test_rat_str():
     assert rat_str(F(-2, 3)) == "-2/3"
     assert rat_str(F(4, 1)) == "4"
     assert rat_str(7) == "7"
+
+
+@pytest.mark.parametrize("p, k, isotropic", [(10, 5, True), (4, 2, False)])
+def test_lagrangian_payload_matches_asdict(p, k, isotropic):
+    report = lagrangian_report(p, k)
+    assert report.has_isotropic is isotropic
+    payload = report.to_payload()
+    assert payload == dataclasses.asdict(report)
+    assert list(payload) == list(dataclasses.asdict(report))  # the JSON key order
