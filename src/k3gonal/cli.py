@@ -35,11 +35,11 @@ csv_rows]), which `_emit` renders in the selected format.
 import argparse
 import codecs
 import csv
-import io
 import itertools
 import json
 import os
 import sys
+import types
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -117,15 +117,18 @@ _EMIT_BATCH = 1024
 def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None:
     """Render one result in the selected format and write it out.
 
+    Every format is written as text chunks, joined into batches of
+    `_EMIT_BATCH` chunks as they are made, so a long output is never held
+    whole, and a reader that closes stdout early meets a later write.
     `payload` is a dict, or, from `chains enumerate`, the text chunks of its
-    json rendering, which are written in batches as they are made, so the
-    whole text is never held at once.  A dict is rendered by `_json_text`,
-    byte for byte `json.dumps(payload, indent=2)` plus a newline: it may hold
-    only str, int, bool, None, lists, tuples and dicts with str keys, and any
-    other value (a float, a Fraction, an int key) raises TypeError.  `table`
-    is the text or an iterable of its lines; `csv_rows` defaults to one
-    header row and one value row taken from the flat payload.  Only the
-    selected rendering is consumed.
+    json rendering.  A dict is rendered by `_json_text`, byte for byte
+    `json.dumps(payload, indent=2)` plus a newline: it may hold only str,
+    int, bool, None, lists, tuples and dicts with str keys, and any other
+    value (a float, a Fraction, an int key) raises TypeError.  `table` is the
+    text, or an iterable of its lines, at least one and none ending in a
+    newline, each sent as one chunk with its newline.  `csv_rows` defaults
+    to one header row and one value row taken from the flat payload; each
+    row is one chunk.  Only the selected rendering is consumed.
     """
     if fmt == "json":
         chunks = [_json_text(payload) + "\n"] if isinstance(payload, dict) else payload
@@ -134,14 +137,13 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
             cells = [json.dumps(v) if isinstance(v, (list, dict)) else v
                      for v in payload.values()]
             csv_rows = [list(payload), cells]
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-        chunks = [buf.getvalue()]
+        # writerow returns what the file's write returns: here the row's text
+        echo = types.SimpleNamespace(write=lambda text: text)
+        chunks = map(csv.writer(echo, lineterminator="\n").writerow, csv_rows)
+    elif isinstance(table, str):
+        chunks = [table if table.endswith("\n") else table + "\n"]
     else:
-        text = table if isinstance(table, str) else "\n".join(table)
-        if not text.endswith("\n"):
-            text += "\n"
-        chunks = [text]
+        chunks = (line + "\n" for line in table)
     chunks = iter(chunks)
     batches = iter(lambda: "".join(itertools.islice(chunks, _EMIT_BATCH)), "")
     if out_path is not None:

@@ -26,16 +26,19 @@ parametrized by A composed with that of the diagonal, so the conic is held as
 A alone: a curve meets it where its pullback through the three quadratic
 forms (a_i0, 2 a_i1, a_i2) of A's rows vanishes.
 
-Representation.  Forms and curves hold integer coefficients over one
-positive common denominator in lowest terms, a canonical form, so equality
-and hashing are exact; rational coefficients are read back through
-`.coeffs`.  All arithmetic runs on plain integers.  Products, powers,
-substitutions, the Wronskian and the conic pullback run packed (Kronecker
-substitution; Harvey 2009): a coefficient list c becomes the one integer
-sum_i c_i 2^(B i), so a polynomial product is one big-int product, and the
-result is read back as balanced base-2^B digits.  B is one sign bit above a
-bound on the result's coefficients proved where it is used; a carry left
-above the top slot raises InvariantViolation.  Squarefreeness and
+Representation.  Forms and curves hold integer coefficients only.  A g^1_k
+is projective: scaling a form or a curve changes none of the invariants
+checked here (proportionality, squarefreeness, root and intersection counts,
+the wedge curve up to the same scale), so integers stand for every case, and
+equality and hashing are exact.  A coefficient that is not an int, a
+Fraction or a string such as "1/2" included, raises TypeError; only the
+pointwise evaluators `eval_proj` and `evaluate` take exact rational points.
+Products, substitutions, the Wronskian and the conic pullback run packed
+(Kronecker substitution; Harvey 2009): a coefficient list c becomes the one
+integer sum_i c_i 2^(B i), so a polynomial product is one big-int product,
+and the result is read back as balanced base-2^B digits.  B is one sign bit
+above a bound on the result's coefficients proved where it is used; a carry
+left above the top slot raises InvariantViolation.  Squarefreeness and
 distinct-root counts come from the degree of gcd(a, a') together with
 degree-drop bookkeeping at infinity.  That degree is first certified to be
 0 by fraction-free Euclid mod the prime 2^30 - 35, if it divides neither
@@ -51,7 +54,7 @@ Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import InvariantViolation
 
@@ -76,31 +79,23 @@ __all__ = [
 # -- integer coefficient lists (index = power)
 
 
-def _over_common_den(values) -> tuple[list[int], int]:
-    """Integer numerators over the least common positive denominator.
+def _int(v) -> int:
+    """v itself if it is an int; anything else is refused by name."""
+    if type(v) is not int:
+        raise TypeError(f"need integers, got the {type(v).__name__} {v!r}")
+    return v
+
+
+def _exact(values) -> list[Fraction]:
+    """Exact rational coordinates of a point.
 
     A float is refused: Fraction(0.1) is the binary rational nearest 0.1,
     with denominator 2^55, not 1/10.
     """
-    values = list(values)
-    if all(type(v) is int for v in values):
-        return values, 1
     for v in values:
         if isinstance(v, float):
             raise TypeError(f"need exact numbers, got the float {v!r}")
-    qs = [Fraction(v) for v in values]
-    den = lcm(*(q.denominator for q in qs))
-    return [q.numerator * (den // q.denominator) for q in qs], den
-
-
-def _lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
-    """Cancel the common factor of integer numerators and a positive den."""
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [x // g for x in nums]
-            den //= g
-    return tuple(nums), den
+    return [Fraction(v) for v in values]
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -249,63 +244,42 @@ def _gcd_degree(a: list[int], b: list[int]) -> int:
 class BinaryForm:
     """A binary form at a declared degree bound.
 
-    coeffs[i] = nums[i] / den multiplies x0^(bound-i) x1^i; den > 0 and the
-    fraction is in lowest terms.  A zero tail means roots at infinity with
-    multiplicity bound - affine_degree.
+    coeffs[i] is the integer coefficient of x0^(bound-i) x1^i.  A zero tail
+    means roots at infinity with multiplicity bound - affine_degree.
     """
 
     bound: int
-    nums: tuple[int, ...]
-    den: int
+    coeffs: tuple[int, ...]
 
     def __init__(self, bound: int, coeffs):
         if bound < 0:
             raise ValueError(f"need bound >= 0, got {bound}")
-        nums, den = _over_common_den(coeffs)
-        if len(nums) != bound + 1:
+        coeffs = tuple(map(_int, coeffs))
+        if len(coeffs) != bound + 1:
             raise ValueError(
-                f"degree bound {bound} needs {bound + 1} coefficients, got {len(nums)}"
+                f"degree bound {bound} needs {bound + 1} coefficients, got {len(coeffs)}"
             )
-        self._set(bound, nums, den)
+        self._set(bound, coeffs)
 
     @classmethod
-    def _make(cls, bound: int, nums, den: int = 1) -> "BinaryForm":
-        """Construct from bound + 1 integer numerators over a positive den."""
+    def _make(cls, bound: int, coeffs) -> "BinaryForm":
+        """Construct from bound + 1 integers, unchecked."""
         self = object.__new__(cls)
-        self._set(bound, nums, den)
+        self._set(bound, coeffs)
         return self
 
-    def _set(self, bound: int, nums, den: int) -> None:
-        nums, den = _lowest_terms(nums, den)
+    def _set(self, bound: int, coeffs) -> None:
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
-    @classmethod
-    def from_affine(cls, coeffs, bound: int) -> "BinaryForm":
-        """Homogenize an affine coefficient list at the given bound."""
-        cs = list(coeffs)
-        if len(cs) > bound + 1:
-            raise ValueError(f"affine degree {len(cs) - 1} exceeds bound {bound}")
-        cs += [0] * (bound + 1 - len(cs))
-        return cls(bound, cs)
-
-    @classmethod
-    def zero(cls, bound: int) -> "BinaryForm":
-        return cls(bound, [0] * (bound + 1))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not any(self.coeffs)
 
     @property
     def affine_degree(self) -> int:
         """Degree of the affine part; -1 for the zero form."""
-        return len(_trim(list(self.nums))) - 1
+        return len(_trim(list(self.coeffs))) - 1
 
     @property
     def infinity_multiplicity(self) -> int:
@@ -316,45 +290,34 @@ class BinaryForm:
 
     def eval_proj(self, x0, x1) -> Fraction:
         """Evaluate at the projective point (x0 : x1), exactly."""
-        (p0, p1), den = _over_common_den((x0, x1))
-        return Fraction(_horner(self.nums, p0, p1), den**self.bound * self.den)
+        return Fraction(_horner(self.coeffs, *_exact((x0, x1))))
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        return BinaryForm._make(
-            self.bound + other.bound, _mul(self.nums, other.nums), self.den * other.den
-        )
-
-    def power(self, n: int) -> "BinaryForm":
-        """self^n for n >= 0; each coefficient is at most ||nums||_1^n."""
-        if n < 0:
-            raise ValueError(f"need n >= 0, got n={n}")
-        bound = n * self.bound
-        width = _width(sum(map(abs, self.nums)) ** n)
-        out = _unpack(_pack(self.nums, width) ** n, width, bound + 1)
-        return BinaryForm._make(bound, out, self.den**n)
+        return BinaryForm._make(self.bound + other.bound, _mul(self.coeffs, other.coeffs))
 
     def substitute(self, a, b, c, d) -> "BinaryForm":
-        """Apply (x0, x1) -> (a x0 + b x1, c x0 + d x1); needs ad - bc != 0.
+        """Apply (x0, x1) -> (a x0 + b x1, c x0 + d x1) for integers with
+        ad - bc != 0.
 
         Homogeneous Horner on the packed linear forms; each coefficient of
         sum_i c_i (a + b z)^(n-i) (c + d z)^i is at most
         sum_i |c_i| max(|a| + |b|, |c| + |d|)^n.
         """
-        (a, b, c, d), scale = _over_common_den((a, b, c, d))
+        a, b, c, d = map(_int, (a, b, c, d))
         if a * d - b * c == 0:
             raise ValueError("substitution matrix is singular")
-        n, nums = self.bound, self.nums
+        n, cs = self.bound, self.coeffs
         norm = max(abs(a) + abs(b), abs(c) + abs(d))
-        width = _width(sum(map(abs, nums)) * norm**n)
-        value = _horner(nums, _pack((a, b), width), _pack((c, d), width))
-        return BinaryForm._make(n, _unpack(value, width, n + 1), self.den * scale**n)
+        width = _width(sum(map(abs, cs)) * norm**n)
+        value = _horner(cs, _pack((a, b), width), _pack((c, d), width))
+        return BinaryForm._make(n, _unpack(value, width, n + 1))
 
 
 def proportional(u: BinaryForm, v: BinaryForm) -> bool:
     """True iff u = c*v for a nonzero scalar c (zero ~ zero only)."""
     if u.bound != v.bound:
         raise ValueError("cannot compare forms at different bounds")
-    a, b = u.nums, v.nums
+    a, b = u.coeffs, v.coeffs
     pivot = next((i for i, x in enumerate(a) if x), None)
     if pivot is None or not b[pivot]:
         return pivot is None and not any(b)
@@ -368,7 +331,7 @@ def is_squarefree(form: BinaryForm) -> bool:
         return False
     if form.infinity_multiplicity >= 2:
         return False
-    a = _trim(list(form.nums))
+    a = _trim(list(form.coeffs))
     if len(a) <= 1:
         return True
     return _gcd_degree(a, _deriv(a)) <= 0
@@ -378,7 +341,7 @@ def distinct_root_count(form: BinaryForm) -> int:
     """Number of distinct projective roots (degree of the squarefree part)."""
     if form.is_zero:
         raise ValueError("the zero form has no root divisor")
-    a = _trim(list(form.nums))
+    a = _trim(list(form.coeffs))
     at_infinity = 1 if len(a) <= form.bound else 0
     if len(a) <= 1:
         return at_infinity
@@ -414,96 +377,76 @@ class Pencil:
 class SymPlaneCurve:
     """A plane curve of declared degree in the coordinates (e0 : e1 : e2).
 
-    Coefficients are stored sparsely as sorted ((a, b, c), numerator) terms
-    with a+b+c equal to the degree, over one positive common denominator in
-    lowest terms; zero entries are dropped.
+    Coefficients are stored sparsely as sorted ((a, b, c), integer) terms
+    with a+b+c equal to the degree; zero entries are dropped.
     """
 
     degree: int
     terms: tuple[tuple[tuple[int, int, int], int], ...]
-    den: int
 
     def __init__(self, degree: int, coeffs):
         if degree < 0:
             raise ValueError(f"need degree >= 0, got {degree}")
         items = coeffs.items() if isinstance(coeffs, dict) else tuple(coeffs)
-        expos, values = [], []
+        store: dict[tuple[int, int, int], int] = {}
         for expo, value in items:
             a, b, c = expo
             if a < 0 or b < 0 or c < 0 or a + b + c != degree:
                 raise ValueError(f"exponent {expo} is not of total degree {degree}")
-            expos.append((a, b, c))
-            values.append(value)
-        nums, den = _over_common_den(values)
-        store: dict[tuple[int, int, int], int] = {}
-        for expo, v in zip(expos, nums):
-            store[expo] = store.get(expo, 0) + v
-        self._set(degree, store, den)
+            store[a, b, c] = store.get((a, b, c), 0) + _int(value)
+        self._set(degree, store)
 
     @classmethod
-    def _make(cls, degree: int, store: dict, den: int = 1) -> "SymPlaneCurve":
-        """Construct from {(a, b, c): integer numerator} over a positive den."""
+    def _make(cls, degree: int, store: dict) -> "SymPlaneCurve":
+        """Construct from {(a, b, c): integer coefficient}, unchecked."""
         self = object.__new__(cls)
-        self._set(degree, store, den)
+        self._set(degree, store)
         return self
 
-    def _set(self, degree: int, store: dict, den: int) -> None:
-        expos = sorted(e for e, v in store.items() if v)
-        nums, den = _lowest_terms([store[e] for e in expos], den)
+    def _set(self, degree: int, store: dict) -> None:
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", tuple(zip(expos, nums)))
-        object.__setattr__(self, "den", den)
-
-    @property
-    def coeffs(self) -> tuple[tuple[tuple[int, int, int], Fraction], ...]:
-        return tuple((e, Fraction(v, self.den)) for e, v in self.terms)
+        object.__setattr__(self, "terms", tuple(sorted(t for t in store.items() if t[1])))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, a: int, b: int, c: int) -> Fraction:
-        return Fraction(dict(self.terms).get((a, b, c), 0), self.den)
-
     def _rows(self) -> list[list[int]]:
-        """Numerators by power c of e2: rows[c][b] is the e0^(d-c-b) e1^b e2^c term."""
+        """Coefficients by power c of e2: rows[c][b] is the e0^(d-c-b) e1^b e2^c term."""
         d = self.degree
         rows = [[0] * (d - c + 1) for c in range(d + 1)]
         for (_, b, c), v in self.terms:
             rows[c][b] = v
         return rows
 
-    def _numerator_at(self, e0: int, e1: int, e2: int) -> int:
-        """den times the value at an integer point, by Horner in e2 over the rows."""
+    def _value_at(self, e0, e1, e2):
+        """The value at a point, by Horner in e2 over the rows."""
         acc = 0
         for row in reversed(self._rows()):
             acc = acc * e2 + _horner(row, e0, e1)
         return acc
 
     def evaluate(self, e0, e1, e2) -> Fraction:
-        (p0, p1, p2), den = _over_common_den((e0, e1, e2))
-        return Fraction(self._numerator_at(p0, p1, p2), den**self.degree * self.den)
+        return Fraction(self._value_at(*_exact((e0, e1, e2))))
 
     def pullback(self, f0: BinaryForm, f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
         """Substitute binary forms of a common bound for (e0, e1, e2).
 
-        Numerator lists m0, m1, m2 over one common denominator are packed at
-        X = 2^B, the nested Horner scheme of `_numerator_at` runs on the three
-        integers, and the result is unpacked once.  The result's numerator is
-        sum v m0^a m1^b m2^c over the terms; the l1 norm is submultiplicative
-        and bounds every coefficient, so each coefficient is at most
+        Their coefficient lists m0, m1, m2 are packed at X = 2^B, the nested
+        Horner scheme of `_value_at` runs on the three integers, and the
+        result is unpacked once.  The result is sum v m0^a m1^b m2^c over the
+        terms; the l1 norm is submultiplicative and bounds every coefficient,
+        so each coefficient is at most
         sum |v| max(||m0||_1, ||m1||_1, ||m2||_1)^d, and B is sized for that.
         """
         if not f0.bound == f1.bound == f2.bound:
             raise ValueError("pullback forms must share a degree bound")
         d, bound = self.degree, self.degree * f0.bound
-        den = lcm(f0.den, f1.den, f2.den)
-        ms = [[x * (den // f.den) for x in f.nums] for f in (f0, f1, f2)]
+        ms = (f0.coeffs, f1.coeffs, f2.coeffs)
         norm = max(sum(map(abs, m)) for m in ms)
         width = _width(sum(abs(v) for _, v in self.terms) * norm**d)
-        value = self._numerator_at(*(_pack(m, width) for m in ms))
-        out = _unpack(value, width, bound + 1)
-        return BinaryForm._make(bound, out, self.den * den**d)
+        value = self._value_at(*(_pack(m, width) for m in ms))
+        return BinaryForm._make(bound, _unpack(value, width, bound + 1))
 
 
 def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
@@ -519,7 +462,7 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
     (((0, 2, 0), 1), ((1, 0, 1), -1))
     """
     k = pencil.k
-    a, b = pencil.f.nums, pencil.g.nums
+    a, b = pencil.f.coeffs, pencil.g.coeffs
     store: dict[tuple[int, int, int], int] = {}
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
@@ -531,7 +474,7 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
                 key = (k - j + l, n - 2 * l, i + l)
                 c = comb(n - l, l) * w
                 store[key] = store.get(key, 0) + (c if l % 2 else -c)
-    curve = SymPlaneCurve._make(k - 1, store, pencil.f.den * pencil.g.den)
+    curve = SymPlaneCurve._make(k - 1, store)
     if curve.is_zero:
         raise InvariantViolation("wedge curve vanished for a valid pencil")
     return curve
@@ -544,7 +487,7 @@ def wronskian(pencil: Pencil) -> BinaryForm:
     |g'_j| <= k max|g|, so it is at most k^2 max|f| max|g|, and so is an
     entry of f' g; the width bounds their difference.
     """
-    f, g = pencil.f.nums, pencil.g.nums
+    f, g = pencil.f.coeffs, pencil.g.coeffs
     k, bound = pencil.k, 2 * pencil.k - 2
     width = _width(2 * k * k * max(map(abs, f)) * max(map(abs, g)))
     value = (
@@ -554,7 +497,7 @@ def wronskian(pencil: Pencil) -> BinaryForm:
     # both products have bound + 2 entries; the top ones cancel, so nothing
     # is left above the bound + 1 slots that _unpack reads
     w = _unpack(value, width, bound + 1)
-    return BinaryForm._make(bound, w, pencil.f.den * pencil.g.den)
+    return BinaryForm._make(bound, w)
 
 
 def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
@@ -570,17 +513,16 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
     out = [0] * (2 * curve.degree + 1)
     for (_, b, c), v in curve.terms:
         out[b + 2 * c] += v << b
-    return BinaryForm._make(2 * curve.degree, out, curve.den)
+    return BinaryForm._make(2 * curve.degree, out)
 
 
 def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
     """Where det(x, y) = (x - y) curve(x, y) fails as polynomials, or None.
 
     With x = (x0 : x1), y = (y0 : y1) and det = f(x) g(y) - g(x) f(y), the
-    check is den det == scale (x1 y0 - x0 y1) M on P^1 x P^1, coefficient by
-    coefficient, where den is the curve's denominator, scale = f.den g.den and
-    M is the curve's numerator at (e0, e1, e2) = (x0 y0, x1 y0 + x0 y1, x1 y1),
-    expanded term by term as e0^a e1^b e2^c =
+    check is det == (x1 y0 - x0 y1) M on P^1 x P^1, coefficient by
+    coefficient, where M is the curve at
+    (e0, e1, e2) = (x0 y0, x1 y0 + x0 y1, x1 y1), expanded term by term as e0^a e1^b e2^c =
     sum_s C(b, s) x0^(a+s) x1^(b-s+c) y0^(a+b-s) y1^(s+c).  Both sides are
     antisymmetric in x and y, so only the pairs i < j of powers (x1^i, y1^j)
     are compared, i before j in lexicographic order; the first that differs is
@@ -604,13 +546,12 @@ def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
     for (_, b, c), v in curve.terms:
         for s, bs in enumerate(binoms[b]):
             m[b - s + c][s + c] += bs * v
-    f, g = pencil.f.nums, pencil.g.nums
-    den, scale = curve.den, pencil.f.den * pencil.g.den
+    f, g = pencil.f.coeffs, pencil.g.coeffs
     # the x1^i y1^j coefficient of (x1 y0 - x0 y1) M is m[i-1][j] - m[i][j-1]
     for i in range(k):
         fi, gi, up, here = f[i], g[i], m[i - 1], m[i]
         for j in range(i + 1, k + 1):
-            if den * (fi * g[j] - gi * f[j]) != scale * (up[j] - here[j - 1]):
+            if fi * g[j] - gi * f[j] != up[j] - here[j - 1]:
                 return f"at x1^{i} y1^{j}"
     return None
 
@@ -685,9 +626,9 @@ def random_pencil(k: int, rng: random.Random) -> Pencil:
 
 
 def _forms_coprime(f: BinaryForm, g: BinaryForm) -> bool:
-    if f.nums[-1] == 0 and g.nums[-1] == 0:
+    if f.coeffs[-1] == 0 and g.coeffs[-1] == 0:
         return False  # common root at infinity
-    return _gcd_degree(_trim(list(f.nums)), _trim(list(g.nums))) <= 0
+    return _gcd_degree(_trim(list(f.coeffs)), _trim(list(g.coeffs))) <= 0
 
 
 def random_coprime_pencil(k: int, rng: random.Random) -> Pencil:

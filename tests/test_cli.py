@@ -323,13 +323,18 @@ def test_stdout_encoding_error_names_the_encoding(encoding):
     assert named and codecs.lookup(named[1]).name == codecs.lookup(encoding).name
 
 
-@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
-def test_closed_stdout_pipe_is_an_error_not_a_traceback(encoding):
+@pytest.mark.parametrize("encoding, fmt", [
+    # the json cases are named by the encoding alone
+    pytest.param(encoding, fmt, id=encoding if fmt == "json" else f"{encoding}-{fmt}")
+    for fmt in cli.FORMATS for encoding in ("utf-8", "ascii")
+])
+def test_closed_stdout_pipe_is_an_error_not_a_traceback(encoding, fmt):
     # `| head -c 10`: the reader takes 10 bytes and closes the pipe; the
-    # output, about 1.9 MB in several batches, cannot all fit in the pipe's
-    # buffer, so a later write fails; on an ASCII stdout it goes to the buffer
+    # output, 0.3 MB of table or CSV or 1.9 MB of json, goes out in several
+    # batches and cannot all fit in the pipe's buffer, so a later write
+    # fails; on an ASCII stdout it goes to the buffer
     proc = subprocess.Popen(
-        [sys.executable, "-m", "k3gonal", "--format", "json", "chains", "enumerate",
+        [sys.executable, "-m", "k3gonal", "--format", fmt, "chains", "enumerate",
          "-p", "40", "-k", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
