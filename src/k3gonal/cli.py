@@ -23,13 +23,13 @@ downgrades to a warning).
 
 `cli` is the command table: each leaf is registered once, with its
 callback, its options and its docstring as help, and one stdlib argparse
-tree is built from it at import.  `main` parses a well-formed command
-(root flags with values the root accepts, a leaf's two names, then only what
-that leaf accepts) once, with that leaf's parser in the tree; anything else,
-such as help at the root or a group, an unknown command or a leftover
-argument, goes through the whole tree.  The messages are the same either
-way.  A callback returns (payload, table[,
-csv_rows]), which `_emit` renders in the selected format.
+tree is built from it at import.  `main` reads a well-formed command (root
+flags, a leaf's two names, then exact flags and values of that leaf) straight
+from the Actions of that tree, without running argparse; anything else, such
+as help, an unknown command, a leftover argument or a bad value, goes
+through the whole tree, which prints its help or usage error.  A callback
+returns (payload, table[, csv_rows]), which `_emit` renders in the selected
+format.
 """
 
 import argparse
@@ -38,6 +38,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 import types
 from fractions import Fraction
@@ -580,28 +581,78 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _output_flags(parser, fmt, out) -> None:
-    parser.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt,
-                        help="Output format (default: table).")
-    parser.add_argument("--out", type=_out_path, default=out, metavar="FILE",
-                        help="Write output to FILE instead of stdout.")
+def _output_flags(parser, fmt, out) -> list:
+    """Add --format and --out to `parser`; return their Actions."""
+    return [
+        parser.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt,
+                            help="Output format (default: table)."),
+        parser.add_argument("--out", type=_out_path, default=out, metavar="FILE",
+                            help="Write output to FILE instead of stdout."),
+    ]
 
 
-# each leaf's own parser in the tree, keyed by its two names
-_LEAF_PARSERS = {}
+# a value with a leading dash that every release from 3.10 on reads as a
+# negative number, and so as a value; any other, such as -5_0 (a number in
+# some releases only) or -٣ (non-ASCII digits), is left to the tree
+_NEGATIVE = re.compile(r"-[0-9]+")
+
+
+class _Syntax:
+    """The options of one parser in the tree, read from the Actions that
+    `add_argument` returned: each takes one value (nargs None), passed
+    through its type and checked against its choices, or none (nargs 0) and
+    stores its const."""
+
+    def __init__(self, actions, **defaults):
+        self.actions = {flag: action for action in actions for flag in action.option_strings}
+        self.defaults = {action.dest: action.default for action in actions
+                         if not action.required and action.default is not argparse.SUPPRESS}
+        self.defaults.update(defaults)
+        self.required = {action.dest for action in actions if action.required}
+
+    def read(self, argv: list[str], i: int, args: dict) -> int | None:
+        """Read options from argv[i:] into `args` up to the first token that
+        is no flag of this parser, and return its index; None if a value is
+        missing, refused by its type or choices, or has a leading dash and
+        is not a plain negative number."""
+        while i < len(argv):
+            action = self.actions.get(argv[i])
+            if action is None:
+                break
+            if action.nargs == 0:
+                args[action.dest] = action.const
+                i += 1
+                continue
+            if i + 1 == len(argv):
+                return None
+            text = argv[i + 1]
+            if text[:1] == "-" and not _NEGATIVE.fullmatch(text):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            args[action.dest] = value
+            i += 2
+        return i
+
+
+# the options of each leaf's parser in the tree, keyed by its two names
+_LEAVES = {}
 
 
 def _add_node(parser, node, path=()) -> None:
     """Add the flags and subcommands of the table node `node` at `path` to `parser`."""
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     if isinstance(node, _Leaf):
-        for flag, kwargs in node.options:
-            parser.add_argument(flag, **kwargs)
+        actions = [parser.add_argument(flag, **kwargs) for flag, kwargs in node.options]
         # trailing copies of the root's flags, set only when given, so the
         # later one wins
-        _output_flags(parser, argparse.SUPPRESS, argparse.SUPPRESS)
+        actions += _output_flags(parser, argparse.SUPPRESS, argparse.SUPPRESS)
         parser.set_defaults(leaf=node)
-        _LEAF_PARSERS[path] = parser
+        _LEAVES[path] = _Syntax(actions, leaf=node)
         return
     # a metavar, without which Python 3.10 fails to name a missing command
     subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
@@ -614,34 +665,36 @@ def _add_node(parser, node, path=()) -> None:
 _PARSER = argparse.ArgumentParser(
     prog="k3gonal", description=cli.help, add_help=False, allow_abbrev=False
 )
-_output_flags(_PARSER, "table", None)
+_ROOT = _Syntax(_output_flags(_PARSER, "table", None))
 _add_node(_PARSER, cli)
 
 
 def _parse(argv: list[str]) -> dict:
-    """The options of `argv`, as the whole tree would parse them."""
-    # skip the root flags whose values the root accepts and no parser reads as a flag
-    i = 0
-    while i + 1 < len(argv) and (
-        argv[i] == "--format" and argv[i + 1] in FORMATS
-        or argv[i] == "--out" and argv[i + 1][:1] not in ("", "-")
-    ):
-        i += 2
-    parser = _LEAF_PARSERS.get(tuple(argv[i:i + 2]))
-    # `--` is left to the tree, so that no release's handling of it in the
-    # group parsers has to be matched
-    if parser is not None and "--" not in argv:
-        # the root flags go first, so a trailing copy still wins
-        args, extra = parser.parse_known_args(argv[:i] + argv[i + 2:])
-        if not extra:
-            return {"fmt": "table", "out": None, **vars(args)}
+    """The options of `argv`, as the whole tree parses them.
+
+    A well-formed command is read from the command table alone: root
+    --format/--out pairs, a leaf's two names, then only that leaf's options
+    and trailing --format/--out, each an exact flag and its own value or a
+    bare flag, the last copy winning, with every required option given.
+    Anything else, such as help, an unknown or joined token, `--`, a missing
+    or bad value or a missing option, goes to the whole tree, which prints
+    its help or usage error.
+    """
+    args = dict(_ROOT.defaults)
+    i = _ROOT.read(argv, 0, args)
+    leaf = None if i is None else _LEAVES.get(tuple(argv[i:i + 2]))
+    if leaf is not None:
+        args.update(leaf.defaults)
+        if leaf.read(argv, i + 2, args) == len(argv) and args.keys() >= leaf.required:
+            return args
     return vars(_PARSER.parse_args(argv))
 
 
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping.  `argv` defaults to
-    `sys.argv[1:]`; a command is parsed once, by its leaf's own parser, which
-    reports that leaf's usage errors, and anything else by the whole tree."""
+    `sys.argv[1:]`; a well-formed command is read from the command table, and
+    anything else is parsed by the whole tree, which reports every help and
+    usage error."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:

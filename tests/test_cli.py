@@ -707,7 +707,39 @@ def test_leaf_bytes_pinned(capsys, tmp_path, command, fmt):
 
 
 def test_leaf_parsers_cover_every_command():
-    assert {" ".join(path) for path in cli._LEAF_PARSERS} == set(_leaf_names(cli.cli))
+    assert {" ".join(path) for path in cli._LEAVES} == set(_leaf_names(cli.cli))
+
+
+@pytest.mark.parametrize("command", LEAF_CASES)
+def test_well_formed_commands_need_no_argparse(capsys, monkeypatch, tmp_path, command):
+    # every pinned command, with leading, trailing and repeated --format and
+    # --out, is read from the command table alone: a fast path that declined
+    # one would still give the right bytes, only through the tree
+    def refuse(argv):
+        raise AssertionError(f"the tree parsed {argv}")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    argv = command.split()
+    target, unused = tmp_path / "result", str(tmp_path / "unused")
+    for fmt in FORMATS:
+        other = "json" if fmt == "table" else "table"
+        for flags in (
+            ["--format", fmt, *argv],
+            [*argv, "--format", fmt],
+            ["--format", other, "--format", fmt, *argv],
+            ["--format", other, *argv, "--format", other, "--format", fmt],
+            ["--out", unused, "--format", fmt, "--out", str(target), *argv],
+            ["--out", unused, *argv, "--out", unused, "--format", fmt, "--out", str(target)],
+        ):
+            code, text, err = run(capsys, *flags)
+            assert (code, err) == (0, "")
+            data = text.encode()
+            if "--out" in flags:
+                assert text == ""
+                data = target.read_bytes()
+                target.unlink()
+            assert hashlib.sha256(data).hexdigest() == LEAF_SHA256[command, fmt]
+    assert not os.path.exists(unused)
 
 
 _OUT = "result"
@@ -717,6 +749,10 @@ _ARG_PIECES = [
     ["--format=json"], ["--format"],
     ["--out", _OUT], ["--out", ""], ["--out", "-"], [f"--out={_OUT}"], ["--out"],
     ["--"], ["--help"], ["-p9"], ["-k=3"], ["-5"], ["--ver"], ["--bogus"],
+    # the edges of what the command table reads: dashed, underscored,
+    # non-ASCII, padded and empty values, repeated flags, a dashed --alpha
+    ["-p"], ["-p", "9"], ["-p", "-5"], ["-5_0"], ["5_0"], ["٣"], ["-٣"], [" 7"], [""],
+    ["--verify"], ["--alpha", "-12"], ["--alpha", "-1:2"],
 ]
 _PIECE_LISTS = st.lists(st.sampled_from(_ARG_PIECES), max_size=3).map(
     lambda pieces: [arg for piece in pieces for arg in piece]
@@ -735,10 +771,26 @@ def _tree_parse(argv):
 
 
 @given(argv=_ARGVS)
-# parsed by the leaf: root flags, repeated root and trailing flags
+# read from the command table: root flags, repeated root, trailing and leaf
+# flags, a plain negative number, and values that int() reads
 @example(argv=["--format", "csv", "--out", _OUT, "--format", "json", *_CONE, "--format", "table"])
-@example(argv=[*_CONE, "-p9", "-k=3", f"--out={_OUT}"])
 @example(argv=["--out", "hilb", *_CONE])
+@example(argv=["--out", "-5", *_CONE])
+@example(argv=["hilb", "cone", "-p", "8", "-p", "9", "-k", "2"])
+@example(argv=["gonality", "delta0", "-p", "9", "-k", "4", "--verify", "--verify"])
+@example(argv=[*_CONE, "-p", "-5"])
+@example(argv=[*_CONE, "-p", "5_0"])
+@example(argv=[*_CONE, "-p", "٣"])
+@example(argv=[*_CONE, "-p", " 7"])
+@example(argv=["chains", "stable", "-p", "8", "-k", "2", "--alpha", "-12"])
+# through the tree: a joined flag and value, a value that is empty, no int,
+# or dashed and no plain negative number, and a missing required option
+@example(argv=[*_CONE, "-p9", "-k=3", f"--out={_OUT}"])
+@example(argv=[*_CONE, "-p", ""])
+@example(argv=[*_CONE, "-p", "-5_0"])
+@example(argv=[*_CONE, "-p", "-٣"])
+@example(argv=["chains", "stable", "-p", "8", "-k", "2", "--alpha", "-1:2"])
+@example(argv=["hilb", "cone", "-p", "8"])
 # through the tree: a leftover argument, an unknown or partial path
 @example(argv=[*_CONE, "--bogus"])
 @example(argv=["gonality", "delta0", "-p", "9", "-k", "4", "--ver"])
@@ -746,13 +798,12 @@ def _tree_parse(argv):
 @example(argv=["--format", "json", "hilb"])
 @example(argv=[])
 # through the tree: a root flag in one token, or a root value that is no
-# format, is empty, starts with a dash or is missing
+# format, is empty, is a dash or a flag, or is missing
 @example(argv=["--format=json", *_CONE])
 @example(argv=[f"--out={_OUT}", *_CONE])
 @example(argv=["--format", "xml", *_CONE])
 @example(argv=["--out", "", *_CONE])
 @example(argv=["--out", "-", *_CONE])
-@example(argv=["--out", "-5", *_CONE])
 @example(argv=["--out", "--help", *_CONE])
 @example(argv=["--format", *_CONE])
 # through the tree: help at the root or a group, and `--`
