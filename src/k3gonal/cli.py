@@ -50,7 +50,7 @@ from .hilbert import rat_str
 
 __all__ = ["cli", "main"]
 
-# `hilb scan` holds every row in memory until it renders them
+# `hilb scan` holds one tuple per row until it renders them
 SCAN_MAX_ROWS = 10**5
 # `hilb qvalues` builds one value per candidate of hilbert.q_candidate_count
 QVALUES_MAX_VALUES = 10**5
@@ -121,15 +121,16 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
     Every format is written as text chunks, joined into batches of
     `_EMIT_BATCH` chunks as they are made, so a long output is never held
     whole, and a reader that closes stdout early meets a later write.
-    `payload` is a dict, or, from `chains enumerate`, the text chunks of its
-    json rendering.  A dict is rendered by `_json_text`, byte for byte
-    `json.dumps(payload, indent=2)` plus a newline: it may hold only str,
-    int, bool, None, lists, tuples and dicts with str keys, and any other
-    value (a float, a Fraction, an int key) raises TypeError.  `table` is the
-    text, or an iterable of its lines, at least one and none ending in a
-    newline, each sent as one chunk with its newline.  `csv_rows` defaults
-    to one header row and one value row taken from the flat payload; each
-    row is one chunk.  Only the selected rendering is consumed.
+    `payload` is a dict, or, from `chains enumerate` or `hilb scan`, the
+    text chunks of its json rendering.  A dict is rendered by `_json_text`,
+    byte for byte `json.dumps(payload, indent=2)` plus a newline: it may hold
+    only str, int, bool, None, lists, tuples and dicts with str keys, and any
+    other value (a float, a Fraction, an int key) raises TypeError.
+    `table` is the text, or an iterable of its lines, at least one and none
+    ending in a newline, each sent as one chunk with its newline.
+    `csv_rows` defaults to one header row and one value row taken from the
+    flat payload; each row is one chunk.  Only the selected rendering is
+    consumed.
     """
     if fmt == "json":
         chunks = [_json_text(payload) + "\n"] if isinstance(payload, dict) else payload
@@ -467,21 +468,24 @@ def hilb_q(p, k, delta):
 @hilb.command("cone", _P, _K)
 def hilb_cone(p, k):
     """Cone bound tau(p, k) and the optimal class behind it."""
-    t = hilbert.tau(p, k)
     opt = hilbert.optimal_class(p, k)
+    # optimal_class has checked that y = g+k-1 at delta0, so delta0 = p+k-1-y;
+    # tau is hilbert.tau's 2(p-1)/y on the same class
+    t = Fraction(2 * (p - 1), opt.y)
+    q = opt.q
     payload = {
         "p": p,
         "k": k,
         "tau": rat_str(t),
         "optimal_class": opt.to_payload(),
-        "delta0": gonality.delta0(p, k),
-        "q_optimal": rat_str(opt.q),
+        "delta0": p + k - 1 - opt.y,
+        "q_optimal": rat_str(q),
         "ample_necessary": "0 < t < tau",
         "nef_necessary": "0 <= t <= tau",
     }
     table = (
         f"tau = {_rat_table(t)}; optimal class {opt.display()} "
-        f"(q = {_rat_table(opt.q)})\n"
+        f"(q = {_rat_table(q)})\n"
         f"H - t*e_k ample only if 0 < t < tau, nef only if 0 <= t <= tau"
     )
     return payload, table
@@ -531,6 +535,37 @@ def hilb_rays(p, k):
     return report.to_payload(), table
 
 
+# the columns of a `hilb scan` row, in the order of its tuple
+_SCAN_KEYS = ("p", "k", "delta0", "g", "class", "q", "tau", "cone_status", "isotropic",
+              "lagrangian_ok", "primitive")
+
+
+def _scan_json(pmin: int, pmax: int, kmin: int, kmax: int, rows: list[tuple]):
+    """The json rendering of the `hilb scan` payload plus a newline, as text
+    chunks: the envelope's head, one chunk per row, its tail.  `rows` is
+    never empty: `hilb_scan` refuses an empty grid.
+
+    The envelope goes through `_json_text`; each row is then written from
+    one key prefix per column and the `_JSON_SCALARS` text of its value,
+    without a row dict.  The bytes are those of `_json_text` on the payload
+    whose rows are dicts keyed by `_SCAN_KEYS`.
+    """
+    envelope = _json_text({"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": []})
+    head, tail = envelope.rsplit("[]", 1)
+    line = "\n    "  # each row's own line
+    key = line + "  "  # its keys
+    keys = [key + encode_basestring_ascii(name) + ": " for name in _SCAN_KEYS]
+    prefixes = ["{" + keys[0], *("," + text for text in keys[1:])]
+    close = line + "}"
+    yield head + "["
+    sep = line
+    for row in rows:
+        yield sep + "".join([prefix + _JSON_SCALARS[type(value)](value)
+                             for prefix, value in zip(prefixes, row)]) + close
+        sep = "," + line
+    yield "\n  ]" + tail + "\n"
+
+
 @hilb.command("scan", _opt("--pmax", "Largest p."), _opt("--kmax", "Largest k."),
               _opt("--pmin", "Smallest p (default %(default)s).", default=2),
               _opt("--kmin", "Smallest k (default %(default)s).", default=2))
@@ -555,24 +590,13 @@ def hilb_scan(pmax, kmax, pmin, kmin):
             opt = hilbert.optimal_class(p, k)
             ray = hilbert.extremal_ray_status(p, k)
             lag = hilbert.lagrangian_report(p, k)
-            rows.append(
-                {
-                    "p": p,
-                    "k": k,
-                    "delta0": d0,
-                    "g": p - d0,
-                    "class": opt.display(),
-                    "q": rat_str(opt.q),
-                    "tau": rat_str(hilbert.tau(p, k)),
-                    "cone_status": ray.status,
-                    "isotropic": lag.has_isotropic,
-                    "lagrangian_ok": lag.necessary_condition_holds,
-                    "primitive": lag.primitive,
-                }
-            )
-    payload = {"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": rows}
-    grid = [list(rows[0]), *(row.values() for row in rows)]
-    return payload, ("\t".join(map(str, line)) for line in grid), grid
+            # the values of _SCAN_KEYS; ray.q is the q of opt
+            rows.append((p, k, d0, p - d0, opt.display(), rat_str(ray.q),
+                         rat_str(hilbert.tau(p, k)), ray.status, lag.has_isotropic,
+                         lag.necessary_condition_holds, lag.primitive))
+    table = ("\t".join(map(str, line)) for line in itertools.chain([_SCAN_KEYS], rows))
+    csv_rows = itertools.chain([_SCAN_KEYS], rows)
+    return _scan_json(pmin, pmax, kmin, kmax, rows), table, csv_rows
 
 
 def _out_path(text: str) -> str:

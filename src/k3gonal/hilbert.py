@@ -161,7 +161,8 @@ def optimal_class(p: int, k: int) -> CurveClass:
     """The gonality class at minimal delta, in closed form.
 
     y = (m+1)(k-1) + floor(p/(m+1)) above the delta0 = 0 regime, y = p+k-1
-    inside it; cross-checked against gonality_class(p, k, delta0(p, k)).
+    inside it; cross-checked against the GonalityCase(p, k, delta0(p, k)),
+    which must be admissible with y = g+k-1, so delta0 = p+k-1-y.
     """
     _check_pk(p, k)
     if p <= 2 * (k - 1):
@@ -169,13 +170,20 @@ def optimal_class(p: int, k: int) -> CurveClass:
     else:
         m = decompose(p, k).m
         y = (m + 1) * (k - 1) + floor_div(p, m + 1)
-    cls = CurveClass(p, k, 1, y)
-    direct = gonality_class(p, k, delta0(p, k))
-    if cls != direct:
+    d0 = delta0(p, k)
+    # a delta0 outside [0, p] has no GonalityCase, and is no admissible delta
+    case = GonalityCase(p, k, d0) if 0 <= d0 <= p else None
+    if case is None or not case.admissible:
         raise InvariantViolation(
-            f"optimal class closed form {cls} != gonality class at delta0 {direct}"
+            f"delta0={d0} is inadmissible at (p={p}, k={k}), "
+            f"so the optimal class y={y} is no gonality class"
         )
-    return cls
+    if y != case.g + k - 1:
+        raise InvariantViolation(
+            f"optimal class closed form y={y} != g+k-1 = {case.g + k - 1} "
+            f"at delta0={d0} (p={p}, k={k})"
+        )
+    return CurveClass(p, k, 1, y)
 
 
 def q_case(p: int, k: int, delta: int) -> Fraction:

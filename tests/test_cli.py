@@ -890,6 +890,88 @@ def test_chains_enumerate_bytes_match_payload_rendering(capsys, monkeypatch, tmp
     assert run(capsys, "--format", "csv", *argv) == (0, buf.getvalue(), "")
 
 
+def _scan_reference_rows(pmin, pmax, kmin, kmax):
+    """The rows of `hilb scan` as dicts, each value computed on its own."""
+    rows = []
+    for k in range(kmin, kmax + 1):
+        for p in range(pmin, pmax + 1):
+            d0 = gonality.delta0(p, k)
+            opt = hilbert.optimal_class(p, k)
+            lag = hilbert.lagrangian_report(p, k)
+            rows.append({
+                "p": p,
+                "k": k,
+                "delta0": d0,
+                "g": p - d0,
+                "class": opt.display(),
+                "q": rat_str(opt.q),
+                "tau": rat_str(hilbert.tau(p, k)),
+                "cone_status": hilbert.extremal_ray_status(p, k).status,
+                "isotropic": lag.has_isotropic,
+                "lagrangian_ok": lag.necessary_condition_holds,
+                "primitive": lag.primitive,
+            })
+    return rows
+
+
+@pytest.mark.parametrize("bounds", [(2, 12, 2, 3), (5, 60, 3, 5)])
+def test_scan_bytes_match_row_dict_rendering(capsys, tmp_path, bounds):
+    # the streamed json equals json.dumps of the payload with one dict per
+    # row, the csv csv.writer on those dicts, and the table their tab-joined
+    # lines; each grid holds every cone status and flag value
+    pmin, pmax, kmin, kmax = bounds
+    rows = _scan_reference_rows(*bounds)
+    assert {row["cone_status"] for row in rows} == {
+        "PROVEN_BM", "PROVEN_MINQ", "PROVEN_ISOPRIM", "OPEN"}
+    assert {row["isotropic"] for row in rows} == {True, False}
+    assert {row["lagrangian_ok"] for row in rows} == {None, True, False}
+    for name in ("q", "tau"):
+        assert {"/" in row[name] for row in rows} == {True, False}
+    payload = {"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": rows}
+    grid = [list(rows[0]), *(row.values() for row in rows)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(grid)
+    expected = {
+        "json": json.dumps(payload, indent=2) + "\n",
+        "csv": buf.getvalue(),
+        "table": "".join("\t".join(map(str, line)) + "\n" for line in grid),
+    }
+    argv = ["hilb", "scan", "--pmin", str(pmin), "--pmax", str(pmax),
+            "--kmin", str(kmin), "--kmax", str(kmax)]
+    for fmt, text in expected.items():
+        assert run(capsys, "--format", fmt, *argv) == (0, text, "")
+    target = tmp_path / "scan.json"
+    assert run(capsys, "--format", "json", "--out", str(target), *argv) == (0, "", "")
+    assert target.read_bytes() == expected["json"].encode()
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("argv", [
+    ("hilb", "cone", "-p", "50", "-k", "3"),
+    ("hilb", "rays", "-p", "50", "-k", "3"),
+    ("hilb", "scan", "--pmax", "12", "--kmax", "3"),
+])
+def test_optimal_class_wrong_delta0_exits_2(capsys, monkeypatch, argv, shift):
+    # delta0 - 1 is inadmissible (-1 at small p), and at delta0 + 1 the
+    # closed-form y is not g + k - 1: both are a failed cross-check
+    true_delta0 = gonality.delta0
+    monkeypatch.setattr(hilbert, "delta0", lambda p, k: true_delta0(p, k) + shift)
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("invariant violation: ") and err.count("\n") == 1
+        assert "delta0=" in err and "y=" in err and "(p=" in err and "k=" in err
+
+
+def test_cone_reads_tau_and_delta0_off_the_optimal_class():
+    for k in range(2, 8):
+        for p in [*range(2, 90), 10**6 + 3, 10**12 + 7]:
+            payload, _ = cli.hilb_cone(p, k)
+            assert payload["tau"] == rat_str(hilbert.tau(p, k))
+            assert payload["delta0"] == gonality.delta0(p, k)
+            assert payload["q_optimal"] == rat_str(hilbert.optimal_class(p, k).q)
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_chains_enumerate_writes_nothing_before_failing(capsys, monkeypatch, tmp_path, fmt):
     monkeypatch.delenv("K3GONAL_MAX_P", raising=False)
