@@ -56,7 +56,8 @@ SCAN_MAX_ROWS = 10**5
 QVALUES_MAX_VALUES = 10**5
 # `pencil verify` time grows with samples and with k (its conic pullback and
 # gcd run at degree 2k - 2); the largest accepted command, -k 16 --samples
-# 1000, takes about 0.7 s (Python 3.11.7, 2-vCPU Intel Xeon Linux machine)
+# 1000, took 1.0-1.5 s in process (Python 3.11.7, shared 2-vCPU Intel Xeon
+# Linux machine, October 2026)
 PENCIL_MAX_K = 16
 PENCIL_MAX_SAMPLES = 1000
 # `chains witness` builds and renders one [j, a] pair per chain length
@@ -113,6 +114,9 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 # text chunks joined into one write by _emit: about 0.3 MB of partitions
 _EMIT_BATCH = 1024
+# a pipe's default buffer: _emit sends a longer json dict line by line, as
+# a text that fits is written whole whether or not the reader has gone
+_PIPE_BYTES = 1 << 16
 
 
 def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None:
@@ -123,8 +127,9 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
     whole, and a reader that closes stdout early meets a later write.
     `payload` is a dict, or, from `chains enumerate` or `hilb scan`, the
     text chunks of its json rendering.  A dict is rendered by `_json_text`,
-    byte for byte `json.dumps(payload, indent=2)` plus a newline: it may hold
-    only str, int, bool, None, lists, tuples and dicts with str keys, and any
+    byte for byte `json.dumps(payload, indent=2)` plus a newline, one chunk
+    if it fits `_PIPE_BYTES` and one chunk per line if not: it may hold only
+    str, int, bool, None, lists, tuples and dicts with str keys, and any
     other value (a float, a Fraction, an int key) raises TypeError.
     `table` is the text, or an iterable of its lines, at least one and none
     ending in a newline, each sent as one chunk with its newline.
@@ -133,7 +138,10 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
     consumed.
     """
     if fmt == "json":
-        chunks = [_json_text(payload) + "\n"] if isinstance(payload, dict) else payload
+        chunks = payload
+        if isinstance(payload, dict):
+            text = _json_text(payload) + "\n"
+            chunks = text.splitlines(keepends=True) if len(text) > _PIPE_BYTES else [text]
     elif fmt == "csv":
         if csv_rows is None:
             cells = [json.dumps(v) if isinstance(v, (list, dict)) else v

@@ -41,13 +41,15 @@ above a bound on the result's coefficients proved where it is used; a carry
 left above the top slot raises InvariantViolation.  Squarefreeness and
 distinct-root counts come from the degree of gcd(a, a') together with
 degree-drop bookkeeping at infinity.  That degree is first certified to be
-0 by fraction-free Euclid mod the prime 2^30 - 35, if it divides neither
-leading coefficient (Brown 1971); any other outcome falls back to a primitive
-pseudo-remainder sequence over the integers (Collins 1967; Brown-Traub
-1971).  The membership identity det(x, y) = (x - y) B(x, y) is checked once,
-as bihomogeneous polynomials on P^1 x P^1, with B expanded independently of
-the h_n closed form; a failure names the first coefficient that differs, and
-the suite's random pairs are only drawn, to keep the seeded stream.
+0 by one big-integer gcd, of the two primitive parts evaluated at a power of
+2 far above Cauchy's root bound, where any common factor would make that gcd
+large (the heuristic gcd of Char-Geddes-Gonnet 1989, used one-sided); any
+other outcome falls back to a primitive pseudo-remainder sequence over the
+integers (Collins 1967; Brown-Traub 1971).  The membership identity
+det(x, y) = (x - y) B(x, y) is checked once, as bihomogeneous polynomials on
+P^1 x P^1, with B expanded independently of the h_n closed form; a failure
+names the first coefficient that differs, and the suite's random pairs are
+only drawn, to keep the seeded stream.
 Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
 """
 
@@ -198,45 +200,27 @@ def _prs_gcd_degree(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-#: the prime 2^30 - 35, modulus of the gcd certificate: every residue fits
-#: in one 30-bit CPython digit
-_PRIME = (1 << 30) - 35
-
-
-def _mod_gcd_degree(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a mod l, b mod l) over F_l, l = _PRIME, by fraction-free
-    Euclid: a <- lc(b) a - c x^s b needs no inverse mod l.
-
-    Needs both leading coefficients prime to l.  Then the primitive gcd over
-    Z keeps its degree mod l and divides both reductions, so the result is
-    at least the degree over Q, and 0 proves degree 0 over Q (Brown 1971).
-    """
-    p = _PRIME
-    a, b = [x % p for x in a], [x % p for x in b]
-    while len(b) > 1:
-        n, lead, body = len(b) - 1, b[-1], b[:-1]
-        while len(a) > n:
-            c = a.pop()
-            if c:
-                s = len(a) - n
-                a = [lead * x % p for x in a[:s]] + [
-                    (lead * x - c * y) % p for x, y in zip(a[s:], body)
-                ]
-        _trim(a)
-        if not a:
-            return n
-        a, b = b, a
-    return 0
-
-
 def _gcd_degree(a: list[int], b: list[int]) -> int:
     """Degree of gcd(a, b) over Q (-1 if both zero), for trimmed lists.
 
-    Degree 0 is certified modulo _PRIME when that is possible; any other
-    outcome is decided by the primitive PRS over Z.
+    Degree 0 is certified by one integer gcd when that is possible; any
+    other outcome is decided by the primitive PRS over Z.  Let A and B' be
+    the primitive parts of nonzero a and b, m = max |A_i|, and X = 2^w with
+    w = bitlen(m) + 32, so X - 1 - m >= 1.  Suppose a and b share a factor
+    of positive degree, and take it primitive, h.  By Gauss's lemma h
+    divides A and B' in Z[x], so the integer h(X) divides A(X) and B'(X),
+    hence their gcd g.  Each root r of A, and so of h, has |r| <= 1 + m
+    (Cauchy's bound, the lead of A being at least 1 in absolute value), so
+    A(X) is not 0, g > 0, and
+    |h(X)| = |lc h| prod |X - r| >= (X - 1 - m)^(deg h) >= X - 1 - m.
+    So g < X - 1 - m proves degree 0.
     """
-    if a and b and a[-1] % _PRIME and b[-1] % _PRIME and _mod_gcd_degree(a, b) == 0:
-        return 0
+    if a and b:
+        a1, b1 = _primitive(a), _primitive(b)
+        m = max(map(abs, a1))
+        width = m.bit_length() + 32
+        if gcd(_pack(a1, width), _pack(b1, width)) < (1 << width) - 1 - m:
+            return 0
     return _prs_gcd_degree(a, b)
 
 

@@ -323,19 +323,28 @@ def test_stdout_encoding_error_names_the_encoding(encoding):
     assert named and codecs.lookup(named[1]).name == codecs.lookup(encoding).name
 
 
-@pytest.mark.parametrize("encoding, fmt", [
-    # the json cases are named by the encoding alone
-    pytest.param(encoding, fmt, id=encoding if fmt == "json" else f"{encoding}-{fmt}")
-    for fmt in cli.FORMATS for encoding in ("utf-8", "ascii")
+_LONG_OUTPUTS = {
+    # 0.3 MB of table or CSV or 1.9 MB of json, rendered in chunks
+    "chains": ["chains", "enumerate", "-p", "40", "-k", "2"],
+    # 115 KB of table, 96 KB of CSV or 161 KB of json from one payload dict,
+    # each more than a pipe buffer holds
+    "qvalues": ["hilb", "qvalues", "-k", "400", "--pmax", "1" + "0" * 40],
+}
+
+
+@pytest.mark.parametrize("command, encoding, fmt", [
+    # the chains json cases are named by the encoding alone
+    *(pytest.param("chains", encoding, fmt,
+                   id=encoding if fmt == "json" else f"{encoding}-{fmt}")
+      for fmt in cli.FORMATS for encoding in ("utf-8", "ascii")),
+    *(pytest.param("qvalues", "utf-8", fmt, id=f"qvalues-{fmt}") for fmt in cli.FORMATS),
 ])
-def test_closed_stdout_pipe_is_an_error_not_a_traceback(encoding, fmt):
+def test_closed_stdout_pipe_is_an_error_not_a_traceback(command, encoding, fmt):
     # `| head -c 10`: the reader takes 10 bytes and closes the pipe; the
-    # output, 0.3 MB of table or CSV or 1.9 MB of json, goes out in several
-    # batches and cannot all fit in the pipe's buffer, so a later write
-    # fails; on an ASCII stdout it goes to the buffer
+    # output goes out in several batches and cannot all fit in the pipe's
+    # buffer, so a later write fails; on an ASCII stdout it goes to the buffer
     proc = subprocess.Popen(
-        [sys.executable, "-m", "k3gonal", "--format", fmt, "chains", "enumerate",
-         "-p", "40", "-k", "2"],
+        [sys.executable, "-m", "k3gonal", "--format", fmt, *_LONG_OUTPUTS[command]],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONIOENCODING=encoding),

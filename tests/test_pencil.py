@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -13,12 +14,11 @@ from k3gonal.pencil import (
     BinaryForm,
     Pencil,
     SymPlaneCurve,
-    _PRIME,
     _gcd_degree,
     _horner,
-    _mod_gcd_degree,
     _mul,
     _pack,
+    _primitive,
     _prs_gcd_degree,
     _randint,
     _unpack,
@@ -857,14 +857,18 @@ def test_value_identity_names_the_first_differing_coefficient(pencil, data):
     assert {e: v for e, v in lhs.items() if v} == {e: v for e, v in rhs.items() if v}
 
 
-# -- the gcd degree: certificate modulo _PRIME = 2^30 - 35 against the PRS
+# -- the gcd degree: the evaluation certificate against the PRS
+
+#: the prime 2^30 - 35, the modulus of an earlier certificate; leads and
+#: remainders divisible by it stay among the inputs
+_PRIME = (1 << 30) - 35
 
 
-def _int_poly(degree):
+def _int_poly(degree, coefficients=st.integers(-20, 20)):
     """Integer coefficient lists of exact degree (nonzero leading coefficient)."""
     return st.tuples(
-        st.lists(st.integers(-20, 20), min_size=degree, max_size=degree),
-        st.integers(-20, 20).filter(bool),
+        st.lists(coefficients, min_size=degree, max_size=degree),
+        coefficients.filter(bool),
     ).map(lambda t: t[0] + [t[1]])
 
 
@@ -897,38 +901,60 @@ def _counting_prs():
     return calls, mock.patch.object(pencil_module, "_prs_gcd_degree", prs)
 
 
-@given(planted_pair())
-@settings(max_examples=300, deadline=None)
-def test_modular_gcd_degree_agrees_with_prs(pair):
-    a, b, d = pair
+def _evaluation(a, b):
+    """(w, g, X - 1 - m) of the certificate in `_gcd_degree`: X = 2^w, g the
+    gcd of the values of the primitive parts of nonzero a and b at X, and m
+    the largest absolute coefficient of a's."""
+    a1, b1 = _primitive(a), _primitive(b)
+    m = max(map(abs, a1))
+    w = m.bit_length() + 32
+    return w, gcd(_pack(a1, w), _pack(b1, w)), (1 << w) - 1 - m
+
+
+def _primitive_gcd(a, b):
+    """The gcd of a and b over Q as a primitive integer list, by `_ref_gcd`."""
+    g = _ref_gcd([Fraction(x) for x in a], [Fraction(x) for x in b])
+    scale = lcm(*(x.denominator for x in g))
+    return _primitive([int(x * scale) for x in g])
+
+
+def _check_gcd_degree(a, b):
     want = len(_ref_gcd([Fraction(x) for x in a], [Fraction(x) for x in b])) - 1
-    assert _prs_gcd_degree(a, b) == want >= d
-    # the reduction mod l can only gain common factors
-    assert _mod_gcd_degree(a, b) >= want
+    assert _prs_gcd_degree(a, b) == want
+    # the values at X can only gain common factors, and a common factor of
+    # positive degree takes at least X - 1 - m of their gcd
+    w, g, bound = _evaluation(a, b)
+    h = _pack(_primitive_gcd(a, b), w)
+    assert g % h == 0
+    assert want == 0 or abs(h) >= bound
     calls, patch = _counting_prs()
     with patch:
         assert _gcd_degree(a, b) == want
-    # the PRS runs unless the modulus certified degree 0
-    assert len(calls) == (0 if _mod_gcd_degree(a, b) == 0 else 1)
+    # the PRS runs unless the values certified degree 0
+    assert calls == ([] if g < bound else [(a, b)])
+    return want
+
+
+@given(planted_pair())
+@settings(max_examples=300, deadline=None)
+def test_gcd_degree_agrees_with_prs(pair):
+    a, b, d = pair
+    assert _check_gcd_degree(a, b) >= d
 
 
 @given(planted_pair(), st.integers(1, 3), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_gcd_degree_falls_back_when_the_prime_divides_a_lead(pair, multiple, first):
+def test_gcd_degree_when_the_prime_divides_a_lead(pair, multiple, first):
     a, b, _ = pair
     if first:
         a = a[:-1] + [multiple * _PRIME]
     else:
         b = b[:-1] + [multiple * _PRIME]
-    want = len(_ref_gcd([Fraction(x) for x in a], [Fraction(x) for x in b])) - 1
-    calls, patch = _counting_prs()
-    with patch:
-        assert _gcd_degree(a, b) == want
-    assert calls == [(a, b)]
+    _check_gcd_degree(a, b)
 
 
 def test_gcd_degree_certificate_skips_the_prs():
-    # x^2 + 1 and x are coprime; l divides neither lead, so no PRS runs
+    # x^2 + 1 and x are coprime, and their values at X have gcd 1, so no PRS runs
     calls, patch = _counting_prs()
     with patch:
         assert _gcd_degree([1, 0, 1], [0, 1]) == 0
@@ -966,14 +992,77 @@ def test_gcd_degree_examples_with_an_intermediate_lead_divisible_by_the_prime():
     calls, patch = _counting_prs()
     with patch:
         assert _gcd_degree(a, b) == _prs_gcd_degree(a, b) == 0
-    assert calls == []  # degree 0 mod l is still a certificate
+    assert calls == []  # the values at X certify degree 0
     b = [-1, 0, 1]  # x^2 - 1
     for r, want in (([-2 * _PRIME, _PRIME], 0), ([_PRIME, _PRIME], 1)):
-        # x b + l (x - 2) and x b + l (x + 1) vanish mod l on all of b
+        # x b + l (x - 2) and x b + l (x + 1) vanish mod l on all of b; at X
+        # the gcd of the values divides 3 l^2 in the first case, the
+        # resultant, and is a multiple of X + 1 in the second
         a = [r[0], r[1] - 1, 0, 1]
-        assert _mod_gcd_degree(a, b) == 2
+        w, g, bound = _evaluation(a, b)
+        assert (g < bound) == (want == 0)
+        calls.clear()
         with patch:
             assert _gcd_degree(a, b) == _prs_gcd_degree(a, b) == want
+        assert calls == ([] if want == 0 else [(a, b)])
+
+
+_near_powers_of_two = st.tuples(st.integers(0, 140), st.integers(-2, 2)).map(
+    lambda t: (1 << t[0]) + t[1]
+)
+_huge = st.integers(-10**40, 10**40)
+
+
+@st.composite
+def shared_factor_pair(draw):
+    """(a, b, h): a = h u and b = h v share h, of degree 1 to 30.
+
+    h is x - c with c up to 10^40 or near a power of 2, or has coefficients
+    up to 10^40; u is monic with entries in [-1, 1], so that a root of h
+    comes close to Cauchy's bound 1 + m of a; v has entries up to 10^40.
+    """
+    c = draw(st.one_of(_huge, _near_powers_of_two, _near_powers_of_two.map(int.__neg__)))
+    h = draw(st.one_of(st.just([-c, 1]), st.integers(1, 30).flatmap(lambda d: _int_poly(d, _huge))))
+    u = draw(st.integers(0, 30).flatmap(lambda d: _int_poly(d, st.integers(-1, 1))))
+    u[-1] = 1
+    v = draw(st.integers(0, 30 - (len(h) - 1)).flatmap(
+        lambda d: _int_poly(d, st.one_of(st.integers(-3, 3), _huge))))
+    return _schoolbook(h, u), _schoolbook(h, v), h
+
+
+@given(shared_factor_pair())
+@example(([-5, 1], [-5, -4, 1], [-5, 1]))  # x - 5 and (x - 5)(x + 1)
+@example(([-(10**40), 1], [-(10**40), 1 - 10**40, 1], [-(10**40), 1]))
+@example(([-(2**33), 1], [2**33, -(2**33) - 1, 1], [-(2**33), 1]))  # v = x - 1
+@settings(max_examples=200, deadline=None)
+def test_gcd_degree_never_certifies_a_shared_factor(pair):
+    a, b, h = pair
+    calls, patch = _counting_prs()
+    with patch:
+        assert _gcd_degree(a, b) >= len(h) - 1
+        assert _gcd_degree(b, a) >= len(h) - 1
+    assert calls == [(a, b), (b, a)]
+
+
+def test_gcd_degree_falls_back_when_the_values_share_a_large_factor():
+    # x and x + 2^33 are coprime, but at X = 2^33 their values 2^33 and 2^34
+    # have gcd X > X - 1 - m, so the PRS decides
+    calls, patch = _counting_prs()
+    with patch:
+        assert _gcd_degree([0, 1], [2**33, 1]) == 0
+    assert calls == [([0, 1], [2**33, 1])]
+
+
+def test_gcd_degree_certifies_every_coprime_pair_of_the_seeded_suites():
+    calls, patch = _counting_prs()
+    with patch:
+        for k in range(2, 17):
+            for seed in range(6):
+                assert verification_suite(k, samples=20, seed=seed)["failures"] == []
+    # the PRS ran only where a common factor exists or an input is zero
+    assert calls
+    for a, b in calls:
+        assert not a or not b or _prs_gcd_degree(a, b) > 0
 
 
 coefficient_lists = st.one_of(
