@@ -378,7 +378,13 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
                     )
                 out.append(make(p, k, parts, g_sum, delta_sum))
 
-    rec(p, p, (), 0, 0)
+    try:
+        rec(p, p, (), 0, 0)
+    finally:
+        # rec reaches itself through its closure cell; clearing the cell
+        # frees rec, and with it `out`, when the caller drops the result
+        # rather than at the next full collection
+        del rec
     return out
 
 

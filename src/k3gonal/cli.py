@@ -56,7 +56,7 @@ SCAN_MAX_ROWS = 10**5
 QVALUES_MAX_VALUES = 10**5
 # `pencil verify` time grows with samples and with k (its conic pullback and
 # gcd run at degree 2k - 2); the largest accepted command, -k 16 --samples
-# 1000, took 1.0-1.5 s in process (Python 3.11.7, shared 2-vCPU Intel Xeon
+# 1000, took 0.6-0.9 s in process (Python 3.11.7, shared 2-vCPU Intel Xeon
 # Linux machine, October 2026)
 PENCIL_MAX_K = 16
 PENCIL_MAX_SAMPLES = 1000

@@ -49,14 +49,21 @@ integers (Collins 1967; Brown-Traub 1971).  The membership identity
 det(x, y) = (x - y) B(x, y) is checked once, as bihomogeneous polynomials on
 P^1 x P^1, with B expanded independently of the h_n closed form; a failure
 names the first coefficient that differs, and the suite's random pairs are
-only drawn, to keep the seeded stream.
+only drawn, to keep the seeded stream.  The tables that depend on k alone
+are built once per degree and cached: `_wedge_plan` holds the h_n expansion
+that `wedge_curve` scatters each w_ij through, and `_identity_plan` the
+binomial expansion of every monomial of degree k-1 that `_value_identity`
+scatters the curve through.  The two plans share no code or table, so the
+identity stays an oracle independent of the closed form.
 Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
+from types import MappingProxyType
 
 from .errors import InvariantViolation
 
@@ -349,6 +356,15 @@ class Pencil:
         if proportional(self.f, self.g):
             raise ValueError("degenerate pencil: the two forms are proportional")
 
+    @classmethod
+    def _make(cls, f: BinaryForm, g: BinaryForm) -> "Pencil":
+        """Construct from nonzero, non-proportional forms of a common bound
+        >= 1, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        return self
+
     @property
     def k(self) -> int:
         return self.f.bound
@@ -378,18 +394,24 @@ class SymPlaneCurve:
             if a < 0 or b < 0 or c < 0 or a + b + c != degree:
                 raise ValueError(f"exponent {expo} is not of total degree {degree}")
             store[a, b, c] = store.get((a, b, c), 0) + _int(value)
-        self._set(degree, store)
+        self._set(degree, sorted(t for t in store.items() if t[1]))
 
     @classmethod
     def _make(cls, degree: int, store: dict) -> "SymPlaneCurve":
         """Construct from {(a, b, c): integer coefficient}, unchecked."""
+        return cls._from_terms(degree, sorted(t for t in store.items() if t[1]))
+
+    @classmethod
+    def _from_terms(cls, degree: int, terms) -> "SymPlaneCurve":
+        """Construct from nonzero ((a, b, c), integer) terms in sorted order,
+        unchecked."""
         self = object.__new__(cls)
-        self._set(degree, store)
+        self._set(degree, terms)
         return self
 
-    def _set(self, degree: int, store: dict) -> None:
+    def _set(self, degree: int, terms) -> None:
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", tuple(sorted(t for t in store.items() if t[1])))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def is_zero(self) -> bool:
@@ -433,13 +455,39 @@ class SymPlaneCurve:
         return BinaryForm._make(bound, _unpack(value, width, bound + 1))
 
 
+@lru_cache(maxsize=32)
+def _wedge_plan(k: int) -> tuple[tuple, tuple]:
+    """The part of `wedge_curve` that depends on k alone.
+
+    The monomials (a, b, c) of degree k - 1 in sorted order, and for each
+    pair i < j the triple (i, j, terms): w_ij adds c w_ij to
+    monomials[number] for each (number, c) in terms.  With n = j - i - 1,
+    those are the monomials (k - j + l, n - 2l, i + l) for l <= n/2, with
+    c = -(-1)^l C(n-l, l).
+    """
+    d = k - 1
+    monomials = tuple(sorted((a, b, d - a - b) for a in range(k) for b in range(k - a)))
+    index = {m: number for number, m in enumerate(monomials)}
+    pairs = []
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            n = j - i - 1
+            terms = []
+            for l in range(n // 2 + 1):
+                c = comb(n - l, l)
+                terms.append((index[k - j + l, n - 2 * l, i + l], c if l % 2 else -c))
+            pairs.append((i, j, tuple(terms)))
+    return monomials, tuple(pairs)
+
+
 def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
     """The degree k-1 plane curve of pairs lying in a member of the pencil.
 
     With w_ij = f_i g_j - f_j g_i, B(x, y) = -sum_{i<j} w_ij e2^i h_{j-i-1},
     and the complete symmetric polynomial has the closed form
     h_n = sum_l (-1)^l C(n-l, l) e1^(n-2l) e2^l, so each w_ij is written
-    straight into the (e0 : e1 : e2) coefficients.
+    straight into the (e0 : e1 : e2) coefficients, through the terms that
+    `_wedge_plan` holds for each degree.
 
     >>> f, g = BinaryForm(3, (0, 0, 0, 1)), BinaryForm(3, (1, 0, 0, 0))
     >>> wedge_curve(Pencil(f, g)).terms  # e1^2 - e0 e2
@@ -447,18 +495,14 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
     """
     k = pencil.k
     a, b = pencil.f.coeffs, pencil.g.coeffs
-    store: dict[tuple[int, int, int], int] = {}
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            w = a[i] * b[j] - a[j] * b[i]
-            if w == 0:
-                continue
-            n = j - i - 1
-            for l in range(n // 2 + 1):
-                key = (k - j + l, n - 2 * l, i + l)
-                c = comb(n - l, l) * w
-                store[key] = store.get(key, 0) + (c if l % 2 else -c)
-    curve = SymPlaneCurve._make(k - 1, store)
+    monomials, pairs = _wedge_plan(k)
+    acc = [0] * len(monomials)
+    for i, j, terms in pairs:
+        w = a[i] * b[j] - a[j] * b[i]
+        if w:
+            for number, c in terms:
+                acc[number] += c * w
+    curve = SymPlaneCurve._from_terms(k - 1, [t for t in zip(monomials, acc) if t[1]])
     if curve.is_zero:
         raise InvariantViolation("wedge curve vanished for a valid pencil")
     return curve
@@ -500,6 +544,27 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
     return BinaryForm._make(2 * curve.degree, out)
 
 
+@lru_cache(maxsize=32)
+def _identity_plan(k: int) -> MappingProxyType:
+    """For every monomial (a, b, c) of degree k - 1, the entries
+    (b - s + c, s + c, C(b, s)) that it adds to the x1^i y1^j matrix of
+    `_value_identity`, one for each s <= b.
+
+    Every monomial, not only those a wedge curve carries, since a wrong
+    curve may carry any; the binomials come from Pascal's rule, not from the
+    closed form of h_n that `_wedge_plan` expands.
+    """
+    binoms = [[1]]
+    for _ in range(k - 1):
+        row = binoms[-1]
+        binoms.append([1] + [x + y for x, y in zip(row, row[1:])] + [1])
+    return MappingProxyType({
+        (k - 1 - b - c, b, c): tuple((b - s + c, s + c, bs) for s, bs in enumerate(binoms[b]))
+        for c in range(k)
+        for b in range(k - c)
+    })
+
+
 def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
     """Where det(x, y) = (x - y) curve(x, y) fails as polynomials, or None.
 
@@ -523,13 +588,10 @@ def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
     # m[i][j] multiplies x1^i y1^j (x0 and y0 fill the degree k - 1 in each);
     # row and column k stay zero, so m[i - 1] at i = 0 reads zeros
     m = [[0] * (k + 1) for _ in range(k + 1)]
-    binoms = [[1]]
-    for _ in range(k - 1):
-        row = binoms[-1]
-        binoms.append([1] + [x + y for x, y in zip(row, row[1:])] + [1])
-    for (_, b, c), v in curve.terms:
-        for s, bs in enumerate(binoms[b]):
-            m[b - s + c][s + c] += bs * v
+    plan = _identity_plan(k)
+    for expo, v in curve.terms:
+        for r, s, bs in plan[expo]:
+            m[r][s] += bs * v
     f, g = pencil.f.coeffs, pencil.g.coeffs
     # the x1^i y1^j coefficient of (x1 y0 - x0 y1) M is m[i-1][j] - m[i][j-1]
     for i in range(k):
@@ -548,7 +610,7 @@ def _det3(m) -> int:
 def _conic_forms(a) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
     """The quadratic forms (a_i0, 2 a_i1, a_i2) of A's rows: A composed with
     (x0^2 : 2 x0 x1 : x1^2), a parametrization of the conic A(diagonal)."""
-    return tuple(BinaryForm(2, (r[0], 2 * r[1], r[2])) for r in a)
+    return tuple(BinaryForm._make(2, (r[0], 2 * r[1], r[2])) for r in a)
 
 
 def conic_intersection(curve: SymPlaneCurve, a) -> tuple[int, int]:
@@ -566,7 +628,12 @@ def conic_intersection(curve: SymPlaneCurve, a) -> tuple[int, int]:
     >>> conic_intersection(line, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     (2, 2)
     """
-    if _det3(a) == 0:
+    det = _det3(a)
+    # an entry that is not an int makes the determinant one too; this is
+    # the only check, as `_conic_forms` builds its forms unchecked
+    if type(det) is not int:
+        raise TypeError(f"need an integer conic matrix, got {a!r}")
+    if det == 0:
         raise ValueError("conic matrix is singular")
     pull = curve.pullback(*_conic_forms(a))
     if pull.is_zero:
@@ -605,8 +672,8 @@ def random_pencil(k: int, rng: random.Random) -> Pencil:
         raise ValueError(f"need k >= 1, got k={k}")
     while True:
         f, g = _random_form(k, rng), _random_form(k, rng)
-        if not proportional(f, g):
-            return Pencil(f, g)
+        if not proportional(f, g):  # _random_form draws nonzero forms only
+            return Pencil._make(f, g)
 
 
 def _forms_coprime(f: BinaryForm, g: BinaryForm) -> bool:

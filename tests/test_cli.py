@@ -1170,6 +1170,54 @@ def test_json_output_round_trips(capsys, command):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", LEAF_CASES)
+def test_leaf_commands_leave_no_cyclic_garbage(capsys, command, fmt):
+    # whatever a command builds is freed by reference counting when it
+    # returns, not held in a reference cycle until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, err = run(capsys, "--format", fmt, *command.split())
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert (code, err) == (0, "")
+    assert left == 0
+
+
+def test_enumeration_is_held_by_its_caller_alone():
+    result = chains.enumerate_partitions(12, 3)
+    # the variable and getrefcount's own argument
+    assert sys.getrefcount(result) == 2
+
+
+# SHA-256 of stdout for `--format json pencil verify -k K --samples 20 --seed 0`
+# at each degree above the range of perfbench/golden_pencil.json
+PENCIL_SHA256 = {
+    9: "14da5db45168565cd664dfe15030a9ab7fc5c16d2238536ef1de19c65955e093",
+    10: "1dd5dfdfd0631b95a0708f049b12bfa1bbb1c22fbcfc110a9679e68d2443d9c4",
+    11: "7269003c157dc787b10dfea52445161faa0a33a463080451a3e73a6e83eef701",
+    12: "77283df6dbac2c6f3e3c9882bc8234408899e9b7e7a4917dfb6bb4b699bd6475",
+    13: "510f9f429e1656c907af1826af6813cbd1c2444f6ad70b38b0e86d495aa72919",
+    14: "f0d82b450bab7917f4b4ecae4967cb98357196ab114ce0bc0d0772c9527a3f60",
+    15: "9c6c03188b2cd559999479a421543281d31bc34bf17cc66bbfe79ee27580a62e",
+    16: "acad3c81a7f597bfb4d94782151e44ac2e7eee377c39cb5ad8b46322701bcd04",
+}
+
+
+def test_pencil_pins_reach_the_degree_limit():
+    assert max(PENCIL_SHA256) == cli.PENCIL_MAX_K
+
+
+@pytest.mark.parametrize("k", sorted(PENCIL_SHA256))
+def test_pencil_bytes_pinned_at_high_degree(capsys, k):
+    code, out, err = run(capsys, "--format", "json", "pencil", "verify",
+                         "-k", str(k), "--samples", "20", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PENCIL_SHA256[k]
+
+
 _JSON_STRINGS = st.one_of(
     st.text(),
     st.text(alphabet='"\\/\x00\x01\x1f\x7f\t\n\r\u00e9\u2044\u4e2d\U0001f600\ud800'),

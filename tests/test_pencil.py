@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from k3gonal import pencil as pencil_module
-from k3gonal.cli import main
+from k3gonal.cli import PENCIL_MAX_K, main
 from k3gonal.errors import InvariantViolation
 from k3gonal.pencil import (
     BinaryForm,
@@ -457,6 +457,10 @@ def test_conic_intersection_errors():
     # the diagonal contains the diagonal
     with pytest.raises(ValueError, match="contains"):
         conic_intersection(DIAGONAL, IDENTITY)
+    # the conic's forms are built unchecked, so the matrix is checked instead
+    for entry in (0.5, Fraction(1, 2), Fraction(2), 2.0):
+        with pytest.raises(TypeError, match="integer conic matrix"):
+            conic_intersection(line, ((1, 0, 0), (0, 1, 0), (0, 0, entry)))
 
 
 def test_diagonal_intersection_counts_match_wronskian():
@@ -684,6 +688,57 @@ def test_membership_oracle_catches_wrong_curve(monkeypatch, k):
     assert not any("Wronskian" in f for f in failures)
 
 
+def _plan_with_one_wrong_term(plan):
+    """`plan` with the coefficient of w_(0,k) on e1^(k-1) raised by one: a
+    wrong curve built through a wrong table."""
+
+    def wrong(k):
+        monomials, pairs = plan(k)
+        i, j, ((number, c), *rest) = pairs[k - 1]
+        assert (i, j, monomials[number]) == (0, k, (0, k - 1, 0))
+        changed = (i, j, ((number, c + 1), *rest))
+        return monomials, (*pairs[: k - 1], changed, *pairs[k:])
+
+    return wrong
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 8])
+def test_membership_oracle_catches_a_wrong_wedge_plan(monkeypatch, k):
+    # the identity's own plan shares nothing with the wedge plan, so a fault
+    # in the wedge plan is caught, sample by sample
+    wrong = _plan_with_one_wrong_term(pencil_module._wedge_plan)
+    monkeypatch.setattr(pencil_module, "_wedge_plan", wrong)
+    failures = verification_suite(k, samples=20, seed=0)["failures"]
+    assert [f for f in failures if "membership oracle" in f] == [
+        f"sample {index}: membership oracle at x1^0 y1^{k}" for index in range(20)
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, PENCIL_MAX_K + 1))
+def test_plans_cover_every_monomial(k):
+    everything = sorted((a, b, k - 1 - a - b) for a in range(k) for b in range(k - a))
+    monomials, pairs = pencil_module._wedge_plan(k)
+    assert list(monomials) == everything
+    assert [(i, j) for i, j, _ in pairs] == [
+        (i, j) for i in range(k + 1) for j in range(i + 1, k + 1)
+    ]
+    assert sorted(pencil_module._identity_plan(k)) == everything
+
+
+def test_random_pencil_checks_proportionality_once(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return proportional(u, v)
+
+    monkeypatch.setattr(pencil_module, "proportional", counted)
+    pencil = random_pencil(5, random.Random("once"))
+    assert calls == [(pencil.f, pencil.g)]
+    # the pencil drawn passes every check of the public constructor
+    assert Pencil(pencil.f, pencil.g) == pencil
+
+
 def test_verification_suite_deterministic():
     a = verification_suite(4, samples=10, seed=3)
     b = verification_suite(4, samples=10, seed=3)
@@ -739,7 +794,7 @@ def test_wedge_curve_matches_term_by_term_reduction(rational):
         n = rng.randint(-9, 9)
         return n * (60 // rng.randint(1, 6)) if rational else n
 
-    for k in range(1, 13):
+    for k in range(1, PENCIL_MAX_K + 1):
         for _ in range(20):
             f = BinaryForm(k, [coeff() for _ in range(k + 1)])
             g = BinaryForm(k, [coeff() for _ in range(k + 1)])
@@ -764,7 +819,7 @@ def test_random_pencils_reject_k_below_one(sample, k):
 
 
 @st.composite
-def pencil_at_k(draw, ks=st.integers(1, 12)):
+def pencil_at_k(draw, ks=st.integers(1, PENCIL_MAX_K)):
     """A seeded pencil with coefficients in [-9, 9] or one drawn in [-6, 6]."""
     k = draw(ks)
     if draw(st.booleans()):
