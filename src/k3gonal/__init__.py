@@ -13,11 +13,9 @@ numbers), :mod:`~k3gonal.chains` (constructive chain-partition witnesses),
 from .brillnoether import NecessityReport, necessary_condition, rho
 from .chains import (
     ChainPartition,
-    SymbolicChainCurve,
     construct_minimal,
     enumerate_partitions,
     increment,
-    stable_model,
     validate,
     witness,
 )
@@ -78,13 +76,11 @@ __all__ = [
     "expected_dims",
     "is_optimal",
     "ChainPartition",
-    "SymbolicChainCurve",
     "validate",
     "construct_minimal",
     "increment",
     "witness",
     "enumerate_partitions",
-    "stable_model",
     "BinaryForm",
     "Pencil",
     "SymPlaneCurve",

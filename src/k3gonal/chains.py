@@ -38,13 +38,11 @@ from .gonality import delta0
 
 __all__ = [
     "ChainPartition",
-    "SymbolicChainCurve",
     "validate",
     "construct_minimal",
     "increment",
     "witness",
     "enumerate_partitions",
-    "stable_model",
     "MAX_P_ENV",
     "DEFAULT_MAX_P",
 ]
@@ -140,61 +138,6 @@ def validate(partition: ChainPartition) -> bool:
     return partition.weight() == partition.p and all(
         a <= cap for _, a in partition.parts
     )
-
-
-@dataclass(frozen=True)
-class SymbolicChainCurve:
-    """Node/genus bookkeeping of the curve built from a valid partition."""
-
-    partition: ChainPartition
-
-    def __post_init__(self):
-        part = self.partition
-        if not validate(part):
-            raise ValueError(
-                f"partition invalid: weight {part.weight()} vs p={part.p}, "
-                f"cap {2 * (part.k - 1)}"
-            )
-
-    @property
-    def line_count(self) -> int:
-        """Total ruling lines sum (2j-1) alpha_j = 2p - g."""
-        return sum((2 * j - 1) * a for j, a in self.partition.parts)
-
-    @property
-    def ruling2_lines(self) -> int:
-        """Lines of the second ruling, sum j alpha_j = p."""
-        return self.partition.weight()
-
-    @property
-    def marked_nodes(self) -> int:
-        return self.partition.delta
-
-    @property
-    def nodes_on_gamma2(self) -> int:
-        """Nodes on the second-scroll section, one per second-ruling line."""
-        return self.partition.weight()
-
-    @property
-    def e_points(self) -> int:
-        """Intersection points with the double curve, 2 per ruling-2 line."""
-        return 2 * self.partition.weight()
-
-    @property
-    def stable_model_nodes(self) -> int:
-        """One node per chain: the distinguished pair gets identified."""
-        return self.partition.g
-
-    def to_payload(self) -> dict:
-        return {
-            "partition": self.partition.to_payload(),
-            "line_count": self.line_count,
-            "ruling2_lines": self.ruling2_lines,
-            "marked_nodes": self.marked_nodes,
-            "nodes_on_gamma2": self.nodes_on_gamma2,
-            "e_points": self.e_points,
-            "stable_model_nodes": self.stable_model_nodes,
-        }
 
 
 def _lightest(n: int, cap: int) -> int:
@@ -387,8 +330,3 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
         del rec
     return out
 
-
-def stable_model(curve: SymbolicChainCurve) -> tuple[int, int]:
-    """(node count, arithmetic genus) of the stable model: both equal g."""
-    g = curve.stable_model_nodes
-    return g, g

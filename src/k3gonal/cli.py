@@ -179,11 +179,14 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
         char = f"U+{ord(exc.object[exc.start]):04X}"
         raise ValueError(f"stdout encoding {sys.stdout.encoding} cannot write {char}; use "
                          "--format json or csv, or set PYTHONIOENCODING=utf-8") from None
-    except BrokenPipeError:
-        # the reader is gone (`| head`): what is still buffered goes to devnull,
-        # so the interpreter's final flush does not fail a second time
+    except OSError as exc:
+        # the reader is gone (`| head`) or the device refused the write (a full
+        # disk): what is still buffered goes to devnull, so the interpreter's
+        # final flush does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ValueError("stdout was closed before the output was complete") from None
+        if isinstance(exc, BrokenPipeError):
+            raise ValueError("stdout was closed before the output was complete") from None
+        raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 class _Leaf:
@@ -393,13 +396,26 @@ def _parse_alpha(text: str) -> list[tuple[int, int]]:
     "--alpha", "Sparse multiplicities, e.g. 1:2,2:1,4:1.", type=str))
 def chains_stable(p, k, alpha):
     """Stable-model node count and bookkeeping for a given partition."""
-    curve = chains.SymbolicChainCurve(chains.ChainPartition(p, k, _parse_alpha(alpha)))
-    nodes, genus = chains.stable_model(curve)
-    payload = curve.to_payload() | {"stable_nodes": nodes, "arithmetic_genus": genus}
+    part = chains.ChainPartition(p, k, _parse_alpha(alpha))
+    if not chains.validate(part):
+        raise ValueError(f"partition invalid: weight {part.weight()} vs p={p}, "
+                         f"cap {2 * (k - 1)}")
+    # the per-chain counts of the `chains` docstring, summed with sum j alpha_j = p
+    g, delta = part.g, part.delta
+    payload = {
+        "partition": part.to_payload(),
+        "line_count": 2 * p - g,
+        "ruling2_lines": p,
+        "marked_nodes": delta,
+        "nodes_on_gamma2": p,
+        "e_points": 2 * p,
+        "stable_model_nodes": g,
+        "stable_nodes": g,
+        "arithmetic_genus": g,
+    }
     table = (
-        f"stable model: {nodes} nodes, arithmetic genus {genus}\n"
-        f"lines={curve.line_count} ruling2={curve.ruling2_lines} "
-        f"marked={curve.marked_nodes} e_points={curve.e_points}"
+        f"stable model: {g} nodes, arithmetic genus {g}\n"
+        f"lines={2 * p - g} ruling2={p} marked={delta} e_points={2 * p}"
     )
     return payload, table
 

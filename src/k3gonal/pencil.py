@@ -31,9 +31,10 @@ is projective: scaling a form or a curve changes none of the invariants
 checked here (proportionality, squarefreeness, root and intersection counts,
 the wedge curve up to the same scale), so integers stand for every case, and
 equality and hashing are exact.  A coefficient that is not an int, a
-Fraction or a string such as "1/2" included, raises TypeError; only the
-pointwise evaluators `eval_proj` and `evaluate` take exact rational points.
-Products, substitutions, the Wronskian and the conic pullback run packed
+Fraction or a string such as "1/2" included, raises TypeError, and so does
+a conic matrix with such an entry; no point is ever evaluated on rationals,
+and a Fraction appears only as the reported transversality rate.
+Products, the Wronskian and the conic pullback run packed
 (Kronecker substitution; Harvey 2009): a coefficient list c becomes the one
 integer sum_i c_i 2^(B i), so a polynomial product is one big-int product,
 and the result is read back as balanced base-2^B digits.  B is one sign bit
@@ -93,18 +94,6 @@ def _int(v) -> int:
     if type(v) is not int:
         raise TypeError(f"need integers, got the {type(v).__name__} {v!r}")
     return v
-
-
-def _exact(values) -> list[Fraction]:
-    """Exact rational coordinates of a point.
-
-    A float is refused: Fraction(0.1) is the binary rational nearest 0.1,
-    with denominator 2^55, not 1/10.
-    """
-    for v in values:
-        if isinstance(v, float):
-            raise TypeError(f"need exact numbers, got the float {v!r}")
-    return [Fraction(v) for v in values]
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -279,29 +268,8 @@ class BinaryForm:
             raise ValueError("the zero form has no root multiplicities")
         return self.bound - self.affine_degree
 
-    def eval_proj(self, x0, x1) -> Fraction:
-        """Evaluate at the projective point (x0 : x1), exactly."""
-        return Fraction(_horner(self.coeffs, *_exact((x0, x1))))
-
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         return BinaryForm._make(self.bound + other.bound, _mul(self.coeffs, other.coeffs))
-
-    def substitute(self, a, b, c, d) -> "BinaryForm":
-        """Apply (x0, x1) -> (a x0 + b x1, c x0 + d x1) for integers with
-        ad - bc != 0.
-
-        Homogeneous Horner on the packed linear forms; each coefficient of
-        sum_i c_i (a + b z)^(n-i) (c + d z)^i is at most
-        sum_i |c_i| max(|a| + |b|, |c| + |d|)^n.
-        """
-        a, b, c, d = map(_int, (a, b, c, d))
-        if a * d - b * c == 0:
-            raise ValueError("substitution matrix is singular")
-        n, cs = self.bound, self.coeffs
-        norm = max(abs(a) + abs(b), abs(c) + abs(d))
-        width = _width(sum(map(abs, cs)) * norm**n)
-        value = _horner(cs, _pack((a, b), width), _pack((c, d), width))
-        return BinaryForm._make(n, _unpack(value, width, n + 1))
 
 
 def proportional(u: BinaryForm, v: BinaryForm) -> bool:
@@ -369,9 +337,6 @@ class Pencil:
     def k(self) -> int:
         return self.f.bound
 
-    def substitute(self, a, b, c, d) -> "Pencil":
-        return Pencil(self.f.substitute(a, b, c, d), self.g.substitute(a, b, c, d))
-
 
 @dataclass(frozen=True)
 class SymPlaneCurve:
@@ -426,14 +391,12 @@ class SymPlaneCurve:
         return rows
 
     def _value_at(self, e0, e1, e2):
-        """The value at a point, by Horner in e2 over the rows."""
+        """The value at (e0, e1, e2), by Horner in e2 over the rows; `pullback`
+        runs it on packed integers."""
         acc = 0
         for row in reversed(self._rows()):
             acc = acc * e2 + _horner(row, e0, e1)
         return acc
-
-    def evaluate(self, e0, e1, e2) -> Fraction:
-        return Fraction(self._value_at(*_exact((e0, e1, e2))))
 
     def pullback(self, f0: BinaryForm, f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
         """Substitute binary forms of a common bound for (e0, e1, e2).

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import json
 import pickle
 import textwrap
 
@@ -10,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 from k3gonal import chains, cli
 from k3gonal.chains import (
     ChainPartition,
-    SymbolicChainCurve,
     construct_minimal,
     enumerate_partitions,
     increment,
-    stable_model,
     validate,
     witness,
 )
@@ -24,6 +23,51 @@ from k3gonal.gonality import decompose, delta0
 
 def part(p, k, mult):
     return ChainPartition(p, k, mult)
+
+
+# -- test-local reference for the curve bookkeeping that `chains stable`
+# -- prints, each count summed over the chains
+
+
+class SymbolicChainCurve:
+    """Node and genus bookkeeping of the curve a valid partition builds.
+
+    A chain of length 2j-1 carries j lines of the second ruling, j-1 marked
+    nodes, j nodes on the second-scroll section and 2j points on the double
+    curve; its distinguished pair gives one node of the stable model.
+    """
+
+    def __init__(self, partition):
+        if not validate(partition):
+            raise ValueError(
+                f"partition invalid: weight {partition.weight()} vs p={partition.p}, "
+                f"cap {2 * (partition.k - 1)}"
+            )
+        self.partition = partition
+        parts = partition.parts
+        self.line_count = sum((2 * j - 1) * a for j, a in parts)
+        self.ruling2_lines = sum(j * a for j, a in parts)
+        self.marked_nodes = sum((j - 1) * a for j, a in parts)
+        self.nodes_on_gamma2 = sum(j * a for j, a in parts)
+        self.e_points = sum(2 * j * a for j, a in parts)
+        self.stable_model_nodes = sum(a for _, a in parts)
+
+    def to_payload(self):
+        return {
+            "partition": self.partition.to_payload(),
+            "line_count": self.line_count,
+            "ruling2_lines": self.ruling2_lines,
+            "marked_nodes": self.marked_nodes,
+            "nodes_on_gamma2": self.nodes_on_gamma2,
+            "e_points": self.e_points,
+            "stable_model_nodes": self.stable_model_nodes,
+        }
+
+
+def stable_model(curve):
+    """(node count, arithmetic genus) of the stable model: both equal g."""
+    g = curve.stable_model_nodes
+    return g, g
 
 
 def test_validate_examples():
@@ -308,6 +352,37 @@ def test_bookkeeping_identities_on_witnesses():
                 g = curve.partition.g
                 assert curve.marked_nodes + g == curve.ruling2_lines == p
                 assert curve.line_count == 2 * p - g
+
+
+def _stable_payload(partition, capsys):
+    alpha = ",".join(f"{j}:{a}" for j, a in partition.parts)
+    argv = ["--format", "json", "chains", "stable", "-p", str(partition.p),
+            "-k", str(partition.k), "--alpha", alpha]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return json.loads(out)
+
+
+def _reference_stable_payload(partition):
+    curve = SymbolicChainCurve(partition)
+    nodes, genus = stable_model(curve)
+    return curve.to_payload() | {"stable_nodes": nodes, "arithmetic_genus": genus}
+
+
+def test_chains_stable_matches_reference_on_witnesses(capsys):
+    for k in range(2, 6):
+        for p in range(3, 25):
+            for delta in range(delta0(p, k), p):
+                w = witness(p, k, delta)
+                assert _stable_payload(w, capsys) == _reference_stable_payload(w), (p, k, delta)
+
+
+def test_chains_stable_matches_reference_on_enumerated_partitions(capsys):
+    for k in range(2, 6):
+        for p in range(1, 13):
+            for q in enumerate_partitions(p, k):
+                assert _stable_payload(q, capsys) == _reference_stable_payload(q), (p, k, q)
 
 
 def test_serialization_payload():

@@ -1,6 +1,7 @@
 import codecs
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -209,6 +210,14 @@ def test_chains_stable_invalid_partition(capsys):
     assert "invalid" in err
 
 
+@pytest.mark.parametrize("alpha, weight", [("1:1", 1), ("1:8", 8)], ids=["weight", "cap"])
+def test_chains_stable_invalid_partition_message(capsys, alpha, weight):
+    # 1:1 weighs 1, not p = 8; 1:8 weighs 8 but has 8 > 2(k-1) = 2 chains of index 1
+    code, out, err = run(capsys, "chains", "stable", "-p", "8", "-k", "2", "--alpha", alpha)
+    assert (code, out) == (1, "")
+    assert err == f"error: partition invalid: weight {weight} vs p=8, cap 2\n"
+
+
 def test_chains_enumerate_cap_env(capsys, monkeypatch):
     code, _, err = run(capsys, "chains", "enumerate", "-p", "61", "-k", "2")
     assert code == 1 and "K3GONAL_MAX_P" in err
@@ -355,6 +364,29 @@ def test_closed_stdout_pipe_is_an_error_not_a_traceback(command, encoding, fmt):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b"error: stdout was closed before the output was complete\n"
+
+
+_SHORT_OUTPUTS = {
+    "bn": ["bn", "rho", "-g", "9", "-r", "1", "-d", "6"],
+    "chains": ["chains", "enumerate", "-p", "30", "-k", "2"],
+    "scan": ["hilb", "scan", "--pmax", "300", "--kmax", "6"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("command", sorted(_SHORT_OUTPUTS))
+def test_refused_stdout_write_is_an_error_not_a_traceback(command, fmt):
+    # /dev/full refuses every write with ENOSPC, as a full disk does: exit 1
+    # and one error line that names the cause, as for a closed pipe
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3gonal", "--format", fmt, *_SHORT_OUTPUTS[command]],
+            stdout=full,
+            stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode()
 
 
 def test_import_needs_no_click():
