@@ -28,8 +28,8 @@ flags, a leaf's two names, then exact flags and values of that leaf) straight
 from the Actions of that tree, without running argparse; anything else, such
 as help, an unknown command, a leftover argument or a bad value, goes
 through the whole tree, which prints its help or usage error.  A callback
-returns (payload, table[, csv_rows]), which `_emit` renders in the selected
-format.
+returns what `_emit` renders: a json payload (a row command's is the chunks
+of `_json_rows`), a table and, from a row command, its csv rows.
 """
 
 import argparse
@@ -112,6 +112,34 @@ def _json_text(obj, pad: str = "\n") -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
+# the newline and indent of each row of _json_rows, and of a row's keys
+_ROW = "\n    "
+_ROW_KEY = _ROW + "  "
+
+
+def _row_template(texts: dict) -> str:
+    """A row object of `_json_rows`, the json texts `texts` by key: a %-template."""
+    return "{" + ",".join(_ROW_KEY + encode_basestring_ascii(key) + ": " + text
+                          for key, text in texts.items()) + _ROW + "}"
+
+
+def _json_rows(envelope: dict, rows):
+    """The json rendering of `envelope` plus a newline, as text chunks, whose
+    last key, at the top level and empty in `envelope`, holds the json texts
+    `rows` at the `_ROW` indent: one chunk per row, the first with the
+    envelope's head, then the tail.  No row gives `[]`, as in `json.dumps`."""
+    empty = _json_text(envelope) + "\n"
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        yield empty
+        return
+    head, tail = empty.rsplit("[]", 1)
+    yield head + "[" + _ROW + first
+    yield from map(("," + _ROW).__add__, rows)
+    yield "\n  ]" + tail
+
+
 # text chunks joined into one write by _emit: about 0.3 MB of partitions
 _EMIT_BATCH = 1024
 # a pipe's default buffer: _emit sends a longer json dict line by line, as
@@ -125,17 +153,13 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
     Every format is written as text chunks, joined into batches of
     `_EMIT_BATCH` chunks as they are made, so a long output is never held
     whole, and a reader that closes stdout early meets a later write.
-    `payload` is a dict, or, from `chains enumerate` or `hilb scan`, the
-    text chunks of its json rendering.  A dict is rendered by `_json_text`,
-    byte for byte `json.dumps(payload, indent=2)` plus a newline, one chunk
-    if it fits `_PIPE_BYTES` and one chunk per line if not: it may hold only
-    str, int, bool, None, lists, tuples and dicts with str keys, and any
-    other value (a float, a Fraction, an int key) raises TypeError.
-    `table` is the text, or an iterable of its lines, at least one and none
-    ending in a newline, each sent as one chunk with its newline.
-    `csv_rows` defaults to one header row and one value row taken from the
-    flat payload; each row is one chunk.  Only the selected rendering is
-    consumed.
+    `payload` is the chunks of `_json_rows`, or a dict, which `_json_text`
+    renders as `json.dumps(payload, indent=2)` plus a newline: one chunk,
+    or one per line past `_PIPE_BYTES`.  `table` is the text, or an iterable
+    of its lines (at least one, none ending in a newline), each one chunk
+    with its newline.  `csv_rows` defaults to a header row and a value row
+    from a flat dict payload; each row is one chunk.  Only the selected
+    rendering is consumed.
     """
     if fmt == "json":
         chunks = payload
@@ -331,41 +355,6 @@ def chains_witness(p, k, delta):
     return part.to_payload(), _partition_table(part)
 
 
-def _partitions_json(p: int, k: int, parts: list[chains.ChainPartition]):
-    """The json rendering of the `chains enumerate` payload plus a newline,
-    as text chunks: the envelope's head, one chunk per partition, its tail.
-    `parts` is never empty: every p >= 1 has the single chain of length p.
-
-    The envelope goes through `_json_text`, and so does each distinct
-    [j, a] pair, once; every partition is then written from its delta, g
-    and pair texts, without a payload dict.  The bytes are those of
-    `_json_text` on the payload of `to_payload()` dicts.
-    """
-    envelope = _json_text({"p": p, "k": k, "count": len(parts), "partitions": []})
-    head, tail = envelope.rsplit("[]", 1)
-    line = "\n    "  # each partition's own line
-    key = line + "  "  # its keys
-    pad = key + "  "  # its [j, a] pairs
-    lead = "{" + key + '"p": ' + str(p) + "," + key + '"k": ' + str(k) + "," + key + '"delta": '
-    g_key = "," + key + '"g": '
-    parts_key = "," + key + '"parts": [' + pad
-    close = key + "]" + line + "}"
-    texts = {}
-    yield head + "["
-    sep = line
-    for part in parts:
-        pairs = []
-        for pair in part.parts:
-            text = texts.get(pair)
-            if text is None:
-                text = texts[pair] = _json_text(pair, pad)
-            pairs.append(text)
-        yield (sep + lead + str(part.delta) + g_key + str(part.g) + parts_key
-               + ("," + pad).join(pairs) + close)
-        sep = "," + line
-    yield "\n  ]" + tail + "\n"
-
-
 @chains_group.command("enumerate", _P, _K)
 def chains_enumerate(p, k):
     """All valid partitions for (p, k), in stable order."""
@@ -375,7 +364,26 @@ def chains_enumerate(p, k):
         [["delta", "g", "parts"]],
         ([part.delta, part.g, json.dumps(part.parts)] for part in parts),
     )
-    return _partitions_json(p, k, parts), table, csv_rows
+    envelope = {"p": p, "k": k, "count": len(parts), "partitions": []}
+    return _json_rows(envelope, _partition_texts(p, k, parts)), table, csv_rows
+
+
+def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
+    """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`;
+    each distinct [j, a] pair is rendered once."""
+    pad = _ROW_KEY + "  "  # each pair's own line
+    row = _row_template({"p": str(p), "k": str(k), "delta": "%s", "g": "%s",
+                         "parts": "[" + pad + "%s" + _ROW_KEY + "]"})
+    sep = "," + pad
+    texts = {}
+    for part in parts:
+        pairs = []
+        for pair in part.parts:
+            text = texts.get(pair)
+            if text is None:
+                text = texts[pair] = _json_text(pair, pad)
+            pairs.append(text)
+        yield row % (part.delta, part.g, sep.join(pairs))
 
 
 def _parse_alpha(text: str) -> list[tuple[int, int]]:
@@ -525,10 +533,10 @@ def hilb_qvalues(k, pmax):
             f"QVALUES_MAX_VALUES = {QVALUES_MAX_VALUES}"
         )
     values = hilbert.attained_q_values(k, pmax)
-    payload = {"k": k, "pmax": pmax, "qvalues": [rat_str(v) for v in values]}
+    rows = (encode_basestring_ascii(rat_str(v)) for v in values)
     table = (_rat_table(v) for v in values)
-    csv_rows = itertools.chain([["q"]], ([q] for q in payload["qvalues"]))
-    return payload, table, csv_rows
+    csv_rows = itertools.chain([["q"]], ([rat_str(v)] for v in values))
+    return _json_rows({"k": k, "pmax": pmax, "qvalues": []}, rows), table, csv_rows
 
 
 @hilb.command("lagrangian", _P, _K)
@@ -564,32 +572,6 @@ _SCAN_KEYS = ("p", "k", "delta0", "g", "class", "q", "tau", "cone_status", "isot
               "lagrangian_ok", "primitive")
 
 
-def _scan_json(pmin: int, pmax: int, kmin: int, kmax: int, rows: list[tuple]):
-    """The json rendering of the `hilb scan` payload plus a newline, as text
-    chunks: the envelope's head, one chunk per row, its tail.  `rows` is
-    never empty: `hilb_scan` refuses an empty grid.
-
-    The envelope goes through `_json_text`; each row is then written from
-    one key prefix per column and the `_JSON_SCALARS` text of its value,
-    without a row dict.  The bytes are those of `_json_text` on the payload
-    whose rows are dicts keyed by `_SCAN_KEYS`.
-    """
-    envelope = _json_text({"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": []})
-    head, tail = envelope.rsplit("[]", 1)
-    line = "\n    "  # each row's own line
-    key = line + "  "  # its keys
-    keys = [key + encode_basestring_ascii(name) + ": " for name in _SCAN_KEYS]
-    prefixes = ["{" + keys[0], *("," + text for text in keys[1:])]
-    close = line + "}"
-    yield head + "["
-    sep = line
-    for row in rows:
-        yield sep + "".join([prefix + _JSON_SCALARS[type(value)](value)
-                             for prefix, value in zip(prefixes, row)]) + close
-        sep = "," + line
-    yield "\n  ]" + tail + "\n"
-
-
 @hilb.command("scan", _opt("--pmax", "Largest p."), _opt("--kmax", "Largest k."),
               _opt("--pmin", "Smallest p (default %(default)s).", default=2),
               _opt("--kmin", "Smallest k (default %(default)s).", default=2))
@@ -620,7 +602,10 @@ def hilb_scan(pmax, kmax, pmin, kmin):
                          lag.necessary_condition_holds, lag.primitive))
     table = ("\t".join(map(str, line)) for line in itertools.chain([_SCAN_KEYS], rows))
     csv_rows = itertools.chain([_SCAN_KEYS], rows)
-    return _scan_json(pmin, pmax, kmin, kmax, rows), table, csv_rows
+    row = _row_template(dict.fromkeys(_SCAN_KEYS, "%s"))
+    texts = (row % tuple([_JSON_SCALARS[type(v)](v) for v in values]) for values in rows)
+    envelope = {"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": []}
+    return _json_rows(envelope, texts), table, csv_rows
 
 
 def _out_path(text: str) -> str:

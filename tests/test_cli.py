@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from k3gonal import chains, cli, gonality, hilbert
+from k3gonal import chains, cli, gonality, hilbert, pencil
 from k3gonal.cli import main
 from k3gonal.hilbert import rat_str
 
@@ -443,6 +443,38 @@ def test_pencil_verify_small(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["seed"] == 5 and payload["failures"] == []
+
+
+def test_pencil_verify_low_transversality_exits_2(capsys):
+    # seed 52 draws one non-transversal pencil among ten: 9/10 is under the
+    # 95% gate, and no identity fails
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "--format", fmt, "pencil", "verify",
+                             "-k", "2", "--samples", "10", "--seed", "52")
+        assert (code, out) == (2, "")
+        assert err == "invariant violation: transversality rate 9/10 below 95% at k=2, seed=52\n"
+
+
+def test_pencil_verify_identity_failures_exit_2(capsys, monkeypatch):
+    # a wrong wedge curve, the true one plus e0^(k-3) (e1^2 - 4 e0 e2): it
+    # vanishes on the diagonal, so only the membership oracle sees it, in
+    # every sample; the message names the first five failures
+    wedge = pencil.wedge_curve
+
+    def wrong(pen):
+        curve, k = wedge(pen), pen.k
+        store = dict(curve.terms)
+        for expo, v in (((k - 3, 2, 0), 1), ((k - 2, 0, 1), -4)):
+            store[expo] = store.get(expo, 0) + v
+        return pencil.SymPlaneCurve._make(k - 1, store)
+
+    monkeypatch.setattr(pencil, "wedge_curve", wrong)
+    first = "; ".join(f"sample {i}: membership oracle at x1^0 y1^3" for i in range(5))
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "--format", fmt, "pencil", "verify", "-k", "3",
+                             "--samples", "20")
+        assert (code, out) == (2, "")
+        assert err == f"invariant violation: {first} (+15 more)\n"
 
 
 # SHA-256 of `--format json pencil verify -k K --samples 20 --seed 0`, recorded
@@ -929,6 +961,12 @@ def test_chains_enumerate_bytes_match_payload_rendering(capsys, monkeypatch, tmp
         [["delta", "g", "parts"], *([d["delta"], d["g"], json.dumps(d["parts"])] for d in payloads)]
     )
     assert run(capsys, "--format", "csv", *argv) == (0, buf.getvalue(), "")
+    table = "".join(
+        f"p={d['p']} k={d['k']} delta={d['delta']} g={d['g']} "
+        f"parts[{', '.join(f'{j}:{a}' for j, a in d['parts'])}]\n"
+        for d in payloads
+    )
+    assert run(capsys, "--format", "table", *argv) == (0, table, "")
 
 
 def _scan_reference_rows(pmin, pmax, kmin, kmax):
@@ -984,6 +1022,58 @@ def test_scan_bytes_match_row_dict_rendering(capsys, tmp_path, bounds):
     target = tmp_path / "scan.json"
     assert run(capsys, "--format", "json", "--out", str(target), *argv) == (0, "", "")
     assert target.read_bytes() == expected["json"].encode()
+
+
+def test_qvalues_bytes_match_reference_rendering(capsys):
+    # 9,351 values, more than nine batches of _emit: the json equals
+    # json.dumps of the payload dict, the csv csv.writer on the values, the
+    # table each value with a unicode fraction slash
+    k, pmax = 400, 10**40
+    values = hilbert.attained_q_values(k, pmax)
+    assert len(values) == 9351 > 9 * cli._EMIT_BATCH
+    texts = [f"{v.numerator}/{v.denominator}" if v.denominator > 1 else str(v.numerator)
+             for v in values]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["q"], *([q] for q in texts)])
+    expected = {
+        "json": json.dumps({"k": k, "pmax": pmax, "qvalues": texts}, indent=2) + "\n",
+        "csv": buf.getvalue(),
+        "table": "".join(q.replace("/", "\u2044") + "\n" for q in texts),
+    }
+    for fmt, text in expected.items():
+        assert run(capsys, "--format", fmt, "hilb", "qvalues", "-k", str(k),
+                   "--pmax", str(pmax)) == (0, text, "")
+
+
+ROW_CASES = [c for c in LEAF_CASES
+             if c.startswith(("chains enumerate", "hilb scan", "hilb qvalues"))]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("command", ROW_CASES)
+def test_row_commands_render_no_json(capsys, monkeypatch, command, fmt):
+    def refuse(*args):
+        raise AssertionError("json rendered for --format " + fmt)
+
+    monkeypatch.setattr(cli, "_json_text", refuse)
+    code, out, err = run(capsys, "--format", fmt, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LEAF_SHA256[command, fmt]
+
+
+def test_row_cases_cover_the_row_commands():
+    assert {" ".join(c.split()[:2]) for c in ROW_CASES} == {
+        "chains enumerate", "hilb scan", "hilb qvalues"}
+
+
+@pytest.mark.parametrize("envelope", [
+    {"k": 2, "pmax": 2, "qvalues": []},
+    {"p": 1, "rows": []},
+    {"[]": "[]", "list": [[], {}], "rows": []},
+])
+def test_json_rows_renders_no_row_as_an_empty_list(envelope):
+    assert "".join(cli._json_rows(envelope, [])) == json.dumps(envelope, indent=2) + "\n"
+    assert "".join(cli._json_rows(envelope, iter(()))) == json.dumps(envelope, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -1279,6 +1369,18 @@ def test_json_text_matches_json_dumps(tree):
     assert cli._json_text({"payload": [tree, []], "empty": {}}) == json.dumps(
         {"payload": [tree, []], "empty": {}}, indent=2
     )
+
+
+@given(head=st.dictionaries(_JSON_STRINGS, _JSON_TREES, max_size=3),
+       rows=st.lists(_JSON_TREES, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_json_rows_matches_json_dumps(head, rows):
+    # the rows are the last key's list, each rendered at the row indent
+    head.pop("rows", None)
+    envelope = {**head, "rows": []}
+    texts = (cli._json_text(row, cli._ROW) for row in rows)
+    assert "".join(cli._json_rows(envelope, texts)) == json.dumps(
+        {**envelope, "rows": rows}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
