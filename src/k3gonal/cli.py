@@ -355,19 +355,6 @@ def chains_witness(p, k, delta):
     return part.to_payload(), _partition_table(part)
 
 
-@chains_group.command("enumerate", _P, _K)
-def chains_enumerate(p, k):
-    """All valid partitions for (p, k), in stable order."""
-    parts = chains.enumerate_partitions(p, k)
-    table = (_partition_table(part) for part in parts)
-    csv_rows = itertools.chain(
-        [["delta", "g", "parts"]],
-        ([part.delta, part.g, json.dumps(part.parts)] for part in parts),
-    )
-    envelope = {"p": p, "k": k, "count": len(parts), "partitions": []}
-    return _json_rows(envelope, _partition_texts(p, k, parts)), table, csv_rows
-
-
 def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
     """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`;
     each distinct [j, a] pair is rendered once."""
@@ -384,6 +371,19 @@ def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
                 text = texts[pair] = _json_text(pair, pad)
             pairs.append(text)
         yield row % (part.delta, part.g, sep.join(pairs))
+
+
+@chains_group.command("enumerate", _P, _K)
+def chains_enumerate(p, k):
+    """All valid partitions for (p, k), in stable order."""
+    parts = chains.enumerate_partitions(p, k)
+    table = (_partition_table(part) for part in parts)
+    csv_rows = itertools.chain(
+        [["delta", "g", "parts"]],
+        ([part.delta, part.g, json.dumps(part.parts)] for part in parts),
+    )
+    envelope = {"p": p, "k": k, "count": len(parts), "partitions": []}
+    return _json_rows(envelope, _partition_texts(p, k, parts)), table, csv_rows
 
 
 def _parse_alpha(text: str) -> list[tuple[int, int]]:
