@@ -21,7 +21,7 @@ trusting one transcription of the inequality.
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .exactmath import floor_div
+from .exactmath import _slot_setters, floor_div
 
 __all__ = [
     "rho",
@@ -52,14 +52,29 @@ def alpha_general(g: int, r: int, d: int) -> int:
     return floor_div(g * r + (d - r) * (r - 1), 2 * r * (d - r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NecessityReport:
-    """Outcome of the existence bound at the minimizing integer alpha."""
+    """Outcome of the existence bound at the minimizing integer alpha.
+
+    Each field is set once, by `__init__`; the class is slotted, so it has no
+    `__dict__` and no weak references.
+    """
 
     alpha: int
     rho_at_alpha: int
     satisfied: bool
     threshold_delta: int
+
+    def __init__(self, alpha: int, rho_at_alpha: int, satisfied: bool,
+                 threshold_delta: int):
+        _set_alpha(self, alpha)
+        _set_rho_at_alpha(self, rho_at_alpha)
+        _set_satisfied(self, satisfied)
+        _set_threshold_delta(self, threshold_delta)
+
+
+_set_alpha, _set_rho_at_alpha, _set_satisfied, _set_threshold_delta = (
+    _slot_setters(NecessityReport))
 
 
 def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
@@ -86,9 +101,4 @@ def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
             f"delta - threshold = {delta - threshold} "
             f"at (p={p}, delta={delta}, r={r}, d={d}, alpha={alpha})"
         )
-    return NecessityReport(
-        alpha=alpha,
-        rho_at_alpha=rho_at_alpha,
-        satisfied=rho_at_alpha >= 0,
-        threshold_delta=threshold,
-    )
+    return NecessityReport(alpha, rho_at_alpha, rho_at_alpha >= 0, threshold)

@@ -34,6 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
+from .exactmath import _slot_setters
 from .gonality import delta0
 
 __all__ = [
@@ -89,11 +90,11 @@ class ChainPartition:
                 raise ValueError(f"negative multiplicity {a} for length index {j}")
             if a:
                 mult[j] = mult.get(j, 0) + a
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "parts", tuple(sorted(mult.items())))
-        object.__setattr__(self, "g", sum(mult.values()))
-        object.__setattr__(self, "delta", sum((j - 1) * a for j, a in mult.items()))
+        _set_p(self, p)
+        _set_k(self, k)
+        _set_parts(self, tuple(sorted(mult.items())))
+        _set_g(self, sum(mult.values()))
+        _set_delta(self, sum((j - 1) * a for j, a in mult.items()))
 
     @classmethod
     def _trusted(cls, p: int, k: int, parts: tuple[tuple[int, int], ...], g: int, delta: int):
@@ -126,10 +127,7 @@ class ChainPartition:
         }
 
 
-# the slot descriptors' setters, which `_trusted` calls past the frozen
-# __setattr__, at well under the cost of object.__setattr__ by name
-_set_p, _set_k, _set_parts, _set_g, _set_delta = (
-    getattr(ChainPartition, name).__set__ for name in ("p", "k", "parts", "g", "delta"))
+_set_p, _set_k, _set_parts, _set_g, _set_delta = _slot_setters(ChainPartition)
 
 
 def validate(partition: ChainPartition) -> bool:

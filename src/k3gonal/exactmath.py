@@ -4,8 +4,10 @@ Integers are plain Python ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always lowest terms, positive denominator, structural
 equality).  Everything downstream (node counts, Beauville-Bogomolov values,
 cone bounds) is built on these three helpers; no floating point anywhere.
+`_slot_setters` serves the package's slotted value classes.
 """
 
+import dataclasses
 import math
 
 __all__ = ["floor_div", "ceil_div", "exact_sqrt"]
@@ -43,3 +45,14 @@ def exact_sqrt(n: int) -> int | None:
         raise ValueError(f"exact_sqrt requires a nonnegative argument, got {n}")
     s = math.isqrt(n)
     return s if s * s == n else None
+
+
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each field's slot descriptor, in `dataclasses.fields`
+    order, for a `@dataclass(frozen=True, slots=True)` class.
+
+    An explicit `__init__` calls them to set each field once past the frozen
+    `__setattr__`, at well under the cost of `object.__setattr__` by name;
+    unpacking the tuple into one name per field fails if the counts differ.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in dataclasses.fields(cls))

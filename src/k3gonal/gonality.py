@@ -25,7 +25,7 @@ from math import isqrt
 
 from . import brillnoether
 from .errors import InvariantViolation
-from .exactmath import ceil_div, floor_div
+from .exactmath import _slot_setters, ceil_div, floor_div
 
 __all__ = [
     "GonalityCase",
@@ -46,7 +46,7 @@ def _check_pk(p: int, k: int) -> None:
         raise ValueError(f"need k >= 2, got k={k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GonalityCase:
     """A triple (p, k, delta) with every derived invariant precomputed.
 
@@ -54,7 +54,9 @@ class GonalityCase:
     rho = rho(p, alpha, k alpha + delta), read from necessary_condition, and
     admissible iff rho >= 0.  Construction verifies the beta range
     -(k-1) < beta <= k-1 and the completed square in beta as a value
-    identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.
+    identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.  Each field is
+    set once, by `__init__` after those checks; the class is slotted, so it
+    has no `__dict__` and no weak references.
     """
 
     p: int
@@ -66,8 +68,7 @@ class GonalityCase:
     rho: int = field(init=False)
     admissible: bool = field(init=False)
 
-    def __post_init__(self):
-        p, k, delta = self.p, self.k, self.delta
+    def __init__(self, p: int, k: int, delta: int):
         _check_pk(p, k)
         g = p - delta
         # checks 0 <= delta <= p
@@ -84,20 +85,37 @@ class GonalityCase:
                 f"4(k-1)rho = {4 * (k - 1) * rho} != 4(k-1)delta - (g-k+1)^2 + "
                 f"beta^2 = {by_square} at (p={p}, k={k}, delta={delta})"
             )
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "admissible", rho >= 0)
+        _set_p(self, p)
+        _set_k(self, k)
+        _set_delta(self, delta)
+        _set_g(self, g)
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
+        _set_rho(self, rho)
+        _set_admissible(self, rho >= 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
-    """The triple (m, t, lam) with p = (k-1)m(m+1) + t(m+1) + lam."""
+    """The triple (m, t, lam) with p = (k-1)m(m+1) + t(m+1) + lam.
+
+    Each field is set once, by `__init__`; the class is slotted, so it has no
+    `__dict__` and no weak references.
+    """
 
     m: int
     t: int
     lam: int
+
+    def __init__(self, m: int, t: int, lam: int):
+        _set_m(self, m)
+        _set_t(self, t)
+        _set_lam(self, lam)
+
+
+(_set_p, _set_k, _set_delta, _set_g, _set_alpha, _set_beta, _set_rho,
+ _set_admissible) = _slot_setters(GonalityCase)
+_set_m, _set_t, _set_lam = _slot_setters(Decomposition)
 
 
 def admissible(p: int, k: int, delta: int) -> bool:

@@ -1,7 +1,12 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3gonal import brillnoether, cli, gonality
 from k3gonal.brillnoether import necessary_condition
+from k3gonal.errors import InvariantViolation
+from k3gonal.exactmath import ceil_div
 from k3gonal.gonality import (
     Decomposition,
     GonalityCase,
@@ -176,3 +181,40 @@ def test_case_rejects_bad_domain():
         GonalityCase(5, 1, 0)
     with pytest.raises(ValueError):
         GonalityCase(5, 2, 6)
+
+
+def _alpha_plus_one(p, delta, r, d):
+    report = necessary_condition(p, delta, r, d)
+    return brillnoether.NecessityReport(
+        report.alpha + 1, report.rho_at_alpha, report.satisfied, report.threshold_delta
+    )
+
+
+# each fault breaks one closed form and leaves the check that guards it alone:
+# (module, attribute, replacement, the guarded call, its message)
+GUARD_FAULTS = {
+    "decompose-m-too-large": (
+        gonality, "isqrt", lambda n: isqrt(n) + 2, decompose, "out of range for p="),
+    "decompose-m-too-small": (
+        gonality, "isqrt", lambda n: isqrt(n) - 2, decompose, "out of range for p="),
+    "delta0-two-forms": (
+        gonality, "ceil_div", lambda a, b: ceil_div(a, b) + 1, delta0,
+        "delta0 closed forms disagree"),
+    "case-beta-range": (
+        brillnoether, "necessary_condition", _alpha_plus_one,
+        lambda p, k: GonalityCase(p, k, delta0(p, k)), "outside (-(k-1), k-1]"),
+}
+
+
+@pytest.mark.parametrize("fault", GUARD_FAULTS)
+def test_closed_form_guards_fire(monkeypatch, capsys, fault):
+    module, name, replacement, call, message = GUARD_FAULTS[fault]
+    monkeypatch.setattr(module, name, replacement)
+    for p, k in [(8, 2), (9, 4), (12, 3), (10**40 + 1, 10**6)]:
+        with pytest.raises(InvariantViolation) as caught:
+            call(p, k)
+        assert message in str(caught.value)
+    assert cli.main(["hilb", "cone", "-p", "8", "-k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: ") and message in err

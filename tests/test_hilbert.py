@@ -1,9 +1,12 @@
 import dataclasses
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3gonal.brillnoether import necessary_condition
 from k3gonal.gonality import GonalityCase, admissible, decompose, delta0
 from k3gonal.hilbert import (
     CurveClass,
@@ -418,3 +421,50 @@ def test_lagrangian_payload_matches_asdict(p, k, isotropic):
     payload = report.to_payload()
     assert payload == dataclasses.asdict(report)
     assert list(payload) == list(dataclasses.asdict(report))  # the JSON key order
+
+
+# the value classes of the closed-form layer, each with one case and its repr
+VALUE_CASES = [
+    (lambda: decompose(20, 3), "Decomposition(m=2, t=2, lam=2)"),
+    (lambda: GonalityCase(9, 4, 2),
+     "GonalityCase(p=9, k=4, delta=2, g=7, alpha=1, beta=2, rho=1, admissible=True)"),
+    (lambda: necessary_condition(9, 2, 1, 4),
+     "NecessityReport(alpha=1, rho_at_alpha=1, satisfied=True, threshold_delta=1)"),
+    (lambda: optimal_class(8, 2), "CurveClass(p=8, k=2, a=1, y=5)"),
+    (lambda: extremal_ray_status(4, 3),
+     "RayReport(p=4, k=3, status='PROVEN_BM', rays=(CurveClass(p=4, k=3, a=0, y=-1), "
+     "CurveClass(p=4, k=3, a=1, y=6)), q=Fraction(-3, 1), notes=())"),
+    (lambda: lagrangian_report(10, 2),
+     "LagrangianReport(p=10, k=2, has_isotropic=True, s=3, alpha=2, value=-2, "
+     "not_nef=False, necessary_condition_holds=True, primitive=True, n=3)"),
+]
+
+
+@pytest.mark.parametrize("make, pinned", VALUE_CASES,
+                         ids=[pinned.split("(")[0] for _, pinned in VALUE_CASES])
+def test_value_classes_are_frozen_and_slotted(make, pinned):
+    value = make()
+    cls, fields = type(value), dataclasses.fields(value)
+    assert repr(value) == pinned
+    assert list(dataclasses.asdict(value)) == [f.name for f in fields]
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(value)
+    again = make()
+    assert again is not value and again == value
+    assert hash(value) == hash(again) == hash(tuple(getattr(value, f.name) for f in fields))
+    by_keyword = cls(**{f.name: getattr(value, f.name) for f in fields if f.init})
+    replaced = dataclasses.replace(value)
+    unpickled = pickle.loads(pickle.dumps(value))
+    for copy in (by_keyword, replaced, unpickled):
+        assert type(copy) is cls and copy == value and repr(copy) == pinned
+
+
+def test_replace_recomputes_the_case():
+    case = dataclasses.replace(GonalityCase(9, 4, 2), delta=1)
+    assert (case.delta, case.g, case.rho, case.admissible) == (1, 8, -1, False)
+    with pytest.raises(ValueError):
+        dataclasses.replace(GonalityCase(9, 4, 2), g=3)
