@@ -18,10 +18,8 @@ a mismatch aborts with :class:`InvariantViolation` rather than silently
 trusting one transcription of the inequality.
 """
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation
-from .exactmath import _slot_setters, floor_div
+from .exactmath import _value_class, floor_div
 
 __all__ = [
     "rho",
@@ -52,29 +50,14 @@ def alpha_general(g: int, r: int, d: int) -> int:
     return floor_div(g * r + (d - r) * (r - 1), 2 * r * (d - r))
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class NecessityReport:
-    """Outcome of the existence bound at the minimizing integer alpha.
-
-    Each field is set once, by `__init__`; the class is slotted, so it has no
-    `__dict__` and no weak references.
-    """
+    """Outcome of the existence bound at the minimizing integer alpha."""
 
     alpha: int
     rho_at_alpha: int
     satisfied: bool
     threshold_delta: int
-
-    def __init__(self, alpha: int, rho_at_alpha: int, satisfied: bool,
-                 threshold_delta: int):
-        _set_alpha(self, alpha)
-        _set_rho_at_alpha(self, rho_at_alpha)
-        _set_satisfied(self, satisfied)
-        _set_threshold_delta(self, threshold_delta)
-
-
-_set_alpha, _set_rho_at_alpha, _set_satisfied, _set_threshold_delta = (
-    _slot_setters(NecessityReport))
 
 
 def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:

@@ -31,10 +31,10 @@ witness to the next; `enumerate_partitions` is the exhaustive oracle.
 
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .errors import InvariantViolation
-from .exactmath import _slot_setters
+from .exactmath import _value_class
 from .gonality import delta0
 
 __all__ = [
@@ -52,7 +52,7 @@ MAX_P_ENV = "K3GONAL_MAX_P"
 DEFAULT_MAX_P = 60
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class ChainPartition:
     """Multiplicities of chain lengths, stored sparsely, with g and delta.
 
@@ -63,8 +63,7 @@ class ChainPartition:
     representable.  `g` = sum_j alpha_j (chains, the geometric genus of the
     marked-node smoothing) and `delta` = sum_j (j-1) alpha_j (marked nodes)
     are stored, computed once from the merged multiplicities; they take no
-    part in `==`, `hash` or `repr`, which stay over (p, k, parts).  The
-    class is slotted: no `__dict__` and no weak references.
+    part in `==`, `hash` or `repr`, which stay over (p, k, parts).
     """
 
     p: int
@@ -90,24 +89,8 @@ class ChainPartition:
                 raise ValueError(f"negative multiplicity {a} for length index {j}")
             if a:
                 mult[j] = mult.get(j, 0) + a
-        _set_p(self, p)
-        _set_k(self, k)
-        _set_parts(self, tuple(sorted(mult.items())))
-        _set_g(self, sum(mult.values()))
-        _set_delta(self, sum((j - 1) * a for j, a in mult.items()))
-
-    @classmethod
-    def _trusted(cls, p: int, k: int, parts: tuple[tuple[int, int], ...], g: int, delta: int):
-        """A partition from parts already sorted by j, with 1 <= j <= p and
-        every alpha_j >= 1, and their g and delta; nothing is checked or
-        copied."""
-        partition = object.__new__(cls)
-        _set_p(partition, p)
-        _set_k(partition, k)
-        _set_parts(partition, parts)
-        _set_g(partition, g)
-        _set_delta(partition, delta)
-        return partition
+        self._fill(p, k, tuple(sorted(mult.items())), sum(mult.values()),
+                   sum((j - 1) * a for j, a in mult.items()))
 
     @property
     def multiplicities(self) -> dict[int, int]:
@@ -125,9 +108,6 @@ class ChainPartition:
             "g": self.g,
             "parts": [[j, a] for j, a in self.parts],
         }
-
-
-_set_p, _set_k, _set_parts, _set_g, _set_delta = _slot_setters(ChainPartition)
 
 
 def validate(partition: ChainPartition) -> bool:
@@ -290,7 +270,9 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
     # pairs[j][a] is the shared (j, a); O(p log p) entries, however large k is
     pairs = [()] + [tuple((j, a) for a in range(min(cap, p // j) + 1)) for j in range(1, p + 1)]
     ones = pairs[1]
-    make = ChainPartition._trusted
+    # each leaf's parts are sorted by j, with 1 <= j <= p and every alpha_j
+    # >= 1, so it is built past `ChainPartition.__init__` and its checks
+    new, fill = object.__new__, ChainPartition._fill
     out: list[ChainPartition] = []
 
     def rec(remaining: int, top: int, tail: tuple, g: int, delta: int) -> None:
@@ -317,7 +299,9 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
                         f"enumerated partition at (p={p}, k={k}) has g={g_sum}, "
                         f"delta={delta_sum}, g + delta != p: parts={parts}"
                     )
-                out.append(make(p, k, parts, g_sum, delta_sum))
+                partition = new(ChainPartition)
+                fill(partition, p, k, parts, g_sum, delta_sum)
+                out.append(partition)
 
     try:
         rec(p, p, (), 0, 0)

@@ -445,15 +445,7 @@ def pencil_verify(k, samples, seed):
         )
     result = pencil.verification_suite(k, samples=samples, seed=seed)
     rate = result["transversal_rate"]
-    payload = {
-        "k": k,
-        "samples": samples,
-        "seed": seed,
-        "membership_points": result["membership_points"],
-        "failures": result["failures"],
-        "transversal": result["transversal"],
-        "transversal_rate": rat_str(rate),
-    }
+    payload = {**result, "transversal_rate": rat_str(rate)}
     table = (
         f"k={k} samples={samples} seed={seed} "
         f"transversal={result['transversal']}/{samples} "

@@ -4,7 +4,7 @@ Integers are plain Python ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always lowest terms, positive denominator, structural
 equality).  Everything downstream (node counts, Beauville-Bogomolov values,
 cone bounds) is built on these three helpers; no floating point anywhere.
-`_slot_setters` serves the package's slotted value classes.
+`_value_class` makes the package's frozen, slotted value classes.
 """
 
 import dataclasses
@@ -47,12 +47,32 @@ def exact_sqrt(n: int) -> int | None:
     return s if s * s == n else None
 
 
-def _slot_setters(cls) -> tuple:
-    """The `__set__` of each field's slot descriptor, in `dataclasses.fields`
-    order, for a `@dataclass(frozen=True, slots=True)` class.
+def _value_class(cls):
+    """`@dataclass(frozen=True, slots=True)`, with each field set once by one
+    direct call of its slot descriptor's `__set__`.
 
-    An explicit `__init__` calls them to set each field once past the frozen
-    `__setattr__`, at well under the cost of `object.__setattr__` by name;
-    unpacking the tuple into one name per field fails if the counts differ.
+    The class has no `__dict__` and no weak references.  For each class one
+    function is compiled from the field names, as `dataclass` compiles its
+    `__init__`; it takes every field, in `dataclasses.fields` order.  A class
+    that checks nothing gets it as its `__init__`, with the dataclass
+    signature.  A class with its own `__init__` keeps it, and that `__init__`
+    ends in one call of `self._fill(...)` once its checks have passed.
     """
-    return tuple(getattr(cls, f.name).__set__ for f in dataclasses.fields(cls))
+    own_init = "__init__" in cls.__dict__
+    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    name = "_fill" if own_init else "__init__"
+    body = "".join(f"\n  set_{n}(self, {n})" for n in names)
+    source = (f"def make({', '.join('set_' + n for n in names)}):\n"
+              f" def {name}(self, {', '.join(names)}):{body}\n return {name}")
+    namespace = {}
+    exec(source, namespace)
+    fill = namespace["make"](*(getattr(cls, n).__set__ for n in names))
+    fill.__qualname__ = f"{cls.__qualname__}.{name}"
+    fill.__module__ = cls.__module__
+    fill.__annotations__ = {f.name: f.type for f in fields}
+    fill.__defaults__ = tuple(f.default for f in fields
+                              if f.default is not dataclasses.MISSING)
+    setattr(cls, name, fill)
+    return cls

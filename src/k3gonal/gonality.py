@@ -20,12 +20,12 @@ two evaluations of the bound at any p; the brute-force scan
 `delta0_bruteforce` is the independent test oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from math import isqrt
 
 from . import brillnoether
 from .errors import InvariantViolation
-from .exactmath import _slot_setters, ceil_div, floor_div
+from .exactmath import _value_class, ceil_div, floor_div
 
 __all__ = [
     "GonalityCase",
@@ -46,7 +46,7 @@ def _check_pk(p: int, k: int) -> None:
         raise ValueError(f"need k >= 2, got k={k}")
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class GonalityCase:
     """A triple (p, k, delta) with every derived invariant precomputed.
 
@@ -54,9 +54,7 @@ class GonalityCase:
     rho = rho(p, alpha, k alpha + delta), read from necessary_condition, and
     admissible iff rho >= 0.  Construction verifies the beta range
     -(k-1) < beta <= k-1 and the completed square in beta as a value
-    identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.  Each field is
-    set once, by `__init__` after those checks; the class is slotted, so it
-    has no `__dict__` and no weak references.
+    identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.
     """
 
     p: int
@@ -85,37 +83,16 @@ class GonalityCase:
                 f"4(k-1)rho = {4 * (k - 1) * rho} != 4(k-1)delta - (g-k+1)^2 + "
                 f"beta^2 = {by_square} at (p={p}, k={k}, delta={delta})"
             )
-        _set_p(self, p)
-        _set_k(self, k)
-        _set_delta(self, delta)
-        _set_g(self, g)
-        _set_alpha(self, alpha)
-        _set_beta(self, beta)
-        _set_rho(self, rho)
-        _set_admissible(self, rho >= 0)
+        self._fill(p, k, delta, g, alpha, beta, rho, rho >= 0)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class Decomposition:
-    """The triple (m, t, lam) with p = (k-1)m(m+1) + t(m+1) + lam.
-
-    Each field is set once, by `__init__`; the class is slotted, so it has no
-    `__dict__` and no weak references.
-    """
+    """The triple (m, t, lam) with p = (k-1)m(m+1) + t(m+1) + lam."""
 
     m: int
     t: int
     lam: int
-
-    def __init__(self, m: int, t: int, lam: int):
-        _set_m(self, m)
-        _set_t(self, t)
-        _set_lam(self, lam)
-
-
-(_set_p, _set_k, _set_delta, _set_g, _set_alpha, _set_beta, _set_rho,
- _set_admissible) = _slot_setters(GonalityCase)
-_set_m, _set_t, _set_lam = _slot_setters(Decomposition)
 
 
 def admissible(p: int, k: int, delta: int) -> bool:
@@ -133,8 +110,13 @@ def decompose(p: int, k: int) -> Decomposition:
     m is read off in closed form: (k-1)n(n+1) <= p iff n(n+1) <= q with
     q = floor(p/(k-1)), iff (2n+1)^2 <= 4q+1, so
     m = (isqrt(4q+1) - 1) // 2, in O(log p) integer operations.  The range
-    check and the reconstruction check below guard it: an m one too small
-    would give t >= 2(k-1), one too large would give t < 0.
+    check below guards it: an m one too small would give t >= 2(k-1), one
+    too large would give t < 0.  It is the only check m needs.  lam is p
+    minus the other two terms, so (k-1)m(m+1) + t(m+1) + lam = p for every
+    integer m and t, right or wrong; and t(m+1) = (m+1) floor(p/(m+1)) -
+    (k-1)m(m+1), so lam = p mod (m+1) always lies in [0, m].  What is left
+    is the t-range: 0 <= t < 2(k-1) iff (k-1)m(m+1) <= p < (k-1)(m+1)(m+2),
+    which says that m is maximal.
 
     Requires p >= 2(k-1) so that m >= 1; below that the delta0 = 0 regime
     applies and there is nothing to decompose.
@@ -151,8 +133,6 @@ def decompose(p: int, k: int) -> Decomposition:
     dec = Decomposition(m, t, lam)
     if not (0 <= t < 2 * (k - 1) and 0 <= lam <= m):
         raise InvariantViolation(f"decomposition {dec} out of range for p={p}, k={k}")
-    if (k - 1) * m * (m + 1) + t * (m + 1) + lam != p:
-        raise InvariantViolation(f"decomposition {dec} does not reconstruct p={p}")
     return dec
 
 

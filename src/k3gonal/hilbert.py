@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InvariantViolation
-from .exactmath import _slot_setters, exact_sqrt, floor_div
+from .exactmath import _value_class, exact_sqrt, floor_div
 from .gonality import GonalityCase, _check_pk, decompose, delta0
 
 __all__ = [
@@ -68,14 +68,13 @@ def _scaled_q(p: int, k: int, a: int, y: int) -> int:
     return 4 * (k - 1) * (p - 1) * a * a - y * y
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class CurveClass:
     """The 1-cycle class a*H - y*r_k on the Hilbert scheme of k points.
 
     Gonality constructors always produce a = 1, y = g+k-1 >= 0; the fiber
-    class r_k itself is (a, y) = (0, -1), see :meth:`fiber`.  Each field is
-    set once, by `__init__` after the check of (p, k); the class is slotted,
-    so it has no `__dict__` and no weak references.
+    class r_k itself is (a, y) = (0, -1), see :meth:`fiber`.  Construction
+    checks (p, k).
     """
 
     p: int
@@ -85,10 +84,7 @@ class CurveClass:
 
     def __init__(self, p: int, k: int, a: int, y: int):
         _check_pk(p, k)
-        _set_curve_p(self, p)
-        _set_curve_k(self, k)
-        _set_curve_a(self, a)
-        _set_curve_y(self, y)
+        self._fill(p, k, a, y)
 
     @classmethod
     def fiber(cls, p: int, k: int) -> "CurveClass":
@@ -115,9 +111,6 @@ class CurveClass:
 
     def to_payload(self) -> dict:
         return {"a": self.a, "y": self.y}
-
-
-_set_curve_p, _set_curve_k, _set_curve_a, _set_curve_y = _slot_setters(CurveClass)
 
 
 @dataclass(frozen=True)
@@ -289,16 +282,14 @@ def isotropic_case(p: int, k: int) -> FamilyWitness | None:
     return FamilyWitness(s=s, delta=delta, curve=curve)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class LagrangianReport:
     """Necessary-condition report for a Lagrangian fibration structure.
 
     `value` is (k-1)(alpha+1)^2 - (2s+1)(alpha+1) + p with
     alpha = floor((2s-k+1)/(2(k-1))); nonnegative value means the isotropic
     divisor is not nef, negative means the necessary condition holds.
-    `primitive` flags p = n^2 (k-1) + 1.  Each field is set once, by
-    `__init__`; the class is slotted, so it has no `__dict__` and no weak
-    references.
+    `primitive` flags p = n^2 (k-1) + 1.
     """
 
     p: int
@@ -311,30 +302,6 @@ class LagrangianReport:
     necessary_condition_holds: bool | None = None
     primitive: bool = False
     n: int | None = None
-
-    def __init__(
-        self,
-        p: int,
-        k: int,
-        has_isotropic: bool,
-        s: int | None = None,
-        alpha: int | None = None,
-        value: int | None = None,
-        not_nef: bool | None = None,
-        necessary_condition_holds: bool | None = None,
-        primitive: bool = False,
-        n: int | None = None,
-    ):
-        _set_lagrangian_p(self, p)
-        _set_lagrangian_k(self, k)
-        _set_lagrangian_has_isotropic(self, has_isotropic)
-        _set_lagrangian_s(self, s)
-        _set_lagrangian_alpha(self, alpha)
-        _set_lagrangian_value(self, value)
-        _set_lagrangian_not_nef(self, not_nef)
-        _set_lagrangian_necessary_condition_holds(self, necessary_condition_holds)
-        _set_lagrangian_primitive(self, primitive)
-        _set_lagrangian_n(self, n)
 
     def to_payload(self) -> dict:
         return {
@@ -349,12 +316,6 @@ class LagrangianReport:
             "primitive": self.primitive,
             "n": self.n,
         }
-
-
-(_set_lagrangian_p, _set_lagrangian_k, _set_lagrangian_has_isotropic,
- _set_lagrangian_s, _set_lagrangian_alpha, _set_lagrangian_value,
- _set_lagrangian_not_nef, _set_lagrangian_necessary_condition_holds,
- _set_lagrangian_primitive, _set_lagrangian_n) = _slot_setters(LagrangianReport)
 
 
 def _primitive_isotropic_n(p: int, k: int) -> int | None:
@@ -388,13 +349,9 @@ def lagrangian_report(p: int, k: int) -> LagrangianReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class RayReport:
-    """Mori-cone extremal-ray classification for (p, k).
-
-    Each field is set once, by `__init__`; the class is slotted, so it has no
-    `__dict__` and no weak references.
-    """
+    """Mori-cone extremal-ray classification for (p, k)."""
 
     p: int
     k: int
@@ -402,15 +359,6 @@ class RayReport:
     rays: tuple[CurveClass, ...]
     q: Fraction
     notes: tuple[str, ...] = ()
-
-    def __init__(self, p: int, k: int, status: str, rays: tuple[CurveClass, ...],
-                 q: Fraction, notes: tuple[str, ...] = ()):
-        _set_ray_p(self, p)
-        _set_ray_k(self, k)
-        _set_ray_status(self, status)
-        _set_ray_rays(self, rays)
-        _set_ray_q(self, q)
-        _set_ray_notes(self, notes)
 
     def to_payload(self) -> dict:
         return {
@@ -421,10 +369,6 @@ class RayReport:
             "q": rat_str(self.q),
             "notes": list(self.notes),
         }
-
-
-(_set_ray_p, _set_ray_k, _set_ray_status, _set_ray_rays, _set_ray_q,
- _set_ray_notes) = _slot_setters(RayReport)
 
 
 def extremal_ray_status(p: int, k: int) -> RayReport:

@@ -190,6 +190,13 @@ def _alpha_plus_one(p, delta, r, d):
     )
 
 
+def _rho_plus_one(p, delta, r, d):
+    report = necessary_condition(p, delta, r, d)
+    return brillnoether.NecessityReport(
+        report.alpha, report.rho_at_alpha + 1, report.satisfied, report.threshold_delta
+    )
+
+
 # each fault breaks one closed form and leaves the check that guards it alone:
 # (module, attribute, replacement, the guarded call, its message)
 GUARD_FAULTS = {
@@ -203,6 +210,10 @@ GUARD_FAULTS = {
     "case-beta-range": (
         brillnoether, "necessary_condition", _alpha_plus_one,
         lambda p, k: GonalityCase(p, k, delta0(p, k)), "outside (-(k-1), k-1]"),
+    "case-completed-square": (
+        brillnoether, "necessary_condition", _rho_plus_one,
+        lambda p, k: GonalityCase(p, k, delta0(p, k)),
+        "!= 4(k-1)delta - (g-k+1)^2 + beta^2"),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import pickle
 import weakref
 from fractions import Fraction
@@ -6,11 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3gonal.brillnoether import necessary_condition
-from k3gonal.gonality import GonalityCase, admissible, decompose, delta0
+from k3gonal import cli, hilbert
+from k3gonal.brillnoether import NecessityReport, necessary_condition
+from k3gonal.chains import ChainPartition
+from k3gonal.errors import InvariantViolation
+from k3gonal.gonality import Decomposition, GonalityCase, admissible, decompose, delta0
 from k3gonal.hilbert import (
     CurveClass,
     DivisorClass,
+    LagrangianReport,
+    RayReport,
     attained_q_values,
     extremal_ray_status,
     genus_for_invariants,
@@ -122,6 +128,19 @@ def test_q_case_identity_and_bound_grid():
                     continue
                 q = q_case(p, k, delta)  # internally checks both forms + bound
                 assert q >= F(-(k + 3), 2)
+
+
+def test_q_case_two_forms_guard_fires(monkeypatch, capsys):
+    # one more on 4(k-1)(p-1) - (g+k-1)^2 leaves 4(k-1)(rho-1) - beta^2 alone
+    scaled_q = hilbert._scaled_q
+    monkeypatch.setattr(hilbert, "_scaled_q", lambda p, k, a, y: scaled_q(p, k, a, y) + 1)
+    for p, k in [(8, 2), (9, 4), (12, 3), (10**40 + 1, 10**6)]:
+        with pytest.raises(InvariantViolation, match="q closed forms disagree"):
+            q_case(p, k, delta0(p, k))
+    assert cli.main(["hilb", "q", "-p", "9", "-k", "4", "--delta", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: q closed forms disagree")
 
 
 def test_q_identity_holds_even_off_admissible_range():
@@ -468,3 +487,46 @@ def test_replace_recomputes_the_case():
     assert (case.delta, case.g, case.rho, case.admissible) == (1, 8, -1, False)
     with pytest.raises(ValueError):
         dataclasses.replace(GonalityCase(9, 4, 2), g=3)
+
+
+# per value class: its signature, the module of its __init__, arguments with
+# distinct values, and every field read back in `dataclasses.fields` order
+CONSTRUCTOR_CASES = [
+    (Decomposition, "(m: int, t: int, lam: int)", "k3gonal.gonality",
+     (1, 2, 3), (1, 2, 3)),
+    (GonalityCase, "(p: int, k: int, delta: int)", "k3gonal.gonality",
+     (12, 3, 1), (12, 3, 1, 11, 2, -1, -9, False)),
+    (NecessityReport,
+     "(alpha: int, rho_at_alpha: int, satisfied: bool, threshold_delta: int)",
+     "k3gonal.brillnoether", (1, 2, 3, 4), (1, 2, 3, 4)),
+    (CurveClass, "(p: int, k: int, a: int, y: int)", "k3gonal.hilbert",
+     (8, 3, 1, 5), (8, 3, 1, 5)),
+    (RayReport,
+     "(p: int, k: int, status: str, rays: tuple[k3gonal.hilbert.CurveClass, ...], "
+     "q: fractions.Fraction, notes: tuple[str, ...] = ())",
+     "k3gonal.hilbert", tuple(range(6)), tuple(range(6))),
+    (LagrangianReport,
+     "(p: int, k: int, has_isotropic: bool, s: int | None = None, "
+     "alpha: int | None = None, value: int | None = None, not_nef: bool | None = None, "
+     "necessary_condition_holds: bool | None = None, primitive: bool = False, "
+     "n: int | None = None)",
+     "k3gonal.hilbert", tuple(range(10)), tuple(range(10))),
+    (ChainPartition, "(p: int, k: int, parts)", "k3gonal.chains",
+     (9, 2, ((1, 2), (2, 1), (5, 1))), (9, 2, ((1, 2), (2, 1), (5, 1)), 4, 5)),
+]
+
+
+@pytest.mark.parametrize("cls, signature, module, args, fields", CONSTRUCTOR_CASES,
+                         ids=[case[0].__name__ for case in CONSTRUCTOR_CASES])
+def test_value_class_constructors(cls, signature, module, args, fields):
+    assert str(inspect.signature(cls)) == signature
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__module__ == module
+    value = cls(*args)
+    assert tuple(getattr(value, f.name) for f in dataclasses.fields(cls)) == fields
+    required = sum(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(cls).parameters.values())
+    with pytest.raises(TypeError):
+        cls(*args[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*args, 0)
