@@ -60,13 +60,13 @@ Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from types import MappingProxyType
 
 from .errors import InvariantViolation
+from .exactmath import _value_class
 
 __all__ = [
     "BinaryForm",
@@ -220,7 +220,7 @@ def _gcd_degree(a: list[int], b: list[int]) -> int:
     return _prs_gcd_degree(a, b)
 
 
-@dataclass(frozen=True)
+@_value_class
 class BinaryForm:
     """A binary form at a declared degree bound.
 
@@ -239,18 +239,7 @@ class BinaryForm:
             raise ValueError(
                 f"degree bound {bound} needs {bound + 1} coefficients, got {len(coeffs)}"
             )
-        self._set(bound, coeffs)
-
-    @classmethod
-    def _make(cls, bound: int, coeffs) -> "BinaryForm":
-        """Construct from bound + 1 integers, unchecked."""
-        self = object.__new__(cls)
-        self._set(bound, coeffs)
-        return self
-
-    def _set(self, bound: int, coeffs) -> None:
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._fill(bound, coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -269,7 +258,8 @@ class BinaryForm:
         return self.bound - self.affine_degree
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        return BinaryForm._make(self.bound + other.bound, _mul(self.coeffs, other.coeffs))
+        return BinaryForm._make(self.bound + other.bound,
+                                tuple(_mul(self.coeffs, other.coeffs)))
 
 
 def proportional(u: BinaryForm, v: BinaryForm) -> bool:
@@ -307,38 +297,30 @@ def distinct_root_count(form: BinaryForm) -> int:
     return (len(a) - 1) - _gcd_degree(a, _deriv(a)) + at_infinity
 
 
-@dataclass(frozen=True)
+@_value_class
 class Pencil:
     """Two independent binary forms of the same degree bound (a g^1_k)."""
 
     f: BinaryForm
     g: BinaryForm
 
-    def __post_init__(self):
-        if self.f.bound != self.g.bound:
+    def __init__(self, f: BinaryForm, g: BinaryForm):
+        if f.bound != g.bound:
             raise ValueError("pencil members must share the degree bound")
-        if self.f.bound < 1:
+        if f.bound < 1:
             raise ValueError("need degree bound >= 1")
-        if self.f.is_zero or self.g.is_zero:
+        if f.is_zero or g.is_zero:
             raise ValueError("pencil members must be nonzero forms")
-        if proportional(self.f, self.g):
+        if proportional(f, g):
             raise ValueError("degenerate pencil: the two forms are proportional")
-
-    @classmethod
-    def _make(cls, f: BinaryForm, g: BinaryForm) -> "Pencil":
-        """Construct from nonzero, non-proportional forms of a common bound
-        >= 1, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        return self
+        self._fill(f, g)
 
     @property
     def k(self) -> int:
         return self.f.bound
 
 
-@dataclass(frozen=True)
+@_value_class
 class SymPlaneCurve:
     """A plane curve of declared degree in the coordinates (e0 : e1 : e2).
 
@@ -349,34 +331,17 @@ class SymPlaneCurve:
     degree: int
     terms: tuple[tuple[tuple[int, int, int], int], ...]
 
-    def __init__(self, degree: int, coeffs):
+    def __init__(self, degree: int, terms):
         if degree < 0:
             raise ValueError(f"need degree >= 0, got {degree}")
-        items = coeffs.items() if isinstance(coeffs, dict) else tuple(coeffs)
+        items = terms.items() if isinstance(terms, dict) else tuple(terms)
         store: dict[tuple[int, int, int], int] = {}
         for expo, value in items:
             a, b, c = expo
             if a < 0 or b < 0 or c < 0 or a + b + c != degree:
                 raise ValueError(f"exponent {expo} is not of total degree {degree}")
             store[a, b, c] = store.get((a, b, c), 0) + _int(value)
-        self._set(degree, sorted(t for t in store.items() if t[1]))
-
-    @classmethod
-    def _make(cls, degree: int, store: dict) -> "SymPlaneCurve":
-        """Construct from {(a, b, c): integer coefficient}, unchecked."""
-        return cls._from_terms(degree, sorted(t for t in store.items() if t[1]))
-
-    @classmethod
-    def _from_terms(cls, degree: int, terms) -> "SymPlaneCurve":
-        """Construct from nonzero ((a, b, c), integer) terms in sorted order,
-        unchecked."""
-        self = object.__new__(cls)
-        self._set(degree, terms)
-        return self
-
-    def _set(self, degree: int, terms) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", tuple(terms))
+        self._fill(degree, tuple(sorted(t for t in store.items() if t[1])))
 
     @property
     def is_zero(self) -> bool:
@@ -415,7 +380,7 @@ class SymPlaneCurve:
         norm = max(sum(map(abs, m)) for m in ms)
         width = _width(sum(abs(v) for _, v in self.terms) * norm**d)
         value = self._value_at(*(_pack(m, width) for m in ms))
-        return BinaryForm._make(bound, _unpack(value, width, bound + 1))
+        return BinaryForm._make(bound, tuple(_unpack(value, width, bound + 1)))
 
 
 @lru_cache(maxsize=32)
@@ -465,7 +430,7 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
         if w:
             for number, c in terms:
                 acc[number] += c * w
-    curve = SymPlaneCurve._from_terms(k - 1, [t for t in zip(monomials, acc) if t[1]])
+    curve = SymPlaneCurve._make(k - 1, tuple(t for t in zip(monomials, acc) if t[1]))
     if curve.is_zero:
         raise InvariantViolation("wedge curve vanished for a valid pencil")
     return curve
@@ -487,8 +452,7 @@ def wronskian(pencil: Pencil) -> BinaryForm:
     )
     # both products have bound + 2 entries; the top ones cancel, so nothing
     # is left above the bound + 1 slots that _unpack reads
-    w = _unpack(value, width, bound + 1)
-    return BinaryForm._make(bound, w)
+    return BinaryForm._make(bound, tuple(_unpack(value, width, bound + 1)))
 
 
 def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
@@ -504,7 +468,7 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
     out = [0] * (2 * curve.degree + 1)
     for (_, b, c), v in curve.terms:
         out[b + 2 * c] += v << b
-    return BinaryForm._make(2 * curve.degree, out)
+    return BinaryForm._make(2 * curve.degree, tuple(out))
 
 
 @lru_cache(maxsize=32)
@@ -626,7 +590,7 @@ def _random_form(k: int, rng: random.Random) -> BinaryForm:
     while True:
         cs = [_randint(bits, -9, 9) for _ in range(k + 1)]
         if any(cs):
-            return BinaryForm._make(k, cs)
+            return BinaryForm._make(k, tuple(cs))
 
 
 def random_pencil(k: int, rng: random.Random) -> Pencil:

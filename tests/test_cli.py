@@ -466,7 +466,7 @@ def test_pencil_verify_identity_failures_exit_2(capsys, monkeypatch):
         store = dict(curve.terms)
         for expo, v in (((k - 3, 2, 0), 1), ((k - 2, 0, 1), -4)):
             store[expo] = store.get(expo, 0) + v
-        return pencil.SymPlaneCurve._make(k - 1, store)
+        return pencil.SymPlaneCurve(k - 1, store)
 
     monkeypatch.setattr(pencil, "wedge_curve", wrong)
     first = "; ".join(f"sample {i}: membership oracle at x1^0 y1^3" for i in range(5))

@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import k3gonal
 from k3gonal.exactmath import ceil_div, exact_sqrt, floor_div
 
 ints = st.integers(min_value=-(10**12), max_value=10**12)
@@ -72,3 +75,18 @@ def test_rational_normalization_is_structural():
     assert (Fraction(2, 4).numerator, Fraction(2, 4).denominator) == (1, 2)
     assert Fraction(3, -6) == Fraction(-1, 2)
     assert Fraction(3, -6).denominator == 2
+
+
+@pytest.mark.parametrize("path", sorted(Path(k3gonal.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_value_classes_are_made_only_by_value_class(path):
+    # outside `exactmath`, nothing names `dataclass` (so every frozen value
+    # class is made by `_value_class`), and nothing in the package sets a
+    # field through `object.__setattr__`
+    for node in ast.walk(ast.parse(path.read_text(), path.name)):
+        if isinstance(node, ast.Attribute):
+            assert ast.unparse(node) != "object.__setattr__", f"{path.name}:{node.lineno}"
+        if path.name != "exactmath.py":
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            assert name not in ("dataclass", "make_dataclass"), f"{path.name}:{node.lineno}"

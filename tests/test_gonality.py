@@ -1,9 +1,10 @@
 from math import isqrt
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3gonal import brillnoether, cli, gonality
+from k3gonal import brillnoether, cli, gonality, hilbert, pencil
 from k3gonal.brillnoether import necessary_condition
 from k3gonal.errors import InvariantViolation
 from k3gonal.exactmath import ceil_div
@@ -16,6 +17,21 @@ from k3gonal.gonality import (
     delta0_bruteforce,
     expected_dims,
     is_optimal,
+)
+from k3gonal.hilbert import (
+    CurveClass,
+    gonality_class,
+    ht_violation_check,
+    isotropic_case,
+    minimal_q_family,
+    optimal_class,
+)
+from k3gonal.pencil import (
+    BinaryForm,
+    conic_intersection,
+    random_coprime_pencil,
+    random_smooth_conic,
+    wedge_curve,
 )
 
 GRID = [(p, k) for k in range(2, 7) for p in range(2, 61)]
@@ -197,35 +213,100 @@ def _rho_plus_one(p, delta, r, d):
     )
 
 
+_wedge_plan, _primitive_isotropic_n = pencil._wedge_plan, hilbert._primitive_isotropic_n
+
+
+def _zeroed_wedge_plan(k):
+    """`_wedge_plan` with every coefficient of the h_n expansion zero."""
+    monomials, pairs = _wedge_plan(k)
+    return monomials, tuple((i, j, tuple((n, 0) for n, _ in terms)) for i, j, terms in pairs)
+
+
+def _cubic_conic_forms(a):
+    """The conic's quadratic forms times x0, at degree bound 3."""
+    return tuple(BinaryForm(3, (r[0], 2 * r[1], r[2], 0)) for r in a)
+
+
+def _conic_count(k, seed):
+    rng = Random(seed)
+    return conic_intersection(wedge_curve(random_coprime_pencil(k, rng)), random_smooth_conic(rng))
+
+
+class _ShiftedClass(CurveClass):
+    """Every curve class built by name one r_k further out."""
+
+    __slots__ = ()
+
+    def __init__(self, p, k, a, y):
+        CurveClass.__init__(self, p, k, a, y + 1)
+
+
+# the cases of the closed forms in (p, k), and of the seeded pencils in (k, seed)
+PK_CASES = [(8, 2), (9, 4), (12, 3), (10**40 + 1, 10**6)]
+PENCIL_CASES = [(2, 0), (3, 1), (8, 2)]
+# p = s(s+1)(k-1), and p = n^2(k-1) + 1 with n >= 2 (so (k-1)(p-1) is a square)
+MINIMAL_Q_CASES = [(6, 2), (12, 3), (36, 4), (10**20 * (10**20 + 1) * (10**6 - 1), 10**6)]
+PRIMITIVE_CASES = [(10, 2), (17, 2), (37, 10), (10**46 + 1, 10**6 + 1)]
+CONE = ["hilb", "cone", "-p", "8", "-k", "2"]
+VERIFY = ["pencil", "verify", "-k", "3", "--samples", "5"]
+RAYS = ["hilb", "rays", "-p", "12", "-k", "3"]
+
 # each fault breaks one closed form and leaves the check that guards it alone:
-# (module, attribute, replacement, the guarded call, its message)
+# (module, attribute, replacement, the guarded call, its message, the call's
+# arguments, a command that reaches the guard or None)
 GUARD_FAULTS = {
     "decompose-m-too-large": (
-        gonality, "isqrt", lambda n: isqrt(n) + 2, decompose, "out of range for p="),
+        gonality, "isqrt", lambda n: isqrt(n) + 2, decompose, "out of range for p=",
+        PK_CASES, CONE),
     "decompose-m-too-small": (
-        gonality, "isqrt", lambda n: isqrt(n) - 2, decompose, "out of range for p="),
+        gonality, "isqrt", lambda n: isqrt(n) - 2, decompose, "out of range for p=",
+        PK_CASES, CONE),
     "delta0-two-forms": (
         gonality, "ceil_div", lambda a, b: ceil_div(a, b) + 1, delta0,
-        "delta0 closed forms disagree"),
+        "delta0 closed forms disagree", PK_CASES, CONE),
     "case-beta-range": (
         brillnoether, "necessary_condition", _alpha_plus_one,
-        lambda p, k: GonalityCase(p, k, delta0(p, k)), "outside (-(k-1), k-1]"),
+        lambda p, k: GonalityCase(p, k, delta0(p, k)), "outside (-(k-1), k-1]",
+        PK_CASES, CONE),
     "case-completed-square": (
         brillnoether, "necessary_condition", _rho_plus_one,
         lambda p, k: GonalityCase(p, k, delta0(p, k)),
-        "!= 4(k-1)delta - (g-k+1)^2 + beta^2"),
+        "!= 4(k-1)delta - (g-k+1)^2 + beta^2", PK_CASES, CONE),
+    "wedge-vanished": (
+        pencil, "_wedge_plan", _zeroed_wedge_plan,
+        lambda k, seed: wedge_curve(random_coprime_pencil(k, Random(seed))),
+        "wedge curve vanished for a valid pencil", PENCIL_CASES, VERIFY),
+    "conic-bezout": (
+        pencil, "_conic_forms", _cubic_conic_forms, _conic_count,
+        "pullback bound disagrees with Bezout degree", PENCIL_CASES, VERIFY),
+    # the formula in s is the oracle of the general optimal class here
+    "minimal-q-class": (
+        hilbert, "optimal_class", lambda p, k: CurveClass(p, k, 1, optimal_class(p, k).y + 1),
+        minimal_q_family, "minimal-q family class mismatch", MINIMAL_Q_CASES, RAYS),
+    "minimal-q-value": (
+        hilbert, "CurveClass", _ShiftedClass, minimal_q_family, "minimal-q family q=",
+        MINIMAL_Q_CASES, RAYS),
+    "isotropic-q": (
+        hilbert, "gonality_class",
+        lambda p, k, delta: CurveClass(p, k, 1, gonality_class(p, k, delta).y + 1),
+        isotropic_case, "isotropic class has q=", PRIMITIVE_CASES, None),
+    "ht-q-rbar": (
+        hilbert, "_primitive_isotropic_n", lambda p, k: _primitive_isotropic_n(p, k) + 1,
+        ht_violation_check, "!= -2n - 1/(2(k-1))", PRIMITIVE_CASES, None),
 }
 
 
 @pytest.mark.parametrize("fault", GUARD_FAULTS)
 def test_closed_form_guards_fire(monkeypatch, capsys, fault):
-    module, name, replacement, call, message = GUARD_FAULTS[fault]
+    module, name, replacement, call, message, cases, argv = GUARD_FAULTS[fault]
     monkeypatch.setattr(module, name, replacement)
-    for p, k in [(8, 2), (9, 4), (12, 3), (10**40 + 1, 10**6)]:
+    for args in cases:
         with pytest.raises(InvariantViolation) as caught:
-            call(p, k)
+            call(*args)
         assert message in str(caught.value)
-    assert cli.main(["hilb", "cone", "-p", "8", "-k", "2"]) == 2
+    if argv is None:
+        return  # no command reaches this guard
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("invariant violation: ") and message in err

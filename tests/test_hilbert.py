@@ -15,6 +15,8 @@ from k3gonal.gonality import Decomposition, GonalityCase, admissible, decompose,
 from k3gonal.hilbert import (
     CurveClass,
     DivisorClass,
+    FamilyWitness,
+    HTConeReport,
     LagrangianReport,
     RayReport,
     attained_q_values,
@@ -32,6 +34,7 @@ from k3gonal.hilbert import (
     rat_str,
     tau,
 )
+from k3gonal.pencil import BinaryForm, Pencil, SymPlaneCurve, wedge_curve
 
 F = Fraction
 
@@ -456,6 +459,19 @@ VALUE_CASES = [
     (lambda: lagrangian_report(10, 2),
      "LagrangianReport(p=10, k=2, has_isotropic=True, s=3, alpha=2, value=-2, "
      "not_nef=False, necessary_condition_holds=True, primitive=True, n=3)"),
+    # a product and a wedge curve are built by the unchecked `_make`
+    (lambda: BinaryForm(1, (1, -1)) * BinaryForm(1, (1, 1)),
+     "BinaryForm(bound=2, coeffs=(1, 0, -1))"),
+    (lambda: Pencil(BinaryForm(2, (1, 0, -1)), BinaryForm(2, (0, 1, 0))),
+     "Pencil(f=BinaryForm(bound=2, coeffs=(1, 0, -1)), g=BinaryForm(bound=2, coeffs=(0, 1, 0)))"),
+    (lambda: wedge_curve(Pencil(BinaryForm(3, (0, 0, 0, 1)), BinaryForm(3, (1, 0, 0, 0)))),
+     "SymPlaneCurve(degree=2, terms=(((0, 2, 0), 1), ((1, 0, 1), -1)))"),
+    (lambda: DivisorClass(8, 2, 1, F(1, 2)), "DivisorClass(p=8, k=2, a=1, c=Fraction(1, 2))"),
+    (lambda: minimal_q_family(12, 3),
+     "FamilyWitness(s=2, delta=4, curve=CurveClass(p=12, k=3, a=1, y=10))"),
+    (lambda: ht_violation_check(37, 10),
+     "HTConeReport(p=37, k=10, applicable=True, n=2, rbar=CurveClass(p=37, k=10, a=1, y=37), "
+     "q_rbar=Fraction(-73, 18), violation=True)"),
 ]
 
 
@@ -513,6 +529,21 @@ CONSTRUCTOR_CASES = [
      "k3gonal.hilbert", tuple(range(10)), tuple(range(10))),
     (ChainPartition, "(p: int, k: int, parts)", "k3gonal.chains",
      (9, 2, ((1, 2), (2, 1), (5, 1))), (9, 2, ((1, 2), (2, 1), (5, 1)), 4, 5)),
+    (BinaryForm, "(bound: int, coeffs)", "k3gonal.pencil", (2, [1, 2, 3]), (2, (1, 2, 3))),
+    (Pencil, "(f: k3gonal.pencil.BinaryForm, g: k3gonal.pencil.BinaryForm)", "k3gonal.pencil",
+     (BinaryForm(1, (1, 2)), BinaryForm(1, (3, 4))),
+     (BinaryForm(1, (1, 2)), BinaryForm(1, (3, 4)))),
+    (SymPlaneCurve, "(degree: int, terms)", "k3gonal.pencil",
+     (1, {(1, 0, 0): 2, (0, 0, 1): 3}), (1, (((0, 0, 1), 3), ((1, 0, 0), 2)))),
+    (DivisorClass, "(p: int, k: int, a: int, c)", "k3gonal.hilbert",
+     (8, 3, 2, F(1, 2)), (8, 3, 2, F(1, 2))),
+    (FamilyWitness, "(s: int, delta: int, curve: k3gonal.hilbert.CurveClass)",
+     "k3gonal.hilbert", (1, 2, 3), (1, 2, 3)),
+    (HTConeReport,
+     "(p: int, k: int, applicable: bool, n: int | None = None, "
+     "rbar: k3gonal.hilbert.CurveClass | None = None, "
+     "q_rbar: fractions.Fraction | None = None, violation: bool | None = None)",
+     "k3gonal.hilbert", tuple(range(7)), tuple(range(7))),
 ]
 
 

@@ -411,7 +411,7 @@ def _ref_conic(a):
     cof = (_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1]))
     mt = [[u[1] * v[1] - 2 * (u[0] * v[2] + u[2] * v[0]) for v in cof] for u in cof]
     # x^T mt x: the e_r e_s coefficient is mt[r][s], doubled for r != s
-    conic = SymPlaneCurve._make(2, {
+    conic = SymPlaneCurve(2, {
         tuple((r == i) + (s == i) for i in range(3)): mt[r][s] * (1 + (r != s))
         for r in range(3) for s in range(r, 3)
     })
@@ -698,7 +698,7 @@ def _wedge_plus_diagonal_multiple(pencil):
     store = dict(curve.terms)
     for expo, v in (((k - 3, 2, 0), 1), ((k - 2, 0, 1), -4)):
         store[expo] = store.get(expo, 0) + v
-    return SymPlaneCurve._make(k - 1, store)
+    return SymPlaneCurve(k - 1, store)
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 8])
@@ -790,7 +790,7 @@ def _ref_symmetric_to_ternary(sym, degree):
             work[key] = work.get(key, 0) - c * b
             if work[key] == 0:
                 del work[key]
-    return SymPlaneCurve._make(degree, out)
+    return SymPlaneCurve(degree, out)
 
 
 def _ref_wedge_curve(pencil):
@@ -861,7 +861,7 @@ def _perturbed(curve, expo, delta):
     """The curve with delta added to the coefficient of e0^a e1^b e2^c."""
     store = dict(curve.terms)
     store[expo] = store.get(expo, 0) + delta
-    return SymPlaneCurve._make(curve.degree, store)
+    return SymPlaneCurve(curve.degree, store)
 
 
 @st.composite
@@ -878,7 +878,7 @@ def test_value_identity_fails_after_any_coefficient_change(pencil, data):
     expo, delta = data.draw(monomial_change(curve.degree))
     assert _value_identity(pencil, _perturbed(curve, expo, delta)) is not None
     # a curve of another degree fails too
-    other = SymPlaneCurve._make(pencil.k, {(0, 0, pencil.k): 1})
+    other = SymPlaneCurve(pencil.k, {(0, 0, pencil.k): 1})
     assert _value_identity(pencil, other) == "in degree"
 
 
