@@ -8,98 +8,45 @@ numbers), :mod:`~k3gonal.chains` (constructive chain-partition witnesses),
 :mod:`~k3gonal.pencil` (exact pencil algebra on Sym^2 of the line),
 :mod:`~k3gonal.hilbert` (Beauville-Bogomolov calculus and cone bounds),
 :mod:`~k3gonal.cli` (the `k3gonal` command).
+
+Importing the package imports none of them: each name below, and each
+submodule that exports one, is imported on first use (PEP 562).
 """
 
-from .brillnoether import NecessityReport, necessary_condition, rho
-from .chains import (
-    ChainPartition,
-    construct_minimal,
-    enumerate_partitions,
-    increment,
-    validate,
-    witness,
-)
-from .errors import InvariantViolation
-from .exactmath import ceil_div, exact_sqrt, floor_div
-from .gonality import (
-    Decomposition,
-    GonalityCase,
-    admissible,
-    decompose,
-    delta0,
-    delta0_bruteforce,
-    expected_dims,
-    is_optimal,
-)
-from .hilbert import (
-    CurveClass,
-    DivisorClass,
-    attained_q_values,
-    extremal_ray_status,
-    genus_for_invariants,
-    gonality_class,
-    ht_violation_check,
-    isotropic_case,
-    lagrangian_report,
-    minimal_q_family,
-    optimal_class,
-    pairing,
-    q_case,
-    tau,
-)
-from .pencil import (
-    BinaryForm,
-    Pencil,
-    SymPlaneCurve,
-    conic_intersection,
-    diagonal_restriction,
-    wedge_curve,
-    wronskian,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InvariantViolation",
-    "floor_div",
-    "ceil_div",
-    "exact_sqrt",
-    "rho",
-    "necessary_condition",
-    "NecessityReport",
-    "GonalityCase",
-    "Decomposition",
-    "admissible",
-    "decompose",
-    "delta0",
-    "delta0_bruteforce",
-    "expected_dims",
-    "is_optimal",
-    "ChainPartition",
-    "validate",
-    "construct_minimal",
-    "increment",
-    "witness",
-    "enumerate_partitions",
-    "BinaryForm",
-    "Pencil",
-    "SymPlaneCurve",
-    "wedge_curve",
-    "wronskian",
-    "diagonal_restriction",
-    "conic_intersection",
-    "CurveClass",
-    "DivisorClass",
-    "pairing",
-    "gonality_class",
-    "optimal_class",
-    "q_case",
-    "tau",
-    "minimal_q_family",
-    "isotropic_case",
-    "lagrangian_report",
-    "extremal_ray_status",
-    "genus_for_invariants",
-    "attained_q_values",
-    "ht_violation_check",
-]
+# each submodule, and the names the package exports from it
+_EXPORTS = {
+    "errors": ("InvariantViolation",),
+    "exactmath": ("floor_div", "ceil_div", "exact_sqrt"),
+    "brillnoether": ("rho", "necessary_condition", "NecessityReport"),
+    "gonality": ("GonalityCase", "Decomposition", "admissible", "decompose", "delta0",
+                 "delta0_bruteforce", "expected_dims", "is_optimal"),
+    "chains": ("ChainPartition", "validate", "construct_minimal", "increment", "witness",
+               "enumerate_partitions"),
+    "pencil": ("BinaryForm", "Pencil", "SymPlaneCurve", "wedge_curve", "wronskian",
+               "diagonal_restriction", "conic_intersection"),
+    "hilbert": ("CurveClass", "DivisorClass", "pairing", "gonality_class", "optimal_class",
+                "q_case", "tau", "minimal_q_family", "isotropic_case", "lagrangian_report",
+                "extremal_ray_status", "genus_for_invariants", "attained_q_values",
+                "ht_violation_check"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    # a name is looked up in its submodule on every access and never bound
+    # here, so the package hands out whatever that submodule holds now
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

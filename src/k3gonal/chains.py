@@ -127,16 +127,21 @@ def _lightest(n: int, cap: int) -> int:
 
 def _lightest_plus_one(p: int, k: int, delta: int) -> ChainPartition:
     """The g - 1 lightest chains plus one chain carrying the rest of the
-    weight, g = p - delta; validated, and its delta checked."""
+    weight, g = p - delta; validated, and its delta checked.  The last
+    chain's index p - lightest(g - 1) is at least 1 for every delta >=
+    delta0(p, k); below delta0 it can drop under 1, where no chain has it,
+    and the check fails before anything is built."""
     cap = 2 * (k - 1)
     n = p - delta - 1
     q, r = divmod(n, cap)
     rest = p - _lightest(n, cap)
-    partition = ChainPartition(p, k, [(j, cap) for j in range(1, q + 1)] + [(q + 1, r), (rest, 1)])
-    if not validate(partition) or partition.delta != delta:
+    partition = ChainPartition(
+        p, k, [(j, cap) for j in range(1, q + 1)] + [(q + 1, r), (rest, 1)]
+    ) if rest >= 1 else None
+    if partition is None or not validate(partition) or partition.delta != delta:
         raise InvariantViolation(
-            f"chain witness failed at (p={p}, k={k}): "
-            f"delta={partition.delta}, expected {delta}"
+            f"chain witness failed at (p={p}, k={k}, delta={delta}): "
+            f"last chain index {rest}"
         )
     return partition
 

@@ -235,6 +235,7 @@ def minimal_q_family(p: int, k: int) -> FamilyWitness | None:
 
     Solved exactly: when (k-1) | p, s is read off the square root of
     4p/(k-1) + 1.  Returns None when p is not of this shape.
+    root^2 = 4q + 1 with q = p/(k-1) >= 1 makes root odd and >= 3, so s >= 1, s(s+1) = q.
     """
     _check_pk(p, k)
     if p % (k - 1) != 0:
@@ -243,8 +244,6 @@ def minimal_q_family(p: int, k: int) -> FamilyWitness | None:
     if root is None:
         return None
     s = (root - 1) // 2
-    if s < 1 or s * (s + 1) * (k - 1) != p:
-        return None
     delta = p - 2 * s * (k - 1)
     curve = CurveClass(p, k, 1, (2 * s + 1) * (k - 1))
     if curve != optimal_class(p, k) or delta != delta0(p, k):
@@ -264,10 +263,11 @@ def isotropic_case(p: int, k: int) -> FamilyWitness | None:
     With s the positive root, the class sits at delta = p - 2s + k - 1; that
     delta only stays within [0, p] when 2s >= k-1 (equivalently g >= 0), so
     the degenerate square cases below that line also return None.
+    (k-1)(p-1) >= 1, so its root s is never 0.
     """
     _check_pk(p, k)
     s = exact_sqrt((k - 1) * (p - 1))
-    if s is None or s < 1 or 2 * s < k - 1:
+    if s is None or 2 * s < k - 1:
         return None
     delta = p - 2 * s + k - 1
     curve = gonality_class(p, k, delta)
@@ -300,18 +300,7 @@ class LagrangianReport:
     n: int | None = None
 
     def to_payload(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "has_isotropic": self.has_isotropic,
-            "s": self.s,
-            "alpha": self.alpha,
-            "value": self.value,
-            "not_nef": self.not_nef,
-            "necessary_condition_holds": self.necessary_condition_holds,
-            "primitive": self.primitive,
-            "n": self.n,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _primitive_isotropic_n(p: int, k: int) -> int | None:
@@ -323,14 +312,17 @@ def _primitive_isotropic_n(p: int, k: int) -> int | None:
 
 
 def lagrangian_report(p: int, k: int) -> LagrangianReport:
-    """Evaluate the isotropy detection and the fibration necessary condition."""
+    """Evaluate the isotropy detection and the fibration necessary condition.
+
+    (k-1)(p-1) >= 1, so s >= 1; p - 1 = n^2 (k-1) iff s = n(k-1), so n = s/(k-1).
+    """
     _check_pk(p, k)
     s = exact_sqrt((k - 1) * (p - 1))
-    if s is None or s < 1:
+    if s is None:
         return LagrangianReport(p=p, k=k, has_isotropic=False)
     alpha = floor_div(2 * s - k + 1, 2 * (k - 1))
     value = (k - 1) * (alpha + 1) ** 2 - (2 * s + 1) * (alpha + 1) + p
-    n = _primitive_isotropic_n(p, k)
+    n = s // (k - 1) if s % (k - 1) == 0 else None
     return LagrangianReport(
         p=p,
         k=k,

@@ -168,6 +168,23 @@ def test_construct_minimal_rejects_wrong_delta0(monkeypatch, shift):
     assert construct_minimal(8, 2).delta == 4
 
 
+def test_witness_below_delta0_is_an_invariant_violation(monkeypatch, capsys):
+    # delta0 one too low lets the true delta0 - 1 through `witness`'s range
+    # check; whether the rule's last chain index drops under 1 there or the
+    # cap breaks, the witness check raises, and the command exits 2
+    cases = [(p, k, delta0(p, k)) for k in range(2, 7) for p in range(3, 61)]
+    cases = [(p, k, d0) for p, k, d0 in cases if d0 >= 1]
+    assert len(cases) == 270
+    for p, k, d0 in cases:
+        monkeypatch.setattr(chains, "delta0", lambda p, k, d0=d0: d0 - 1)
+        with pytest.raises(InvariantViolation, match="chain witness failed"):
+            witness(p, k, d0 - 1)
+        argv = ["chains", "witness", "-p", str(p), "-k", str(k), "--delta", str(d0 - 1)]
+        assert cli.main(argv) == 2, (p, k)
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invariant violation: chain witness failed"), (p, k)
+
+
 def test_witness_at_extreme_p():
     p = 10**40 + 1
     assert witness(p, 2, p - 1).parts == ((p, 1),)

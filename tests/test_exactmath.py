@@ -82,8 +82,14 @@ def test_rational_normalization_is_structural():
 def test_value_classes_are_made_only_by_value_class(path):
     # outside `exactmath`, nothing names `dataclass` (so every frozen value
     # class is made by `_value_class`), and nothing in the package sets a
-    # field through `object.__setattr__`
+    # field through `object.__setattr__`; `__init__` imports no submodule,
+    # as its exports are imported on first use
     for node in ast.walk(ast.parse(path.read_text(), path.name)):
+        if path.name == "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            assert getattr(node, "level", 0) == 0 and not any(
+                m.split(".")[0] == "k3gonal" for m in modules), f"{path.name}:{node.lineno}"
         if isinstance(node, ast.Attribute):
             assert ast.unparse(node) != "object.__setattr__", f"{path.name}:{node.lineno}"
         if path.name != "exactmath.py":

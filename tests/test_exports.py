@@ -1,5 +1,10 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +37,63 @@ def test_package_exports_are_the_submodules_objects():
         assert hasattr(k3gonal, n), n
         assert n in owners, f"{n} is exported by no submodule"
         assert all(getattr(k3gonal, n) is getattr(m, n) for m in owners[n]), n
+
+
+SUBMODULES = ["errors", "exactmath", "brillnoether", "gonality", "chains", "pencil", "hilbert"]
+
+
+def _fresh(code):
+    """Run `code` in a new interpreter that imports this `k3gonal`; return the
+    JSON it prints last."""
+    src = str(Path(k3gonal.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    prelude = ("import json, sys\n"
+               "loaded = lambda: sorted(m for m in sys.modules if m.startswith('k3gonal.'))\n")
+    done = subprocess.run([sys.executable, "-c", prelude + code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_bare_import_loads_no_submodule():
+    assert _fresh("import k3gonal\nprint(json.dumps(loaded()))") == []
+
+
+def test_a_name_loads_only_its_submodule_and_what_that_imports():
+    assert _fresh("from k3gonal import delta0\nprint(json.dumps(loaded()))") == [
+        "k3gonal.brillnoether", "k3gonal.errors", "k3gonal.exactmath", "k3gonal.gonality"]
+
+
+def test_star_import_binds_every_exported_name():
+    names = _fresh("import k3gonal\nnames = {}\nexec('from k3gonal import *', names)\n"
+                   "print(json.dumps([n for n in names if n != '__builtins__']))")
+    assert sorted(names) == sorted(k3gonal.__all__) and len(names) == 42
+
+
+def test_dir_lists_the_exports_and_the_submodules_before_any_import():
+    listed = _fresh("import k3gonal\nprint(json.dumps([dir(k3gonal), loaded()]))")
+    assert set(k3gonal.__all__) | set(SUBMODULES) <= set(listed[0])
+    assert listed[1] == []
+
+
+def test_each_submodule_resolves_as_a_package_attribute():
+    code = f"import k3gonal\nprint(json.dumps([getattr(k3gonal, m).__name__ for m in {SUBMODULES}]))"
+    assert _fresh(code) == [f"k3gonal.{m}" for m in SUBMODULES]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        getattr(k3gonal, "nope")
+    assert _fresh("import k3gonal\ntry:\n    from k3gonal import nope\nexcept ImportError:\n"
+                  "    print(json.dumps(loaded()))") == []
+
+
+def test_a_package_name_follows_its_submodule(monkeypatch):
+    # the package binds no exported name, so a name replaced on its submodule
+    # is replaced on the package too, and restored with it
+    from k3gonal import gonality
+
+    original = gonality.delta0
+    monkeypatch.setattr(gonality, "delta0", len)
+    assert k3gonal.delta0 is len and "delta0" not in vars(k3gonal)
+    monkeypatch.undo()
+    assert k3gonal.delta0 is original
