@@ -130,7 +130,13 @@ def _lightest_plus_one(p: int, k: int, delta: int) -> ChainPartition:
     weight, g = p - delta; validated, and its delta checked.  The last
     chain's index p - lightest(g - 1) is at least 1 for every delta >=
     delta0(p, k); below delta0 it can drop under 1, where no chain has it,
-    and the check fails before anything is built."""
+    and the check fails before anything is built.
+
+    Only two halves of the witness check can fail: the last index, and the
+    cap, which the last chain breaks when its index is at most q, joining
+    the cap chains already there.  The weight and the delta halves hold by
+    construction: the parts weigh lightest(g - 1) + rest = p and count
+    q*cap + r + 1 = g chains, so delta = p - g."""
     cap = 2 * (k - 1)
     n = p - delta - 1
     q, r = divmod(n, cap)

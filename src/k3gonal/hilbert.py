@@ -184,13 +184,12 @@ def optimal_class(p: int, k: int) -> CurveClass:
     return CurveClass(p, k, 1, y)
 
 
-def q_case(p: int, k: int, delta: int) -> Fraction:
-    """q of the gonality class, by both closed forms, bound-checked.
+def _scaled_q_case(p: int, k: int, delta: int) -> int:
+    """2(k-1) q of the gonality class, by both closed forms, bound-checked.
 
-    Evaluates 2(p-1) - (g+k-1)^2/(2(k-1)) and 2(rho-1) - beta^2/(2(k-1)),
-    requires them equal, and asserts the lower bound -(k+3)/2.  All three
-    are compared as the integers 2(k-1) q: 4(k-1)(p-1) - (g+k-1)^2,
-    4(k-1)(rho-1) - beta^2 and -(k+3)(k-1).
+    The integer core of `q_case`: requires 4(k-1)(p-1) - (g+k-1)^2 and
+    4(k-1)(rho-1) - beta^2 equal, and at least -(k+3)(k-1), the scaled
+    -(k+3)/2.  A message shows q itself, as a fraction.
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
@@ -208,7 +207,19 @@ def q_case(p: int, k: int, delta: int) -> Fraction:
             f"q={Fraction(first, den)} below -(k+3)/2 on an admissible case "
             f"(p={p}, k={k}, delta={delta})"
         )
-    return Fraction(first, den)
+    return first
+
+
+def q_case(p: int, k: int, delta: int) -> Fraction:
+    """q of the gonality class, by both closed forms, bound-checked.
+
+    Evaluates 2(p-1) - (g+k-1)^2/(2(k-1)) and 2(rho-1) - beta^2/(2(k-1)),
+    requires them equal, and asserts the lower bound -(k+3)/2.  All three
+    are compared as the integers 2(k-1) q: 4(k-1)(p-1) - (g+k-1)^2,
+    4(k-1)(rho-1) - beta^2 and -(k+3)(k-1), by `_scaled_q_case`; the one
+    `Fraction` is built here, at the API boundary.
+    """
+    return Fraction(_scaled_q_case(p, k, delta), 2 * (k - 1))
 
 
 def tau(p: int, k: int) -> Fraction:
@@ -236,6 +247,10 @@ def minimal_q_family(p: int, k: int) -> FamilyWitness | None:
     Solved exactly: when (k-1) | p, s is read off the square root of
     4p/(k-1) + 1.  Returns None when p is not of this shape.
     root^2 = 4q + 1 with q = p/(k-1) >= 1 makes root odd and >= 3, so s >= 1, s(s+1) = q.
+    The q check is an identity in s: with p = s(s+1)(k-1),
+    4(k-1)(p-1) - ((2s+1)(k-1))^2 = -(k+3)(k-1) for every s, so it fires
+    only when `CurveClass` or `_scaled_q` is broken.  The class check, s
+    being unique for p, fires only when `optimal_class` is.
     """
     _check_pk(p, k)
     if p % (k - 1) != 0:
@@ -264,6 +279,10 @@ def isotropic_case(p: int, k: int) -> FamilyWitness | None:
     delta only stays within [0, p] when 2s >= k-1 (equivalently g >= 0), so
     the degenerate square cases below that line also return None.
     (k-1)(p-1) >= 1, so its root s is never 0.
+    The q check is an identity in s: `gonality_class` at that delta has
+    y = g + k - 1 = 2s, and 4(k-1)(p-1) - (2s)^2 = 0 when s^2 = (k-1)(p-1),
+    so it fires only when `CurveClass`, `gonality_class` or `_scaled_q` is
+    broken.
     """
     _check_pk(p, k)
     s = exact_sqrt((k - 1) * (p - 1))
@@ -395,8 +414,10 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
 
     p = (k-1)m(m+1) + (k-1-beta)(m+1) + rho; the decomposition of p then is
     exactly (m, k-1-beta, rho), whose optimal-form reading of q is
-    2(rho-1) - beta^2/(2(k-1)), and q_case at delta0 must equal it.
-    Requires k >= 2, rho >= 0, 0 <= beta <= k-1 and m >= max(1, rho).
+    2(rho-1) - beta^2/(2(k-1)), and q_case at delta0 must equal it.  The two
+    are compared as the integers 2(k-1) q, 4(k-1)(rho-1) - beta^2 against
+    `_scaled_q_case` at delta0, so no `Fraction` is built unless the check
+    fails.  Requires k >= 2, rho >= 0, 0 <= beta <= k-1 and m >= max(1, rho).
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
@@ -413,11 +434,13 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
         raise InvariantViolation(
             f"decomposition of p={p} is {dec}, expected (m={m}, t={t}, lam={rho})"
         )
-    predicted = Fraction(4 * (k - 1) * (rho - 1) - beta * beta, 2 * (k - 1))
-    actual = q_case(p, k, delta0(p, k))
+    predicted = 4 * (k - 1) * (rho - 1) - beta * beta  # 2(k-1) q
+    actual = _scaled_q_case(p, k, delta0(p, k))
     if actual != predicted:
+        den = 2 * (k - 1)
         raise InvariantViolation(
-            f"optimal q at (p={p}, k={k}) is {actual}, predicted {predicted}"
+            f"optimal q at (p={p}, k={k}) is {Fraction(actual, den)}, "
+            f"predicted {Fraction(predicted, den)}"
         )
     return p
 
@@ -426,31 +449,36 @@ def attained_q_values(k: int, p_max: int) -> list[Fraction]:
     """Sorted negative self-intersections of optimal classes for p <= p_max.
 
     Below p = 2(k-1) (the delta0 = 0 regime) every optimal q is negative and
-    is read off q_case(p, k, 0).  From p = 2(k-1) on, the optimal q is
-    2(rho-1) - beta^2/(2(k-1)), which is negative only on the finite family
-    of pairs (rho, beta) with 0 <= beta <= k-1 and 4(rho-1) < k-1 (beta and
-    -beta give the same q, and beta >= 0 has the smaller p).  Each pair is
-    first realized at m = max(1, rho) by genus_for_invariants, whose p grows
-    as beta falls and as rho grows, so the walk stops at q >= 0 or p > p_max.
-    The cost is O(k) for the regime plus about two pairs per value returned,
-    whatever p_max is.
+    is read off q_case(p, k, 0), through its integer core `_scaled_q_case`.
+    From p = 2(k-1) on, the optimal q is 2(rho-1) - beta^2/(2(k-1)), which
+    is negative only on the finite family of pairs (rho, beta) with
+    0 <= beta <= k-1 and 4(rho-1) < k-1 (beta and -beta give the same q, and
+    beta >= 0 has the smaller p).  Each pair is first realized at
+    m = max(1, rho) by genus_for_invariants, whose p grows as beta falls and
+    as rho grows, so the walk stops at q >= 0 or p > p_max.  The cost is
+    O(k) for the regime plus about two pairs per value returned, whatever
+    p_max is.  Every q is collected, de-duplicated and sorted as the integer
+    2(k-1) q; a `Fraction` is built only for each value returned.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if p_max < 2:
         raise ValueError(f"need p_max >= 2, got p_max={p_max}")
-    values = {q_case(p, k, 0) for p in range(2, min(p_max + 1, 2 * (k - 1)))}
+    # 2(k-1) q for each q; the scale is positive, so the order is the same
+    values = {_scaled_q_case(p, k, 0) for p in range(2, min(p_max + 1, 2 * (k - 1)))}
     rho = 0
     while 4 * (rho - 1) < k - 1:
         for beta in range(k - 1, -1, -1):
             scaled = 4 * (k - 1) * (rho - 1) - beta * beta  # 2(k-1) q
             if scaled >= 0 or genus_for_invariants(k, rho, beta, max(1, rho)) > p_max:
                 break
-            values.add(Fraction(scaled, 2 * (k - 1)))
+            values.add(scaled)
         if beta == k - 1:
             break  # even the first p of this rho is past p_max
         rho += 1
-    return sorted(values)
+    values = sorted(values)  # drops the set before the fractions are built
+    den = 2 * (k - 1)
+    return [Fraction(scaled, den) for scaled in values]
 
 
 def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:

@@ -378,6 +378,39 @@ def test_attained_q_values_matches_scan():
                 assert attained_q_values(k, p) == expected, (k, p)
 
 
+def test_attained_q_values_builds_one_fraction_per_value(monkeypatch):
+    # the spectrum is walked as the integers 2(k-1) q, never through q_case
+    known = {
+        2: [F(-5, 2), F(-2), F(-1, 2)],
+        3: [F(-3), F(-9, 4), F(-2), F(-1), F(-1, 4)],
+        4: [F(-7, 2), F(-8, 3), F(-13, 6), F(-2), F(-3, 2), F(-2, 3), F(-1, 6)],
+    }
+    scanned = {k: dict(scanned_q_values(k, 400)) for k in range(2, 16)}
+    built = []
+
+    class CountingFraction(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    q_case_calls = []
+    monkeypatch.setattr(hilbert, "Fraction", CountingFraction)
+    monkeypatch.setattr(hilbert, "q_case", lambda *args: q_case_calls.append(args))
+    for k in range(2, 16):
+        # no candidate lies past p = 400, so the spectrum there is complete
+        assert q_candidate_count(k, 400) == q_candidate_count(k, 10**40), k
+        for p_max, expected in [(50, scanned[k][50]), (400, scanned[k][400]),
+                                (10**40, scanned[k][400])]:
+            built.clear()
+            values = attained_q_values(k, p_max)
+            assert values == expected, (k, p_max)
+            if k in known and p_max > 50:
+                assert values == known[k], (k, p_max)
+            assert len(built) == len(values), (k, p_max)
+            assert all(type(v) is CountingFraction for v in values), (k, p_max)
+    assert q_case_calls == []
+
+
 def test_q_candidate_count_matches_box_count():
     for k in range(2, 16):
         # first p of every (rho, beta) with q < 0, over a box that holds them all
