@@ -1,8 +1,8 @@
 """Exact arithmetic for k-gonal loci of nodal curves on K3 surfaces and the
 Mori cone of punctual Hilbert schemes.
 
-Subpackages by theme: :mod:`~k3gonal.exactmath` (integer/rational helpers),
-:mod:`~k3gonal.brillnoether` (the general existence bound),
+Subpackages by theme: :mod:`~k3gonal.exactmath` (perfect squares and the
+value classes), :mod:`~k3gonal.brillnoether` (the general existence bound),
 :mod:`~k3gonal.gonality` (the r=1, d=k specialization and minimal node
 numbers), :mod:`~k3gonal.chains` (constructive chain-partition witnesses),
 :mod:`~k3gonal.pencil` (exact pencil algebra on Sym^2 of the line),
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # each submodule, and the names the package exports from it
 _EXPORTS = {
     "errors": ("InvariantViolation",),
-    "exactmath": ("floor_div", "ceil_div", "exact_sqrt"),
+    "exactmath": ("exact_sqrt",),
     "brillnoether": ("rho", "necessary_condition", "NecessityReport"),
     "gonality": ("GonalityCase", "Decomposition", "admissible", "decompose", "delta0",
                  "delta0_bruteforce", "expected_dims", "is_optimal"),

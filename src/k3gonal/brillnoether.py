@@ -19,7 +19,7 @@ trusting one transcription of the inequality.
 """
 
 from .errors import InvariantViolation
-from .exactmath import _value_class, floor_div
+from .exactmath import _value_class
 
 __all__ = [
     "rho",
@@ -47,7 +47,7 @@ def alpha_general(g: int, r: int, d: int) -> int:
         raise ValueError(f"need d > r >= 1, got r={r}, d={d}")
     if g < 0:
         raise ValueError(f"need g >= 0, got g={g}")
-    return floor_div(g * r + (d - r) * (r - 1), 2 * r * (d - r))
+    return (g * r + (d - r) * (r - 1)) // (2 * r * (d - r))
 
 
 @_value_class

@@ -155,11 +155,11 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
     whole, and a reader that closes stdout early meets a later write.
     `payload` is the chunks of `_json_rows`, or a dict, which `_json_text`
     renders as `json.dumps(payload, indent=2)` plus a newline: one chunk,
-    or one per line past `_PIPE_BYTES`.  `table` is the text, or an iterable
-    of its lines (at least one, none ending in a newline), each one chunk
-    with its newline.  `csv_rows` defaults to a header row and a value row
-    from a flat dict payload; each row is one chunk.  Only the selected
-    rendering is consumed.
+    or one per line past `_PIPE_BYTES`.  `table` is the text, with no
+    trailing newline, or an iterable of its lines (at least one, none ending
+    in a newline); either way each is one chunk with its newline.  `csv_rows`
+    defaults to a header row and a value row from a flat dict payload; each
+    row is one chunk.  Only the selected rendering is consumed.
     """
     if fmt == "json":
         chunks = payload
@@ -175,7 +175,7 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
         echo = types.SimpleNamespace(write=lambda text: text)
         chunks = map(csv.writer(echo, lineterminator="\n").writerow, csv_rows)
     elif isinstance(table, str):
-        chunks = [table if table.endswith("\n") else table + "\n"]
+        chunks = [table + "\n"]
     else:
         chunks = (line + "\n" for line in table)
     chunks = iter(chunks)
@@ -735,7 +735,3 @@ def main(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,38 +1,18 @@
-"""Exact integer and rational arithmetic helpers.
+"""What plain integers and fractions lack: a perfect-square test, and the
+maker of the package's value classes.
 
 Integers are plain Python ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always lowest terms, positive denominator, structural
-equality).  Everything downstream (node counts, Beauville-Bogomolov values,
-cone bounds) is built on these three helpers; no floating point anywhere.
-`_value_class` makes the package's frozen, slotted value classes.
+equality); no floating point anywhere.  A floor of a quotient by a positive
+divisor is ``a // b``, and a ceiling ``-(-a // b)``, where it is used.
+`exact_sqrt` decides perfect squares, and `_value_class` makes the package's
+frozen, slotted value classes.
 """
 
 import dataclasses
 import math
 
-__all__ = ["floor_div", "ceil_div", "exact_sqrt"]
-
-
-def floor_div(a: int, b: int) -> int:
-    """Floor division toward minus infinity; requires b > 0.
-
-    >>> floor_div(7, 2), floor_div(-7, 2)
-    (3, -4)
-    """
-    if b <= 0:
-        raise ValueError(f"floor_div requires a positive divisor, got {b}")
-    return a // b
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling division; requires b > 0.
-
-    >>> ceil_div(7, 2), ceil_div(6, 3)
-    (4, 2)
-    """
-    if b <= 0:
-        raise ValueError(f"ceil_div requires a positive divisor, got {b}")
-    return -((-a) // b)
+__all__ = ["exact_sqrt"]
 
 
 def exact_sqrt(n: int) -> int | None:

@@ -25,7 +25,7 @@ from math import isqrt
 
 from . import brillnoether
 from .errors import InvariantViolation
-from .exactmath import _value_class, ceil_div, floor_div
+from .exactmath import _value_class
 
 __all__ = [
     "GonalityCase",
@@ -128,7 +128,7 @@ def decompose(p: int, k: int) -> Decomposition:
             "this is the delta0 = 0 regime"
         )
     m = (isqrt(4 * (p // (k - 1)) + 1) - 1) // 2
-    t = floor_div(p, m + 1) - m * (k - 1)
+    t = p // (m + 1) - m * (k - 1)
     lam = p - (k - 1) * m * (m + 1) - t * (m + 1)
     dec = Decomposition(m, t, lam)
     if not (0 <= t < 2 * (k - 1) and 0 <= lam <= m):
@@ -151,7 +151,7 @@ def delta0(p: int, k: int) -> int:
     dec = decompose(p, k)
     m, t, lam = dec.m, dec.t, dec.lam
     value = (k - 1) * m * (m - 1) + t * m + lam
-    other = ceil_div(m * p, m + 1) - m * (k - 1)
+    other = -(-m * p // (m + 1)) - m * (k - 1)
     if value != other:
         raise InvariantViolation(
             f"delta0 closed forms disagree: {value} != {other} at (p={p}, k={k})"

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InvariantViolation
-from .exactmath import _value_class, exact_sqrt, floor_div
+from .exactmath import _value_class, exact_sqrt
 from .gonality import GonalityCase, _check_pk, decompose, delta0
 
 __all__ = [
@@ -167,7 +167,7 @@ def optimal_class(p: int, k: int) -> CurveClass:
         y = p + k - 1
     else:
         m = decompose(p, k).m
-        y = (m + 1) * (k - 1) + floor_div(p, m + 1)
+        y = (m + 1) * (k - 1) + p // (m + 1)
     d0 = delta0(p, k)
     # a delta0 outside [0, p] has no GonalityCase, and is no admissible delta
     case = GonalityCase(p, k, d0) if 0 <= d0 <= p else None
@@ -323,11 +323,11 @@ class LagrangianReport:
 
 
 def _primitive_isotropic_n(p: int, k: int) -> int | None:
-    """n >= 1 with p = n^2 (k-1) + 1, if any."""
+    """n with p = n^2 (k-1) + 1, if any; n >= 1 always, as k-1 divides
+    p-1 >= 1, so (p-1)/(k-1) >= 1, and so is its square root."""
     if (p - 1) % (k - 1) != 0:
         return None
-    n = exact_sqrt((p - 1) // (k - 1))
-    return n if n is not None and n >= 1 else None
+    return exact_sqrt((p - 1) // (k - 1))
 
 
 def lagrangian_report(p: int, k: int) -> LagrangianReport:
@@ -339,7 +339,7 @@ def lagrangian_report(p: int, k: int) -> LagrangianReport:
     s = exact_sqrt((k - 1) * (p - 1))
     if s is None:
         return LagrangianReport(p=p, k=k, has_isotropic=False)
-    alpha = floor_div(2 * s - k + 1, 2 * (k - 1))
+    alpha = (2 * s - k + 1) // (2 * (k - 1))
     value = (k - 1) * (alpha + 1) ** 2 - (2 * s + 1) * (alpha + 1) + p
     n = s // (k - 1) if s % (k - 1) == 0 else None
     return LagrangianReport(

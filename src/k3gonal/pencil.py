@@ -18,9 +18,9 @@ pencil; concretely the symmetric form
 rewritten in the elementary-symmetric coordinates, where it is read off the
 closed form of the complete symmetric polynomial h_n in (e1, e2).
 Restricting that curve to the diagonal, which sends each monomial to one
-monomial, recovers the Wronskian f g' - f' g (up to a nonzero scalar), whose
-2(k-1) projective roots are the ramification points of the degree-k map; all
-of this is verified exactly, never by root finding.  Every other smooth conic
+monomial, gives minus the Wronskian f g' - f' g exactly, whose 2(k-1)
+projective roots are the ramification points of the degree-k map; all of
+this is verified exactly, never by root finding.  Every other smooth conic
 the suite meets is the image A(diagonal) under an invertible matrix A, and is
 parametrized by A composed with that of the diagonal, so the conic is held as
 A alone: a curve meets it where its pullback through the three quadratic
@@ -639,7 +639,7 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
     """Run the randomized pencil checks at degree k and report counts.
 
     Per sampled coprime pencil: the wedge curve must be nonzero of exact
-    total degree k-1; its diagonal restriction must be proportional to the
+    total degree k-1; its diagonal restriction must equal minus the
     Wronskian; det(x, y) must equal (x - y) times the curve, a value identity
     checked once as polynomials by `_value_identity`, so at every pair, with
     a failure naming the first coefficient that differs (the MEMBERSHIP_POINTS
@@ -662,7 +662,7 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
         if curve.degree != k - 1 or not any(a == 0 for (a, _, _), _ in curve.terms):
             failures.append(f"sample {index}: wedge degree law")
         diag = diagonal_restriction(curve, k)
-        if not proportional(diag, wronskian(pencil)):
+        if diag.coeffs != tuple(-c for c in wronskian(pencil).coeffs):
             failures.append(f"sample {index}: diagonal/Wronskian identity")
         where = _value_identity(pencil, curve)
         if where is not None:

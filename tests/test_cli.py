@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from k3gonal import chains, cli, gonality, hilbert, pencil
+from k3gonal import brillnoether, chains, cli, gonality, hilbert, pencil
 from k3gonal.cli import main
 from k3gonal.hilbert import rat_str
 
@@ -781,6 +781,103 @@ def test_leaf_bytes_pinned(capsys, tmp_path, command, fmt):
 
 def test_leaf_parsers_cover_every_command():
     assert {" ".join(path) for path in cli._LEAVES} == set(_leaf_names(cli.cli))
+
+
+# the closed forms and checks whose calls are budgeted, keyed by the code they
+# run, so a call counts under whatever name the function is bound to
+_BUDGETED = {function.__code__: name for name, function in [
+    ("decompose", gonality.decompose),
+    ("delta0", gonality.delta0),
+    ("optimal_class", hilbert.optimal_class),
+    ("GonalityCase", gonality.GonalityCase.__init__),
+    ("necessary_condition", brillnoether.necessary_condition),
+    ("q_case", hilbert.q_case),
+    ("minimal_q_family", hilbert.minimal_q_family),
+    ("lagrangian_report", hilbert.lagrangian_report),
+    ("wedge_curve", pencil.wedge_curve),
+    ("_gcd_degree", pencil._gcd_degree),
+]}
+# the budgeted calls of each pinned command, the same in every format; a
+# function it does not call is left out.  A change that makes fewer calls
+# lowers the pin, and one that makes more fails
+CALL_BUDGETS = {
+    "bn check -p 8 --delta 3 -r 1 -d 2": {"necessary_condition": 1},
+    "bn check -p 9 -k 4 --delta 2": {"necessary_condition": 1},
+    "bn rho -g 4 -r 2 -d 3": {},
+    "bn rho -g 9 -r 1 -d 6": {},
+    "chains enumerate -p 5 -k 3": {},
+    "chains enumerate -p 6 -k 2": {},
+    "chains stable -p 8 -k 2 --alpha 1:2,2:1,4:1": {},
+    "chains stable -p 9 -k 3 --alpha 3:1,1:4,2:1": {},
+    "chains witness -p 12 -k 3 --delta 4": {"decompose": 1, "delta0": 1},
+    "chains witness -p 8 -k 2 --delta 5": {"decompose": 1, "delta0": 1},
+    "gonality delta0 -p 20 -k 3": {"decompose": 1, "delta0": 1},
+    "gonality delta0 -p 9 -k 4 --verify": {
+        "decompose": 1, "delta0": 1, "GonalityCase": 2, "necessary_condition": 2},
+    "gonality dims -p 20 -k 5 --delta 8": {"GonalityCase": 1, "necessary_condition": 1},
+    "gonality dims -p 8 -k 2 --delta 4": {"GonalityCase": 1, "necessary_condition": 1},
+    "hilb class -p 8 -k 2 --delta 4": {"GonalityCase": 1, "necessary_condition": 1},
+    "hilb class -p 9 -k 4 --delta 2": {"GonalityCase": 1, "necessary_condition": 1},
+    "hilb cone -p 12 -k 3": {
+        "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
+        "necessary_condition": 1},
+    "hilb cone -p 8 -k 2": {
+        "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
+        "necessary_condition": 1},
+    "hilb lagrangian -p 10 -k 2": {"lagrangian_report": 1},
+    "hilb lagrangian -p 10 -k 5": {"lagrangian_report": 1},
+    "hilb lagrangian -p 11 -k 2": {"lagrangian_report": 1},
+    "hilb q -p 8 -k 2 --delta 4": {"GonalityCase": 1, "necessary_condition": 1, "q_case": 1},
+    "hilb q -p 9 -k 4 --delta 2": {"GonalityCase": 1, "necessary_condition": 1, "q_case": 1},
+    "hilb qvalues -k 2 --pmax 50": {
+        "decompose": 5, "delta0": 3, "GonalityCase": 3, "necessary_condition": 3},
+    "hilb qvalues -k 3 --pmax 300": {
+        "decompose": 9, "delta0": 5, "GonalityCase": 7, "necessary_condition": 7},
+    "hilb rays -p 12 -k 3": {
+        "decompose": 5, "delta0": 3, "optimal_class": 2, "GonalityCase": 2,
+        "necessary_condition": 2, "minimal_q_family": 1},
+    "hilb rays -p 8 -k 2": {
+        "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
+        "necessary_condition": 1, "minimal_q_family": 1},
+    "hilb scan --pmax 12 --kmax 3": {
+        "decompose": 135, "delta0": 94, "optimal_class": 69, "GonalityCase": 69,
+        "necessary_condition": 69, "minimal_q_family": 18, "lagrangian_report": 22},
+    "hilb scan --pmin 5 --pmax 9 --kmin 3 --kmax 4": {
+        "decompose": 56, "delta0": 40, "optimal_class": 30, "GonalityCase": 30,
+        "necessary_condition": 30, "minimal_q_family": 8, "lagrangian_report": 10},
+    "pencil verify -k 3 --samples 5 --seed 1": {"wedge_curve": 5, "_gcd_degree": 10},
+}
+
+
+def _budgeted_calls(capsys, argv):
+    """The calls of each budgeted function that `main(argv)` makes, counted
+    with `sys.setprofile`; a function not called is left out."""
+    counts = {}
+
+    def profile(frame, event, arg):
+        name = _BUDGETED.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            counts[name] = counts.get(name, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(previous)
+    assert (code, capsys.readouterr().err) == (0, "")
+    return counts
+
+
+def test_call_budgets_cover_every_pinned_command():
+    assert sorted(CALL_BUDGETS) == LEAF_CASES
+
+
+@pytest.mark.parametrize("command", LEAF_CASES)
+def test_leaf_call_budgets(capsys, command):
+    argv, budget = command.split(), CALL_BUDGETS[command]
+    for fmt in FORMATS:
+        assert _budgeted_calls(capsys, ["--format", fmt, *argv]) == budget, fmt
 
 
 @pytest.mark.parametrize("command", LEAF_CASES)

@@ -6,22 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import k3gonal
-from k3gonal.exactmath import ceil_div, exact_sqrt, floor_div
-
-ints = st.integers(min_value=-(10**12), max_value=10**12)
-positive = st.integers(min_value=1, max_value=10**9)
-
-
-def test_floor_div_examples():
-    assert floor_div(7, 2) == 3
-    assert floor_div(-7, 2) == -4
-    assert floor_div(8, 3) == 2
-
-
-def test_ceil_div_examples():
-    assert ceil_div(7, 2) == 4
-    assert ceil_div(6, 3) == 2
-    assert ceil_div(16, 3) == 6
+from k3gonal.exactmath import exact_sqrt
 
 
 def test_exact_sqrt_examples():
@@ -30,28 +15,9 @@ def test_exact_sqrt_examples():
     assert exact_sqrt(10) is None
 
 
-@pytest.mark.parametrize("bad", [0, -1, -10])
-def test_division_rejects_nonpositive_divisor(bad):
-    with pytest.raises(ValueError):
-        floor_div(1, bad)
-    with pytest.raises(ValueError):
-        ceil_div(1, bad)
-
-
 def test_exact_sqrt_rejects_negative():
     with pytest.raises(ValueError):
         exact_sqrt(-1)
-
-
-@given(a=ints, b=positive)
-def test_floor_div_bracket(a, b):
-    q = floor_div(a, b)
-    assert b * q <= a < b * (q + 1)
-
-
-@given(a=ints, b=positive)
-def test_ceil_is_negated_floor(a, b):
-    assert ceil_div(a, b) == -floor_div(-a, b)
 
 
 @given(s=st.integers(min_value=0, max_value=10**6))

@@ -11,7 +11,6 @@ from k3gonal import brillnoether, chains, cli, gonality, hilbert, pencil
 from k3gonal.brillnoether import necessary_condition, rho
 from k3gonal.chains import construct_minimal, witness
 from k3gonal.errors import InvariantViolation
-from k3gonal.exactmath import ceil_div
 from k3gonal.gonality import (
     Decomposition,
     GonalityCase,
@@ -221,7 +220,7 @@ def _rho_plus_one(p, delta, r, d):
 
 
 _wedge_plan, _primitive_isotropic_n = pencil._wedge_plan, hilbert._primitive_isotropic_n
-_scaled_q, _hilbert_floor_div = hilbert._scaled_q, hilbert.floor_div
+_scaled_q = hilbert._scaled_q
 
 
 def _zeroed_wedge_plan(k):
@@ -268,6 +267,11 @@ def _membership_breaking_wedge(pen):
 def _t_one_too_large(p, k):
     dec = decompose(p, k)
     return Decomposition(dec.m, dec.t + 1, dec.lam)
+
+
+def _lam_one_too_large(p, k):
+    dec = decompose(p, k)
+    return Decomposition(dec.m, dec.t, dec.lam + 1)
 
 
 class _AllAdmissible(GonalityCase):
@@ -318,8 +322,8 @@ GUARD_FAULTS = {
         gonality, "isqrt", lambda n: isqrt(n) - 2, decompose, "out of range for p=",
         PK_CASES, CONE),
     "delta0-two-forms": (
-        gonality, "ceil_div", lambda a, b: ceil_div(a, b) + 1, delta0,
-        "delta0 closed forms disagree", PK_CASES, CONE),
+        gonality, "decompose", _lam_one_too_large, delta0, "delta0 closed forms disagree",
+        PK_CASES, CONE),
     "case-beta-range": (
         brillnoether, "necessary_condition", _alpha_plus_one,
         lambda p, k: GonalityCase(p, k, delta0(p, k)), "outside (-(k-1), k-1]",
@@ -361,8 +365,11 @@ GUARD_FAULTS = {
     "optimal-class-inadmissible": (
         hilbert, "delta0", lambda p, k: delta0(p, k) - 1, optimal_class,
         "is inadmissible at", PK_CASES, CONE),
+    # delta0 one above, not m one off: y is the least l(k-1) + floor(p/l) over
+    # l >= 1, at l = m + 1 and often at a neighbour too (at (12, 3), l = m
+    # gives the same y), so a fault in m may never reach the guard
     "optimal-class-y": (
-        hilbert, "floor_div", lambda a, b: _hilbert_floor_div(a, b) + 1, optimal_class,
+        hilbert, "delta0", lambda p, k: delta0(p, k) + 1, optimal_class,
         "optimal class closed form", PK_CASES, CONE),
     "q-two-forms": (
         hilbert, "_scaled_q", lambda p, k, a, y: _scaled_q(p, k, a, y) + 1,

@@ -736,6 +736,34 @@ def test_membership_oracle_catches_a_wrong_wedge_plan(monkeypatch, k):
     ]
 
 
+@pytest.mark.parametrize("k", range(2, PENCIL_MAX_K + 1))
+def test_diagonal_is_minus_the_wronskian_on_every_basis_pair(k):
+    # both sides are bilinear and alternating in (f, g), so the identity holds
+    # for every pencil of degree k once it holds on the C(k+1, 2) basis pairs
+    basis = [BinaryForm(k, tuple(int(n == i) for n in range(k + 1))) for i in range(k + 1)]
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            pencil = Pencil(basis[i], basis[j])
+            diag = diagonal_restriction(wedge_curve(pencil), k)
+            assert diag.coeffs == tuple(-c for c in wronskian(pencil).coeffs), (i, j)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_diagonal_check_is_exact_not_up_to_scale(monkeypatch, capsys, k):
+    # twice the Wronskian is still proportional to the diagonal, but is not
+    # minus it, so every sample fails the identity
+    def doubled(pencil):
+        return BinaryForm(2 * k - 2, tuple(2 * c for c in wronskian(pencil).coeffs))
+
+    monkeypatch.setattr(pencil_module, "wronskian", doubled)
+    failures = verification_suite(k, samples=5, seed=1)["failures"]
+    assert failures == [f"sample {index}: diagonal/Wronskian identity" for index in range(5)]
+    assert main(["pencil", "verify", "-k", str(k), "--samples", "5", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: sample 0: diagonal/Wronskian identity")
+
+
 @pytest.mark.parametrize("k", range(1, PENCIL_MAX_K + 1))
 def test_plans_cover_every_monomial(k):
     everything = sorted((a, b, k - 1 - a - b) for a in range(k) for b in range(k - a))
