@@ -29,7 +29,10 @@ from the Actions of that tree, without running argparse; anything else, such
 as help, an unknown command, a leftover argument or a bad value, goes
 through the whole tree, which prints its help or usage error.  A callback
 returns what `_emit` renders: a json payload (a row command's is the chunks
-of `_json_rows`), a table and, from a row command, its csv rows.
+of `_json_rows`), a table and, from a row command, its csv rows.  A
+single-case command's table is a function that `_emit` calls under
+`--format table` alone, so json and csv build no table; its output is one
+text, written with one write, unless it is json longer than `_PIPE_BYTES`.
 """
 
 import argparse
@@ -80,13 +83,28 @@ _JSON_SCALARS = {
 }
 
 
+# the %-templates of _json_text's dicts, keyed by (keys, pad); a cache that
+# holds _DICT_TEMPLATES_MAX of them is emptied before it takes another
+_DICT_TEMPLATES = {}
+_DICT_TEMPLATES_MAX = 256
+
+
+def _dict_template(keys: tuple, pad: str) -> str:
+    """A dict of `keys` in the order given, at `pad`, as a %-template of its
+    values' json texts."""
+    inner = pad + "  "
+    return "{" + ",".join(inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                          for key in keys) + pad + "}"
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, indent=2)` for str, int, bool, None, list, tuple and
     str-keyed dict trees; `pad` is the newline and indent of obj's own line.
 
     Leaves are rendered inline by their exact type and only containers
-    recurse.  Anything else raises TypeError: a float or a Fraction here, a
-    key that is not a str in encode_basestring_ascii.
+    recurse; a dict's keys are rendered once per key tuple and pad, into a
+    template of `_DICT_TEMPLATES`.  Anything else raises TypeError: a float
+    or a Fraction here, a key that is not a str in encode_basestring_ascii.
     """
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
@@ -95,12 +113,18 @@ def _json_text(obj, pad: str = "\n") -> str:
     if type(obj) is dict:
         if not obj:
             return "{}"
-        items = []
-        for key, value in obj.items():
+        shape = (tuple(obj), pad)
+        template = _DICT_TEMPLATES.get(shape)
+        if template is None:
+            template = _dict_template(*shape)
+            if len(_DICT_TEMPLATES) >= _DICT_TEMPLATES_MAX:
+                _DICT_TEMPLATES.clear()
+            _DICT_TEMPLATES[shape] = template
+        texts = []
+        for value in obj.values():
             scalar = _JSON_SCALARS.get(type(value))
-            text = scalar(value) if scalar is not None else _json_text(value, inner)
-            items.append(encode_basestring_ascii(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+            texts.append(scalar(value) if scalar is not None else _json_text(value, inner))
+        return template % tuple(texts)
     if type(obj) is list or type(obj) is tuple:
         if not obj:
             return "[]"
@@ -115,12 +139,6 @@ def _json_text(obj, pad: str = "\n") -> str:
 # the newline and indent of each row of _json_rows, and of a row's keys
 _ROW = "\n    "
 _ROW_KEY = _ROW + "  "
-
-
-def _row_template(texts: dict) -> str:
-    """A row object of `_json_rows`, the json texts `texts` by key: a %-template."""
-    return "{" + ",".join(_ROW_KEY + encode_basestring_ascii(key) + ": " + text
-                          for key, text in texts.items()) + _ROW + "}"
 
 
 def _json_rows(envelope: dict, rows):
@@ -150,36 +168,46 @@ _PIPE_BYTES = 1 << 16
 def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None:
     """Render one result in the selected format and write it out.
 
-    Every format is written as text chunks, joined into batches of
-    `_EMIT_BATCH` chunks as they are made, so a long output is never held
-    whole, and a reader that closes stdout early meets a later write.
-    `payload` is the chunks of `_json_rows`, or a dict, which `_json_text`
-    renders as `json.dumps(payload, indent=2)` plus a newline: one chunk,
-    or one per line past `_PIPE_BYTES`.  `table` is the text, with no
-    trailing newline, or an iterable of its lines (at least one, none ending
-    in a newline); either way each is one chunk with its newline.  `csv_rows`
-    defaults to a header row and a value row from a flat dict payload; each
-    row is one chunk.  Only the selected rendering is consumed.
+    Only the selected rendering is built.  A one-text result (a dict payload
+    in json up to `_PIPE_BYTES`, or in csv, or a table function's text) is
+    written with one write; any other output is written as text chunks,
+    joined into batches of `_EMIT_BATCH` chunks as they are made, so a long
+    output is never held whole, and a reader that closes stdout early meets
+    a later write.  `payload` is the chunks of `_json_rows`, or a dict,
+    which `_json_text` renders as `json.dumps(payload, indent=2)` plus a
+    newline, one chunk per line past `_PIPE_BYTES`.  `table` is a function
+    of no arguments that gives the text, with no trailing newline, or an
+    iterable of its lines (at least one, none ending in a newline), each one
+    chunk with its newline.  `csv_rows` defaults to a header row and a value
+    row from a flat dict payload; each given row is one chunk.
     """
+    text = None
     if fmt == "json":
-        chunks = payload
         if isinstance(payload, dict):
             text = _json_text(payload) + "\n"
-            chunks = text.splitlines(keepends=True) if len(text) > _PIPE_BYTES else [text]
+            if len(text) > _PIPE_BYTES:
+                chunks, text = text.splitlines(keepends=True), None
+        else:
+            chunks = payload
     elif fmt == "csv":
+        # writerow returns what the file's write returns: here the row's text
+        echo = types.SimpleNamespace(write=lambda text: text)
+        writerow = csv.writer(echo, lineterminator="\n").writerow
         if csv_rows is None:
             cells = [json.dumps(v) if isinstance(v, (list, dict)) else v
                      for v in payload.values()]
-            csv_rows = [list(payload), cells]
-        # writerow returns what the file's write returns: here the row's text
-        echo = types.SimpleNamespace(write=lambda text: text)
-        chunks = map(csv.writer(echo, lineterminator="\n").writerow, csv_rows)
-    elif isinstance(table, str):
-        chunks = [table + "\n"]
+            text = writerow(list(payload)) + writerow(cells)
+        else:
+            chunks = map(writerow, csv_rows)
+    elif callable(table):
+        text = table() + "\n"
     else:
         chunks = (line + "\n" for line in table)
-    chunks = iter(chunks)
-    batches = iter(lambda: "".join(itertools.islice(chunks, _EMIT_BATCH)), "")
+    if text is not None:
+        batches = (text,)
+    else:
+        chunks = iter(chunks)
+        batches = iter(lambda: "".join(itertools.islice(chunks, _EMIT_BATCH)), "")
     if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -214,8 +242,9 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
 
 
 class _Leaf:
-    """A command: its callback, which returns (payload, table[, csv_rows]),
-    and its options as (flag, argparse keyword arguments) pairs.
+    """A command: its callback, which returns what `_emit` takes after the
+    format and path, (payload, table[, csv_rows]), and its options as (flag,
+    argparse keyword arguments) pairs.
 
     `main` reads `callback` at each call, so it may be rebound.
     """
@@ -273,7 +302,7 @@ bn = cli.group("bn", "Brill-Noether numbers and the existence bound.")
 def bn_rho(g, r, d):
     """The Brill-Noether number g - (r+1)(r+g-d)."""
     value = brillnoether.rho(g, r, d)
-    return {"g": g, "r": r, "d": d, "rho": value}, str(value)
+    return {"g": g, "r": r, "d": d, "rho": value}, lambda: str(value)
 
 
 @bn.command("check", _P, _opt("-k", "Gonality (sets d=k, r=1).", default=None), _DELTA,
@@ -304,11 +333,12 @@ def bn_check(p, k, delta, r, d):
         "threshold_delta": report.threshold_delta,
         "satisfied": report.satisfied,
     }
-    verdict = "satisfied" if report.satisfied else "violated"
-    table = (
-        f"{verdict} (alpha={report.alpha}, rho={report.rho_at_alpha}, "
-        f"threshold={report.threshold_delta})"
-    )
+
+    def table():
+        verdict = "satisfied" if report.satisfied else "violated"
+        return (f"{verdict} (alpha={report.alpha}, rho={report.rho_at_alpha}, "
+                f"threshold={report.threshold_delta})")
+
     return payload, table
 
 
@@ -327,8 +357,7 @@ def gonality_delta0(p, k, verify):
             f"delta0 closed form {value} is not the least admissible delta at (p={p}, k={k})"
         )
     payload = {"p": p, "k": k, "delta0": value, "verified": verify}
-    table = f"{value} (verified)" if verify else str(value)
-    return payload, table
+    return payload, lambda: f"{value} (verified)" if verify else str(value)
 
 
 @gonality_group.command("dims", _P, _K, _DELTA)
@@ -336,7 +365,7 @@ def gonality_dims(p, k, delta):
     """Expected dimension of the k-gonal locus and of W^1_k."""
     dim_vk, dim_w1k = gonality.expected_dims(p, k, delta)
     payload = {"p": p, "k": k, "delta": delta, "dim_Vk": dim_vk, "dim_W1k": dim_w1k}
-    return payload, f"dim V^k = {dim_vk}, dim W^1_k = {dim_w1k}"
+    return payload, lambda: f"dim V^k = {dim_vk}, dim W^1_k = {dim_w1k}"
 
 
 chains_group = cli.group("chains",
@@ -352,15 +381,16 @@ def _partition_table(part: chains.ChainPartition) -> str:
 def chains_witness(p, k, delta):
     """A valid partition realizing the requested node number."""
     part = chains.witness(p, k, delta, max_lengths=WITNESS_MAX_LENGTHS)
-    return part.to_payload(), _partition_table(part)
+    return part.to_payload(), lambda: _partition_table(part)
 
 
 def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
     """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`;
     each distinct [j, a] pair is rendered once."""
     pad = _ROW_KEY + "  "  # each pair's own line
-    row = _row_template({"p": str(p), "k": str(k), "delta": "%s", "g": "%s",
-                         "parts": "[" + pad + "%s" + _ROW_KEY + "]"})
+    # a row template with p and k filled in: delta, g and the pairs remain
+    row = _dict_template(("p", "k", "delta", "g", "parts"), _ROW) % (
+        p, k, "%s", "%s", "[" + pad + "%s" + _ROW_KEY + "]")
     sep = "," + pad
     texts = {}
     for part in parts:
@@ -421,11 +451,10 @@ def chains_stable(p, k, alpha):
         "stable_nodes": g,
         "arithmetic_genus": g,
     }
-    table = (
+    return payload, lambda: (
         f"stable model: {g} nodes, arithmetic genus {g}\n"
         f"lines={2 * p - g} ruling2={p} marked={delta} e_points={2 * p}"
     )
-    return payload, table
 
 
 pencil_group = cli.group("pencil",
@@ -446,11 +475,6 @@ def pencil_verify(k, samples, seed):
     result = pencil.verification_suite(k, samples=samples, seed=seed)
     rate = result["transversal_rate"]
     payload = {**result, "transversal_rate": rat_str(rate)}
-    table = (
-        f"k={k} samples={samples} seed={seed} "
-        f"transversal={result['transversal']}/{samples} "
-        f"failures={len(result['failures'])}"
-    )
     if result["failures"]:
         raise InvariantViolation(
             "; ".join(result["failures"][:5])
@@ -460,7 +484,11 @@ def pencil_verify(k, samples, seed):
         raise InvariantViolation(
             f"transversality rate {rate} below 95% at k={k}, seed={seed}"
         )
-    return payload, table
+    return payload, lambda: (
+        f"k={k} samples={samples} seed={seed} "
+        f"transversal={result['transversal']}/{samples} "
+        f"failures={len(result['failures'])}"
+    )
 
 
 hilb = cli.group("hilb", "Curve classes, q-values and cone bounds on the Hilbert scheme.")
@@ -470,15 +498,16 @@ hilb = cli.group("hilb", "Curve classes, q-values and cone bounds on the Hilbert
 def hilb_class(p, k, delta):
     """The curve class H - (g+k-1) r_k of an admissible case."""
     cls = hilbert.gonality_class(p, k, delta)
+    display = cls.display()
     payload = {
         "p": p,
         "k": k,
         "delta": delta,
         "class": cls.to_payload(),
         "q": rat_str(cls.q),
-        "display": cls.display(),
+        "display": display,
     }
-    return payload, cls.display()
+    return payload, lambda: display
 
 
 @hilb.command("q", _P, _K, _DELTA)
@@ -486,7 +515,7 @@ def hilb_q(p, k, delta):
     """Self-intersection of the gonality class, both closed forms."""
     q = hilbert.q_case(p, k, delta)
     payload = {"p": p, "k": k, "delta": delta, "q": rat_str(q)}
-    return payload, _rat_table(q)
+    return payload, lambda: _rat_table(q)
 
 
 @hilb.command("cone", _P, _K)
@@ -507,12 +536,11 @@ def hilb_cone(p, k):
         "ample_necessary": "0 < t < tau",
         "nef_necessary": "0 <= t <= tau",
     }
-    table = (
+    return payload, lambda: (
         f"tau = {_rat_table(t)}; optimal class {opt.display()} "
         f"(q = {_rat_table(q)})\n"
         f"H - t*e_k ample only if 0 < t < tau, nef only if 0 <= t <= tau"
     )
-    return payload, table
 
 
 @hilb.command("qvalues", _K, _opt("--pmax", "Largest p."))
@@ -535,16 +563,14 @@ def hilb_qvalues(k, pmax):
 def hilb_lagrangian(p, k):
     """Isotropy detection and the Lagrangian-fibration necessary condition."""
     report = hilbert.lagrangian_report(p, k)
-    if not report.has_isotropic:
-        table = "no isotropic class: (k-1)(p-1) is not a perfect square"
-    else:
-        verdict = (
-            "isotropic divisor not nef"
-            if report.not_nef
-            else "necessary condition holds"
-        )
+
+    def table():
+        if not report.has_isotropic:
+            return "no isotropic class: (k-1)(p-1) is not a perfect square"
+        verdict = "isotropic divisor not nef" if report.not_nef else "necessary condition holds"
         prim = f", primitive (n={report.n})" if report.primitive else ""
-        table = f"s={report.s} alpha={report.alpha} value={report.value}: {verdict}{prim}"
+        return f"s={report.s} alpha={report.alpha} value={report.value}: {verdict}{prim}"
+
     return report.to_payload(), table
 
 
@@ -552,10 +578,14 @@ def hilb_lagrangian(p, k):
 def hilb_rays(p, k):
     """Extremal-ray status of the Mori cone for (p, k)."""
     report = hilbert.extremal_ray_status(p, k)
-    rays = ", ".join(r.display() for r in report.rays)
-    table = f"{report.status}: rays {{{rays}}} (q = {_rat_table(report.q)})"
-    if report.notes:
-        table += "\n" + "\n".join(f"note: {n}" for n in report.notes)
+
+    def table():
+        rays = ", ".join(r.display() for r in report.rays)
+        text = f"{report.status}: rays {{{rays}}} (q = {_rat_table(report.q)})"
+        if report.notes:
+            text += "\n" + "\n".join(f"note: {n}" for n in report.notes)
+        return text
+
     return report.to_payload(), table
 
 
@@ -594,7 +624,7 @@ def hilb_scan(pmax, kmax, pmin, kmin):
                          lag.necessary_condition_holds, lag.primitive))
     table = ("\t".join(map(str, line)) for line in itertools.chain([_SCAN_KEYS], rows))
     csv_rows = itertools.chain([_SCAN_KEYS], rows)
-    row = _row_template(dict.fromkeys(_SCAN_KEYS, "%s"))
+    row = _dict_template(_SCAN_KEYS, _ROW)
     texts = (row % tuple([_JSON_SCALARS[type(v)](v) for v in values]) for values in rows)
     envelope = {"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": []}
     return _json_rows(envelope, texts), table, csv_rows

@@ -161,6 +161,12 @@ def optimal_class(p: int, k: int) -> CurveClass:
     y = (m+1)(k-1) + floor(p/(m+1)) above the delta0 = 0 regime, y = p+k-1
     inside it; cross-checked against the GonalityCase(p, k, delta0(p, k)),
     which must be admissible with y = g+k-1, so delta0 = p+k-1-y.
+
+    The cross-check certifies y, not m.  y is the least of h(l) = l(k-1) +
+    floor(p/l) over l >= 1, attained at l = m+1, and a neighbour l = m or
+    m+2 attains it too in 3,491 of the 5,880 cases with 2(k-1) < p < 600,
+    k = 2..11, so a wrong m there still gives the right class; only
+    `decompose`'s own t-range guard certifies m.
     """
     _check_pk(p, k)
     if p <= 2 * (k - 1):

@@ -335,9 +335,11 @@ def test_stdout_encoding_error_names_the_encoding(encoding):
 _LONG_OUTPUTS = {
     # 0.3 MB of table or CSV or 1.9 MB of json, rendered in chunks
     "chains": ["chains", "enumerate", "-p", "40", "-k", "2"],
-    # 115 KB of table, 96 KB of CSV or 161 KB of json from one payload dict,
-    # each more than a pipe buffer holds
+    # 115 KB of table, 96 KB of CSV or 161 KB of json rows, each more than a
+    # pipe buffer holds
     "qvalues": ["hilb", "qvalues", "-k", "400", "--pmax", "1" + "0" * 40],
+    # 98 KB of json from one payload dict, written in batches of lines
+    "witness": ["chains", "witness", "-p", "100000000", "-k", "2", "--delta", "99994000"],
 }
 
 
@@ -347,6 +349,7 @@ _LONG_OUTPUTS = {
                    id=encoding if fmt == "json" else f"{encoding}-{fmt}")
       for fmt in cli.FORMATS for encoding in ("utf-8", "ascii")),
     *(pytest.param("qvalues", "utf-8", fmt, id=f"qvalues-{fmt}") for fmt in cli.FORMATS),
+    pytest.param("witness", "utf-8", "json", id="witness-json"),
 ])
 def test_closed_stdout_pipe_is_an_error_not_a_traceback(command, encoding, fmt):
     # `| head -c 10`: the reader takes 10 bytes and closes the pipe; the
@@ -1163,6 +1166,69 @@ def test_row_cases_cover_the_row_commands():
         "chains enumerate", "hilb scan", "hilb qvalues"}
 
 
+SINGLE_CASES = [c for c in LEAF_CASES if c not in ROW_CASES]
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that keeps each text written to it and counts its flushes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+        self.flushes = 0
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+    def flush(self):
+        self.flushes += 1
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", SINGLE_CASES)
+def test_single_case_commands_render_only_the_selected_format(monkeypatch, command, fmt):
+    # json and csv never call the leaf's table function, table never renders
+    # json, and the one text is written with one write and one flush
+    group, name = command.split()[:2]
+    leaf = cli.cli.commands[group].commands[name]
+    callback = leaf.callback
+
+    def refuse(*args):
+        raise AssertionError(f"other rendering built for --format {fmt}")
+
+    def wrapped(**args):
+        payload, table = callback(**args)
+        assert callable(table)
+        return payload, table if fmt == "table" else refuse
+
+    monkeypatch.setattr(leaf, "callback", wrapped)
+    if fmt == "table":
+        monkeypatch.setattr(cli, "_json_text", refuse)
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", fmt, *command.split()]) == 0
+    assert (len(out.writes), out.flushes) == (1, 1)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == LEAF_SHA256[command, fmt]
+
+
+def test_long_json_dict_is_written_in_batches():
+    # a witness of 6,000 chains renders 98 KB of json from one payload dict:
+    # more than a pipe buffer holds, so it goes in batches of lines, the
+    # first of which fits, and a reader that has gone meets a later write
+    p, g = 10**8, 6000
+    argv = ["--format", "json", "chains", "witness", "-p", str(p), "-k", "2",
+            "--delta", str(p - g)]
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    text = out.getvalue()
+    assert len(text) > cli._PIPE_BYTES
+    assert text == json.dumps(chains.witness(p, 2, p - g).to_payload(), indent=2) + "\n"
+    assert len(out.writes) > 1 and out.flushes == 1
+    assert max(map(len, out.writes)) < cli._PIPE_BYTES
+
+
 @pytest.mark.parametrize("envelope", [
     {"k": 2, "pmax": 2, "qvalues": []},
     {"p": 1, "rows": []},
@@ -1460,6 +1526,10 @@ _JSON_TREES = st.recursive(
 
 
 @given(tree=_JSON_TREES)
+# keys that are, or hold, a %-format directive
+@example(tree={"%": 1, "%s": "%s", "%%": ["%%", {"%%s": None}]})
+# one key tuple at three indents: each has a dict template of its own
+@example(tree={"k": {"k": [{"k": 0}]}})
 @settings(max_examples=200, deadline=None)
 def test_json_text_matches_json_dumps(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
@@ -1486,6 +1556,13 @@ def test_json_rows_matches_json_dumps(head, rows):
 def test_json_text_rejects_other_types(tree):
     with pytest.raises(TypeError):
         cli._json_text(tree)
+
+
+def test_json_text_templates_are_bounded():
+    for n in range(2 * cli._DICT_TEMPLATES_MAX):
+        payload = {str(n): n}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+        assert len(cli._DICT_TEMPLATES) <= cli._DICT_TEMPLATES_MAX
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
