@@ -84,4 +84,4 @@ def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
             f"delta - threshold = {delta - threshold} "
             f"at (p={p}, delta={delta}, r={r}, d={d}, alpha={alpha})"
         )
-    return NecessityReport(alpha, rho_at_alpha, rho_at_alpha >= 0, threshold)
+    return NecessityReport._make(alpha, rho_at_alpha, rho_at_alpha >= 0, threshold)

@@ -282,8 +282,9 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
     pairs = [()] + [tuple((j, a) for a in range(min(cap, p // j) + 1)) for j in range(1, p + 1)]
     ones = pairs[1]
     # each leaf's parts are sorted by j, with 1 <= j <= p and every alpha_j
-    # >= 1, so it is built past `ChainPartition.__init__` and its checks
-    new, fill = object.__new__, ChainPartition._fill
+    # >= 1, so `ChainPartition._make` builds it unchecked, without its
+    # `__init__`, from the parts and the g and delta summed here
+    make = ChainPartition._make
     out: list[ChainPartition] = []
 
     def rec(remaining: int, top: int, tail: tuple, g: int, delta: int) -> None:
@@ -310,9 +311,7 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
                         f"enumerated partition at (p={p}, k={k}) has g={g_sum}, "
                         f"delta={delta_sum}, g + delta != p: parts={parts}"
                     )
-                partition = new(ChainPartition)
-                fill(partition, p, k, parts, g_sum, delta_sum)
-                out.append(partition)
+                out.append(make(p, k, parts, g_sum, delta_sum))
 
     try:
         rec(p, p, (), 0, 0)

@@ -130,7 +130,7 @@ def decompose(p: int, k: int) -> Decomposition:
     m = (isqrt(4 * (p // (k - 1)) + 1) - 1) // 2
     t = p // (m + 1) - m * (k - 1)
     lam = p - (k - 1) * m * (m + 1) - t * (m + 1)
-    dec = Decomposition(m, t, lam)
+    dec = Decomposition._make(m, t, lam)
     if not (0 <= t < 2 * (k - 1) and 0 <= lam <= m):
         raise InvariantViolation(f"decomposition {dec} out of range for p={p}, k={k}")
     return dec

@@ -344,21 +344,12 @@ def lagrangian_report(p: int, k: int) -> LagrangianReport:
     _check_pk(p, k)
     s = exact_sqrt((k - 1) * (p - 1))
     if s is None:
-        return LagrangianReport(p=p, k=k, has_isotropic=False)
+        return LagrangianReport._make(p, k, False, None, None, None, None, None, False, None)
     alpha = (2 * s - k + 1) // (2 * (k - 1))
     value = (k - 1) * (alpha + 1) ** 2 - (2 * s + 1) * (alpha + 1) + p
     n = s // (k - 1) if s % (k - 1) == 0 else None
-    return LagrangianReport(
-        p=p,
-        k=k,
-        has_isotropic=True,
-        s=s,
-        alpha=alpha,
-        value=value,
-        not_nef=value >= 0,
-        necessary_condition_holds=value < 0,
-        primitive=n is not None,
-        n=n,
+    return LagrangianReport._make(
+        p, k, True, s, alpha, value, value >= 0, value < 0, n is not None, n
     )
 
 
@@ -397,12 +388,12 @@ def extremal_ray_status(p: int, k: int) -> RayReport:
     rays = (CurveClass.fiber(p, k), opt)
     q = opt.q
     if p <= 2 * (k - 1):
-        return RayReport(p, k, "PROVEN_BM", rays, q)
+        return RayReport._make(p, k, "PROVEN_BM", rays, q, ())
     if minimal_q_family(p, k) is not None:
-        return RayReport(p, k, "PROVEN_MINQ", rays, q)
+        return RayReport._make(p, k, "PROVEN_MINQ", rays, q, ())
     n = _primitive_isotropic_n(p, k)
     if n is not None and n >= 2:
-        return RayReport(p, k, "PROVEN_ISOPRIM", rays, q)
+        return RayReport._make(p, k, "PROVEN_ISOPRIM", rays, q, ())
     notes = [
         "extremality of the optimal class is unresolved for this (p, k); "
         "it is reported as the conjectural second ray"
@@ -412,7 +403,7 @@ def extremal_ray_status(p: int, k: int) -> RayReport:
             "known counterexample: effective rational curves of class "
             "3*H - 16*r_k lie outside the cone spanned by r_k and H - 5*r_k"
         )
-    return RayReport(p, k, "OPEN", rays, q, tuple(notes))
+    return RayReport._make(p, k, "OPEN", rays, q, tuple(notes))
 
 
 def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:

@@ -47,9 +47,12 @@ def test_rational_normalization_is_structural():
                          ids=lambda path: path.name)
 def test_value_classes_are_made_only_by_value_class(path):
     # outside `exactmath`, nothing names `dataclass` (so every frozen value
-    # class is made by `_value_class`), and nothing in the package sets a
-    # field through `object.__setattr__`; `__init__` imports no submodule,
-    # as its exports are imported on first use
+    # class is made by `_value_class`), assigns an object's `__class__` or
+    # calls a descriptor's `__set__` (so the retagging of `_make` and the
+    # slot setters stay inside `_value_class`); nothing in the package sets
+    # a field through `object.__setattr__` or builds past a constructor
+    # through `object.__new__`; `__init__` imports no submodule, as its
+    # exports are imported on first use
     for node in ast.walk(ast.parse(path.read_text(), path.name)):
         if path.name == "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
             modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
@@ -57,8 +60,14 @@ def test_value_classes_are_made_only_by_value_class(path):
             assert getattr(node, "level", 0) == 0 and not any(
                 m.split(".")[0] == "k3gonal" for m in modules), f"{path.name}:{node.lineno}"
         if isinstance(node, ast.Attribute):
-            assert ast.unparse(node) != "object.__setattr__", f"{path.name}:{node.lineno}"
+            assert ast.unparse(node) not in ("object.__setattr__", "object.__new__"), (
+                f"{path.name}:{node.lineno}")
         if path.name != "exactmath.py":
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
                 node, "name", None)
-            assert name not in ("dataclass", "make_dataclass"), f"{path.name}:{node.lineno}"
+            assert name not in ("dataclass", "make_dataclass", "__set__"), (
+                f"{path.name}:{node.lineno}")
+            assert not (isinstance(node, ast.Attribute) and node.attr == "__class__"
+                        and isinstance(node.ctx, ast.Store)), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr":
+                assert "__class__" not in ast.unparse(node), f"{path.name}:{node.lineno}"

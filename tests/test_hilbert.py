@@ -1,15 +1,20 @@
+import ast
+import copy
 import dataclasses
+import importlib
 import inspect
 import pickle
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import k3gonal
 from k3gonal import cli, hilbert
 from k3gonal.brillnoether import NecessityReport, necessary_condition
-from k3gonal.chains import ChainPartition
+from k3gonal.chains import ChainPartition, enumerate_partitions
 from k3gonal.errors import InvariantViolation
 from k3gonal.gonality import Decomposition, GonalityCase, admissible, decompose, delta0
 from k3gonal.hilbert import (
@@ -492,7 +497,8 @@ VALUE_CASES = [
     (lambda: lagrangian_report(10, 2),
      "LagrangianReport(p=10, k=2, has_isotropic=True, s=3, alpha=2, value=-2, "
      "not_nef=False, necessary_condition_holds=True, primitive=True, n=3)"),
-    # a product and a wedge curve are built by the unchecked `_make`
+    # a product, a wedge curve and an enumerated partition are built by the
+    # unchecked `_make`
     (lambda: BinaryForm(1, (1, -1)) * BinaryForm(1, (1, 1)),
      "BinaryForm(bound=2, coeffs=(1, 0, -1))"),
     (lambda: Pencil(BinaryForm(2, (1, 0, -1)), BinaryForm(2, (0, 1, 0))),
@@ -505,30 +511,80 @@ VALUE_CASES = [
     (lambda: ht_violation_check(37, 10),
      "HTConeReport(p=37, k=10, applicable=True, n=2, rbar=CurveClass(p=37, k=10, a=1, y=37), "
      "q_rbar=Fraction(-73, 18), violation=True)"),
+    (lambda: enumerate_partitions(5, 2)[2], "ChainPartition(p=5, k=2, parts=((2, 1), (3, 1)))"),
 ]
 
 
 @pytest.mark.parametrize("make, pinned", VALUE_CASES,
                          ids=[pinned.split("(")[0] for _, pinned in VALUE_CASES])
 def test_value_classes_are_frozen_and_slotted(make, pinned):
+    # each case as its builder made it, and as `_make` builds it again from
+    # the stored fields: `_make` fills a private twin class and retags the
+    # instance, and neither the instance nor the class may show the twin
     value = make()
     cls, fields = type(value), dataclasses.fields(value)
-    assert repr(value) == pinned
+    stored = tuple(getattr(value, f.name) for f in fields)
+    made = cls._make(*stored)
+    assert cls.__mro__ == (cls, object)
     assert list(dataclasses.asdict(value)) == [f.name for f in fields]
-    for f in fields:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, f.name, getattr(value, f.name))
-    assert not hasattr(value, "__dict__")
-    with pytest.raises(TypeError):
-        weakref.ref(value)
+    assert tuple(getattr(made, f.name) for f in fields) == stored
+    for built in (value, made):
+        assert type(built) is cls and repr(built) == pinned
+        for f in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, f.name, getattr(built, f.name))
+        assert not hasattr(built, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(built)
     again = make()
-    assert again is not value and again == value
-    assert hash(value) == hash(again) == hash(tuple(getattr(value, f.name) for f in fields))
+    assert again is not value and made is not value and again == value == made
+    compared = tuple(getattr(value, f.name) for f in fields if f.compare)
+    assert hash(value) == hash(again) == hash(made) == hash(compared)
     by_keyword = cls(**{f.name: getattr(value, f.name) for f in fields if f.init})
-    replaced = dataclasses.replace(value)
-    unpickled = pickle.loads(pickle.dumps(value))
-    for copy in (by_keyword, replaced, unpickled):
-        assert type(copy) is cls and copy == value and repr(copy) == pinned
+    for built in (value, made):
+        for other in (by_keyword, dataclasses.replace(built), copy.copy(built),
+                      pickle.loads(pickle.dumps(built))):
+            assert type(other) is cls and other == value and repr(other) == pinned
+
+
+def test_value_cases_cover_every_value_class():
+    # every class that `_value_class` makes, in any module of the package,
+    # has a case above, so a new value class is checked as well
+    decorated = set()
+    for path in sorted(Path(k3gonal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d) == "_value_class" for d in node.decorator_list):
+                module = importlib.import_module(f"k3gonal.{path.stem}")
+                decorated.add(getattr(module, node.name))
+    assert {type(make()) for make, _ in VALUE_CASES} == decorated
+
+
+# each call site that builds its result with the unchecked `_make`, the class
+# it returns, and its arguments over p = 2..400, k = 2..9 and p near 10^40,
+# where the large p include the minimal-q and the primitive isotropic shapes
+MADE_UNCHECKED = [
+    (decompose, Decomposition, lambda p, k: [(p, k)] if p >= 2 * (k - 1) else []),
+    (necessary_condition, NecessityReport,
+     lambda p, k: [(p, delta, 1, k) for delta in sorted({0, delta0(p, k), p // 2, p})]),
+    (extremal_ray_status, RayReport, lambda p, k: [(p, k)]),
+    (lagrangian_report, LagrangianReport, lambda p, k: [(p, k)]),
+]
+MADE_UNCHECKED_GRID = [(p, k) for k in range(2, 10) for p in range(2, 401)] + [
+    (p, k) for k in range(2, 10) for p in (
+        10**40 - 1, 10**40, 10**40 + 1,
+        10**20 * (10**20 + 1) * (k - 1), 10**40 * (k - 1) + 1)]
+
+
+@pytest.mark.parametrize("function, cls, arguments", MADE_UNCHECKED,
+                         ids=[case[0].__name__ for case in MADE_UNCHECKED])
+def test_unchecked_builds_match_their_constructors(function, cls, arguments):
+    for p, k in MADE_UNCHECKED_GRID:
+        for args in arguments(p, k):
+            value = function(*args)
+            rebuilt = cls(**{f.name: getattr(value, f.name) for f in dataclasses.fields(cls)})
+            assert type(value) is type(rebuilt) is cls, args
+            assert value == rebuilt and repr(value) == repr(rebuilt), args
 
 
 def test_replace_recomputes_the_case():
