@@ -49,7 +49,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import brillnoether, chains, gonality, hilbert, pencil
 from .errors import InvariantViolation
-from .hilbert import rat_str
+from .hilbert import _ratio_text, rat_str
 
 __all__ = ["cli", "main"]
 
@@ -69,9 +69,9 @@ WITNESS_MAX_LENGTHS = 10**5
 FORMATS = ("table", "json", "csv")
 
 
-def _rat_table(q) -> str:
-    """Table-mode rendering: unicode fraction slash, integers bare."""
-    return rat_str(q).replace("/", "⁄")
+def _rat_table(num: int, den: int) -> str:
+    """Table-mode rendering of num/den: unicode fraction slash, integers bare."""
+    return _ratio_text(num, den).replace("/", "⁄")
 
 
 # the leaf renderers of _json_text, keyed by exact type so a bool is no int
@@ -504,7 +504,7 @@ def hilb_class(p, k, delta):
         "k": k,
         "delta": delta,
         "class": cls.to_payload(),
-        "q": rat_str(cls.q),
+        "q": _ratio_text(hilbert._scaled_q(p, k, cls.a, cls.y), 2 * (k - 1)),
         "display": display,
     }
     return payload, lambda: display
@@ -513,9 +513,10 @@ def hilb_class(p, k, delta):
 @hilb.command("q", _P, _K, _DELTA)
 def hilb_q(p, k, delta):
     """Self-intersection of the gonality class, both closed forms."""
-    q = hilbert.q_case(p, k, delta)
-    payload = {"p": p, "k": k, "delta": delta, "q": rat_str(q)}
-    return payload, lambda: _rat_table(q)
+    # 2(k-1) q, checked as q_case checks it
+    scaled, den = hilbert._scaled_q_case(p, k, delta), 2 * (k - 1)
+    payload = {"p": p, "k": k, "delta": delta, "q": _ratio_text(scaled, den)}
+    return payload, lambda: _rat_table(scaled, den)
 
 
 @hilb.command("cone", _P, _K)
@@ -523,22 +524,22 @@ def hilb_cone(p, k):
     """Cone bound tau(p, k) and the optimal class behind it."""
     opt = hilbert.optimal_class(p, k)
     # optimal_class has checked that y = g+k-1 at delta0, so delta0 = p+k-1-y;
-    # tau is hilbert.tau's 2(p-1)/y on the same class
-    t = Fraction(2 * (p - 1), opt.y)
-    q = opt.q
+    # tau is hilbert.tau's 2(p-1)/y on the same class, and q that of the class
+    t = (2 * (p - 1), opt.y)
+    q = (hilbert._scaled_q(p, k, opt.a, opt.y), 2 * (k - 1))
     payload = {
         "p": p,
         "k": k,
-        "tau": rat_str(t),
+        "tau": _ratio_text(*t),
         "optimal_class": opt.to_payload(),
         "delta0": p + k - 1 - opt.y,
-        "q_optimal": rat_str(q),
+        "q_optimal": _ratio_text(*q),
         "ample_necessary": "0 < t < tau",
         "nef_necessary": "0 <= t <= tau",
     }
     return payload, lambda: (
-        f"tau = {_rat_table(t)}; optimal class {opt.display()} "
-        f"(q = {_rat_table(q)})\n"
+        f"tau = {_rat_table(*t)}; optimal class {opt.display()} "
+        f"(q = {_rat_table(*q)})\n"
         f"H - t*e_k ample only if 0 < t < tau, nef only if 0 <= t <= tau"
     )
 
@@ -552,10 +553,11 @@ def hilb_qvalues(k, pmax):
             f"{QVALUES_MAX_VALUES} candidate values, over the limit "
             f"QVALUES_MAX_VALUES = {QVALUES_MAX_VALUES}"
         )
-    values = hilbert.attained_q_values(k, pmax)
-    rows = (encode_basestring_ascii(rat_str(v)) for v in values)
-    table = (_rat_table(v) for v in values)
-    csv_rows = itertools.chain([["q"]], ([rat_str(v)] for v in values))
+    # the sorted 2(k-1) q; only the selected format renders them
+    values, den = hilbert._scaled_q_values(k, pmax), 2 * (k - 1)
+    rows = (encode_basestring_ascii(_ratio_text(v, den)) for v in values)
+    table = (_rat_table(v, den) for v in values)
+    csv_rows = itertools.chain([["q"]], ([_ratio_text(v, den)] for v in values))
     return _json_rows({"k": k, "pmax": pmax, "qvalues": []}, rows), table, csv_rows
 
 
@@ -581,7 +583,8 @@ def hilb_rays(p, k):
 
     def table():
         rays = ", ".join(r.display() for r in report.rays)
-        text = f"{report.status}: rays {{{rays}}} (q = {_rat_table(report.q)})"
+        q = _rat_table(report.q.numerator, report.q.denominator)
+        text = f"{report.status}: rays {{{rays}}} (q = {q})"
         if report.notes:
             text += "\n" + "\n".join(f"note: {n}" for n in report.notes)
         return text

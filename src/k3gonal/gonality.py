@@ -139,8 +139,9 @@ def decompose(p: int, k: int) -> Decomposition:
 def delta0(p: int, k: int) -> int:
     """Minimal delta satisfying the existence bound, in closed form.
 
-    Both closed forms ((k-1)m(m-1) + tm + lam and ceil(mp/(m+1)) - m(k-1))
-    are computed and must agree.
+    0 for p <= 2(k-1); above that, one `decompose` call and then
+    `_delta0_from`, which computes both closed forms ((k-1)m(m-1) + tm + lam
+    and ceil(mp/(m+1)) - m(k-1)) and requires them equal.
 
     >>> delta0(8, 2), delta0(9, 4)
     (4, 2)
@@ -148,7 +149,15 @@ def delta0(p: int, k: int) -> int:
     _check_pk(p, k)
     if p <= 2 * (k - 1):
         return 0
-    dec = decompose(p, k)
+    return _delta0_from(p, k, decompose(p, k))
+
+
+def _delta0_from(p: int, k: int, dec: Decomposition) -> int:
+    """delta0 by both closed forms from p's decomposition `dec`, which the
+    caller has already obtained and checked; the core of `delta0`.
+
+    Also right at p = 2(k-1), whose decomposition (1, 0, 0) gives 0 both ways.
+    """
     m, t, lam = dec.m, dec.t, dec.lam
     value = (k - 1) * m * (m - 1) + t * m + lam
     other = -(-m * p // (m + 1)) - m * (k - 1)

@@ -22,11 +22,11 @@ at runtime; disagreement raises InvariantViolation.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import InvariantViolation
 from .exactmath import _value_class, exact_sqrt
-from .gonality import GonalityCase, _check_pk, decompose, delta0
+from .gonality import GonalityCase, _check_pk, _delta0_from, decompose, delta0
 
 __all__ = [
     "CurveClass",
@@ -52,13 +52,21 @@ __all__ = [
 ]
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms as "n/d", or "n" when d is 1; den >= 1.  The
+    one rendering of every exact rational the package prints."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def rat_str(q: Fraction | int) -> str:
-    """num/den rendering used in JSON and CSV output; integers stay bare."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """num/den rendering used in JSON and CSV output; integers stay bare.
+
+    Calls `_ratio_text` on q's numerator and denominator.
+    """
+    return _ratio_text(q.numerator, q.denominator)
 
 
 def _scaled_q(p: int, k: int, a: int, y: int) -> int:
@@ -411,10 +419,13 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
 
     p = (k-1)m(m+1) + (k-1-beta)(m+1) + rho; the decomposition of p then is
     exactly (m, k-1-beta, rho), whose optimal-form reading of q is
-    2(rho-1) - beta^2/(2(k-1)), and q_case at delta0 must equal it.  The two
-    are compared as the integers 2(k-1) q, 4(k-1)(rho-1) - beta^2 against
-    `_scaled_q_case` at delta0, so no `Fraction` is built unless the check
-    fails.  Requires k >= 2, rho >= 0, 0 <= beta <= k-1 and m >= max(1, rho).
+    2(rho-1) - beta^2/(2(k-1)), and q_case at delta0 must equal it.  One
+    `decompose` call checks the decomposition; delta0 is read off it by
+    `_delta0_from`, which checks delta0's two closed forms without
+    decomposing p again; and one `_scaled_q_case` call at delta0 gives
+    2(k-1) q, compared with the integer 4(k-1)(rho-1) - beta^2, so no
+    `Fraction` is built unless the check fails.  Requires k >= 2, rho >= 0,
+    0 <= beta <= k-1 and m >= max(1, rho).
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
@@ -432,7 +443,7 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
             f"decomposition of p={p} is {dec}, expected (m={m}, t={t}, lam={rho})"
         )
     predicted = 4 * (k - 1) * (rho - 1) - beta * beta  # 2(k-1) q
-    actual = _scaled_q_case(p, k, delta0(p, k))
+    actual = _scaled_q_case(p, k, _delta0_from(p, k, dec))
     if actual != predicted:
         den = 2 * (k - 1)
         raise InvariantViolation(
@@ -442,8 +453,8 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
     return p
 
 
-def attained_q_values(k: int, p_max: int) -> list[Fraction]:
-    """Sorted negative self-intersections of optimal classes for p <= p_max.
+def _scaled_q_values(k: int, p_max: int) -> list[int]:
+    """The sorted integers 2(k-1) q of `attained_q_values(k, p_max)`.
 
     Below p = 2(k-1) (the delta0 = 0 regime) every optimal q is negative and
     is read off q_case(p, k, 0), through its integer core `_scaled_q_case`.
@@ -451,31 +462,40 @@ def attained_q_values(k: int, p_max: int) -> list[Fraction]:
     is negative only on the finite family of pairs (rho, beta) with
     0 <= beta <= k-1 and 4(rho-1) < k-1 (beta and -beta give the same q, and
     beta >= 0 has the smaller p).  Each pair is first realized at
-    m = max(1, rho) by genus_for_invariants, whose p grows as beta falls and
-    as rho grows, so the walk stops at q >= 0 or p > p_max.  The cost is
-    O(k) for the regime plus about two pairs per value returned, whatever
-    p_max is.  Every q is collected, de-duplicated and sorted as the integer
-    2(k-1) q; a `Fraction` is built only for each value returned.
+    m = max(1, rho) by genus_for_invariants, one `decompose` call per pair,
+    whose p grows as beta falls and as rho grows, so the walk stops at
+    q >= 0 or p > p_max.  The cost is O(k) for the regime plus about two
+    pairs per value returned, whatever p_max is.  Every q is collected,
+    de-duplicated and sorted as the integer 2(k-1) q; the scale is positive,
+    so the order is that of q.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if p_max < 2:
         raise ValueError(f"need p_max >= 2, got p_max={p_max}")
-    # 2(k-1) q for each q; the scale is positive, so the order is the same
     values = {_scaled_q_case(p, k, 0) for p in range(2, min(p_max + 1, 2 * (k - 1)))}
     rho = 0
     while 4 * (rho - 1) < k - 1:
+        base, m = 4 * (k - 1) * (rho - 1), max(1, rho)
         for beta in range(k - 1, -1, -1):
-            scaled = 4 * (k - 1) * (rho - 1) - beta * beta  # 2(k-1) q
-            if scaled >= 0 or genus_for_invariants(k, rho, beta, max(1, rho)) > p_max:
+            scaled = base - beta * beta  # 2(k-1) q
+            if scaled >= 0 or genus_for_invariants(k, rho, beta, m) > p_max:
                 break
             values.add(scaled)
         if beta == k - 1:
             break  # even the first p of this rho is past p_max
         rho += 1
-    values = sorted(values)  # drops the set before the fractions are built
+    return sorted(values)
+
+
+def attained_q_values(k: int, p_max: int) -> list[Fraction]:
+    """Sorted negative self-intersections of optimal classes for p <= p_max.
+
+    Calls `_scaled_q_values`, which walks and checks the candidates as the
+    integers 2(k-1) q, and builds one `Fraction` per value returned.
+    """
     den = 2 * (k - 1)
-    return [Fraction(scaled, den) for scaled in values]
+    return [Fraction(scaled, den) for scaled in _scaled_q_values(k, p_max)]
 
 
 def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:

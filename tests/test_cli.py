@@ -648,7 +648,9 @@ def test_scan_inverted_bounds_exit_1(capsys, fmt, bounds):
     assert "pmin" in err and "kmax" in err
 
 # SHA-256 of stdout for `--format FMT COMMAND`, one or two small inputs for
-# each leaf command, recorded before the leaf commands shared one output path
+# each leaf command, recorded before the leaf commands shared one output path;
+# the cases at p = 10^40 + 1 and --pmax 10^40 were recorded while `hilb`
+# still printed its rationals through `Fraction`
 LEAF_SHA256 = {
     ('bn rho -g 9 -r 1 -d 6', 'table'): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     ('bn rho -g 9 -r 1 -d 6', 'json'): "3580ea33447df81c6f0757d4008ae8ee1b11b950a6000a301d1aba98bd37fece",
@@ -701,24 +703,36 @@ LEAF_SHA256 = {
     ('hilb class -p 9 -k 4 --delta 2', 'table'): "ff8b1f2f639906919166665d9825e8a405583f6d978622ed56d6eb9c1f34d2b7",
     ('hilb class -p 9 -k 4 --delta 2', 'json'): "de2427f5e85b4694fcf8bf17c4dc3ee2fb09e4807b407fe4e8d8397ea4494daa",
     ('hilb class -p 9 -k 4 --delta 2', 'csv'): "43677d150cd7fe73773dc5a7b4bf7e9ffe64a93a3c5b7023ea4ef6e4ce52d8c6",
+    ('hilb class -p 10000000000000000000000000000000000000001 -k 7 --delta 9999999999999999999510102051443364380368', 'table'): "9b7c4204dafe3eb9a51072d65f5f508238a896bbd5d7c034bf4c9cf42ff688ef",
+    ('hilb class -p 10000000000000000000000000000000000000001 -k 7 --delta 9999999999999999999510102051443364380368', 'json'): "a1f9bf96026e6a9d16e18c887183f1d819dfe5e467fa5276cb901ca9a11b6dc4",
+    ('hilb class -p 10000000000000000000000000000000000000001 -k 7 --delta 9999999999999999999510102051443364380368', 'csv'): "6b65fb3e685b85ee4358c6535f6d8e411877c92ceb120c9c8cd1f3e646929941",
     ('hilb q -p 9 -k 4 --delta 2', 'table'): "20aeb28bb896c4d1ba14254710d43147dbed3c70eb4da8a5059af207c0cb2a89",
     ('hilb q -p 9 -k 4 --delta 2', 'json'): "fde55467c87ba8887d9e7f05dac4efceb5d183b32e30afe95048070e2d4c2ae4",
     ('hilb q -p 9 -k 4 --delta 2', 'csv'): "e9f9c295b832857c27f2e7b19867f6fb10fe0d81785bc4a44e6176dc2203caf0",
     ('hilb q -p 8 -k 2 --delta 4', 'table'): "1c2469c1dfa4fff379f3c2e972344ccec02882b4428f78d33bd24937764ebfde",
     ('hilb q -p 8 -k 2 --delta 4', 'json'): "5f1ee947545b9a57aeb18b685ff2adf156f03b358b1bab4e9b61aad9320c2791",
     ('hilb q -p 8 -k 2 --delta 4', 'csv'): "83a870379b093c11cd5da8453caecd39c7de3c47cafdef8caee8ea5d9a70947b",
+    ('hilb q -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501', 'table'): "7dd1bc1c97f9fecb9d9e6870e6b202b4ae95562839177b5b727ec1890f03b665",
+    ('hilb q -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501', 'json'): "3a50b88741bfc6a5a5b57f37b5096fad2154935ff2f2a99a76c4c273301ee369",
+    ('hilb q -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501', 'csv'): "6629ae347e5e57cb30e56ec9943975ca4fc900d113e8294738e875856c074606",
     ('hilb cone -p 8 -k 2', 'table'): "69b3ec441c7d20998d2d8f6464adccee2beb16160e2046e5f9131c566ac2da2d",
     ('hilb cone -p 8 -k 2', 'json'): "e87370fea4a3992ef1ec6f19c9b5bd8656106a4d88a2f8d73a5dee17fd2258a7",
     ('hilb cone -p 8 -k 2', 'csv'): "6519a5885be5351716e45443adbffd5fb4adba7ceab26996eb1150d4b819eae7",
     ('hilb cone -p 12 -k 3', 'table'): "d12188467c597b6ce0b4cfaef8796a17e266d0466b1369fc8e2fa6e3e06fcb9c",
     ('hilb cone -p 12 -k 3', 'json'): "144b45e82f37352acd08df97aecb9e15c33a8e88d7f7a3350f2f375e87f4664d",
     ('hilb cone -p 12 -k 3', 'csv'): "0802d276bceff6147a767920871b35e14786123fbe6f35ee0aa7733ed07f4c23",
+    ('hilb cone -p 10000000000000000000000000000000000000001 -k 7', 'table'): "99dcd69ba3506f22df9071ec15077d0f59ac46fc497013cdfdf93afaadeee59d",
+    ('hilb cone -p 10000000000000000000000000000000000000001 -k 7', 'json'): "be7888c5235c7528b684b8c0edd3d1f54022b3dad15a72e251032362eb4ae453",
+    ('hilb cone -p 10000000000000000000000000000000000000001 -k 7', 'csv'): "d6519691018693a1e5740ec1d138dd18545b631589547001a464f78abf09b01f",
     ('hilb qvalues -k 3 --pmax 300', 'table'): "a07c161e79b868f9fcf02c11c9ebe668cf4a8d325865f932651c88c1f3682ba4",
     ('hilb qvalues -k 3 --pmax 300', 'json'): "80ca97755d81d21b67199647741ee85ce741afd6fcc9245c02d0e539c2c952f4",
     ('hilb qvalues -k 3 --pmax 300', 'csv'): "af5fd474ecd76b3ca1bd17000206f80be46582f02f9d69f1076cf323a4493407",
     ('hilb qvalues -k 2 --pmax 50', 'table'): "4e26d98359590fb450f630d93a24f1e88c1a32c6148dece9d6942e01e1468606",
     ('hilb qvalues -k 2 --pmax 50', 'json'): "3d2e96908cf7894044f595a7127c0c9f6251806d52bfb7d6df162d4fb8449337",
     ('hilb qvalues -k 2 --pmax 50', 'csv'): "ede3078d3aa8e57b7c8f9c93da5f3f0e2de5afaf58bb00de8840ff11025a59ae",
+    ('hilb qvalues -k 15 --pmax 10000000000000000000000000000000000000000', 'table'): "2a18ad3768a94c097bab567f491cf75df920b08d31561a38a584faf226672925",
+    ('hilb qvalues -k 15 --pmax 10000000000000000000000000000000000000000', 'json'): "627305ec3518e24b5ee61ab4df875399c9dc75a97b4ed3ff896c07fa17dc8c13",
+    ('hilb qvalues -k 15 --pmax 10000000000000000000000000000000000000000', 'csv'): "a30a2dcb5e9cddcda7f82209df0b3ba27abc9fb142ba859051da94f141d3c932",
     ('hilb lagrangian -p 10 -k 2', 'table'): "e6f79a74a6f9d2721b0f6182709354877ce2fae7cc32865458ead6822d6bae83",
     ('hilb lagrangian -p 10 -k 2', 'json'): "ebd735ea42878ed5644ee081063c5b58b9de025ec9ea53f4912ff12e1ce6b38e",
     ('hilb lagrangian -p 10 -k 2', 'csv'): "063c768cd08ff0b9df57a9317af51e01f95ee14d85fe99c669afbed0ed4c5c11",
@@ -821,21 +835,30 @@ CALL_BUDGETS = {
     "gonality dims -p 8 -k 2 --delta 4": {"GonalityCase": 1, "necessary_condition": 1},
     "hilb class -p 8 -k 2 --delta 4": {"GonalityCase": 1, "necessary_condition": 1},
     "hilb class -p 9 -k 4 --delta 2": {"GonalityCase": 1, "necessary_condition": 1},
+    "hilb class -p 10000000000000000000000000000000000000001 -k 7 --delta 9999999999999999999510102051443364380368": {
+        "GonalityCase": 1, "necessary_condition": 1},
     "hilb cone -p 12 -k 3": {
         "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
         "necessary_condition": 1},
     "hilb cone -p 8 -k 2": {
         "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
         "necessary_condition": 1},
+    "hilb cone -p 10000000000000000000000000000000000000001 -k 7": {
+        "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
+        "necessary_condition": 1},
     "hilb lagrangian -p 10 -k 2": {"lagrangian_report": 1},
     "hilb lagrangian -p 10 -k 5": {"lagrangian_report": 1},
     "hilb lagrangian -p 11 -k 2": {"lagrangian_report": 1},
-    "hilb q -p 8 -k 2 --delta 4": {"GonalityCase": 1, "necessary_condition": 1, "q_case": 1},
-    "hilb q -p 9 -k 4 --delta 2": {"GonalityCase": 1, "necessary_condition": 1, "q_case": 1},
+    "hilb q -p 8 -k 2 --delta 4": {"GonalityCase": 1, "necessary_condition": 1},
+    "hilb q -p 9 -k 4 --delta 2": {"GonalityCase": 1, "necessary_condition": 1},
+    "hilb q -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501": {
+        "GonalityCase": 1, "necessary_condition": 1},
+    "hilb qvalues -k 15 --pmax 10000000000000000000000000000000000000000": {
+        "decompose": 42, "GonalityCase": 68, "necessary_condition": 68},
     "hilb qvalues -k 2 --pmax 50": {
-        "decompose": 5, "delta0": 3, "GonalityCase": 3, "necessary_condition": 3},
+        "decompose": 3, "GonalityCase": 3, "necessary_condition": 3},
     "hilb qvalues -k 3 --pmax 300": {
-        "decompose": 9, "delta0": 5, "GonalityCase": 7, "necessary_condition": 7},
+        "decompose": 5, "GonalityCase": 7, "necessary_condition": 7},
     "hilb rays -p 12 -k 3": {
         "decompose": 5, "delta0": 3, "optimal_class": 2, "GonalityCase": 2,
         "necessary_condition": 2, "minimal_q_family": 1},
@@ -1264,6 +1287,51 @@ def test_cone_reads_tau_and_delta0_off_the_optimal_class():
             assert payload["tau"] == rat_str(hilbert.tau(p, k))
             assert payload["delta0"] == gonality.delta0(p, k)
             assert payload["q_optimal"] == rat_str(hilbert.optimal_class(p, k).q)
+
+
+_RATIONAL_CASES = [c for c in LEAF_CASES
+                   if c.startswith(("hilb qvalues ", "hilb cone ", "hilb class ", "hilb q "))]
+
+
+@pytest.mark.parametrize("command", _RATIONAL_CASES)
+def test_hilb_rationals_are_printed_from_integers(capsys, monkeypatch, command):
+    # no format builds a Fraction, and `hilb qvalues` decomposes each (rho,
+    # beta) candidate once: genus_for_invariants reads delta0 off that
+    # decomposition
+    built, walked, decomposed = [], [], []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    def counted(calls, function):
+        def wrapper(*args):
+            calls.append(args)
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(hilbert, "Fraction", CountingFraction)
+    monkeypatch.setattr(cli, "Fraction", CountingFraction)
+    monkeypatch.setattr(hilbert, "genus_for_invariants",
+                        counted(walked, hilbert.genus_for_invariants))
+    decompose = counted(decomposed, gonality.decompose)
+    for module in (gonality, hilbert):
+        monkeypatch.setattr(module, "decompose", decompose)
+    for fmt in FORMATS:
+        del built[:], walked[:], decomposed[:]
+        code, out, err = run(capsys, "--format", fmt, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == LEAF_SHA256[command, fmt]
+        assert built == [], fmt
+        if command.startswith("hilb qvalues"):
+            assert walked and len(decomposed) == len(walked), fmt
+
+
+def test_rational_cases_cover_the_rational_commands():
+    assert {" ".join(c.split()[:2]) for c in _RATIONAL_CASES} == {
+        "hilb qvalues", "hilb cone", "hilb class", "hilb q"}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

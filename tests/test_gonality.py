@@ -220,7 +220,7 @@ def _rho_plus_one(p, delta, r, d):
 
 
 _wedge_plan, _primitive_isotropic_n = pencil._wedge_plan, hilbert._primitive_isotropic_n
-_scaled_q = hilbert._scaled_q
+_scaled_q, _delta0_from = hilbert._scaled_q, gonality._delta0_from
 
 
 def _zeroed_wedge_plan(k):
@@ -383,8 +383,8 @@ GUARD_FAULTS = {
         hilbert, "decompose", _t_one_too_large, genus_for_invariants,
         "expected (m=", INVARIANT_CASES, QVALUES),
     "genus-q": (
-        hilbert, "delta0", lambda p, k: delta0(p, k) + 1, genus_for_invariants,
-        "predicted", INVARIANT_CASES, QVALUES),
+        hilbert, "_delta0_from", lambda p, k, dec: _delta0_from(p, k, dec) + 1,
+        genus_for_invariants, "predicted", INVARIANT_CASES, QVALUES),
     "chain-witness": (
         chains, "delta0", lambda p, k: delta0(p, k) - 1, witness, "chain witness failed",
         BELOW_DELTA0, ["chains", "witness", "-p", "13", "-k", "3", "--delta", "4"]),

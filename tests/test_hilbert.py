@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import k3gonal
 from k3gonal import cli, hilbert
@@ -472,6 +472,32 @@ def test_rat_str():
     assert rat_str(F(-2, 3)) == "-2/3"
     assert rat_str(F(4, 1)) == "4"
     assert rat_str(7) == "7"
+
+
+_BIG = 10**40
+
+
+@st.composite
+def _ratios(draw):
+    """(n, d) with |n| <= 10^40 and 1 <= d <= 10^40, both multiples of a
+    drawn common factor, so that most are not in lowest terms."""
+    g = draw(st.integers(1, 10**20))
+    return draw(st.integers(-_BIG // g, _BIG // g)) * g, draw(st.integers(1, _BIG // g)) * g
+
+
+@given(ratio=_ratios() | st.tuples(st.integers(-_BIG, _BIG), st.just(1)))
+@example(ratio=(0, 1))
+@example(ratio=(0, 12))
+@example(ratio=(-6, 4))
+@example(ratio=(-7, 1))
+@example(ratio=(-_BIG, _BIG))
+@example(ratio=(_BIG, 3))
+@example(ratio=(-(2 * 10**20) ** 2 + 1, 2 * 3 * 7))
+def test_ratio_text_matches_rat_str(ratio):
+    n, d = ratio
+    q = F(n, d)
+    expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    assert hilbert._ratio_text(n, d) == rat_str(q) == expected
 
 
 @pytest.mark.parametrize("p, k, isotropic", [(10, 5, True), (4, 2, False)])
