@@ -31,10 +31,9 @@ witness to the next; `enumerate_partitions` is the exhaustive oracle.
 
 import os
 from collections.abc import Mapping
-from dataclasses import field
 
 from .errors import InvariantViolation
-from .exactmath import _value_class
+from .exactmath import _value_class, field
 from .gonality import delta0
 
 __all__ = [

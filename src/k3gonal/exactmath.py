@@ -6,14 +6,18 @@ Integers are plain Python ``int`` (arbitrary precision), rationals are
 equality); no floating point anywhere.  A floor of a quotient by a positive
 divisor is ``a // b``, and a ceiling ``-(-a // b)``, where it is used.
 `exact_sqrt` decides perfect squares, and `_value_class` makes the package's
-frozen, slotted value classes.  A checked constructor sets each field through
-its slot descriptor; an unchecked `_make` fills a mutable twin of the class
-with the same slots and then retags it as the frozen class, so only this
-module assigns a `__class__` or calls a descriptor's `__set__`.
+frozen, slotted value classes without the `dataclasses` module: its import,
+with the `inspect` it pulls in, and the six methods it compiles per class
+would double the time every command spends importing the package.  A field
+that the constructor derives, or that is left out of `repr` or of `==` and
+`hash`, is declared with a `field` marker.  A checked constructor sets each
+field through its slot descriptor; an unchecked `_make` fills a mutable twin
+of the class with the same slots and then retags it as the frozen class, so
+only this module assigns a `__class__` or calls a descriptor's `__set__`.
 """
 
-import dataclasses
 import math
+from operator import attrgetter
 
 __all__ = ["exact_sqrt"]
 
@@ -30,21 +34,104 @@ def exact_sqrt(n: int) -> int | None:
     return s if s * s == n else None
 
 
+class field:
+    """Declares a value-class field, in place of a default, as derived
+    (`init=False`: the class's own `__init__` computes it and passes it to
+    `_fill`) or as left out of `repr` or of `==` and `hash`."""
+
+    __slots__ = ("init", "repr", "compare")
+
+    def __init__(self, *, init=True, repr=True, compare=True):
+        self.init, self.repr, self.compare = init, repr, compare
+
+
+_PLAIN = field()
+
+
+def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _tuples(names):
+    """`attrgetter(*names)`, returning a tuple for one name too."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda value: (get(value),)
+
+
+def _shared_methods(names, init, shown, compared, setters):
+    """The dunders every value class shares: each is a closure over one
+    class's field names, so all classes run one code object per method."""
+    store, show, compare = _tuples(names), _tuples(shown), _tuples(compared)
+    derived = frozenset(names).difference(init)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return compare(self) == compare(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(compare(self))
+
+    def __repr__(self):
+        pairs = map("%s=%r".__mod__, zip(shown, show(self)))
+        return f"{self.__class__.__qualname__}({', '.join(pairs)})"
+
+    def __getstate__(self):
+        return store(self)
+
+    def __setstate__(self, state):
+        for set_field, value in zip(setters, state):
+            set_field(self, value)
+
+    def __replace__(self, /, **changes):
+        for name in derived.intersection(changes):
+            raise ValueError(f"field {name} is declared with init=False, "
+                             "it cannot be specified with replace()")
+        values = {name: getattr(self, name) for name in init}
+        values.update(changes)
+        return self.__class__(**values)
+
+    return __eq__, __hash__, __repr__, __getstate__, __setstate__, __replace__
+
+
 def _value_class(cls):
-    """`@dataclass(frozen=True, slots=True)`, with an unchecked `_make` and
-    with each field of a checked build set once by one direct call of its
+    """Make `cls` a frozen value class with `__slots__`, an unchecked `_make`,
+    and each field of a checked build set once by one direct call of its
     slot descriptor's `__set__`.
 
-    The class has no `__dict__` and no weak references.  For each class two
-    functions are compiled from the field names, as `dataclass` compiles its
-    `__init__`; each takes every field, in `dataclasses.fields` order.  A
-    class that checks nothing gets the first as its `__init__`, with the
-    dataclass signature.  A class with its own `__init__` keeps it, and that
-    `__init__` ends in one call of `self._fill(...)` once its checks have
-    passed.  Every class gets the second as the static `_make(...)`, which
-    builds an instance unchecked, in one frame.  `_make` stores what it is
-    given, so a caller passes every field, defaulted ones included, in its
-    stored form, such as a tuple where a field holds one.
+    Every annotation of the class body is a field, in order; a field takes
+    the value assigned to it as its default, unless that value is a `field`
+    marker.  A field without a default may not follow one with a default.
+    The class is rebuilt with `__slots__` of the field names, so it has no
+    `__dict__` and no weak references, and `__match_args__` names the init
+    fields.  It gets `__eq__` (same class, equal compared fields), `__hash__`
+    (of the compared fields as a tuple), `__repr__` (`Name(a=1, b=2)` over
+    the shown fields), `__getstate__` and `__setstate__` (every field, in
+    order; a list, as pickles written by `dataclasses` hold, loads too) and
+    `__replace__` (the constructor on the init fields and the changes; a
+    derived field raises `ValueError`), so `pickle`, `copy` and, from Python
+    3.13, `copy.replace` work.  Those six are closures made by
+    `_shared_methods`, and assigning or deleting a field raises
+    `dataclasses.FrozenInstanceError`, which is imported only then; so
+    importing the package compiles none of them and imports no
+    `dataclasses`.  `dataclasses.fields`, `asdict` and `replace` do not
+    apply to these classes.
+
+    For each class two functions are compiled from the field names; each
+    takes every field, in `__slots__` order.  A class that checks nothing
+    gets the first as its `__init__`, with the field annotations and
+    defaults.  A class with its own `__init__` keeps it, and that `__init__`
+    ends in one call of `self._fill(...)` once its checks have passed.
+    Every class gets the second as the static `_make(...)`, which builds an
+    instance unchecked, in one frame.  `_make` stores what it is given, so a
+    caller passes every field, defaulted ones included, in its stored form,
+    such as a tuple where a field holds one.
 
     `_make` builds an instance of a private, mutable twin class that
     declares the same `__slots__` and nothing else, fills it by plain
@@ -65,10 +152,27 @@ def _value_class(cls):
     3.12).
     """
     own_init = "__init__" in cls.__dict__
-    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
-    fields = dataclasses.fields(cls)
-    names = [f.name for f in fields]
-    twin = type(f"_{cls.__name__}", (), {"__slots__": cls.__slots__})
+    annotations = dict(cls.__annotations__)
+    body = {key: value for key, value in cls.__dict__.items()
+            if key not in ("__dict__", "__weakref__")}
+    names = tuple(annotations)
+    markers, defaults = {}, []
+    for n in names:
+        value = body.pop(n, _PLAIN)
+        if isinstance(value, field):
+            if defaults:
+                raise TypeError(f"{cls.__name__}.{n} has no default but follows a "
+                                "field with one")
+            markers[n] = value
+        else:
+            markers[n] = _PLAIN
+            defaults.append(value)
+    init = tuple(n for n in names if markers[n].init)
+    body.update(__slots__=names, __match_args__=init, __qualname__=cls.__qualname__,
+                __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    setters = tuple(getattr(cls, n).__set__ for n in names)
+    twin = type(f"_{cls.__name__}", (), {"__slots__": names})
     name = "_fill" if own_init else "__init__"
     args = ", ".join(names)
     sets = "".join(f"\n  set_{n}(self, {n})" for n in names)
@@ -80,13 +184,14 @@ def _value_class(cls):
               f" return {name}, _make")
     namespace = {}
     exec(source, namespace)
-    fill, make = namespace["build"](twin, cls, *(getattr(cls, n).__set__ for n in names))
-    for function in (fill, make):
+    fill, make = namespace["build"](twin, cls, *setters)
+    fill.__annotations__ = annotations
+    fill.__defaults__ = tuple(defaults)
+    shared = _shared_methods(names, init, tuple(n for n in names if markers[n].repr),
+                             tuple(n for n in names if markers[n].compare), setters)
+    for function in (fill, make, *shared):
         function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
         function.__module__ = cls.__module__
-    fill.__annotations__ = {f.name: f.type for f in fields}
-    fill.__defaults__ = tuple(f.default for f in fields
-                              if f.default is not dataclasses.MISSING)
-    setattr(cls, name, fill)
+        setattr(cls, function.__name__, function)
     cls._make = staticmethod(make)
     return cls

@@ -20,12 +20,11 @@ two evaluations of the bound at any p; the brute-force scan
 `delta0_bruteforce` is the independent test oracle.
 """
 
-from dataclasses import field
 from math import isqrt
 
 from . import brillnoether
 from .errors import InvariantViolation
-from .exactmath import _value_class
+from .exactmath import _value_class, field
 
 __all__ = [
     "GonalityCase",

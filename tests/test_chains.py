@@ -438,9 +438,9 @@ def test_stored_invariants_are_frozen_and_slotted():
 
 def test_replace_recomputes_invariants():
     q = part(8, 2, {1: 2, 2: 1, 4: 1})
-    single = dataclasses.replace(q, parts=((8, 1),))
+    single = q.__replace__(parts=((8, 1),))
     assert (single.g, single.delta) == (1, 7)
-    merged = dataclasses.replace(q, parts={1: 3, 2: 1, 3: 1})
+    merged = q.__replace__(parts={1: 3, 2: 1, 3: 1})
     assert merged.parts == ((1, 3), (2, 1), (3, 1)) and (merged.g, merged.delta) == (5, 3)
 
 

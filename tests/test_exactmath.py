@@ -1,4 +1,8 @@
 import ast
+import json
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import k3gonal
-from k3gonal.exactmath import exact_sqrt
+from k3gonal.exactmath import _value_class, exact_sqrt, field
 
 
 def test_exact_sqrt_examples():
@@ -71,3 +75,50 @@ def test_value_classes_are_made_only_by_value_class(path):
                         and isinstance(node.ctx, ast.Store)), f"{path.name}:{node.lineno}"
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr":
                 assert "__class__" not in ast.unparse(node), f"{path.name}:{node.lineno}"
+
+
+def test_value_classes_import_no_dataclasses():
+    # a fresh interpreter, without `site` so that no `.pth` file of the
+    # environment imports anything first: importing the command line, and
+    # running a command, imports neither `dataclasses` nor the `inspect` and
+    # `copy` it imports
+    src = str(Path(k3gonal.__file__).parent.parent)
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "heavy = ('dataclasses', 'inspect', 'copy')\n"
+        "import k3gonal.cli\n"
+        "imported = [m for m in heavy if m in sys.modules]\n"
+        "k3gonal.cli.main(['bn', 'rho', '-g', '9', '-r', '1', '-d', '6'])\n"
+        "print(json.dumps([imported, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[], []]
+
+
+@_value_class
+class Single:
+    """A value class with one field in its repr, `==` and `hash`."""
+
+    n: int
+    note: str = field(repr=False, compare=False)
+
+
+def test_value_class_with_one_field():
+    value = Single(3, "x")
+    assert repr(value) == "Single(n=3)" and value.__match_args__ == ("n", "note")
+    assert value == Single(3, "y") and hash(value) == hash((3,)) and value != Single(4, "x")
+    assert value.__getstate__() == (3, "x")
+    assert value.__replace__(n=4) == Single(4, "x")
+    for other in (Single._make(3, "x"), value.__replace__(), pickle.loads(pickle.dumps(value))):
+        assert other == value and other.note == "x"
+
+
+def test_value_class_refuses_a_field_without_default_after_one_with():
+    class Misordered:
+        a: int = 0
+        b: int
+
+    with pytest.raises(TypeError, match="Misordered.b"):
+        _value_class(Misordered)

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import pickle
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -501,12 +502,14 @@ def test_ratio_text_matches_rat_str(ratio):
 
 
 @pytest.mark.parametrize("p, k, isotropic", [(10, 5, True), (4, 2, False)])
-def test_lagrangian_payload_matches_asdict(p, k, isotropic):
+def test_lagrangian_payload_matches_its_fields(p, k, isotropic):
+    # every field is an init field, and the state holds them in field order
     report = lagrangian_report(p, k)
     assert report.has_isotropic is isotropic
     payload = report.to_payload()
-    assert payload == dataclasses.asdict(report)
-    assert list(payload) == list(dataclasses.asdict(report))  # the JSON key order
+    fields = dict(zip(LagrangianReport.__match_args__, report.__getstate__()))
+    assert payload == fields
+    assert list(payload) == list(fields)  # the JSON key order
 
 
 # the value classes of the closed-form layer, each with one case and its repr
@@ -541,36 +544,81 @@ VALUE_CASES = [
 ]
 
 
+# the fields that take no part in `==` and `hash`, per class
+UNCOMPARED = {ChainPartition: ("g", "delta")}
+
+
 @pytest.mark.parametrize("make, pinned", VALUE_CASES,
                          ids=[pinned.split("(")[0] for _, pinned in VALUE_CASES])
 def test_value_classes_are_frozen_and_slotted(make, pinned):
     # each case as its builder made it, and as `_make` builds it again from
     # the stored fields: `_make` fills a private twin class and retags the
-    # instance, and neither the instance nor the class may show the twin
+    # instance, and neither the instance nor the class may show the twin;
+    # `__slots__` holds every field in order, `__match_args__` the init ones
     value = make()
-    cls, fields = type(value), dataclasses.fields(value)
-    stored = tuple(getattr(value, f.name) for f in fields)
+    cls, fields = type(value), type(value).__slots__
+    stored = tuple(getattr(value, name) for name in fields)
     made = cls._make(*stored)
     assert cls.__mro__ == (cls, object)
-    assert list(dataclasses.asdict(value)) == [f.name for f in fields]
-    assert tuple(getattr(made, f.name) for f in fields) == stored
+    assert tuple(value.__getstate__()) == stored
+    assert tuple(getattr(made, name) for name in fields) == stored
     for built in (value, made):
         assert type(built) is cls and repr(built) == pinned
-        for f in fields:
+        for name in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(built, f.name, getattr(built, f.name))
+                setattr(built, name, getattr(built, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(built, name)
         assert not hasattr(built, "__dict__")
         with pytest.raises(TypeError):
             weakref.ref(built)
     again = make()
     assert again is not value and made is not value and again == value == made
-    compared = tuple(getattr(value, f.name) for f in fields if f.compare)
+    compared = tuple(getattr(value, name) for name in fields
+                     if name not in UNCOMPARED.get(cls, ()))
     assert hash(value) == hash(again) == hash(made) == hash(compared)
-    by_keyword = cls(**{f.name: getattr(value, f.name) for f in fields if f.init})
+    by_keyword = cls(**{name: getattr(value, name) for name in cls.__match_args__})
+    # a state as `dataclasses` pickled it, a list of every field in order,
+    # still loads
+    restored = cls.__new__(cls)
+    restored.__setstate__(list(stored))
     for built in (value, made):
-        for other in (by_keyword, dataclasses.replace(built), copy.copy(built),
-                      pickle.loads(pickle.dumps(built))):
+        others = [by_keyword, restored, built.__replace__(), copy.copy(built),
+                  copy.deepcopy(built), pickle.loads(pickle.dumps(built))]
+        if sys.version_info >= (3, 13):
+            others.append(copy.replace(built))
+        for other in others:
             assert type(other) is cls and other == value and repr(other) == pinned
+            assert tuple(getattr(other, name) for name in fields) == stored
+
+
+def test_value_classes_share_their_methods():
+    # each method every value class has is one function body, not one
+    # compiled per class
+    classes = {type(make()) for make, _ in VALUE_CASES}
+    for name in ("__eq__", "__hash__", "__repr__", "__getstate__", "__setstate__",
+                 "__replace__", "__setattr__", "__delattr__"):
+        assert len({getattr(cls, name).__code__ for cls in classes}) == 1, name
+
+
+# pickles written while the value classes were dataclasses (protocol 4)
+DATACLASS_PICKLES = [
+    (b"\x80\x04\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\x10k3gonal.gonality\x94\x8c"
+     b"\x0cGonalityCase\x94\x93\x94)\x81\x94]\x94(K\tK\x04K\x02K\x07K\x01K\x02K\x01"
+     b"\x88eb.", GonalityCase(9, 4, 2)),
+    (b"\x80\x04\x95I\x00\x00\x00\x00\x00\x00\x00\x8c\x0ek3gonal.chains\x94\x8c\x0e"
+     b"ChainPartition\x94\x93\x94)\x81\x94]\x94(K\x08K\x02K\x01K\x02\x86\x94K\x02K"
+     b"\x01\x86\x94K\x04K\x01\x86\x94\x87\x94K\x04K\x04eb.",
+     ChainPartition(8, 2, {1: 2, 2: 1, 4: 1})),
+]
+
+
+@pytest.mark.parametrize("data, expected", DATACLASS_PICKLES,
+                         ids=[type(value).__name__ for _, value in DATACLASS_PICKLES])
+def test_dataclass_pickles_still_load(data, expected):
+    loaded = pickle.loads(data)
+    assert type(loaded) is type(expected) and loaded == expected
+    assert loaded.__getstate__() == expected.__getstate__()
 
 
 def test_value_cases_cover_every_value_class():
@@ -608,20 +656,20 @@ def test_unchecked_builds_match_their_constructors(function, cls, arguments):
     for p, k in MADE_UNCHECKED_GRID:
         for args in arguments(p, k):
             value = function(*args)
-            rebuilt = cls(**{f.name: getattr(value, f.name) for f in dataclasses.fields(cls)})
+            rebuilt = cls(**{name: getattr(value, name) for name in cls.__slots__})
             assert type(value) is type(rebuilt) is cls, args
             assert value == rebuilt and repr(value) == repr(rebuilt), args
 
 
 def test_replace_recomputes_the_case():
-    case = dataclasses.replace(GonalityCase(9, 4, 2), delta=1)
+    case = GonalityCase(9, 4, 2).__replace__(delta=1)
     assert (case.delta, case.g, case.rho, case.admissible) == (1, 8, -1, False)
     with pytest.raises(ValueError):
-        dataclasses.replace(GonalityCase(9, 4, 2), g=3)
+        GonalityCase(9, 4, 2).__replace__(g=3)
 
 
 # per value class: its signature, the module of its __init__, arguments with
-# distinct values, and every field read back in `dataclasses.fields` order
+# distinct values, and every field read back in `__slots__` order
 CONSTRUCTOR_CASES = [
     (Decomposition, "(m: int, t: int, lam: int)", "k3gonal.gonality",
      (1, 2, 3), (1, 2, 3)),
@@ -666,10 +714,11 @@ CONSTRUCTOR_CASES = [
                          ids=[case[0].__name__ for case in CONSTRUCTOR_CASES])
 def test_value_class_constructors(cls, signature, module, args, fields):
     assert str(inspect.signature(cls)) == signature
+    assert cls.__match_args__ == tuple(inspect.signature(cls).parameters)
     assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
     assert cls.__init__.__module__ == module
     value = cls(*args)
-    assert tuple(getattr(value, f.name) for f in dataclasses.fields(cls)) == fields
+    assert tuple(getattr(value, name) for name in cls.__slots__) == fields
     required = sum(p.default is inspect.Parameter.empty
                    for p in inspect.signature(cls).parameters.values())
     with pytest.raises(TypeError):
