@@ -8,9 +8,11 @@ divisor is ``a // b``, and a ceiling ``-(-a // b)``, where it is used.
 `exact_sqrt` decides perfect squares, and `_value_class` makes the package's
 frozen, slotted value classes without the `dataclasses` module: its import,
 with the `inspect` it pulls in, and the six methods it compiles per class
-would double the time every command spends importing the package.  A field
-that the constructor derives, or that is left out of `repr` or of `==` and
-`hash`, is declared with a `field` marker.  A checked constructor sets each
+would double the time every command spends importing the package.  (From
+Python 3.14, argparse's help formatter imports `dataclasses` itself, so
+there the command line still loads it, and only the compiling is saved.)
+A field that the constructor derives, or that is left out of `repr` or of
+`==` and `hash`, is declared with a `field` marker.  A checked constructor sets each
 field through its slot descriptor; an unchecked `_make` fills a mutable twin
 of the class with the same slots and then retags it as the frozen class, so
 only this module assigns a `__class__` or calls a descriptor's `__set__`.
@@ -58,16 +60,12 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _tuples(names):
-    """`attrgetter(*names)`, returning a tuple for one name too."""
-    get = attrgetter(*names)
-    return get if len(names) > 1 else lambda value: (get(value),)
-
-
 def _shared_methods(names, init, shown, compared, setters):
     """The dunders every value class shares: each is a closure over one
-    class's field names, so all classes run one code object per method."""
-    store, show, compare = _tuples(names), _tuples(shown), _tuples(compared)
+    class's field names, so all classes run one code object per method.
+    Each tuple names at least two fields, so each `attrgetter` returns a
+    tuple."""
+    store, show, compare = attrgetter(*names), attrgetter(*shown), attrgetter(*compared)
     derived = frozenset(names).difference(init)
 
     def __eq__(self, other):
@@ -107,7 +105,8 @@ def _value_class(cls):
 
     Every annotation of the class body is a field, in order; a field takes
     the value assigned to it as its default, unless that value is a `field`
-    marker.  A field without a default may not follow one with a default.
+    marker.  A field without a default may not follow one with a default,
+    and at least two fields must be shown in the `repr` and two compared.
     The class is rebuilt with `__slots__` of the field names, so it has no
     `__dict__` and no weak references, and `__match_args__` names the init
     fields.  It gets `__eq__` (same class, equal compared fields), `__hash__`
@@ -120,7 +119,7 @@ def _value_class(cls):
     `_shared_methods`, and assigning or deleting a field raises
     `dataclasses.FrozenInstanceError`, which is imported only then; so
     importing the package compiles none of them and imports no
-    `dataclasses`.  `dataclasses.fields`, `asdict` and `replace` do not
+    `dataclasses` of its own.  `dataclasses.fields`, `asdict` and `replace` do not
     apply to these classes.
 
     For each class two functions are compiled from the field names; each
@@ -168,6 +167,10 @@ def _value_class(cls):
             markers[n] = _PLAIN
             defaults.append(value)
     init = tuple(n for n in names if markers[n].init)
+    shown = tuple(n for n in names if markers[n].repr)
+    compared = tuple(n for n in names if markers[n].compare)
+    if len(shown) < 2 or len(compared) < 2:
+        raise TypeError(f"{cls.__name__} needs two fields in its repr and in ==")
     body.update(__slots__=names, __match_args__=init, __qualname__=cls.__qualname__,
                 __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     cls = type(cls)(cls.__name__, cls.__bases__, body)
@@ -187,8 +190,7 @@ def _value_class(cls):
     fill, make = namespace["build"](twin, cls, *setters)
     fill.__annotations__ = annotations
     fill.__defaults__ = tuple(defaults)
-    shared = _shared_methods(names, init, tuple(n for n in names if markers[n].repr),
-                             tuple(n for n in names if markers[n].compare), setters)
+    shared = _shared_methods(names, init, shown, compared, setters)
     for function in (fill, make, *shared):
         function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
         function.__module__ = cls.__module__

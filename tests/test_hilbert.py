@@ -503,11 +503,11 @@ def test_ratio_text_matches_rat_str(ratio):
 
 @pytest.mark.parametrize("p, k, isotropic", [(10, 5, True), (4, 2, False)])
 def test_lagrangian_payload_matches_its_fields(p, k, isotropic):
-    # every field is an init field, and the state holds them in field order
+    # the state holds every field, in `__slots__` order
     report = lagrangian_report(p, k)
     assert report.has_isotropic is isotropic
     payload = report.to_payload()
-    fields = dict(zip(LagrangianReport.__match_args__, report.__getstate__()))
+    fields = dict(zip(LagrangianReport.__slots__, report.__getstate__()))
     assert payload == fields
     assert list(payload) == list(fields)  # the JSON key order
 
