@@ -22,10 +22,9 @@ _EXPORTS = {
     "errors": ("InvariantViolation",),
     "exactmath": ("exact_sqrt",),
     "brillnoether": ("rho", "necessary_condition", "NecessityReport"),
-    "gonality": ("GonalityCase", "Decomposition", "admissible", "decompose", "delta0",
-                 "delta0_bruteforce", "expected_dims", "is_optimal"),
-    "chains": ("ChainPartition", "validate", "construct_minimal", "increment", "witness",
-               "enumerate_partitions"),
+    "gonality": ("GonalityCase", "admissible", "decompose", "delta0", "delta0_bruteforce",
+                 "expected_dims", "is_optimal"),
+    "chains": ("ChainPartition", "validate", "increment", "witness", "enumerate_partitions"),
     "pencil": ("BinaryForm", "Pencil", "SymPlaneCurve", "wedge_curve", "wronskian",
                "diagonal_restriction", "conic_intersection"),
     "hilbert": ("CurveClass", "DivisorClass", "pairing", "gonality_class", "optimal_class",

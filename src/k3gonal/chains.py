@@ -21,11 +21,11 @@ run-length form, with (q, r) = divmod(g - 1, cap),
     p - lightest(g - 1),        lightest(n) = cap q(q+1)/2 + r(q+1),
 
 the last chain adding to alpha_{q+1} when its index is q + 1.
-`construct_minimal` is the rule at delta0(p, k), where it reproduces the
-three-case construction on the (m, t, lambda) decomposition of p, and
-certifies delta0's minimality by lightest(g0) <= p < lightest(g0 + 1);
-`witness` is the rule at any delta in [delta0, p-1]; `increment` merges
-the two longest chains to raise delta by exactly one, and takes each
+`witness` is the rule at any delta in [delta0, p-1]; at delta0(p, k) it
+reproduces the three-case construction on the (m, t, lambda) decomposition
+of p.  Each call also certifies the delta0 it reads, by
+lightest(g0) <= p < lightest(g0 + 1) with g0 = p - delta0; `increment`
+merges the two longest chains to raise delta by exactly one, and takes each
 witness to the next; `enumerate_partitions` is the exhaustive oracle.
 """
 
@@ -39,7 +39,6 @@ from .gonality import delta0
 __all__ = [
     "ChainPartition",
     "validate",
-    "construct_minimal",
     "increment",
     "witness",
     "enumerate_partitions",
@@ -124,58 +123,6 @@ def _lightest(n: int, cap: int) -> int:
     return cap * q * (q + 1) // 2 + r * (q + 1)
 
 
-def _lightest_plus_one(p: int, k: int, delta: int) -> ChainPartition:
-    """The g - 1 lightest chains plus one chain carrying the rest of the
-    weight, g = p - delta; validated, and its delta checked.  The last
-    chain's index p - lightest(g - 1) is at least 1 for every delta >=
-    delta0(p, k); below delta0 it can drop under 1, where no chain has it,
-    and the check fails before anything is built.
-
-    Only two halves of the witness check can fail: the last index, and the
-    cap, which the last chain breaks when its index is at most q, joining
-    the cap chains already there.  The weight and the delta halves hold by
-    construction: the parts weigh lightest(g - 1) + rest = p and count
-    q*cap + r + 1 = g chains, so delta = p - g."""
-    cap = 2 * (k - 1)
-    n = p - delta - 1
-    q, r = divmod(n, cap)
-    rest = p - _lightest(n, cap)
-    partition = ChainPartition(
-        p, k, [(j, cap) for j in range(1, q + 1)] + [(q + 1, r), (rest, 1)]
-    ) if rest >= 1 else None
-    if partition is None or not validate(partition) or partition.delta != delta:
-        raise InvariantViolation(
-            f"chain witness failed at (p={p}, k={k}, delta={delta}): "
-            f"last chain index {rest}"
-        )
-    return partition
-
-
-def construct_minimal(p: int, k: int) -> ChainPartition:
-    """The partition realizing delta0(p, k): the module's rule at
-    g0 = p - delta0, which reproduces the three-case construction on the
-    (m, t, lambda) decomposition of p, and alpha_1 = p below p = 2(k-1).
-
-    A valid partition with g chains exists iff lightest(g) <= p, so delta0's
-    minimality is certified, before anything is built, by
-    lightest(g0) <= p < lightest(g0 + 1): g0 chains fit and g0 + 1 do not.
-    """
-    if p < 3:
-        raise ValueError(f"need p >= 3, got p={p}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
-    cap = 2 * (k - 1)
-    d0 = delta0(p, k)
-    g0 = p - d0
-    if not _lightest(g0, cap) <= p < _lightest(g0 + 1, cap):
-        raise InvariantViolation(
-            f"delta0={d0} at (p={p}, k={k}) is not minimal for chains: "
-            f"{g0} lightest chains weigh {_lightest(g0, cap)}, "
-            f"{g0 + 1} weigh {_lightest(g0 + 1, cap)}"
-        )
-    return _lightest_plus_one(p, k, d0)
-
-
 def increment(partition: ChainPartition) -> ChainPartition:
     """Merge the two longest chains, raising delta by exactly one.
 
@@ -209,13 +156,25 @@ def witness(p: int, k: int, delta: int, max_lengths: int | None = None) -> Chain
     """A valid partition with the requested delta in [delta0(p,k), p-1].
 
     The module's rule at g = p - delta, built once, in time proportional to
-    its number of chain lengths, at most (g-1) // 2(k-1) + 2.  It equals the
-    minimal construction followed by delta - delta0 `increment` merges.
+    its number of chain lengths, at most (g-1) // 2(k-1) + 2; it equals the
+    witness at delta0 followed by delta - delta0 `increment` merges.
     delta = p (g = 0) has no chain witness and is rejected; a negative delta
     is refused with the range message of `necessary_condition`.  With
     `max_lengths`, an admissible delta whose count of chain lengths may
     exceed it is refused before anything is built; the message names the
     limit as the CLI's WITNESS_MAX_LENGTHS, which is passed here.
+
+    Two checks follow, in this order.  The witness check: the last chain's
+    index p - lightest(g - 1) is at least 1 for every delta >= delta0, and
+    can drop under 1 below it; past that only the cap can fail, when the
+    index is at most q, since by construction the parts weigh p and count
+    q*cap + r + 1 = g chains.  Then the certificate of the delta0 read here:
+    a valid partition with g chains exists iff lightest(g) <= p, so
+    lightest(g0) <= p < lightest(g0 + 1), g0 = p - delta0.  A delta0 one too
+    low fails the witness check, and one too high fails the certificate.
+
+    >>> witness(8, 2, 4).parts
+    ((1, 2), (2, 1), (4, 1))
     """
     if p < 3:
         raise ValueError(f"need p >= 3, got p={p}")
@@ -228,15 +187,32 @@ def witness(p: int, k: int, delta: int, max_lengths: int | None = None) -> Chain
         raise ValueError(f"inadmissible: delta={delta} < delta0={d0}")
     if delta > p - 1:
         raise ValueError(f"no chain witness for delta={delta} > p-1={p - 1}")
-    if max_lengths is not None:
-        # the g - 1 lightest chains fill (g-1) // 2(k-1) + 1 lengths, the rest one more
-        lengths = (p - delta - 1) // (2 * (k - 1)) + 2
-        if lengths > max_lengths:
-            raise ValueError(
-                f"the witness at p={p}, k={k}, delta={delta} has up to {lengths} "
-                f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {max_lengths}"
-            )
-    return _lightest_plus_one(p, k, delta)
+    cap = 2 * (k - 1)
+    n = p - delta - 1
+    q, r = divmod(n, cap)
+    # the g - 1 lightest chains fill q + 1 lengths, the rest one more
+    if max_lengths is not None and q + 2 > max_lengths:
+        raise ValueError(
+            f"the witness at p={p}, k={k}, delta={delta} has up to {q + 2} "
+            f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {max_lengths}"
+        )
+    rest = p - _lightest(n, cap)
+    partition = ChainPartition(
+        p, k, [(j, cap) for j in range(1, q + 1)] + [(q + 1, r), (rest, 1)]
+    ) if rest >= 1 else None
+    if partition is None or not validate(partition) or partition.delta != delta:
+        raise InvariantViolation(
+            f"chain witness failed at (p={p}, k={k}, delta={delta}): "
+            f"last chain index {rest}"
+        )
+    g0 = p - d0
+    if not _lightest(g0, cap) <= p < _lightest(g0 + 1, cap):
+        raise InvariantViolation(
+            f"delta0={d0} at (p={p}, k={k}) is not minimal for chains: "
+            f"{g0} lightest chains weigh {_lightest(g0, cap)}, "
+            f"{g0 + 1} weigh {_lightest(g0 + 1, cap)}"
+        )
+    return partition
 
 
 def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[ChainPartition]:

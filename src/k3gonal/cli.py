@@ -435,9 +435,13 @@ def _parse_alpha(text: str) -> list[tuple[int, int]]:
 def chains_stable(p, k, alpha):
     """Stable-model node count and bookkeeping for a given partition."""
     part = chains.ChainPartition(p, k, _parse_alpha(alpha))
-    if not chains.validate(part):
-        raise ValueError(f"partition invalid: weight {part.weight()} vs p={p}, "
-                         f"cap {2 * (k - 1)}")
+    # the two halves of `chains.validate`, each refused by name
+    if part.weight() != p:
+        raise ValueError(f"partition invalid: weight {part.weight()} is not p={p}")
+    cap = 2 * (k - 1)
+    for j, a in part.parts:
+        if a > cap:
+            raise ValueError(f"partition invalid: alpha_{j} = {a} is over the cap 2(k-1) = {cap}")
     # the per-chain counts of the `chains` docstring, summed with sum j alpha_j = p
     g, delta = part.g, part.delta
     payload = {
@@ -612,7 +616,7 @@ def hilb_scan(pmax, kmax, pmin, kmin):
     size = (pmax - pmin + 1) * (kmax - kmin + 1)
     if size > SCAN_MAX_ROWS:
         raise ValueError(
-            f"grid of {size} rows is over the limit of {SCAN_MAX_ROWS} rows"
+            f"grid of {size} rows is over the limit SCAN_MAX_ROWS = {SCAN_MAX_ROWS}"
         )
     rows = []
     for k in range(kmin, kmax + 1):

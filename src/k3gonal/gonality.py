@@ -28,7 +28,6 @@ from .exactmath import _value_class, field
 
 __all__ = [
     "GonalityCase",
-    "Decomposition",
     "admissible",
     "decompose",
     "delta0",
@@ -85,15 +84,6 @@ class GonalityCase:
         self._fill(p, k, delta, g, alpha, beta, rho, rho >= 0)
 
 
-@_value_class
-class Decomposition:
-    """The triple (m, t, lam) with p = (k-1)m(m+1) + t(m+1) + lam."""
-
-    m: int
-    t: int
-    lam: int
-
-
 def admissible(p: int, k: int, delta: int) -> bool:
     """True iff (p, k, delta) satisfies the existence bound.
 
@@ -103,8 +93,8 @@ def admissible(p: int, k: int, delta: int) -> bool:
     return GonalityCase(p, k, delta).admissible
 
 
-def decompose(p: int, k: int) -> Decomposition:
-    """Decompose p as (k-1)m(m+1) + t(m+1) + lam with m maximal.
+def decompose(p: int, k: int) -> tuple[int, int, int]:
+    """Decompose p as (k-1)m(m+1) + t(m+1) + lam with m maximal: (m, t, lam).
 
     m is read off in closed form: (k-1)n(n+1) <= p iff n(n+1) <= q with
     q = floor(p/(k-1)), iff (2n+1)^2 <= 4q+1, so
@@ -119,6 +109,9 @@ def decompose(p: int, k: int) -> Decomposition:
 
     Requires p >= 2(k-1) so that m >= 1; below that the delta0 = 0 regime
     applies and there is nothing to decompose.
+
+    >>> decompose(20, 3)
+    (2, 2, 2)
     """
     _check_pk(p, k)
     if p < 2 * (k - 1):
@@ -129,10 +122,11 @@ def decompose(p: int, k: int) -> Decomposition:
     m = (isqrt(4 * (p // (k - 1)) + 1) - 1) // 2
     t = p // (m + 1) - m * (k - 1)
     lam = p - (k - 1) * m * (m + 1) - t * (m + 1)
-    dec = Decomposition._make(m, t, lam)
     if not (0 <= t < 2 * (k - 1) and 0 <= lam <= m):
-        raise InvariantViolation(f"decomposition {dec} out of range for p={p}, k={k}")
-    return dec
+        raise InvariantViolation(
+            f"decomposition (m={m}, t={t}, lam={lam}) out of range for p={p}, k={k}"
+        )
+    return m, t, lam
 
 
 def delta0(p: int, k: int) -> int:
@@ -151,13 +145,13 @@ def delta0(p: int, k: int) -> int:
     return _delta0_from(p, k, decompose(p, k))
 
 
-def _delta0_from(p: int, k: int, dec: Decomposition) -> int:
-    """delta0 by both closed forms from p's decomposition `dec`, which the
-    caller has already obtained and checked; the core of `delta0`.
+def _delta0_from(p: int, k: int, dec: tuple[int, int, int]) -> int:
+    """delta0 by both closed forms from p's decomposition `dec` = (m, t, lam),
+    which the caller has already obtained and checked; the core of `delta0`.
 
     Also right at p = 2(k-1), whose decomposition (1, 0, 0) gives 0 both ways.
     """
-    m, t, lam = dec.m, dec.t, dec.lam
+    m, t, lam = dec
     value = (k - 1) * m * (m - 1) + t * m + lam
     other = -(-m * p // (m + 1)) - m * (k - 1)
     if value != other:

@@ -180,7 +180,7 @@ def optimal_class(p: int, k: int) -> CurveClass:
     if p <= 2 * (k - 1):
         y = p + k - 1
     else:
-        m = decompose(p, k).m
+        m = decompose(p, k)[0]
         y = (m + 1) * (k - 1) + p // (m + 1)
     d0 = delta0(p, k)
     # a delta0 outside [0, p] has no GonalityCase, and is no admissible delta
@@ -438,9 +438,10 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
     t = k - 1 - beta
     p = (k - 1) * m * (m + 1) + t * (m + 1) + rho
     dec = decompose(p, k)
-    if (dec.m, dec.t, dec.lam) != (m, t, rho):
+    if dec != (m, t, rho):
         raise InvariantViolation(
-            f"decomposition of p={p} is {dec}, expected (m={m}, t={t}, lam={rho})"
+            f"decomposition of p={p} is (m={dec[0]}, t={dec[1]}, lam={dec[2]}), "
+            f"expected (m={m}, t={t}, lam={rho})"
         )
     predicted = 4 * (k - 1) * (rho - 1) - beta * beta  # 2(k-1) q
     actual = _scaled_q_case(p, k, _delta0_from(p, k, dec))
@@ -467,7 +468,9 @@ def _scaled_q_values(k: int, p_max: int) -> list[int]:
     q >= 0 or p > p_max.  The cost is O(k) for the regime plus about two
     pairs per value returned, whatever p_max is.  Every q is collected,
     de-duplicated and sorted as the integer 2(k-1) q; the scale is positive,
-    so the order is that of q.
+    so the order is that of q.  The number of candidates, which bounds that
+    cost, is what `q_candidate_count` returns; it is counted one rho at a
+    time, not in closed form, so a caller bounding the walk passes it `stop`.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
@@ -499,7 +502,7 @@ def attained_q_values(k: int, p_max: int) -> list[Fraction]:
 
 
 def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:
-    """How many candidates attained_q_values(k, p_max) walks, in closed form.
+    """How many candidates attained_q_values(k, p_max) walks, one rho at a time.
 
     The candidates are the p in the delta0 = 0 regime 2 <= p < 2(k-1) and
     p <= p_max, and the pairs (rho, beta) with q < 0 whose first p is at
@@ -508,6 +511,15 @@ def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:
     (k-1-beta)(m+1) <= p_max - rho - (k-1)m(m+1) with m = max(1, rho); both
     hold for every beta from a least one up to k-1.  The sum over rho ends
     at the first rho with no pair, or as soon as it passes `stop`.
+
+    Each rho's pairs are counted in closed form, but the sum is not: without
+    `stop` it takes one step per rho, up to about
+    min((k-1)/4, sqrt(p_max/(k-1))) steps.  At p_max = 10^40 that took
+    0.35-0.40 s at k = 10^6 and did not return within 10 s at k = 10^9
+    (Python 3.11.7 on a shared 2-vCPU Intel Xeon Linux machine).  Each step
+    adds at least one candidate, so with `stop` it takes at most stop + 1
+    steps; the CLI's call, with stop = QVALUES_MAX_VALUES = 10^5, took about
+    1 us at k = 10^6, where the delta0 = 0 regime alone passes `stop`.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")

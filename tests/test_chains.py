@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from k3gonal import chains, cli
 from k3gonal.chains import (
     ChainPartition,
-    construct_minimal,
     enumerate_partitions,
     increment,
     validate,
@@ -92,24 +91,24 @@ def test_partition_rejects_bad_indices():
         part(4, 2, {2: -1})
 
 
-def test_construct_minimal_examples():
-    assert construct_minimal(8, 2).parts == ((1, 2), (2, 1), (4, 1))
-    assert construct_minimal(12, 3).parts == ((1, 4), (2, 4))
-    assert construct_minimal(9, 4).parts == ((1, 6), (3, 1))
-    assert construct_minimal(8, 2).delta == 4
-    assert construct_minimal(12, 3).delta == 4
-    assert construct_minimal(9, 4).delta == 2
+def test_witness_at_delta0_examples():
+    assert witness(8, 2, delta0(8, 2)).parts == ((1, 2), (2, 1), (4, 1))
+    assert witness(12, 3, delta0(12, 3)).parts == ((1, 4), (2, 4))
+    assert witness(9, 4, delta0(9, 4)).parts == ((1, 6), (3, 1))
+    assert witness(8, 2, delta0(8, 2)).delta == 4
+    assert witness(12, 3, delta0(12, 3)).delta == 4
+    assert witness(9, 4, delta0(9, 4)).delta == 2
 
 
-def test_construct_minimal_small_p_regime():
-    q = construct_minimal(3, 4)  # p < 2(k-1)
+def test_witness_at_delta0_small_p_regime():
+    q = witness(3, 4, delta0(3, 4))  # p < 2(k-1)
     assert q.parts == ((1, 3),) and q.delta == 0
 
 
-def test_construct_minimal_matches_delta0():
+def test_witness_at_delta0_matches_delta0():
     for k in range(2, 7):
         for p in range(3, 41):
-            q = construct_minimal(p, k)
+            q = witness(p, k, delta0(p, k))
             assert validate(q)
             assert q.delta == delta0(p, k)
 
@@ -119,8 +118,7 @@ def _three_case_minimal(p, k):
     cap = 2 * (k - 1)
     if p < cap:
         return {1: p}
-    dec = decompose(p, k)
-    m, t, lam = dec.m, dec.t, dec.lam
+    m, t, lam = decompose(p, k)
     mult = {j: cap for j in range(1, m + 1)}
     if lam == 0:
         mult[m + 1] = t
@@ -133,19 +131,19 @@ def _three_case_minimal(p, k):
     return mult
 
 
-def test_construct_minimal_matches_three_case_reference():
+def test_witness_at_delta0_matches_three_case_reference():
     for k in range(2, 10):
         for p in range(3, 121):
-            assert construct_minimal(p, k) == part(p, k, _three_case_minimal(p, k)), (p, k)
+            assert witness(p, k, delta0(p, k)) == part(p, k, _three_case_minimal(p, k)), (p, k)
 
 
 def test_witness_matches_increment_reference():
-    # every delta for p <= 60, k = 2..8: the minimal construction followed by
+    # every delta for p <= 60, k = 2..8: the witness at delta0 followed by
     # delta - delta0 merges, so increment(witness(delta)) == witness(delta + 1)
     cases = 0
     for k in range(2, 9):
         for p in range(3, 61):
-            reference = construct_minimal(p, k)
+            reference = witness(p, k, delta0(p, k))
             for delta in range(delta0(p, k), p):
                 assert witness(p, k, delta) == reference, (p, k, delta)
                 cases += 1
@@ -155,17 +153,19 @@ def test_witness_matches_increment_reference():
 
 
 @pytest.mark.parametrize("shift", [1, -1])
-def test_construct_minimal_rejects_wrong_delta0(monkeypatch, shift):
+def test_witness_rejects_wrong_delta0(monkeypatch, shift):
     # delta0 one off, as chains sees it, fails the certificate
-    # lightest(g0) <= p < lightest(g0 + 1)
+    # lightest(g0) <= p < lightest(g0 + 1); one too high is refused at that
+    # delta0, one too low at the true delta0, since at its own the witness
+    # check fires first (test_witness_below_delta0_is_an_invariant_violation)
     for k in range(2, 6):
         for p in range(3, 41):
             true = delta0(p, k)
             monkeypatch.setattr(chains, "delta0", lambda p, k: true + shift)
             with pytest.raises(InvariantViolation, match="not minimal"):
-                construct_minimal(p, k)
+                witness(p, k, true + max(shift, 0))
     monkeypatch.undo()
-    assert construct_minimal(8, 2).delta == 4
+    assert witness(8, 2, delta0(8, 2)).delta == 4
 
 
 def test_witness_below_delta0_is_an_invariant_violation(monkeypatch, capsys):
@@ -245,7 +245,7 @@ def test_increment_steps_delta_by_one(p, k, data):
 
 def test_witness_examples():
     assert witness(8, 2, 5).delta == 5
-    assert witness(8, 2, 4) == construct_minimal(8, 2)
+    assert witness(8, 2, 4) == witness(8, 2, delta0(8, 2))
     with pytest.raises(ValueError, match="inadmissible"):
         witness(8, 2, 3)
     with pytest.raises(ValueError):

@@ -210,12 +210,15 @@ def test_chains_stable_invalid_partition(capsys):
     assert "invalid" in err
 
 
-@pytest.mark.parametrize("alpha, weight", [("1:1", 1), ("1:8", 8)], ids=["weight", "cap"])
-def test_chains_stable_invalid_partition_message(capsys, alpha, weight):
+@pytest.mark.parametrize("alpha, reason", [
+    ("1:1", "weight 1 is not p=8"),
+    ("1:8", "alpha_1 = 8 is over the cap 2(k-1) = 2"),
+], ids=["weight", "cap"])
+def test_chains_stable_invalid_partition_message(capsys, alpha, reason):
     # 1:1 weighs 1, not p = 8; 1:8 weighs 8 but has 8 > 2(k-1) = 2 chains of index 1
     code, out, err = run(capsys, "chains", "stable", "-p", "8", "-k", "2", "--alpha", alpha)
     assert (code, out) == (1, "")
-    assert err == f"error: partition invalid: weight {weight} vs p=8, cap 2\n"
+    assert err == f"error: partition invalid: {reason}\n"
 
 
 def test_chains_enumerate_cap_env(capsys, monkeypatch):
@@ -1408,7 +1411,7 @@ def test_scan_grid_limit(capsys, fmt):
     code, out, err = run(capsys, "hilb", "scan", "--pmax", "100001", "--kmax", "3", "--format", fmt)
     assert time.perf_counter() - start < 0.5
     assert code == 1 and out == ""
-    assert "200000 rows" in err and "100000" in err
+    assert "grid of 200000 rows is over the limit SCAN_MAX_ROWS = 100000" in err
 
 
 def test_qvalues_limit(capsys, monkeypatch):

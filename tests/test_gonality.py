@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from k3gonal import brillnoether, chains, cli, gonality, hilbert, pencil
 from k3gonal.brillnoether import necessary_condition, rho
-from k3gonal.chains import construct_minimal, witness
+from k3gonal.chains import witness
 from k3gonal.errors import InvariantViolation
 from k3gonal.gonality import (
-    Decomposition,
     GonalityCase,
     admissible,
     decompose,
@@ -61,9 +60,9 @@ def test_admissible_matches_general_condition():
 
 
 def test_decompose_examples():
-    assert decompose(8, 2) == Decomposition(2, 0, 2)
-    assert decompose(9, 4) == Decomposition(1, 1, 1)
-    assert decompose(12, 3) == Decomposition(2, 0, 0)
+    assert decompose(8, 2) == (2, 0, 2)
+    assert decompose(9, 4) == (1, 1, 1)
+    assert decompose(12, 3) == (2, 0, 0)
 
 
 def test_decompose_rejects_small_p():
@@ -76,13 +75,13 @@ def test_decompose_rejects_small_p():
 def test_decomposition_roundtrip(p, k):
     if p < 2 * (k - 1):
         return
-    dec = decompose(p, k)
-    assert (k - 1) * dec.m * (dec.m + 1) + dec.t * (dec.m + 1) + dec.lam == p
-    assert 0 <= dec.t < 2 * (k - 1)
-    assert 0 <= dec.lam <= dec.m
-    assert dec.m >= 1
+    m, t, lam = decompose(p, k)
+    assert (k - 1) * m * (m + 1) + t * (m + 1) + lam == p
+    assert 0 <= t < 2 * (k - 1)
+    assert 0 <= lam <= m
+    assert m >= 1
     # maximality of m
-    assert (k - 1) * (dec.m + 1) * (dec.m + 2) > p
+    assert (k - 1) * (m + 1) * (m + 2) > p
 
 
 def _decompose_by_search(p, k):
@@ -91,7 +90,7 @@ def _decompose_by_search(p, k):
     while (k - 1) * (m + 1) * (m + 2) <= p:
         m += 1
     t = p // (m + 1) - m * (k - 1)
-    return Decomposition(m, t, p - (k - 1) * m * (m + 1) - t * (m + 1))
+    return m, t, p - (k - 1) * m * (m + 1) - t * (m + 1)
 
 
 def test_decompose_matches_search_reference():
@@ -120,8 +119,7 @@ _EXTREME_PK = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_decompose_extremes(pk):
     p, k = pk
-    dec = decompose(p, k)
-    m, t, lam = dec.m, dec.t, dec.lam
+    m, t, lam = decompose(p, k)
     assert (k - 1) * m * (m + 1) + t * (m + 1) + lam == p
     assert 0 <= t < 2 * (k - 1)
     assert 0 <= lam <= m
@@ -158,8 +156,8 @@ def test_is_optimal_holds_exactly_at_bruteforce():
 def test_genus_at_minimum():
     for p, k in GRID:
         if p > 2 * (k - 1):
-            dec = decompose(p, k)
-            assert p - delta0(p, k) == 2 * dec.m * (k - 1) + dec.t
+            m, t, _ = decompose(p, k)
+            assert p - delta0(p, k) == 2 * m * (k - 1) + t
 
 
 def test_expected_dims_examples():
@@ -265,13 +263,13 @@ def _membership_breaking_wedge(pen):
 
 
 def _t_one_too_large(p, k):
-    dec = decompose(p, k)
-    return Decomposition(dec.m, dec.t + 1, dec.lam)
+    m, t, lam = decompose(p, k)
+    return m, t + 1, lam
 
 
 def _lam_one_too_large(p, k):
-    dec = decompose(p, k)
-    return Decomposition(dec.m, dec.t, dec.lam + 1)
+    m, t, lam = decompose(p, k)
+    return m, t, lam + 1
 
 
 class _AllAdmissible(GonalityCase):
@@ -388,13 +386,16 @@ GUARD_FAULTS = {
     "chain-witness": (
         chains, "delta0", lambda p, k: delta0(p, k) - 1, witness, "chain witness failed",
         BELOW_DELTA0, ["chains", "witness", "-p", "13", "-k", "3", "--delta", "4"]),
+    # the witness at the patched delta0 passes the witness check, which comes
+    # first, and fails the certificate lightest(g0) <= p < lightest(g0 + 1)
     "chain-minimal": (
-        chains, "delta0", lambda p, k: delta0(p, k) + 1, construct_minimal,
-        "is not minimal for chains", CHAIN_CASES, None),
+        chains, "delta0", lambda p, k: delta0(p, k) + 1,
+        lambda p, k: witness(p, k, delta0(p, k) + 1), "is not minimal for chains",
+        CHAIN_CASES, ["chains", "witness", "-p", "8", "-k", "2", "--delta", "5"]),
     "increment-merge": (
         chains, "increment",
         _mutated(chains.increment, "mult.get(j1 + j2, 0) + 1", "mult.get(j1 + j2, 0) + 2"),
-        lambda p, k: chains.increment(construct_minimal(p, k)), "increment broke validity",
+        lambda p, k: chains.increment(witness(p, k, delta0(p, k))), "increment broke validity",
         CHAIN_CASES, None),
     "enumerator-sum": (
         chains, "enumerate_partitions",

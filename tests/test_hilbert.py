@@ -17,7 +17,7 @@ from k3gonal import cli, hilbert
 from k3gonal.brillnoether import NecessityReport, necessary_condition
 from k3gonal.chains import ChainPartition, enumerate_partitions
 from k3gonal.errors import InvariantViolation
-from k3gonal.gonality import Decomposition, GonalityCase, admissible, decompose, delta0
+from k3gonal.gonality import GonalityCase, admissible, decompose, delta0
 from k3gonal.hilbert import (
     CurveClass,
     DivisorClass,
@@ -166,8 +166,8 @@ def test_q_identity_holds_even_off_admissible_range():
 
 def _q_optimal_form(p, k):
     """q at delta0 read off the decomposition: 2(lam-1) - (k-1-t)^2/(2(k-1))."""
-    dec = decompose(p, k)
-    return 2 * (dec.lam - 1) - F((k - 1 - dec.t) ** 2, 2 * (k - 1))
+    _, t, lam = decompose(p, k)
+    return 2 * (lam - 1) - F((k - 1 - t) ** 2, 2 * (k - 1))
 
 
 def test_q_optimal_form_examples():
@@ -181,7 +181,7 @@ def test_q_optimal_form_matches_q_case_at_delta0():
         ts = set()
         for p in range(2 * (k - 1) + 1, 301):
             assert _q_optimal_form(p, k) == q_case(p, k, delta0(p, k)), (p, k)
-            ts.add(decompose(p, k).t)
+            ts.add(decompose(p, k)[1])
         # t runs over [0, 2(k-1)), past k - 1 too, where k-1-t is negative
         assert ts == set(range(2 * (k - 1))), k
 
@@ -514,7 +514,6 @@ def test_lagrangian_payload_matches_its_fields(p, k, isotropic):
 
 # the value classes of the closed-form layer, each with one case and its repr
 VALUE_CASES = [
-    (lambda: decompose(20, 3), "Decomposition(m=2, t=2, lam=2)"),
     (lambda: GonalityCase(9, 4, 2),
      "GonalityCase(p=9, k=4, delta=2, g=7, alpha=1, beta=2, rho=1, admissible=True)"),
     (lambda: necessary_condition(9, 2, 1, 4),
@@ -638,7 +637,6 @@ def test_value_cases_cover_every_value_class():
 # it returns, and its arguments over p = 2..400, k = 2..9 and p near 10^40,
 # where the large p include the minimal-q and the primitive isotropic shapes
 MADE_UNCHECKED = [
-    (decompose, Decomposition, lambda p, k: [(p, k)] if p >= 2 * (k - 1) else []),
     (necessary_condition, NecessityReport,
      lambda p, k: [(p, delta, 1, k) for delta in sorted({0, delta0(p, k), p // 2, p})]),
     (extremal_ray_status, RayReport, lambda p, k: [(p, k)]),
@@ -671,8 +669,6 @@ def test_replace_recomputes_the_case():
 # per value class: its signature, the module of its __init__, arguments with
 # distinct values, and every field read back in `__slots__` order
 CONSTRUCTOR_CASES = [
-    (Decomposition, "(m: int, t: int, lam: int)", "k3gonal.gonality",
-     (1, 2, 3), (1, 2, 3)),
     (GonalityCase, "(p: int, k: int, delta: int)", "k3gonal.gonality",
      (12, 3, 1), (12, 3, 1, 11, 2, -1, -9, False)),
     (NecessityReport,
