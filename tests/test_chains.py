@@ -185,6 +185,20 @@ def test_witness_below_delta0_is_an_invariant_violation(monkeypatch, capsys):
         assert out == "" and err.startswith("invariant violation: chain witness failed"), (p, k)
 
 
+def test_witness_above_delta0_fails_the_certificate_from_the_cli(monkeypatch, capsys):
+    # delta0 one too high: the witness at it passes the witness check, and
+    # the certificate lightest(g0) <= p < lightest(g0 + 1) makes the command
+    # exit 2 with nothing on stdout
+    cases = [(p, k, delta0(p, k)) for k in range(2, 6) for p in range(3, 41)]
+    for p, k, d0 in cases:
+        monkeypatch.setattr(chains, "delta0", lambda p, k, d0=d0: d0 + 1)
+        argv = ["chains", "witness", "-p", str(p), "-k", str(k), "--delta", str(d0 + 1)]
+        assert cli.main(argv) == 2, (p, k)
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invariant violation: "), (p, k)
+        assert "is not minimal for chains" in err, (p, k)
+
+
 def test_witness_at_extreme_p():
     p = 10**40 + 1
     assert witness(p, 2, p - 1).parts == ((p, 1),)

@@ -87,6 +87,19 @@ def test_unknown_name_raises_attribute_error():
                   "    print(json.dumps(loaded()))") == []
 
 
+@pytest.mark.parametrize("module, name", [
+    ("gonality", "Decomposition"), ("chains", "construct_minimal"),
+    ("chains", "_lightest_plus_one"),
+])
+def test_retired_names_are_gone(module, name):
+    # decompose returns a plain tuple and chains.witness is the one chain
+    # builder, so these names are bound nowhere
+    assert name not in k3gonal.__all__
+    assert not hasattr(importlib.import_module(f"k3gonal.{module}"), name)
+    with pytest.raises(AttributeError):
+        getattr(k3gonal, name)
+
+
 def test_a_package_name_follows_its_submodule(monkeypatch):
     # the package binds no exported name, so a name replaced on its submodule
     # is replaced on the package too, and restored with it

@@ -65,6 +65,15 @@ def test_decompose_examples():
     assert decompose(12, 3) == (2, 0, 0)
 
 
+def test_decompose_returns_a_plain_tuple():
+    # the triple (m, t, lam) is a bare tuple, at small p and near 10^40
+    cases = [(p, k) for p, k in GRID if p >= 2 * (k - 1)] + [(10**40 + 1, 2), (10**40, 10**6)]
+    for p, k in cases:
+        dec = decompose(p, k)
+        assert type(dec) is tuple and len(dec) == 3, (p, k)
+        assert all(type(x) is int for x in dec), (p, k)
+
+
 def test_decompose_rejects_small_p():
     with pytest.raises(ValueError):
         decompose(3, 4)  # p < 2(k-1)
