@@ -44,10 +44,13 @@ __all__ = [
     "enumerate_partitions",
     "MAX_P_ENV",
     "DEFAULT_MAX_P",
+    "WITNESS_MAX_LENGTHS",
 ]
 
 MAX_P_ENV = "K3GONAL_MAX_P"
 DEFAULT_MAX_P = 60
+# `witness` builds one (j, alpha_j) pair per chain length
+WITNESS_MAX_LENGTHS = 10**5
 
 
 @_value_class
@@ -152,17 +155,15 @@ def increment(partition: ChainPartition) -> ChainPartition:
     return merged
 
 
-def witness(p: int, k: int, delta: int, max_lengths: int | None = None) -> ChainPartition:
+def witness(p: int, k: int, delta: int) -> ChainPartition:
     """A valid partition with the requested delta in [delta0(p,k), p-1].
 
     The module's rule at g = p - delta, built once, in time proportional to
     its number of chain lengths, at most (g-1) // 2(k-1) + 2; it equals the
     witness at delta0 followed by delta - delta0 `increment` merges.
     delta = p (g = 0) has no chain witness and is rejected; a negative delta
-    is refused with the range message of `necessary_condition`.  With
-    `max_lengths`, an admissible delta whose count of chain lengths may
-    exceed it is refused before anything is built; the message names the
-    limit as the CLI's WITNESS_MAX_LENGTHS, which is passed here.
+    is refused with the range message of `necessary_condition`.  A witness
+    that may pass WITNESS_MAX_LENGTHS chain lengths is refused unbuilt.
 
     Two checks follow, in this order.  The witness check: the last chain's
     index p - lightest(g - 1) is at least 1 for every delta >= delta0, and
@@ -191,10 +192,10 @@ def witness(p: int, k: int, delta: int, max_lengths: int | None = None) -> Chain
     n = p - delta - 1
     q, r = divmod(n, cap)
     # the g - 1 lightest chains fill q + 1 lengths, the rest one more
-    if max_lengths is not None and q + 2 > max_lengths:
+    if q + 2 > WITNESS_MAX_LENGTHS:
         raise ValueError(
             f"the witness at p={p}, k={k}, delta={delta} has up to {q + 2} "
-            f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {max_lengths}"
+            f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {WITNESS_MAX_LENGTHS}"
         )
     rest = p - _lightest(n, cap)
     partition = ChainPartition(

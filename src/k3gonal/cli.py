@@ -55,16 +55,6 @@ __all__ = ["cli", "main"]
 
 # `hilb scan` holds one tuple per row until it renders them
 SCAN_MAX_ROWS = 10**5
-# `hilb qvalues` builds one value per candidate of hilbert.q_candidate_count
-QVALUES_MAX_VALUES = 10**5
-# `pencil verify` time grows with samples and with k (its conic pullback and
-# gcd run at degree 2k - 2); the largest accepted command, -k 16 --samples
-# 1000, took 0.6-0.9 s in process (Python 3.11.7, shared 2-vCPU Intel Xeon
-# Linux machine, October 2026)
-PENCIL_MAX_K = 16
-PENCIL_MAX_SAMPLES = 1000
-# `chains witness` builds and renders one [j, a] pair per chain length
-WITNESS_MAX_LENGTHS = 10**5
 
 FORMATS = ("table", "json", "csv")
 
@@ -380,7 +370,7 @@ def _partition_table(part: chains.ChainPartition) -> str:
 @chains_group.command("witness", _P, _K, _DELTA)
 def chains_witness(p, k, delta):
     """A valid partition realizing the requested node number."""
-    part = chains.witness(p, k, delta, max_lengths=WITNESS_MAX_LENGTHS)
+    part = chains.witness(p, k, delta)
     return part.to_payload(), lambda: _partition_table(part)
 
 
@@ -470,12 +460,6 @@ pencil_group = cli.group("pencil",
                        _opt("--seed", "Random seed (default %(default)s).", default=0))
 def pencil_verify(k, samples, seed):
     """Degree law, diagonal identity, membership oracle, conic counts."""
-    if k > PENCIL_MAX_K:
-        raise ValueError(f"k={k} is over the limit PENCIL_MAX_K = {PENCIL_MAX_K}")
-    if samples > PENCIL_MAX_SAMPLES:
-        raise ValueError(
-            f"samples={samples} is over the limit PENCIL_MAX_SAMPLES = {PENCIL_MAX_SAMPLES}"
-        )
     result = pencil.verification_suite(k, samples=samples, seed=seed)
     rate = result["transversal_rate"]
     payload = {**result, "transversal_rate": rat_str(rate)}
@@ -551,12 +535,6 @@ def hilb_cone(p, k):
 @hilb.command("qvalues", _K, _opt("--pmax", "Largest p."))
 def hilb_qvalues(k, pmax):
     """Negative optimal self-intersections attained up to pmax."""
-    if hilbert.q_candidate_count(k, pmax, stop=QVALUES_MAX_VALUES) > QVALUES_MAX_VALUES:
-        raise ValueError(
-            f"the spectrum at k={k}, pmax={pmax} has more than "
-            f"{QVALUES_MAX_VALUES} candidate values, over the limit "
-            f"QVALUES_MAX_VALUES = {QVALUES_MAX_VALUES}"
-        )
     # the sorted 2(k-1) q; only the selected format renders them
     values, den = hilbert._scaled_q_values(k, pmax), 2 * (k - 1)
     rows = (encode_basestring_ascii(_ratio_text(v, den)) for v in values)

@@ -46,10 +46,14 @@ __all__ = [
     "genus_for_invariants",
     "attained_q_values",
     "q_candidate_count",
+    "QVALUES_MAX_VALUES",
     "HTConeReport",
     "ht_violation_check",
     "rat_str",
 ]
+
+# `attained_q_values` builds one value per candidate of `q_candidate_count`
+QVALUES_MAX_VALUES = 10**5
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -469,13 +473,16 @@ def _scaled_q_values(k: int, p_max: int) -> list[int]:
     pairs per value returned, whatever p_max is.  Every q is collected,
     de-duplicated and sorted as the integer 2(k-1) q; the scale is positive,
     so the order is that of q.  The number of candidates, which bounds that
-    cost, is what `q_candidate_count` returns; it is counted one rho at a
-    time, not in closed form, so a caller bounding the walk passes it `stop`.
+    cost, is what `q_candidate_count` returns; past QVALUES_MAX_VALUES of
+    them, the walk is refused before it starts.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
-    if p_max < 2:
-        raise ValueError(f"need p_max >= 2, got p_max={p_max}")
+    # q_candidate_count refuses k < 2 and p_max < 2 first
+    if q_candidate_count(k, p_max) > QVALUES_MAX_VALUES:
+        raise ValueError(
+            f"the spectrum at k={k}, pmax={p_max} has more than "
+            f"{QVALUES_MAX_VALUES} candidate values, over the limit "
+            f"QVALUES_MAX_VALUES = {QVALUES_MAX_VALUES}"
+        )
     values = {_scaled_q_case(p, k, 0) for p in range(2, min(p_max + 1, 2 * (k - 1)))}
     rho = 0
     while 4 * (rho - 1) < k - 1:
@@ -494,15 +501,15 @@ def _scaled_q_values(k: int, p_max: int) -> list[int]:
 def attained_q_values(k: int, p_max: int) -> list[Fraction]:
     """Sorted negative self-intersections of optimal classes for p <= p_max.
 
-    Calls `_scaled_q_values`, which walks and checks the candidates as the
-    integers 2(k-1) q, and builds one `Fraction` per value returned.
+    `_scaled_q_values` refuses past QVALUES_MAX_VALUES candidates and walks
+    and checks the rest as the integers 2(k-1) q; one `Fraction` per value.
     """
     den = 2 * (k - 1)
     return [Fraction(scaled, den) for scaled in _scaled_q_values(k, p_max)]
 
 
-def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:
-    """How many candidates attained_q_values(k, p_max) walks, one rho at a time.
+def q_candidate_count(k: int, p_max: int) -> int:
+    """How many candidates attained_q_values(k, p_max) walks, up to a cap.
 
     The candidates are the p in the delta0 = 0 regime 2 <= p < 2(k-1) and
     p <= p_max, and the pairs (rho, beta) with q < 0 whose first p is at
@@ -510,16 +517,16 @@ def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:
     rho, q < 0 means beta^2 > 4(k-1)(rho-1), and p <= p_max means
     (k-1-beta)(m+1) <= p_max - rho - (k-1)m(m+1) with m = max(1, rho); both
     hold for every beta from a least one up to k-1.  The sum over rho ends
-    at the first rho with no pair, or as soon as it passes `stop`.
+    at the first rho with no pair, or at the first partial sum over
+    QVALUES_MAX_VALUES, which is returned: the count is exact up to the cap.
 
-    Each rho's pairs are counted in closed form, but the sum is not: without
-    `stop` it takes one step per rho, up to about
-    min((k-1)/4, sqrt(p_max/(k-1))) steps.  At p_max = 10^40 that took
-    0.35-0.40 s at k = 10^6 and did not return within 10 s at k = 10^9
-    (Python 3.11.7 on a shared 2-vCPU Intel Xeon Linux machine).  Each step
-    adds at least one candidate, so with `stop` it takes at most stop + 1
-    steps; the CLI's call, with stop = QVALUES_MAX_VALUES = 10^5, took about
-    1 us at k = 10^6, where the delta0 = 0 regime alone passes `stop`.
+    Each rho's pairs are counted in closed form, but the sum is not: it takes
+    one step per rho, and each step adds at least one candidate, so the cap
+    bounds it by QVALUES_MAX_VALUES + 1 steps for any k.  Uncapped, the up to
+    min((k-1)/4, sqrt(p_max/(k-1))) steps at p_max = 10^40 took 0.35-0.40 s
+    at k = 10^6 and did not return within 10 s at k = 10^9 (Python 3.11.7 on
+    a shared 2-vCPU Intel Xeon Linux machine); capped, at k = 10^6 the
+    delta0 = 0 regime alone passes the cap, in about 1 us.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
@@ -527,7 +534,7 @@ def q_candidate_count(k: int, p_max: int, stop: int | None = None) -> int:
         raise ValueError(f"need p_max >= 2, got p_max={p_max}")
     count = max(0, min(p_max + 1, 2 * (k - 1)) - 2)
     rho = 0
-    while 4 * (rho - 1) < k - 1 and (stop is None or count <= stop):
+    while 4 * (rho - 1) < k - 1 and count <= QVALUES_MAX_VALUES:
         m = max(1, rho)
         room = p_max - rho - (k - 1) * m * (m + 1)
         if room < 0:

@@ -83,6 +83,8 @@ __all__ = [
     "random_coprime_pencil",
     "random_smooth_conic",
     "verification_suite",
+    "PENCIL_MAX_K",
+    "PENCIL_MAX_SAMPLES",
 ]
 
 
@@ -633,6 +635,12 @@ def random_smooth_conic(rng: random.Random) -> list[list[int]]:
 #: random pairs drawn and discarded per sample: the conic draws that follow
 #: them in the stream, and so every seeded output, must stay byte-identical
 MEMBERSHIP_POINTS = 100
+# `verification_suite` refuses k and samples past these before it draws: its
+# time grows with both (the conic pullback and gcd run at degree 2k - 2), and
+# the largest accepted call, k = 16 with 1000 samples, took 0.6-0.9 s in
+# process (Python 3.11.7, shared 2-vCPU Intel Xeon Linux machine, October 2026)
+PENCIL_MAX_K = 16
+PENCIL_MAX_SAMPLES = 1000
 
 
 def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
@@ -648,6 +656,12 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
     genuinely non-squarefree.  Exact identity failures are collected in
     `failures`; only the transversality rate is statistical.
     """
+    if k > PENCIL_MAX_K:
+        raise ValueError(f"k={k} is over the limit PENCIL_MAX_K = {PENCIL_MAX_K}")
+    if samples > PENCIL_MAX_SAMPLES:
+        raise ValueError(
+            f"samples={samples} is over the limit PENCIL_MAX_SAMPLES = {PENCIL_MAX_SAMPLES}"
+        )
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if samples < 0:

@@ -4,6 +4,7 @@ import inspect
 import json
 import pickle
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,17 +207,31 @@ def test_witness_at_extreme_p():
     assert q.parts == ((1, 4), (p - 4, 1)) and q.delta == p - 5
 
 
-def test_witness_length_limit_after_admissibility():
+def test_witness_length_limit_after_admissibility(monkeypatch):
     p = 10**40 + 1
+    unlimited = witness(p, 2, p - 17)
+    monkeypatch.setattr(chains, "WITNESS_MAX_LENGTHS", 10)
     with pytest.raises(ValueError, match="inadmissible"):
-        witness(p, 2, 0, max_lengths=10)
+        witness(p, 2, 0)
     with pytest.raises(ValueError, match="no chain witness"):
-        witness(p, 2, p, max_lengths=10)
+        witness(p, 2, p)
     # g chains at cap 2 fill (g - 1) // 2 + 2 lengths; the limit is inclusive
-    assert witness(p, 2, p - 17, max_lengths=10) == witness(p, 2, p - 17)
+    assert witness(p, 2, p - 17) == unlimited
     with pytest.raises(ValueError, match="up to 11 chain lengths, over the limit"):
-        witness(p, 2, p - 19, max_lengths=10)
-    assert witness(100, 3, 80) == witness(100, 3, 80, max_lengths=10**5)
+        witness(p, 2, p - 19)
+
+
+def test_witness_at_the_length_limit():
+    p = 10**40 + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over the limit WITNESS_MAX_LENGTHS = 100000"):
+        witness(p, 2, delta0(p, 2))
+    assert time.perf_counter() - start < 0.05
+    # g chains at cap 2 fill (g - 1) // 2 + 2 lengths: 100001 at g = 199999
+    with pytest.raises(ValueError, match="up to 100001 chain lengths"):
+        witness(p, 2, p - 199999)
+    built = witness(p, 2, p - 199998)
+    assert built.g == 199998 and len(built.parts) == chains.WITNESS_MAX_LENGTHS
 
 
 def test_increment_examples():

@@ -1,7 +1,9 @@
+import ast
 import codecs
 import contextlib
 import csv
 import errno
+import fnmatch
 import gc
 import hashlib
 import io
@@ -1427,9 +1429,9 @@ def test_qvalues_limit(capsys, monkeypatch):
     assert (code, err) == (0, "") and len(json.loads(out)["qvalues"]) == 399
     # the limit is inclusive: exactly as many candidates as allowed still runs
     count = hilbert.q_candidate_count(15, 10**40)
-    monkeypatch.setattr(cli, "QVALUES_MAX_VALUES", count)
+    monkeypatch.setattr(hilbert, "QVALUES_MAX_VALUES", count)
     assert run(capsys, "hilb", "qvalues", "-k", "15", "--pmax", str(10**40))[0] == 0
-    monkeypatch.setattr(cli, "QVALUES_MAX_VALUES", count - 1)
+    monkeypatch.setattr(hilbert, "QVALUES_MAX_VALUES", count - 1)
     code, _, err = run(capsys, "hilb", "qvalues", "-k", "15", "--pmax", str(10**40))
     assert code == 1 and f"QVALUES_MAX_VALUES = {count - 1}" in err
 
@@ -1518,6 +1520,51 @@ def test_pencil_verify_limits(capsys, args, limit):
     assert run(capsys, "pencil", "verify", "-k", "16", "--samples", "1")[0] == 0
 
 
+# each module-level *_MAX_* limit of the package: a command one past it, and
+# the name its refusal gives
+LIMIT_CASES = {
+    "SCAN_MAX_ROWS": ("hilb scan --pmax 100002 --kmax 2", "SCAN_MAX_ROWS"),
+    # the delta0 = 0 regime alone holds pmax - 1 candidates while pmax < 2(k-1)
+    "QVALUES_MAX_VALUES": ("hilb qvalues -k 1000000 --pmax 100002", "QVALUES_MAX_VALUES"),
+    "PENCIL_MAX_K": ("pencil verify -k 17 --samples 1", "PENCIL_MAX_K"),
+    "PENCIL_MAX_SAMPLES": ("pencil verify -k 3 --samples 1001", "PENCIL_MAX_SAMPLES"),
+    # g = 199999 chains at cap 2 fill (g - 1) // 2 + 2 = 100001 lengths
+    "WITNESS_MAX_LENGTHS": (f"chains witness -p {10**40 + 1} -k 2 --delta {10**40 - 199998}",
+                            "WITNESS_MAX_LENGTHS"),
+    "DEFAULT_MAX_P": ("chains enumerate -p 61 -k 2", "K3GONAL_MAX_P"),
+}
+
+
+def _limit_constants():
+    """(module, name) of every module-level *_MAX_* assignment in the package."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), path.name).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            found += [(path.stem, t.id) for t in targets
+                      if isinstance(t, ast.Name) and fnmatch.fnmatchcase(t.id, "*_MAX_*")]
+    return found
+
+
+def test_every_limit_has_a_case():
+    found = _limit_constants()
+    assert sorted(name for _, name in found) == sorted(LIMIT_CASES)
+    # the scan grid loop is command-line code; every other limit lives with its work
+    assert [name for module, name in found if module == "cli"] == ["SCAN_MAX_ROWS"]
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+def test_one_past_each_limit_exits_1(capsys, monkeypatch, name):
+    monkeypatch.delenv("K3GONAL_MAX_P", raising=False)
+    argv, named = LIMIT_CASES[name]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert named in err and "invariant violation" not in err
+
+
 @pytest.mark.parametrize("command", LEAF_CASES)
 def test_json_output_round_trips(capsys, command):
     # the README's contract: json.dumps(json.loads(out), indent=2) gives out back
@@ -1563,7 +1610,7 @@ PENCIL_SHA256 = {
 
 
 def test_pencil_pins_reach_the_degree_limit():
-    assert max(PENCIL_SHA256) == cli.PENCIL_MAX_K
+    assert max(PENCIL_SHA256) == pencil.PENCIL_MAX_K
 
 
 @pytest.mark.parametrize("k", sorted(PENCIL_SHA256))

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pickle
 import sys
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -417,7 +418,7 @@ def test_attained_q_values_builds_one_fraction_per_value(monkeypatch):
     assert q_case_calls == []
 
 
-def test_q_candidate_count_matches_box_count():
+def test_q_candidate_count_matches_box_count(monkeypatch):
     for k in range(2, 16):
         # first p of every (rho, beta) with q < 0, over a box that holds them all
         firsts = [
@@ -433,18 +434,31 @@ def test_q_candidate_count_matches_box_count():
             if p_max in (50, 300, 10**40):
                 assert len(attained_q_values(k, p_max)) <= count, (k, p_max)
             for stop in range(max(0, count - 2), count + 2):
-                assert (q_candidate_count(k, p_max, stop=stop) > stop) == (count > stop)
+                with monkeypatch.context() as patch:
+                    patch.setattr(hilbert, "QVALUES_MAX_VALUES", stop)
+                    assert (q_candidate_count(k, p_max) > stop) == (count > stop)
 
 
-def test_q_candidate_count_at_extremes():
+def test_q_candidate_count_at_extremes(monkeypatch):
     # the regime alone has 2k - 4 candidates once p_max >= 2(k-1)
-    assert q_candidate_count(10**6, 10**40, stop=10**5) > 10**5
-    assert q_candidate_count(10**12, 10**40, stop=10) > 10
+    assert q_candidate_count(10**6, 10**40) > 10**5
+    with monkeypatch.context() as patch:
+        patch.setattr(hilbert, "QVALUES_MAX_VALUES", 10)
+        assert q_candidate_count(10**12, 10**40) > 10
     assert q_candidate_count(10**6, 400) == 399
     with pytest.raises(ValueError):
         q_candidate_count(1, 10)
     with pytest.raises(ValueError):
         q_candidate_count(3, 1)
+
+
+def test_q_candidates_are_bounded_at_any_k():
+    # uncapped, the sum over rho took one step per rho, up to (k-1)/4 of them
+    start = time.perf_counter()
+    assert q_candidate_count(10**9, 10**40) > hilbert.QVALUES_MAX_VALUES
+    with pytest.raises(ValueError, match="over the limit QVALUES_MAX_VALUES = 100000"):
+        attained_q_values(10**9, 10**40)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_attained_q_values_rejects_bad_domain():

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb, gcd, lcm
 from unittest import mock
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from k3gonal import pencil as pencil_module
-from k3gonal.cli import PENCIL_MAX_K, main
+from k3gonal.cli import main
 from k3gonal.errors import InvariantViolation
 from k3gonal.pencil import (
+    PENCIL_MAX_K,
     BinaryForm,
     Pencil,
     SymPlaneCurve,
@@ -606,6 +608,23 @@ def test_verification_suite_rejects_negative_counts():
         verification_suite(3, samples=-1)
     empty = verification_suite(3, samples=0)
     assert empty["failures"] == [] and empty["transversal_rate"] == 1
+
+
+@pytest.mark.parametrize("k, samples, message", [
+    (17, 1, "k=17 is over the limit PENCIL_MAX_K = 16"),
+    (3, 1001, "samples=1001 is over the limit PENCIL_MAX_SAMPLES = 1000"),
+    (17, 1001, "PENCIL_MAX_K"),
+    (1, 1001, "PENCIL_MAX_SAMPLES"),
+    (1, 1, "need k >= 2"),
+    (3, -1, "need samples >= 0"),
+])
+def test_verification_suite_refuses_before_any_draw(monkeypatch, k, samples, message):
+    # every check runs before the Random is seeded, the limits first
+    monkeypatch.setattr(pencil_module.random, "Random", lambda *args: pytest.fail("seeded"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verification_suite(k, samples=samples)
+    assert time.perf_counter() - start < 0.05
 
 
 # -- reference oracle: monic Euclid over the rationals
