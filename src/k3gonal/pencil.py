@@ -56,13 +56,16 @@ that `wedge_curve` scatters each w_ij through, and `_identity_plan` the
 binomial expansion of every monomial of degree k-1 that `_value_identity`
 scatters the curve through.  The two plans share no code or table, so the
 identity stays an oracle independent of the closed form.
-Seeded sampling draws through `_randint`, bit for bit `Random.randint`.
+Seeded sampling draws a form or conic matrix by one `_randints` call, bit
+for bit `Random.randint`, and the discarded pairs inline by its rule.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import comb, gcd
+from operator import neg
 from types import MappingProxyType
 
 from .errors import InvariantViolation
@@ -379,7 +382,7 @@ class SymPlaneCurve:
             raise ValueError("pullback forms must share a degree bound")
         d, bound = self.degree, self.degree * f0.bound
         ms = (f0.coeffs, f1.coeffs, f2.coeffs)
-        norm = max(sum(map(abs, m)) for m in ms)
+        norm = max(sum(map(abs, ms[0])), sum(map(abs, ms[1])), sum(map(abs, ms[2])))
         width = _width(sum(abs(v) for _, v in self.terms) * norm**d)
         value = self._value_at(*(_pack(m, width) for m in ms))
         return BinaryForm._make(bound, tuple(_unpack(value, width, bound + 1)))
@@ -432,7 +435,7 @@ def wedge_curve(pencil: Pencil) -> SymPlaneCurve:
         if w:
             for number, c in terms:
                 acc[number] += c * w
-    curve = SymPlaneCurve._make(k - 1, tuple(t for t in zip(monomials, acc) if t[1]))
+    curve = SymPlaneCurve._make(k - 1, tuple(compress(zip(monomials, acc), acc)))
     if curve.is_zero:
         raise InvariantViolation("wedge curve vanished for a valid pencil")
     return curve
@@ -476,8 +479,9 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
 @lru_cache(maxsize=32)
 def _identity_plan(k: int) -> MappingProxyType:
     """For every monomial (a, b, c) of degree k - 1, the entries
-    (b - s + c, s + c, C(b, s)) that it adds to the x1^i y1^j matrix of
-    `_value_identity`, one for each s <= b.
+    ((k + 1) i + j, C(b, s)) with i = b - s + c and j = s + c that it adds
+    to the x1^i y1^j matrix of `_value_identity`, held flat by rows of
+    k + 1, one for each s <= b.
 
     Every monomial, not only those a wedge curve carries, since a wrong
     curve may carry any; the binomials come from Pascal's rule, not from the
@@ -487,8 +491,9 @@ def _identity_plan(k: int) -> MappingProxyType:
     for _ in range(k - 1):
         row = binoms[-1]
         binoms.append([1] + [x + y for x, y in zip(row, row[1:])] + [1])
+    n = k + 1
     return MappingProxyType({
-        (k - 1 - b - c, b, c): tuple((b - s + c, s + c, bs) for s, bs in enumerate(binoms[b]))
+        (k - 1 - b - c, b, c): tuple((n * (b - s + c) + s + c, v) for s, v in enumerate(binoms[b]))
         for c in range(k)
         for b in range(k - c)
     })
@@ -514,19 +519,20 @@ def _value_identity(pencil: Pencil, curve: SymPlaneCurve) -> str | None:
     k = pencil.k
     if curve.degree != k - 1:
         return "in degree"
-    # m[i][j] multiplies x1^i y1^j (x0 and y0 fill the degree k - 1 in each);
-    # row and column k stay zero, so m[i - 1] at i = 0 reads zeros
-    m = [[0] * (k + 1) for _ in range(k + 1)]
+    # m[n i + j], n = k + 1, multiplies x1^i y1^j (x0 and y0 fill the degree k - 1
+    # in each); row and column k stay zero, so row i - 1 at i = 0 reads zeros
+    n = k + 1
+    m = [0] * (n * n)
     plan = _identity_plan(k)
     for expo, v in curve.terms:
-        for r, s, bs in plan[expo]:
-            m[r][s] += bs * v
+        for at, bs in plan[expo]:
+            m[at] += bs * v
     f, g = pencil.f.coeffs, pencil.g.coeffs
     # the x1^i y1^j coefficient of (x1 y0 - x0 y1) M is m[i-1][j] - m[i][j-1]
     for i in range(k):
-        fi, gi, up, here = f[i], g[i], m[i - 1], m[i]
-        for j in range(i + 1, k + 1):
-            if fi * g[j] - gi * f[j] != up[j] - here[j - 1]:
+        fi, gi, up, here = f[i], g[i], n * (i - 1), n * i - 1
+        for j in range(i + 1, n):
+            if fi * g[j] - gi * f[j] != m[up + j] - m[here + j]:
                 return f"at x1^{i} y1^{j}"
     return None
 
@@ -576,21 +582,22 @@ def conic_intersection(curve: SymPlaneCurve, a) -> tuple[int, int]:
 # -- seeded sampling and the randomized verification suite
 
 
-def _randint(bits, lo: int, hi: int) -> int:
-    """`rng.randint(lo, hi)` from `bits = rng.getrandbits`, by randint's own
-    rule: the same values, bits consumed and final state."""
-    n = hi - lo + 1
-    w = n.bit_length()
-    r = bits(w)
-    while r >= n:
-        r = bits(w)
-    return lo + r
+def _randints(bits, lo: int, hi: int, n: int) -> list[int]:
+    """n calls of `rng.randint(lo, hi)` from `bits = rng.getrandbits`, by
+    randint's own rule: the same values, bits consumed and final state."""
+    span = hi - lo + 1
+    width = span.bit_length()
+    out = []
+    while len(out) < n:
+        if (r := bits(width)) < span:
+            out.append(lo + r)
+    return out
 
 
 def _random_form(k: int, rng: random.Random) -> BinaryForm:
     bits = rng.getrandbits
     while True:
-        cs = [_randint(bits, -9, 9) for _ in range(k + 1)]
+        cs = _randints(bits, -9, 9, k + 1)
         if any(cs):
             return BinaryForm._make(k, tuple(cs))
 
@@ -627,7 +634,8 @@ def random_smooth_conic(rng: random.Random) -> list[list[int]]:
     """
     bits = rng.getrandbits
     while True:
-        a = [[_randint(bits, -4, 4) for _ in range(3)] for _ in range(3)]
+        v = _randints(bits, -4, 4, 9)
+        a = [v[:3], v[3:6], v[6:]]
         if _det3(a) != 0:
             return a
 
@@ -635,10 +643,16 @@ def random_smooth_conic(rng: random.Random) -> list[list[int]]:
 #: random pairs drawn and discarded per sample: the conic draws that follow
 #: them in the stream, and so every seeded output, must stay byte-identical
 MEMBERSHIP_POINTS = 100
+#: the id 5 p + q of x = (n - 12)/(d + 1) = p/q in lowest terms, at 4 n + d,
+#: for the draws n in [0, 24] and d in [0, 3]; as 1 <= q <= 4, two ids are
+#: equal exactly when the values are
+_PAIR_VALUE = tuple(5 * ((n - 12) // gcd(n - 12, den)) + den // gcd(n - 12, den)
+                    for n in range(25) for den in range(1, 5))
 # `verification_suite` refuses k and samples past these before it draws: its
 # time grows with both (the conic pullback and gcd run at degree 2k - 2), and
-# the largest accepted call, k = 16 with 1000 samples, took 0.6-0.9 s in
-# process (Python 3.11.7, shared 2-vCPU Intel Xeon Linux machine, October 2026)
+# the largest accepted call, k = 16 with 1000 samples, took 0.50-0.72 s in
+# process over 5 runs (Python 3.11.7, shared 2-vCPU Intel Xeon Linux machine,
+# October 2026)
 PENCIL_MAX_K = 16
 PENCIL_MAX_SAMPLES = 1000
 
@@ -667,7 +681,7 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
     if samples < 0:
         raise ValueError(f"need samples >= 0, got samples={samples}")
     rng = random.Random(f"k3gonal:{seed}:{k}")
-    bits = rng.getrandbits
+    bits, ids = rng.getrandbits, _PAIR_VALUE
     failures: list[str] = []
     transversal = 0
     for index in range(samples):
@@ -676,7 +690,7 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
         if curve.degree != k - 1 or not any(a == 0 for (a, _, _), _ in curve.terms):
             failures.append(f"sample {index}: wedge degree law")
         diag = diagonal_restriction(curve, k)
-        if diag.coeffs != tuple(-c for c in wronskian(pencil).coeffs):
+        if diag.coeffs != tuple(map(neg, wronskian(pencil).coeffs)):
             failures.append(f"sample {index}: diagonal/Wronskian identity")
         where = _value_identity(pencil, curve)
         if where is not None:
@@ -688,12 +702,13 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
                 pass
             while (dx := bits(3)) >= 4:
                 pass
-            ny, dy = nx, dx
-            while (ny - 12) * (dx + 1) == (nx - 12) * (dy + 1):
+            x = y = ids[4 * nx + dx]
+            while y == x:
                 while (ny := bits(5)) >= 25:
                     pass
                 while (dy := bits(3)) >= 4:
                     pass
+                y = ids[4 * ny + dy]
         a = random_smooth_conic(rng)
         total, distinct = conic_intersection(curve, a)
         if distinct == total:

@@ -22,7 +22,7 @@ from k3gonal.pencil import (
     _pack,
     _primitive,
     _prs_gcd_degree,
-    _randint,
+    _randints,
     _unpack,
     _value_identity,
     conic_intersection,
@@ -700,14 +700,124 @@ def test_root_counts_match_rational_euclid(form):
 
 @pytest.mark.parametrize("lo, hi", [(-9, 9), (-4, 4), (-12, 12), (1, 4)])
 def test_randint_matches_random_randint(lo, hi):
-    # the seeded pencil streams rest on _randint consuming randint's bits
+    # the seeded pencil streams rest on _randints consuming randint's bits
     for seed in range(300):
         ours, ref = random.Random(seed), random.Random(seed)
         bits = ours.getrandbits
-        assert [_randint(bits, lo, hi) for _ in range(200)] == [
+        assert _randints(bits, lo, hi, 200) == [
             ref.randint(lo, hi) for _ in range(200)
         ]
         assert ours.getstate() == ref.getstate()
+
+
+def test_pair_value_ids_name_the_values():
+    # the suite tells the discarded pairs' values apart by these ids alone
+    ids = pencil_module._PAIR_VALUE
+    assert len(ids) == 100
+    draws = [(n, d) for n in range(25) for d in range(4)]
+    for nx, dx in draws:
+        for ny, dy in draws:
+            same = (ny - 12) * (dx + 1) == (nx - 12) * (dy + 1)
+            assert (ids[4 * nx + dx] == ids[4 * ny + dy]) == same
+
+
+# -- the public draws against a replay on Random.randint alone
+
+
+class _Scripted(random.Random):
+    """A Random whose getrandbits returns the scripted words first; randint
+    then draws through it too."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def getrandbits(self, k):
+        return self.script.pop(0) if self.script else super().getrandbits(k)
+
+
+def _replay_form(rng, k, retries):
+    while True:
+        cs = [rng.randint(-9, 9) for _ in range(k + 1)]
+        if any(cs):
+            return cs
+        retries["zero form"] += 1
+
+
+def _replay_pencil(rng, k, retries):
+    while True:
+        f, g = _replay_form(rng, k, retries), _replay_form(rng, k, retries)
+        if any(f[i] * g[j] != f[j] * g[i] for i in range(k + 1) for j in range(i)):
+            return f, g
+        retries["proportional pair"] += 1
+
+
+def _replay_coprime_pencil(rng, k, retries):
+    while True:
+        f, g = _replay_pencil(rng, k, retries)
+        # a common projective root: both vanish at infinity, or a common
+        # affine factor over the rationals
+        if (f[-1] or g[-1]) and len(_ref_gcd(_ref_trim(map(Fraction, f)),
+                                             _ref_trim(map(Fraction, g)))) <= 1:
+            return f, g
+        retries["common root"] += 1
+
+
+def _replay_conic(rng, retries):
+    while True:
+        a = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        if _ref_det(a):
+            return a
+        retries["singular matrix"] += 1
+
+
+def _check_draws(ours, ref, k, retries):
+    """Each public draw on `ours` returns what the replay on `ref` gives, and
+    leaves the same stream state."""
+    pencil = random_pencil(k, ours)
+    assert (list(pencil.f.coeffs), list(pencil.g.coeffs)) == _replay_pencil(ref, k, retries)
+    assert ours.getstate() == ref.getstate()
+    assert random_smooth_conic(ours) == _replay_conic(ref, retries)
+    assert ours.getstate() == ref.getstate()
+    pencil = random_coprime_pencil(k, ours)
+    assert (list(pencil.f.coeffs), list(pencil.g.coeffs)) == _replay_coprime_pencil(
+        ref, k, retries
+    )
+    assert ours.getstate() == ref.getstate()
+
+
+RETRIES = ("zero form", "proportional pair", "common root", "singular matrix")
+
+
+def test_public_draws_match_a_randint_replay():
+    retries = dict.fromkeys(RETRIES, 0)
+    for k in range(1, PENCIL_MAX_K + 1):
+        for seed in range(200):
+            name = f"k3gonal:{seed}:{k}"
+            _check_draws(random.Random(name), random.Random(name), k, retries)
+    # the sweep takes every retry path (2, 9, 27 and 128 times)
+    assert all(retries.values()), retries
+
+
+# words r draw -9 + r for a form and -4 + r for a matrix entry; _check_draws
+# draws a pencil, a conic and a coprime pencil, in that order
+_PENCIL_1 = [10, 11, 10, 12]  # f = (1, 2), g = (1, 3)
+_IDENTITY = [5, 4, 4, 4, 5, 4, 4, 4, 5]
+
+
+@pytest.mark.parametrize("k, script, path", [
+    (2, [9, 9, 9], "zero form"),
+    (1, [10, 11, 10, 11], "proportional pair"),  # f = g = (1, 2)
+    (1, _PENCIL_1 + [5, 6, 7] * 3, "singular matrix"),  # three rows (1, 2, 3)
+    # f = 1 + z and g = 1 + 2z at bound 2 both vanish at infinity
+    (2, [10] * 3 + [10, 11, 12] + _IDENTITY + [10, 10, 9, 10, 11, 9], "common root"),
+])
+def test_scripted_retries_match_the_replay(k, script, path):
+    retries = dict.fromkeys(RETRIES, 0)
+    ours, ref = _Scripted("scripted", script), _Scripted("scripted", script)
+    _check_draws(ours, ref, k, retries)
+    assert retries[path] == 1
+    assert ours.script == ref.script == []
 
 
 def _wedge_plus_diagonal_multiple(pencil):
@@ -1286,20 +1396,21 @@ def test_pullback_at_other_bounds_matches_evaluation(bound):
 
 
 # -- the discarded membership pairs: the suite's inlined draws against a
-# -- reference drawn through _randint
+# -- reference drawn through Random.randint
 
 
-def _draw_pair(bits):
+def _draw_pair(rng):
     """A random pair x = nx/dx != y = ny/dy as (nx, dx, ny, dy)."""
-    nx, dx = _randint(bits, -12, 12), _randint(bits, 1, 4)
-    ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
+    nx, dx = rng.randint(-12, 12), rng.randint(1, 4)
+    ny, dy = rng.randint(-12, 12), rng.randint(1, 4)
     while ny * dx == nx * dy:
-        ny, dy = _randint(bits, -12, 12), _randint(bits, 1, 4)
+        ny, dy = rng.randint(-12, 12), rng.randint(1, 4)
     return nx, dx, ny, dy
 
 
-def test_membership_skip_matches_drawn_pairs(monkeypatch):
-    # the stream state at the conic draw, after MEMBERSHIP_POINTS pairs
+@pytest.mark.parametrize("k", range(2, 9))
+def test_membership_skip_matches_drawn_pairs(monkeypatch, k):
+    # the stream state at every conic draw, each after MEMBERSHIP_POINTS pairs
     states = []
     conic = pencil_module.random_smooth_conic
 
@@ -1309,10 +1420,14 @@ def test_membership_skip_matches_drawn_pairs(monkeypatch):
 
     monkeypatch.setattr(pencil_module, "random_smooth_conic", recording)
     for seed in range(300):
-        verification_suite(2, samples=1, seed=seed)
-        rng = random.Random(f"k3gonal:{seed}:2")
-        random_coprime_pencil(2, rng)
-        for _ in range(pencil_module.MEMBERSHIP_POINTS):
-            _draw_pair(rng.getrandbits)
-        assert states[-1] == rng.getstate()
+        states.clear()
+        verification_suite(k, samples=3, seed=seed)
+        rng = random.Random(f"k3gonal:{seed}:{k}")
+        for state in states:
+            random_coprime_pencil(k, rng)
+            for _ in range(pencil_module.MEMBERSHIP_POINTS):
+                _draw_pair(rng)
+            assert state == rng.getstate()
+            conic(rng)
+        assert len(states) == 3
     assert pencil_module.MEMBERSHIP_POINTS == 100
