@@ -1,0 +1,253 @@
+"""One record per leaf command of `k3gonal.cli.cli`: what the leaf promises.
+
+test_cli.py reads its leaf cases from here, and its inventory test fails for a
+leaf without a record or a record without a leaf.  pytest collects nothing
+from this module.
+"""
+
+from typing import NamedTuple
+
+SINGLE, ROW = "single", "row"
+
+
+class Case(NamedTuple):
+    """An argv, its calls of each budgeted function of test_cli.py, the same in
+    every format (a function it does not call is left out; a change that makes
+    fewer calls lowers the budget, and one that makes more fails), and the
+    SHA-256 of its stdout in each format."""
+    argv: str
+    budget: dict
+    table: str
+    json: str
+    csv: str
+
+
+class Leaf(NamedTuple):
+    kind: str  # SINGLE renders one payload dict, ROW streams its rows
+    cases: list
+    rational: bool = False  # prints its rationals from integers, building no Fraction
+    limits: dict = {}  # each *_MAX_* limit: an argv one past it, the name its refusal gives
+
+
+# the digests were recorded before the leaf commands shared one output path;
+# those at p = 10^40 + 1 and --pmax 10^40 while `hilb` still printed its
+# rationals through `Fraction`, and the json ones at p = 1000003 before
+# hilbert.py lost its duplicate guard, wrappers and hand-written payloads (their
+# table and csv digests were recorded later, from code giving the same json)
+LEAVES = {
+    "bn rho": Leaf(SINGLE, [
+        Case("bn rho -g 9 -r 1 -d 6", {},
+             "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+             "3580ea33447df81c6f0757d4008ae8ee1b11b950a6000a301d1aba98bd37fece",
+             "5db69ff20f660399f5d626e5a7503f1a2c4c27140ae6c69015ffbb851e9956ee"),
+        Case("bn rho -g 4 -r 2 -d 3", {},
+             "0b2f06dddfa807ee574a78468d3a05904873b97f44377eb93481e091c257b800",
+             "f59feb4c41c63b6faa1ede2563e31378ec2a5ed871f5f13f4a869880d30ccfda",
+             "6547f42b9d71264ef71423edd8b1e346b70b1bc7ced799f3fd17cdbd2b0d73f6"),
+    ]),
+    "bn check": Leaf(SINGLE, [
+        Case("bn check -p 9 -k 4 --delta 2", {"necessary_condition": 1},
+             "913d16910d99ef12ddd1723a62cf8db3ced145818137325dd26621a4e16c1d6b",
+             "e373dca532290cbe36dfc820af997650b7027095ddfd5a6b22765e593ea5bcbe",
+             "f66c2a5d5e7981a220c62151eb40a6670e68df1723cec254836813b90e4d12d1"),
+        Case("bn check -p 8 --delta 3 -r 1 -d 2", {"necessary_condition": 1},
+             "93053e2a433ed54cc85d26bf7326f6d870713a3b86310621e8d46a98435cf50f",
+             "bdffa869ebdbf3767bdd3b1777e2c6ca5932f6956c2bc23aee9c67a0806657a4",
+             "19f0a26937037df580d6d8b4ba29a4317b12b8125c547774eaee30bd4ee04d6b"),
+    ]),
+    "gonality delta0": Leaf(SINGLE, [
+        Case("gonality delta0 -p 9 -k 4 --verify", {"decompose": 1, "delta0": 1,
+             "GonalityCase": 2, "necessary_condition": 2},
+             "eaf1ce615e42d12ed3065c7b7c250861a5740c720307d18bae63629be6ab21c3",
+             "83c5ed6b00cd3245dd50e620a2e1679b6ddf8a22a3fe025619965492fcb8a700",
+             "f7cd8ac0e927838f943acadcb0df73f4b342a9f576db407294b4cd62606ff0b4"),
+        Case("gonality delta0 -p 20 -k 3", {"decompose": 1, "delta0": 1},
+             "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469",
+             "cf7cac362049a3c11bb4d06fd3e08f87ac768c879f04c9372cfd1d1a7f787126",
+             "f15b03459b8aad0a96ba0850d3fe35d065ead27e7462b4bfee92767c06e8dad1"),
+    ]),
+    "gonality dims": Leaf(SINGLE, [
+        Case("gonality dims -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
+             "bdc6c2820dce3f6a655a18ffe68a1f1b05ac075ac52bf6706ecf6237e725b118",
+             "a9b222238ce1f7761ee91074dc2be1819620921da0cb77c8b7a945cb424ddc2b",
+             "dfdf012b74e60c2fc363ea978022d7a4a19bb780c14310575c0e104ed7311588"),
+        Case("gonality dims -p 20 -k 5 --delta 8", {"GonalityCase": 1, "necessary_condition": 1},
+             "b919aa6b375a2c22c7472f08d50e2ac1d59446ecf74021641caec32d646a2459",
+             "1330c9a03aaf8d75c2a0e2775a65a89e1e433553d8320e313476fc625fa375c5",
+             "5c329d75af3c422e12a73f352112fe7b3007ad227b142b942167897a7b5332ee"),
+    ]),
+    "chains witness": Leaf(SINGLE, [
+        Case("chains witness -p 8 -k 2 --delta 5", {"decompose": 1, "delta0": 1},
+             "1609f2f19ad03e353d78b94424c5bae987dc33054b8b50a9f5bc5f7befdf15d9",
+             "040c80cf1ba92825c24e28ae8ab1180add79e747978f6c184cd3d7f9b48e357c",
+             "2e9dc553d274c380a67ed0bf7506f88879066739031109158e51eb8b6ddb8fa1"),
+        Case("chains witness -p 12 -k 3 --delta 4", {"decompose": 1, "delta0": 1},
+             "306043cc13df3b80c9791d9c57596ffa872ea366138b7b43d52a48b1f00fb709",
+             "c46001b78365eaf721cf3d51dbbd0bf10ce8de1bc493556f8fdbf70558a0586e",
+             "c29a7b56caf2ba5bcd244cfbe5af4429fdaa42b360fc5ec7b91af9e232877890"),
+    ], limits={
+        # g = 199999 chains at cap 2 fill (g - 1) // 2 + 2 = 100001 lengths
+        "WITNESS_MAX_LENGTHS": (
+            f"chains witness -p {10**40 + 1} -k 2 --delta {10**40 - 199998}",
+            "WITNESS_MAX_LENGTHS"),
+    }),
+    "chains enumerate": Leaf(ROW, [
+        Case("chains enumerate -p 6 -k 2", {},
+             "d77a8995e9a320520ec590e1b01a9ede0200c8da770d7d1c312b9a3e0d7460c3",
+             "3a84757eb9c3275e8a60c4670693ff8bd1deaf66247c28ef260d568ad2a72d65",
+             "4c61973a8f889a147d256cdcfc39f64815c9be960a0c9fcfa1d70022e675a008"),
+        Case("chains enumerate -p 5 -k 3", {},
+             "ea69385df66e9ccf191d563409cc9b1dcab5b19c2cd77a3fd18cdbc87303b608",
+             "7d264ba55e6d49532a2c17deb369c9704e7cc3c83a571949d51e97c5e6df322f",
+             "ca7482d3f4febaa26940df1318d7ce7aa2ebaee9f4ceb223927647d3abbb5129"),
+    ], limits={
+        "DEFAULT_MAX_P": ("chains enumerate -p 61 -k 2", "K3GONAL_MAX_P"),
+    }),
+    "chains stable": Leaf(SINGLE, [
+        Case("chains stable -p 8 -k 2 --alpha 1:2,2:1,4:1", {},
+             "5a2f13f9d12706b9693810080b5dbe2492258f0e8d69463925bf511e822b10db",
+             "8d8a3d2f9718a65afa6d6a7dc67dffb7c870607947d576dc89ca2c6a649fbe9a",
+             "84961c743f18c028b96a88fc03cbba305c8732c2498a93512f8b6b5bbb748c7c"),
+        Case("chains stable -p 9 -k 3 --alpha 3:1,1:4,2:1", {},
+             "239823650cee04abb48c1bfd9bb16bf84d2b2f5dfe6e04fbd8412a3d5d67d7b7",
+             "cda18202881764b548e09fa377b4cb6b11b09fb6f4f3c94d4c1ceb4fab27d30b",
+             "394a552088d58cb1135b2e1ee438395a2101e426042d9d996b02bd5a1832278d"),
+    ]),
+    "pencil verify": Leaf(SINGLE, [
+        Case("pencil verify -k 3 --samples 5 --seed 1", {"wedge_curve": 5, "_gcd_degree": 10},
+             "7061651d4bcdc67686b8b4f5092d78993578ce53bb3485af0a8fe1a5810ed786",
+             "44e8077f4ccc136134dc6e956b406b40226a46b78c8a2609aabed51ef387f5ff",
+             "3c882276d19a466810c6c06c18847bfde8882ad26e0587e887b39a59202c571b"),
+    ], limits={
+        "PENCIL_MAX_K": ("pencil verify -k 17 --samples 1", "PENCIL_MAX_K"),
+        "PENCIL_MAX_SAMPLES": ("pencil verify -k 3 --samples 1001", "PENCIL_MAX_SAMPLES"),
+    }),
+    "hilb class": Leaf(SINGLE, [
+        Case("hilb class -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
+             "41a4b589d3a9680c2fd018766aa040027b911766a529bb70375e56fb5621c4e9",
+             "ec0fa1f4f4c12dac5392da51dcf2989d0a561272a3bf5e484b4b620f36083e97",
+             "ff17be6a597b19d28874b19b98200fe2dc1081885d432d2fed1cf561b33b12d7"),
+        Case("hilb class -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
+             "ff8b1f2f639906919166665d9825e8a405583f6d978622ed56d6eb9c1f34d2b7",
+             "de2427f5e85b4694fcf8bf17c4dc3ee2fb09e4807b407fe4e8d8397ea4494daa",
+             "43677d150cd7fe73773dc5a7b4bf7e9ffe64a93a3c5b7023ea4ef6e4ce52d8c6"),
+        Case("hilb class -p 10000000000000000000000000000000000000001 -k 7 --delta 9999999999999999999510102051443364380368", {
+             "GonalityCase": 1, "necessary_condition": 1},
+             "9b7c4204dafe3eb9a51072d65f5f508238a896bbd5d7c034bf4c9cf42ff688ef",
+             "a1f9bf96026e6a9d16e18c887183f1d819dfe5e467fa5276cb901ca9a11b6dc4",
+             "6b65fb3e685b85ee4358c6535f6d8e411877c92ceb120c9c8cd1f3e646929941"),
+    ], rational=True),
+    "hilb q": Leaf(SINGLE, [
+        Case("hilb q -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
+             "20aeb28bb896c4d1ba14254710d43147dbed3c70eb4da8a5059af207c0cb2a89",
+             "fde55467c87ba8887d9e7f05dac4efceb5d183b32e30afe95048070e2d4c2ae4",
+             "e9f9c295b832857c27f2e7b19867f6fb10fe0d81785bc4a44e6176dc2203caf0"),
+        Case("hilb q -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
+             "1c2469c1dfa4fff379f3c2e972344ccec02882b4428f78d33bd24937764ebfde",
+             "5f1ee947545b9a57aeb18b685ff2adf156f03b358b1bab4e9b61aad9320c2791",
+             "83a870379b093c11cd5da8453caecd39c7de3c47cafdef8caee8ea5d9a70947b"),
+        Case("hilb q -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501", {
+             "GonalityCase": 1, "necessary_condition": 1},
+             "7dd1bc1c97f9fecb9d9e6870e6b202b4ae95562839177b5b727ec1890f03b665",
+             "3a50b88741bfc6a5a5b57f37b5096fad2154935ff2f2a99a76c4c273301ee369",
+             "6629ae347e5e57cb30e56ec9943975ca4fc900d113e8294738e875856c074606"),
+    ], rational=True),
+    "hilb cone": Leaf(SINGLE, [
+        Case("hilb cone -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
+             "GonalityCase": 1, "necessary_condition": 1},
+             "69b3ec441c7d20998d2d8f6464adccee2beb16160e2046e5f9131c566ac2da2d",
+             "e87370fea4a3992ef1ec6f19c9b5bd8656106a4d88a2f8d73a5dee17fd2258a7",
+             "6519a5885be5351716e45443adbffd5fb4adba7ceab26996eb1150d4b819eae7"),
+        Case("hilb cone -p 12 -k 3", {"decompose": 2, "delta0": 1, "optimal_class": 1,
+             "GonalityCase": 1, "necessary_condition": 1},
+             "d12188467c597b6ce0b4cfaef8796a17e266d0466b1369fc8e2fa6e3e06fcb9c",
+             "144b45e82f37352acd08df97aecb9e15c33a8e88d7f7a3350f2f375e87f4664d",
+             "0802d276bceff6147a767920871b35e14786123fbe6f35ee0aa7733ed07f4c23"),
+        Case("hilb cone -p 10000000000000000000000000000000000000001 -k 7", {"decompose": 2,
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "99dcd69ba3506f22df9071ec15077d0f59ac46fc497013cdfdf93afaadeee59d",
+             "be7888c5235c7528b684b8c0edd3d1f54022b3dad15a72e251032362eb4ae453",
+             "d6519691018693a1e5740ec1d138dd18545b631589547001a464f78abf09b01f"),
+        Case("hilb cone -p 1000003 -k 3", {"decompose": 2, "delta0": 1, "optimal_class": 1,
+             "GonalityCase": 1, "necessary_condition": 1},
+             "22eb55a0bb1b552f1d51573bdea77b0efada36ae6938fbad5ebfebd9110faa7d",
+             "ff17d3e2562f051814a7b26fa3eeb3d3b49a002815df9036a613dcbf471309b4",
+             "c7e2768382f04b7475e162c1027ecfc91dfc9519102315bf2abeb0e52197b171"),
+    ], rational=True),
+    "hilb qvalues": Leaf(ROW, [
+        Case("hilb qvalues -k 3 --pmax 300", {"decompose": 5, "GonalityCase": 7,
+             "necessary_condition": 7},
+             "a07c161e79b868f9fcf02c11c9ebe668cf4a8d325865f932651c88c1f3682ba4",
+             "80ca97755d81d21b67199647741ee85ce741afd6fcc9245c02d0e539c2c952f4",
+             "af5fd474ecd76b3ca1bd17000206f80be46582f02f9d69f1076cf323a4493407"),
+        Case("hilb qvalues -k 2 --pmax 50", {"decompose": 3, "GonalityCase": 3,
+             "necessary_condition": 3},
+             "4e26d98359590fb450f630d93a24f1e88c1a32c6148dece9d6942e01e1468606",
+             "3d2e96908cf7894044f595a7127c0c9f6251806d52bfb7d6df162d4fb8449337",
+             "ede3078d3aa8e57b7c8f9c93da5f3f0e2de5afaf58bb00de8840ff11025a59ae"),
+        Case("hilb qvalues -k 15 --pmax 10000000000000000000000000000000000000000", {
+             "decompose": 42, "GonalityCase": 68, "necessary_condition": 68},
+             "2a18ad3768a94c097bab567f491cf75df920b08d31561a38a584faf226672925",
+             "627305ec3518e24b5ee61ab4df875399c9dc75a97b4ed3ff896c07fa17dc8c13",
+             "a30a2dcb5e9cddcda7f82209df0b3ba27abc9fb142ba859051da94f141d3c932"),
+    ], rational=True, limits={
+        # the delta0 = 0 regime alone holds pmax - 1 candidates while pmax < 2(k-1)
+        "QVALUES_MAX_VALUES": ("hilb qvalues -k 1000000 --pmax 100002", "QVALUES_MAX_VALUES"),
+    }),
+    "hilb lagrangian": Leaf(SINGLE, [
+        Case("hilb lagrangian -p 10 -k 2", {"lagrangian_report": 1},
+             "e6f79a74a6f9d2721b0f6182709354877ce2fae7cc32865458ead6822d6bae83",
+             "ebd735ea42878ed5644ee081063c5b58b9de025ec9ea53f4912ff12e1ce6b38e",
+             "063c768cd08ff0b9df57a9317af51e01f95ee14d85fe99c669afbed0ed4c5c11"),
+        Case("hilb lagrangian -p 11 -k 2", {"lagrangian_report": 1},
+             "47b84303913e68e22b37c2a7183f50e7f69a987b3650db55ae9d825a44e9204f",
+             "76abc3543d871ae2c6593b9ff02070dc7aa7084779250b1788c243fd9081b3ba",
+             "cc86b234f75a4810469712770af3fbe5b8e429c32322d17998655cb740002fc9"),
+        Case("hilb lagrangian -p 10 -k 5", {"lagrangian_report": 1},
+             "70e472a322ad866dad8d075ef4bcd988e7da26f3cc009eda4f4fb1dd22dde447",
+             "243ebb267d0b6b9cba03410ac588cdf5490774b7cb6a004f2cec59b44384b037",
+             "181a451f91582a3979ceabdced34fb3d63647854505de66c98b2ce0f503fb04c"),
+    ]),
+    "hilb rays": Leaf(SINGLE, [
+        Case("hilb rays -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
+             "GonalityCase": 1, "necessary_condition": 1, "minimal_q_family": 1},
+             "96050d71c192dd286e15d1a5ceb77560c5463590d7b23fa93ebd12f505e2f3d9",
+             "0a08d46c9f64f8a5f822e0e4debbf38b80cbd7bc5ad80fa580dd9a23d87bbcdd",
+             "a0184a9fd9f8b48fb076ce941ea52b573273f1ff76c6b00ae85b0521ddee1374"),
+        Case("hilb rays -p 12 -k 3", {"decompose": 5, "delta0": 3, "optimal_class": 2,
+             "GonalityCase": 2, "necessary_condition": 2, "minimal_q_family": 1},
+             "bfb4fdf2de8d2d96c42972e2ff2be2e58af337449aca52c9f7807a6269624ddc",
+             "b4fcc369ba75a8f5ef239f87f9b6d52308a2a7945f06e39991f348a41ba40816",
+             "fd2593745d51e6dcc98c6092bd450226a6decd7a17b6a0cdab44666ec65ef214"),
+        Case("hilb rays -p 1000003 -k 3", {"decompose": 2, "delta0": 1, "optimal_class": 1,
+             "GonalityCase": 1, "necessary_condition": 1, "minimal_q_family": 1},
+             "01cf3a0800e5548ccf068fb263685596d8b68f224fd4d7ace0fbbd5229f5e888",
+             "d0533bebdf4eb11e165a9d303350254624fa5d8a3749f392adeb9f0082784987",
+             "68c25d3724d61689f7c0c5226549d67d10ebc8b2f3005aff49bbe7190ee3a58b"),
+    ]),
+    "hilb scan": Leaf(ROW, [
+        Case("hilb scan --pmax 12 --kmax 3", {"decompose": 135, "delta0": 94,
+             "optimal_class": 69, "GonalityCase": 69, "necessary_condition": 69,
+             "minimal_q_family": 18, "lagrangian_report": 22},
+             "e5efe3ee2689043a800eb674c02d3195241761878254b6f750665731a69b5b57",
+             "61b97057ce00f6085448c678cf2613d705465f349894a8494f89b5cbf48d3c27",
+             "fff1931cf609db89db3b1251d60578f05db69d3e5b53eb7379b6e65527eb3da2"),
+        Case("hilb scan --pmin 5 --pmax 9 --kmin 3 --kmax 4", {"decompose": 56, "delta0": 40,
+             "optimal_class": 30, "GonalityCase": 30, "necessary_condition": 30,
+             "minimal_q_family": 8, "lagrangian_report": 10},
+             "4473f07ce7df87d1ce01c1c95a81a41edacac55ca09b455e50e03c6480becc3b",
+             "b3ee98c78cb610283021bcbe6939d91d769b9abe3e93944f8088ef19ca57bc7b",
+             "6717f095bfd452e1565b4265136d745e02542167b78d44e002f10b6fc71c28f7"),
+    ], limits={
+        "SCAN_MAX_ROWS": ("hilb scan --pmax 100002 --kmax 2", "SCAN_MAX_ROWS"),
+    }),
+}
+CASES = {case.argv: case for leaf in LEAVES.values() for case in leaf.cases}
+SHA256 = {(argv, fmt): getattr(case, fmt) for argv, case in CASES.items()
+          for fmt in ("table", "json", "csv")}
+LIMITS = {name: limit for leaf in LEAVES.values() for name, limit in leaf.limits.items()}
+
+
+def argvs(where=lambda leaf: True):
+    """The argv of every pinned case of each leaf that `where` accepts, sorted."""
+    return sorted(case.argv for leaf in LEAVES.values() if where(leaf) for case in leaf.cases)
