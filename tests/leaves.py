@@ -30,10 +30,12 @@ class Leaf(NamedTuple):
 
 
 # the digests were recorded before the leaf commands shared one output path;
-# those at p = 10^40 + 1 and --pmax 10^40 while `hilb` still printed its
-# rationals through `Fraction`, and the json ones at p = 1000003 before
-# hilbert.py lost its duplicate guard, wrappers and hand-written payloads (their
-# table and csv digests were recorded later, from code giving the same json)
+# those of `hilb class`, `hilb q`, `hilb cone` at p = 10^40 + 1 and `hilb
+# qvalues` at --pmax 10^40 while `hilb` still printed its rationals through
+# `Fraction`, and the json ones at p = 1000003 before hilbert.py lost its
+# duplicate guard, wrappers and hand-written payloads (their table and csv
+# digests were recorded later, from code giving the same json); the other
+# cases at p = 10^40 + 1 were recorded later still
 LEAVES = {
     "bn rho": Leaf(SINGLE, [
         Case("bn rho -g 9 -r 1 -d 6", {},
@@ -54,6 +56,11 @@ LEAVES = {
              "93053e2a433ed54cc85d26bf7326f6d870713a3b86310621e8d46a98435cf50f",
              "bdffa869ebdbf3767bdd3b1777e2c6ca5932f6956c2bc23aee9c67a0806657a4",
              "19f0a26937037df580d6d8b4ba29a4317b12b8125c547774eaee30bd4ee04d6b"),
+        Case("bn check -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501", {
+             "necessary_condition": 1},
+             "b077cf3cb1c0c9009a7bde1e22f4b8edcca58dbf61ecaa5cab50cc2398b58315",
+             "b25e7d356225724a76febc34c55ac55a9f58a45e12b0db53027a7667f4c5017b",
+             "05c8591fda18e5cedd072563ca890d9839a72e5f63b68f5eac6cdf755f98d283"),
     ]),
     "gonality delta0": Leaf(SINGLE, [
         Case("gonality delta0 -p 9 -k 4 --verify", {"decompose": 1, "delta0": 1,
@@ -65,6 +72,11 @@ LEAVES = {
              "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469",
              "cf7cac362049a3c11bb4d06fd3e08f87ac768c879f04c9372cfd1d1a7f787126",
              "f15b03459b8aad0a96ba0850d3fe35d065ead27e7462b4bfee92767c06e8dad1"),
+        Case("gonality delta0 -p 10000000000000000000000000000000000000001 -k 1000000 --verify", {
+             "decompose": 1, "delta0": 1, "GonalityCase": 2, "necessary_condition": 2},
+             "c1c658e9c0810a7f0a02ceff8aa54d60a28b5bfdcab6d32b4ecb11cfd37657a9",
+             "85507df77e55e2e409ef78ebbce66a626e159adacb63424729802c16be09dc85",
+             "fc5d534b0247398622b19fb91a6d95b3c9f3f604ffc3a063cffd5b1dad59212a"),
     ]),
     "gonality dims": Leaf(SINGLE, [
         Case("gonality dims -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
@@ -75,6 +87,11 @@ LEAVES = {
              "b919aa6b375a2c22c7472f08d50e2ac1d59446ecf74021641caec32d646a2459",
              "1330c9a03aaf8d75c2a0e2775a65a89e1e433553d8320e313476fc625fa375c5",
              "5c329d75af3c422e12a73f352112fe7b3007ad227b142b942167897a7b5332ee"),
+        Case("gonality dims -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501", {
+             "GonalityCase": 1, "necessary_condition": 1},
+             "709a28674f87b39afb2721ac96c0d0781756af77c4704c4b6833937f022a6314",
+             "8474246bf781348e278ce8f25fbd6ef6d33e94aaad1bf754580e49388477cb50",
+             "1abcbad1fed3c1a0bbef447c8390382769e36bac3794d1877d626f081f287dbf"),
     ]),
     "chains witness": Leaf(SINGLE, [
         Case("chains witness -p 8 -k 2 --delta 5", {"decompose": 1, "delta0": 1},
@@ -85,6 +102,11 @@ LEAVES = {
              "306043cc13df3b80c9791d9c57596ffa872ea366138b7b43d52a48b1f00fb709",
              "c46001b78365eaf721cf3d51dbbd0bf10ce8de1bc493556f8fdbf70558a0586e",
              "c29a7b56caf2ba5bcd244cfbe5af4429fdaa42b360fc5ec7b91af9e232877890"),
+        Case("chains witness -p 10000000000000000000000000000000000000001 -k 1000000 --delta 10000000000000000000000000000000000000000", {
+             "decompose": 1, "delta0": 1},
+             "a1796f8796f19a8f281db7b16a17cfda17dab1fe1ba3a5f9b0a4fd4819759987",
+             "e727872278d1884a8cea62401deaadd817ace6938dd1bdf4b12c26349d2a841b",
+             "3d60d104b03a42853e16b99f296d398acb447633772ed29a94ec301e24b14bcf"),
     ], limits={
         # g = 199999 chains at cap 2 fill (g - 1) // 2 + 2 = 100001 lengths
         "WITNESS_MAX_LENGTHS": (
@@ -207,6 +229,11 @@ LEAVES = {
              "70e472a322ad866dad8d075ef4bcd988e7da26f3cc009eda4f4fb1dd22dde447",
              "243ebb267d0b6b9cba03410ac588cdf5490774b7cb6a004f2cec59b44384b037",
              "181a451f91582a3979ceabdced34fb3d63647854505de66c98b2ce0f503fb04c"),
+        Case("hilb lagrangian -p 10000000000000000000000000000000000000001 -k 1000000", {
+             "lagrangian_report": 1},
+             "47b84303913e68e22b37c2a7183f50e7f69a987b3650db55ae9d825a44e9204f",
+             "048121acdd00cf266779086d478871bdc39896de9722cabae345e02ceda25642",
+             "236b863ad79d9c0aaad4a5e7e90e7ac1b6535202625bb767975eb4526b14ab8d"),
     ]),
     "hilb rays": Leaf(SINGLE, [
         Case("hilb rays -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
@@ -224,6 +251,12 @@ LEAVES = {
              "01cf3a0800e5548ccf068fb263685596d8b68f224fd4d7ace0fbbd5229f5e888",
              "d0533bebdf4eb11e165a9d303350254624fa5d8a3749f392adeb9f0082784987",
              "68c25d3724d61689f7c0c5226549d67d10ebc8b2f3005aff49bbe7190ee3a58b"),
+        Case("hilb rays -p 10000000000000000000000000000000000000001 -k 1000000", {
+             "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
+             "necessary_condition": 1, "minimal_q_family": 1},
+             "eb1898f4054eee1695c1303a208b36a2a1312046772a77db750b38eea9953da6",
+             "488c3d291c4785d463a84db8e8edfa951143b7466f450bbfab326af7a31198ed",
+             "0c134f6fc43d73431f422464b68d46b2547102d22955878de2084f0fee8c9af8"),
     ]),
     "hilb scan": Leaf(ROW, [
         Case("hilb scan --pmax 12 --kmax 3", {"decompose": 135, "delta0": 94,

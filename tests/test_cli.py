@@ -26,8 +26,8 @@ from k3gonal import brillnoether, chains, cli, gonality, hilbert, pencil
 from k3gonal.cli import main
 from k3gonal.hilbert import rat_str
 
+import guards
 import leaves
-from test_gonality import GUARD_FAULTS
 
 
 def run(capsys, *argv):
@@ -52,15 +52,6 @@ def test_delta0_verified(capsys):
     code, out, _ = run(capsys, "gonality", "delta0", "-p", "9", "-k", "4", "--verify")
     assert code == 0
     assert out.strip() == "2 (verified)"
-
-
-def test_delta0_mismatch_exits_2(capsys, monkeypatch):
-    # delta0(9, 4) = 2: one above, one below, and one past p
-    for wrong in (3, 1, 99):
-        monkeypatch.setattr(gonality, "delta0", lambda p, k: wrong)
-        code, out, err = run(capsys, "gonality", "delta0", "-p", "9", "-k", "4", "--verify")
-        assert (code, out) == (2, "")
-        assert f"invariant violation: delta0 closed form {wrong} " in err
 
 
 def test_qvalues_csv(capsys):
@@ -449,19 +440,9 @@ def test_pencil_verify_low_transversality_exits_2(capsys):
 
 
 def test_pencil_verify_identity_failures_exit_2(capsys, monkeypatch):
-    # a wrong wedge curve, the true one plus e0^(k-3) (e1^2 - 4 e0 e2): it
-    # vanishes on the diagonal, so only the membership oracle sees it, in
-    # every sample; the message names the first five failures
-    wedge = pencil.wedge_curve
-
-    def wrong(pen):
-        curve, k = wedge(pen), pen.k
-        store = dict(curve.terms)
-        for expo, v in (((k - 3, 2, 0), 1), ((k - 2, 0, 1), -4)):
-            store[expo] = store.get(expo, 0) + v
-        return pencil.SymPlaneCurve(k - 1, store)
-
-    monkeypatch.setattr(pencil, "wedge_curve", wrong)
+    # a wrong wedge curve that only the membership oracle sees, in every
+    # sample; the message names the first five failures
+    monkeypatch.setattr(pencil, "wedge_curve", guards.membership_breaking_wedge)
     first = "; ".join(f"sample {i}: membership oracle at x1^0 y1^3" for i in range(5))
     for fmt in FORMATS:
         code, out, err = run(capsys, "--format", fmt, "pencil", "verify", "-k", "3",
@@ -656,8 +637,9 @@ def test_every_leaf_has_one_record():
             del args["fmt"], args["out"]
             payload = args.pop("leaf").callback(**args)[0]
             assert isinstance(payload, dict) == (leaf.kind == leaves.SINGLE), case.argv
-    for fault, (*_, argv) in GUARD_FAULTS.items():
-        assert argv is None or " ".join(argv[:2]) in leaves.LEAVES, fault
+    for fault, record in guards.FAULTS.items():
+        for argv in record.argvs:
+            assert " ".join(argv.split()[:2]) in leaves.LEAVES, fault
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -1058,22 +1040,38 @@ def test_json_rows_renders_no_row_as_an_empty_list(envelope):
     assert "".join(cli._json_rows(envelope, iter(()))) == json.dumps(envelope, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("shift", [-1, 1])
-@pytest.mark.parametrize("argv", [
-    ("hilb", "cone", "-p", "50", "-k", "3"),
-    ("hilb", "rays", "-p", "50", "-k", "3"),
-    ("hilb", "scan", "--pmax", "12", "--kmax", "3"),
+@pytest.mark.parametrize("fault, argv, message", [
+    ("necessity-rho", "bn check -p 9 -k 4 --delta 9", "rho(p, alpha*r, alpha*d + delta) = 11 "
+     "!= delta - threshold = 9 at (p=9, delta=9, r=1, d=4, alpha=0)"),
+    ("cli-delta0-verify", "gonality delta0 -p 9 -k 4 --verify",
+     "delta0 closed form 3 is not the least admissible delta at (p=9, k=4)"),
+    ("cli-delta0-verify-below", "gonality delta0 -p 9 -k 4 --verify",
+     "delta0 closed form 1 is not the least admissible delta at (p=9, k=4)"),
+    ("optimal-class-inadmissible", "hilb cone -p 50 -k 3",
+     "delta0=31 is inadmissible at (p=50, k=3), so the optimal class y=20 is no gonality class"),
+    ("optimal-class-inadmissible", "hilb rays -p 50 -k 3",
+     "delta0=31 is inadmissible at (p=50, k=3), so the optimal class y=20 is no gonality class"),
+    ("optimal-class-inadmissible", "hilb scan --pmax 12 --kmax 3",
+     "delta0=-1 is inadmissible at (p=2, k=2), so the optimal class y=3 is no gonality class"),
+    ("optimal-class-y", "hilb cone -p 50 -k 3",
+     "optimal class closed form y=20 != g+k-1 = 19 at delta0=33 (p=50, k=3)"),
+    ("optimal-class-y", "hilb rays -p 50 -k 3",
+     "optimal class closed form y=20 != g+k-1 = 19 at delta0=33 (p=50, k=3)"),
+    ("optimal-class-y", "hilb scan --pmax 12 --kmax 3",
+     "optimal class closed form y=3 != g+k-1 = 2 at delta0=1 (p=2, k=2)"),
+    ("enumerator-sum", "chains enumerate -p 12 -k 2", "enumerated partition at (p=12, k=2) "
+     "has g=2, delta=11, g + delta != p: parts=((12, 1),)"),
+    ("enumerator-recursion", "chains enumerate -p 12 -k 2", "enumerated partition at "
+     "(p=12, k=2) has g=1, delta=10, g + delta != p: parts=((1, 1), (11, 1))"),
+    ("enumerator-delta", "chains enumerate -p 12 -k 2", "enumerated partition at (p=12, k=2) "
+     "has g=1, delta=12, g + delta != p: parts=((12, 1),)"),
 ])
-def test_optimal_class_wrong_delta0_exits_2(capsys, monkeypatch, argv, shift):
-    # delta0 - 1 is inadmissible (-1 at small p), and at delta0 + 1 the
-    # closed-form y is not g + k - 1: both are a failed cross-check
-    true_delta0 = gonality.delta0
-    monkeypatch.setattr(hilbert, "delta0", lambda p, k: true_delta0(p, k) + shift)
+def test_guard_messages_name_the_values_compared(capsys, monkeypatch, fault, argv, message):
+    # the whole message, where guards.py checks a fragment of it
+    monkeypatch.setattr(*guards.FAULTS[fault].patch)
     for fmt in FORMATS:
-        code, out, err = run(capsys, "--format", fmt, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("invariant violation: ") and err.count("\n") == 1
-        assert "delta0=" in err and "y=" in err and "(p=" in err and "k=" in err
+        assert run(capsys, "--format", fmt, *argv.split()) == (
+            2, "", f"invariant violation: {message}\n"), fmt
 
 
 def test_cone_reads_tau_and_delta0_off_the_optimal_class():

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import k3gonal
-from k3gonal import cli, hilbert
+from k3gonal import hilbert
 from k3gonal.brillnoether import NecessityReport, necessary_condition
 from k3gonal.chains import ChainPartition, enumerate_partitions
-from k3gonal.errors import InvariantViolation
 from k3gonal.gonality import GonalityCase, admissible, decompose, delta0
 from k3gonal.hilbert import (
     CurveClass,
@@ -138,19 +137,6 @@ def test_q_case_identity_and_bound_grid():
                     continue
                 q = q_case(p, k, delta)  # internally checks both forms + bound
                 assert q >= F(-(k + 3), 2)
-
-
-def test_q_case_two_forms_guard_fires(monkeypatch, capsys):
-    # one more on 4(k-1)(p-1) - (g+k-1)^2 leaves 4(k-1)(rho-1) - beta^2 alone
-    scaled_q = hilbert._scaled_q
-    monkeypatch.setattr(hilbert, "_scaled_q", lambda p, k, a, y: scaled_q(p, k, a, y) + 1)
-    for p, k in [(8, 2), (9, 4), (12, 3), (10**40 + 1, 10**6)]:
-        with pytest.raises(InvariantViolation, match="q closed forms disagree"):
-            q_case(p, k, delta0(p, k))
-    assert cli.main(["hilb", "q", "-p", "9", "-k", "4", "--delta", "2"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("invariant violation: q closed forms disagree")
 
 
 def test_q_identity_holds_even_off_admissible_range():
