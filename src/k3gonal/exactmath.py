@@ -1,5 +1,6 @@
-"""What plain integers and fractions lack: a perfect-square test, and the
-maker of the package's value classes.
+"""What plain integers and fractions lack: a perfect-square test, a check
+that a value is an `int` and not a `bool`, and the maker of the package's
+value classes.
 
 Integers are plain Python ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always lowest terms, positive denominator, structural
@@ -34,6 +35,14 @@ def exact_sqrt(n: int) -> int | None:
         raise ValueError(f"exact_sqrt requires a nonnegative argument, got {n}")
     s = math.isqrt(n)
     return s if s * s == n else None
+
+
+def _int(v) -> int:
+    """v itself if it is an int; anything else, a bool or a float included,
+    is refused by name."""
+    if type(v) is not int:
+        raise TypeError(f"need integers, got the {type(v).__name__} {v!r}")
+    return v
 
 
 class field:

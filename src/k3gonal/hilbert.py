@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InvariantViolation
-from .exactmath import _value_class, exact_sqrt
+from .exactmath import _int, _value_class, exact_sqrt
 from .gonality import GonalityCase, _check_pk, _delta0_from, decompose, delta0
 
 __all__ = [
@@ -85,7 +85,7 @@ class CurveClass:
 
     Gonality constructors always produce a = 1, y = g+k-1 >= 0; the fiber
     class r_k itself is (a, y) = (0, -1), see :meth:`fiber`.  Construction
-    checks (p, k).
+    checks (p, k), and refuses an a or y that is not an int.
     """
 
     p: int
@@ -95,7 +95,7 @@ class CurveClass:
 
     def __init__(self, p: int, k: int, a: int, y: int):
         _check_pk(p, k)
-        self._fill(p, k, a, y)
+        self._fill(p, k, _int(a), _int(y))
 
     @classmethod
     def fiber(cls, p: int, k: int) -> "CurveClass":
@@ -126,7 +126,11 @@ class CurveClass:
 
 @_value_class
 class DivisorClass:
-    """The divisor class a*H - c*e_k; rational c allowed (Q-divisors)."""
+    """The divisor class a*H - c*e_k; rational c allowed (Q-divisors).
+
+    Construction checks (p, k), and refuses an a that is not an int and a c
+    that is neither an int nor a Fraction; c is stored as a Fraction.
+    """
 
     p: int
     k: int
@@ -135,10 +139,11 @@ class DivisorClass:
 
     def __init__(self, p: int, k: int, a: int, c):
         _check_pk(p, k)
-        for v in (a, c):
-            if isinstance(v, float):
-                raise TypeError(f"need an exact coefficient, got the float {v!r}")
-        self._fill(p, k, a, Fraction(c))
+        if type(c) is int:
+            c = Fraction(c)
+        elif type(c) is not Fraction:
+            raise TypeError(f"need an int or a Fraction, got the {type(c).__name__} {c!r}")
+        self._fill(p, k, _int(a), c)
 
     @property
     def q(self) -> Fraction:

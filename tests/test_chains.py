@@ -1,7 +1,4 @@
-import copy
-import dataclasses
 import json
-import pickle
 import time
 
 import pytest
@@ -438,41 +435,3 @@ def test_serialization_payload():
         "g": 4,
         "parts": [[1, 2], [2, 1], [4, 1]],
     }
-
-
-def test_enumerated_invariants_are_the_sums_of_parts():
-    for k in range(2, 7):
-        for p in range(1, 31):
-            for q in enumerate_partitions(p, k):
-                assert q.g == sum(a for _, a in q.parts), (p, k, q)
-                assert q.delta == sum((j - 1) * a for j, a in q.parts), (p, k, q)
-                rebuilt = ChainPartition(p, k, q.parts)
-                assert (rebuilt.g, rebuilt.delta) == (q.g, q.delta), (p, k, q)
-                assert q == rebuilt and hash(q) == hash(rebuilt), (p, k, q)
-                assert repr(q) == repr(rebuilt), (p, k, q)
-
-
-def test_stored_invariants_are_frozen_and_slotted():
-    q = part(8, 2, {1: 2, 2: 1, 4: 1})
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        q.g = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        q.delta = 3
-    assert (q.g, q.delta) == (4, 4)
-    assert not hasattr(q, "__dict__")
-    assert repr(q) == "ChainPartition(p=8, k=2, parts=((1, 2), (2, 1), (4, 1)))"
-
-
-def test_replace_recomputes_invariants():
-    q = part(8, 2, {1: 2, 2: 1, 4: 1})
-    single = q.__replace__(parts=((8, 1),))
-    assert (single.g, single.delta) == (1, 7)
-    merged = q.__replace__(parts={1: 3, 2: 1, 3: 1})
-    assert merged.parts == ((1, 3), (2, 1), (3, 1)) and (merged.g, merged.delta) == (5, 3)
-
-
-def test_pickle_and_copy_keep_invariants():
-    for q in [part(8, 2, {1: 2, 2: 1, 4: 1}), *enumerate_partitions(12, 3)]:
-        for back in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
-            assert type(back) is ChainPartition and back == q
-            assert (back.g, back.delta) == (q.g, q.delta)

@@ -164,36 +164,6 @@ def test_binary_form_bookkeeping():
     assert proportional(zero, zero)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: BinaryForm(2, (0.1, 1, 0)),
-    lambda: BinaryForm(2, [1, 0.5, 0]),
-    lambda: SymPlaneCurve(1, {(1, 0, 0): 1, (0, 1, 0): 0.1}),
-    lambda: SymPlaneCurve(1, [((1, 0, 0), 0.1)]),
-])
-def test_floats_are_refused(build):
-    # Fraction(0.1) has denominator 2^55: a float is refused, never stored
-    # as the binary rational nearest it
-    with pytest.raises(TypeError, match=r"float 0\.[15]"):
-        build()
-
-
-@pytest.mark.parametrize("value, named", [
-    (Fraction(1, 2), r"the Fraction Fraction\(1, 2\)"),
-    (Fraction(2), r"the Fraction Fraction\(2, 1\)"),
-    ("1/2", "the str '1/2'"),
-])
-@pytest.mark.parametrize("build", [
-    lambda v: BinaryForm(2, (v, 1, 0)),
-    lambda v: SymPlaneCurve(1, {(1, 0, 0): 1, (0, 1, 0): v}),
-    lambda v: SymPlaneCurve(1, [((1, 0, 0), v)]),
-], ids=["form", "curve-dict", "curve-pairs"])
-def test_non_integer_coefficients_are_refused(build, value, named):
-    # forms and curves are integer only: a rational value, even a whole one,
-    # is named in the error rather than scaled away
-    with pytest.raises(TypeError, match=named):
-        build(value)
-
-
 def test_sym_plane_curve_canonical_form():
     a = SymPlaneCurve(2, {(2, 0, 0): 2, (0, 1, 1): 3})
     b = SymPlaneCurve(
