@@ -29,11 +29,10 @@ merges the two longest chains to raise delta by exactly one, and takes each
 witness to the next; `enumerate_partitions` is the exhaustive oracle.
 """
 
-import os
 from collections.abc import Mapping
 
 from .errors import InvariantViolation
-from .exactmath import _value_class, field
+from .exactmath import _int, _value_class, field
 from .gonality import delta0
 
 __all__ = [
@@ -42,12 +41,11 @@ __all__ = [
     "increment",
     "witness",
     "enumerate_partitions",
-    "MAX_P_ENV",
     "DEFAULT_MAX_P",
     "WITNESS_MAX_LENGTHS",
 ]
 
-MAX_P_ENV = "K3GONAL_MAX_P"
+# `enumerate_partitions` lists 966,467 partitions at p = 60, k >= 31
 DEFAULT_MAX_P = 60
 # `witness` builds one (j, alpha_j) pair per chain length
 WITNESS_MAX_LENGTHS = 10**5
@@ -59,12 +57,13 @@ class ChainPartition:
 
     `parts` holds (j, alpha_j) pairs with alpha_j > 0, sorted by j; the
     constructor also accepts a mapping j -> alpha_j, sums repeated j and
-    drops zero entries.  Construction enforces 1 <= j <= p only; the
-    summation condition is what `validate` checks, so invalid partitions are
-    representable.  `g` = sum_j alpha_j (chains, the geometric genus of the
-    marked-node smoothing) and `delta` = sum_j (j-1) alpha_j (marked nodes)
-    are stored, computed once from the merged multiplicities; they take no
-    part in `==`, `hash` or `repr`, which stay over (p, k, parts).
+    drops zero entries.  Construction refuses a p, k, j or alpha_j that is
+    not an int, and enforces 1 <= j <= p only; the summation condition is
+    what `validate` checks, so invalid partitions are representable.  `g` =
+    sum_j alpha_j (chains, the geometric genus of the marked-node smoothing)
+    and `delta` = sum_j (j-1) alpha_j (marked nodes) are stored, computed
+    once from the merged multiplicities; they take no part in `==`, `hash`
+    or `repr`, which stay over (p, k, parts).
     """
 
     p: int
@@ -74,9 +73,9 @@ class ChainPartition:
     delta: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, p: int, k: int, parts):
-        if p < 1:
+        if _int(p) < 1:
             raise ValueError(f"need p >= 1, got p={p}")
-        if k < 2:
+        if _int(k) < 2:
             raise ValueError(f"need k >= 2, got k={k}")
         if isinstance(parts, Mapping):
             items = parts.items()
@@ -84,9 +83,9 @@ class ChainPartition:
             items = tuple(parts)
         mult: dict[int, int] = {}
         for j, a in items:
-            if not 1 <= j <= p:
+            if not 1 <= _int(j) <= p:
                 raise ValueError(f"chain length index {j} outside 1..{p}")
-            if a < 0:
+            if _int(a) < 0:
                 raise ValueError(f"negative multiplicity {a} for length index {j}")
             if a:
                 mult[j] = mult.get(j, 0) + a
@@ -216,7 +215,7 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
     return partition
 
 
-def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[ChainPartition]:
+def enumerate_partitions(p: int, k: int) -> list[ChainPartition]:
     """All valid partitions for (p, k), exhaustively.
 
     Parts are chosen largest-first with multiplicities descending, so the
@@ -233,22 +232,10 @@ def enumerate_partitions(p: int, k: int, max_p: int | None = None) -> list[Chain
     shared, taken from one table of every j <= p and alpha_j <= cap with
     j * alpha_j <= p.  g + delta = p is checked once per partition, where it
     is emitted, and a failure raises InvariantViolation.  Refuses p above
-    the cap (default 60, overridable via the K3GONAL_MAX_P environment
-    variable or `max_p`).
+    DEFAULT_MAX_P, read at each call.
     """
-    if max_p is None:
-        raw = os.environ.get(MAX_P_ENV, str(DEFAULT_MAX_P))
-        try:
-            max_p = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"the {MAX_P_ENV} environment variable must be an integer, got {raw!r}"
-            ) from None
-    if p > max_p:
-        raise ValueError(
-            f"p={p} exceeds the enumeration cap {max_p}; raise it via the "
-            f"{MAX_P_ENV} environment variable or the max_p argument"
-        )
+    if p > DEFAULT_MAX_P:
+        raise ValueError(f"p={p} is over the limit DEFAULT_MAX_P = {DEFAULT_MAX_P}")
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
     if k < 2:

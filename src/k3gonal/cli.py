@@ -584,8 +584,9 @@ _SCAN_KEYS = ("p", "k", "delta0", "g", "class", "q", "tau", "cone_status", "isot
               _opt("--kmin", "Smallest k (default %(default)s).", default=2))
 def hilb_scan(pmax, kmax, pmin, kmin):
     """One row per (p, k): delta0, g, optimal class, q, cone and flags."""
-    if pmin < 2 or kmin < 2:
-        raise ValueError("need pmin >= 2 and kmin >= 2")
+    for name, least in (("pmin", pmin), ("kmin", kmin)):
+        if least < 2:
+            raise ValueError(f"need {name} >= 2, got {name}={least}")
     if pmin > pmax or kmin > kmax:
         raise ValueError(
             f"empty grid: need pmin <= pmax and kmin <= kmax, got "

@@ -24,7 +24,7 @@ from math import isqrt
 
 from . import brillnoether
 from .errors import InvariantViolation
-from .exactmath import _value_class, field
+from .exactmath import _int, _value_class, field
 
 __all__ = [
     "GonalityCase",
@@ -52,7 +52,8 @@ class GonalityCase:
     rho = rho(p, alpha, k alpha + delta), read from necessary_condition, and
     admissible iff rho >= 0.  Construction verifies the beta range
     -(k-1) < beta <= k-1 and the completed square in beta as a value
-    identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.
+    identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.  A p, k or
+    delta that is not an int is refused.
     """
 
     p: int
@@ -65,8 +66,8 @@ class GonalityCase:
     admissible: bool = field(init=False)
 
     def __init__(self, p: int, k: int, delta: int):
-        _check_pk(p, k)
-        g = p - delta
+        _check_pk(_int(p), _int(k))
+        g = p - _int(delta)
         # checks 0 <= delta <= p
         report = brillnoether.necessary_condition(p, delta, 1, k)
         alpha, rho = report.alpha, report.rho_at_alpha

@@ -85,7 +85,7 @@ class CurveClass:
 
     Gonality constructors always produce a = 1, y = g+k-1 >= 0; the fiber
     class r_k itself is (a, y) = (0, -1), see :meth:`fiber`.  Construction
-    checks (p, k), and refuses an a or y that is not an int.
+    checks (p, k), and refuses a p, k, a or y that is not an int.
     """
 
     p: int
@@ -94,7 +94,7 @@ class CurveClass:
     y: int
 
     def __init__(self, p: int, k: int, a: int, y: int):
-        _check_pk(p, k)
+        _check_pk(_int(p), _int(k))
         self._fill(p, k, _int(a), _int(y))
 
     @classmethod
@@ -128,8 +128,8 @@ class CurveClass:
 class DivisorClass:
     """The divisor class a*H - c*e_k; rational c allowed (Q-divisors).
 
-    Construction checks (p, k), and refuses an a that is not an int and a c
-    that is neither an int nor a Fraction; c is stored as a Fraction.
+    Construction checks (p, k), and refuses a p, k or a that is not an int
+    and a c that is neither an int nor a Fraction; c is stored as a Fraction.
     """
 
     p: int
@@ -138,7 +138,7 @@ class DivisorClass:
     c: Fraction
 
     def __init__(self, p: int, k: int, a: int, c):
-        _check_pk(p, k)
+        _check_pk(_int(p), _int(k))
         if type(c) is int:
             c = Fraction(c)
         elif type(c) is not Fraction:

@@ -22,11 +22,20 @@ class Case(NamedTuple):
     csv: str
 
 
+class Limit(NamedTuple):
+    """A *_MAX_* limit of the leaf: an argv one past its real value, and one of
+    the leaf's pinned cases with that case's size under the limit, which runs
+    with the limit set to the size and is refused at one less."""
+    past: str
+    case: str
+    size: int
+
+
 class Leaf(NamedTuple):
     kind: str  # SINGLE renders one payload dict, ROW streams its rows
     cases: list
     rational: bool = False  # prints its rationals from integers, building no Fraction
-    limits: dict = {}  # each *_MAX_* limit: an argv one past it, the name its refusal gives
+    limits: dict = {}  # each *_MAX_* limit the leaf enforces, by its constant's name
 
 
 # the digests were recorded before the leaf commands shared one output path;
@@ -108,10 +117,11 @@ LEAVES = {
              "e727872278d1884a8cea62401deaadd817ace6938dd1bdf4b12c26349d2a841b",
              "3d60d104b03a42853e16b99f296d398acb447633772ed29a94ec301e24b14bcf"),
     ], limits={
-        # g = 199999 chains at cap 2 fill (g - 1) // 2 + 2 = 100001 lengths
-        "WITNESS_MAX_LENGTHS": (
+        # g chains at cap 2 fill (g - 1) // 2 + 2 lengths: 100001 at g = 199999,
+        # 3 at the case's g = 3
+        "WITNESS_MAX_LENGTHS": Limit(
             f"chains witness -p {10**40 + 1} -k 2 --delta {10**40 - 199998}",
-            "WITNESS_MAX_LENGTHS"),
+            "chains witness -p 8 -k 2 --delta 5", 3),
     }),
     "chains enumerate": Leaf(ROW, [
         Case("chains enumerate -p 6 -k 2", {},
@@ -123,7 +133,8 @@ LEAVES = {
              "7d264ba55e6d49532a2c17deb369c9704e7cc3c83a571949d51e97c5e6df322f",
              "ca7482d3f4febaa26940df1318d7ce7aa2ebaee9f4ceb223927647d3abbb5129"),
     ], limits={
-        "DEFAULT_MAX_P": ("chains enumerate -p 61 -k 2", "K3GONAL_MAX_P"),
+        "DEFAULT_MAX_P": Limit("chains enumerate -p 61 -k 2",
+                               "chains enumerate -p 6 -k 2", 6),
     }),
     "chains stable": Leaf(SINGLE, [
         Case("chains stable -p 8 -k 2 --alpha 1:2,2:1,4:1", {},
@@ -141,8 +152,10 @@ LEAVES = {
              "44e8077f4ccc136134dc6e956b406b40226a46b78c8a2609aabed51ef387f5ff",
              "3c882276d19a466810c6c06c18847bfde8882ad26e0587e887b39a59202c571b"),
     ], limits={
-        "PENCIL_MAX_K": ("pencil verify -k 17 --samples 1", "PENCIL_MAX_K"),
-        "PENCIL_MAX_SAMPLES": ("pencil verify -k 3 --samples 1001", "PENCIL_MAX_SAMPLES"),
+        "PENCIL_MAX_K": Limit("pencil verify -k 17 --samples 1",
+                              "pencil verify -k 3 --samples 5 --seed 1", 3),
+        "PENCIL_MAX_SAMPLES": Limit("pencil verify -k 3 --samples 1001",
+                                    "pencil verify -k 3 --samples 5 --seed 1", 5),
     }),
     "hilb class": Leaf(SINGLE, [
         Case("hilb class -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
@@ -214,7 +227,8 @@ LEAVES = {
              "a30a2dcb5e9cddcda7f82209df0b3ba27abc9fb142ba859051da94f141d3c932"),
     ], rational=True, limits={
         # the delta0 = 0 regime alone holds pmax - 1 candidates while pmax < 2(k-1)
-        "QVALUES_MAX_VALUES": ("hilb qvalues -k 1000000 --pmax 100002", "QVALUES_MAX_VALUES"),
+        "QVALUES_MAX_VALUES": Limit("hilb qvalues -k 1000000 --pmax 100002",
+                                    "hilb qvalues -k 3 --pmax 300", 7),
     }),
     "hilb lagrangian": Leaf(SINGLE, [
         Case("hilb lagrangian -p 10 -k 2", {"lagrangian_report": 1},
@@ -272,7 +286,8 @@ LEAVES = {
              "b3ee98c78cb610283021bcbe6939d91d769b9abe3e93944f8088ef19ca57bc7b",
              "6717f095bfd452e1565b4265136d745e02542167b78d44e002f10b6fc71c28f7"),
     ], limits={
-        "SCAN_MAX_ROWS": ("hilb scan --pmax 100002 --kmax 2", "SCAN_MAX_ROWS"),
+        "SCAN_MAX_ROWS": Limit("hilb scan --pmax 100002 --kmax 2",
+                               "hilb scan --pmax 12 --kmax 3", 22),
     }),
 }
 CASES = {case.argv: case for leaf in LEAVES.values() for case in leaf.cases}

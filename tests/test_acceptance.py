@@ -96,7 +96,7 @@ def test_criterion_4_partition_completeness(capsys):
                 w = witness(p, k, delta)
                 assert validate(w) and w.delta == delta, (p, k, delta)
             min_delta = min(
-                q.delta for q in enumerate_partitions(p, k, max_p=40)
+                q.delta for q in enumerate_partitions(p, k)
             )
             assert min_delta == d0, (p, k)
     with capsys.disabled():

@@ -302,31 +302,17 @@ def test_enumerate_order_is_stable():
     ]
 
 
-def test_enumerate_cap(monkeypatch):
-    with pytest.raises(ValueError, match="K3GONAL_MAX_P"):
-        enumerate_partitions(61, 2)
-    assert enumerate_partitions(61, 2, max_p=61)
-    monkeypatch.setenv("K3GONAL_MAX_P", "70")
-    assert enumerate_partitions(61, 2)
-
-
-def test_enumerate_cap_env_not_an_integer(monkeypatch):
-    monkeypatch.setenv("K3GONAL_MAX_P", "abc")
-    with pytest.raises(ValueError, match="K3GONAL_MAX_P.*'abc'"):
-        enumerate_partitions(4, 2)
-
-
 def _enumerate_by_search(p, k):
     """Reference enumeration: the unpruned recursion, every result validated."""
     cap = 2 * (k - 1)
     out = []
     acc = []
 
-    def rec(remaining, max_part):
+    def rec(remaining, top):
         if remaining == 0:
             out.append(ChainPartition(p, k, tuple(acc)))
             return
-        for part in range(min(max_part, remaining), 0, -1):
+        for part in range(min(top, remaining), 0, -1):
             for a in range(min(cap, remaining // part), 0, -1):
                 acc.append((part, a))
                 rec(remaining - part * a, part - 1)

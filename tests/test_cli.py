@@ -593,6 +593,9 @@ def test_qvalues_at_extreme_pmax(capsys):
         ), k
         assert outputs[10**40, "table"] == outputs[3000, "table"], k
     assert time.perf_counter() - start < 2.0
+    # the delta0 = 0 regime alone holds pmax - 1 candidates while pmax < 2(k-1)
+    code, out, err = run(capsys, "--format", "json", "hilb", "qvalues", "-k", "1000000", "--pmax", "400")
+    assert (code, err) == (0, "") and len(json.loads(out)["qvalues"]) == 399
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -607,6 +610,17 @@ def test_scan_inverted_bounds_exit_1(capsys, fmt, bounds):
     code, out, err = run(capsys, "hilb", "scan", *bounds, "--format", fmt)
     assert code == 1 and out == ""
     assert "pmin" in err and "kmax" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("args, message", [
+    ("--pmin 1 --pmax 5 --kmax 2", "need pmin >= 2, got pmin=1"),
+    ("--kmin 1 --pmax 5 --kmax 2", "need kmin >= 2, got kmin=1"),
+    ("--pmax 100001 --kmax 3", "grid of 200000 rows is over the limit SCAN_MAX_ROWS = 100000"),
+])
+def test_scan_refusal_names_its_values(capsys, fmt, args, message):
+    code, out, err = run(capsys, "hilb", "scan", *args.split(), "--format", fmt)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 LEAF_CASES = leaves.argvs()
 FORMATS = ["table", "json", "csv"]
@@ -629,8 +643,9 @@ def test_every_leaf_has_one_record():
         assert leaf.cases, path
         # each case and limit runs its own leaf, and a leaf of kind SINGLE,
         # and no other, builds a payload dict
-        for argv, _ in leaf.limits.values():
-            assert argv.startswith(path + " "), argv
+        for limit in leaf.limits.values():
+            assert limit.past.startswith(path + " "), limit.past
+            assert limit.case in [case.argv for case in leaf.cases], limit.case
         for case in leaf.cases:
             assert case.argv.startswith(path + " "), case.argv
             args = cli._parse(case.argv.split())
@@ -860,7 +875,7 @@ ENUMERATE_CASES = [
 def test_chains_enumerate_bytes_match_payload_rendering(capsys, monkeypatch, tmp_path, p, k):
     # the streamed json equals json.dumps of the payload dict built from
     # to_payload(), and the csv the rows built from those dicts
-    monkeypatch.setenv("K3GONAL_MAX_P", "65")
+    monkeypatch.setattr(chains, "DEFAULT_MAX_P", 61)
     payloads = [part.to_payload() for part in chains.enumerate_partitions(p, k)]
     payload = {"p": p, "k": k, "count": len(payloads), "partitions": payloads}
     expected = json.dumps(payload, indent=2) + "\n"
@@ -1120,15 +1135,14 @@ def test_hilb_rationals_are_printed_from_integers(capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_chains_enumerate_writes_nothing_before_failing(capsys, monkeypatch, tmp_path, fmt):
-    monkeypatch.delenv("K3GONAL_MAX_P", raising=False)
+def test_chains_enumerate_writes_nothing_before_failing(capsys, tmp_path, fmt):
     target = tmp_path / "no" / "such" / "partitions"
     argv = ["--format", fmt, "chains", "enumerate", "-p", "12", "-k", "2"]
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 1 and out == "" and str(target) in err
     assert not target.exists() and not target.parent.exists()
     code, out, err = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "61", "-k", "2")
-    assert code == 1 and out == "" and "K3GONAL_MAX_P" in err
+    assert code == 1 and out == "" and "DEFAULT_MAX_P" in err
     target = tmp_path / "partitions"
     code, out, err = run(
         capsys, "--format", fmt, "--out", str(target), "chains", "enumerate", "-p", "61", "-k", "2"
@@ -1187,35 +1201,6 @@ def test_delta0_verify_limit(capsys):
     assert out.strip() == f"{gonality.delta0(10**40 + 1, 10**6)} (verified)"
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_scan_grid_limit(capsys, fmt):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "hilb", "scan", "--pmax", "100001", "--kmax", "3", "--format", fmt)
-    assert time.perf_counter() - start < 0.5
-    assert code == 1 and out == ""
-    assert "grid of 200000 rows is over the limit SCAN_MAX_ROWS = 100000" in err
-
-
-def test_qvalues_limit(capsys, monkeypatch):
-    start = time.perf_counter()
-    for fmt in FORMATS:
-        code, out, err = run(
-            capsys, "hilb", "qvalues", "-k", "1000000", "--pmax", str(10**40), "--format", fmt
-        )
-        assert code == 1 and out == ""
-        assert "over the limit QVALUES_MAX_VALUES = 100000" in err
-    assert time.perf_counter() - start < 0.5
-    code, out, err = run(capsys, "--format", "json", "hilb", "qvalues", "-k", "1000000", "--pmax", "400")
-    assert (code, err) == (0, "") and len(json.loads(out)["qvalues"]) == 399
-    # the limit is inclusive: exactly as many candidates as allowed still runs
-    count = hilbert.q_candidate_count(15, 10**40)
-    monkeypatch.setattr(hilbert, "QVALUES_MAX_VALUES", count)
-    assert run(capsys, "hilb", "qvalues", "-k", "15", "--pmax", str(10**40))[0] == 0
-    monkeypatch.setattr(hilbert, "QVALUES_MAX_VALUES", count - 1)
-    code, _, err = run(capsys, "hilb", "qvalues", "-k", "15", "--pmax", str(10**40))
-    assert code == 1 and f"QVALUES_MAX_VALUES = {count - 1}" in err
-
-
 def test_chains_witness_at_extreme_p(capsys):
     p = 10**40 + 1
     start = time.perf_counter()
@@ -1228,27 +1213,6 @@ def test_chains_witness_at_extreme_p(capsys):
                        "--delta", "9999999")
     assert time.perf_counter() - start < 1
     assert code == 0 and out == "p=10000000 k=2 delta=9999999 g=1 parts[10000000:1]\n"
-
-
-def test_chains_witness_length_limit(capsys):
-    p = 10**40 + 1
-    start = time.perf_counter()
-    for fmt in FORMATS:
-        code, out, err = run(capsys, "--format", fmt, "chains", "witness", "-p", str(p),
-                             "-k", "2", "--delta", str(gonality.delta0(p, 2)))
-        assert code == 1 and out == ""
-        assert "over the limit WITNESS_MAX_LENGTHS = 100000" in err
-    assert time.perf_counter() - start < 0.5
-    # g chains at cap 2 fill (g - 1) // 2 + 2 lengths: 100001 at g = 199999
-    code, out, err = run(capsys, "chains", "witness", "-p", str(p), "-k", "2",
-                         "--delta", str(p - 199999))
-    assert code == 1 and out == "" and "up to 100001 chain lengths" in err
-    # the limit is inclusive
-    code, out, err = run(capsys, "--format", "json", "chains", "witness", "-p", str(p),
-                         "-k", "2", "--delta", str(p - 199998))
-    assert (code, err) == (0, "")
-    payload = json.loads(out)
-    assert payload["g"] == 199998 and len(payload["parts"]) == 100000
 
 
 def test_chains_witness_admissibility_before_length_limit(capsys):
@@ -1277,29 +1241,6 @@ def test_negative_delta_is_out_of_range(capsys, monkeypatch, command):
     assert err == "error: need 0 <= delta <= p, got delta=-1, p=5\n"
 
 
-def test_chains_enumerate_cap_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("K3GONAL_MAX_P", "abc")
-    code, out, err = run(capsys, "chains", "enumerate", "-p", "4", "-k", "2")
-    assert code == 1 and out == ""
-    assert "K3GONAL_MAX_P" in err and "'abc'" in err
-
-
-@pytest.mark.parametrize(
-    "args, limit",
-    [("-k 17 --samples 20", "PENCIL_MAX_K = 16"),
-     ("-k 3 --samples 1001", "PENCIL_MAX_SAMPLES = 1000")],
-)
-def test_pencil_verify_limits(capsys, args, limit):
-    start = time.perf_counter()
-    for fmt in FORMATS:
-        code, out, err = run(capsys, "--format", fmt, "pencil", "verify", *args.split())
-        assert code == 1 and out == ""
-        assert f"over the limit {limit}" in err and "invariant violation" not in err
-    assert time.perf_counter() - start < 0.5
-    # the limits are inclusive
-    assert run(capsys, "pencil", "verify", "-k", "16", "--samples", "1")[0] == 0
-
-
 def _limit_constants():
     """(module, name) of every module-level *_MAX_* assignment in the package."""
     found = []
@@ -1319,15 +1260,41 @@ def test_every_limit_has_a_case():
     assert [name for module, name in found if module == "cli"] == ["SCAN_MAX_ROWS"]
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(leaves.LIMITS))
-def test_one_past_each_limit_exits_1(capsys, monkeypatch, name):
-    monkeypatch.delenv("K3GONAL_MAX_P", raising=False)
-    argv, named = leaves.LIMITS[name]
+def test_each_limit_at_and_past_it(capsys, monkeypatch, tmp_path, name, fmt):
+    module, = (sys.modules[f"k3gonal.{m}"] for m, n in _limit_constants() if n == name)
+    limit, target = leaves.LIMITS[name], tmp_path / "out"
+    # one past the real limit: refused at once, before any output, by one line
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv.split())
+    code, out, err = run(capsys, "--format", fmt, "--out", str(target), *limit.past.split())
     assert time.perf_counter() - start < 0.5
+    assert (code, out, target.exists()) == (1, "", False)
+    assert re.fullmatch(f"error: [^\\n]* over the limit {name} = {getattr(module, name)}\\n", err)
+    # the limit is inclusive: the case runs at its size and is refused one below
+    monkeypatch.setattr(module, name, limit.size)
+    code, out, err = run(capsys, "--format", fmt, *limit.case.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == leaves.SHA256[limit.case, fmt]
+    monkeypatch.setattr(module, name, limit.size - 1)
+    code, out, err = run(capsys, "--format", fmt, *limit.case.split())
     assert (code, out) == (1, "")
-    assert named in err and "invariant violation" not in err
+    assert re.fullmatch(f"error: [^\\n]* over the limit {name} = {limit.size - 1}\\n", err)
+
+
+@pytest.mark.parametrize("value", ["1000", "abc"])
+def test_max_p_environment_variable_has_no_effect(capsys, monkeypatch, value):
+    # nothing in the environment moves the enumeration limit
+    monkeypatch.setenv("K3GONAL_MAX_P", value)
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "61", "-k", "2")
+        assert (code, out) == (1, "") and "over the limit DEFAULT_MAX_P = 60" in err
+        code, out, err = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "6", "-k", "2")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == leaves.SHA256[
+            "chains enumerate -p 6 -k 2", fmt]
+    with pytest.raises(ValueError, match="over the limit DEFAULT_MAX_P = 60"):
+        chains.enumerate_partitions(61, 2)
 
 
 @pytest.mark.parametrize("command", LEAF_CASES)

@@ -198,6 +198,8 @@ RECORDS = [
            (lambda: gonality.GonalityCase(9, 4, 2),),
            ("GonalityCase(p=9, k=4, delta=2, g=7, alpha=1, beta=2, rho=1, admissible=True)",),
            replaced=(({"delta": 1}, (9, 4, 1, 8, 1, 1, -1, False)), ({"g": 3}, ValueError)),
+           refused=(((9.0, 4, 2), "float 9.0"), ((9, 4.0, 2), "float 4.0"),
+                    ((9, 4, 2.0), "float 2.0")),
            pickled=b"\x80\x04\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\x10k3gonal.gonality\x94"
            b"\x8c\x0cGonalityCase\x94\x93\x94)\x81\x94]\x94(K\tK\x04K\x02K\x07K\x01K"
            b"\x02K\x01\x88eb."),
@@ -212,7 +214,8 @@ RECORDS = [
     Record(hilbert.CurveClass, "(p: int, k: int, a: int, y: int)", (8, 3, 1, 5), (8, 3, 1, 5),
            (lambda: hilbert.optimal_class(8, 2),), ("CurveClass(p=8, k=2, a=1, y=5)",),
            refused=(((8, 2, 1.0, 5), "float 1.0"), ((8, 2, 1, "5"), "str '5'"),
-                    ((8, 2, True, 5), "bool True"))),
+                    ((8, 2, True, 5), "bool True"), ((8.0, 2, 1, 5), "float 8.0"),
+                    ((8, 2.0, 1, 5), "float 2.0"))),
     Record(hilbert.RayReport,
            "(p: int, k: int, status: str, rays: tuple[k3gonal.hilbert.CurveClass, ...], "
            "q: fractions.Fraction, notes: tuple[str, ...] = ())",
@@ -266,7 +269,8 @@ RECORDS = [
            ("DivisorClass(p=8, k=2, a=1, c=Fraction(1, 2))",),
            refused=(((8, 2, 1, 0.3), "float 0.3"), ((8, 2, 1.0, 0), "float 1.0"),
                     ((8, 2, "1", 0), "str '1'"), ((8, 2, 1, "1/2"), "str '1/2'"),
-                    ((8, 2, True, 0), "bool True"), ((8, 2, 1, True), "bool True"))),
+                    ((8, 2, True, 0), "bool True"), ((8, 2, 1, True), "bool True"),
+                    ((8.0, 2, 1, 0), "float 8.0"), ((8, 2.0, 1, 0), "float 2.0"))),
     Record(hilbert.FamilyWitness, "(s: int, delta: int, curve: k3gonal.hilbert.CurveClass)",
            (1, 2, 3), (1, 2, 3),
            (lambda: hilbert.minimal_q_family(12, 3),),
@@ -287,6 +291,9 @@ RECORDS = [
            ("ChainPartition(p=8, k=2, parts=((1, 2), (2, 1), (4, 1)))",
             "ChainPartition(p=5, k=2, parts=((2, 1), (3, 1)))"),
            uncompared=("g", "delta"),
+           refused=(((8.0, 2, {8: 1}), "float 8.0"), ((8, 2.0, {8: 1}), "float 2.0"),
+                    ((8, 2, {1: 2.0, 2: 1, 4: 1}), "float 2.0"),
+                    ((8, 2, [(1.0, 2), (2, 1), (4, 1)]), "float 1.0")),
            replaced=(({"parts": ((8, 1),)}, (8, 2, ((8, 1),), 1, 7)),
                      ({"parts": {1: 3, 2: 1, 3: 1}}, (8, 2, ((1, 3), (2, 1), (3, 1)), 5, 3))),
            pickled=b"\x80\x04\x95I\x00\x00\x00\x00\x00\x00\x00\x8c\x0ek3gonal.chains\x94"
