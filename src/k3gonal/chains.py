@@ -110,12 +110,18 @@ class ChainPartition:
         }
 
 
+def _broken_rule(partition: ChainPartition) -> str | None:
+    """The first validity rule `partition` breaks, in words, or None."""
+    p, cap = partition.p, 2 * (partition.k - 1)
+    if partition.weight() != p:
+        return f"weight {partition.weight()} is not p={p}"
+    return next((f"alpha_{j} = {a} is over the cap 2(k-1) = {cap}"
+                 for j, a in partition.parts if a > cap), None)
+
+
 def validate(partition: ChainPartition) -> bool:
     """True iff the weight condition and the multiplicity cap both hold."""
-    cap = 2 * (partition.k - 1)
-    return partition.weight() == partition.p and all(
-        a <= cap for _, a in partition.parts
-    )
+    return _broken_rule(partition) is None
 
 
 def _lightest(n: int, cap: int) -> int:

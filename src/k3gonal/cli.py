@@ -425,13 +425,9 @@ def _parse_alpha(text: str) -> list[tuple[int, int]]:
 def chains_stable(p, k, alpha):
     """Stable-model node count and bookkeeping for a given partition."""
     part = chains.ChainPartition(p, k, _parse_alpha(alpha))
-    # the two halves of `chains.validate`, each refused by name
-    if part.weight() != p:
-        raise ValueError(f"partition invalid: weight {part.weight()} is not p={p}")
-    cap = 2 * (k - 1)
-    for j, a in part.parts:
-        if a > cap:
-            raise ValueError(f"partition invalid: alpha_{j} = {a} is over the cap 2(k-1) = {cap}")
+    broken = chains._broken_rule(part)
+    if broken is not None:
+        raise ValueError(f"partition invalid: {broken}")
     # the per-chain counts of the `chains` docstring, summed with sum j alpha_j = p
     g, delta = part.g, part.delta
     payload = {

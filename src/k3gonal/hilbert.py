@@ -248,7 +248,6 @@ def q_case(p: int, k: int, delta: int) -> Fraction:
 def tau(p: int, k: int) -> Fraction:
     """Cone bound 2(p-1) / y_opt: H - t*e_k can be ample only for 0 < t < tau
     and nef only for 0 <= t <= tau."""
-    _check_pk(p, k)
     return Fraction(2 * (p - 1), optimal_class(p, k).y)
 
 
@@ -400,7 +399,6 @@ def extremal_ray_status(p: int, k: int) -> RayReport:
     conjectural second ray; (p, k) = (8, 2) additionally carries the known
     counterexample note.
     """
-    _check_pk(p, k)
     opt = optimal_class(p, k)
     rays = (CurveClass.fiber(p, k), opt)
     q = opt.q

@@ -1,21 +1,22 @@
-"""One record per injected fault: a broken closed form and the check that catches it.
+"""One record per injected fault, and per refusal of a domain check.
 
 Each fault patches one attribute, so that one runtime cross-check of the
-package is the first to fail.  test_gonality.py runs every record,
-through its library call and through every command that reaches its check,
-and its inventory test fails for a `raise InvariantViolation` site or a
-label of `pencil.verification_suite` that no record reaches.  pytest collects
-nothing from this module.
+package is the first to fail.  test_gonality.py runs every record, through
+its library call and every command that reaches its check, and its inventory
+test fails for a `raise InvariantViolation` site or a label of
+`pencil.verification_suite` that no record reaches; test_cli.py does the same
+for the refusals and `raise ValueError`.  pytest collects nothing from here.
 """
 
 import ast
 import inspect
 from math import isqrt
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
-from k3gonal import brillnoether, chains, cli, gonality, hilbert, pencil
+from k3gonal import brillnoether, chains, cli, exactmath, gonality, hilbert, pencil
 from k3gonal.brillnoether import necessary_condition, rho
 from k3gonal.chains import witness
 from k3gonal.gonality import GonalityCase, decompose, delta0, delta0_bruteforce
@@ -38,6 +39,8 @@ from k3gonal.pencil import (
     wedge_curve,
     wronskian,
 )
+
+import leaves
 
 
 class Fault(NamedTuple):
@@ -325,15 +328,235 @@ FAULTS = {
 }
 
 
-def raise_sites():
-    """(file name, line) of every `raise InvariantViolation(...)` in the package."""
-    sites = set()
+class Refusal(NamedTuple):
+    calls: tuple  # library calls that reach the check, each (function, *arguments)
+    message: str  # the whole message, as the check words it
+    argvs: tuple = ()  # every command that reaches the check, none if none does
+
+
+# the public functions that refuse a p or k below 2 through gonality._check_pk
+# first, on (p, k) and on (p, k, delta), and the leaves that take a --delta
+PK_FUNCTIONS = (decompose, delta0, delta0_bruteforce, optimal_class, hilbert.tau,
+                hilbert.extremal_ray_status, hilbert.lagrangian_report, minimal_q_family,
+                isotropic_case, ht_violation_check, CurveClass.fiber)
+DELTA_FUNCTIONS = (GonalityCase, gonality.admissible, gonality.expected_dims, gonality_class,
+                   q_case)
+DELTA_LEAVES = ("gonality dims", "hilb class", "hilb q")
+
+
+def _pk_refusal(p, k, message):
+    return Refusal(
+        (*((f, p, k) for f in PK_FUNCTIONS), *((f, p, k, 0) for f in DELTA_FUNCTIONS),
+         (gonality.is_optimal, p, k, 0), (hilbert.DivisorClass, p, k, 1, 0)), message,
+        tuple(f"{leaf} -p {p} -k {k}" for leaf in (
+            "gonality delta0", "hilb cone", "hilb lagrangian", "hilb rays"))
+        + tuple(f"{leaf} -p {p} -k {k} --delta 0" for leaf in DELTA_LEAVES))
+
+
+def _delta_refusal(delta):
+    """A delta out of [0, p] at (p, k) = (5, 2)."""
+    return Refusal(
+        ((necessary_condition, 5, delta, 1, 2), *((f, 5, 2, delta) for f in DELTA_FUNCTIONS)),
+        f"need 0 <= delta <= p, got delta={delta}, p=5",
+        tuple(f"{leaf} -p 5 -k 2 --delta {delta}" for leaf in ("bn check", *DELTA_LEAVES)))
+
+
+alpha, invariants = brillnoether.alpha_general, genus_for_invariants
+suite, Partition, Form = pencil.verification_suite, chains.ChainPartition, BinaryForm
+Curve, Pencil = pencil.SymPlaneCurve, pencil.Pencil
+ZERO_FORM, LINE = Form(2, (0, 0, 0)), wedge_curve(Pencil(Form(2, (0, 0, 1)), Form(2, (1, 0, 0))))
+BIG_P, LIMITS = 10**40 + 1, leaves.LIMITS
+
+# every domain check, with each message it refuses with; a *_MAX_* limit with
+# the argv one past it of its leaf's record in leaves.py
+REFUSALS = {
+    "rho-g": Refusal(((rho, -1, 1, 3),), "need g >= 0, got g=-1", ("bn rho -g -1 -r 1 -d 3",)),
+    "rho-r": Refusal(((rho, 4, -1, 3),), "need r >= 0, got r=-1", ("bn rho -g 4 -r -1 -d 3",)),
+    "rho-d": Refusal(((rho, 4, 1, -3),), "need d >= 0, got d=-3", ("bn rho -g 4 -r 1 -d -3",)),
+    "alpha-series": Refusal(((alpha, 5, 2, 2),), "need d > r >= 1, got r=2, d=2"),
+    "alpha-series-r": Refusal(((alpha, 5, 0, 3),), "need d > r >= 1, got r=0, d=3"),
+    "alpha-genus": Refusal(((alpha, -1, 1, 2),), "need g >= 0, got g=-1"),
+    "necessity-p": Refusal(((necessary_condition, 1, 0, 1, 2),), "need p >= 2, got p=1",
+                           ("bn check -p 1 -k 2 --delta 0",)),
+    # the series is named before delta, which is out of range too
+    "necessity-series": Refusal(((necessary_condition, 9, 20, 1, 1),), "need d > r >= 1, got "
+                                "r=1, d=1", ("bn check -p 9 -d 1 --delta 20",)),
+    "necessity-series-r": Refusal(((necessary_condition, 5, 2, 2, 2),), "need d > r >= 1, got "
+                                  "r=2, d=2", ("bn check -p 5 --delta 2 -r 2 -d 2",)),
+    "delta-over-p": _delta_refusal(6),
+    "delta-negative": _delta_refusal(-1),
+    "partition-p": Refusal(((Partition, 0, 2, ()),), "need p >= 1, got p=0",
+                           ("chains stable -p 0 -k 2 --alpha 1:1",)),
+    "partition-k": Refusal(((Partition, 4, 1, ()),), "need k >= 2, got k=1",
+                           ("chains stable -p 4 -k 1 --alpha 1:4",)),
+    "partition-index": Refusal(((Partition, 4, 2, {5: 1}),), "chain length index 5 outside 1..4",
+                               ("chains stable -p 4 -k 2 --alpha 5:1",)),
+    "partition-index-0": Refusal(((Partition, 4, 2, {0: 1}),), "chain length index 0 outside 1..4",
+                                 ("chains stable -p 4 -k 2 --alpha 0:1",)),
+    "partition-multiplicity": Refusal(((Partition, 4, 2, {2: -1}),),
+                                      "negative multiplicity -1 for length index 2",
+                                      ("chains stable -p 4 -k 2 --alpha 2:-1",)),
+    "increment-invalid": Refusal(((chains.increment, Partition(8, 2, {1: 8})),),
+                                 "cannot increment an invalid partition"),
+    "increment-maximal": Refusal(((chains.increment, Partition(5, 2, {5: 1})),),
+                                 "already maximal: a single chain admits no merge"),
+    "witness-p": Refusal(((witness, 2, 2, 1),), "need p >= 3, got p=2",
+                         ("chains witness -p 2 -k 2 --delta 1",)),
+    "witness-k": Refusal(((witness, 8, 1, 4),), "need k >= 2, got k=1",
+                         ("chains witness -p 8 -k 1 --delta 4",)),
+    "witness-delta-negative": Refusal(((witness, 5, 2, -1),), "need 0 <= delta <= p, got "
+                                      "delta=-1, p=5", ("chains witness -p 5 -k 2 --delta -1",)),
+    "witness-inadmissible": Refusal(((witness, 8, 2, 3),), "inadmissible: delta=3 < delta0=4",
+                                    ("chains witness -p 8 -k 2 --delta 3",)),
+    # refused as inadmissible, not for the chain lengths its witness would have
+    "witness-inadmissible-big-p": Refusal(
+        ((witness, BIG_P, 2, 0),), f"inadmissible: delta=0 < delta0={delta0(BIG_P, 2)}",
+        (f"chains witness -p {BIG_P} -k 2 --delta 0",)),
+    "witness-delta-p": Refusal(((witness, 8, 2, 8),), "no chain witness for delta=8 > p-1=7",
+                               ("chains witness -p 8 -k 2 --delta 8",)),
+    "witness-lengths": Refusal(
+        ((witness, BIG_P, 2, BIG_P - 199999),), f"the witness at p={BIG_P}, k=2, delta="
+        f"{BIG_P - 199999} has up to 100001 chain lengths, over the limit "
+        "WITNESS_MAX_LENGTHS = 100000", (LIMITS["WITNESS_MAX_LENGTHS"].past,)),
+    "enumerate-max-p": Refusal(((chains.enumerate_partitions, 61, 2),), "p=61 is over the limit "
+                               "DEFAULT_MAX_P = 60", (LIMITS["DEFAULT_MAX_P"].past,)),
+    "enumerate-p": Refusal(((chains.enumerate_partitions, 0, 2),), "need p >= 1, got p=0",
+                           ("chains enumerate -p 0 -k 2",)),
+    "enumerate-k": Refusal(((chains.enumerate_partitions, 4, 1),), "need k >= 2, got k=1",
+                           ("chains enumerate -p 4 -k 1",)),
+    # a trailing --out that cannot be opened for writing, on a case of every leaf
+    "out-unwritable": Refusal(
+        ((cli._emit, "table", ".", {}, lambda: ""),), "cannot write --out .: Is a directory",
+        tuple(f"{leaf.cases[0].argv} --out ." for leaf in leaves.LEAVES.values())),
+    "bn-check-k": Refusal(((cli.bn_check, 9, 1, 2, None, None),), "need k >= 2, got k=1",
+                          ("bn check -p 9 -k 1 --delta 2",)),
+    "bn-check-k-0": Refusal(((cli.bn_check, 9, 0, 2, None, None),), "need k >= 2, got k=0",
+                            ("bn check -p 9 -k 0 --delta 2",)),
+    "bn-check-k-and-d": Refusal(((cli.bn_check, 9, 4, 2, None, 5),), "-k 4 sets d=4, which "
+                                "conflicts with -d 5", ("bn check -p 9 -k 4 --delta 2 -d 5",)),
+    "bn-check-k-and-r": Refusal(((cli.bn_check, 9, 4, 2, 2, None),), "-k 4 sets r=1, which "
+                                "conflicts with -r 2", ("bn check -p 9 -k 4 --delta 2 -r 2",)),
+    "bn-check-no-degree": Refusal(((cli.bn_check, 9, None, 2, None, None),), "provide -k, or an "
+                                  "explicit degree via -d", ("bn check -p 9 --delta 2",)),
+    "stable-alpha": Refusal(((cli.chains_stable, 8, 2, "1-2"),),
+                            "--alpha expects comma-separated j:multiplicity pairs, got '1-2'",
+                            ("chains stable -p 8 -k 2 --alpha 1-2",)),
+    # the two rules of chains.validate, each named
+    "stable-weight": Refusal(((cli.chains_stable, 8, 2, "1:1"),), "partition invalid: weight 1 "
+                             "is not p=8", ("chains stable -p 8 -k 2 --alpha 1:1",)),
+    "stable-cap": Refusal(((cli.chains_stable, 8, 2, "1:8"),), "partition invalid: alpha_1 = 8 "
+                          "is over the cap 2(k-1) = 2", ("chains stable -p 8 -k 2 --alpha 1:8",)),
+    "scan-pmin": Refusal(((cli.hilb_scan, 5, 2, 1, 2),), "need pmin >= 2, got pmin=1",
+                         ("hilb scan --pmin 1 --pmax 5 --kmax 2",)),
+    "scan-kmin": Refusal(((cli.hilb_scan, 5, 2, 2, 1),), "need kmin >= 2, got kmin=1",
+                         ("hilb scan --kmin 1 --pmax 5 --kmax 2",)),
+    "scan-empty-p": Refusal(((cli.hilb_scan, 3, 2, 5, 2),), "empty grid: need pmin <= pmax and "
+                            "kmin <= kmax, got pmin=5, pmax=3, kmin=2, kmax=2",
+                            ("hilb scan --pmin 5 --pmax 3 --kmax 2",)),
+    "scan-empty-k": Refusal(((cli.hilb_scan, 8, 3, 2, 4),), "empty grid: need pmin <= pmax and "
+                            "kmin <= kmax, got pmin=2, pmax=8, kmin=4, kmax=3",
+                            ("hilb scan --pmax 8 --kmin 4 --kmax 3",)),
+    "scan-max-rows": Refusal(((cli.hilb_scan, 100002, 2, 2, 2),), "grid of 100001 rows is over "
+                             "the limit SCAN_MAX_ROWS = 100000", (LIMITS["SCAN_MAX_ROWS"].past,)),
+    "sqrt-negative": Refusal(((exactmath.exact_sqrt, -1),),
+                             "exact_sqrt requires a nonnegative argument, got -1"),
+    "replace-derived": Refusal(((lambda value: value.__replace__(g=1), GonalityCase(9, 4, 2)),),
+                               "field g is declared with init=False, it cannot be specified "
+                               "with replace()"),
+    "pk-p": _pk_refusal(1, 2, "need p >= 2, got p=1"),
+    "pk-k": _pk_refusal(9, 1, "need k >= 2, got k=1"),
+    "decompose-regime": Refusal(((decompose, 3, 4),),
+                                "p=3 < 2(k-1)=6: m would be 0; this is the delta0 = 0 regime"),
+    "dims-inadmissible": Refusal(((gonality.expected_dims, 8, 2, 3),), "(p=8, k=2, delta=3) is "
+                                 "inadmissible: the locus is empty",
+                                 ("gonality dims -p 8 -k 2 --delta 3",)),
+    "pairing-spaces": Refusal(
+        ((hilbert.pairing, hilbert.DivisorClass(9, 4, 1, 0), CurveClass(9, 3, 1, 1)),),
+        "mismatched ambient spaces: divisor on (p=9, k=4), curve on (p=9, k=3)"),
+    "class-inadmissible": Refusal(((gonality_class, 8, 2, 3),), "(p=8, k=2, delta=3) is "
+                                  "inadmissible", ("hilb class -p 8 -k 2 --delta 3",)),
+    "q-inadmissible": Refusal(((q_case, 8, 2, 3),), "(p=8, k=2, delta=3) is inadmissible",
+                              ("hilb q -p 8 -k 2 --delta 3",)),
+    "invariants-k": Refusal(((invariants, 1, 0, 0, 1),), "need k >= 2, got k=1"),
+    "invariants-rho": Refusal(((invariants, 3, -1, 0, 1),), "need rho >= 0, got rho=-1"),
+    "invariants-beta": Refusal(((invariants, 3, 0, 3, 2),), "need 0 <= beta <= k-1, got beta=3"),
+    "invariants-m": Refusal(((invariants, 3, 2, 1, 1),), "need m >= max(1, rho) = 2, got m=1"),
+    "qvalues-max-values": Refusal(
+        ((hilbert.attained_q_values, 10**6, 100002),), "the spectrum at k=1000000, pmax=100002 "
+        "has more than 100000 candidate values, over the limit QVALUES_MAX_VALUES = 100000",
+        (LIMITS["QVALUES_MAX_VALUES"].past,)),
+    "qvalues-k": Refusal(((hilbert.q_candidate_count, 1, 10), (hilbert.attained_q_values, 1, 10)),
+                         "need k >= 2, got k=1", ("hilb qvalues -k 1 --pmax 10",)),
+    "qvalues-pmax": Refusal(((hilbert.q_candidate_count, 3, 1), (hilbert.attained_q_values, 3, 1)),
+                            "need p_max >= 2, got p_max=1", ("hilb qvalues -k 3 --pmax 1",)),
+    "form-bound": Refusal(((Form, -1, ()),), "need bound >= 0, got -1"),
+    "form-coefficients": Refusal(((Form, 2, (1, 2)),),
+                                 "degree bound 2 needs 3 coefficients, got 2"),
+    "zero-form-multiplicity": Refusal(((attrgetter("infinity_multiplicity"), ZERO_FORM),),
+                                      "the zero form has no root multiplicities"),
+    "zero-form-roots": Refusal(((distinct_root_count, ZERO_FORM),),
+                               "the zero form has no root divisor"),
+    "proportional-bounds": Refusal(((pencil.proportional, Form(1, (1, 0)), ZERO_FORM),),
+                                   "cannot compare forms at different bounds"),
+    "pencil-bounds": Refusal(((Pencil, Form(1, (1, 2)), ZERO_FORM),),
+                             "pencil members must share the degree bound"),
+    "pencil-bound": Refusal(((Pencil, Form(0, (1,)), Form(0, (2,))),), "need degree bound >= 1"),
+    # zero is proportional only to zero, so this needs its own check
+    "pencil-zero": Refusal(((Pencil, Form(1, (0, 0)), Form(1, (0, -1))),
+                            (Pencil, Form(2, (1, 2, 1)), ZERO_FORM)),
+                           "pencil members must be nonzero forms"),
+    "pencil-degenerate": Refusal(((Pencil, Form(2, (1, 2, 1)), Form(2, (2, 4, 2))),),
+                                 "degenerate pencil: the two forms are proportional"),
+    "curve-degree": Refusal(((Curve, -1, {}),), "need degree >= 0, got -1"),
+    "curve-exponent": Refusal(((Curve, 1, {(1, 1, 0): 1}),),
+                              "exponent (1, 1, 0) is not of total degree 1"),
+    "pullback-bounds": Refusal(((LINE.pullback, Form(1, (1, 0)), ZERO_FORM, Form(1, (0, 1))),),
+                               "pullback forms must share a degree bound"),
+    "diagonal-degree": Refusal(((pencil.diagonal_restriction, LINE, 3),),
+                               "curve has degree 1, expected k-1 = 2"),
+    # a matrix that maps the plane onto a line
+    "conic-singular": Refusal(((conic_intersection, LINE, ((1, 0, 0), (0, 1, 0), (1, 1, 0))),),
+                              "conic matrix is singular"),
+    # the diagonal e1^2 = 4 e0 e2 contains the conic of the identity matrix
+    "conic-contained": Refusal(((conic_intersection, Curve(2, {(0, 2, 0): 1, (1, 0, 1): -4}),
+                                 ((1, 0, 0), (0, 1, 0), (0, 0, 1))),), "curve contains the conic"),
+    "random-pencil-k": Refusal(((pencil.random_pencil, 0, Random(0)),
+                                (random_coprime_pencil, 0, Random(0))), "need k >= 1, got k=0"),
+    "suite-max-k": Refusal(((suite, 17, 1),), "k=17 is over the limit PENCIL_MAX_K = 16",
+                           (LIMITS["PENCIL_MAX_K"].past,)),
+    "suite-max-samples": Refusal(((suite, 3, 1001),), "samples=1001 is over the limit "
+                                 "PENCIL_MAX_SAMPLES = 1000", (LIMITS["PENCIL_MAX_SAMPLES"].past,)),
+    "suite-k": Refusal(((suite, 1, 1),), "need k >= 2, got k=1", ("pencil verify -k 1",)),
+    "suite-samples": Refusal(((suite, 3, -1),), "need samples >= 0, got samples=-1",
+                             ("pencil verify -k 3 --samples -1",)),
+}
+# the stdout errors of cli._emit, by a text of their message, each with the
+# test of test_cli.py that holds it, which makes stdout fail
+STDOUT_ERRORS = {
+    "stdout encoding ": "test_stdout_encoding_error_names_the_encoding",
+    "stdout was closed before": "test_closed_stdout_pipe_is_an_error_not_a_traceback",
+    "cannot write stdout: ": "test_refused_stdout_write_is_an_error_not_a_traceback",
+}
+
+
+def raise_sites(name):
+    """The source of the message of every `raise <name>(...)` in the package,
+    by (file name, line)."""
+    sites = {}
     for path in Path(gonality.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), path.name)):
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(
-                    node.exc.func, "id", None) == "InvariantViolation":
-                sites.add((path.name, node.lineno))
+                    node.exc.func, "id", None) == name:
+                sites[path.name, node.lineno] = ast.unparse(node.exc.args[0])
     return sites
+
+
+def raise_site(exc):
+    """(file name, line) of the frame where `exc` was raised."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno
 
 
 def suite_labels():

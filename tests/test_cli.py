@@ -7,6 +7,7 @@ import fnmatch
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -81,17 +82,6 @@ def test_bn_rho(capsys):
     assert code == 0 and out.strip() == "1"
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("g", ["-g", "-1", "-r", "1", "-d", "3"]),
-    ("r", ["-g", "4", "-r", "-1", "-d", "3"]),
-    ("d", ["-g", "4", "-r", "1", "-d", "-3"]),
-])
-def test_bn_rho_refuses_negative_arguments(capsys, name, argv):
-    code, out, err = run(capsys, "bn", "rho", *argv)
-    assert (code, out) == (1, "")
-    assert f"error: need {name} >= 0, got {name}=-" in err
-
-
 def test_gonality_dims(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "gonality", "dims", "-p", "8", "-k", "2",
@@ -130,17 +120,6 @@ def test_bn_check_explicit_series(capsys):
     )
     assert code == 0
     assert json.loads(out)["satisfied"] is False
-
-
-@pytest.mark.parametrize(
-    "extra, flag", [(("-d", "5"), "-d 5"), (("-r", "2"), "-r 2")]
-)
-def test_bn_check_k_conflicts_with_explicit_series(capsys, extra, flag):
-    code, out, err = run(
-        capsys, "bn", "check", "-p", "9", "-k", "4", "--delta", "2", *extra
-    )
-    assert code == 1 and out == ""
-    assert "-k 4" in err and flag in err
 
 
 @pytest.mark.parametrize("extra", [("-d", "4"), ("-r", "1"), ("-d", "4", "-r", "1")])
@@ -190,31 +169,6 @@ def test_chains_stable(capsys):
     assert payload["e_points"] == 16
 
 
-def test_chains_stable_invalid_partition(capsys):
-    code, _, err = run(
-        capsys, "chains", "stable", "-p", "8", "-k", "2", "--alpha", "1:1"
-    )
-    assert code == 1
-    assert "invalid" in err
-
-
-@pytest.mark.parametrize("alpha, reason", [
-    ("1:1", "weight 1 is not p=8"),
-    ("1:8", "alpha_1 = 8 is over the cap 2(k-1) = 2"),
-], ids=["weight", "cap"])
-def test_chains_stable_invalid_partition_message(capsys, alpha, reason):
-    # 1:1 weighs 1, not p = 8; 1:8 weighs 8 but has 8 > 2(k-1) = 2 chains of index 1
-    code, out, err = run(capsys, "chains", "stable", "-p", "8", "-k", "2", "--alpha", alpha)
-    assert (code, out) == (1, "")
-    assert err == f"error: partition invalid: {reason}\n"
-
-
-def test_domain_error_exit_1(capsys):
-    code, _, err = run(capsys, "hilb", "q", "-p", "8", "-k", "2", "--delta", "3")
-    assert code == 1
-    assert "inadmissible" in err
-
-
 def test_unknown_command_exit_1(capsys):
     code, _, err = run(capsys, "bn", "nosuch")
     assert code == 1
@@ -248,20 +202,6 @@ def test_usage_error_exit_1(capsys, argv):
 def test_help_exit_0(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "") and out.lower().startswith("usage:")
-
-
-@pytest.mark.parametrize("k", [1, 0])
-def test_bn_check_refuses_k_below_2(capsys, k):
-    code, out, err = run(capsys, "bn", "check", "-p", "9", "-k", str(k), "--delta", "2")
-    assert code == 1 and out == ""
-    assert f"need k >= 2, got k={k}" in err and "-d" not in err
-
-
-def test_bn_check_reports_series_before_delta(capsys):
-    # when both the series and delta are out of range, the series is named
-    code, out, err = run(capsys, "bn", "check", "-p", "9", "-d", "1", "--delta", "20")
-    assert code == 1 and out == ""
-    assert "need d > r >= 1, got r=1, d=1" in err
 
 
 @pytest.mark.parametrize("where", ["global", "trailing", "trailing-after-global"])
@@ -399,17 +339,6 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(target.read_text(encoding="utf-8"))["q"] == "-2/3"
 
 
-@pytest.mark.parametrize("trailing", [False, True])
-@pytest.mark.parametrize("target", ["missing", "directory"])
-def test_out_unwritable_exit_1(capsys, tmp_path, target, trailing):
-    path = str(tmp_path / "no" / "such" / "x" if target == "missing" else tmp_path)
-    argv = ["bn", "rho", "-g", "9", "-r", "1", "-d", "6"]
-    argv = [*argv, "--out", path] if trailing else ["--out", path, *argv]
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert path in err and "Traceback" not in err
-
-
 def test_pencil_verify_small(capsys):
     code, out, _ = run(
         capsys,
@@ -507,9 +436,6 @@ def test_pencil_verify_bytes_pinned_at_large_k(capsys, k):
 
 
 def test_pencil_verify_sample_count_bounds(capsys):
-    code, out, err = run(capsys, "pencil", "verify", "-k", "3", "--samples", "-5")
-    assert code == 1 and out == ""
-    assert "samples" in err and "invariant violation" not in err
     code, out, _ = run(
         capsys, "--format", "json", "pencil", "verify", "-k", "3", "--samples", "0"
     )
@@ -598,30 +524,6 @@ def test_qvalues_at_extreme_pmax(capsys):
     assert (code, err) == (0, "") and len(json.loads(out)["qvalues"]) == 399
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-@pytest.mark.parametrize(
-    "bounds",
-    [
-        ("--pmin", "5", "--pmax", "3", "--kmax", "2"),
-        ("--pmax", "8", "--kmin", "4", "--kmax", "3"),
-    ],
-)
-def test_scan_inverted_bounds_exit_1(capsys, fmt, bounds):
-    code, out, err = run(capsys, "hilb", "scan", *bounds, "--format", fmt)
-    assert code == 1 and out == ""
-    assert "pmin" in err and "kmax" in err
-
-
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-@pytest.mark.parametrize("args, message", [
-    ("--pmin 1 --pmax 5 --kmax 2", "need pmin >= 2, got pmin=1"),
-    ("--kmin 1 --pmax 5 --kmax 2", "need kmin >= 2, got kmin=1"),
-    ("--pmax 100001 --kmax 3", "grid of 200000 rows is over the limit SCAN_MAX_ROWS = 100000"),
-])
-def test_scan_refusal_names_its_values(capsys, fmt, args, message):
-    code, out, err = run(capsys, "hilb", "scan", *args.split(), "--format", fmt)
-    assert (code, out, err) == (1, "", f"error: {message}\n")
-
 LEAF_CASES = leaves.argvs()
 FORMATS = ["table", "json", "csv"]
 
@@ -652,9 +554,9 @@ def test_every_leaf_has_one_record():
             del args["fmt"], args["out"]
             payload = args.pop("leaf").callback(**args)[0]
             assert isinstance(payload, dict) == (leaf.kind == leaves.SINGLE), case.argv
-    for fault, record in guards.FAULTS.items():
+    for name, record in [*guards.FAULTS.items(), *guards.REFUSALS.items()]:
         for argv in record.argvs:
-            assert " ".join(argv.split()[:2]) in leaves.LEAVES, fault
+            assert " ".join(argv.split()[:2]) in leaves.LEAVES, name
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -1141,13 +1043,6 @@ def test_chains_enumerate_writes_nothing_before_failing(capsys, tmp_path, fmt):
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 1 and out == "" and str(target) in err
     assert not target.exists() and not target.parent.exists()
-    code, out, err = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "61", "-k", "2")
-    assert code == 1 and out == "" and "DEFAULT_MAX_P" in err
-    target = tmp_path / "partitions"
-    code, out, err = run(
-        capsys, "--format", fmt, "--out", str(target), "chains", "enumerate", "-p", "61", "-k", "2"
-    )
-    assert code == 1 and out == "" and not target.exists()
 
 
 def test_main_keeps_no_reference_to_stdout():
@@ -1215,30 +1110,59 @@ def test_chains_witness_at_extreme_p(capsys):
     assert code == 0 and out == "p=10000000 k=2 delta=9999999 g=1 parts[10000000:1]\n"
 
 
-def test_chains_witness_admissibility_before_length_limit(capsys):
-    # an inadmissible delta is refused as such, however many chain lengths
-    # its (nonexistent) witness would have
-    p = 10**40 + 1
-    for fmt in FORMATS:
-        code, out, err = run(capsys, "--format", fmt, "chains", "witness", "-p", str(p),
-                             "-k", "2", "--delta", "0")
-        assert code == 1 and out == ""
-        assert "inadmissible: delta=0 < delta0=" in err and "WITNESS_MAX_LENGTHS" not in err
-    code, out, err = run(capsys, "--format", "json", "chains", "witness", "-p", str(p),
-                         "-k", "2", "--delta", str(p - 1))
-    assert (code, err) == (0, "") and json.loads(out)["parts"] == [[p, 1]]
+def _fire(capsys, tmp_path, record):
+    """Each call of `record` raises its message; each command exits 1 at once,
+    with that message as its one stderr line and no output, nor an --out file."""
+    target = tmp_path / "out"
+    for call, *args in record.calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(record.message)}$"):
+            call(*args)
+    for argv, fmt, out in itertools.product(record.argvs, FORMATS, ([], ["--out", str(target)])):
+        start = time.perf_counter()
+        result = run(capsys, "--format", fmt, *out, *argv.split())
+        assert time.perf_counter() - start < 0.5, (argv, fmt, out)
+        assert result == (1, "", f"error: {record.message}\n"), (argv, fmt, out)
+        assert not target.exists()
 
 
-@pytest.mark.parametrize(
-    "command", ["chains witness", "gonality dims", "hilb class", "hilb q", "bn check"]
-)
-def test_negative_delta_is_out_of_range(capsys, monkeypatch, command):
+@pytest.mark.parametrize("name", guards.REFUSALS)
+def test_refusal_fires(capsys, tmp_path, name):
+    _fire(capsys, tmp_path, guards.REFUSALS[name])
+
+
+def _main_unhandled(argv):
+    """`main(argv)` for a well-formed command, with no handler of its errors."""
+    args = cli._parse(argv.split())
+    leaf = args.pop("leaf")
+    cli._emit(args.pop("fmt"), args.pop("out"), *leaf.callback(**args))
+
+
+def test_every_domain_check_has_a_refusal():
+    # each record's calls and commands raise at one site; together they reach
+    # every `raise ValueError` site but the stdout errors, each its test's own
+    sites, fired = guards.raise_sites("ValueError"), set()
+    for name, record in guards.REFUSALS.items():
+        found = set()
+        for call, *args in [*record.calls, *((_main_unhandled, argv) for argv in record.argvs)]:
+            with pytest.raises(ValueError) as caught:
+                call(*args)
+            found.add(guards.raise_site(caught.value))
+        assert len(found) == 1, (name, found)
+        fired |= found
+    for text, test in guards.STDOUT_ERRORS.items():
+        excluded = [site for site, source in sites.items() if text in source]
+        assert len(excluded) == 1 and excluded[0][0] == "cli.py", text
+        assert callable(globals().get(test)), test
+        fired |= set(excluded)
+    assert fired == sites.keys()
+
+
+@pytest.mark.parametrize("name", ["delta-negative", "witness-delta-negative"])
+def test_negative_delta_is_out_of_range(capsys, monkeypatch, tmp_path, name):
     # refused as out of range by every command that takes --delta; the
     # witness refuses it before it computes delta0
     monkeypatch.setattr(chains, "delta0", lambda p, k: pytest.fail("delta0 was computed"))
-    code, out, err = run(capsys, *command.split(), "-p", "5", "-k", "2", "--delta", "-1")
-    assert (code, out) == (1, "")
-    assert err == "error: need 0 <= delta <= p, got delta=-1, p=5\n"
+    _fire(capsys, tmp_path, guards.REFUSALS[name])
 
 
 def _limit_constants():
@@ -1258,20 +1182,18 @@ def test_every_limit_has_a_case():
     assert sorted(name for _, name in found) == sorted(leaves.LIMITS)
     # the scan grid loop is command-line code; every other limit lives with its work
     assert [name for module, name in found if module == "cli"] == ["SCAN_MAX_ROWS"]
+    # one past each limit is refused with its whole message
+    assert {limit.past for limit in leaves.LIMITS.values()} <= {
+        argv for record in guards.REFUSALS.values() for argv in record.argvs}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(leaves.LIMITS))
-def test_each_limit_at_and_past_it(capsys, monkeypatch, tmp_path, name, fmt):
+def test_each_limit_at_and_past_it(capsys, monkeypatch, name, fmt):
     module, = (sys.modules[f"k3gonal.{m}"] for m, n in _limit_constants() if n == name)
-    limit, target = leaves.LIMITS[name], tmp_path / "out"
-    # one past the real limit: refused at once, before any output, by one line
-    start = time.perf_counter()
-    code, out, err = run(capsys, "--format", fmt, "--out", str(target), *limit.past.split())
-    assert time.perf_counter() - start < 0.5
-    assert (code, out, target.exists()) == (1, "", False)
-    assert re.fullmatch(f"error: [^\\n]* over the limit {name} = {getattr(module, name)}\\n", err)
-    # the limit is inclusive: the case runs at its size and is refused one below
+    limit = leaves.LIMITS[name]
+    # one past the real limit is a refusal of guards.py; the limit is
+    # inclusive: the case runs at its size and is refused one below
     monkeypatch.setattr(module, name, limit.size)
     code, out, err = run(capsys, "--format", fmt, *limit.case.split())
     assert (code, err) == (0, "")
@@ -1283,18 +1205,15 @@ def test_each_limit_at_and_past_it(capsys, monkeypatch, tmp_path, name, fmt):
 
 
 @pytest.mark.parametrize("value", ["1000", "abc"])
-def test_max_p_environment_variable_has_no_effect(capsys, monkeypatch, value):
+def test_max_p_environment_variable_has_no_effect(capsys, monkeypatch, tmp_path, value):
     # nothing in the environment moves the enumeration limit
     monkeypatch.setenv("K3GONAL_MAX_P", value)
+    _fire(capsys, tmp_path, guards.REFUSALS["enumerate-max-p"])
     for fmt in FORMATS:
-        code, out, err = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "61", "-k", "2")
-        assert (code, out) == (1, "") and "over the limit DEFAULT_MAX_P = 60" in err
         code, out, err = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "6", "-k", "2")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == leaves.SHA256[
             "chains enumerate -p 6 -k 2", fmt]
-    with pytest.raises(ValueError, match="over the limit DEFAULT_MAX_P = 60"):
-        chains.enumerate_partitions(61, 2)
 
 
 @pytest.mark.parametrize("command", LEAF_CASES)

@@ -29,11 +29,6 @@ def test_exact_sqrt_examples():
     assert exact_sqrt(10) is None
 
 
-def test_exact_sqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        exact_sqrt(-1)
-
-
 @given(s=st.integers(min_value=0, max_value=10**6))
 def test_exact_sqrt_roundtrip(s):
     assert exact_sqrt(s * s) == s

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,11 +49,6 @@ def test_decompose_returns_a_plain_tuple():
         dec = decompose(p, k)
         assert type(dec) is tuple and len(dec) == 3, (p, k)
         assert all(type(x) is int for x in dec), (p, k)
-
-
-def test_decompose_rejects_small_p():
-    with pytest.raises(ValueError):
-        decompose(3, 4)  # p < 2(k-1)
 
 
 @given(p=st.integers(2, 500), k=st.integers(2, 12))
@@ -156,11 +149,6 @@ def test_expected_dims_examples():
             assert expected_dims(p, k, p) == (0, 2 * (k - 1))
 
 
-def test_expected_dims_rejects_inadmissible():
-    with pytest.raises(ValueError):
-        expected_dims(8, 2, 3)
-
-
 def test_is_optimal_examples():
     assert is_optimal(8, 2, 4)
     assert not is_optimal(8, 2, 5)
@@ -180,15 +168,6 @@ def test_beta_range_on_grid():
             case = GonalityCase(p, k, delta)
             assert -(k - 1) < case.beta <= k - 1
             assert case.g + case.delta == p
-
-
-def test_case_rejects_bad_domain():
-    with pytest.raises(ValueError):
-        GonalityCase(1, 2, 0)
-    with pytest.raises(ValueError):
-        GonalityCase(5, 1, 0)
-    with pytest.raises(ValueError):
-        GonalityCase(5, 2, 6)
 
 
 @pytest.mark.parametrize("fault", guards.FAULTS)
@@ -217,11 +196,8 @@ def test_every_guard_has_a_fault_that_fires(monkeypatch):
             patch.setattr(*record.patch)
             with pytest.raises(InvariantViolation) as caught:
                 record.call(*record.cases[0])
-        tb = caught.value.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        fired.add((Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno))
+        fired.add(guards.raise_site(caught.value))
         first = str(caught.value).split("; ")[0]
         fired.update(label for label in labels if first.startswith(f"sample 0: {label}"))
     assert len(labels) == 4  # so the ast walk found the suite's labels
-    assert fired == guards.raise_sites() | labels
+    assert fired == set(guards.raise_sites("InvariantViolation")) | labels
