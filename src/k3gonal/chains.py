@@ -166,9 +166,10 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
     The module's rule at g = p - delta, built once, in time proportional to
     its number of chain lengths, at most (g-1) // 2(k-1) + 2; it equals the
     witness at delta0 followed by delta - delta0 `increment` merges.
-    delta = p (g = 0) has no chain witness and is rejected; a negative delta
-    is refused with the range message of `necessary_condition`.  A witness
-    that may pass WITNESS_MAX_LENGTHS chain lengths is refused unbuilt.
+    A delta outside [0, p] is refused first, before delta0 is computed, with
+    the range message of `necessary_condition`; delta = p (g = 0) has no
+    chain witness and is rejected.  A witness that may pass
+    WITNESS_MAX_LENGTHS chain lengths is refused unbuilt.
 
     Two checks follow, in this order.  The witness check: the last chain's
     index p - lightest(g - 1) is at least 1 for every delta >= delta0, and
@@ -186,7 +187,7 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
         raise ValueError(f"need p >= 3, got p={p}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
-    if delta < 0:
+    if not 0 <= delta <= p:
         raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
     d0 = delta0(p, k)
     if delta < d0:

@@ -44,12 +44,11 @@ import os
 import re
 import sys
 import types
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import brillnoether, chains, gonality, hilbert, pencil
 from .errors import InvariantViolation
-from .hilbert import _ratio_text, rat_str
+from .hilbert import _ratio_text
 
 __all__ = ["cli", "main"]
 
@@ -393,15 +392,29 @@ def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
         yield row % (part.delta, part.g, sep.join(pairs))
 
 
+class _PairTexts(dict):
+    """The text "[j, a]" of each [j, a] pair, as `json.dumps` gives it,
+    rendered on its first lookup and kept."""
+
+    def __missing__(self, pair):
+        text = self[pair] = "[%d, %d]" % pair
+        return text
+
+
+def _partition_rows(parts: list[chains.ChainPartition]):
+    """The csv rows of `parts`: delta, g and `json.dumps(part.parts)`, built
+    from one `_PairTexts` entry per distinct pair."""
+    text = _PairTexts().__getitem__
+    for part in parts:
+        yield [part.delta, part.g, "[" + ", ".join(map(text, part.parts)) + "]"]
+
+
 @chains_group.command("enumerate", _P, _K)
 def chains_enumerate(p, k):
     """All valid partitions for (p, k), in stable order."""
     parts = chains.enumerate_partitions(p, k)
     table = (_partition_table(part) for part in parts)
-    csv_rows = itertools.chain(
-        [["delta", "g", "parts"]],
-        ([part.delta, part.g, json.dumps(part.parts)] for part in parts),
-    )
+    csv_rows = itertools.chain([["delta", "g", "parts"]], _partition_rows(parts))
     envelope = {"p": p, "k": k, "count": len(parts), "partitions": []}
     return _json_rows(envelope, _partition_texts(p, k, parts)), table, csv_rows
 
@@ -456,22 +469,22 @@ pencil_group = cli.group("pencil",
                        _opt("--seed", "Random seed (default %(default)s).", default=0))
 def pencil_verify(k, samples, seed):
     """Degree law, diagonal identity, membership oracle, conic counts."""
-    result = pencil.verification_suite(k, samples=samples, seed=seed)
-    rate = result["transversal_rate"]
-    payload = {**result, "transversal_rate": rat_str(rate)}
-    if result["failures"]:
-        raise InvariantViolation(
-            "; ".join(result["failures"][:5])
-            + (f" (+{len(result['failures']) - 5} more)" if len(result["failures"]) > 5 else "")
-        )
-    if rate < Fraction(95, 100):
+    # verification_suite's report, its rate transversal/samples (1 at no
+    # sample) compared and printed from the two integers
+    result = pencil._suite_counts(k, samples, seed)
+    transversal, failures = result["transversal"], result["failures"]
+    rate = _ratio_text(transversal, samples) if samples else "1"
+    if failures:
+        more = f" (+{len(failures) - 5} more)" if len(failures) > 5 else ""
+        raise InvariantViolation("; ".join(failures[:5]) + more)
+    if 100 * transversal < 95 * samples:
         raise InvariantViolation(
             f"transversality rate {rate} below 95% at k={k}, seed={seed}"
         )
+    payload = {**result, "transversal_rate": rate}
     return payload, lambda: (
         f"k={k} samples={samples} seed={seed} "
-        f"transversal={result['transversal']}/{samples} "
-        f"failures={len(result['failures'])}"
+        f"transversal={transversal}/{samples} failures={len(failures)}"
     )
 
 
@@ -561,7 +574,7 @@ def hilb_rays(p, k):
 
     def table():
         rays = ", ".join(r.display() for r in report.rays)
-        q = _rat_table(report.q.numerator, report.q.denominator)
+        q = _rat_table(report.q_scaled, 2 * (k - 1))
         text = f"{report.status}: rays {{{rays}}} (q = {q})"
         if report.notes:
             text += "\n" + "\n".join(f"note: {n}" for n in report.notes)
@@ -600,9 +613,11 @@ def hilb_scan(pmax, kmax, pmin, kmin):
             opt = hilbert.optimal_class(p, k)
             ray = hilbert.extremal_ray_status(p, k)
             lag = hilbert.lagrangian_report(p, k)
-            # the values of _SCAN_KEYS; ray.q is the q of opt
-            rows.append((p, k, d0, p - d0, opt.display(), rat_str(ray.q),
-                         rat_str(hilbert.tau(p, k)), ray.status, lag.has_isotropic,
+            # the values of _SCAN_KEYS; ray.q_scaled is 2(k-1) q of opt, and
+            # _tau_terms those of hilbert.tau
+            rows.append((p, k, d0, p - d0, opt.display(),
+                         _ratio_text(ray.q_scaled, 2 * (k - 1)),
+                         _ratio_text(*hilbert._tau_terms(p, k)), ray.status, lag.has_isotropic,
                          lag.necessary_condition_holds, lag.primitive))
     table = ("\t".join(map(str, line)) for line in itertools.chain([_SCAN_KEYS], rows))
     csv_rows = itertools.chain([_SCAN_KEYS], rows)

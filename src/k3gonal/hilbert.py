@@ -19,9 +19,14 @@ cone boundary, and its self-intersection has the two closed forms
 bounded below by -(k+3)/2 with equality exactly when p = s(s+1)(k-1) at the
 minimal delta.  Every such identity is computed both ways and cross-checked
 at runtime; disagreement raises InvariantViolation.
+
+Every rational is computed, compared and printed as two integers, such as
+2(k-1) q and 2(k-1), by `_ratio_text`.  A `Fraction` is built only by the
+public functions and properties that return one, each of which imports
+`fractions` itself, so the command line imports neither it nor the `decimal`
+it pulls in.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InvariantViolation
@@ -65,7 +70,7 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def rat_str(q: Fraction | int) -> str:
+def rat_str(q: "Fraction | int") -> str:
     """num/den rendering used in JSON and CSV output; integers stay bare.
 
     Calls `_ratio_text` on q's numerator and denominator.
@@ -103,8 +108,9 @@ class CurveClass:
         return cls(p, k, 0, -1)
 
     @property
-    def q(self) -> Fraction:
+    def q(self) -> "Fraction":
         """Beauville-Bogomolov square a^2 (2p-2) - y^2/(2(k-1))."""
+        from fractions import Fraction
         return Fraction(_scaled_q(self.p, self.k, self.a, self.y), 2 * (self.k - 1))
 
     def display(self) -> str:
@@ -135,9 +141,10 @@ class DivisorClass:
     p: int
     k: int
     a: int
-    c: Fraction
+    c: "Fraction"
 
     def __init__(self, p: int, k: int, a: int, c):
+        from fractions import Fraction
         _check_pk(_int(p), _int(k))
         if type(c) is int:
             c = Fraction(c)
@@ -146,12 +153,12 @@ class DivisorClass:
         self._fill(p, k, _int(a), c)
 
     @property
-    def q(self) -> Fraction:
+    def q(self) -> "Fraction":
         """Beauville-Bogomolov square a^2 (2p-2) - 2(k-1) c^2."""
         return self.a * self.a * (2 * self.p - 2) - 2 * (self.k - 1) * self.c * self.c
 
 
-def pairing(d: DivisorClass, r: CurveClass) -> Fraction:
+def pairing(d: DivisorClass, r: CurveClass) -> "Fraction":
     """Intersection number (aH - c e_k).(a'H - y r_k) = a a'(2p-2) - c y."""
     if (d.p, d.k) != (r.p, r.k):
         raise ValueError(
@@ -184,6 +191,9 @@ def optimal_class(p: int, k: int) -> CurveClass:
     m+2 attains it too in 3,491 of the 5,880 cases with 2(k-1) < p < 600,
     k = 2..11, so a wrong m there still gives the right class; only
     `decompose`'s own t-range guard certifies m.
+
+    The class is built unchecked: the GonalityCase of this call has already
+    refused a p or k that is not an int, and y is an int computed from them.
     """
     _check_pk(p, k)
     if p <= 2 * (k - 1):
@@ -204,7 +214,7 @@ def optimal_class(p: int, k: int) -> CurveClass:
             f"optimal class closed form y={y} != g+k-1 = {case.g + k - 1} "
             f"at delta0={d0} (p={p}, k={k})"
         )
-    return CurveClass(p, k, 1, y)
+    return CurveClass._make(p, k, 1, y)
 
 
 def _scaled_q_case(p: int, k: int, delta: int) -> int:
@@ -212,7 +222,7 @@ def _scaled_q_case(p: int, k: int, delta: int) -> int:
 
     The integer core of `q_case`: requires 4(k-1)(p-1) - (g+k-1)^2 and
     4(k-1)(rho-1) - beta^2 equal, and at least -(k+3)(k-1), the scaled
-    -(k+3)/2.  A message shows q itself, as a fraction.
+    -(k+3)/2.  A message shows q itself, by `_ratio_text`.
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
@@ -222,18 +232,18 @@ def _scaled_q_case(p: int, k: int, delta: int) -> int:
     second = 4 * (k - 1) * (case.rho - 1) - case.beta**2
     if first != second:
         raise InvariantViolation(
-            f"q closed forms disagree: {Fraction(first, den)} != "
-            f"{Fraction(second, den)} at (p={p}, k={k}, delta={delta})"
+            f"q closed forms disagree: {_ratio_text(first, den)} != "
+            f"{_ratio_text(second, den)} at (p={p}, k={k}, delta={delta})"
         )
     if first < -(k + 3) * (k - 1):
         raise InvariantViolation(
-            f"q={Fraction(first, den)} below -(k+3)/2 on an admissible case "
+            f"q={_ratio_text(first, den)} below -(k+3)/2 on an admissible case "
             f"(p={p}, k={k}, delta={delta})"
         )
     return first
 
 
-def q_case(p: int, k: int, delta: int) -> Fraction:
+def q_case(p: int, k: int, delta: int) -> "Fraction":
     """q of the gonality class, by both closed forms, bound-checked.
 
     Evaluates 2(p-1) - (g+k-1)^2/(2(k-1)) and 2(rho-1) - beta^2/(2(k-1)),
@@ -242,13 +252,20 @@ def q_case(p: int, k: int, delta: int) -> Fraction:
     4(k-1)(rho-1) - beta^2 and -(k+3)(k-1), by `_scaled_q_case`; the one
     `Fraction` is built here, at the API boundary.
     """
+    from fractions import Fraction
     return Fraction(_scaled_q_case(p, k, delta), 2 * (k - 1))
 
 
-def tau(p: int, k: int) -> Fraction:
+def _tau_terms(p: int, k: int) -> tuple[int, int]:
+    """The numerator 2(p-1) and denominator y_opt of `tau`, as integers."""
+    return 2 * (p - 1), optimal_class(p, k).y
+
+
+def tau(p: int, k: int) -> "Fraction":
     """Cone bound 2(p-1) / y_opt: H - t*e_k can be ample only for 0 < t < tau
     and nef only for 0 <= t <= tau."""
-    return Fraction(2 * (p - 1), optimal_class(p, k).y)
+    from fractions import Fraction
+    return Fraction(*_tau_terms(p, k))
 
 
 @_value_class
@@ -287,9 +304,11 @@ def minimal_q_family(p: int, k: int) -> FamilyWitness | None:
         raise InvariantViolation(
             f"minimal-q family class mismatch at (p={p}, k={k})"
         )
-    if _scaled_q(p, k, 1, curve.y) != -(k + 3) * (k - 1):
+    scaled = _scaled_q(p, k, 1, curve.y)
+    if scaled != -(k + 3) * (k - 1):
         raise InvariantViolation(
-            f"minimal-q family q={curve.q} != -(k+3)/2 at (p={p}, k={k})"
+            f"minimal-q family q={_ratio_text(scaled, 2 * (k - 1))} != -(k+3)/2 "
+            f"at (p={p}, k={k})"
         )
     return FamilyWitness(s=s, delta=delta, curve=curve)
 
@@ -312,9 +331,10 @@ def isotropic_case(p: int, k: int) -> FamilyWitness | None:
         return None
     delta = p - 2 * s + k - 1
     curve = gonality_class(p, k, delta)
-    if _scaled_q(p, k, 1, curve.y) != 0:
+    scaled = _scaled_q(p, k, 1, curve.y)
+    if scaled != 0:
         raise InvariantViolation(
-            f"isotropic class has q={curve.q} != 0 at (p={p}, k={k})"
+            f"isotropic class has q={_ratio_text(scaled, 2 * (k - 1))} != 0 at (p={p}, k={k})"
         )
     return FamilyWitness(s=s, delta=delta, curve=curve)
 
@@ -371,14 +391,24 @@ def lagrangian_report(p: int, k: int) -> LagrangianReport:
 
 @_value_class
 class RayReport:
-    """Mori-cone extremal-ray classification for (p, k)."""
+    """Mori-cone extremal-ray classification for (p, k).
+
+    `q_scaled` is the integer 2(k-1) q of the optimal class, and `q` the
+    `Fraction` q itself.
+    """
 
     p: int
     k: int
     status: str  # PROVEN_BM | PROVEN_MINQ | PROVEN_ISOPRIM | OPEN
     rays: tuple[CurveClass, ...]
-    q: Fraction
+    q_scaled: int
     notes: tuple[str, ...] = ()
+
+    @property
+    def q(self) -> "Fraction":
+        """Beauville-Bogomolov square of the optimal class."""
+        from fractions import Fraction
+        return Fraction(self.q_scaled, 2 * (self.k - 1))
 
     def to_payload(self) -> dict:
         return {
@@ -386,7 +416,7 @@ class RayReport:
             "k": self.k,
             "status": self.status,
             "rays": [r.to_payload() for r in self.rays],
-            "q": rat_str(self.q),
+            "q": _ratio_text(self.q_scaled, 2 * (self.k - 1)),
             "notes": list(self.notes),
         }
 
@@ -397,11 +427,12 @@ def extremal_ray_status(p: int, k: int) -> RayReport:
     Proven families: p <= 2(k-1); p = s(s+1)(k-1); p = n^2(k-1)+1 with
     n >= 2.  Everything else is reported OPEN with the optimal class as the
     conjectural second ray; (p, k) = (8, 2) additionally carries the known
-    counterexample note.
+    counterexample note.  Both rays are built unchecked, on the (p, k)
+    that `optimal_class` has checked.
     """
     opt = optimal_class(p, k)
-    rays = (CurveClass.fiber(p, k), opt)
-    q = opt.q
+    rays = (CurveClass._make(p, k, 0, -1), opt)
+    q = _scaled_q(p, k, 1, opt.y)
     if p <= 2 * (k - 1):
         return RayReport._make(p, k, "PROVEN_BM", rays, q, ())
     if minimal_q_family(p, k) is not None:
@@ -431,8 +462,8 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
     `_delta0_from`, which checks delta0's two closed forms without
     decomposing p again; and one `_scaled_q_case` call at delta0 gives
     2(k-1) q, compared with the integer 4(k-1)(rho-1) - beta^2, so no
-    `Fraction` is built unless the check fails.  Requires k >= 2, rho >= 0,
-    0 <= beta <= k-1 and m >= max(1, rho).
+    `Fraction` is built; a failure prints both by `_ratio_text`.  Requires
+    k >= 2, rho >= 0, 0 <= beta <= k-1 and m >= max(1, rho).
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
@@ -455,8 +486,8 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
     if actual != predicted:
         den = 2 * (k - 1)
         raise InvariantViolation(
-            f"optimal q at (p={p}, k={k}) is {Fraction(actual, den)}, "
-            f"predicted {Fraction(predicted, den)}"
+            f"optimal q at (p={p}, k={k}) is {_ratio_text(actual, den)}, "
+            f"predicted {_ratio_text(predicted, den)}"
         )
     return p
 
@@ -501,12 +532,13 @@ def _scaled_q_values(k: int, p_max: int) -> list[int]:
     return sorted(values)
 
 
-def attained_q_values(k: int, p_max: int) -> list[Fraction]:
+def attained_q_values(k: int, p_max: int) -> "list[Fraction]":
     """Sorted negative self-intersections of optimal classes for p <= p_max.
 
     `_scaled_q_values` refuses past QVALUES_MAX_VALUES candidates and walks
     and checks the rest as the integers 2(k-1) q; one `Fraction` per value.
     """
+    from fractions import Fraction
     den = 2 * (k - 1)
     return [Fraction(scaled, den) for scaled in _scaled_q_values(k, p_max)]
 
@@ -566,7 +598,7 @@ class HTConeReport:
     applicable: bool
     n: int | None = None
     rbar: CurveClass | None = None
-    q_rbar: Fraction | None = None
+    q_rbar: "Fraction | None" = None
     violation: bool | None = None
 
 
@@ -591,8 +623,8 @@ def ht_violation_check(p: int, k: int) -> HTConeReport:
     expected = -4 * n * (k - 1) - 1
     if scaled != expected:
         raise InvariantViolation(
-            f"q(R-bar) = {rbar.q} != -2n - 1/(2(k-1)) = "
-            f"{Fraction(expected, 2 * (k - 1))} at (p={p}, k={k})"
+            f"q(R-bar) = {_ratio_text(scaled, 2 * (k - 1))} != -2n - 1/(2(k-1)) = "
+            f"{_ratio_text(expected, 2 * (k - 1))} at (p={p}, k={k})"
         )
     return HTConeReport(p=p, k=k, applicable=True, n=n, rbar=rbar, q_rbar=rbar.q,
                         violation=scaled >= -(k + 3) * (k - 1))

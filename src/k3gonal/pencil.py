@@ -33,7 +33,8 @@ the wedge curve up to the same scale), so integers stand for every case, and
 equality and hashing are exact.  A coefficient that is not an int, a
 Fraction or a string such as "1/2" included, raises TypeError, and so does
 a conic matrix with such an entry; no point is ever evaluated on rationals,
-and a Fraction appears only as the reported transversality rate.
+and a Fraction appears only as the transversality rate that
+`verification_suite` reports; `fractions` is imported there, and nowhere else.
 Products, the Wronskian and the conic pullback run packed
 (Kronecker substitution; Harvey 2009): a coefficient list c becomes the one
 integer sum_i c_i 2^(B i), so a polynomial product is one big-int product,
@@ -61,7 +62,6 @@ for bit `Random.randint`, and the discarded pairs inline by its rule.
 """
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import comb, gcd
@@ -662,8 +662,20 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
     random pairs are only drawn); and a pullback to a random smooth conic with
     fewer than 2(k-1) distinct points (the transversality statistic) must be
     genuinely non-squarefree.  Exact identity failures are collected in
-    `failures`; only the transversality rate is statistical.
+    `failures`; only the transversality rate is statistical.  The counts come
+    from `_suite_counts`, and the rate transversal/samples, 1 when no sample
+    is drawn, is the one `Fraction` built here.
     """
+    from fractions import Fraction
+    result = _suite_counts(k, samples, seed)
+    transversal = result["transversal"]
+    result["transversal_rate"] = Fraction(transversal, samples) if samples else Fraction(1)
+    return result
+
+
+def _suite_counts(k: int, samples: int, seed: int) -> dict:
+    """The report of `verification_suite` without its rate: integers and the
+    list of failures."""
     if k > PENCIL_MAX_K:
         raise ValueError(f"k={k} is over the limit PENCIL_MAX_K = {PENCIL_MAX_K}")
     if samples > PENCIL_MAX_SAMPLES:
@@ -720,5 +732,4 @@ def verification_suite(k: int, samples: int = 200, seed: int = 0) -> dict:
         "membership_points": MEMBERSHIP_POINTS,
         "failures": failures,
         "transversal": transversal,
-        "transversal_rate": Fraction(transversal, samples) if samples else Fraction(1),
     }

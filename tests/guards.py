@@ -86,12 +86,17 @@ def _seeded_wronskian(k, seed):
 
 
 class _ShiftedClass(CurveClass):
-    """Every curve class built by name one r_k further out."""
+    """Every curve class built by name one r_k further out, by the checked
+    constructor or by `_make`."""
 
     __slots__ = ()
 
     def __init__(self, p, k, a, y):
         CurveClass.__init__(self, p, k, a, y + 1)
+
+    @staticmethod
+    def _make(p, k, a, y):
+        return _ShiftedClass(p, k, a, y)
 
 
 def _point_conic_forms(a):
@@ -406,6 +411,9 @@ REFUSALS = {
                          ("chains witness -p 8 -k 1 --delta 4",)),
     "witness-delta-negative": Refusal(((witness, 5, 2, -1),), "need 0 <= delta <= p, got "
                                       "delta=-1, p=5", ("chains witness -p 5 -k 2 --delta -1",)),
+    # refused before delta0 is computed, as bn check and hilb q refuse it
+    "witness-delta-over-p": Refusal(((witness, 5, 2, 6),), "need 0 <= delta <= p, got "
+                                    "delta=6, p=5", ("chains witness -p 5 -k 2 --delta 6",)),
     "witness-inadmissible": Refusal(((witness, 8, 2, 3),), "inadmissible: delta=3 < delta0=4",
                                     ("chains witness -p 8 -k 2 --delta 3",)),
     # refused as inadmissible, not for the chain lengths its witness would have
@@ -561,9 +569,10 @@ def raise_site(exc):
 
 def suite_labels():
     """The label of every failure `pencil.verification_suite` collects, from
-    its `failures.append(f"sample {index}: <label> ...")` calls."""
+    the `failures.append(f"sample {index}: <label> ...")` calls of its
+    integer core `_suite_counts`."""
     labels = set()
-    for node in ast.walk(ast.parse(inspect.getsource(pencil.verification_suite))):
+    for node in ast.walk(ast.parse(inspect.getsource(pencil._suite_counts))):
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append" and \
                 getattr(node.func.value, "id", None) == "failures":
             text = "".join(v.value if isinstance(v, ast.Constant) else "{}"

@@ -151,7 +151,12 @@ LEAVES = {
              "7061651d4bcdc67686b8b4f5092d78993578ce53bb3485af0a8fe1a5810ed786",
              "44e8077f4ccc136134dc6e956b406b40226a46b78c8a2609aabed51ef387f5ff",
              "3c882276d19a466810c6c06c18847bfde8882ad26e0587e887b39a59202c571b"),
-    ], limits={
+        # no sample: the rate is 1, with no quotient to take
+        Case("pencil verify -k 3 --samples 0", {},
+             "6839d858caa258a623fb22890fa197c5d32218a333e56059b7b8a3035d07eb48",
+             "947fa6e8e8ecfb8017601d7b0bd6b0a469a08f267af07a825b8bd336b7bd279a",
+             "13ffa4e915b19b129680b50cafbf5236f771baef6554712708640c0a70319239"),
+    ], rational=True, limits={
         "PENCIL_MAX_K": Limit("pencil verify -k 17 --samples 1",
                               "pencil verify -k 3 --samples 5 --seed 1", 3),
         "PENCIL_MAX_SAMPLES": Limit("pencil verify -k 3 --samples 1001",
@@ -271,7 +276,7 @@ LEAVES = {
              "eb1898f4054eee1695c1303a208b36a2a1312046772a77db750b38eea9953da6",
              "488c3d291c4785d463a84db8e8edfa951143b7466f450bbfab326af7a31198ed",
              "0c134f6fc43d73431f422464b68d46b2547102d22955878de2084f0fee8c9af8"),
-    ]),
+    ], rational=True),
     "hilb scan": Leaf(ROW, [
         Case("hilb scan --pmax 12 --kmax 3", {"decompose": 135, "delta0": 94,
              "optimal_class": 69, "GonalityCase": 69, "necessary_condition": 69,
@@ -285,7 +290,7 @@ LEAVES = {
              "4473f07ce7df87d1ce01c1c95a81a41edacac55ca09b455e50e03c6480becc3b",
              "b3ee98c78cb610283021bcbe6939d91d769b9abe3e93944f8088ef19ca57bc7b",
              "6717f095bfd452e1565b4265136d745e02542167b78d44e002f10b6fc71c28f7"),
-    ], limits={
+    ], rational=True, limits={
         "SCAN_MAX_ROWS": Limit("hilb scan --pmax 100002 --kmax 2",
                                "hilb scan --pmax 12 --kmax 3", 22),
     }),

@@ -22,6 +22,8 @@ from k3gonal import brillnoether, chains, gonality, hilbert, pencil
 from k3gonal.exactmath import _value_class, exact_sqrt, field
 from k3gonal.pencil import BinaryForm, Pencil
 
+import leaves
+
 
 def test_exact_sqrt_examples():
     assert exact_sqrt(9) == 3
@@ -112,6 +114,31 @@ def test_value_classes_import_no_dataclasses():
     if sys.version_info < (3, 14):
         assert baseline == []
     assert imported == baseline and ran == baseline
+
+
+def test_command_line_imports_no_fractions():
+    # a fresh interpreter, without `site`, runs every pinned case of
+    # leaves.py in every format: every rational the command line prints is
+    # computed from integers, so neither `fractions` nor the `decimal` it
+    # imports is loaded past what the interpreter itself loaded first
+    src = str(Path(k3gonal.__file__).parent.parent)
+    script = (
+        "import json, os, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "heavy = ('fractions', 'decimal')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "baseline = loaded()\n"
+        "import k3gonal.cli\n"
+        f"for argv in {leaves.argvs()!r}:\n"
+        "    for fmt in ('table', 'json', 'csv'):\n"
+        "        code = k3gonal.cli.main(['--format', fmt, *argv.split(), '--out', os.devnull])\n"
+        "        assert code == 0, (argv, fmt)\n"
+        "print(json.dumps([baseline, loaded()]))\n"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         check=True)
+    baseline, ran = json.loads(run.stdout.splitlines()[-1])
+    assert baseline == [] and ran == baseline
 
 
 def test_value_class_refuses_fewer_than_two_shown_or_compared_fields():
@@ -210,14 +237,16 @@ RECORDS = [
            (lambda: hilbert.optimal_class(8, 2),), ("CurveClass(p=8, k=2, a=1, y=5)",),
            refused=(((8, 2, 1.0, 5), "float 1.0"), ((8, 2, 1, "5"), "str '5'"),
                     ((8, 2, True, 5), "bool True"), ((8.0, 2, 1, 5), "float 8.0"),
-                    ((8, 2.0, 1, 5), "float 2.0"))),
+                    ((8, 2.0, 1, 5), "float 2.0")),
+           unchecked=((hilbert.optimal_class, lambda: GRID),
+                      (hilbert.extremal_ray_status, lambda: GRID))),
     Record(hilbert.RayReport,
            "(p: int, k: int, status: str, rays: tuple[k3gonal.hilbert.CurveClass, ...], "
-           "q: fractions.Fraction, notes: tuple[str, ...] = ())",
+           "q_scaled: int, notes: tuple[str, ...] = ())",
            tuple(range(6)), tuple(range(6)),
            (lambda: hilbert.extremal_ray_status(4, 3),),
            ("RayReport(p=4, k=3, status='PROVEN_BM', rays=(CurveClass(p=4, k=3, a=0, y=-1), "
-            "CurveClass(p=4, k=3, a=1, y=6)), q=Fraction(-3, 1), notes=())",),
+            "CurveClass(p=4, k=3, a=1, y=6)), q_scaled=-12, notes=())",),
            unchecked=((hilbert.extremal_ray_status, lambda: GRID),)),
     Record(hilbert.LagrangianReport,
            "(p: int, k: int, has_isotropic: bool, s: int | None = None, "
@@ -273,7 +302,7 @@ RECORDS = [
     Record(hilbert.HTConeReport,
            "(p: int, k: int, applicable: bool, n: int | None = None, "
            "rbar: k3gonal.hilbert.CurveClass | None = None, "
-           "q_rbar: fractions.Fraction | None = None, violation: bool | None = None)",
+           "q_rbar: 'Fraction | None' = None, violation: bool | None = None)",
            tuple(range(7)), tuple(range(7)),
            (lambda: hilbert.ht_violation_check(37, 10),),
            ("HTConeReport(p=37, k=10, applicable=True, n=2, rbar=CurveClass(p=37, k=10, a=1, "
@@ -302,6 +331,18 @@ RECORDS = [
 def _each(built):
     """The values a call returned: a list or tuple of them, or one value."""
     return built if isinstance(built, (list, tuple)) else [built]
+
+
+def _of_class(built, cls):
+    """The values of `cls` among those a call returned, each itself or held
+    in a field of one, or in a tuple in such a field."""
+    for value in _each(built):
+        if type(value) is cls:
+            yield value
+            continue
+        for name in type(value).__slots__:
+            held = getattr(value, name)
+            yield from (item for item in _each(held) if type(item) is cls)
 
 
 def _package_trees():
@@ -428,15 +469,25 @@ def test_value_class_keeps_its_record(record):
         assert loaded.__getstate__() == values[0].__getstate__()
 
 
-@pytest.mark.parametrize("record, function, calls", [
-    (record, function, calls) for record in RECORDS for function, calls in record.unchecked],
-    ids=[function.__qualname__ for record in RECORDS for function, _ in record.unchecked])
+# each unchecked build's function, and its class too when the function builds
+# more than one class by `_make`
+UNCHECKED = [(record, function, calls) for record in RECORDS
+             for function, calls in record.unchecked]
+_BUILDERS = [function for _, function, _ in UNCHECKED]
+
+
+@pytest.mark.parametrize("record, function, calls", UNCHECKED, ids=[
+    function.__qualname__ + (f"-{record.cls.__name__}" if _BUILDERS.count(function) > 1 else "")
+    for record, function, _ in UNCHECKED])
 def test_unchecked_builds_match_their_constructors(record, function, calls):
-    # each result of a build by `_make`, rebuilt by the checked constructor;
-    # the state holds every field, in `__slots__` order
+    # each result of a build by `_make`, returned or held in a field of what
+    # is returned, rebuilt by the checked constructor; the state holds every
+    # field, in `__slots__` order
     cls = record.cls
     for args in calls():
-        for value in _each(function(*args)):
+        values = list(_of_class(function(*args), cls))
+        assert values, args
+        for value in values:
             rebuilt = cls(**{name: getattr(value, name) for name in cls.__match_args__})
             assert type(value) is type(rebuilt) is cls, args
             assert value.__getstate__() == rebuilt.__getstate__(), args

@@ -1,4 +1,6 @@
+import sys
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -335,6 +337,14 @@ def test_attained_q_values_matches_scan():
                 assert attained_q_values(k, p) == expected, (k, p)
 
 
+def _fractions_with(fraction):
+    """A stand-in `fractions` module whose `Fraction` is `fraction`: the
+    package imports the class from it at each place that builds one."""
+    module = types.ModuleType("fractions")
+    module.Fraction = fraction
+    return module
+
+
 def test_attained_q_values_builds_one_fraction_per_value(monkeypatch):
     # the spectrum is walked as the integers 2(k-1) q, never through q_case
     known = {
@@ -351,7 +361,7 @@ def test_attained_q_values_builds_one_fraction_per_value(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     q_case_calls = []
-    monkeypatch.setattr(hilbert, "Fraction", CountingFraction)
+    monkeypatch.setitem(sys.modules, "fractions", _fractions_with(CountingFraction))
     monkeypatch.setattr(hilbert, "q_case", lambda *args: q_case_calls.append(args))
     for k in range(2, 16):
         # no candidate lies past p = 400, so the spectrum there is complete
