@@ -18,7 +18,7 @@ a mismatch aborts with :class:`InvariantViolation` rather than silently
 trusting one transcription of the inequality.
 """
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _refuse_below, _refuse_delta, _refuse_series
 from .exactmath import _value_class
 
 __all__ = [
@@ -34,7 +34,7 @@ def rho(g: int, r: int, d: int) -> int:
     if g < 0 or r < 0 or d < 0:
         for name, value in (("g", g), ("r", r), ("d", d)):
             if value < 0:
-                raise ValueError(f"need {name} >= 0, got {name}={value}")
+                _refuse_below(name, 0, value)
     return g - (r + 1) * (r + g - d)
 
 
@@ -44,9 +44,9 @@ def alpha_general(g: int, r: int, d: int) -> int:
     Requires d > r >= 1 and g >= 0 (the denominator must be positive).
     """
     if r < 1 or d <= r:
-        raise ValueError(f"need d > r >= 1, got r={r}, d={d}")
+        _refuse_series(r, d)
     if g < 0:
-        raise ValueError(f"need g >= 0, got g={g}")
+        _refuse_below("g", 0, g)
     return (g * r + (d - r) * (r - 1)) // (2 * r * (d - r))
 
 
@@ -69,11 +69,11 @@ def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
     `satisfied` holds iff rho_at_alpha >= 0.
     """
     if p < 2:
-        raise ValueError(f"need p >= 2, got p={p}")
+        _refuse_below("p", 2, p)
     if r < 1 or d <= r:
-        raise ValueError(f"need d > r >= 1, got r={r}, d={d}")
+        _refuse_series(r, d)
     if not 0 <= delta <= p:
-        raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
+        _refuse_delta(delta, p)
     g = p - delta
     alpha = alpha_general(g, r, d)
     threshold = alpha * (r * g - (d - r) * (alpha * r + 1))

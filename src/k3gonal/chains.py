@@ -31,7 +31,7 @@ witness to the next; `enumerate_partitions` is the exhaustive oracle.
 
 from collections.abc import Mapping
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _refuse_below, _refuse_delta, _refuse_over_limit
 from .exactmath import _int, _value_class, field
 from .gonality import delta0
 
@@ -74,13 +74,10 @@ class ChainPartition:
 
     def __init__(self, p: int, k: int, parts):
         if _int(p) < 1:
-            raise ValueError(f"need p >= 1, got p={p}")
+            _refuse_below("p", 1, p)
         if _int(k) < 2:
-            raise ValueError(f"need k >= 2, got k={k}")
-        if isinstance(parts, Mapping):
-            items = parts.items()
-        else:
-            items = tuple(parts)
+            _refuse_below("k", 2, k)
+        items = parts.items() if isinstance(parts, Mapping) else tuple(parts)
         mult: dict[int, int] = {}
         for j, a in items:
             if not 1 <= _int(j) <= p:
@@ -184,11 +181,11 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
     ((1, 2), (2, 1), (4, 1))
     """
     if p < 3:
-        raise ValueError(f"need p >= 3, got p={p}")
+        _refuse_below("p", 3, p)
     if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+        _refuse_below("k", 2, k)
     if not 0 <= delta <= p:
-        raise ValueError(f"need 0 <= delta <= p, got delta={delta}, p={p}")
+        _refuse_delta(delta, p)
     d0 = delta0(p, k)
     if delta < d0:
         raise ValueError(f"inadmissible: delta={delta} < delta0={d0}")
@@ -199,10 +196,8 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
     q, r = divmod(n, cap)
     # the g - 1 lightest chains fill q + 1 lengths, the rest one more
     if q + 2 > WITNESS_MAX_LENGTHS:
-        raise ValueError(
-            f"the witness at p={p}, k={k}, delta={delta} has up to {q + 2} "
-            f"chain lengths, over the limit WITNESS_MAX_LENGTHS = {WITNESS_MAX_LENGTHS}"
-        )
+        _refuse_over_limit(f"the witness at p={p}, k={k}, delta={delta} has up to {q + 2} "
+                           "chain lengths,", "WITNESS_MAX_LENGTHS", WITNESS_MAX_LENGTHS)
     rest = p - _lightest(n, cap)
     partition = ChainPartition(
         p, k, [(j, cap) for j in range(1, q + 1)] + [(q + 1, r), (rest, 1)]
@@ -242,11 +237,11 @@ def enumerate_partitions(p: int, k: int) -> list[ChainPartition]:
     DEFAULT_MAX_P, read at each call.
     """
     if p > DEFAULT_MAX_P:
-        raise ValueError(f"p={p} is over the limit DEFAULT_MAX_P = {DEFAULT_MAX_P}")
+        _refuse_over_limit(f"p={p} is", "DEFAULT_MAX_P", DEFAULT_MAX_P)
     if p < 1:
-        raise ValueError(f"need p >= 1, got p={p}")
+        _refuse_below("p", 1, p)
     if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+        _refuse_below("k", 2, k)
     cap = 2 * (k - 1)
     # pairs[j][a] is the shared (j, a); O(p log p) entries, however large k is
     pairs = [()] + [tuple((j, a) for a in range(min(cap, p // j) + 1)) for j in range(1, p + 1)]

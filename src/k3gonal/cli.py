@@ -47,7 +47,7 @@ import types
 from json.encoder import encode_basestring_ascii
 
 from . import brillnoether, chains, gonality, hilbert, pencil
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _refuse_below, _refuse_over_limit
 from .hilbert import _ratio_text
 
 __all__ = ["cli", "main"]
@@ -301,7 +301,7 @@ def bn_check(p, k, delta, r, d):
     """Existence bound for a g^r_d on the normalization."""
     if k is not None:
         if k < 2:
-            raise ValueError(f"need k >= 2, got k={k}")
+            _refuse_below("k", 2, k)
         # -k is the series g^1_k: an explicit -d or -r must agree with it
         if d is not None and d != k:
             raise ValueError(f"-k {k} sets d={k}, which conflicts with -d {d}")
@@ -595,7 +595,7 @@ def hilb_scan(pmax, kmax, pmin, kmin):
     """One row per (p, k): delta0, g, optimal class, q, cone and flags."""
     for name, least in (("pmin", pmin), ("kmin", kmin)):
         if least < 2:
-            raise ValueError(f"need {name} >= 2, got {name}={least}")
+            _refuse_below(name, 2, least)
     if pmin > pmax or kmin > kmax:
         raise ValueError(
             f"empty grid: need pmin <= pmax and kmin <= kmax, got "
@@ -603,9 +603,7 @@ def hilb_scan(pmax, kmax, pmin, kmin):
         )
     size = (pmax - pmin + 1) * (kmax - kmin + 1)
     if size > SCAN_MAX_ROWS:
-        raise ValueError(
-            f"grid of {size} rows is over the limit SCAN_MAX_ROWS = {SCAN_MAX_ROWS}"
-        )
+        _refuse_over_limit(f"grid of {size} rows is", "SCAN_MAX_ROWS", SCAN_MAX_ROWS)
     rows = []
     for k in range(kmin, kmax + 1):
         for p in range(pmin, pmax + 1):

@@ -23,7 +23,7 @@ two evaluations of the bound at any p; the brute-force scan
 from math import isqrt
 
 from . import brillnoether
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _refuse_below
 from .exactmath import _int, _value_class, field
 
 __all__ = [
@@ -39,9 +39,9 @@ __all__ = [
 
 def _check_pk(p: int, k: int) -> None:
     if p < 2:
-        raise ValueError(f"need p >= 2, got p={p}")
+        _refuse_below("p", 2, p)
     if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+        _refuse_below("k", 2, k)
 
 
 @_value_class
@@ -183,9 +183,7 @@ def expected_dims(p: int, k: int, delta: int) -> tuple[int, int]:
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
-        raise ValueError(
-            f"(p={p}, k={k}, delta={delta}) is inadmissible: the locus is empty"
-        )
+        raise ValueError(f"(p={p}, k={k}, delta={delta}) is inadmissible: the locus is empty")
     g = case.g
     dim_vk = min(2 * (k - 1), g)
     dim_w1k = max(0, 2 * (k - 1) - g)

@@ -29,7 +29,7 @@ it pulls in.
 
 from math import gcd, isqrt
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _refuse_below, _refuse_over_limit
 from .exactmath import _int, _value_class, exact_sqrt
 from .gonality import GonalityCase, _check_pk, _delta0_from, decompose, delta0
 
@@ -54,7 +54,6 @@ __all__ = [
     "QVALUES_MAX_VALUES",
     "HTConeReport",
     "ht_violation_check",
-    "rat_str",
 ]
 
 # `attained_q_values` builds one value per candidate of `q_candidate_count`
@@ -68,14 +67,6 @@ def _ratio_text(num: int, den: int) -> str:
     if g != 1:
         num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def rat_str(q: "Fraction | int") -> str:
-    """num/den rendering used in JSON and CSV output; integers stay bare.
-
-    Calls `_ratio_text` on q's numerator and denominator.
-    """
-    return _ratio_text(q.numerator, q.denominator)
 
 
 def _scaled_q(p: int, k: int, a: int, y: int) -> int:
@@ -168,6 +159,10 @@ def pairing(d: DivisorClass, r: CurveClass) -> "Fraction":
     return d.a * r.a * (2 * d.p - 2) - d.c * r.y
 
 
+def _refuse_inadmissible(p: int, k: int, delta: int) -> "NoReturn":
+    raise ValueError(f"(p={p}, k={k}, delta={delta}) is inadmissible")
+
+
 def gonality_class(p: int, k: int, delta: int) -> CurveClass:
     """The class H - (g+k-1) r_k of the rational curve from a g^1_k.
 
@@ -175,7 +170,7 @@ def gonality_class(p: int, k: int, delta: int) -> CurveClass:
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
-        raise ValueError(f"(p={p}, k={k}, delta={delta}) is inadmissible")
+        _refuse_inadmissible(p, k, delta)
     return CurveClass(p, k, 1, case.g + k - 1)
 
 
@@ -194,8 +189,8 @@ def optimal_class(p: int, k: int) -> CurveClass:
 
     The class is built unchecked: the GonalityCase of this call has already
     refused a p or k that is not an int, and y is an int computed from them.
+    `delta0` or `decompose`, whichever runs, checks p and k first.
     """
-    _check_pk(p, k)
     if p <= 2 * (k - 1):
         y = p + k - 1
     else:
@@ -226,7 +221,7 @@ def _scaled_q_case(p: int, k: int, delta: int) -> int:
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
-        raise ValueError(f"(p={p}, k={k}, delta={delta}) is inadmissible")
+        _refuse_inadmissible(p, k, delta)
     den = 2 * (k - 1)
     first = _scaled_q(p, k, 1, case.g + k - 1)
     second = 4 * (k - 1) * (case.rho - 1) - case.beta**2
@@ -466,9 +461,9 @@ def genus_for_invariants(k: int, rho: int, beta: int, m: int) -> int:
     k >= 2, rho >= 0, 0 <= beta <= k-1 and m >= max(1, rho).
     """
     if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+        _refuse_below("k", 2, k)
     if rho < 0:
-        raise ValueError(f"need rho >= 0, got rho={rho}")
+        _refuse_below("rho", 0, rho)
     if not 0 <= beta <= k - 1:
         raise ValueError(f"need 0 <= beta <= k-1, got beta={beta}")
     if m < max(1, rho):
@@ -512,11 +507,9 @@ def _scaled_q_values(k: int, p_max: int) -> list[int]:
     """
     # q_candidate_count refuses k < 2 and p_max < 2 first
     if q_candidate_count(k, p_max) > QVALUES_MAX_VALUES:
-        raise ValueError(
-            f"the spectrum at k={k}, pmax={p_max} has more than "
-            f"{QVALUES_MAX_VALUES} candidate values, over the limit "
-            f"QVALUES_MAX_VALUES = {QVALUES_MAX_VALUES}"
-        )
+        _refuse_over_limit(f"the spectrum at k={k}, pmax={p_max} has more than "
+                           f"{QVALUES_MAX_VALUES} candidate values,", "QVALUES_MAX_VALUES",
+                           QVALUES_MAX_VALUES)
     values = {_scaled_q_case(p, k, 0) for p in range(2, min(p_max + 1, 2 * (k - 1)))}
     rho = 0
     while 4 * (rho - 1) < k - 1:
@@ -564,9 +557,9 @@ def q_candidate_count(k: int, p_max: int) -> int:
     delta0 = 0 regime alone passes the cap, in about 1 us.
     """
     if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+        _refuse_below("k", 2, k)
     if p_max < 2:
-        raise ValueError(f"need p_max >= 2, got p_max={p_max}")
+        _refuse_below("p_max", 2, p_max)
     count = max(0, min(p_max + 1, 2 * (k - 1)) - 2)
     rho = 0
     while 4 * (rho - 1) < k - 1 and count <= QVALUES_MAX_VALUES:

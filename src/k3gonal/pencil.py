@@ -68,7 +68,7 @@ from math import comb, gcd
 from operator import neg
 from types import MappingProxyType
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _refuse_below, _refuse_over_limit
 from .exactmath import _int, _value_class
 
 __all__ = [
@@ -231,7 +231,7 @@ class BinaryForm:
 
     def __init__(self, bound: int, coeffs):
         if bound < 0:
-            raise ValueError(f"need bound >= 0, got {bound}")
+            _refuse_below("bound", 0, bound)
         coeffs = tuple(map(_int, coeffs))
         if len(coeffs) != bound + 1:
             raise ValueError(
@@ -306,7 +306,7 @@ class Pencil:
         if f.bound != g.bound:
             raise ValueError("pencil members must share the degree bound")
         if f.bound < 1:
-            raise ValueError("need degree bound >= 1")
+            _refuse_below("bound", 1, f.bound)
         if f.is_zero or g.is_zero:
             raise ValueError("pencil members must be nonzero forms")
         if proportional(f, g):
@@ -331,7 +331,7 @@ class SymPlaneCurve:
 
     def __init__(self, degree: int, terms):
         if degree < 0:
-            raise ValueError(f"need degree >= 0, got {degree}")
+            _refuse_below("degree", 0, degree)
         items = terms.items() if isinstance(terms, dict) else tuple(terms)
         store: dict[tuple[int, int, int], int] = {}
         for expo, value in items:
@@ -460,9 +460,7 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
     2^b x0^(2a+b) x1^(b+2c), so each term is scattered into its coefficient.
     """
     if curve.degree != k - 1:
-        raise ValueError(
-            f"curve has degree {curve.degree}, expected k-1 = {k - 1}"
-        )
+        raise ValueError(f"curve has degree {curve.degree}, expected k-1 = {k - 1}")
     out = [0] * (2 * curve.degree + 1)
     for (_, b, c), v in curve.terms:
         out[b + 2 * c] += v << b
@@ -598,7 +596,7 @@ def _random_form(k: int, rng: random.Random) -> BinaryForm:
 def random_pencil(k: int, rng: random.Random) -> Pencil:
     """A random pencil with small integer coefficients (k >= 1)."""
     if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+        _refuse_below("k", 1, k)
     while True:
         f, g = _random_form(k, rng), _random_form(k, rng)
         if not proportional(f, g):  # _random_form draws nonzero forms only
@@ -677,15 +675,13 @@ def _suite_counts(k: int, samples: int, seed: int) -> dict:
     """The report of `verification_suite` without its rate: integers and the
     list of failures."""
     if k > PENCIL_MAX_K:
-        raise ValueError(f"k={k} is over the limit PENCIL_MAX_K = {PENCIL_MAX_K}")
+        _refuse_over_limit(f"k={k} is", "PENCIL_MAX_K", PENCIL_MAX_K)
     if samples > PENCIL_MAX_SAMPLES:
-        raise ValueError(
-            f"samples={samples} is over the limit PENCIL_MAX_SAMPLES = {PENCIL_MAX_SAMPLES}"
-        )
+        _refuse_over_limit(f"samples={samples} is", "PENCIL_MAX_SAMPLES", PENCIL_MAX_SAMPLES)
     if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+        _refuse_below("k", 2, k)
     if samples < 0:
-        raise ValueError(f"need samples >= 0, got samples={samples}")
+        _refuse_below("samples", 0, samples)
     rng = random.Random(f"k3gonal:{seed}:{k}")
     bits, ids = rng.getrandbits, _PAIR_VALUE
     failures: list[str] = []

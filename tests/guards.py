@@ -497,7 +497,7 @@ REFUSALS = {
                          "need k >= 2, got k=1", ("hilb qvalues -k 1 --pmax 10",)),
     "qvalues-pmax": Refusal(((hilbert.q_candidate_count, 3, 1), (hilbert.attained_q_values, 3, 1)),
                             "need p_max >= 2, got p_max=1", ("hilb qvalues -k 3 --pmax 1",)),
-    "form-bound": Refusal(((Form, -1, ()),), "need bound >= 0, got -1"),
+    "form-bound": Refusal(((Form, -1, ()),), "need bound >= 0, got bound=-1"),
     "form-coefficients": Refusal(((Form, 2, (1, 2)),),
                                  "degree bound 2 needs 3 coefficients, got 2"),
     "zero-form-multiplicity": Refusal(((attrgetter("infinity_multiplicity"), ZERO_FORM),),
@@ -508,14 +508,14 @@ REFUSALS = {
                                    "cannot compare forms at different bounds"),
     "pencil-bounds": Refusal(((Pencil, Form(1, (1, 2)), ZERO_FORM),),
                              "pencil members must share the degree bound"),
-    "pencil-bound": Refusal(((Pencil, Form(0, (1,)), Form(0, (2,))),), "need degree bound >= 1"),
+    "pencil-bound": Refusal(((Pencil, Form(0, (1,)), Form(0, (2,))),), "need bound >= 1, got bound=0"),
     # zero is proportional only to zero, so this needs its own check
     "pencil-zero": Refusal(((Pencil, Form(1, (0, 0)), Form(1, (0, -1))),
                             (Pencil, Form(2, (1, 2, 1)), ZERO_FORM)),
                            "pencil members must be nonzero forms"),
     "pencil-degenerate": Refusal(((Pencil, Form(2, (1, 2, 1)), Form(2, (2, 4, 2))),),
                                  "degenerate pencil: the two forms are proportional"),
-    "curve-degree": Refusal(((Curve, -1, {}),), "need degree >= 0, got -1"),
+    "curve-degree": Refusal(((Curve, -1, {}),), "need degree >= 0, got degree=-1"),
     "curve-exponent": Refusal(((Curve, 1, {(1, 1, 0): 1}),),
                               "exponent (1, 1, 0) is not of total degree 1"),
     "pullback-bounds": Refusal(((LINE.pullback, Form(1, (1, 0)), ZERO_FORM, Form(1, (0, 1))),),

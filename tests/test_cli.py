@@ -26,10 +26,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from k3gonal import brillnoether, chains, cli, gonality, hilbert, pencil
 from k3gonal.cli import main
-from k3gonal.hilbert import rat_str
 
 import guards
 import leaves
+
+
+def rat_str(q):
+    """A Fraction or int as the package prints it, by `hilbert._ratio_text`."""
+    return hilbert._ratio_text(q.numerator, q.denominator)
 
 
 def run(capsys, *argv):
@@ -1152,6 +1156,15 @@ def test_every_domain_check_has_a_refusal():
         assert callable(globals().get(test)), test
         fired |= set(excluded)
     assert fired == sites.keys()
+
+
+def test_each_refusal_is_worded_at_one_site():
+    # one wording at two sites is one rule written twice: raise it through
+    # the function of `errors` that words it, and delete the copy
+    sites = {}
+    for site, source in guards.raise_sites("ValueError").items():
+        sites.setdefault(source, []).append(site)
+    assert {source: at for source, at in sites.items() if len(at) > 1} == {}
 
 
 @pytest.mark.parametrize("name", ["delta-negative", "witness-delta-negative"])

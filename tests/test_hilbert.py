@@ -24,11 +24,15 @@ from k3gonal.hilbert import (
     pairing,
     q_candidate_count,
     q_case,
-    rat_str,
     tau,
 )
 
 F = Fraction
+
+
+def rat_str(q):
+    """A Fraction or int as the package prints it, by `hilbert._ratio_text`."""
+    return hilbert._ratio_text(q.numerator, q.denominator)
 
 
 def test_q_curve_examples():
