@@ -77,7 +77,10 @@ class ChainPartition:
             _refuse_below("p", 1, p)
         if _int(k) < 2:
             _refuse_below("k", 2, k)
-        items = parts.items() if isinstance(parts, Mapping) else tuple(parts)
+        if isinstance(parts, Mapping):
+            items = parts.items()
+        else:
+            items = tuple(parts)
         mult: dict[int, int] = {}
         for j, a in items:
             if not 1 <= _int(j) <= p:

@@ -27,5 +27,5 @@ def _refuse_series(r: int, d: int) -> "NoReturn":
     raise ValueError(f"need d > r >= 1, got r={r}, d={d}")
 
 
-def _refuse_over_limit(what: str, name: str, limit: int) -> "NoReturn":
-    raise ValueError(f"{what} over the limit {name} = {limit}")
+def _refuse_over_limit(subject: str, name: str, limit: int) -> "NoReturn":
+    raise ValueError(f"{subject} over the limit {name} = {limit}")

@@ -183,7 +183,9 @@ def expected_dims(p: int, k: int, delta: int) -> tuple[int, int]:
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
-        raise ValueError(f"(p={p}, k={k}, delta={delta}) is inadmissible: the locus is empty")
+        raise ValueError(
+            f"(p={p}, k={k}, delta={delta}) is inadmissible: the locus is empty"
+        )
     g = case.g
     dim_vk = min(2 * (k - 1), g)
     dim_w1k = max(0, 2 * (k - 1) - g)

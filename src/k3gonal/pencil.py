@@ -460,7 +460,9 @@ def diagonal_restriction(curve: SymPlaneCurve, k: int) -> BinaryForm:
     2^b x0^(2a+b) x1^(b+2c), so each term is scattered into its coefficient.
     """
     if curve.degree != k - 1:
-        raise ValueError(f"curve has degree {curve.degree}, expected k-1 = {k - 1}")
+        raise ValueError(
+            f"curve has degree {curve.degree}, expected k-1 = {k - 1}"
+        )
     out = [0] * (2 * curve.degree + 1)
     for (_, b, c), v in curve.terms:
         out[b + 2 * c] += v << b

@@ -547,24 +547,42 @@ STDOUT_ERRORS = {
 }
 
 
-def raise_sites(name):
+def _raises(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Raise) and isinstance(
+        node.exc, ast.Call) and getattr(node.exc.func, "id", None) == name]
+
+
+def raise_sites(name, refusers=True):
     """The source of the message of every `raise <name>(...)` in the package,
-    by (file name, line)."""
+    by (file name, line).  A `_refuse_*` function raises for the check that
+    calls it, so with `refusers` each call of one that raises `name` is a
+    site, its source the call, and the function's own raise is none."""
+    trees = {path.name: ast.parse(path.read_text(), path.name)
+             for path in Path(gonality.__file__).parent.glob("*.py")}
+    helpers = {node.name: _raises(node, name) for tree in trees.values() if refusers
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_refuse_")}
+    inner = {id(node) for raises in helpers.values() for node in raises}
     sites = {}
-    for path in Path(gonality.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), path.name)):
-            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(
-                    node.exc.func, "id", None) == name:
-                sites[path.name, node.lineno] = ast.unparse(node.exc.args[0])
+    for file, tree in trees.items():
+        for node in _raises(tree, name):
+            if id(node) not in inner:
+                sites[file, node.lineno] = ast.unparse(node.exc.args[0])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and helpers.get(getattr(node.func, "id", None)):
+                sites[file, node.lineno] = ast.unparse(node)
     return sites
 
 
 def raise_site(exc):
-    """(file name, line) of the frame where `exc` was raised."""
-    tb = exc.__traceback__
-    while tb.tb_next is not None:
+    """(file name, line) of the frame where `exc` was raised, or, for a
+    `_refuse_*` function, of the check that called it."""
+    tb, site = exc.__traceback__, None
+    while tb is not None:
+        if not tb.tb_frame.f_code.co_name.startswith("_refuse_"):
+            site = Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno
         tb = tb.tb_next
-    return Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno
+    return site
 
 
 def suite_labels():
