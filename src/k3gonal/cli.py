@@ -22,22 +22,23 @@ internal invariant violation (a failed cross-check aborts loudly, never
 downgrades to a warning).
 
 `cli` is the command table: each leaf is registered once, with its
-callback, its options and its docstring as help, and one stdlib argparse
-tree is built from it at import.  `main` reads a well-formed command (root
-flags, a leaf's two names, then exact flags and values of that leaf) straight
-from the Actions of that tree, without running argparse; anything else, such
-as help, an unknown command, a leftover argument or a bad value, goes
-through the whole tree, which prints its help or usage error.  A callback
-returns what `_emit` renders: a json payload (a row command's is the chunks
-of `_json_rows`), a table and, from a row command, its csv rows.  A
-single-case command's table is a function that `_emit` calls under
-`--format table` alone, so json and csv build no table; its output is one
-text, written with one write, unless it is json longer than `_PIPE_BYTES`.
+callback, its options as (flag, argparse keyword arguments) specs and its
+docstring as help.  `main` reads a well-formed command (root flags, a leaf's
+two names, then exact flags and values of that leaf) straight from those
+specs, so it builds no argparse tree and imports neither argparse nor csv
+(csv only under `--format csv`); anything else, such as help, an unknown
+command, a leftover argument or a bad value, goes through the whole stdlib
+argparse tree, built from the same specs on first use, which prints its
+help or usage error.  A callback returns what `_emit` renders: a json
+payload (a row command's is the chunks of `_json_rows`), a table and, from a
+row command, its csv rows.  A single-case command's table is a function that
+`_emit` calls under `--format table` alone, so json and csv build no table;
+its output is one text, written with one write, unless it is json longer
+than `_PIPE_BYTES`.
 """
 
-import argparse
 import codecs
-import csv
+import functools
 import itertools
 import json
 import os
@@ -179,6 +180,8 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
         else:
             chunks = payload
     elif fmt == "csv":
+        import csv
+
         # writerow returns what the file's write returns: here the row's text
         echo = types.SimpleNamespace(write=lambda text: text)
         writerow = csv.writer(echo, lineterminator="\n").writerow
@@ -627,18 +630,19 @@ def hilb_scan(pmax, kmax, pmin, kmin):
 
 def _out_path(text: str) -> str:
     if not text:
+        import argparse
         raise argparse.ArgumentTypeError("need a file name, got ''")
     return text
 
 
-def _output_flags(parser, fmt, out) -> list:
-    """Add --format and --out to `parser`; return their Actions."""
-    return [
-        parser.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt,
-                            help="Output format (default: table)."),
-        parser.add_argument("--out", type=_out_path, default=out, metavar="FILE",
-                            help="Write output to FILE instead of stdout."),
-    ]
+# the root's --format and --out; each leaf's parser takes trailing copies of
+# them, set only when given, so the later one wins
+_OUTPUT = (
+    ("--format", {"dest": "fmt", "choices": FORMATS, "default": "table",
+                  "help": "Output format (default: table)."}),
+    ("--out", {"type": _out_path, "default": None, "metavar": "FILE",
+               "help": "Write output to FILE instead of stdout."}),
+)
 
 
 # a value with a leading dash that every release from 3.10 on reads as a
@@ -648,17 +652,26 @@ _NEGATIVE = re.compile(r"-[0-9]+")
 
 
 class _Syntax:
-    """The options of one parser in the tree, read from the Actions that
-    `add_argument` returned: each takes one value (nargs None), passed
-    through its type and checked against its choices, or none (nargs 0) and
-    stores its const."""
+    """The options of one parser in the tree, read from the same (flag,
+    argparse keyword arguments) specs that `_tree` adds to it: each takes
+    one value, passed through its type and checked against its choices, or
+    is a store_true flag, which takes none.  The `trailing` options are set
+    only when given."""
 
-    def __init__(self, actions, **defaults):
-        self.actions = {flag: action for action in actions for flag in action.option_strings}
-        self.defaults = {action.dest: action.default for action in actions
-                         if not action.required and action.default is not argparse.SUPPRESS}
+    def __init__(self, options, trailing=(), **defaults):
+        # flag -> (dest, store_true, type, choices)
+        self.options = {flag: (kwargs.get("dest", flag.lstrip("-").replace("-", "_")),
+                               kwargs.get("action") == "store_true",
+                               kwargs.get("type"), kwargs.get("choices"))
+                        for flag, kwargs in (*options, *trailing)}
+        self.defaults, self.required = {}, set()
+        for flag, kwargs in options:
+            dest, store_true = self.options[flag][:2]
+            if kwargs.get("required"):
+                self.required.add(dest)
+            else:
+                self.defaults[dest] = kwargs.get("default", False if store_true else None)
         self.defaults.update(defaults)
-        self.required = {action.dest for action in actions if action.required}
 
     def read(self, argv: list[str], i: int, args: dict) -> int | None:
         """Read options from argv[i:] into `args` up to the first token that
@@ -666,11 +679,12 @@ class _Syntax:
         missing, refused by its type or choices, or has a leading dash and
         is not a plain negative number."""
         while i < len(argv):
-            action = self.actions.get(argv[i])
-            if action is None:
+            option = self.options.get(argv[i])
+            if option is None:
                 break
-            if action.nargs == 0:
-                args[action.dest] = action.const
+            dest, store_true, type_, choices = option
+            if store_true:
+                args[dest] = True
                 i += 1
                 continue
             if i + 1 == len(argv):
@@ -678,45 +692,53 @@ class _Syntax:
             text = argv[i + 1]
             if text[:1] == "-" and not _NEGATIVE.fullmatch(text):
                 return None
+            # any refusal by the type, such as int's ValueError or
+            # _out_path's ArgumentTypeError, is left to the tree to report
             try:
-                value = text if action.type is None else action.type(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = text if type_ is None else type_(text)
+            except Exception:
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-            args[action.dest] = value
+            args[dest] = value
             i += 2
         return i
 
 
+_ROOT = _Syntax(_OUTPUT)
 # the options of each leaf's parser in the tree, keyed by its two names
-_LEAVES = {}
+_LEAVES = {(group, name): _Syntax(leaf.options, _OUTPUT, leaf=leaf)
+           for group, node in cli.commands.items() for name, leaf in node.commands.items()}
 
 
-def _add_node(parser, node, path=()) -> None:
-    """Add the flags and subcommands of the table node `node` at `path` to `parser`."""
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    if isinstance(node, _Leaf):
-        actions = [parser.add_argument(flag, **kwargs) for flag, kwargs in node.options]
-        # trailing copies of the root's flags, set only when given, so the
-        # later one wins
-        actions += _output_flags(parser, argparse.SUPPRESS, argparse.SUPPRESS)
-        parser.set_defaults(leaf=node)
-        _LEAVES[path] = _Syntax(actions, leaf=node)
-        return
-    # a metavar, without which Python 3.10 fails to name a missing command
-    subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
-    for name, child in node.commands.items():
-        _add_node(subparsers.add_parser(name, help=child.help, description=child.help,
-                                        add_help=False, allow_abbrev=False),
-                  child, (*path, name))
+@functools.cache
+def _tree():
+    """The whole argparse tree of the command table, built on first use:
+    only help and usage errors need it."""
+    import argparse
 
+    def add_node(parser, node) -> None:
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        if isinstance(node, _Leaf):
+            for flag, kwargs in node.options:
+                parser.add_argument(flag, **kwargs)
+            for flag, kwargs in _OUTPUT:
+                parser.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
+            parser.set_defaults(leaf=node)
+            return
+        # a metavar, without which Python 3.10 fails to name a missing command
+        subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
+        for name, child in node.commands.items():
+            add_node(subparsers.add_parser(name, help=child.help, description=child.help,
+                                           add_help=False, allow_abbrev=False), child)
 
-_PARSER = argparse.ArgumentParser(
-    prog="k3gonal", description=cli.help, add_help=False, allow_abbrev=False
-)
-_ROOT = _Syntax(_output_flags(_PARSER, "table", None))
-_add_node(_PARSER, cli)
+    parser = argparse.ArgumentParser(
+        prog="k3gonal", description=cli.help, add_help=False, allow_abbrev=False
+    )
+    for flag, kwargs in _OUTPUT:
+        parser.add_argument(flag, **kwargs)
+    add_node(parser, cli)
+    return parser
 
 
 def _parse(argv: list[str]) -> dict:
@@ -727,8 +749,8 @@ def _parse(argv: list[str]) -> dict:
     and trailing --format/--out, each an exact flag and its own value or a
     bare flag, the last copy winning, with every required option given.
     Anything else, such as help, an unknown or joined token, `--`, a missing
-    or bad value or a missing option, goes to the whole tree, which prints
-    its help or usage error.
+    or bad value or a missing option, goes to the whole tree, built then,
+    which prints its help or usage error.
     """
     args = dict(_ROOT.defaults)
     i = _ROOT.read(argv, 0, args)
@@ -737,7 +759,7 @@ def _parse(argv: list[str]) -> dict:
         args.update(leaf.defaults)
         if leaf.read(argv, i + 2, args) == len(argv) and args.keys() >= leaf.required:
             return args
-    return vars(_PARSER.parse_args(argv))
+    return vars(_tree().parse_args(argv))
 
 
 def main(argv=None) -> int:

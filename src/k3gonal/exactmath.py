@@ -10,8 +10,9 @@ divisor is ``a // b``, and a ceiling ``-(-a // b)``, where it is used.
 frozen, slotted value classes without the `dataclasses` module: its import,
 with the `inspect` it pulls in, and the six methods it compiles per class
 would double the time every command spends importing the package.  (From
-Python 3.14, argparse's help formatter imports `dataclasses` itself, so
-there the command line still loads it, and only the compiling is saved.)
+Python 3.14, argparse's help formatter imports `dataclasses` itself; a
+well-formed command builds no argparse tree and imports neither argparse nor
+csv, so there only help and usage errors load it.)
 A field that the constructor derives, or that is left out of `repr` or of
 `==` and `hash`, is declared with a `field` marker.  A checked constructor sets each
 field through its slot descriptor; an unchecked `_make` fills a mutable twin

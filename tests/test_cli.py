@@ -318,9 +318,38 @@ def test_refused_stdout_write_is_an_error_not_a_traceback(command, fmt):
     assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode()
 
 
-def test_import_needs_no_click():
-    code = "import sys, k3gonal.cli; sys.exit('click' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_commands_import_no_argparse_or_csv():
+    # a fresh interpreter, without `site`, imports the command line and runs
+    # every pinned case of leaves.py: table and json load none of argparse,
+    # csv, the gettext that argparse imports and click, and csv then loads
+    # csv and its C part alone; help and a usage error still build the tree,
+    # and so load argparse
+    src = str(Path(cli.__file__).parents[1])
+    script = (
+        "import contextlib, io, json, os, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "heavy = ('argparse', 'csv', 'gettext', 'click')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "import k3gonal.cli\n"
+        "def run(fmt):\n"
+        f"    for argv in {leaves.argvs()!r}:\n"
+        "        code = k3gonal.cli.main(['--format', fmt, *argv.split(), '--out', os.devnull])\n"
+        "        assert code == 0, (argv, fmt)\n"
+        "run('table')\n"
+        "run('json')\n"
+        "ran = loaded()\n"
+        "before = set(sys.modules)\n"
+        "run('csv')\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [k3gonal.cli.main(['--help']), k3gonal.cli.main(['bn', 'nosuch'])]\n"
+        "print(json.dumps([ran, added, codes, loaded()]))\n"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         check=True)
+    ran, added, codes, tree = json.loads(run.stdout.splitlines()[-1])
+    assert ran == [] and added == ["_csv", "csv"]
+    assert codes == [0, 1] and "argparse" in tree
 
 
 def test_out_file(capsys, tmp_path):
@@ -610,10 +639,10 @@ def test_well_formed_commands_need_no_argparse(capsys, monkeypatch, tmp_path, co
     # --out, the later copy winning, is read from the command table alone: a
     # fast path that declined one would still give the right bytes, only
     # through the tree
-    def refuse(argv):
-        raise AssertionError(f"the tree parsed {argv}")
+    def refuse():
+        raise AssertionError("the tree was built")
 
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    monkeypatch.setattr(cli, "_tree", refuse)
     argv = command.split()
     target, unused = tmp_path / "result", str(tmp_path / "unused")
     for fmt in FORMATS:
@@ -666,7 +695,7 @@ _CONE = ["hilb", "cone", "-p", "8", "-k", "2"]
 
 
 def _tree_parse(argv):
-    return vars(cli._PARSER.parse_args(argv))
+    return vars(cli._tree().parse_args(argv))
 
 
 @given(argv=_ARGVS)
