@@ -29,8 +29,7 @@ _EXPORTS = {
                "diagonal_restriction", "conic_intersection"),
     "hilbert": ("CurveClass", "DivisorClass", "pairing", "gonality_class", "optimal_class",
                 "q_case", "tau", "minimal_q_family", "isotropic_case", "lagrangian_report",
-                "extremal_ray_status", "genus_for_invariants", "attained_q_values",
-                "ht_violation_check"),
+                "extremal_ray_status", "genus_for_invariants", "attained_q_values"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

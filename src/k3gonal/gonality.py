@@ -108,18 +108,15 @@ def decompose(p: int, k: int) -> tuple[int, int, int]:
     is the t-range: 0 <= t < 2(k-1) iff (k-1)m(m+1) <= p < (k-1)(m+1)(m+2),
     which says that m is maximal.
 
-    Requires p >= 2(k-1) so that m >= 1; below that the delta0 = 0 regime
-    applies and there is nothing to decompose.
+    Below p = 2(k-1), the delta0 = 0 regime, m is 0 and the triple is
+    (0, p, 0): the same guard certifies it, as 0 <= t = p < 2(k-1).
 
     >>> decompose(20, 3)
     (2, 2, 2)
+    >>> decompose(3, 4)
+    (0, 3, 0)
     """
     _check_pk(p, k)
-    if p < 2 * (k - 1):
-        raise ValueError(
-            f"p={p} < 2(k-1)={2 * (k - 1)}: m would be 0; "
-            "this is the delta0 = 0 regime"
-        )
     m = (isqrt(4 * (p // (k - 1)) + 1) - 1) // 2
     t = p // (m + 1) - m * (k - 1)
     lam = p - (k - 1) * m * (m + 1) - t * (m + 1)

@@ -52,8 +52,6 @@ __all__ = [
     "attained_q_values",
     "q_candidate_count",
     "QVALUES_MAX_VALUES",
-    "HTConeReport",
-    "ht_violation_check",
 ]
 
 # `attained_q_values` builds one value per candidate of `q_candidate_count`
@@ -80,8 +78,8 @@ class CurveClass:
     """The 1-cycle class a*H - y*r_k on the Hilbert scheme of k points.
 
     Gonality constructors always produce a = 1, y = g+k-1 >= 0; the fiber
-    class r_k itself is (a, y) = (0, -1), see :meth:`fiber`.  Construction
-    checks (p, k), and refuses a p, k, a or y that is not an int.
+    class r_k itself is (a, y) = (0, -1).  Construction checks (p, k), and
+    refuses a p, k, a or y that is not an int.
     """
 
     p: int
@@ -92,11 +90,6 @@ class CurveClass:
     def __init__(self, p: int, k: int, a: int, y: int):
         _check_pk(_int(p), _int(k))
         self._fill(p, k, _int(a), _int(y))
-
-    @classmethod
-    def fiber(cls, p: int, k: int) -> "CurveClass":
-        """The Hilbert-Chow fiber class r_k (so a = 0, y = -1)."""
-        return cls(p, k, 0, -1)
 
     @property
     def q(self) -> "Fraction":
@@ -575,49 +568,3 @@ def q_candidate_count(k: int, p_max: int) -> int:
         count += k - least
         rho += 1
     return count
-
-
-@_value_class
-class HTConeReport:
-    """Check of the cone prediction at p = n^2(k-1)+1 via R-bar = R - r_k.
-
-    q(R-bar) = -2n - 1/(2(k-1)); when that is >= -(k+3)/2 (iff 4n <= k+2)
-    the class would be effective under the general cone prediction but is
-    not, i.e. the prediction over-counts; `violation` flags this.
-    """
-
-    p: int
-    k: int
-    applicable: bool
-    n: int | None = None
-    rbar: CurveClass | None = None
-    q_rbar: "Fraction | None" = None
-    violation: bool | None = None
-
-
-def ht_violation_check(p: int, k: int) -> HTConeReport:
-    """Evaluate the R-bar self-intersection test; not-applicable off the family.
-
-    The one guard compares 2(k-1) q(R-bar) with its prediction
-    scaled = -4n(k-1) - 1.  Once it holds, the violation reading
-    scaled >= -(k+3)(k-1) is 4n(k-1) <= (k+3)(k-1) - 1, which for k >= 2 is
-    4n <= k+2: if 4n <= k+2 then 4n(k-1) <= (k+3)(k-1) - (k-1), and if
-    4n >= k+3 then 4n(k-1) >= (k+3)(k-1).  So `violation` needs no check of
-    its own.
-    """
-    _check_pk(p, k)
-    n = _primitive_isotropic_n(p, k)
-    if n is None or n < 2:
-        return HTConeReport(p=p, k=k, applicable=False)
-    opt = optimal_class(p, k)
-    rbar = CurveClass(p, k, opt.a, opt.y + 1)
-    # 2(k-1) times q(R-bar), its prediction -2n - 1/(2(k-1)) and -(k+3)/2
-    scaled = _scaled_q(p, k, rbar.a, rbar.y)
-    expected = -4 * n * (k - 1) - 1
-    if scaled != expected:
-        raise InvariantViolation(
-            f"q(R-bar) = {_ratio_text(scaled, 2 * (k - 1))} != -2n - 1/(2(k-1)) = "
-            f"{_ratio_text(expected, 2 * (k - 1))} at (p={p}, k={k})"
-        )
-    return HTConeReport(p=p, k=k, applicable=True, n=n, rbar=rbar, q_rbar=rbar.q,
-                        violation=scaled >= -(k + 3) * (k - 1))

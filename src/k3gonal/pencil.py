@@ -230,7 +230,7 @@ class BinaryForm:
     coeffs: tuple[int, ...]
 
     def __init__(self, bound: int, coeffs):
-        if bound < 0:
+        if _int(bound) < 0:
             _refuse_below("bound", 0, bound)
         coeffs = tuple(map(_int, coeffs))
         if len(coeffs) != bound + 1:
@@ -330,12 +330,12 @@ class SymPlaneCurve:
     terms: tuple[tuple[tuple[int, int, int], int], ...]
 
     def __init__(self, degree: int, terms):
-        if degree < 0:
+        if _int(degree) < 0:
             _refuse_below("degree", 0, degree)
         items = terms.items() if isinstance(terms, dict) else tuple(terms)
         store: dict[tuple[int, int, int], int] = {}
         for expo, value in items:
-            a, b, c = expo
+            a, b, c = map(_int, expo)
             if a < 0 or b < 0 or c < 0 or a + b + c != degree:
                 raise ValueError(f"exponent {expo} is not of total degree {degree}")
             store[a, b, c] = store.get((a, b, c), 0) + _int(value)

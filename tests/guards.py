@@ -24,7 +24,6 @@ from k3gonal.hilbert import (
     CurveClass,
     genus_for_invariants,
     gonality_class,
-    ht_violation_check,
     isotropic_case,
     minimal_q_family,
     optimal_class,
@@ -61,7 +60,7 @@ def _shifted_report(alpha, rho_at_alpha):
     return shifted
 
 
-_wedge_plan, _primitive_isotropic_n = pencil._wedge_plan, hilbert._primitive_isotropic_n
+_wedge_plan = pencil._wedge_plan
 _scaled_q, _delta0_from = hilbert._scaled_q, gonality._delta0_from
 
 
@@ -233,9 +232,6 @@ FAULTS = {
         (hilbert, "gonality_class",
          lambda p, k, delta: CurveClass(p, k, 1, gonality_class(p, k, delta).y + 1)),
         isotropic_case, PRIMITIVE_CASES, "isotropic class has q="),
-    "ht-q-rbar": Fault(
-        (hilbert, "_primitive_isotropic_n", lambda p, k: _primitive_isotropic_n(p, k) + 1),
-        ht_violation_check, PRIMITIVE_CASES, "!= -2n - 1/(2(k-1))"),
     # an offset of +2 keeps rho's sign at alpha = 0, so only the value
     # identity rho == delta - threshold catches it
     "necessity-rho": Fault(
@@ -343,7 +339,7 @@ class Refusal(NamedTuple):
 # first, on (p, k) and on (p, k, delta), and the leaves that take a --delta
 PK_FUNCTIONS = (decompose, delta0, delta0_bruteforce, optimal_class, hilbert.tau,
                 hilbert.extremal_ray_status, hilbert.lagrangian_report, minimal_q_family,
-                isotropic_case, ht_violation_check, CurveClass.fiber)
+                isotropic_case)
 DELTA_FUNCTIONS = (GonalityCase, gonality.admissible, gonality.expected_dims, gonality_class,
                    q_case)
 DELTA_LEAVES = ("gonality dims", "hilb class", "hilb q")
@@ -352,7 +348,8 @@ DELTA_LEAVES = ("gonality dims", "hilb class", "hilb q")
 def _pk_refusal(p, k, message):
     return Refusal(
         (*((f, p, k) for f in PK_FUNCTIONS), *((f, p, k, 0) for f in DELTA_FUNCTIONS),
-         (gonality.is_optimal, p, k, 0), (hilbert.DivisorClass, p, k, 1, 0)), message,
+         (gonality.is_optimal, p, k, 0), (CurveClass, p, k, 0, -1),
+         (hilbert.DivisorClass, p, k, 1, 0)), message,
         tuple(f"{leaf} -p {p} -k {k}" for leaf in (
             "gonality delta0", "hilb cone", "hilb lagrangian", "hilb rays"))
         + tuple(f"{leaf} -p {p} -k {k} --delta 0" for leaf in DELTA_LEAVES))
@@ -473,8 +470,6 @@ REFUSALS = {
                                "with replace()"),
     "pk-p": _pk_refusal(1, 2, "need p >= 2, got p=1"),
     "pk-k": _pk_refusal(9, 1, "need k >= 2, got k=1"),
-    "decompose-regime": Refusal(((decompose, 3, 4),),
-                                "p=3 < 2(k-1)=6: m would be 0; this is the delta0 = 0 regime"),
     "dims-inadmissible": Refusal(((gonality.expected_dims, 8, 2, 3),), "(p=8, k=2, delta=3) is "
                                  "inadmissible: the locus is empty",
                                  ("gonality dims -p 8 -k 2 --delta 3",)),

@@ -253,7 +253,8 @@ RECORDS = [
            (lambda: BinaryForm(1, (1, -1)) * BinaryForm(1, (1, 1)),),
            ("BinaryForm(bound=2, coeffs=(1, 0, -1))",),
            refused=tuple(((2, (v, 1, 0)), text) for v, text in REFUSED) + (
-               ((2, [1, 0.5, 0]), "float 0.5"),),
+               ((2, [1, 0.5, 0]), "float 0.5"), ((True, (1, 2)), "bool True"),
+               ((2.0, (1, 2, 3)), "float 2.0")),
            unchecked=(
                (BinaryForm.__mul__, lambda: [(pen.f, pen.g) for pen, _, _ in _pencils()]),
                (pencil.SymPlaneCurve.pullback,
@@ -276,7 +277,9 @@ RECORDS = [
                Pencil(BinaryForm(3, (0, 0, 0, 1)), BinaryForm(3, (1, 0, 0, 0)))),),
            ("SymPlaneCurve(degree=2, terms=(((0, 2, 0), 1), ((1, 0, 1), -1)))",),
            refused=tuple(((1, terms), text) for v, text in REFUSED
-                         for terms in ({(1, 0, 0): 1, (0, 1, 0): v}, [((1, 0, 0), v)])),
+                         for terms in ({(1, 0, 0): 1, (0, 1, 0): v}, [((1, 0, 0), v)])) + (
+               ((1.0, {(1, 0, 0): 1}), "float 1.0"), ((1, {(1.0, 0, 0): 1}), "float 1.0"),
+               ((1, [((0, 0, True), 1)]), "bool True")),
            unchecked=((pencil.wedge_curve, lambda: [(pen,) for pen, _, _ in _pencils()]),)),
     Record(hilbert.DivisorClass, "(p: int, k: int, a: int, c)", (8, 3, 2, Fraction(1, 2)),
            (8, 3, 2, Fraction(1, 2)),
@@ -290,14 +293,6 @@ RECORDS = [
            (1, 2, 3), (1, 2, 3),
            (lambda: hilbert.minimal_q_family(12, 3),),
            ("FamilyWitness(s=2, delta=4, curve=CurveClass(p=12, k=3, a=1, y=10))",)),
-    Record(hilbert.HTConeReport,
-           "(p: int, k: int, applicable: bool, n: int | None = None, "
-           "rbar: k3gonal.hilbert.CurveClass | None = None, "
-           "q_rbar: 'Fraction | None' = None, violation: bool | None = None)",
-           tuple(range(7)), tuple(range(7)),
-           (lambda: hilbert.ht_violation_check(37, 10),),
-           ("HTConeReport(p=37, k=10, applicable=True, n=2, rbar=CurveClass(p=37, k=10, a=1, "
-            "y=37), q_rbar=Fraction(-73, 18), violation=True)",)),
     Record(chains.ChainPartition, "(p: int, k: int, parts)",
            (9, 2, ((1, 2), (2, 1), (5, 1))), (9, 2, ((1, 2), (2, 1), (5, 1)), 4, 5),
            (lambda: chains.ChainPartition(8, 2, {1: 2, 2: 1, 4: 1}),

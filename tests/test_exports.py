@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import k3gonal
+from k3gonal.cli import main
+
+import leaves
 
 MODULES = sorted(
     f"k3gonal.{m.name}" for m in pkgutil.iter_modules(k3gonal.__path__)
@@ -66,7 +70,7 @@ def test_a_name_loads_only_its_submodule_and_what_that_imports():
 def test_star_import_binds_every_exported_name():
     names = _fresh("import k3gonal\nnames = {}\nexec('from k3gonal import *', names)\n"
                    "print(json.dumps([n for n in names if n != '__builtins__']))")
-    assert sorted(names) == sorted(k3gonal.__all__) and len(names) == 38
+    assert sorted(names) == sorted(k3gonal.__all__) and len(names) == 37
 
 
 def test_dir_lists_the_exports_and_the_submodules_before_any_import():
@@ -89,7 +93,8 @@ def test_unknown_name_raises_attribute_error():
 
 @pytest.mark.parametrize("module, name", [
     ("gonality", "Decomposition"), ("chains", "construct_minimal"),
-    ("chains", "_lightest_plus_one"),
+    ("chains", "_lightest_plus_one"), ("hilbert", "ht_violation_check"),
+    ("hilbert", "HTConeReport"),
 ])
 def test_retired_names_are_gone(module, name):
     # decompose returns a plain tuple and chains.witness is the one chain
@@ -110,3 +115,64 @@ def test_a_package_name_follows_its_submodule(monkeypatch):
     assert k3gonal.delta0 is len and "delta0" not in vars(k3gonal)
     monkeypatch.undo()
     assert k3gonal.delta0 is original
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the exported names that no command, acceptance test or benchmark target
+# reaches, each with the reason it stays
+UNREACHED = {
+    "DivisorClass": "the divisor side of the exact Bayer-Macri rule for the Mori cone",
+    "pairing": "pairs a DivisorClass with a CurveClass for that rule",
+    "InvariantViolation": "raised only by a failed cross-check, as tests/guards.py's FAULTS fire",
+}
+
+
+def _owners():
+    """The exported names by the code object of each function they hold: a
+    function's own, or each one in a class's `vars`, `_make` included."""
+    owners = {}
+    for name in k3gonal.__all__:
+        value = getattr(k3gonal, name)
+        for member in vars(value).values() if isinstance(value, type) else (value,):
+            function = getattr(member, "__func__", getattr(member, "fget", member))
+            if hasattr(function, "__code__"):
+                owners.setdefault(function.__code__, set()).add(name)
+    return owners
+
+
+def _run_codes(capsys):
+    """The code objects that run under every pinned case of leaves.py."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in leaves.CASES:
+            assert main(["--format", "json", *argv.split()]) == 0, argv
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    return codes
+
+
+def test_every_exported_name_is_reached(capsys):
+    owners = _owners()
+    # a method every value class shares runs one code object, which names no
+    # one class
+    reached = {name for code in _run_codes(capsys) if len(owners.get(code, ())) == 1
+               for name in owners[code]}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    reached |= {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+                and node.module.startswith("k3gonal") for alias in node.names}
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (targets,) = [node.value for node in tracer.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    reached |= {path.split(".")[0] for module, path in ast.literal_eval(targets)
+                if k3gonal._OWNER.get(path.split(".")[0]) == module}
+    assert [name for name in k3gonal.__all__ if name not in reached | UNREACHED.keys()] == []
+    # a kept name that something reaches needs no reason
+    assert reached.isdisjoint(UNREACHED)

@@ -67,7 +67,7 @@ def test_decomposition_roundtrip(p, k):
 
 def _decompose_by_search(p, k):
     """Reference decomposition: m by linear search, O(sqrt(p/(k-1))) steps."""
-    m = 1
+    m = 0
     while (k - 1) * (m + 1) * (m + 2) <= p:
         m += 1
     t = p // (m + 1) - m * (k - 1)
@@ -76,7 +76,7 @@ def _decompose_by_search(p, k):
 
 def test_decompose_matches_search_reference():
     for k in range(2, 21):
-        for p in range(2 * (k - 1), 5001):
+        for p in range(2, 5001):
             assert decompose(p, k) == _decompose_by_search(p, k)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from k3gonal import hilbert
-from k3gonal.gonality import GonalityCase, admissible, decompose, delta0
+from k3gonal.gonality import GonalityCase, _delta0_from, admissible, decompose, delta0
 from k3gonal.hilbert import (
     CurveClass,
     DivisorClass,
@@ -16,7 +16,6 @@ from k3gonal.hilbert import (
     extremal_ray_status,
     genus_for_invariants,
     gonality_class,
-    ht_violation_check,
     isotropic_case,
     lagrangian_report,
     minimal_q_family,
@@ -44,14 +43,14 @@ def test_q_curve_examples():
 
 
 def test_fiber_class():
-    fiber = CurveClass.fiber(9, 4)
+    fiber = CurveClass(9, 4, 0, -1)
     assert fiber.q == F(-1, 6)
     assert fiber.display() == "r_k"
 
 
 def test_pairing_examples():
     p, k = 9, 4
-    fiber = CurveClass.fiber(p, k)
+    fiber = CurveClass(p, k, 0, -1)
     for t in (F(1), F(3, 2), F(7)):
         assert pairing(DivisorClass(p, k, 1, t), fiber) == t
     h_div = DivisorClass(p, k, 1, 0)
@@ -152,6 +151,19 @@ def test_q_optimal_form_matches_q_case_at_delta0():
             ts.add(decompose(p, k)[1])
         # t runs over [0, 2(k-1)), past k - 1 too, where k-1-t is negative
         assert ts == set(range(2 * (k - 1))), k
+
+
+def test_m0_formulas_need_no_special_case():
+    # up to p = 2(k-1), where delta0 = 0, (m, t, lam) is (0, p, 0), and
+    # (1, 0, 0) at p = 2(k-1); delta0, y and q read off it as above that
+    for k in range(2, 41):
+        for p in range(2, 2 * (k - 1) + 1):
+            dec = m, t, lam = decompose(p, k)
+            assert dec == ((0, p, 0) if p < 2 * (k - 1) else (1, 0, 0)), (p, k)
+            assert _delta0_from(p, k, dec) == 0, (p, k)
+            assert (m + 1) * (k - 1) + p // (m + 1) == optimal_class(p, k).y, (p, k)
+            assert (4 * (k - 1) * (lam - 1) - (k - 1 - t) ** 2
+                    == hilbert._scaled_q_case(p, k, 0)), (p, k)
 
 
 def test_tau_examples():
@@ -265,7 +277,7 @@ def test_lagrangian_examples():
 def test_extremal_ray_examples():
     rep = extremal_ray_status(12, 3)
     assert rep.status == "PROVEN_MINQ"
-    assert rep.rays == (CurveClass.fiber(12, 3), CurveClass(12, 3, 1, 10))
+    assert rep.rays == (CurveClass(12, 3, 0, -1), CurveClass(12, 3, 1, 10))
 
     rep = extremal_ray_status(3, 4)
     assert rep.status == "PROVEN_BM"
@@ -421,19 +433,30 @@ def test_q_candidates_are_bounded_at_any_k():
     assert time.perf_counter() - start < 0.05
 
 
+def _ht_rbar(p, k):
+    """(n, q(R-bar), violation) at p = n^2(k-1) + 1 with n >= 2, where R-bar
+    is the optimal class R minus r_k and the violation reads q(R-bar) >=
+    -(k+3)/2, the cone prediction over-counting; None off that family."""
+    n = hilbert._primitive_isotropic_n(p, k)
+    if n is None or n < 2:
+        return None
+    q = CurveClass(p, k, 1, optimal_class(p, k).y + 1).q
+    return n, q, q >= F(-(k + 3), 2)
+
+
 def test_ht_violation_examples():
-    rep = ht_violation_check(37, 10)  # n=2
-    assert rep.applicable and rep.n == 2
-    assert rep.q_rbar == F(-4) - F(1, 18)
-    assert rep.violation  # 4n = 8 <= k+2 = 12
+    n, q, violation = _ht_rbar(37, 10)
+    assert n == 2
+    assert q == F(-4) - F(1, 18)
+    assert violation  # 4n = 8 <= k+2 = 12
 
-    rep = ht_violation_check(10, 2)  # n=3
-    assert rep.applicable and rep.n == 3
-    assert rep.q_rbar == F(-13, 2)
-    assert not rep.violation  # 12 > 4
+    n, q, violation = _ht_rbar(10, 2)
+    assert n == 3
+    assert q == F(-13, 2)
+    assert not violation  # 12 > 4
 
-    assert not ht_violation_check(7, 2).applicable
-    assert not ht_violation_check(2, 2).applicable  # n=1 excluded
+    assert _ht_rbar(7, 2) is None
+    assert _ht_rbar(2, 2) is None  # n=1 excluded
 
 
 def test_rat_str():
