@@ -33,7 +33,7 @@ from collections.abc import Mapping
 
 from .errors import InvariantViolation, _refuse_below, _refuse_delta, _refuse_over_limit
 from .exactmath import _int, _value_class, field
-from .gonality import delta0
+from .gonality import _check_pk, delta0
 
 __all__ = [
     "ChainPartition",
@@ -106,7 +106,7 @@ class ChainPartition:
             "k": self.k,
             "delta": self.delta,
             "g": self.g,
-            "parts": [[j, a] for j, a in self.parts],
+            "parts": self.parts,
         }
 
 
@@ -166,8 +166,9 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
     The module's rule at g = p - delta, built once, in time proportional to
     its number of chain lengths, at most (g-1) // 2(k-1) + 2; it equals the
     witness at delta0 followed by delta - delta0 `increment` merges.
-    A delta outside [0, p] is refused first, before delta0 is computed, with
-    the range message of `necessary_condition`; delta = p (g = 0) has no
+    A p or k below 2 is refused first, by the check of every (p, k) function
+    of `gonality`; then a delta outside [0, p], before delta0 is computed,
+    with the range message of `necessary_condition`; delta = p (g = 0) has no
     chain witness and is rejected.  A witness that may pass
     WITNESS_MAX_LENGTHS chain lengths is refused unbuilt.
 
@@ -182,11 +183,10 @@ def witness(p: int, k: int, delta: int) -> ChainPartition:
 
     >>> witness(8, 2, 4).parts
     ((1, 2), (2, 1), (4, 1))
+    >>> witness(2, 2, 0).parts, witness(2, 2, 1).parts
+    (((1, 2),), ((2, 1),))
     """
-    if p < 3:
-        _refuse_below("p", 3, p)
-    if k < 2:
-        _refuse_below("k", 2, k)
+    _check_pk(p, k)
     if not 0 <= delta <= p:
         _refuse_delta(delta, p)
     d0 = delta0(p, k)

@@ -34,10 +34,15 @@ payload (a row command's is the chunks of `_json_rows`), a table and, from a
 row command, its csv rows.  A single-case command's table is a function that
 `_emit` calls under `--format table` alone, so json and csv build no table;
 its output is one text, written with one write, unless it is json longer
-than `_PIPE_BYTES`.
+than `_PIPE_BYTES`.  The text of a (j, alpha_j) pair is rendered once per
+format and, in json, per indent, and kept across commands: json's in the
+table of `_JSON_TUPLES` for its indent, which also holds any other tuple of
+int, str and None items, csv's compact "[j, a]" in `_CSV_PAIRS` and the
+table's "j:a" in `_TABLE_PAIRS`; each table is emptied past `_TEXTS_MAX`.
 """
 
 import codecs
+import collections
 import functools
 import itertools
 import json
@@ -73,10 +78,19 @@ _JSON_SCALARS = {
 }
 
 
-# the %-templates of _json_text's dicts, keyed by (keys, pad); a cache that
-# holds _DICT_TEMPLATES_MAX of them is emptied before it takes another
-_DICT_TEMPLATES = {}
-_DICT_TEMPLATES_MAX = 256
+# a table of rendered texts, such as dict templates or pair texts, that
+# holds _TEXTS_MAX of them is emptied before it takes another; every
+# enumeration up to chains.DEFAULT_MAX_P = 60 together holds 261 distinct
+# (j, alpha_j) pairs, those with j * alpha_j <= 60
+_TEXTS_MAX = 1024
+
+
+def _kept(texts: dict, key, text: str) -> str:
+    """`text`, kept under `key` in the table `texts`."""
+    if len(texts) >= _TEXTS_MAX:
+        texts.clear()
+    texts[key] = text
+    return text
 
 
 def _dict_template(keys: tuple, pad: str) -> str:
@@ -87,43 +101,69 @@ def _dict_template(keys: tuple, pad: str) -> str:
                           for key in keys) + pad + "}"
 
 
+# the %-templates of _json_text's dicts, keyed by (keys, pad)
+_DICT_TEMPLATES = {}
+# the items of a tuple that _json_text renders once per pad and keeps: no
+# bool, since True == 1 would give (True,) the text of (1,)
+_CACHED_ITEMS = frozenset({int, str, type(None)})
+# the json texts of tuples of _CACHED_ITEMS, one table per pad; there are
+# as many pads as levels of a tree, which the recursion limit bounds
+_JSON_TUPLES = collections.defaultdict(dict)
+# the texts of each (j, alpha_j) pair in csv, "[j, a]" as json.dumps gives
+# it, and in a table, "j:a"; parts are exact ints, so "%d" is their repr
+_CSV_PAIRS = {}
+_TABLE_PAIRS = {}
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, indent=2)` for str, int, bool, None, list, tuple and
     str-keyed dict trees; `pad` is the newline and indent of obj's own line.
 
     Leaves are rendered inline by their exact type and only containers
     recurse; a dict's keys are rendered once per key tuple and pad, into a
-    template of `_DICT_TEMPLATES`.  Anything else raises TypeError: a float
-    or a Fraction here, a key that is not a str in encode_basestring_ascii.
+    template of `_DICT_TEMPLATES`, and a tuple of int, str and None items,
+    such as a (j, alpha_j) pair, once per tuple and pad, into the table of
+    `_JSON_TUPLES`.  Any other tuple renders as a list.  Anything else
+    raises TypeError: a float or a Fraction here, a key that is not a str in
+    encode_basestring_ascii.
     """
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
-    inner = pad + "  "
+    if type(obj) is tuple:
+        for value in obj:
+            if type(value) not in _CACHED_ITEMS:
+                break
+        else:
+            texts = _JSON_TUPLES[pad]
+            return texts.get(obj) or _kept(texts, obj, _array_text(obj, pad))
     if type(obj) is dict:
         if not obj:
             return "{}"
         shape = (tuple(obj), pad)
-        template = _DICT_TEMPLATES.get(shape)
-        if template is None:
-            template = _dict_template(*shape)
-            if len(_DICT_TEMPLATES) >= _DICT_TEMPLATES_MAX:
-                _DICT_TEMPLATES.clear()
-            _DICT_TEMPLATES[shape] = template
+        template = _DICT_TEMPLATES.get(shape) or _kept(_DICT_TEMPLATES, shape,
+                                                       _dict_template(*shape))
+        inner = pad + "  "
         texts = []
         for value in obj.values():
             scalar = _JSON_SCALARS.get(type(value))
             texts.append(scalar(value) if scalar is not None else _json_text(value, inner))
         return template % tuple(texts)
     if type(obj) is list or type(obj) is tuple:
-        if not obj:
-            return "[]"
-        items = []
-        for value in obj:
-            scalar = _JSON_SCALARS.get(type(value))
-            items.append(scalar(value) if scalar is not None else _json_text(value, inner))
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return _array_text(obj, pad)
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def _array_text(obj, pad: str) -> str:
+    """The json text of the list or tuple `obj` at `pad`, as `_json_text`."""
+    if not obj:
+        return "[]"
+    inner = pad + "  "
+    items = []
+    for value in obj:
+        scalar = _JSON_SCALARS.get(type(value))
+        items.append(scalar(value) if scalar is not None else _json_text(value, inner))
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 # the newline and indent of each row of _json_rows, and of a row's keys
@@ -169,7 +209,8 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
     of no arguments that gives the text, with no trailing newline, or an
     iterable of its lines (at least one, none ending in a newline), each one
     chunk with its newline.  `csv_rows` defaults to a header row and a value
-    row from a flat dict payload; each given row is one chunk.
+    row from a dict payload, whose list, tuple and dict values are cells of
+    their `json.dumps`; each given row is one chunk.
     """
     text = None
     if fmt == "json":
@@ -186,7 +227,7 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
         echo = types.SimpleNamespace(write=lambda text: text)
         writerow = csv.writer(echo, lineterminator="\n").writerow
         if csv_rows is None:
-            cells = [json.dumps(v) if isinstance(v, (list, dict)) else v
+            cells = [json.dumps(v) if isinstance(v, (list, tuple, dict)) else v
                      for v in payload.values()]
             text = writerow(list(payload)) + writerow(cells)
         else:
@@ -365,7 +406,10 @@ chains_group = cli.group("chains",
 
 
 def _partition_table(part: chains.ChainPartition) -> str:
-    body = ", ".join(f"{j}:{a}" for j, a in part.parts)
+    pairs = []
+    for pair in part.parts:
+        pairs.append(_TABLE_PAIRS.get(pair) or _kept(_TABLE_PAIRS, pair, "%d:%d" % pair))
+    body = ", ".join(pairs)
     return f"p={part.p} k={part.k} delta={part.delta} g={part.g} parts[{body}]"
 
 
@@ -377,39 +421,28 @@ def chains_witness(p, k, delta):
 
 
 def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
-    """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`;
-    each distinct [j, a] pair is rendered once."""
+    """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`,
+    each pair's text read from the table of its pad."""
     pad = _ROW_KEY + "  "  # each pair's own line
     # a row template with p and k filled in: delta, g and the pairs remain
     row = _dict_template(("p", "k", "delta", "g", "parts"), _ROW) % (
         p, k, "%s", "%s", "[" + pad + "%s" + _ROW_KEY + "]")
-    sep = "," + pad
-    texts = {}
+    sep, get = "," + pad, _JSON_TUPLES[pad].get
     for part in parts:
         pairs = []
         for pair in part.parts:
-            text = texts.get(pair)
-            if text is None:
-                text = texts[pair] = _json_text(pair, pad)
-            pairs.append(text)
+            pairs.append(get(pair) or _json_text(pair, pad))
         yield row % (part.delta, part.g, sep.join(pairs))
 
 
-class _PairTexts(dict):
-    """The text "[j, a]" of each [j, a] pair, as `json.dumps` gives it,
-    rendered on its first lookup and kept."""
-
-    def __missing__(self, pair):
-        text = self[pair] = "[%d, %d]" % pair
-        return text
-
-
 def _partition_rows(parts: list[chains.ChainPartition]):
-    """The csv rows of `parts`: delta, g and `json.dumps(part.parts)`, built
-    from one `_PairTexts` entry per distinct pair."""
-    text = _PairTexts().__getitem__
+    """The csv rows of `parts`: delta, g and `json.dumps(part.parts)`."""
+    get = _CSV_PAIRS.get
     for part in parts:
-        yield [part.delta, part.g, "[" + ", ".join(map(text, part.parts)) + "]"]
+        pairs = []
+        for pair in part.parts:
+            pairs.append(get(pair) or _kept(_CSV_PAIRS, pair, "[%d, %d]" % pair))
+        yield [part.delta, part.g, "[" + ", ".join(pairs) + "]"]
 
 
 @chains_group.command("enumerate", _P, _K)

@@ -402,8 +402,8 @@ REFUSALS = {
                                  "cannot increment an invalid partition"),
     "increment-maximal": Refusal(((chains.increment, Partition(5, 2, {5: 1})),),
                                  "already maximal: a single chain admits no merge"),
-    "witness-p": Refusal(((witness, 2, 2, 1),), "need p >= 3, got p=2",
-                         ("chains witness -p 2 -k 2 --delta 1",)),
+    "witness-p": Refusal(((witness, 1, 2, 0),), "need p >= 2, got p=1",
+                         ("chains witness -p 1 -k 2 --delta 0",)),
     "witness-k": Refusal(((witness, 8, 1, 4),), "need k >= 2, got k=1",
                          ("chains witness -p 8 -k 1 --delta 4",)),
     "witness-delta-negative": Refusal(((witness, 5, 2, -1),), "need 0 <= delta <= p, got "

@@ -70,6 +70,10 @@ LEAVES = {
              "b077cf3cb1c0c9009a7bde1e22f4b8edcca58dbf61ecaa5cab50cc2398b58315",
              "b25e7d356225724a76febc34c55ac55a9f58a45e12b0db53027a7667f4c5017b",
              "05c8591fda18e5cedd072563ca890d9839a72e5f63b68f5eac6cdf755f98d283"),
+        Case("bn check -p 2 -k 2 --delta 0", {"necessary_condition": 1},
+             "1fe6ff84bc26c3fb170c2d131cc43980f7992cef7a366def0e211c804cc23fdd",
+             "bbc63d954a9c15e6b017b7306de696e0a18a296d2714418013b27a89d567dada",
+             "faf0955cf5f32854758e84c6da09b92fd492ff559c41e9195e5961b54944e276"),
     ]),
     "gonality delta0": Leaf(SINGLE, [
         Case("gonality delta0 -p 9 -k 4 --verify", {"decompose": 1, "delta0": 1,
@@ -86,6 +90,11 @@ LEAVES = {
              "c1c658e9c0810a7f0a02ceff8aa54d60a28b5bfdcab6d32b4ecb11cfd37657a9",
              "85507df77e55e2e409ef78ebbce66a626e159adacb63424729802c16be09dc85",
              "fc5d534b0247398622b19fb91a6d95b3c9f3f604ffc3a063cffd5b1dad59212a"),
+        Case("gonality delta0 -p 2 -k 2 --verify", {
+             "delta0": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "ba23bb010a5dfcdff881cc289c13b28eeb5e48fdf043216981af29631f1287e5",
+             "d193dca66699a84243765b03fd314f67b247e171720b394c8be6f312434266e1",
+             "446bcdb29a5148039ab7cab47adb65a5a16dc0f0eacece57d900b99f5adf176e"),
     ]),
     "gonality dims": Leaf(SINGLE, [
         Case("gonality dims -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
@@ -116,6 +125,14 @@ LEAVES = {
              "a1796f8796f19a8f281db7b16a17cfda17dab1fe1ba3a5f9b0a4fd4819759987",
              "e727872278d1884a8cea62401deaadd817ace6938dd1bdf4b12c26349d2a841b",
              "3d60d104b03a42853e16b99f296d398acb447633772ed29a94ec301e24b14bcf"),
+        Case("chains witness -p 2 -k 2 --delta 0", {"delta0": 1},
+             "ef77be10f414462421d1d019cef8da16b0b0ef908afd20efef0fcdd7c32900a5",
+             "69389eda486c6f7bb660507904d6ee1e54e381c3b35dbc618fd3eb01f6feab36",
+             "286c238e7c0bb040239fc59c555ddee4b0f4dbb00f92728f3e70429f3b5e67dc"),
+        Case("chains witness -p 2 -k 2 --delta 1", {"delta0": 1},
+             "309916a3fe66277cc2470117f9c95f6ebc03d50c02e852da17546f74c20587dc",
+             "27d2f86407968525670a1b271570f5e075fd04dc4906df4fe76944ae688666fd",
+             "8bc43adbb111aa74b792ab753df2bc2414652b2f14adeec03f9871f6d6d4bbe6"),
     ], limits={
         # g chains at cap 2 fill (g - 1) // 2 + 2 lengths: 100001 at g = 199999,
         # 3 at the case's g = 3
@@ -132,6 +149,10 @@ LEAVES = {
              "ea69385df66e9ccf191d563409cc9b1dcab5b19c2cd77a3fd18cdbc87303b608",
              "7d264ba55e6d49532a2c17deb369c9704e7cc3c83a571949d51e97c5e6df322f",
              "ca7482d3f4febaa26940df1318d7ce7aa2ebaee9f4ceb223927647d3abbb5129"),
+        Case("chains enumerate -p 2 -k 2", {},
+             "959e71ee8de9675d0fa41b21810d9bda9e4e0eb29215358fe05718214ed08478",
+             "68d3ca924deb5ff3c4a870b5d9e527dffdcb5e6b8bf800c0fc082c0b05b8bb2b",
+             "687005f9bb2ff5633eb4291c969aa40b527d3f9b5a0c2c31257ca899ce5baf5d"),
     ], limits={
         "DEFAULT_MAX_P": Limit("chains enumerate -p 61 -k 2",
                                "chains enumerate -p 6 -k 2", 6),
@@ -176,6 +197,11 @@ LEAVES = {
              "9b7c4204dafe3eb9a51072d65f5f508238a896bbd5d7c034bf4c9cf42ff688ef",
              "a1f9bf96026e6a9d16e18c887183f1d819dfe5e467fa5276cb901ca9a11b6dc4",
              "6b65fb3e685b85ee4358c6535f6d8e411877c92ceb120c9c8cd1f3e646929941"),
+        Case("hilb class -p 3 -k 1000000 --delta 0", {
+             "GonalityCase": 1, "necessary_condition": 1},
+             "c1838cc113b86a9e13acdfcb391d9af94ebb124de1d13bad906f0fa4b2ef22f9",
+             "960e922ebb01c18a51909790a0a0d19ff4002c7ccd9470eff9018de8c589c201",
+             "4bb1dd4965e0de04c74a14d52a69137e79c2e384d7afd23136d6f84c683dd43f"),
     ], rational=True),
     "hilb q": Leaf(SINGLE, [
         Case("hilb q -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
@@ -213,6 +239,11 @@ LEAVES = {
              "22eb55a0bb1b552f1d51573bdea77b0efada36ae6938fbad5ebfebd9110faa7d",
              "ff17d3e2562f051814a7b26fa3eeb3d3b49a002815df9036a613dcbf471309b4",
              "c7e2768382f04b7475e162c1027ecfc91dfc9519102315bf2abeb0e52197b171"),
+        Case("hilb cone -p 3 -k 1000000", {
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "798492a398f2c9acea4eb3fa900418f34c486fc73c93ccc119389c7241a216bf",
+             "cffe1875bbedf139e9a8c4e3160ad48593a219208965b26dddb7612a2d102555",
+             "01124ba68b53cbcc5f5417778340ac29ee57a60c47dc19623ad44d350a07c928"),
     ], rational=True),
     "hilb qvalues": Leaf(ROW, [
         Case("hilb qvalues -k 3 --pmax 300", {"decompose": 5, "GonalityCase": 7,
@@ -253,6 +284,10 @@ LEAVES = {
              "47b84303913e68e22b37c2a7183f50e7f69a987b3650db55ae9d825a44e9204f",
              "048121acdd00cf266779086d478871bdc39896de9722cabae345e02ceda25642",
              "236b863ad79d9c0aaad4a5e7e90e7ac1b6535202625bb767975eb4526b14ab8d"),
+        Case("hilb lagrangian -p 2 -k 2", {"lagrangian_report": 1},
+             "692485e4e323cc713780819757bff7a7522966451bc7627f6f608b8e6dd64d11",
+             "d8bce987e6dc794392eb858ef8d139201381ca2e7120f65720927faa2cbf213c",
+             "8dfb3ecf179a009a64a3e4ecdb28c355d8a6f66b44d8c21e646107c992f5ae18"),
     ]),
     "hilb rays": Leaf(SINGLE, [
         Case("hilb rays -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
@@ -276,6 +311,16 @@ LEAVES = {
              "eb1898f4054eee1695c1303a208b36a2a1312046772a77db750b38eea9953da6",
              "488c3d291c4785d463a84db8e8edfa951143b7466f450bbfab326af7a31198ed",
              "0c134f6fc43d73431f422464b68d46b2547102d22955878de2084f0fee8c9af8"),
+        Case("hilb rays -p 6 -k 4", {
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "5231e56b3216093f38dab3e2b65755f3eb81b0ccac2b1a1fb868be22b24757df",
+             "7b2361b87fd24488c65b6ca87c66dae210d410124f632b662580660d6df764e2",
+             "d04ac4763dc10b7e09d4891a816bba5ec6ec93593347d1654ad47622078e53ad"),
+        Case("hilb rays -p 7 -k 4", {"decompose": 2, "delta0": 1, "optimal_class": 1,
+             "GonalityCase": 1, "necessary_condition": 1, "minimal_q_family": 1},
+             "9495914f3a2c6155e03e512d2c938c3789ad476e32cc4bcfda54083fec92f4e6",
+             "c98edc54cd97449a4fa2f1d4d216ed7505631fe4a11347518723874e3fb6b031",
+             "22878a3d2a96bf085671d734d391866a7c03de1afdb5a83395b9dacfef8855fc"),
     ], rational=True),
     "hilb scan": Leaf(ROW, [
         Case("hilb scan --pmax 12 --kmax 3", {"decompose": 135, "delta0": 94,

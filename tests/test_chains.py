@@ -357,9 +357,12 @@ def _stable_payload(partition, capsys):
 
 
 def _reference_stable_payload(partition):
+    """The reference payload as the command's json reads back: the
+    partition's parts tuple as a list of lists."""
     curve = SymbolicChainCurve(partition)
     nodes, genus = stable_model(curve)
-    return curve.to_payload() | {"stable_nodes": nodes, "arithmetic_genus": genus}
+    payload = curve.to_payload() | {"stable_nodes": nodes, "arithmetic_genus": genus}
+    return json.loads(json.dumps(payload))
 
 
 def test_chains_stable_matches_reference_on_witnesses(capsys):
@@ -378,11 +381,15 @@ def test_chains_stable_matches_reference_on_enumerated_partitions(capsys):
 
 
 def test_serialization_payload():
+    # the parts are the stored tuple, which json renders as a list of lists
     q = part(8, 2, {4: 1, 1: 2, 2: 1})
-    assert q.to_payload() == {
+    payload = q.to_payload()
+    assert payload == {
         "p": 8,
         "k": 2,
         "delta": 4,
         "g": 4,
-        "parts": [[1, 2], [2, 1], [4, 1]],
+        "parts": ((1, 2), (2, 1), (4, 1)),
     }
+    assert payload["parts"] is q.parts
+    assert json.loads(json.dumps(payload))["parts"] == [[1, 2], [2, 1], [4, 1]]

@@ -1140,6 +1140,28 @@ def test_chains_witness_at_extreme_p(capsys):
     assert code == 0 and out == "p=10000000 k=2 delta=9999999 g=1 parts[10000000:1]\n"
 
 
+@pytest.mark.parametrize("delta", [0, 1])
+def test_chains_witness_at_p_2_is_the_enumerated_partition(capsys, delta):
+    # p = 2 has one valid partition at each delta in [delta0, p - 1] = [0, 1],
+    # for every k, and the witness is it; the pinned command prints it as
+    # `chains enumerate -p 2 -k 2` and json.dumps do
+    for k in range(2, 8):
+        assert [q for q in chains.enumerate_partitions(2, k) if q.delta == delta] == [
+            chains.witness(2, k, delta)], k
+    expected, = [q for q in chains.enumerate_partitions(2, 2) if q.delta == delta]
+    payload = expected.to_payload()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [list(payload), [*list(payload.values())[:4], json.dumps(payload["parts"])]])
+    table = [line for line in run(capsys, "chains", "enumerate", "-p", "2", "-k", "2")[1]
+             .splitlines(keepends=True) if f" delta={delta} " in line]
+    argv = f"chains witness -p 2 -k 2 --delta {delta}"
+    for fmt, text in (("json", json.dumps(payload, indent=2) + "\n"), ("csv", buf.getvalue()),
+                      ("table", "".join(table))):
+        assert run(capsys, "--format", fmt, *argv.split()) == (0, text, ""), fmt
+        assert hashlib.sha256(text.encode()).hexdigest() == leaves.SHA256[argv, fmt]
+
+
 def _fire(capsys, tmp_path, record):
     """Each call of `record` raises its message; each command exits 1 at once,
     with that message as its one stderr line and no output, nor an --out file."""
@@ -1307,11 +1329,31 @@ _JSON_TREES = st.recursive(
 )
 
 
-@given(tree=_JSON_TREES)
+# tuples of scalars, which _json_text renders from a table per indent unless
+# they hold a bool, and trees that hold them, repeated and at several indents
+_SCALAR_TUPLES = st.lists(
+    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_STRINGS), max_size=4).map(tuple)
+_TUPLE_TREES = st.recursive(
+    _SCALAR_TUPLES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, min_size=1, max_size=2).map(lambda items: items * 2),
+        st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(tree=_JSON_TREES | _TUPLE_TREES)
 # keys that are, or hold, a %-format directive
 @example(tree={"%": 1, "%s": "%s", "%%": ["%%", {"%%s": None}]})
 # one key tuple at three indents: each has a dict template of its own
 @example(tree={"k": {"k": [{"k": 0}]}})
+# one tuple at three indents, and tuples equal to it that hold a bool, a
+# list or a tuple: each indent has a text of its own, and a bool is no int
+@example(tree=[(1, 2), [(1, 2), [(1, 2), (True, 2)]], (1, [2]), ((1, 2),), (1, 2)])
+@example(tree={"a": (1,), "b": (True,), "c": [(1,), (False,), (0,), ()], "d": ((), [])})
 @settings(max_examples=200, deadline=None)
 def test_json_text_matches_json_dumps(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
@@ -1332,19 +1374,58 @@ def test_json_rows_matches_json_dumps(head, rows):
         {**envelope, "rows": rows}, indent=2) + "\n"
 
 
+@given(tree=_JSON_TREES | _TUPLE_TREES)
+@example(tree=((1, 2), [(1, 2), (True, 2)]))
+@settings(max_examples=100, deadline=None)
+def test_csv_cell_matches_json_dumps(tree):
+    # a list, tuple or dict value of a single-case payload is one csv cell,
+    # which reads back as json.dumps of the value
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit("csv", None, {"cell": [tree], "value": tree}, None)
+    header, row = csv.reader(io.StringIO(out.getvalue()))
+    assert header == ["cell", "value"]
+    assert row[0] == json.dumps([tree])
+    if isinstance(tree, (list, tuple, dict)):
+        assert row[1] == json.dumps(tree)
+
+
 @pytest.mark.parametrize(
-    "tree", [1.5, {"q": 0.5}, {1: "a"}, [{"k": 1}, {2: 3}], Fraction(1, 2), {"q": [Fraction(3)]}]
+    "tree", [1.5, {"q": 0.5}, {1: "a"}, [{"k": 1}, {2: 3}], Fraction(1, 2), {"q": [Fraction(3)]},
+             # equal, and of equal hash, to the tuple (1, 2) of ints
+             (1.0, 2), [(1, 2), (Fraction(1), 2)], {"q": (1, 2.0)}]
 )
 def test_json_text_rejects_other_types(tree):
+    cli._json_text([(1, 2), {"q": (1, 2)}])
     with pytest.raises(TypeError):
         cli._json_text(tree)
 
 
 def test_json_text_templates_are_bounded():
-    for n in range(2 * cli._DICT_TEMPLATES_MAX):
+    for n in range(2 * cli._TEXTS_MAX):
         payload = {str(n): n}
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
-        assert len(cli._DICT_TEMPLATES) <= cli._DICT_TEMPLATES_MAX
+        assert len(cli._DICT_TEMPLATES) <= cli._TEXTS_MAX
+
+
+def test_pair_texts_are_bounded():
+    # more distinct pairs than a table holds, each rendered twice, in every
+    # format and at three indents: the texts stay right as the tables empty
+    bound = cli._TEXTS_MAX
+    assert bound >= sum(chains.DEFAULT_MAX_P // j for j in range(1, chains.DEFAULT_MAX_P + 1))
+    for n in [*range(2 * bound + 1), *range(bound)]:
+        pair = (n, bound - n)
+        tree = {"parts": (pair,), "more": [pair]}
+        assert cli._json_text(tree) == json.dumps(tree, indent=2)
+        part = chains.ChainPartition._make(bound, 2, (pair,), 1, 0)
+        row, = cli._partition_texts(bound, 2, [part])
+        assert row == json.dumps(part.to_payload(), indent=2).replace("\n", cli._ROW)
+        assert list(cli._partition_rows([part])) == [[0, 1, json.dumps([pair])]]
+        assert cli._partition_table(part).endswith(f" parts[{n}:{bound - n}]")
+        assert cli._CSV_PAIRS[pair] == json.dumps(pair)
+        assert cli._TABLE_PAIRS[pair] == f"{n}:{bound - n}"
+        tables = [cli._CSV_PAIRS, cli._TABLE_PAIRS, *cli._JSON_TUPLES.values()]
+        assert max(map(len, tables)) <= bound
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
