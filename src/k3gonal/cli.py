@@ -34,15 +34,14 @@ payload (a row command's is the chunks of `_json_rows`), a table and, from a
 row command, its csv rows.  A single-case command's table is a function that
 `_emit` calls under `--format table` alone, so json and csv build no table;
 its output is one text, written with one write, unless it is json longer
-than `_PIPE_BYTES`.  The text of a (j, alpha_j) pair is rendered once per
-format and, in json, per indent, and kept across commands: json's in the
-table of `_JSON_TUPLES` for its indent, which also holds any other tuple of
-int, str and None items, csv's compact "[j, a]" in `_CSV_PAIRS` and the
-table's "j:a" in `_TABLE_PAIRS`; each table is emptied past `_TEXTS_MAX`.
+than `_PIPE_BYTES`.  A tuple of exact ints, such as a (j, alpha_j)
+pair, renders in json through a "%d" template kept per length and indent;
+`chains enumerate` renders each distinct pair of its enumeration once per
+command, in a memo of the selected format that ends with the command, so
+no text outlives its command.
 """
 
 import codecs
-import collections
 import functools
 import itertools
 import json
@@ -78,10 +77,8 @@ _JSON_SCALARS = {
 }
 
 
-# a table of rendered texts, such as dict templates or pair texts, that
-# holds _TEXTS_MAX of them is emptied before it takes another; every
-# enumeration up to chains.DEFAULT_MAX_P = 60 together holds 261 distinct
-# (j, alpha_j) pairs, those with j * alpha_j <= 60
+# a table of templates that holds _TEXTS_MAX of them is emptied before it
+# takes another; each is keyed by a shape, not by the values it renders
 _TEXTS_MAX = 1024
 
 
@@ -101,18 +98,16 @@ def _dict_template(keys: tuple, pad: str) -> str:
                           for key in keys) + pad + "}"
 
 
-# the %-templates of _json_text's dicts, keyed by (keys, pad)
+def _ints_template(length: int, pad: str) -> str:
+    """A non-empty tuple of `length` exact ints at `pad`, as a %-template of
+    the ints, whose "%d" is their repr."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * length) + pad + "]"
+
+
+# the %-templates of _json_text: a dict's keyed by (keys, pad), a tuple of
+# exact ints' by (length, pad)
 _DICT_TEMPLATES = {}
-# the items of a tuple that _json_text renders once per pad and keeps: no
-# bool, since True == 1 would give (True,) the text of (1,)
-_CACHED_ITEMS = frozenset({int, str, type(None)})
-# the json texts of tuples of _CACHED_ITEMS, one table per pad; there are
-# as many pads as levels of a tree, which the recursion limit bounds
-_JSON_TUPLES = collections.defaultdict(dict)
-# the texts of each (j, alpha_j) pair in csv, "[j, a]" as json.dumps gives
-# it, and in a table, "j:a"; parts are exact ints, so "%d" is their repr
-_CSV_PAIRS = {}
-_TABLE_PAIRS = {}
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -120,23 +115,24 @@ def _json_text(obj, pad: str = "\n") -> str:
     str-keyed dict trees; `pad` is the newline and indent of obj's own line.
 
     Leaves are rendered inline by their exact type and only containers
-    recurse; a dict's keys are rendered once per key tuple and pad, into a
-    template of `_DICT_TEMPLATES`, and a tuple of int, str and None items,
-    such as a (j, alpha_j) pair, once per tuple and pad, into the table of
-    `_JSON_TUPLES`.  Any other tuple renders as a list.  Anything else
-    raises TypeError: a float or a Fraction here, a key that is not a str in
-    encode_basestring_ascii.
+    recurse.  A dict fills the template of its key tuple and pad, and a
+    non-empty tuple of exact ints, such as a (j, alpha_j) pair, the "%d"
+    template of its length and pad (no bool: "%d" prints True as 1); both
+    kinds are kept in `_DICT_TEMPLATES`.  Any other tuple renders as a list.
+    Anything else raises TypeError: a float or a Fraction here, a key that is
+    not a str in encode_basestring_ascii.
     """
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
-    if type(obj) is tuple:
+    if type(obj) is tuple and obj:
         for value in obj:
-            if type(value) not in _CACHED_ITEMS:
+            if type(value) is not int:
                 break
         else:
-            texts = _JSON_TUPLES[pad]
-            return texts.get(obj) or _kept(texts, obj, _array_text(obj, pad))
+            shape = (len(obj), pad)
+            return (_DICT_TEMPLATES.get(shape)
+                    or _kept(_DICT_TEMPLATES, shape, _ints_template(*shape))) % obj
     if type(obj) is dict:
         if not obj:
             return "{}"
@@ -149,13 +145,8 @@ def _json_text(obj, pad: str = "\n") -> str:
             scalar = _JSON_SCALARS.get(type(value))
             texts.append(scalar(value) if scalar is not None else _json_text(value, inner))
         return template % tuple(texts)
-    if type(obj) is list or type(obj) is tuple:
-        return _array_text(obj, pad)
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
-
-
-def _array_text(obj, pad: str) -> str:
-    """The json text of the list or tuple `obj` at `pad`, as `_json_text`."""
+    if type(obj) is not list and type(obj) is not tuple:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
     if not obj:
         return "[]"
     inner = pad + "  "
@@ -405,11 +396,9 @@ chains_group = cli.group("chains",
                          "Chain partitions: witnesses, enumeration, stable models.")
 
 
-def _partition_table(part: chains.ChainPartition) -> str:
-    pairs = []
-    for pair in part.parts:
-        pairs.append(_TABLE_PAIRS.get(pair) or _kept(_TABLE_PAIRS, pair, "%d:%d" % pair))
-    body = ", ".join(pairs)
+def _partition_table(part: chains.ChainPartition, text="%d:%d".__mod__) -> str:
+    """The table line of `part`, each pair's "j:a" given by `text`."""
+    body = ", ".join(map(text, part.parts))
     return f"p={part.p} k={part.k} delta={part.delta} g={part.g} parts[{body}]"
 
 
@@ -420,36 +409,42 @@ def chains_witness(p, k, delta):
     return part.to_payload(), lambda: _partition_table(part)
 
 
+class _PairTexts(dict):
+    """The text `template % pair` of each pair, rendered on its first lookup
+    and kept for one command, keyed by the enumeration's shared pairs."""
+
+    def __init__(self, template: str):
+        self.template = template
+
+    def __missing__(self, pair):
+        text = self[pair] = self.template % pair
+        return text
+
+
 def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
-    """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`,
-    each pair's text read from the table of its pad."""
+    """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`."""
     pad = _ROW_KEY + "  "  # each pair's own line
     # a row template with p and k filled in: delta, g and the pairs remain
     row = _dict_template(("p", "k", "delta", "g", "parts"), _ROW) % (
         p, k, "%s", "%s", "[" + pad + "%s" + _ROW_KEY + "]")
-    sep, get = "," + pad, _JSON_TUPLES[pad].get
+    sep, text = "," + pad, _PairTexts(_ints_template(2, pad)).__getitem__
     for part in parts:
-        pairs = []
-        for pair in part.parts:
-            pairs.append(get(pair) or _json_text(pair, pad))
-        yield row % (part.delta, part.g, sep.join(pairs))
+        yield row % (part.delta, part.g, sep.join(map(text, part.parts)))
 
 
 def _partition_rows(parts: list[chains.ChainPartition]):
     """The csv rows of `parts`: delta, g and `json.dumps(part.parts)`."""
-    get = _CSV_PAIRS.get
+    text = _PairTexts("[%d, %d]").__getitem__
     for part in parts:
-        pairs = []
-        for pair in part.parts:
-            pairs.append(get(pair) or _kept(_CSV_PAIRS, pair, "[%d, %d]" % pair))
-        yield [part.delta, part.g, "[" + ", ".join(pairs) + "]"]
+        yield [part.delta, part.g, "[" + ", ".join(map(text, part.parts)) + "]"]
 
 
 @chains_group.command("enumerate", _P, _K)
 def chains_enumerate(p, k):
     """All valid partitions for (p, k), in stable order."""
     parts = chains.enumerate_partitions(p, k)
-    table = (_partition_table(part) for part in parts)
+    text = _PairTexts("%d:%d").__getitem__
+    table = (_partition_table(part, text) for part in parts)
     csv_rows = itertools.chain([["delta", "g", "parts"]], _partition_rows(parts))
     envelope = {"p": p, "k": k, "count": len(parts), "partitions": []}
     return _json_rows(envelope, _partition_texts(p, k, parts)), table, csv_rows

@@ -110,6 +110,10 @@ LEAVES = {
              "709a28674f87b39afb2721ac96c0d0781756af77c4704c4b6833937f022a6314",
              "8474246bf781348e278ce8f25fbd6ef6d33e94aaad1bf754580e49388477cb50",
              "1abcbad1fed3c1a0bbef447c8390382769e36bac3794d1877d626f081f287dbf"),
+        Case("gonality dims -p 2 -k 2 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+             "bdc6c2820dce3f6a655a18ffe68a1f1b05ac075ac52bf6706ecf6237e725b118",
+             "4a7728ac27fb635040790ff43852db24cde9aa983fc3c905e172d0d677a9b292",
+             "2ff133ef16606e42240467832612a73922d019b32f442245bea6c6f6259365b2"),
     ]),
     "chains witness": Leaf(SINGLE, [
         Case("chains witness -p 8 -k 2 --delta 5", {"decompose": 1, "delta0": 1},
@@ -133,6 +137,22 @@ LEAVES = {
              "309916a3fe66277cc2470117f9c95f6ebc03d50c02e852da17546f74c20587dc",
              "27d2f86407968525670a1b271570f5e075fd04dc4906df4fe76944ae688666fd",
              "8bc43adbb111aa74b792ab753df2bc2414652b2f14adeec03f9871f6d6d4bbe6"),
+        Case("chains witness -p 6 -k 4 --delta 0", {"delta0": 1},
+             "f2e1c9541fbe9351ca4bbaad58dda482a18e035841cc0a6c840fcb2ce9d85a19",
+             "e1b576c3708616d359231547d2cf5e89c534c249e2d67b2c1bff443618140fda",
+             "ff7d4e5ac273a51e21bf396d60a27f9b3b416d06ed518fec4d9a464b8e888d3e"),
+        Case("chains witness -p 6 -k 4 --delta 5", {"delta0": 1},
+             "fa718f51853b51cb7030f702739d05b1ef7f1ba7a60793c9d3741fbb73d7e23f",
+             "68390e056551eb9660a416d9dbcdef85d3740eb50b959ebb4da5f896b9deb31e",
+             "5d6040bc18980b3ae1340d86f0dd63b34a601c5f93a9e1f4cb2f73ef2c802d1a"),
+        Case("chains witness -p 7 -k 4 --delta 1", {"decompose": 1, "delta0": 1},
+             "ef6915783553ba4f2ffbd8878b41939c104d92302a5184cb27c3f63f587bd8e5",
+             "16f157042352a3365ed153c28bca371f189ae622b291f89fd9af29a2f21356e2",
+             "c481855ed3a4c5a8d31eabc372ad8b03958a3f1852b9fa6ae8f25c5718bb816a"),
+        Case("chains witness -p 7 -k 4 --delta 6", {"decompose": 1, "delta0": 1},
+             "f58e67757dfef95a22149073d5fdcc472844a228d84ba5aa0891a388b6afe8e6",
+             "45e91ad4847d2ffe84eb11f9e7f2538431b89d7f4dc2c60322856f0c94632776",
+             "0d46448a1914ea01ff9aa692614b3a5f749ae58691de9afea7d9f3a4fa6f3bab"),
     ], limits={
         # g chains at cap 2 fill (g - 1) // 2 + 2 lengths: 100001 at g = 199999,
         # 3 at the case's g = 3
@@ -153,6 +173,14 @@ LEAVES = {
              "959e71ee8de9675d0fa41b21810d9bda9e4e0eb29215358fe05718214ed08478",
              "68d3ca924deb5ff3c4a870b5d9e527dffdcb5e6b8bf800c0fc082c0b05b8bb2b",
              "687005f9bb2ff5633eb4291c969aa40b527d3f9b5a0c2c31257ca899ce5baf5d"),
+        Case("chains enumerate -p 6 -k 4", {},
+             "581b3ddce004faabfe8a1ba30cc31890d023bd74826603fd9bfaa7ac9258abe0",
+             "4421e495077c347f981cd9fa8a732dbf051639c613203c32aaf4ab268f40e0a2",
+             "0bba75f0eb4af8789398f9c3bf8085e2da0a4f43e46927ffcdfaa754c754dd5e"),
+        Case("chains enumerate -p 7 -k 4", {},
+             "3194cb4c815eabfac32248595f42a2ac2b0f3b0f5aa8f735e8e4a6e672c0061d",
+             "cbf31551ecfc8de2a4aff1659f7c1e65aa08cec9d1b7997b9695dee0cedb9faa",
+             "e5de59cb37a80da93ae911ef48a7bb97e84abc4cd5f27da2a5163df7d401d145"),
     ], limits={
         "DEFAULT_MAX_P": Limit("chains enumerate -p 61 -k 2",
                                "chains enumerate -p 6 -k 2", 6),
@@ -202,6 +230,10 @@ LEAVES = {
              "c1838cc113b86a9e13acdfcb391d9af94ebb124de1d13bad906f0fa4b2ef22f9",
              "960e922ebb01c18a51909790a0a0d19ff4002c7ccd9470eff9018de8c589c201",
              "4bb1dd4965e0de04c74a14d52a69137e79c2e384d7afd23136d6f84c683dd43f"),
+        Case("hilb class -p 2 -k 2 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+             "4c8608ce25c098439504b71858c560fdfd955577f25c9e6de92c7833baaeceab",
+             "a99b0fff0d7aceab7f420bb9b48788bc4a0c598a037f4343d0127c26db4cac16",
+             "28dd911c50b381bc06cd95fac89ab67614e3d59669abe5f075a25ddbbfc844fd"),
     ], rational=True),
     "hilb q": Leaf(SINGLE, [
         Case("hilb q -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
@@ -217,6 +249,10 @@ LEAVES = {
              "7dd1bc1c97f9fecb9d9e6870e6b202b4ae95562839177b5b727ec1890f03b665",
              "3a50b88741bfc6a5a5b57f37b5096fad2154935ff2f2a99a76c4c273301ee369",
              "6629ae347e5e57cb30e56ec9943975ca4fc900d113e8294738e875856c074606"),
+        Case("hilb q -p 2 -k 2 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+             "62705aa1fa65a83ac2acb8a1c9be060c094b47bbb4046d477ccae29537a19943",
+             "f3563d04edcc075b8c2be90bf6f45fee5750ad7e0045a136173cb818c5c62b3b",
+             "0c509520266129fe8e8f1bb2db91359d41d2c523cea873ae68990c8f23f268cc"),
     ], rational=True),
     "hilb cone": Leaf(SINGLE, [
         Case("hilb cone -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
@@ -244,6 +280,11 @@ LEAVES = {
              "798492a398f2c9acea4eb3fa900418f34c486fc73c93ccc119389c7241a216bf",
              "cffe1875bbedf139e9a8c4e3160ad48593a219208965b26dddb7612a2d102555",
              "01124ba68b53cbcc5f5417778340ac29ee57a60c47dc19623ad44d350a07c928"),
+        Case("hilb cone -p 2 -k 2", {
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "d229ab1454f252829c8759d234446e26ac16bf9d99e565a5a619cb5883e94253",
+             "4eca344afe96f1abd3f040bbc3c35e5ffa1f4fa03f69418d4305bd474eb226fb",
+             "865fc6b367b41b548cc6507f367e7eefb2966ae88749c121bfb209955ec2c648"),
     ], rational=True),
     "hilb qvalues": Leaf(ROW, [
         Case("hilb qvalues -k 3 --pmax 300", {"decompose": 5, "GonalityCase": 7,
@@ -321,6 +362,11 @@ LEAVES = {
              "9495914f3a2c6155e03e512d2c938c3789ad476e32cc4bcfda54083fec92f4e6",
              "c98edc54cd97449a4fa2f1d4d216ed7505631fe4a11347518723874e3fb6b031",
              "22878a3d2a96bf085671d734d391866a7c03de1afdb5a83395b9dacfef8855fc"),
+        Case("hilb rays -p 2 -k 2", {
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "aac24c6f38bb3f79b674790d722102c503bf47de3f0f70331fc56ad09f54329f",
+             "a02d6fd490f9f815c8775328c73b12e3483d233b235dbfa6045bb1c9abbaf79b",
+             "4b3178eb3eb76500193691486ab14aaf41e42b7136ed35e006a6d7b210667ac8"),
     ], rational=True),
     "hilb scan": Leaf(ROW, [
         Case("hilb scan --pmax 12 --kmax 3", {"decompose": 135, "delta0": 94,

@@ -1329,8 +1329,9 @@ _JSON_TREES = st.recursive(
 )
 
 
-# tuples of scalars, which _json_text renders from a table per indent unless
-# they hold a bool, and trees that hold them, repeated and at several indents
+# tuples of scalars, which _json_text renders through a template per length
+# and indent if they hold only ints, and trees that hold them, repeated and at
+# several indents
 _SCALAR_TUPLES = st.lists(
     st.one_of(st.none(), st.booleans(), st.integers(), _JSON_STRINGS), max_size=4).map(tuple)
 _TUPLE_TREES = st.recursive(
@@ -1354,6 +1355,12 @@ _TUPLE_TREES = st.recursive(
 # list or a tuple: each indent has a text of its own, and a bool is no int
 @example(tree=[(1, 2), [(1, 2), [(1, 2), (True, 2)]], (1, [2]), ((1, 2),), (1, 2)])
 @example(tree={"a": (1,), "b": (True,), "c": [(1,), (False,), (0,), ()], "d": ((), [])})
+# the int-tuple template: one item, big and negative ints, a nested indent,
+# and a bool, which renders the tuple as a list
+@example(tree=(7,))
+@example(tree=(10**40, -3))
+@example(tree={"a": [(1, 2, 3)]})
+@example(tree=(True, 2))
 @settings(max_examples=200, deadline=None)
 def test_json_text_matches_json_dumps(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
@@ -1409,8 +1416,8 @@ def test_json_text_templates_are_bounded():
 
 
 def test_pair_texts_are_bounded():
-    # more distinct pairs than a table holds, each rendered twice, in every
-    # format and at three indents: the texts stay right as the tables empty
+    # more distinct pairs than a template table holds, each rendered twice,
+    # in every format and at three indents: the texts stay right
     bound = cli._TEXTS_MAX
     assert bound >= sum(chains.DEFAULT_MAX_P // j for j in range(1, chains.DEFAULT_MAX_P + 1))
     for n in [*range(2 * bound + 1), *range(bound)]:
@@ -1422,10 +1429,29 @@ def test_pair_texts_are_bounded():
         assert row == json.dumps(part.to_payload(), indent=2).replace("\n", cli._ROW)
         assert list(cli._partition_rows([part])) == [[0, 1, json.dumps([pair])]]
         assert cli._partition_table(part).endswith(f" parts[{n}:{bound - n}]")
-        assert cli._CSV_PAIRS[pair] == json.dumps(pair)
-        assert cli._TABLE_PAIRS[pair] == f"{n}:{bound - n}"
-        tables = [cli._CSV_PAIRS, cli._TABLE_PAIRS, *cli._JSON_TUPLES.values()]
-        assert max(map(len, tables)) <= bound
+
+
+def _keys_of_globals(module):
+    """Every key of a dict that a global of `module` holds, or that such a
+    dict holds as a value, at any depth."""
+    dicts = [value for value in vars(module).values() if isinstance(value, dict)]
+    keys = []
+    while dicts:
+        table = dicts.pop()
+        keys.extend(table)
+        dicts.extend(value for value in table.values() if isinstance(value, dict))
+    return keys
+
+
+def test_chains_enumerate_keeps_no_pair_text(capsys):
+    # a pair's text lives for one command: after an enumeration in every
+    # format, no table of the module is keyed by a (j, alpha_j) pair
+    for fmt in FORMATS:
+        code, _, _ = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "12", "-k", "3")
+        assert code == 0
+    pairs = {pair for part in chains.enumerate_partitions(12, 3) for pair in part.parts}
+    assert not pairs.intersection(key for key in _keys_of_globals(cli)
+                                  if type(key) is tuple and len(key) == 2)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
