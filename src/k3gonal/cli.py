@@ -26,19 +26,21 @@ callback, its options as (flag, argparse keyword arguments) specs and its
 docstring as help.  `main` reads a well-formed command (root flags, a leaf's
 two names, then exact flags and values of that leaf) straight from those
 specs, so it builds no argparse tree and imports neither argparse nor csv
-(csv only under `--format csv`); anything else, such as help, an unknown
-command, a leftover argument or a bad value, goes through the whole stdlib
-argparse tree, built from the same specs on first use, which prints its
-help or usage error.  A callback returns what `_emit` renders: a json
+(csv only for a single-case command's csv); anything else, such as help, an
+unknown command, a leftover argument or a bad value, goes through the whole
+stdlib argparse tree, built from the same specs on first use, which prints
+its help or usage error.  A callback returns what `_emit` renders: a json
 payload (a row command's is the chunks of `_json_rows`), a table and, from a
-row command, its csv rows.  A single-case command's table is a function that
+row command, its csv lines.  A single-case command's table is a function that
 `_emit` calls under `--format table` alone, so json and csv build no table;
 its output is one text, written with one write, unless it is json longer
-than `_PIPE_BYTES`.  A tuple of exact ints, such as a (j, alpha_j)
-pair, renders in json through a "%d" template kept per length and indent;
-`chains enumerate` renders each distinct pair of its enumeration once per
-command, in a memo of the selected format that ends with the command, so
-no text outlives its command.
+than `_PIPE_BYTES`.  A row command's table and csv are text lines, built
+per row with no csv writer, since the quoting of each csv column is fixed by
+its command.  A tuple of exact ints, such as a (j, alpha_j) pair, renders in
+json through a "%d" template kept per length and indent; `chains enumerate`
+renders each distinct pair of its enumeration once per command, in a memo
+of the selected format that ends with the command, so no text outlives its
+command.
 """
 
 import codecs
@@ -186,22 +188,23 @@ _EMIT_BATCH = 1024
 _PIPE_BYTES = 1 << 16
 
 
-def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None:
+def _emit(fmt: str, out_path: str | None, payload, table, csv_lines=None) -> None:
     """Render one result in the selected format and write it out.
 
-    Only the selected rendering is built.  A one-text result (a dict payload
-    in json up to `_PIPE_BYTES`, or in csv, or a table function's text) is
-    written with one write; any other output is written as text chunks,
-    joined into batches of `_EMIT_BATCH` chunks as they are made, so a long
-    output is never held whole, and a reader that closes stdout early meets
-    a later write.  `payload` is the chunks of `_json_rows`, or a dict,
-    which `_json_text` renders as `json.dumps(payload, indent=2)` plus a
-    newline, one chunk per line past `_PIPE_BYTES`.  `table` is a function
-    of no arguments that gives the text, with no trailing newline, or an
-    iterable of its lines (at least one, none ending in a newline), each one
-    chunk with its newline.  `csv_rows` defaults to a header row and a value
-    row from a dict payload, whose list, tuple and dict values are cells of
-    their `json.dumps`; each given row is one chunk.
+    Only the selected rendering is built.  A single-case command gives a
+    dict `payload` and, as `table`, a function of no arguments that gives
+    its text, with no trailing newline; its csv is a header row and a value
+    row of the payload through `csv.writer`, whose list, tuple and dict
+    values are cells of their `json.dumps`.  A row command gives the chunks
+    of `_json_rows` and, as `table` and `csv_lines`, iterables of its lines
+    in each format (none ending in a newline), each one chunk with its
+    newline.  A one-text result (a dict in json up to `_PIPE_BYTES`, or a
+    single-case table or csv) is written with one write; any other output
+    is written as text chunks, joined into batches of `_EMIT_BATCH` chunks
+    as they are made, so a long output is never held whole, and a reader
+    that closes stdout early meets a later write.  A dict renders through
+    `_json_text` as `json.dumps(payload, indent=2)` plus a newline, one
+    chunk per line past `_PIPE_BYTES`.
     """
     text = None
     if fmt == "json":
@@ -211,22 +214,19 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
                 chunks, text = text.splitlines(keepends=True), None
         else:
             chunks = payload
+    elif csv_lines is not None:
+        chunks = (line + "\n" for line in (table if fmt == "table" else csv_lines))
     elif fmt == "csv":
         import csv
 
         # writerow returns what the file's write returns: here the row's text
         echo = types.SimpleNamespace(write=lambda text: text)
         writerow = csv.writer(echo, lineterminator="\n").writerow
-        if csv_rows is None:
-            cells = [json.dumps(v) if isinstance(v, (list, tuple, dict)) else v
-                     for v in payload.values()]
-            text = writerow(list(payload)) + writerow(cells)
-        else:
-            chunks = map(writerow, csv_rows)
-    elif callable(table):
-        text = table() + "\n"
+        cells = [json.dumps(v) if isinstance(v, (list, tuple, dict)) else v
+                 for v in payload.values()]
+        text = writerow(list(payload)) + writerow(cells)
     else:
-        chunks = (line + "\n" for line in table)
+        text = table() + "\n"
     if text is not None:
         batches = (text,)
     else:
@@ -267,8 +267,9 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_rows=None) -> None
 
 class _Leaf:
     """A command: its callback, which returns what `_emit` takes after the
-    format and path, (payload, table[, csv_rows]), and its options as (flag,
-    argparse keyword arguments) pairs.
+    format and path, (payload, table) from a single-case command and
+    (payload, table, csv_lines) from a row command, and its options as
+    (flag, argparse keyword arguments) pairs.
 
     `main` reads `callback` at each call, so it may be rebound.
     """
@@ -396,19 +397,6 @@ chains_group = cli.group("chains",
                          "Chain partitions: witnesses, enumeration, stable models.")
 
 
-def _partition_table(part: chains.ChainPartition, text="%d:%d".__mod__) -> str:
-    """The table line of `part`, each pair's "j:a" given by `text`."""
-    body = ", ".join(map(text, part.parts))
-    return f"p={part.p} k={part.k} delta={part.delta} g={part.g} parts[{body}]"
-
-
-@chains_group.command("witness", _P, _K, _DELTA)
-def chains_witness(p, k, delta):
-    """A valid partition realizing the requested node number."""
-    part = chains.witness(p, k, delta)
-    return part.to_payload(), lambda: _partition_table(part)
-
-
 class _PairTexts(dict):
     """The text `template % pair` of each pair, rendered on its first lookup
     and kept for one command, keyed by the enumeration's shared pairs."""
@@ -421,33 +409,38 @@ class _PairTexts(dict):
         return text
 
 
-def _partition_texts(p: int, k: int, parts: list[chains.ChainPartition]):
-    """The json texts of `to_payload()` of `parts`, as rows of `_json_rows`."""
-    pad = _ROW_KEY + "  "  # each pair's own line
-    # a row template with p and k filled in: delta, g and the pairs remain
-    row = _dict_template(("p", "k", "delta", "g", "parts"), _ROW) % (
-        p, k, "%s", "%s", "[" + pad + "%s" + _ROW_KEY + "]")
-    sep, text = "," + pad, _PairTexts(_ints_template(2, pad)).__getitem__
+def _partition_lines(parts: list[chains.ChainPartition], row: str, pair: str, sep: str):
+    """`row % (delta, g, pairs)` of each of `parts`, whose pairs are the texts
+    `pair % (j, a)` of its pairs, each rendered once in a memo of this call,
+    joined by `sep`."""
+    text = _PairTexts(pair).__getitem__
     for part in parts:
         yield row % (part.delta, part.g, sep.join(map(text, part.parts)))
 
 
-def _partition_rows(parts: list[chains.ChainPartition]):
-    """The csv rows of `parts`: delta, g and `json.dumps(part.parts)`."""
-    text = _PairTexts("[%d, %d]").__getitem__
-    for part in parts:
-        yield [part.delta, part.g, "[" + ", ".join(map(text, part.parts)) + "]"]
+@chains_group.command("witness", _P, _K, _DELTA)
+def chains_witness(p, k, delta):
+    """A valid partition realizing the requested node number."""
+    part = chains.witness(p, k, delta)
+    return part.to_payload(), lambda: next(_partition_lines(
+        [part], f"p={p} k={k} delta=%d g=%d parts[%s]", "%d:%d", ", "))
 
 
 @chains_group.command("enumerate", _P, _K)
 def chains_enumerate(p, k):
     """All valid partitions for (p, k), in stable order."""
     parts = chains.enumerate_partitions(p, k)
-    text = _PairTexts("%d:%d").__getitem__
-    table = (_partition_table(part, text) for part in parts)
-    csv_rows = itertools.chain([["delta", "g", "parts"]], _partition_rows(parts))
+    pad = _ROW_KEY + "  "  # each pair's own line
+    # a json row template with p and k filled in: delta, g and the pairs remain
+    row = _dict_template(("p", "k", "delta", "g", "parts"), _ROW) % (
+        p, k, "%s", "%s", "[" + pad + "%s" + _ROW_KEY + "]")
     envelope = {"p": p, "k": k, "count": len(parts), "partitions": []}
-    return _json_rows(envelope, _partition_texts(p, k, parts)), table, csv_rows
+    rows = _partition_lines(parts, row, _ints_template(2, pad), "," + pad)
+    table = _partition_lines(parts, f"p={p} k={k} delta=%d g=%d parts[%s]", "%d:%d", ", ")
+    # a parts cell always holds a comma and never a quote, so csv quotes it
+    csv_lines = itertools.chain(["delta,g,parts"],
+                                _partition_lines(parts, '%d,%d,"[%s]"', "[%d, %d]", ", "))
+    return _json_rows(envelope, rows), table, csv_lines
 
 
 def _parse_alpha(text: str) -> list[tuple[int, int]]:
@@ -579,8 +572,9 @@ def hilb_qvalues(k, pmax):
     values, den = hilbert._scaled_q_values(k, pmax), 2 * (k - 1)
     rows = (encode_basestring_ascii(_ratio_text(v, den)) for v in values)
     table = (_rat_table(v, den) for v in values)
-    csv_rows = itertools.chain([["q"]], ([_ratio_text(v, den)] for v in values))
-    return _json_rows({"k": k, "pmax": pmax, "qvalues": []}, rows), table, csv_rows
+    # no value holds a comma or a quote, so csv writes each bare
+    csv_lines = itertools.chain(["q"], (_ratio_text(v, den) for v in values))
+    return _json_rows({"k": k, "pmax": pmax, "qvalues": []}, rows), table, csv_lines
 
 
 @hilb.command("lagrangian", _P, _K)
@@ -649,11 +643,14 @@ def hilb_scan(pmax, kmax, pmin, kmin):
                          _ratio_text(*hilbert._tau_terms(p, k)), ray.status, lag.has_isotropic,
                          lag.necessary_condition_holds, lag.primitive))
     table = ("\t".join(map(str, line)) for line in itertools.chain([_SCAN_KEYS], rows))
-    csv_rows = itertools.chain([_SCAN_KEYS], rows)
+    # no cell holds a comma or a quote; csv leaves lagrangian_ok's None, off
+    # the isotropic cases, an empty cell
+    csv_lines = (",".join(["" if v is None else str(v) for v in line])
+                 for line in itertools.chain([_SCAN_KEYS], rows))
     row = _dict_template(_SCAN_KEYS, _ROW)
     texts = (row % tuple([_JSON_SCALARS[type(v)](v) for v in values]) for values in rows)
     envelope = {"pmin": pmin, "pmax": pmax, "kmin": kmin, "kmax": kmax, "rows": []}
-    return _json_rows(envelope, texts), table, csv_rows
+    return _json_rows(envelope, texts), table, csv_lines
 
 
 def _out_path(text: str) -> str:

@@ -74,6 +74,14 @@ LEAVES = {
              "1fe6ff84bc26c3fb170c2d131cc43980f7992cef7a366def0e211c804cc23fdd",
              "bbc63d954a9c15e6b017b7306de696e0a18a296d2714418013b27a89d567dada",
              "faf0955cf5f32854758e84c6da09b92fd492ff559c41e9195e5961b54944e276"),
+        Case("bn check -p 6 -k 4 --delta 0", {"necessary_condition": 1},
+             "1fe6ff84bc26c3fb170c2d131cc43980f7992cef7a366def0e211c804cc23fdd",
+             "4597c28bc707648070ff57171ba4f5e565fcfc91d109f537f615024be3736f7c",
+             "b60134559348a9aeb750a99de3514c1317c77e4488a8a5e69f5f4114d20b4eb8"),
+        Case("bn check -p 7 -k 4 --delta 1", {"necessary_condition": 1},
+             "60ef66692cca15925db3efc0138056429e8d2de966589326dd4173f30b3372fd",
+             "8586266f22580be20c9c8045d7f9bec5a310c23d4e25f44a36de0fa1a060d7e1",
+             "3aa0e70ee5b08d9b248aba50b0201e99ca24689f99b9c1fefeb380fdf4eb7957"),
     ]),
     "gonality delta0": Leaf(SINGLE, [
         Case("gonality delta0 -p 9 -k 4 --verify", {"decompose": 1, "delta0": 1,
@@ -95,6 +103,16 @@ LEAVES = {
              "ba23bb010a5dfcdff881cc289c13b28eeb5e48fdf043216981af29631f1287e5",
              "d193dca66699a84243765b03fd314f67b247e171720b394c8be6f312434266e1",
              "446bcdb29a5148039ab7cab47adb65a5a16dc0f0eacece57d900b99f5adf176e"),
+        Case("gonality delta0 -p 6 -k 4 --verify", {"delta0": 1, "GonalityCase": 1,
+             "necessary_condition": 1},
+             "ba23bb010a5dfcdff881cc289c13b28eeb5e48fdf043216981af29631f1287e5",
+             "919cb4213e81e6fca30f1c4c07525df5f7a86be847d2af0524a608ffec7c336e",
+             "5db56cd0e6c29f4548ce6a3256b1a06bffd42464ae00ff6d17bf748951b5476a"),
+        Case("gonality delta0 -p 7 -k 4 --verify", {"decompose": 1, "delta0": 1,
+             "GonalityCase": 2, "necessary_condition": 2},
+             "e89931b2648d886f6333c59a37cb1fad8a145177187b59cc4d411b88dfba043d",
+             "28e57400cdd3b77e911e1285a8196f160db97497f344967b62ba230b360268fe",
+             "0eb487c004042a5c55e38e169cea866e3da9f081928469f54c3b5b4461f16c4f"),
     ]),
     "gonality dims": Leaf(SINGLE, [
         Case("gonality dims -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
@@ -114,6 +132,14 @@ LEAVES = {
              "bdc6c2820dce3f6a655a18ffe68a1f1b05ac075ac52bf6706ecf6237e725b118",
              "4a7728ac27fb635040790ff43852db24cde9aa983fc3c905e172d0d677a9b292",
              "2ff133ef16606e42240467832612a73922d019b32f442245bea6c6f6259365b2"),
+        Case("gonality dims -p 6 -k 4 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+             "115944526edc3badc70e194eea9cae34cfd1393bb381c4b366e77b8e55e42d97",
+             "53cae6fa7766754f56c4998765cff2314978baf4ea2f8cd9f41535e382f97e3b",
+             "29d43f078265c4fae70380e1ca214ce402cb3829fd71b3a7fb4c80ea71fc80e8"),
+        Case("gonality dims -p 7 -k 4 --delta 1", {"GonalityCase": 1, "necessary_condition": 1},
+             "115944526edc3badc70e194eea9cae34cfd1393bb381c4b366e77b8e55e42d97",
+             "15cd30a8471018324f6b06025926f715b7985b8b3ab2f177b323bc7bb36c981e",
+             "50061052c27a86e250af8d83355a7a3cb97edcdf83e7bd9f32b12ad3d69ff72a"),
     ]),
     "chains witness": Leaf(SINGLE, [
         Case("chains witness -p 8 -k 2 --delta 5", {"decompose": 1, "delta0": 1},
@@ -234,6 +260,14 @@ LEAVES = {
              "4c8608ce25c098439504b71858c560fdfd955577f25c9e6de92c7833baaeceab",
              "a99b0fff0d7aceab7f420bb9b48788bc4a0c598a037f4343d0127c26db4cac16",
              "28dd911c50b381bc06cd95fac89ab67614e3d59669abe5f075a25ddbbfc844fd"),
+        Case("hilb class -p 6 -k 4 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+             "e67c5745ddf2e6c58e0a131b5d2625daf25731bec364c2534e35b9ac824e9a54",
+             "e2a1c8c0f2ac4f3da854f076b72e82e5144980c95aa2d8126e2bb384946f5f6e",
+             "17c732fef9c1aedc36c75db801f83d4fc85f4d30949d1d455bac14a1afd0fcc6"),
+        Case("hilb class -p 7 -k 4 --delta 1", {"GonalityCase": 1, "necessary_condition": 1},
+             "e67c5745ddf2e6c58e0a131b5d2625daf25731bec364c2534e35b9ac824e9a54",
+             "4d33dbbde895f6ddb363cb3c4aa12b165e5afc2fd52365b7f498cca326e5810f",
+             "6902c2dd6d41007fd108d88c439b9b7a89b126d686766dc35960c6764173fe2d"),
     ], rational=True),
     "hilb q": Leaf(SINGLE, [
         Case("hilb q -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
@@ -253,6 +287,14 @@ LEAVES = {
              "62705aa1fa65a83ac2acb8a1c9be060c094b47bbb4046d477ccae29537a19943",
              "f3563d04edcc075b8c2be90bf6f45fee5750ad7e0045a136173cb818c5c62b3b",
              "0c509520266129fe8e8f1bb2db91359d41d2c523cea873ae68990c8f23f268cc"),
+        Case("hilb q -p 6 -k 4 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+             "55f85d8ab3884786dcc17d021d6f74f4c6f685411f115c0a501abc36b2cdff77",
+             "758da29fec8f0c6e5cd2c890a3ee26d969b42a4dc2e7541b7fd3a8a29542cbbf",
+             "2653fe48bf2f77d69b98033dc0b8820fad964989ee2827378e31b46ca687ef1e"),
+        Case("hilb q -p 7 -k 4 --delta 1", {"GonalityCase": 1, "necessary_condition": 1},
+             "6fcdc9f367ca9d7db5620c869923ec07c656667135d2d66184ca6f4fe0eb4e90",
+             "8961177b5a59613472fca05aba4695e225d7548edecd677610b927bbbff07ed4",
+             "0fc74f18a134c5f9f0c5629c404dddc53da7b976d13fc50a997d035987970202"),
     ], rational=True),
     "hilb cone": Leaf(SINGLE, [
         Case("hilb cone -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
@@ -285,6 +327,16 @@ LEAVES = {
              "d229ab1454f252829c8759d234446e26ac16bf9d99e565a5a619cb5883e94253",
              "4eca344afe96f1abd3f040bbc3c35e5ffa1f4fa03f69418d4305bd474eb226fb",
              "865fc6b367b41b548cc6507f367e7eefb2966ae88749c121bfb209955ec2c648"),
+        Case("hilb cone -p 6 -k 4", {"delta0": 1, "optimal_class": 1, "GonalityCase": 1,
+             "necessary_condition": 1},
+             "69394318e4bcc67aa303dbf6fefb5967b4dfda10d38542c848bbfedcf8fd504f",
+             "ec8b7d25af819ba4ac0a26297214677661b59c181d270401b181ddff6cda9ed6",
+             "eb5ff0e75aae56cf816edbff65f3f3b4642180ed4034022a29cef2a70a0b07c4"),
+        Case("hilb cone -p 7 -k 4", {"decompose": 2, "delta0": 1, "optimal_class": 1,
+             "GonalityCase": 1, "necessary_condition": 1},
+             "4bfa83b93ab43c79bec3ff76b445805e4db511e217cf47037d3912c75659fd35",
+             "1c85f0198cf77165e7faace78ad57e92cae5bb9bb2714381b85f591ad718c91c",
+             "4bf5a3fda958d896482181e45bd460be3da9c3837f3ea24abff12edffb76a3ee"),
     ], rational=True),
     "hilb qvalues": Leaf(ROW, [
         Case("hilb qvalues -k 3 --pmax 300", {"decompose": 5, "GonalityCase": 7,
@@ -302,6 +354,16 @@ LEAVES = {
              "2a18ad3768a94c097bab567f491cf75df920b08d31561a38a584faf226672925",
              "627305ec3518e24b5ee61ab4df875399c9dc75a97b4ed3ff896c07fa17dc8c13",
              "a30a2dcb5e9cddcda7f82209df0b3ba27abc9fb142ba859051da94f141d3c932"),
+        Case("hilb qvalues -k 4 --pmax 6", {"decompose": 3, "GonalityCase": 7,
+             "necessary_condition": 7},
+             "3d6a46adb6dfc73c7b2afb12898a6dee0f3ffdd29a4981384c13312495f5e6ef",
+             "104337a37be81a69faab0bbb7ed7ab67419eab1bc9966c32a7dc8a57330648dd",
+             "0368a6b292b1372ac44669cae6d8e2be8c2f244a3dc6970652d37e0440a31085"),
+        Case("hilb qvalues -k 4 --pmax 7", {"decompose": 4, "GonalityCase": 8,
+             "necessary_condition": 8},
+             "ba11cebabc688c9f1be3b128c68950195e9f26256a26738ff392cf50564628fe",
+             "ed86db74fa80f956b7d7eeddaa701ccc54d91797593bcdfae75a7df22560abff",
+             "986e53b39210fd1e785bd8afcecc05c8e3f0b7828d00f07789f6397f4e6886c6"),
     ], rational=True, limits={
         # the delta0 = 0 regime alone holds pmax - 1 candidates while pmax < 2(k-1)
         "QVALUES_MAX_VALUES": Limit("hilb qvalues -k 1000000 --pmax 100002",
@@ -329,6 +391,14 @@ LEAVES = {
              "692485e4e323cc713780819757bff7a7522966451bc7627f6f608b8e6dd64d11",
              "d8bce987e6dc794392eb858ef8d139201381ca2e7120f65720927faa2cbf213c",
              "8dfb3ecf179a009a64a3e4ecdb28c355d8a6f66b44d8c21e646107c992f5ae18"),
+        Case("hilb lagrangian -p 6 -k 4", {"lagrangian_report": 1},
+             "47b84303913e68e22b37c2a7183f50e7f69a987b3650db55ae9d825a44e9204f",
+             "6b5bc9b442e837c3a90687aa3f74edf5d1ea6a9da3b56dafb7e6920fe8a6d964",
+             "d3169e75346776a5eb529d30fe86b360030c923d01c696566713d8936396347f"),
+        Case("hilb lagrangian -p 7 -k 4", {"lagrangian_report": 1},
+             "47b84303913e68e22b37c2a7183f50e7f69a987b3650db55ae9d825a44e9204f",
+             "55e1f1213d289d8e7a03d9df7c6f9c0af9743e8688528e9aab47edfb1a294e84",
+             "b8a38b80c59540c6297cd6cf74471cdcdf24f94b4bc23aa8a63cd45697d36f9d"),
     ]),
     "hilb rays": Leaf(SINGLE, [
         Case("hilb rays -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
@@ -381,6 +451,12 @@ LEAVES = {
              "4473f07ce7df87d1ce01c1c95a81a41edacac55ca09b455e50e03c6480becc3b",
              "b3ee98c78cb610283021bcbe6939d91d769b9abe3e93944f8088ef19ca57bc7b",
              "6717f095bfd452e1565b4265136d745e02542167b78d44e002f10b6fc71c28f7"),
+        Case("hilb scan --pmin 5 --pmax 8 --kmin 4 --kmax 4", {"decompose": 14, "delta0": 16,
+             "optimal_class": 12, "GonalityCase": 12, "necessary_condition": 12,
+             "minimal_q_family": 2, "lagrangian_report": 4},
+             "d73cc03e45b7be95f4da21e53d4d3f9faeb956108120ed64ebd2ee2fc508b354",
+             "1164aedc725071d94b792ac84dede125df60c623d1e6704a4c330c3f88996e31",
+             "146f0af759966e791b5177d011743d178cc39444e7507c32f2998c8bb49b5917"),
     ], rational=True, limits={
         "SCAN_MAX_ROWS": Limit("hilb scan --pmax 100002 --kmax 2",
                                "hilb scan --pmax 12 --kmax 3", 22),

@@ -321,9 +321,10 @@ def test_refused_stdout_write_is_an_error_not_a_traceback(command, fmt):
 def test_commands_import_no_argparse_or_csv():
     # a fresh interpreter, without `site`, imports the command line and runs
     # every pinned case of leaves.py: table and json load none of argparse,
-    # csv, the gettext that argparse imports and click, and csv then loads
-    # csv and its C part alone; help and a usage error still build the tree,
-    # and so load argparse
+    # csv, the gettext that argparse imports and click; the row leaves'
+    # cases in csv then load no module at all, and the single-case ones csv
+    # and its C part alone; help and a usage error still build the tree, and
+    # so load argparse
     src = str(Path(cli.__file__).parents[1])
     script = (
         "import contextlib, io, json, os, sys\n"
@@ -331,24 +332,26 @@ def test_commands_import_no_argparse_or_csv():
         "heavy = ('argparse', 'csv', 'gettext', 'click')\n"
         "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
         "import k3gonal.cli\n"
-        "def run(fmt):\n"
-        f"    for argv in {leaves.argvs()!r}:\n"
+        "def run(fmt, argvs):\n"
+        "    for argv in argvs:\n"
         "        code = k3gonal.cli.main(['--format', fmt, *argv.split(), '--out', os.devnull])\n"
         "        assert code == 0, (argv, fmt)\n"
-        "run('table')\n"
-        "run('json')\n"
+        f"run('table', {leaves.argvs()!r})\n"
+        f"run('json', {leaves.argvs()!r})\n"
         "ran = loaded()\n"
         "before = set(sys.modules)\n"
-        "run('csv')\n"
+        f"run('csv', {leaves.argvs(lambda leaf: leaf.kind == leaves.ROW)!r})\n"
+        "rows = sorted(set(sys.modules) - before)\n"
+        f"run('csv', {leaves.argvs(lambda leaf: leaf.kind == leaves.SINGLE)!r})\n"
         "added = sorted(set(sys.modules) - before)\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [k3gonal.cli.main(['--help']), k3gonal.cli.main(['bn', 'nosuch'])]\n"
-        "print(json.dumps([ran, added, codes, loaded()]))\n"
+        "print(json.dumps([ran, rows, added, codes, loaded()]))\n"
     )
     run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                          check=True)
-    ran, added, codes, tree = json.loads(run.stdout.splitlines()[-1])
-    assert ran == [] and added == ["_csv", "csv"]
+    ran, rows, added, codes, tree = json.loads(run.stdout.splitlines()[-1])
+    assert ran == [] and rows == [] and added == ["_csv", "csv"]
     assert codes == [0, 1] and "argparse" in tree
 
 
@@ -778,15 +781,23 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("usage: k3gonal hilb")
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_chains_enumerate_renders_no_table(capsys, monkeypatch, fmt):
-    def refuse(part):
-        raise AssertionError("table line rendered for --format " + fmt)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_chains_enumerate_renders_only_its_format(capsys, monkeypatch, fmt):
+    # each format reads the lines of its own pair template alone: a
+    # generator's body runs only when its lines are read
+    pair_templates = {"table": "%d:%d", "csv": "[%d, %d]",
+                      "json": cli._ints_template(2, cli._ROW_KEY + "  ")}
+    read, partition_lines = [], cli._partition_lines
 
-    monkeypatch.setattr(cli, "_partition_table", refuse)
+    def spy(parts, row, pair, sep):
+        read.append(pair)
+        yield from partition_lines(parts, row, pair, sep)
+
+    monkeypatch.setattr(cli, "_partition_lines", spy)
     code, out, _ = run(capsys, "--format", fmt, "chains", "enumerate", "-p", "6", "-k", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == leaves.SHA256["chains enumerate -p 6 -k 2", fmt]
+    assert read == [pair_templates[fmt]]
 
 
 ENUMERATE_CASES = [
@@ -1415,20 +1426,26 @@ def test_json_text_templates_are_bounded():
         assert len(cli._DICT_TEMPLATES) <= cli._TEXTS_MAX
 
 
-def test_pair_texts_are_bounded():
+def test_pair_texts_are_bounded(capsys, monkeypatch):
     # more distinct pairs than a template table holds, each rendered twice,
-    # in every format and at three indents: the texts stay right
+    # in every format and at three indents: the texts stay right; each
+    # partition is rendered by `chains enumerate`, as its whole enumeration
     bound = cli._TEXTS_MAX
     assert bound >= sum(chains.DEFAULT_MAX_P // j for j in range(1, chains.DEFAULT_MAX_P + 1))
+    argv = ["chains", "enumerate", "-p", str(bound), "-k", "2"]
     for n in [*range(2 * bound + 1), *range(bound)]:
         pair = (n, bound - n)
         tree = {"parts": (pair,), "more": [pair]}
         assert cli._json_text(tree) == json.dumps(tree, indent=2)
         part = chains.ChainPartition._make(bound, 2, (pair,), 1, 0)
-        row, = cli._partition_texts(bound, 2, [part])
-        assert row == json.dumps(part.to_payload(), indent=2).replace("\n", cli._ROW)
-        assert list(cli._partition_rows([part])) == [[0, 1, json.dumps([pair])]]
-        assert cli._partition_table(part).endswith(f" parts[{n}:{bound - n}]")
+        monkeypatch.setattr(chains, "enumerate_partitions", lambda p, k: [part])
+        payload = {"p": bound, "k": 2, "count": 1, "partitions": [part.to_payload()]}
+        assert run(capsys, "--format", "json", *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([0, 1, json.dumps([pair])])
+        assert run(capsys, "--format", "csv", *argv) == (0, "delta,g,parts\n" + buf.getvalue(), "")
+        code, out, _ = run(capsys, "--format", "table", *argv)
+        assert code == 0 and out.endswith(f" parts[{n}:{bound - n}]\n")
 
 
 def _keys_of_globals(module):
