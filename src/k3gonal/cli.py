@@ -36,11 +36,13 @@ row command, its csv lines.  A single-case command's table is a function that
 its output is one text, written with one write, unless it is json longer
 than `_PIPE_BYTES`.  A row command's table and csv are text lines, built
 per row with no csv writer, since the quoting of each csv column is fixed by
-its command.  A tuple of exact ints, such as a (j, alpha_j) pair, renders in
-json through a "%d" template kept per length and indent; `chains enumerate`
+its command.  A dict, and a tuple of exact ints such as a (j, alpha_j) pair,
+render in json through a template kept per shape and indent in a bounded
+`functools.lru_cache`, so no module global grows; `chains enumerate`
 renders each distinct pair of its enumeration once per command, in a memo
 of the selected format that ends with the command, so no text outlives its
-command.
+command, and a witness's table maps its pairs through the template with no
+memo.
 """
 
 import codecs
@@ -79,19 +81,12 @@ _JSON_SCALARS = {
 }
 
 
-# a table of templates that holds _TEXTS_MAX of them is emptied before it
-# takes another; each is keyed by a shape, not by the values it renders
+# how many templates of each kind are kept, the least recently used dropped
+# first; each is keyed by a shape, not by the values it renders
 _TEXTS_MAX = 1024
 
 
-def _kept(texts: dict, key, text: str) -> str:
-    """`text`, kept under `key` in the table `texts`."""
-    if len(texts) >= _TEXTS_MAX:
-        texts.clear()
-    texts[key] = text
-    return text
-
-
+@functools.lru_cache(maxsize=_TEXTS_MAX)
 def _dict_template(keys: tuple, pad: str) -> str:
     """A dict of `keys` in the order given, at `pad`, as a %-template of its
     values' json texts."""
@@ -100,16 +95,12 @@ def _dict_template(keys: tuple, pad: str) -> str:
                           for key in keys) + pad + "}"
 
 
+@functools.lru_cache(maxsize=_TEXTS_MAX)
 def _ints_template(length: int, pad: str) -> str:
     """A non-empty tuple of `length` exact ints at `pad`, as a %-template of
     the ints, whose "%d" is their repr."""
     inner = pad + "  "
     return "[" + inner + ("," + inner).join(["%d"] * length) + pad + "]"
-
-
-# the %-templates of _json_text: a dict's keyed by (keys, pad), a tuple of
-# exact ints' by (length, pad)
-_DICT_TEMPLATES = {}
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -119,8 +110,9 @@ def _json_text(obj, pad: str = "\n") -> str:
     Leaves are rendered inline by their exact type and only containers
     recurse.  A dict fills the template of its key tuple and pad, and a
     non-empty tuple of exact ints, such as a (j, alpha_j) pair, the "%d"
-    template of its length and pad (no bool: "%d" prints True as 1); both
-    kinds are kept in `_DICT_TEMPLATES`.  Any other tuple renders as a list.
+    template of its length and pad (no bool: "%d" prints True as 1); each
+    kind of template is kept in its function's `functools.lru_cache`.  Any
+    other tuple renders as a list.
     Anything else raises TypeError: a float or a Fraction here, a key that is
     not a str in encode_basestring_ascii.
     """
@@ -132,15 +124,11 @@ def _json_text(obj, pad: str = "\n") -> str:
             if type(value) is not int:
                 break
         else:
-            shape = (len(obj), pad)
-            return (_DICT_TEMPLATES.get(shape)
-                    or _kept(_DICT_TEMPLATES, shape, _ints_template(*shape))) % obj
+            return _ints_template(len(obj), pad) % obj
     if type(obj) is dict:
         if not obj:
             return "{}"
-        shape = (tuple(obj), pad)
-        template = _DICT_TEMPLATES.get(shape) or _kept(_DICT_TEMPLATES, shape,
-                                                       _dict_template(*shape))
+        template = _dict_template(tuple(obj), pad)
         inner = pad + "  "
         texts = []
         for value in obj.values():
@@ -411,9 +399,9 @@ class _PairTexts(dict):
 
 def _partition_lines(parts: list[chains.ChainPartition], row: str, pair: str, sep: str):
     """`row % (delta, g, pairs)` of each of `parts`, whose pairs are the texts
-    `pair % (j, a)` of its pairs, each rendered once in a memo of this call,
-    joined by `sep`."""
-    text = _PairTexts(pair).__getitem__
+    `pair % (j, a)` of its pairs, joined by `sep`; with more than one
+    partition, each distinct pair is rendered once in a memo of this call."""
+    text = _PairTexts(pair).__getitem__ if len(parts) > 1 else pair.__mod__
     for part in parts:
         yield row % (part.delta, part.g, sep.join(map(text, part.parts)))
 

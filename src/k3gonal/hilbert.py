@@ -563,8 +563,6 @@ def q_candidate_count(k: int, p_max: int) -> int:
         least = max(k - 1 - room // (m + 1), 0)
         if rho > 0:
             least = max(least, isqrt(4 * (k - 1) * (rho - 1)) + 1)
-        if least > k - 1:
-            break
         count += k - least
         rho += 1
     return count

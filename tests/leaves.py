@@ -220,6 +220,23 @@ LEAVES = {
              "239823650cee04abb48c1bfd9bb16bf84d2b2f5dfe6e04fbd8412a3d5d67d7b7",
              "cda18202881764b548e09fa377b4cb6b11b09fb6f4f3c94d4c1ceb4fab27d30b",
              "394a552088d58cb1135b2e1ee438395a2101e426042d9d996b02bd5a1832278d"),
+        # p = 2 with its two partitions, and p = 2(k - 1), 2(k - 1) + 1 at k = 4
+        Case("chains stable -p 2 -k 2 --alpha 1:2", {},
+             "73f787e3fad42c5ca64924d0687f506aacc1c95d3f4c127f97470df35f24c3b8",
+             "16b43deaf83ae506f55c0f17204bffd9cebf2bf25eb6d630e309db86e16bb720",
+             "c21d63fcff6d1a28bec9757b2e849351622d83edd7967ace2b57a48eea4a0220"),
+        Case("chains stable -p 2 -k 2 --alpha 2:1", {},
+             "2fea4a7855af267628c9ab894b0742d42502b32a723f8c67973b059d58f3efe5",
+             "f9d1a6520fae30cc8fffaac81c9bcf8235598f015f249ed939b90b7d24aa3442",
+             "275b8a948fe3f0d77427c2671e4220619542a1ec807405d977fe99829c53922e"),
+        Case("chains stable -p 6 -k 4 --alpha 1:6", {},
+             "1fc10338b2048788a6e62b93eff2e5f15fb9318d14a3bb01b41a547ccab2a06d",
+             "f6b29b4b9677317102295b03ebc5db18b90efe567383aa36df43023fb2576f55",
+             "679c322483ab3e3a7d042937c4cdd27b949d3fbeb205dff59ecfe6e3d8765dd3"),
+        Case("chains stable -p 7 -k 4 --alpha 1:5,2:1", {},
+             "516944bd7be1a4327f47a0a63a60bd9880a038200f4d3864d43f4a6df1a1febd",
+             "1643e0c72e75d13a772d5593460f020b9cced0a4eeb9d13225f0ca55769fb3b2",
+             "c9f3a24bb957eaca67e3e8328096f2c8b8ff4ee1302d70ff92839fa58f1b0799"),
     ]),
     "pencil verify": Leaf(SINGLE, [
         Case("pencil verify -k 3 --samples 5 --seed 1", {"wedge_curve": 5, "_gcd_degree": 10},

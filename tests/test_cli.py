@@ -324,7 +324,8 @@ def test_commands_import_no_argparse_or_csv():
     # csv, the gettext that argparse imports and click; the row leaves'
     # cases in csv then load no module at all, and the single-case ones csv
     # and its C part alone; help and a usage error still build the tree, and
-    # so load argparse
+    # so load argparse.  No dict, list or set held by a k3gonal module global
+    # changes its length over all those cases
     src = str(Path(cli.__file__).parents[1])
     script = (
         "import contextlib, io, json, os, sys\n"
@@ -332,6 +333,12 @@ def test_commands_import_no_argparse_or_csv():
         "heavy = ('argparse', 'csv', 'gettext', 'click')\n"
         "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
         "import k3gonal.cli\n"
+        "def sizes():\n"
+        "    return {f'{name}.{key}': len(value)\n"
+        "            for name, module in list(sys.modules.items()) if name.startswith('k3gonal.')\n"
+        "            for key, value in vars(module).items()\n"
+        "            if type(value) in (dict, list, set)}\n"
+        "start = sizes()\n"
         "def run(fmt, argvs):\n"
         "    for argv in argvs:\n"
         "        code = k3gonal.cli.main(['--format', fmt, *argv.split(), '--out', os.devnull])\n"
@@ -344,13 +351,17 @@ def test_commands_import_no_argparse_or_csv():
         "rows = sorted(set(sys.modules) - before)\n"
         f"run('csv', {leaves.argvs(lambda leaf: leaf.kind == leaves.SINGLE)!r})\n"
         "added = sorted(set(sys.modules) - before)\n"
+        "end = sizes()\n"
+        "grown = sorted(f'{key}: {start.get(key)} -> {size}' for key, size in end.items()\n"
+        "               if start.get(key) != size)\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [k3gonal.cli.main(['--help']), k3gonal.cli.main(['bn', 'nosuch'])]\n"
-        "print(json.dumps([ran, rows, added, codes, loaded()]))\n"
+        "print(json.dumps([ran, rows, added, codes, loaded(), grown]))\n"
     )
     run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                          check=True)
-    ran, rows, added, codes, tree = json.loads(run.stdout.splitlines()[-1])
+    ran, rows, added, codes, tree, grown = json.loads(run.stdout.splitlines()[-1])
+    assert grown == []
     assert ran == [] and rows == [] and added == ["_csv", "csv"]
     assert codes == [0, 1] and "argparse" in tree
 
@@ -1423,7 +1434,8 @@ def test_json_text_templates_are_bounded():
     for n in range(2 * cli._TEXTS_MAX):
         payload = {str(n): n}
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
-        assert len(cli._DICT_TEMPLATES) <= cli._TEXTS_MAX
+        info = cli._dict_template.cache_info()
+        assert info.currsize <= info.maxsize == cli._TEXTS_MAX
 
 
 def test_pair_texts_are_bounded(capsys, monkeypatch):

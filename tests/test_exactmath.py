@@ -400,6 +400,14 @@ def test_value_class_refuses(cls, args, text):
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[record.cls.__name__ for record in RECORDS])
+def test_value_class_compares_only_its_class(record):
+    # a value compared with another type, even the tuple of its fields,
+    # leaves the answer to that type
+    value = record.cls(*record.args)
+    assert value.__eq__(record.fields) is NotImplemented and value != record.fields
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[record.cls.__name__ for record in RECORDS])
 def test_value_class_keeps_its_record(record):
     cls, fields = record.cls, record.cls.__slots__
     # each value as its builder made it, and as `_make` builds it again from

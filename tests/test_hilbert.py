@@ -48,6 +48,13 @@ def test_fiber_class():
     assert fiber.display() == "r_k"
 
 
+@pytest.mark.parametrize("args, text", [
+    ((8, 2, 0, 1), "-r_k"), ((8, 2, 0, 5), "-5*r_k"), ((8, 2, 2, 0), "2*H"),
+    ((8, 2, 1, -3), "H + 3*r_k")])
+def test_curve_class_display(args, text):
+    assert CurveClass(*args).display() == text
+
+
 def test_pairing_examples():
     p, k = 9, 4
     fiber = CurveClass(p, k, 0, -1)
@@ -294,6 +301,13 @@ def test_extremal_ray_examples():
     rep = extremal_ray_status(7, 2)
     assert rep.status == "OPEN"
     assert not any("counterexample" in note for note in rep.notes)
+
+
+def test_ray_report_q():
+    # q is the optimal class's q, read from the integer 2(k-1)q
+    for p, k in [(12, 3), (3, 4), (10, 2), (8, 2), (7, 2)]:
+        rep = extremal_ray_status(p, k)
+        assert rep.q == F(rep.q_scaled, 2 * (k - 1)) == optimal_class(p, k).q
 
 
 def test_ray_report_payload_schema():

@@ -630,6 +630,7 @@ def root_test_form(draw):
 
 
 @given(root_test_form())
+@example(BinaryForm(3, (1, 0, 0, 0)))  # one root, at infinity, of multiplicity 3
 @settings(max_examples=300, deadline=None)
 def test_root_counts_match_rational_euclid(form):
     distinct, squarefree = _ref_counts(list(form.coeffs))
