@@ -32,7 +32,7 @@ witness to the next; `enumerate_partitions` is the exhaustive oracle.
 from collections.abc import Mapping
 
 from .errors import InvariantViolation, _refuse_below, _refuse_delta, _refuse_over_limit
-from .exactmath import _int, _value_class, field
+from .exactmath import HIDDEN, _int, _value_class
 from .gonality import _check_pk, delta0
 
 __all__ = [
@@ -69,8 +69,8 @@ class ChainPartition:
     p: int
     k: int
     parts: tuple[tuple[int, int], ...]
-    g: int = field(init=False, repr=False, compare=False)
-    delta: int = field(init=False, repr=False, compare=False)
+    g: int = HIDDEN
+    delta: int = HIDDEN
 
     def __init__(self, p: int, k: int, parts):
         if _int(p) < 1:
@@ -255,7 +255,8 @@ def enumerate_partitions(p: int, k: int) -> list[ChainPartition]:
     make = ChainPartition._make
     out: list[ChainPartition] = []
 
-    def rec(remaining: int, top: int, tail: tuple, g: int, delta: int) -> None:
+    # rec takes itself, so no closure cell refers back to it and no cycle holds `out`
+    def rec(rec, remaining: int, top: int, tail: tuple, g: int, delta: int) -> None:
         for part in range(min(top, remaining), 0, -1):
             below = cap * part * (part - 1) // 2  # the most parts < part carry
             if remaining > below + cap * part:
@@ -269,7 +270,7 @@ def enumerate_partitions(p: int, k: int) -> list[ChainPartition]:
                 rest = remaining - part * a
                 if rest:
                     if part > 2:
-                        rec(rest, part - 1, parts, g + a, delta + (part - 1) * a)
+                        rec(rec, rest, part - 1, parts, g + a, delta + (part - 1) * a)
                         continue
                     parts = (ones[rest],) + parts  # part 2 leaves rest <= cap
                 g_sum = g + a + rest
@@ -281,12 +282,6 @@ def enumerate_partitions(p: int, k: int) -> list[ChainPartition]:
                     )
                 out.append(make(p, k, parts, g_sum, delta_sum))
 
-    try:
-        rec(p, p, (), 0, 0)
-    finally:
-        # rec reaches itself through its closure cell; clearing the cell
-        # frees rec, and with it `out`, when the caller drops the result
-        # rather than at the next full collection
-        del rec
+    rec(rec, p, p, (), 0, 0)
     return out
 

@@ -13,11 +13,12 @@ would double the time every command spends importing the package.  (From
 Python 3.14, argparse's help formatter imports `dataclasses` itself; a
 well-formed command builds no argparse tree and imports neither argparse nor
 csv, so there only help and usage errors load it.)
-A field that the constructor derives, or that is left out of `repr` or of
-`==` and `hash`, is declared with a `field` marker.  A checked constructor sets each
-field through its slot descriptor; an unchecked `_make` fills a mutable twin
-of the class with the same slots and then retags it as the frozen class, so
-only this module assigns a `__class__` or calls a descriptor's `__set__`.
+A field that the constructor derives is declared `= DERIVED`, and one that
+it derives and leaves out of `repr`, `==` and `hash` `= HIDDEN`.  A checked
+constructor sets each field through its slot descriptor; an unchecked
+`_make` fills a mutable twin of the class with the same slots and then
+retags it as the frozen class, so only this module assigns a `__class__` or
+calls a descriptor's `__set__`.
 """
 
 import math
@@ -46,18 +47,10 @@ def _int(v) -> int:
     return v
 
 
-class field:
-    """Declares a value-class field, in place of a default, as derived
-    (`init=False`: the class's own `__init__` computes it and passes it to
-    `_fill`) or as left out of `repr` or of `==` and `hash`."""
-
-    __slots__ = ("init", "repr", "compare")
-
-    def __init__(self, *, init=True, repr=True, compare=True):
-        self.init, self.repr, self.compare = init, repr, compare
-
-
-_PLAIN = field()
+# Taken by a value-class field in place of a default: the class's own
+# `__init__` computes a DERIVED field and passes it to `_fill`; a HIDDEN one
+# is derived too, and left out of `repr`, `==` and `hash`.
+DERIVED, HIDDEN, _NO_DEFAULT = object(), object(), object()
 
 
 def _frozen_setattr(self, name, value):
@@ -70,21 +63,21 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _shared_methods(names, init, shown, compared, setters):
+def _shared_methods(names, init, shown, setters):
     """The dunders every value class shares: each is a closure over one
     class's field names, so all classes run one code object per method.
-    Each tuple names at least two fields, so each `attrgetter` returns a
-    tuple."""
-    store, show, compare = attrgetter(*names), attrgetter(*shown), attrgetter(*compared)
+    `repr`, `==` and `hash` read the shown fields.  Each tuple names at
+    least two fields, so each `attrgetter` returns a tuple."""
+    store, show = attrgetter(*names), attrgetter(*shown)
     derived = frozenset(names).difference(init)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return compare(self) == compare(other)
+            return show(self) == show(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(compare(self))
+        return hash(show(self))
 
     def __repr__(self):
         pairs = map("%s=%r".__mod__, zip(shown, show(self)))
@@ -114,23 +107,23 @@ def _value_class(cls):
     slot descriptor's `__set__`.
 
     Every annotation of the class body is a field, in order; a field takes
-    the value assigned to it as its default, unless that value is a `field`
-    marker.  A field without a default may not follow one with a default,
-    and at least two fields must be shown in the `repr` and two compared.
-    The class is rebuilt with `__slots__` of the field names, so it has no
-    `__dict__` and no weak references, and `__match_args__` names the init
-    fields.  It gets `__eq__` (same class, equal compared fields), `__hash__`
-    (of the compared fields as a tuple), `__repr__` (`Name(a=1, b=2)` over
-    the shown fields), `__getstate__` and `__setstate__` (every field, in
-    order; a list, as pickles written by `dataclasses` hold, loads too) and
-    `__replace__` (the constructor on the init fields and the changes; a
-    derived field raises `ValueError`), so `pickle`, `copy` and, from Python
-    3.13, `copy.replace` work.  Those six are closures made by
-    `_shared_methods`, and assigning or deleting a field raises
-    `dataclasses.FrozenInstanceError`, which is imported only then; so
-    importing the package compiles none of them and imports no
-    `dataclasses` of its own.  `dataclasses.fields`, `asdict` and `replace` do not
-    apply to these classes.
+    the value assigned to it as its default, unless that value is one of the
+    markers `DERIVED` and `HIDDEN`.  A field without a default may not follow
+    one with a default, and at least two fields must be shown, that is, not
+    `HIDDEN`.  The class is rebuilt with `__slots__` of the field names, so
+    it has no `__dict__` and no weak references, and `__match_args__` names
+    the init fields, those not derived.  It gets `__eq__` (same class, equal
+    shown fields), `__hash__` (of the shown fields as a tuple), `__repr__`
+    (`Name(a=1, b=2)` over the shown fields), `__getstate__` and
+    `__setstate__` (every field, in order; a list, as pickles written by
+    `dataclasses` hold, loads too) and `__replace__` (the constructor on the
+    init fields and the changes; a derived field raises `ValueError`), so
+    `pickle`, `copy` and, from Python 3.13, `copy.replace` work.  Those six
+    are closures made by `_shared_methods`, and assigning or deleting a
+    field raises `dataclasses.FrozenInstanceError`, which is imported only
+    then; so importing the package compiles none of them and imports no
+    `dataclasses` of its own.  `dataclasses.fields`, `asdict` and `replace`
+    do not apply to these classes.
 
     For each class two functions are compiled from the field names; each
     takes every field, in `__slots__` order.  A class that checks nothing
@@ -165,21 +158,17 @@ def _value_class(cls):
     body = {key: value for key, value in cls.__dict__.items()
             if key not in ("__dict__", "__weakref__")}
     names = tuple(annotations)
-    markers, defaults = {}, []
-    for n in names:
-        value = body.pop(n, _PLAIN)
-        if isinstance(value, field):
-            if defaults:
-                raise TypeError(f"{cls.__name__}.{n} has no default but follows a "
-                                "field with one")
-            markers[n] = value
-        else:
-            markers[n] = _PLAIN
+    markers = {n: body.pop(n, _NO_DEFAULT) for n in names}
+    defaults = []
+    for n, value in markers.items():
+        if value is not _NO_DEFAULT and value is not DERIVED and value is not HIDDEN:
             defaults.append(value)
-    init = tuple(n for n in names if markers[n].init)
-    shown = tuple(n for n in names if markers[n].repr)
-    compared = tuple(n for n in names if markers[n].compare)
-    if len(shown) < 2 or len(compared) < 2:
+        elif defaults:
+            raise TypeError(f"{cls.__name__}.{n} has no default but follows a "
+                            "field with one")
+    shown = tuple(n for n in names if markers[n] is not HIDDEN)
+    init = tuple(n for n in shown if markers[n] is not DERIVED)
+    if len(shown) < 2:
         raise TypeError(f"{cls.__name__} needs two fields in its repr and in ==")
     body.update(__slots__=names, __match_args__=init, __qualname__=cls.__qualname__,
                 __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
@@ -200,7 +189,7 @@ def _value_class(cls):
     fill, make = namespace["build"](twin, cls, *setters)
     fill.__annotations__ = annotations
     fill.__defaults__ = tuple(defaults)
-    shared = _shared_methods(names, init, shown, compared, setters)
+    shared = _shared_methods(names, init, shown, setters)
     for function in (fill, make, *shared):
         function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
         function.__module__ = cls.__module__

@@ -24,7 +24,7 @@ from math import isqrt
 
 from . import brillnoether
 from .errors import InvariantViolation, _refuse_below
-from .exactmath import _int, _value_class, field
+from .exactmath import DERIVED, _int, _value_class
 
 __all__ = [
     "GonalityCase",
@@ -59,11 +59,11 @@ class GonalityCase:
     p: int
     k: int
     delta: int
-    g: int = field(init=False)
-    alpha: int = field(init=False)
-    beta: int = field(init=False)
-    rho: int = field(init=False)
-    admissible: bool = field(init=False)
+    g: int = DERIVED
+    alpha: int = DERIVED
+    beta: int = DERIVED
+    rho: int = DERIVED
+    admissible: bool = DERIVED
 
     def __init__(self, p: int, k: int, delta: int):
         _check_pk(_int(p), _int(k))

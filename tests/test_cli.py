@@ -726,13 +726,15 @@ def _tree_parse(argv):
 @example(argv=[*_CONE, "-p", " 7"])
 @example(argv=["chains", "stable", "-p", "8", "-k", "2", "--alpha", "-12"])
 # through the tree: a joined flag and value, a value that is empty, no int,
-# or dashed and no plain negative number, and a missing required option
+# or dashed and no plain negative number, a missing required option, and a
+# flag whose value is missing at the end of argv
 @example(argv=[*_CONE, "-p9", "-k=3", f"--out={_OUT}"])
 @example(argv=[*_CONE, "-p", ""])
 @example(argv=[*_CONE, "-p", "-5_0"])
 @example(argv=[*_CONE, "-p", "-٣"])
 @example(argv=["chains", "stable", "-p", "8", "-k", "2", "--alpha", "-1:2"])
 @example(argv=["hilb", "cone", "-p", "8"])
+@example(argv=["hilb", "cone", "-p", "8", "-k"])
 # through the tree: a leftover argument, an unknown or partial path
 @example(argv=[*_CONE, "--bogus"])
 @example(argv=["gonality", "delta0", "-p", "9", "-k", "4", "--ver"])

@@ -79,6 +79,14 @@ def test_dir_lists_the_exports_and_the_submodules_before_any_import():
     assert listed[1] == []
 
 
+def test_dir_lists_the_exports_and_the_submodules_and_loads_nothing():
+    # in process, so `__dir__` runs here and not only in a fresh interpreter
+    before = sorted(m for m in sys.modules if m.startswith("k3gonal."))
+    listed = dir(k3gonal)
+    assert set(k3gonal.__all__) | set(k3gonal._EXPORTS) <= set(listed)
+    assert sorted(m for m in sys.modules if m.startswith("k3gonal.")) == before
+
+
 def test_each_submodule_resolves_as_a_package_attribute():
     code = f"import k3gonal\nprint(json.dumps([getattr(k3gonal, m).__name__ for m in {SUBMODULES}]))"
     assert _fresh(code) == [f"k3gonal.{m}" for m in SUBMODULES]

@@ -264,6 +264,7 @@ def test_wronskian_examples():
     w3 = wronskian(monomial_pencil(3))
     assert list(w3.coeffs) == [0, 0, -3, 0, 0]
     assert not is_squarefree(w3)
+    assert not is_squarefree(BinaryForm(2, (0, 0, 0)))  # the zero form
 
     f = BinaryForm(3, (1, 1, 0, 1))
     g = BinaryForm(3, (0, 1, 1, 0))
