@@ -25,24 +25,24 @@ downgrades to a warning).
 callback, its options as (flag, argparse keyword arguments) specs and its
 docstring as help.  `main` reads a well-formed command (root flags, a leaf's
 two names, then exact flags and values of that leaf) straight from those
-specs, so it builds no argparse tree and imports neither argparse nor csv
-(csv only for a single-case command's csv); anything else, such as help, an
-unknown command, a leftover argument or a bad value, goes through the whole
-stdlib argparse tree, built from the same specs on first use, which prints
-its help or usage error.  A callback returns what `_emit` renders: a json
-payload (a row command's is the chunks of `_json_rows`), a table and, from a
-row command, its csv lines.  A single-case command's table is a function that
-`_emit` calls under `--format table` alone, so json and csv build no table;
-its output is one text, written with one write, unless it is json longer
-than `_PIPE_BYTES`.  A row command's table and csv are text lines, built
-per row with no csv writer, since the quoting of each csv column is fixed by
-its command.  A dict, and a tuple of exact ints such as a (j, alpha_j) pair,
-render in json through a template kept per shape and indent in a bounded
-`functools.lru_cache`, so no module global grows; `chains enumerate`
-renders each distinct pair of its enumeration once per command, in a memo
-of the selected format that ends with the command, so no text outlives its
-command, and a witness's table maps its pairs through the template with no
-memo.
+specs, so it builds no argparse tree and imports neither argparse nor csv;
+anything else, such as help, an unknown command, a leftover argument or a
+bad value, goes through the whole stdlib argparse tree, built from the same
+specs on first use, which prints its help or usage error.  A callback
+returns what `_emit` renders: a json payload (a row command's is the chunks
+of `_json_rows`), a table and, from a row command, its csv lines.  A
+single-case command's table is a function that `_emit` calls under
+`--format table` alone, so json and csv build no table; its output is one
+text, written with one write, unless it is json longer than `_PIPE_BYTES`.
+Every csv is text lines with no csv writer: a single-case command's keys
+and values are two lines of `_csv_cell`s, and a row command's lines are
+built per row, its command fixing each column's quoting.  A dict, and a
+tuple of exact ints such as a (j, alpha_j) pair, render in json through a
+template kept per shape and indent in a bounded `functools.lru_cache`, so
+no module global grows; `chains enumerate` renders each distinct pair of
+its enumeration once per command, in a memo of the selected format that
+ends with the command, so no text outlives its command, and a witness's
+table maps its pairs through the template with no memo.
 """
 
 import codecs
@@ -52,7 +52,6 @@ import json
 import os
 import re
 import sys
-import types
 from json.encoder import encode_basestring_ascii
 
 from . import brillnoether, chains, gonality, hilbert, pencil
@@ -176,50 +175,50 @@ _EMIT_BATCH = 1024
 _PIPE_BYTES = 1 << 16
 
 
+def _csv_cell(value) -> str:
+    """`value` as a csv cell: None is empty, a list, tuple or dict its
+    `json.dumps`, anything else its `str`; quoted, each inner quote doubled,
+    if it holds a comma, a quote, a newline or a carriage return."""
+    if value is None:
+        return ""
+    text = json.dumps(value) if isinstance(value, (list, tuple, dict)) else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _batches(chunks):
+    """The texts of `chunks`, joined `_EMIT_BATCH` at a time as they are made."""
+    chunks = iter(chunks)
+    return iter(lambda: "".join(itertools.islice(chunks, _EMIT_BATCH)), "")
+
+
 def _emit(fmt: str, out_path: str | None, payload, table, csv_lines=None) -> None:
     """Render one result in the selected format and write it out.
 
     Only the selected rendering is built.  A single-case command gives a
-    dict `payload` and, as `table`, a function of no arguments that gives
-    its text, with no trailing newline; its csv is a header row and a value
-    row of the payload through `csv.writer`, whose list, tuple and dict
-    values are cells of their `json.dumps`.  A row command gives the chunks
-    of `_json_rows` and, as `table` and `csv_lines`, iterables of its lines
-    in each format (none ending in a newline), each one chunk with its
-    newline.  A one-text result (a dict in json up to `_PIPE_BYTES`, or a
-    single-case table or csv) is written with one write; any other output
-    is written as text chunks, joined into batches of `_EMIT_BATCH` chunks
-    as they are made, so a long output is never held whole, and a reader
-    that closes stdout early meets a later write.  A dict renders through
-    `_json_text` as `json.dumps(payload, indent=2)` plus a newline, one
-    chunk per line past `_PIPE_BYTES`.
+    dict `payload`, whose csv is a line of its keys and one of its values in
+    `_csv_cell`s, and, as `table`, a function of no arguments that gives its
+    text, with no trailing newline.  A row command gives the chunks of
+    `_json_rows` and, as `table` and `csv_lines`, iterables of its lines,
+    none ending in a newline.  A one-text result (a dict in json up to
+    `_PIPE_BYTES`, or a single-case table or csv) is written with one write;
+    any other output in `_batches` of its chunks, so a long output is never
+    held whole, and a reader that closes stdout early meets a later write.
+    A dict is `_json_text` and a newline, a chunk per line past `_PIPE_BYTES`.
     """
-    text = None
-    if fmt == "json":
-        if isinstance(payload, dict):
-            text = _json_text(payload) + "\n"
-            if len(text) > _PIPE_BYTES:
-                chunks, text = text.splitlines(keepends=True), None
-        else:
-            chunks = payload
+    if fmt == "json" and isinstance(payload, dict):
+        text = _json_text(payload) + "\n"
+        batches = (text,) if len(text) <= _PIPE_BYTES else _batches(text.splitlines(True))
+    elif fmt == "json":
+        batches = _batches(payload)
     elif csv_lines is not None:
-        chunks = (line + "\n" for line in (table if fmt == "table" else csv_lines))
+        batches = _batches(line + "\n" for line in (table if fmt == "table" else csv_lines))
     elif fmt == "csv":
-        import csv
-
-        # writerow returns what the file's write returns: here the row's text
-        echo = types.SimpleNamespace(write=lambda text: text)
-        writerow = csv.writer(echo, lineterminator="\n").writerow
-        cells = [json.dumps(v) if isinstance(v, (list, tuple, dict)) else v
-                 for v in payload.values()]
-        text = writerow(list(payload)) + writerow(cells)
+        batches = (",".join(map(_csv_cell, payload)) + "\n"
+                   + ",".join(map(_csv_cell, payload.values())) + "\n",)
     else:
-        text = table() + "\n"
-    if text is not None:
-        batches = (text,)
-    else:
-        chunks = iter(chunks)
-        batches = iter(lambda: "".join(itertools.islice(chunks, _EMIT_BATCH)), "")
+        batches = (table() + "\n",)
     if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -255,9 +254,9 @@ def _emit(fmt: str, out_path: str | None, payload, table, csv_lines=None) -> Non
 
 class _Leaf:
     """A command: its callback, which returns what `_emit` takes after the
-    format and path, (payload, table) from a single-case command and
-    (payload, table, csv_lines) from a row command, and its options as
-    (flag, argparse keyword arguments) pairs.
+    format and path, (payload, table) from a single-case command, whose csv
+    `_emit` makes from the payload, and (payload, table, csv_lines) from a
+    row command, and its options as (flag, argparse keyword arguments) pairs.
 
     `main` reads `callback` at each call, so it may be rebound.
     """
@@ -425,7 +424,8 @@ def chains_enumerate(p, k):
     envelope = {"p": p, "k": k, "count": len(parts), "partitions": []}
     rows = _partition_lines(parts, row, _ints_template(2, pad), "," + pad)
     table = _partition_lines(parts, f"p={p} k={k} delta=%d g=%d parts[%s]", "%d:%d", ", ")
-    # a parts cell always holds a comma and never a quote, so csv quotes it
+    # a parts cell always holds a comma and never a quote, so the template
+    # quotes it; _csv_cell would json.dumps each partition's pairs anew
     csv_lines = itertools.chain(["delta,g,parts"],
                                 _partition_lines(parts, '%d,%d,"[%s]"', "[%d, %d]", ", "))
     return _json_rows(envelope, rows), table, csv_lines
@@ -631,8 +631,8 @@ def hilb_scan(pmax, kmax, pmin, kmin):
                          _ratio_text(*hilbert._tau_terms(p, k)), ray.status, lag.has_isotropic,
                          lag.necessary_condition_holds, lag.primitive))
     table = ("\t".join(map(str, line)) for line in itertools.chain([_SCAN_KEYS], rows))
-    # no cell holds a comma or a quote; csv leaves lagrangian_ok's None, off
-    # the isotropic cases, an empty cell
+    # joined bare, 4 times faster a row than by _csv_cell, as no cell holds a
+    # comma or a quote; lagrangian_ok's None, off isotropic cases, is empty
     csv_lines = (",".join(["" if v is None else str(v) for v in line])
                  for line in itertools.chain([_SCAN_KEYS], rows))
     row = _dict_template(_SCAN_KEYS, _ROW)

@@ -63,11 +63,11 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _shared_methods(names, init, shown, setters):
+def _shared_methods(names, init, shown, fill):
     """The dunders every value class shares: each is a closure over one
     class's field names, so all classes run one code object per method.
-    `repr`, `==` and `hash` read the shown fields.  Each tuple names at
-    least two fields, so each `attrgetter` returns a tuple."""
+    `repr`, `==` and `hash` read the shown fields; `__setstate__` calls
+    `fill`.  Each tuple names two or more fields: `attrgetter` gives tuples."""
     store, show = attrgetter(*names), attrgetter(*shown)
     derived = frozenset(names).difference(init)
 
@@ -87,8 +87,7 @@ def _shared_methods(names, init, shown, setters):
         return store(self)
 
     def __setstate__(self, state):
-        for set_field, value in zip(setters, state):
-            set_field(self, value)
+        fill(self, *state)
 
     def __replace__(self, /, **changes):
         for name in derived.intersection(changes):
@@ -115,7 +114,8 @@ def _value_class(cls):
     the init fields, those not derived.  It gets `__eq__` (same class, equal
     shown fields), `__hash__` (of the shown fields as a tuple), `__repr__`
     (`Name(a=1, b=2)` over the shown fields), `__getstate__` and
-    `__setstate__` (every field, in order; a list, as pickles written by
+    `__setstate__` (every field, in order, through `_fill` or `__init__`, so a
+    value too many raises `TypeError`; a list, as pickles written by
     `dataclasses` hold, loads too) and `__replace__` (the constructor on the
     init fields and the changes; a derived field raises `ValueError`), so
     `pickle`, `copy` and, from Python 3.13, `copy.replace` work.  Those six
@@ -189,7 +189,7 @@ def _value_class(cls):
     fill, make = namespace["build"](twin, cls, *setters)
     fill.__annotations__ = annotations
     fill.__defaults__ = tuple(defaults)
-    shared = _shared_methods(names, init, shown, setters)
+    shared = _shared_methods(names, init, shown, fill)
     for function in (fill, make, *shared):
         function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
         function.__module__ = cls.__module__

@@ -23,7 +23,7 @@ two evaluations of the bound at any p; the brute-force scan
 from math import isqrt
 
 from . import brillnoether
-from .errors import InvariantViolation, _refuse_below
+from .errors import InvariantViolation, _refuse_below, _refuse_inadmissible
 from .exactmath import DERIVED, _int, _value_class
 
 __all__ = [
@@ -180,9 +180,7 @@ def expected_dims(p: int, k: int, delta: int) -> tuple[int, int]:
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
-        raise ValueError(
-            f"(p={p}, k={k}, delta={delta}) is inadmissible: the locus is empty"
-        )
+        _refuse_inadmissible(p, k, delta)
     g = case.g
     dim_vk = min(2 * (k - 1), g)
     dim_w1k = max(0, 2 * (k - 1) - g)

@@ -29,7 +29,7 @@ it pulls in.
 
 from math import gcd, isqrt
 
-from .errors import InvariantViolation, _refuse_below, _refuse_over_limit
+from .errors import InvariantViolation, _refuse_below, _refuse_inadmissible, _refuse_over_limit
 from .exactmath import _int, _value_class, exact_sqrt
 from .gonality import GonalityCase, _check_pk, _delta0_from, decompose, delta0
 
@@ -150,10 +150,6 @@ def pairing(d: DivisorClass, r: CurveClass) -> "Fraction":
             f"curve on (p={r.p}, k={r.k})"
         )
     return d.a * r.a * (2 * d.p - 2) - d.c * r.y
-
-
-def _refuse_inadmissible(p: int, k: int, delta: int) -> "NoReturn":
-    raise ValueError(f"(p={p}, k={k}, delta={delta}) is inadmissible")
 
 
 def gonality_class(p: int, k: int, delta: int) -> CurveClass:

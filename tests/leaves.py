@@ -36,6 +36,11 @@ class Leaf(NamedTuple):
     cases: list
     rational: bool = False  # prints its rationals from integers, building no Fraction
     limits: dict = {}  # each *_MAX_* limit the leaf enforces, by its constant's name
+    # SINGLE: an argv template in p, k and d = p - 1, run over a grid of their
+    # magnitudes, whose work must not grow with them; every SINGLE leaf has
+    # one but `pencil verify`, whose work grows with k and its samples by
+    # design, bounded by PENCIL_MAX_K and PENCIL_MAX_SAMPLES
+    grid: str | None = None
 
 
 # the digests were recorded before the leaf commands shared one output path;
@@ -55,7 +60,7 @@ LEAVES = {
              "0b2f06dddfa807ee574a78468d3a05904873b97f44377eb93481e091c257b800",
              "f59feb4c41c63b6faa1ede2563e31378ec2a5ed871f5f13f4a869880d30ccfda",
              "6547f42b9d71264ef71423edd8b1e346b70b1bc7ced799f3fd17cdbd2b0d73f6"),
-    ]),
+    ], grid="bn rho -g {p} -r 1 -d {k}"),
     "bn check": Leaf(SINGLE, [
         Case("bn check -p 9 -k 4 --delta 2", {"necessary_condition": 1},
              "913d16910d99ef12ddd1723a62cf8db3ced145818137325dd26621a4e16c1d6b",
@@ -82,7 +87,7 @@ LEAVES = {
              "60ef66692cca15925db3efc0138056429e8d2de966589326dd4173f30b3372fd",
              "8586266f22580be20c9c8045d7f9bec5a310c23d4e25f44a36de0fa1a060d7e1",
              "3aa0e70ee5b08d9b248aba50b0201e99ca24689f99b9c1fefeb380fdf4eb7957"),
-    ]),
+    ], grid="bn check -p {p} -k {k} --delta {d}"),
     "gonality delta0": Leaf(SINGLE, [
         Case("gonality delta0 -p 9 -k 4 --verify", {"decompose": 1, "delta0": 1,
              "GonalityCase": 2, "necessary_condition": 2},
@@ -113,7 +118,7 @@ LEAVES = {
              "e89931b2648d886f6333c59a37cb1fad8a145177187b59cc4d411b88dfba043d",
              "28e57400cdd3b77e911e1285a8196f160db97497f344967b62ba230b360268fe",
              "0eb487c004042a5c55e38e169cea866e3da9f081928469f54c3b5b4461f16c4f"),
-    ]),
+    ], grid="gonality delta0 -p {p} -k {k} --verify"),
     "gonality dims": Leaf(SINGLE, [
         Case("gonality dims -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
              "bdc6c2820dce3f6a655a18ffe68a1f1b05ac075ac52bf6706ecf6237e725b118",
@@ -140,7 +145,7 @@ LEAVES = {
              "115944526edc3badc70e194eea9cae34cfd1393bb381c4b366e77b8e55e42d97",
              "15cd30a8471018324f6b06025926f715b7985b8b3ab2f177b323bc7bb36c981e",
              "50061052c27a86e250af8d83355a7a3cb97edcdf83e7bd9f32b12ad3d69ff72a"),
-    ]),
+    ], grid="gonality dims -p {p} -k {k} --delta {d}"),
     "chains witness": Leaf(SINGLE, [
         Case("chains witness -p 8 -k 2 --delta 5", {"decompose": 1, "delta0": 1},
              "1609f2f19ad03e353d78b94424c5bae987dc33054b8b50a9f5bc5f7befdf15d9",
@@ -179,7 +184,7 @@ LEAVES = {
              "f58e67757dfef95a22149073d5fdcc472844a228d84ba5aa0891a388b6afe8e6",
              "45e91ad4847d2ffe84eb11f9e7f2538431b89d7f4dc2c60322856f0c94632776",
              "0d46448a1914ea01ff9aa692614b3a5f749ae58691de9afea7d9f3a4fa6f3bab"),
-    ], limits={
+    ], grid="chains witness -p {p} -k {k} --delta {d}", limits={
         # g chains at cap 2 fill (g - 1) // 2 + 2 lengths: 100001 at g = 199999,
         # 3 at the case's g = 3
         "WITNESS_MAX_LENGTHS": Limit(
@@ -237,7 +242,7 @@ LEAVES = {
              "516944bd7be1a4327f47a0a63a60bd9880a038200f4d3864d43f4a6df1a1febd",
              "1643e0c72e75d13a772d5593460f020b9cced0a4eeb9d13225f0ca55769fb3b2",
              "c9f3a24bb957eaca67e3e8328096f2c8b8ff4ee1302d70ff92839fa58f1b0799"),
-    ]),
+    ], grid="chains stable -p {p} -k {k} --alpha {p}:1"),
     "pencil verify": Leaf(SINGLE, [
         Case("pencil verify -k 3 --samples 5 --seed 1", {"wedge_curve": 5, "_gcd_degree": 10},
              "7061651d4bcdc67686b8b4f5092d78993578ce53bb3485af0a8fe1a5810ed786",
@@ -285,7 +290,7 @@ LEAVES = {
              "e67c5745ddf2e6c58e0a131b5d2625daf25731bec364c2534e35b9ac824e9a54",
              "4d33dbbde895f6ddb363cb3c4aa12b165e5afc2fd52365b7f498cca326e5810f",
              "6902c2dd6d41007fd108d88c439b9b7a89b126d686766dc35960c6764173fe2d"),
-    ], rational=True),
+    ], rational=True, grid="hilb class -p {p} -k {k} --delta {d}"),
     "hilb q": Leaf(SINGLE, [
         Case("hilb q -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
              "20aeb28bb896c4d1ba14254710d43147dbed3c70eb4da8a5059af207c0cb2a89",
@@ -312,7 +317,7 @@ LEAVES = {
              "6fcdc9f367ca9d7db5620c869923ec07c656667135d2d66184ca6f4fe0eb4e90",
              "8961177b5a59613472fca05aba4695e225d7548edecd677610b927bbbff07ed4",
              "0fc74f18a134c5f9f0c5629c404dddc53da7b976d13fc50a997d035987970202"),
-    ], rational=True),
+    ], rational=True, grid="hilb q -p {p} -k {k} --delta {d}"),
     "hilb cone": Leaf(SINGLE, [
         Case("hilb cone -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
              "GonalityCase": 1, "necessary_condition": 1},
@@ -354,7 +359,7 @@ LEAVES = {
              "4bfa83b93ab43c79bec3ff76b445805e4db511e217cf47037d3912c75659fd35",
              "1c85f0198cf77165e7faace78ad57e92cae5bb9bb2714381b85f591ad718c91c",
              "4bf5a3fda958d896482181e45bd460be3da9c3837f3ea24abff12edffb76a3ee"),
-    ], rational=True),
+    ], rational=True, grid="hilb cone -p {p} -k {k}"),
     "hilb qvalues": Leaf(ROW, [
         Case("hilb qvalues -k 3 --pmax 300", {"decompose": 5, "GonalityCase": 7,
              "necessary_condition": 7},
@@ -416,7 +421,7 @@ LEAVES = {
              "47b84303913e68e22b37c2a7183f50e7f69a987b3650db55ae9d825a44e9204f",
              "55e1f1213d289d8e7a03d9df7c6f9c0af9743e8688528e9aab47edfb1a294e84",
              "b8a38b80c59540c6297cd6cf74471cdcdf24f94b4bc23aa8a63cd45697d36f9d"),
-    ]),
+    ], grid="hilb lagrangian -p {p} -k {k}"),
     "hilb rays": Leaf(SINGLE, [
         Case("hilb rays -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
              "GonalityCase": 1, "necessary_condition": 1, "minimal_q_family": 1},
@@ -454,7 +459,7 @@ LEAVES = {
              "aac24c6f38bb3f79b674790d722102c503bf47de3f0f70331fc56ad09f54329f",
              "a02d6fd490f9f815c8775328c73b12e3483d233b235dbfa6045bb1c9abbaf79b",
              "4b3178eb3eb76500193691486ab14aaf41e42b7136ed35e006a6d7b210667ac8"),
-    ], rational=True),
+    ], rational=True, grid="hilb rays -p {p} -k {k}"),
     "hilb scan": Leaf(ROW, [
         Case("hilb scan --pmax 12 --kmax 3", {"decompose": 135, "delta0": 94,
              "optimal_class": 69, "GonalityCase": 69, "necessary_condition": 69,

@@ -321,10 +321,10 @@ def test_refused_stdout_write_is_an_error_not_a_traceback(command, fmt):
 def test_commands_import_no_argparse_or_csv():
     # a fresh interpreter, without `site`, imports the command line and runs
     # every pinned case of leaves.py: table and json load none of argparse,
-    # csv, the gettext that argparse imports and click; the row leaves'
-    # cases in csv then load no module at all, and the single-case ones csv
-    # and its C part alone; help and a usage error still build the tree, and
-    # so load argparse.  No dict, list or set held by a k3gonal module global
+    # csv, the gettext that argparse imports and click; the cases in csv then
+    # load no module at all, the row leaves' and the single-case ones', whose
+    # two lines are written cell by cell with no csv writer; help and a usage
+    # error still build the tree, and so load argparse.  No dict, list or set held by a k3gonal module global
     # changes its length over all those cases
     src = str(Path(cli.__file__).parents[1])
     script = (
@@ -362,7 +362,7 @@ def test_commands_import_no_argparse_or_csv():
                          check=True)
     ran, rows, added, codes, tree, grown = json.loads(run.stdout.splitlines()[-1])
     assert grown == []
-    assert ran == [] and rows == [] and added == ["_csv", "csv"]
+    assert ran == [] and rows == [] and added == []
     assert codes == [0, 1] and "argparse" in tree
 
 
@@ -645,6 +645,80 @@ def test_leaf_call_budgets(capsys, command):
     argv, budget = command.split(), leaves.CASES[command].budget
     for fmt in FORMATS:
         assert _budgeted_calls(capsys, ["--format", fmt, *argv]) == budget, fmt
+
+
+# the magnitudes of p and k that each grid of leaves.py runs over, and how far
+# apart a leaf's line-event counts may be across them: a branch taken at some
+# (p, k) alone, such as an isotropic class, moves a count by a few lines
+_GRID_PS = (10**12 + 1, 10**20 + 1, 10**40 + 1)
+_GRID_KS = (3, 10, 10**3, 10**6)
+_GRID_BAND = 8
+_GRIDS = {path: leaf.grid for path, leaf in leaves.LEAVES.items() if leaf.grid is not None}
+
+
+def _line_events(capsys, argv):
+    """The `sys.settrace` line events of `main(argv)`, the tracer in place
+    before it restored after.  The cyclic collector is paused meanwhile, as
+    a collection would count the lines of `gc.callbacks`, such as the one
+    hypothesis registers."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        code = main(argv)
+    finally:
+        sys.settrace(previous)
+        if collecting:
+            gc.enable()
+    assert (code, capsys.readouterr().err) == (0, ""), argv
+    return count
+
+
+def _grid_counts(capsys, grid):
+    """The line events of a second run of the grid's argv at each (p, k),
+    after a warm-up run of the same argv."""
+    counts = []
+    for p, k in itertools.product(_GRID_PS, _GRID_KS):
+        argv = grid.format(p=p, k=k, d=p - 1).split()
+        _line_events(capsys, argv)
+        counts.append(_line_events(capsys, argv))
+    return counts
+
+
+def test_every_single_case_leaf_has_a_grid():
+    # pencil verify's work grows with k and its samples by design, bounded
+    # by PENCIL_MAX_K and PENCIL_MAX_SAMPLES; every other single-case leaf
+    # does work that does not grow with p or k
+    for path, leaf in leaves.LEAVES.items():
+        single = leaf.kind == leaves.SINGLE and path != "pencil verify"
+        assert (leaf.grid is not None) == single, path
+        assert leaf.grid is None or leaf.grid.startswith(path + " "), leaf.grid
+
+
+@pytest.mark.parametrize("path", sorted(_GRIDS))
+def test_single_case_work_does_not_grow_with_p_or_k(capsys, path):
+    counts = _grid_counts(capsys, _GRIDS[path])
+    assert max(counts) - min(counts) <= _GRID_BAND, counts
+
+
+def test_grid_catches_a_loop_over_the_bits_of_p(capsys, monkeypatch):
+    delta0 = gonality.delta0
+
+    def slow(p, k):
+        for _ in range(p.bit_length()):
+            pass
+        return delta0(p, k)
+
+    monkeypatch.setattr(gonality, "delta0", slow)
+    counts = _grid_counts(capsys, _GRIDS["gonality delta0"])
+    assert max(counts) - min(counts) > _GRID_BAND, counts
 
 
 @pytest.mark.parametrize("command", LEAF_CASES)
@@ -1407,18 +1481,34 @@ def test_json_rows_matches_json_dumps(head, rows):
 
 @given(tree=_JSON_TREES | _TUPLE_TREES)
 @example(tree=((1, 2), [(1, 2), (True, 2)]))
+@example(tree="a,b")
+@example(tree='say "q"')
+@example(tree="two\nlines")
+@example(tree="carriage\rreturn")
+@example(tree='",\r\n"')
 @settings(max_examples=100, deadline=None)
 def test_csv_cell_matches_json_dumps(tree):
     # a list, tuple or dict value of a single-case payload is one csv cell,
-    # which reads back as json.dumps of the value
+    # which reads back as json.dumps of the value; the whole output is
+    # csv.writer's lines for the same two rows, but that a cell holding a
+    # carriage return is quoted on every Python, as 3.13's csv.writer quotes
+    # it and 3.10-3.12's do not
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit("csv", None, {"cell": [tree], "value": tree}, None)
-    header, row = csv.reader(io.StringIO(out.getvalue()))
+    text = out.getvalue()
+    header, row = csv.reader(io.StringIO(text, newline=""))
     assert header == ["cell", "value"]
     assert row[0] == json.dumps([tree])
     if isinstance(tree, (list, tuple, dict)):
         assert row[1] == json.dumps(tree)
+    cells = [json.dumps(v) if isinstance(v, (list, tuple, dict)) else v for v in [[tree], tree]]
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator="\n").writerows([["cell", "value"], cells])
+    if "\r" in text:
+        assert text.endswith(',"' + tree.replace('"', '""') + '"\n')
+    if "\r" not in text or sys.version_info >= (3, 13):
+        assert text == reference.getvalue()
 
 
 @pytest.mark.parametrize(

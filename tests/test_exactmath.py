@@ -436,6 +436,9 @@ def test_value_class_keeps_its_record(record):
         # order, still loads
         restored = cls.__new__(cls)
         restored.__setstate__(list(stored))
+        # a state with a value too many is refused, not cut short
+        with pytest.raises(TypeError):
+            cls.__new__(cls).__setstate__([*stored, stored[0]])
         for built in (value, made):
             others = [by_keyword, restored, built.__replace__(), copy.copy(built),
                       copy.deepcopy(built), pickle.loads(pickle.dumps(built))]
@@ -456,6 +459,13 @@ def test_value_class_keeps_its_record(record):
         loaded = pickle.loads(record.pickled)
         assert type(loaded) is cls and loaded == values[0]
         assert loaded.__getstate__() == values[0].__getstate__()
+
+
+def test_short_state_is_refused():
+    # two of GonalityCase's eight fields would leave six slots unset, and a
+    # later repr would raise AttributeError
+    with pytest.raises(TypeError):
+        object.__new__(gonality.GonalityCase).__setstate__([9, 4])
 
 
 # each unchecked build's function, and its class too when the function builds
