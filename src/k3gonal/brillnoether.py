@@ -16,6 +16,12 @@ so the condition reads delta >= threshold, the l = alpha term.  Every call
 evaluates rho directly and checks that its value equals delta - threshold;
 a mismatch aborts with :class:`InvariantViolation` rather than silently
 trusting one transcription of the inequality.
+
+The integer core `_bound` owns the delta range, alpha, the threshold, rho
+and that check, and returns (alpha, rho_at_alpha, threshold);
+`necessary_condition` checks p and the series and wraps its result in a
+:class:`NecessityReport`, and `gonality.GonalityCase`, which has checked p
+and k itself, calls the core alone.
 """
 
 from .errors import InvariantViolation, _refuse_below, _refuse_delta, _refuse_series
@@ -72,6 +78,16 @@ def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
         _refuse_below("p", 2, p)
     if r < 1 or d <= r:
         _refuse_series(r, d)
+    alpha, rho_at_alpha, threshold = _bound(p, delta, r, d)
+    return NecessityReport._make(alpha, rho_at_alpha, rho_at_alpha >= 0, threshold)
+
+
+def _bound(p: int, delta: int, r: int, d: int) -> tuple[int, int, int]:
+    """(alpha, rho_at_alpha, threshold) of the bound; the core of
+    `necessary_condition`, for a caller that has checked p >= 2 and
+    d > r >= 1.  Refuses a delta outside [0, p], and checks that
+    rho(p, alpha*r, alpha*d + delta) equals delta - threshold.
+    """
     if not 0 <= delta <= p:
         _refuse_delta(delta, p)
     g = p - delta
@@ -84,4 +100,4 @@ def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
             f"delta - threshold = {delta - threshold} "
             f"at (p={p}, delta={delta}, r={r}, d={d}, alpha={alpha})"
         )
-    return NecessityReport._make(alpha, rho_at_alpha, rho_at_alpha >= 0, threshold)
+    return alpha, rho_at_alpha, threshold

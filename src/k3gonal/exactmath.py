@@ -66,9 +66,12 @@ def _frozen_delattr(self, name):
 def _shared_methods(names, init, shown, fill):
     """The dunders every value class shares: each is a closure over one
     class's field names, so all classes run one code object per method.
-    `repr`, `==` and `hash` read the shown fields; `__setstate__` calls
-    `fill`.  Each tuple names two or more fields: `attrgetter` gives tuples."""
+    `repr`, `==` and `hash` read the shown fields; `__setstate__` refuses a
+    state that does not hold one value per field, so that no default of
+    `fill` stands in for a missing one, and calls `fill`.  Each tuple names
+    two or more fields: `attrgetter` gives tuples."""
     store, show = attrgetter(*names), attrgetter(*shown)
+    count = len(names)
     derived = frozenset(names).difference(init)
 
     def __eq__(self, other):
@@ -87,6 +90,9 @@ def _shared_methods(names, init, shown, fill):
         return store(self)
 
     def __setstate__(self, state):
+        if len(state) != count:
+            raise TypeError(f"{self.__class__.__qualname__} state holds {len(state)} "
+                            f"values, not {count}")
         fill(self, *state)
 
     def __replace__(self, /, **changes):
@@ -114,14 +120,15 @@ def _value_class(cls):
     the init fields, those not derived.  It gets `__eq__` (same class, equal
     shown fields), `__hash__` (of the shown fields as a tuple), `__repr__`
     (`Name(a=1, b=2)` over the shown fields), `__getstate__` and
-    `__setstate__` (every field, in order, through `_fill` or `__init__`, so a
-    value too many raises `TypeError`; a list, as pickles written by
-    `dataclasses` hold, loads too) and `__replace__` (the constructor on the
-    init fields and the changes; a derived field raises `ValueError`), so
-    `pickle`, `copy` and, from Python 3.13, `copy.replace` work.  Those six
-    are closures made by `_shared_methods`, and assigning or deleting a
-    field raises `dataclasses.FrozenInstanceError`, which is imported only
-    then; so importing the package compiles none of them and imports no
+    `__setstate__` (every field, in order, through `_fill` or `__init__`; a
+    state of another length raises `TypeError`, so a defaulted field is never
+    filled in; a list, as pickles written by `dataclasses` hold, loads too)
+    and `__replace__` (the constructor on the init fields and the changes; a
+    derived field raises `ValueError`), so `pickle`, `copy` and, from Python
+    3.13, `copy.replace` work.  Those six are closures made by
+    `_shared_methods`, and assigning or deleting a field raises
+    `dataclasses.FrozenInstanceError`, which is imported only then; so
+    importing the package compiles none of them and imports no
     `dataclasses` of its own.  `dataclasses.fields`, `asdict` and `replace`
     do not apply to these classes.
 

@@ -49,8 +49,10 @@ class GonalityCase:
     """A triple (p, k, delta) with every derived invariant precomputed.
 
     g = p - delta, alpha = floor(g / (2(k-1))), beta = (k-1)(2 alpha + 1) - g,
-    rho = rho(p, alpha, k alpha + delta), read from necessary_condition, and
-    admissible iff rho >= 0.  Construction verifies the beta range
+    rho = rho(p, alpha, k alpha + delta), read with alpha from the integer
+    core `brillnoether._bound` of necessary_condition (p and k are checked
+    here, so the core checks delta alone, and no NecessityReport is built),
+    and admissible iff rho >= 0.  Construction verifies the beta range
     -(k-1) < beta <= k-1 and the completed square in beta as a value
     identity: 4(k-1) rho = 4(k-1) delta - (g-k+1)^2 + beta^2.  A p, k or
     delta that is not an int is refused.
@@ -69,8 +71,7 @@ class GonalityCase:
         _check_pk(_int(p), _int(k))
         g = p - _int(delta)
         # checks 0 <= delta <= p
-        report = brillnoether.necessary_condition(p, delta, 1, k)
-        alpha, rho = report.alpha, report.rho_at_alpha
+        alpha, rho, _ = brillnoether._bound(p, delta, 1, k)
         beta = (k - 1) * (2 * alpha + 1) - g
         if not -(k - 1) < beta <= k - 1:
             raise InvariantViolation(

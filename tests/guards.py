@@ -50,17 +50,16 @@ class Fault(NamedTuple):
     argvs: tuple = ()  # every command that reaches the check, none if none does
 
 
-def _shifted_report(alpha, rho_at_alpha):
-    """`necessary_condition` with alpha and rho at alpha moved by the given steps."""
+def _shifted_bound(alpha, rho_at_alpha):
+    """`brillnoether._bound`, the core of `necessary_condition`, with alpha and
+    rho at alpha moved by the given steps."""
     def shifted(p, delta, r, d):
-        report = necessary_condition(p, delta, r, d)
-        return brillnoether.NecessityReport(
-            report.alpha + alpha, report.rho_at_alpha + rho_at_alpha, report.satisfied,
-            report.threshold_delta)
+        bound_alpha, bound_rho, threshold = _bound(p, delta, r, d)
+        return bound_alpha + alpha, bound_rho + rho_at_alpha, threshold
     return shifted
 
 
-_wedge_plan = pencil._wedge_plan
+_bound, _wedge_plan = brillnoether._bound, pencil._wedge_plan
 _scaled_q, _delta0_from = hilbert._scaled_q, gonality._delta0_from
 
 
@@ -207,11 +206,11 @@ FAULTS = {
         (gonality, "decompose", _shifted_decomposition(0, 1)), delta0, PK_CASES,
         "delta0 closed forms disagree", DELTA0_ARGVS),
     "case-beta-range": Fault(
-        (brillnoether, "necessary_condition", _shifted_report(1, 0)),
+        (brillnoether, "_bound", _shifted_bound(1, 0)),
         lambda p, k: GonalityCase(p, k, delta0(p, k)), PK_CASES,
         "outside (-(k-1), k-1]", CASE_ARGVS),
     "case-completed-square": Fault(
-        (brillnoether, "necessary_condition", _shifted_report(0, 1)),
+        (brillnoether, "_bound", _shifted_bound(0, 1)),
         lambda p, k: GonalityCase(p, k, delta0(p, k)), PK_CASES,
         "!= 4(k-1)delta - (g-k+1)^2 + beta^2", CASE_ARGVS),
     "wedge-vanished": Fault(

@@ -90,7 +90,7 @@ LEAVES = {
     ], grid="bn check -p {p} -k {k} --delta {d}"),
     "gonality delta0": Leaf(SINGLE, [
         Case("gonality delta0 -p 9 -k 4 --verify", {"decompose": 1, "delta0": 1,
-             "GonalityCase": 2, "necessary_condition": 2},
+             "GonalityCase": 2},
              "eaf1ce615e42d12ed3065c7b7c250861a5740c720307d18bae63629be6ab21c3",
              "83c5ed6b00cd3245dd50e620a2e1679b6ddf8a22a3fe025619965492fcb8a700",
              "f7cd8ac0e927838f943acadcb0df73f4b342a9f576db407294b4cd62606ff0b4"),
@@ -99,49 +99,48 @@ LEAVES = {
              "cf7cac362049a3c11bb4d06fd3e08f87ac768c879f04c9372cfd1d1a7f787126",
              "f15b03459b8aad0a96ba0850d3fe35d065ead27e7462b4bfee92767c06e8dad1"),
         Case("gonality delta0 -p 10000000000000000000000000000000000000001 -k 1000000 --verify", {
-             "decompose": 1, "delta0": 1, "GonalityCase": 2, "necessary_condition": 2},
+             "decompose": 1, "delta0": 1, "GonalityCase": 2},
              "c1c658e9c0810a7f0a02ceff8aa54d60a28b5bfdcab6d32b4ecb11cfd37657a9",
              "85507df77e55e2e409ef78ebbce66a626e159adacb63424729802c16be09dc85",
              "fc5d534b0247398622b19fb91a6d95b3c9f3f604ffc3a063cffd5b1dad59212a"),
         Case("gonality delta0 -p 2 -k 2 --verify", {
-             "delta0": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "delta0": 1, "GonalityCase": 1},
              "ba23bb010a5dfcdff881cc289c13b28eeb5e48fdf043216981af29631f1287e5",
              "d193dca66699a84243765b03fd314f67b247e171720b394c8be6f312434266e1",
              "446bcdb29a5148039ab7cab47adb65a5a16dc0f0eacece57d900b99f5adf176e"),
-        Case("gonality delta0 -p 6 -k 4 --verify", {"delta0": 1, "GonalityCase": 1,
-             "necessary_condition": 1},
+        Case("gonality delta0 -p 6 -k 4 --verify", {"delta0": 1, "GonalityCase": 1},
              "ba23bb010a5dfcdff881cc289c13b28eeb5e48fdf043216981af29631f1287e5",
              "919cb4213e81e6fca30f1c4c07525df5f7a86be847d2af0524a608ffec7c336e",
              "5db56cd0e6c29f4548ce6a3256b1a06bffd42464ae00ff6d17bf748951b5476a"),
         Case("gonality delta0 -p 7 -k 4 --verify", {"decompose": 1, "delta0": 1,
-             "GonalityCase": 2, "necessary_condition": 2},
+             "GonalityCase": 2},
              "e89931b2648d886f6333c59a37cb1fad8a145177187b59cc4d411b88dfba043d",
              "28e57400cdd3b77e911e1285a8196f160db97497f344967b62ba230b360268fe",
              "0eb487c004042a5c55e38e169cea866e3da9f081928469f54c3b5b4461f16c4f"),
     ], grid="gonality delta0 -p {p} -k {k} --verify"),
     "gonality dims": Leaf(SINGLE, [
-        Case("gonality dims -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("gonality dims -p 8 -k 2 --delta 4", {"GonalityCase": 1},
              "bdc6c2820dce3f6a655a18ffe68a1f1b05ac075ac52bf6706ecf6237e725b118",
              "a9b222238ce1f7761ee91074dc2be1819620921da0cb77c8b7a945cb424ddc2b",
              "dfdf012b74e60c2fc363ea978022d7a4a19bb780c14310575c0e104ed7311588"),
-        Case("gonality dims -p 20 -k 5 --delta 8", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("gonality dims -p 20 -k 5 --delta 8", {"GonalityCase": 1},
              "b919aa6b375a2c22c7472f08d50e2ac1d59446ecf74021641caec32d646a2459",
              "1330c9a03aaf8d75c2a0e2775a65a89e1e433553d8320e313476fc625fa375c5",
              "5c329d75af3c422e12a73f352112fe7b3007ad227b142b942167897a7b5332ee"),
         Case("gonality dims -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501", {
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "709a28674f87b39afb2721ac96c0d0781756af77c4704c4b6833937f022a6314",
              "8474246bf781348e278ce8f25fbd6ef6d33e94aaad1bf754580e49388477cb50",
              "1abcbad1fed3c1a0bbef447c8390382769e36bac3794d1877d626f081f287dbf"),
-        Case("gonality dims -p 2 -k 2 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("gonality dims -p 2 -k 2 --delta 0", {"GonalityCase": 1},
              "bdc6c2820dce3f6a655a18ffe68a1f1b05ac075ac52bf6706ecf6237e725b118",
              "4a7728ac27fb635040790ff43852db24cde9aa983fc3c905e172d0d677a9b292",
              "2ff133ef16606e42240467832612a73922d019b32f442245bea6c6f6259365b2"),
-        Case("gonality dims -p 6 -k 4 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("gonality dims -p 6 -k 4 --delta 0", {"GonalityCase": 1},
              "115944526edc3badc70e194eea9cae34cfd1393bb381c4b366e77b8e55e42d97",
              "53cae6fa7766754f56c4998765cff2314978baf4ea2f8cd9f41535e382f97e3b",
              "29d43f078265c4fae70380e1ca214ce402cb3829fd71b3a7fb4c80ea71fc80e8"),
-        Case("gonality dims -p 7 -k 4 --delta 1", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("gonality dims -p 7 -k 4 --delta 1", {"GonalityCase": 1},
              "115944526edc3badc70e194eea9cae34cfd1393bb381c4b366e77b8e55e42d97",
              "15cd30a8471018324f6b06025926f715b7985b8b3ab2f177b323bc7bb36c981e",
              "50061052c27a86e250af8d83355a7a3cb97edcdf83e7bd9f32b12ad3d69ff72a"),
@@ -260,129 +259,124 @@ LEAVES = {
                                     "pencil verify -k 3 --samples 5 --seed 1", 5),
     }),
     "hilb class": Leaf(SINGLE, [
-        Case("hilb class -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb class -p 8 -k 2 --delta 4", {"GonalityCase": 1},
              "41a4b589d3a9680c2fd018766aa040027b911766a529bb70375e56fb5621c4e9",
              "ec0fa1f4f4c12dac5392da51dcf2989d0a561272a3bf5e484b4b620f36083e97",
              "ff17be6a597b19d28874b19b98200fe2dc1081885d432d2fed1cf561b33b12d7"),
-        Case("hilb class -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb class -p 9 -k 4 --delta 2", {"GonalityCase": 1},
              "ff8b1f2f639906919166665d9825e8a405583f6d978622ed56d6eb9c1f34d2b7",
              "de2427f5e85b4694fcf8bf17c4dc3ee2fb09e4807b407fe4e8d8397ea4494daa",
              "43677d150cd7fe73773dc5a7b4bf7e9ffe64a93a3c5b7023ea4ef6e4ce52d8c6"),
         Case("hilb class -p 10000000000000000000000000000000000000001 -k 7 --delta 9999999999999999999510102051443364380368", {
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "9b7c4204dafe3eb9a51072d65f5f508238a896bbd5d7c034bf4c9cf42ff688ef",
              "a1f9bf96026e6a9d16e18c887183f1d819dfe5e467fa5276cb901ca9a11b6dc4",
              "6b65fb3e685b85ee4358c6535f6d8e411877c92ceb120c9c8cd1f3e646929941"),
         Case("hilb class -p 3 -k 1000000 --delta 0", {
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "c1838cc113b86a9e13acdfcb391d9af94ebb124de1d13bad906f0fa4b2ef22f9",
              "960e922ebb01c18a51909790a0a0d19ff4002c7ccd9470eff9018de8c589c201",
              "4bb1dd4965e0de04c74a14d52a69137e79c2e384d7afd23136d6f84c683dd43f"),
-        Case("hilb class -p 2 -k 2 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb class -p 2 -k 2 --delta 0", {"GonalityCase": 1},
              "4c8608ce25c098439504b71858c560fdfd955577f25c9e6de92c7833baaeceab",
              "a99b0fff0d7aceab7f420bb9b48788bc4a0c598a037f4343d0127c26db4cac16",
              "28dd911c50b381bc06cd95fac89ab67614e3d59669abe5f075a25ddbbfc844fd"),
-        Case("hilb class -p 6 -k 4 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb class -p 6 -k 4 --delta 0", {"GonalityCase": 1},
              "e67c5745ddf2e6c58e0a131b5d2625daf25731bec364c2534e35b9ac824e9a54",
              "e2a1c8c0f2ac4f3da854f076b72e82e5144980c95aa2d8126e2bb384946f5f6e",
              "17c732fef9c1aedc36c75db801f83d4fc85f4d30949d1d455bac14a1afd0fcc6"),
-        Case("hilb class -p 7 -k 4 --delta 1", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb class -p 7 -k 4 --delta 1", {"GonalityCase": 1},
              "e67c5745ddf2e6c58e0a131b5d2625daf25731bec364c2534e35b9ac824e9a54",
              "4d33dbbde895f6ddb363cb3c4aa12b165e5afc2fd52365b7f498cca326e5810f",
              "6902c2dd6d41007fd108d88c439b9b7a89b126d686766dc35960c6764173fe2d"),
     ], rational=True, grid="hilb class -p {p} -k {k} --delta {d}"),
     "hilb q": Leaf(SINGLE, [
-        Case("hilb q -p 9 -k 4 --delta 2", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb q -p 9 -k 4 --delta 2", {"GonalityCase": 1},
              "20aeb28bb896c4d1ba14254710d43147dbed3c70eb4da8a5059af207c0cb2a89",
              "fde55467c87ba8887d9e7f05dac4efceb5d183b32e30afe95048070e2d4c2ae4",
              "e9f9c295b832857c27f2e7b19867f6fb10fe0d81785bc4a44e6176dc2203caf0"),
-        Case("hilb q -p 8 -k 2 --delta 4", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb q -p 8 -k 2 --delta 4", {"GonalityCase": 1},
              "1c2469c1dfa4fff379f3c2e972344ccec02882b4428f78d33bd24937764ebfde",
              "5f1ee947545b9a57aeb18b685ff2adf156f03b358b1bab4e9b61aad9320c2791",
              "83a870379b093c11cd5da8453caecd39c7de3c47cafdef8caee8ea5d9a70947b"),
         Case("hilb q -p 10000000000000000000000000000000000000001 -k 1000000 --delta 9999999999999999800000100000025001012501", {
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "7dd1bc1c97f9fecb9d9e6870e6b202b4ae95562839177b5b727ec1890f03b665",
              "3a50b88741bfc6a5a5b57f37b5096fad2154935ff2f2a99a76c4c273301ee369",
              "6629ae347e5e57cb30e56ec9943975ca4fc900d113e8294738e875856c074606"),
-        Case("hilb q -p 2 -k 2 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb q -p 2 -k 2 --delta 0", {"GonalityCase": 1},
              "62705aa1fa65a83ac2acb8a1c9be060c094b47bbb4046d477ccae29537a19943",
              "f3563d04edcc075b8c2be90bf6f45fee5750ad7e0045a136173cb818c5c62b3b",
              "0c509520266129fe8e8f1bb2db91359d41d2c523cea873ae68990c8f23f268cc"),
-        Case("hilb q -p 6 -k 4 --delta 0", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb q -p 6 -k 4 --delta 0", {"GonalityCase": 1},
              "55f85d8ab3884786dcc17d021d6f74f4c6f685411f115c0a501abc36b2cdff77",
              "758da29fec8f0c6e5cd2c890a3ee26d969b42a4dc2e7541b7fd3a8a29542cbbf",
              "2653fe48bf2f77d69b98033dc0b8820fad964989ee2827378e31b46ca687ef1e"),
-        Case("hilb q -p 7 -k 4 --delta 1", {"GonalityCase": 1, "necessary_condition": 1},
+        Case("hilb q -p 7 -k 4 --delta 1", {"GonalityCase": 1},
              "6fcdc9f367ca9d7db5620c869923ec07c656667135d2d66184ca6f4fe0eb4e90",
              "8961177b5a59613472fca05aba4695e225d7548edecd677610b927bbbff07ed4",
              "0fc74f18a134c5f9f0c5629c404dddc53da7b976d13fc50a997d035987970202"),
     ], rational=True, grid="hilb q -p {p} -k {k} --delta {d}"),
     "hilb cone": Leaf(SINGLE, [
         Case("hilb cone -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "69b3ec441c7d20998d2d8f6464adccee2beb16160e2046e5f9131c566ac2da2d",
              "e87370fea4a3992ef1ec6f19c9b5bd8656106a4d88a2f8d73a5dee17fd2258a7",
              "6519a5885be5351716e45443adbffd5fb4adba7ceab26996eb1150d4b819eae7"),
         Case("hilb cone -p 12 -k 3", {"decompose": 2, "delta0": 1, "optimal_class": 1,
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "d12188467c597b6ce0b4cfaef8796a17e266d0466b1369fc8e2fa6e3e06fcb9c",
              "144b45e82f37352acd08df97aecb9e15c33a8e88d7f7a3350f2f375e87f4664d",
              "0802d276bceff6147a767920871b35e14786123fbe6f35ee0aa7733ed07f4c23"),
         Case("hilb cone -p 10000000000000000000000000000000000000001 -k 7", {"decompose": 2,
-             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1},
              "99dcd69ba3506f22df9071ec15077d0f59ac46fc497013cdfdf93afaadeee59d",
              "be7888c5235c7528b684b8c0edd3d1f54022b3dad15a72e251032362eb4ae453",
              "d6519691018693a1e5740ec1d138dd18545b631589547001a464f78abf09b01f"),
         Case("hilb cone -p 1000003 -k 3", {"decompose": 2, "delta0": 1, "optimal_class": 1,
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "22eb55a0bb1b552f1d51573bdea77b0efada36ae6938fbad5ebfebd9110faa7d",
              "ff17d3e2562f051814a7b26fa3eeb3d3b49a002815df9036a613dcbf471309b4",
              "c7e2768382f04b7475e162c1027ecfc91dfc9519102315bf2abeb0e52197b171"),
         Case("hilb cone -p 3 -k 1000000", {
-             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1},
              "798492a398f2c9acea4eb3fa900418f34c486fc73c93ccc119389c7241a216bf",
              "cffe1875bbedf139e9a8c4e3160ad48593a219208965b26dddb7612a2d102555",
              "01124ba68b53cbcc5f5417778340ac29ee57a60c47dc19623ad44d350a07c928"),
         Case("hilb cone -p 2 -k 2", {
-             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1},
              "d229ab1454f252829c8759d234446e26ac16bf9d99e565a5a619cb5883e94253",
              "4eca344afe96f1abd3f040bbc3c35e5ffa1f4fa03f69418d4305bd474eb226fb",
              "865fc6b367b41b548cc6507f367e7eefb2966ae88749c121bfb209955ec2c648"),
-        Case("hilb cone -p 6 -k 4", {"delta0": 1, "optimal_class": 1, "GonalityCase": 1,
-             "necessary_condition": 1},
+        Case("hilb cone -p 6 -k 4", {"delta0": 1, "optimal_class": 1, "GonalityCase": 1},
              "69394318e4bcc67aa303dbf6fefb5967b4dfda10d38542c848bbfedcf8fd504f",
              "ec8b7d25af819ba4ac0a26297214677661b59c181d270401b181ddff6cda9ed6",
              "eb5ff0e75aae56cf816edbff65f3f3b4642180ed4034022a29cef2a70a0b07c4"),
         Case("hilb cone -p 7 -k 4", {"decompose": 2, "delta0": 1, "optimal_class": 1,
-             "GonalityCase": 1, "necessary_condition": 1},
+             "GonalityCase": 1},
              "4bfa83b93ab43c79bec3ff76b445805e4db511e217cf47037d3912c75659fd35",
              "1c85f0198cf77165e7faace78ad57e92cae5bb9bb2714381b85f591ad718c91c",
              "4bf5a3fda958d896482181e45bd460be3da9c3837f3ea24abff12edffb76a3ee"),
     ], rational=True, grid="hilb cone -p {p} -k {k}"),
     "hilb qvalues": Leaf(ROW, [
-        Case("hilb qvalues -k 3 --pmax 300", {"decompose": 5, "GonalityCase": 7,
-             "necessary_condition": 7},
+        Case("hilb qvalues -k 3 --pmax 300", {"decompose": 5, "GonalityCase": 7},
              "a07c161e79b868f9fcf02c11c9ebe668cf4a8d325865f932651c88c1f3682ba4",
              "80ca97755d81d21b67199647741ee85ce741afd6fcc9245c02d0e539c2c952f4",
              "af5fd474ecd76b3ca1bd17000206f80be46582f02f9d69f1076cf323a4493407"),
-        Case("hilb qvalues -k 2 --pmax 50", {"decompose": 3, "GonalityCase": 3,
-             "necessary_condition": 3},
+        Case("hilb qvalues -k 2 --pmax 50", {"decompose": 3, "GonalityCase": 3},
              "4e26d98359590fb450f630d93a24f1e88c1a32c6148dece9d6942e01e1468606",
              "3d2e96908cf7894044f595a7127c0c9f6251806d52bfb7d6df162d4fb8449337",
              "ede3078d3aa8e57b7c8f9c93da5f3f0e2de5afaf58bb00de8840ff11025a59ae"),
         Case("hilb qvalues -k 15 --pmax 10000000000000000000000000000000000000000", {
-             "decompose": 42, "GonalityCase": 68, "necessary_condition": 68},
+             "decompose": 42, "GonalityCase": 68},
              "2a18ad3768a94c097bab567f491cf75df920b08d31561a38a584faf226672925",
              "627305ec3518e24b5ee61ab4df875399c9dc75a97b4ed3ff896c07fa17dc8c13",
              "a30a2dcb5e9cddcda7f82209df0b3ba27abc9fb142ba859051da94f141d3c932"),
-        Case("hilb qvalues -k 4 --pmax 6", {"decompose": 3, "GonalityCase": 7,
-             "necessary_condition": 7},
+        Case("hilb qvalues -k 4 --pmax 6", {"decompose": 3, "GonalityCase": 7},
              "3d6a46adb6dfc73c7b2afb12898a6dee0f3ffdd29a4981384c13312495f5e6ef",
              "104337a37be81a69faab0bbb7ed7ab67419eab1bc9966c32a7dc8a57330648dd",
              "0368a6b292b1372ac44669cae6d8e2be8c2f244a3dc6970652d37e0440a31085"),
-        Case("hilb qvalues -k 4 --pmax 7", {"decompose": 4, "GonalityCase": 8,
-             "necessary_condition": 8},
+        Case("hilb qvalues -k 4 --pmax 7", {"decompose": 4, "GonalityCase": 8},
              "ba11cebabc688c9f1be3b128c68950195e9f26256a26738ff392cf50564628fe",
              "ed86db74fa80f956b7d7eeddaa701ccc54d91797593bcdfae75a7df22560abff",
              "986e53b39210fd1e785bd8afcecc05c8e3f0b7828d00f07789f6397f4e6886c6"),
@@ -424,57 +418,56 @@ LEAVES = {
     ], grid="hilb lagrangian -p {p} -k {k}"),
     "hilb rays": Leaf(SINGLE, [
         Case("hilb rays -p 8 -k 2", {"decompose": 2, "delta0": 1, "optimal_class": 1,
-             "GonalityCase": 1, "necessary_condition": 1, "minimal_q_family": 1},
+             "GonalityCase": 1, "minimal_q_family": 1},
              "96050d71c192dd286e15d1a5ceb77560c5463590d7b23fa93ebd12f505e2f3d9",
              "0a08d46c9f64f8a5f822e0e4debbf38b80cbd7bc5ad80fa580dd9a23d87bbcdd",
              "a0184a9fd9f8b48fb076ce941ea52b573273f1ff76c6b00ae85b0521ddee1374"),
         Case("hilb rays -p 12 -k 3", {"decompose": 5, "delta0": 3, "optimal_class": 2,
-             "GonalityCase": 2, "necessary_condition": 2, "minimal_q_family": 1},
+             "GonalityCase": 2, "minimal_q_family": 1},
              "bfb4fdf2de8d2d96c42972e2ff2be2e58af337449aca52c9f7807a6269624ddc",
              "b4fcc369ba75a8f5ef239f87f9b6d52308a2a7945f06e39991f348a41ba40816",
              "fd2593745d51e6dcc98c6092bd450226a6decd7a17b6a0cdab44666ec65ef214"),
         Case("hilb rays -p 1000003 -k 3", {"decompose": 2, "delta0": 1, "optimal_class": 1,
-             "GonalityCase": 1, "necessary_condition": 1, "minimal_q_family": 1},
+             "GonalityCase": 1, "minimal_q_family": 1},
              "01cf3a0800e5548ccf068fb263685596d8b68f224fd4d7ace0fbbd5229f5e888",
              "d0533bebdf4eb11e165a9d303350254624fa5d8a3749f392adeb9f0082784987",
              "68c25d3724d61689f7c0c5226549d67d10ebc8b2f3005aff49bbe7190ee3a58b"),
         Case("hilb rays -p 10000000000000000000000000000000000000001 -k 1000000", {
-             "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1,
-             "necessary_condition": 1, "minimal_q_family": 1},
+             "decompose": 2, "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "minimal_q_family": 1},
              "eb1898f4054eee1695c1303a208b36a2a1312046772a77db750b38eea9953da6",
              "488c3d291c4785d463a84db8e8edfa951143b7466f450bbfab326af7a31198ed",
              "0c134f6fc43d73431f422464b68d46b2547102d22955878de2084f0fee8c9af8"),
         Case("hilb rays -p 6 -k 4", {
-             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1},
              "5231e56b3216093f38dab3e2b65755f3eb81b0ccac2b1a1fb868be22b24757df",
              "7b2361b87fd24488c65b6ca87c66dae210d410124f632b662580660d6df764e2",
              "d04ac4763dc10b7e09d4891a816bba5ec6ec93593347d1654ad47622078e53ad"),
         Case("hilb rays -p 7 -k 4", {"decompose": 2, "delta0": 1, "optimal_class": 1,
-             "GonalityCase": 1, "necessary_condition": 1, "minimal_q_family": 1},
+             "GonalityCase": 1, "minimal_q_family": 1},
              "9495914f3a2c6155e03e512d2c938c3789ad476e32cc4bcfda54083fec92f4e6",
              "c98edc54cd97449a4fa2f1d4d216ed7505631fe4a11347518723874e3fb6b031",
              "22878a3d2a96bf085671d734d391866a7c03de1afdb5a83395b9dacfef8855fc"),
         Case("hilb rays -p 2 -k 2", {
-             "delta0": 1, "optimal_class": 1, "GonalityCase": 1, "necessary_condition": 1},
+             "delta0": 1, "optimal_class": 1, "GonalityCase": 1},
              "aac24c6f38bb3f79b674790d722102c503bf47de3f0f70331fc56ad09f54329f",
              "a02d6fd490f9f815c8775328c73b12e3483d233b235dbfa6045bb1c9abbaf79b",
              "4b3178eb3eb76500193691486ab14aaf41e42b7136ed35e006a6d7b210667ac8"),
     ], rational=True, grid="hilb rays -p {p} -k {k}"),
     "hilb scan": Leaf(ROW, [
         Case("hilb scan --pmax 12 --kmax 3", {"decompose": 135, "delta0": 94,
-             "optimal_class": 69, "GonalityCase": 69, "necessary_condition": 69,
+             "optimal_class": 69, "GonalityCase": 69,
              "minimal_q_family": 18, "lagrangian_report": 22},
              "e5efe3ee2689043a800eb674c02d3195241761878254b6f750665731a69b5b57",
              "61b97057ce00f6085448c678cf2613d705465f349894a8494f89b5cbf48d3c27",
              "fff1931cf609db89db3b1251d60578f05db69d3e5b53eb7379b6e65527eb3da2"),
         Case("hilb scan --pmin 5 --pmax 9 --kmin 3 --kmax 4", {"decompose": 56, "delta0": 40,
-             "optimal_class": 30, "GonalityCase": 30, "necessary_condition": 30,
+             "optimal_class": 30, "GonalityCase": 30,
              "minimal_q_family": 8, "lagrangian_report": 10},
              "4473f07ce7df87d1ce01c1c95a81a41edacac55ca09b455e50e03c6480becc3b",
              "b3ee98c78cb610283021bcbe6939d91d769b9abe3e93944f8088ef19ca57bc7b",
              "6717f095bfd452e1565b4265136d745e02542167b78d44e002f10b6fc71c28f7"),
         Case("hilb scan --pmin 5 --pmax 8 --kmin 4 --kmax 4", {"decompose": 14, "delta0": 16,
-             "optimal_class": 12, "GonalityCase": 12, "necessary_condition": 12,
+             "optimal_class": 12, "GonalityCase": 12,
              "minimal_q_family": 2, "lagrangian_report": 4},
              "d73cc03e45b7be95f4da21e53d4d3f9faeb956108120ed64ebd2ee2fc508b354",
              "1164aedc725071d94b792ac84dede125df60c623d1e6704a4c330c3f88996e31",

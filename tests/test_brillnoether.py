@@ -110,16 +110,32 @@ def test_alpha_minimizes_over_integers(p, delta_frac, r, d):
 @pytest.mark.parametrize("offset", [1, 3])
 def test_gonality_case_catches_rho_offset_of_same_sign(monkeypatch, offset):
     # move rho away from zero, so the admissibility verdict stays the same
-    exact = brillnoether.necessary_condition
+    exact = brillnoether._bound
 
     def shifted(p, delta, r, d):
-        rep = exact(p, delta, r, d)
-        step = offset if rep.rho_at_alpha >= 0 else -offset
-        return brillnoether.NecessityReport(
-            rep.alpha, rep.rho_at_alpha + step, rep.satisfied, rep.threshold_delta
-        )
+        alpha, rho_at_alpha, threshold = exact(p, delta, r, d)
+        step = offset if rho_at_alpha >= 0 else -offset
+        return alpha, rho_at_alpha + step, threshold
 
-    monkeypatch.setattr(brillnoether, "necessary_condition", shifted)
+    monkeypatch.setattr(brillnoether, "_bound", shifted)
     for p, k, delta in [(9, 4, 2), (9, 4, 1), (8, 2, 8), (40, 3, 0)]:
         with pytest.raises(InvariantViolation, match="4\\(k-1\\)rho"):
             gonality.GonalityCase(p, k, delta)
+
+
+@given(p=st.integers(2, 10**40), k=st.integers(2, 10**6), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_gonality_case_and_necessary_condition_agree(p, k, data):
+    # GonalityCase reaches the bound's integer core after its own p and k
+    # checks, necessary_condition after its p and series checks
+    delta = data.draw(st.integers(0, p), label="delta")
+    case, report = gonality.GonalityCase(p, k, delta), necessary_condition(p, delta, 1, k)
+    assert (case.alpha, case.rho, case.admissible) == (
+        report.alpha, report.rho_at_alpha, report.satisfied)
+    for outside in (-1, p + 1):
+        with pytest.raises(ValueError) as by_case:
+            gonality.GonalityCase(p, k, outside)
+        with pytest.raises(ValueError) as by_report:
+            necessary_condition(p, outside, 1, k)
+        assert str(by_case.value) == str(by_report.value) == (
+            f"need 0 <= delta <= p, got delta={outside}, p={p}")

@@ -436,9 +436,12 @@ def test_value_class_keeps_its_record(record):
         # order, still loads
         restored = cls.__new__(cls)
         restored.__setstate__(list(stored))
-        # a state with a value too many is refused, not cut short
+        # a state with a value too many is refused, not cut short, and one
+        # with a value too few is refused, not completed from a default
         with pytest.raises(TypeError):
             cls.__new__(cls).__setstate__([*stored, stored[0]])
+        with pytest.raises(TypeError):
+            cls.__new__(cls).__setstate__(list(stored[:-1]))
         for built in (value, made):
             others = [by_keyword, restored, built.__replace__(), copy.copy(built),
                       copy.deepcopy(built), pickle.loads(pickle.dumps(built))]
