@@ -17,19 +17,18 @@ evaluates rho directly and checks that its value equals delta - threshold;
 a mismatch aborts with :class:`InvariantViolation` rather than silently
 trusting one transcription of the inequality.
 
-The integer core `_bound` owns the delta range, alpha, the threshold, rho
-and that check, and returns (alpha, rho_at_alpha, threshold);
-`necessary_condition` checks p and the series and wraps its result in a
-:class:`NecessityReport`, and `gonality.GonalityCase`, which has checked p
-and k itself, calls the core alone.
+The integer core `_bound` owns the delta range, alpha (computed nowhere
+else), the threshold, rho and that check, and returns (alpha, rho_at_alpha,
+threshold); `necessary_condition` checks p and the series and wraps its
+result in a :class:`NecessityReport`, and `gonality.GonalityCase`, which has
+checked p and k itself, calls the core alone.
 """
 
 from .errors import InvariantViolation, _refuse_below, _refuse_delta, _refuse_series
-from .exactmath import _value_class
+from .exactmath import _int, _value_class
 
 __all__ = [
     "rho",
-    "alpha_general",
     "NecessityReport",
     "necessary_condition",
 ]
@@ -42,18 +41,6 @@ def rho(g: int, r: int, d: int) -> int:
             if value < 0:
                 _refuse_below(name, 0, value)
     return g - (r + 1) * (r + g - d)
-
-
-def alpha_general(g: int, r: int, d: int) -> int:
-    """The minimizing integer floor((g*r + (d-r)(r-1)) / (2r(d-r))).
-
-    Requires d > r >= 1 and g >= 0 (the denominator must be positive).
-    """
-    if r < 1 or d <= r:
-        _refuse_series(r, d)
-    if g < 0:
-        _refuse_below("g", 0, g)
-    return (g * r + (d - r) * (r - 1)) // (2 * r * (d - r))
 
 
 @_value_class
@@ -69,11 +56,13 @@ class NecessityReport:
 def necessary_condition(p: int, delta: int, r: int, d: int) -> NecessityReport:
     """Evaluate the necessary condition for a g^r_d on the normalization.
 
-    Requires p >= 2, d > r >= 1 and 0 <= delta <= p, checked in that order.
+    Requires ints, then p >= 2, d > r >= 1 and 0 <= delta <= p, in that order.
     Computes alpha, the threshold alpha*(r*g - (d-r)(alpha*r + 1)) and
     rho(p, alpha*r, alpha*d + delta), which must equal delta - threshold;
     `satisfied` holds iff rho_at_alpha >= 0.
     """
+    for value in (p, delta, r, d):
+        _int(value)
     if p < 2:
         _refuse_below("p", 2, p)
     if r < 1 or d <= r:
@@ -86,12 +75,14 @@ def _bound(p: int, delta: int, r: int, d: int) -> tuple[int, int, int]:
     """(alpha, rho_at_alpha, threshold) of the bound; the core of
     `necessary_condition`, for a caller that has checked p >= 2 and
     d > r >= 1.  Refuses a delta outside [0, p], and checks that
-    rho(p, alpha*r, alpha*d + delta) equals delta - threshold.
+    rho(p, alpha*r, alpha*d + delta) equals delta - threshold.  Alpha is
+    computed here alone; d > r >= 1 makes its denominator positive, and the
+    delta range makes g = p - delta >= 0, so it needs no check of its own.
     """
     if not 0 <= delta <= p:
         _refuse_delta(delta, p)
     g = p - delta
-    alpha = alpha_general(g, r, d)
+    alpha = (g * r + (d - r) * (r - 1)) // (2 * r * (d - r))
     threshold = alpha * (r * g - (d - r) * (alpha * r + 1))
     rho_at_alpha = rho(p, alpha * r, alpha * d + delta)
     if rho_at_alpha != delta - threshold:

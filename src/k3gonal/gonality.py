@@ -135,11 +135,14 @@ def delta0(p: int, k: int) -> int:
     `_delta0_from`, which computes both closed forms ((k-1)m(m-1) + tm + lam
     and ceil(mp/(m+1)) - m(k-1)) and requires them equal.
 
+    A p or k that is not an int is refused, by `_int` or by `decompose`.
+
     >>> delta0(8, 2), delta0(9, 4)
     (4, 2)
     """
     _check_pk(p, k)
     if p <= 2 * (k - 1):
+        _int(p), _int(k)
         return 0
     return _delta0_from(p, k, decompose(p, k))
 

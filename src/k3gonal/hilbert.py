@@ -155,12 +155,13 @@ def pairing(d: DivisorClass, r: CurveClass) -> "Fraction":
 def gonality_class(p: int, k: int, delta: int) -> CurveClass:
     """The class H - (g+k-1) r_k of the rational curve from a g^1_k.
 
-    Requires (p, k, delta) admissible; the locus is empty otherwise.
+    Requires (p, k, delta) admissible; the locus is empty otherwise.  Built
+    unchecked: the GonalityCase of this call has checked p and k as ints.
     """
     case = GonalityCase(p, k, delta)
     if not case.admissible:
         _refuse_inadmissible(p, k, delta)
-    return CurveClass(p, k, 1, case.g + k - 1)
+    return CurveClass._make(p, k, 1, case.g + k - 1)
 
 
 def optimal_class(p: int, k: int) -> CurveClass:
@@ -545,9 +546,9 @@ def q_candidate_count(k: int, p_max: int) -> int:
     a shared 2-vCPU Intel Xeon Linux machine); capped, at k = 10^6 the
     delta0 = 0 regime alone passes the cap, in about 1 us.
     """
-    if k < 2:
+    if _int(k) < 2:
         _refuse_below("k", 2, k)
-    if p_max < 2:
+    if _int(p_max) < 2:
         _refuse_below("p_max", 2, p_max)
     count = max(0, min(p_max + 1, 2 * (k - 1)) - 2)
     rho = 0

@@ -596,8 +596,8 @@ def _random_form(k: int, rng: random.Random) -> BinaryForm:
 
 
 def random_pencil(k: int, rng: random.Random) -> Pencil:
-    """A random pencil with small integer coefficients (k >= 1)."""
-    if k < 1:
+    """A random pencil with small integer coefficients (k >= 1, an int)."""
+    if _int(k) < 1:
         _refuse_below("k", 1, k)
     while True:
         f, g = _random_form(k, rng), _random_form(k, rng)

@@ -362,7 +362,7 @@ def _delta_refusal(delta):
         tuple(f"{leaf} -p 5 -k 2 --delta {delta}" for leaf in ("bn check", *DELTA_LEAVES)))
 
 
-alpha, invariants = brillnoether.alpha_general, genus_for_invariants
+invariants = genus_for_invariants
 suite, Partition, Form = pencil.verification_suite, chains.ChainPartition, BinaryForm
 Curve, Pencil = pencil.SymPlaneCurve, pencil.Pencil
 ZERO_FORM, LINE = Form(2, (0, 0, 0)), wedge_curve(Pencil(Form(2, (0, 0, 1)), Form(2, (1, 0, 0))))
@@ -374,9 +374,6 @@ REFUSALS = {
     "rho-g": Refusal(((rho, -1, 1, 3),), "need g >= 0, got g=-1", ("bn rho -g -1 -r 1 -d 3",)),
     "rho-r": Refusal(((rho, 4, -1, 3),), "need r >= 0, got r=-1", ("bn rho -g 4 -r -1 -d 3",)),
     "rho-d": Refusal(((rho, 4, 1, -3),), "need d >= 0, got d=-3", ("bn rho -g 4 -r 1 -d -3",)),
-    "alpha-series": Refusal(((alpha, 5, 2, 2),), "need d > r >= 1, got r=2, d=2"),
-    "alpha-series-r": Refusal(((alpha, 5, 0, 3),), "need d > r >= 1, got r=0, d=3"),
-    "alpha-genus": Refusal(((alpha, -1, 1, 2),), "need g >= 0, got g=-1"),
     "necessity-p": Refusal(((necessary_condition, 1, 0, 1, 2),), "need p >= 2, got p=1",
                            ("bn check -p 1 -k 2 --delta 0",)),
     # the series is named before delta, which is out of range too
@@ -384,6 +381,9 @@ REFUSALS = {
                                 "r=1, d=1", ("bn check -p 9 -d 1 --delta 20",)),
     "necessity-series-r": Refusal(((necessary_condition, 5, 2, 2, 2),), "need d > r >= 1, got "
                                   "r=2, d=2", ("bn check -p 5 --delta 2 -r 2 -d 2",)),
+    # the r < 1 half of the series check
+    "alpha-series-r": Refusal(((necessary_condition, 5, 2, 0, 3),), "need d > r >= 1, got "
+                              "r=0, d=3", ("bn check -p 5 --delta 2 -r 0 -d 3",)),
     "delta-over-p": _delta_refusal(6),
     "delta-negative": _delta_refusal(-1),
     "partition-p": Refusal(((Partition, 0, 2, ()),), "need p >= 1, got p=0",

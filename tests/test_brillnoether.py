@@ -2,11 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3gonal import brillnoether, gonality
-from k3gonal.brillnoether import (
-    alpha_general,
-    necessary_condition,
-    rho,
-)
+from k3gonal.brillnoether import necessary_condition, rho
 from k3gonal.errors import InvariantViolation
 
 
@@ -26,9 +22,10 @@ def test_rho_examples():
 
 
 def test_alpha_general_examples():
-    assert alpha_general(7, 1, 4) == 1
-    assert alpha_general(4, 1, 2) == 2
-    assert alpha_general(10, 2, 6) == 1
+    # alpha at geometric genus g, read at delta = 0, where g = p
+    assert necessary_condition(7, 0, 1, 4).alpha == 1
+    assert necessary_condition(4, 0, 1, 2).alpha == 2
+    assert necessary_condition(10, 0, 2, 6).alpha == 1
 
 
 def test_rho_quadratic_examples():
@@ -105,6 +102,19 @@ def test_alpha_minimizes_over_integers(p, delta_frac, r, d):
     rep = necessary_condition(p, delta, r, d)
     for l in range(0, 2 * rep.alpha + 3):
         assert rep.rho_at_alpha <= rho(p, l * r, l * d + delta)
+
+
+@given(p=st.integers(2, 10**40), r=st.integers(1, 6), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_alpha_minimizes_at_large_p(p, r, data):
+    # rho(p, l*r, l*d + delta) is convex in l, so alpha is the global
+    # minimizer once neither integer neighbour is lower
+    delta = data.draw(st.integers(0, p), label="delta")
+    d = data.draw(st.integers(r + 1, r + 24), label="d")
+    rep = necessary_condition(p, delta, r, d)
+    for l in (rep.alpha - 1, rep.alpha + 1):
+        if l >= 0:
+            assert rep.rho_at_alpha <= rho(p, l * r, l * d + delta)
 
 
 @pytest.mark.parametrize("offset", [1, 3])

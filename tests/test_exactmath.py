@@ -225,7 +225,9 @@ RECORDS = [
                     ((8, 2, True, 5), "bool True"), ((8.0, 2, 1, 5), "float 8.0"),
                     ((8, 2.0, 1, 5), "float 2.0")),
            unchecked=((hilbert.optimal_class, lambda: GRID),
-                      (hilbert.extremal_ray_status, lambda: GRID))),
+                      (hilbert.extremal_ray_status, lambda: GRID),
+                      (hilbert.gonality_class, lambda: [
+                          (p, k, gonality.delta0(p, k)) for p, k in GRID]))),
     Record(hilbert.RayReport,
            "(p: int, k: int, status: str, rays: tuple[k3gonal.hilbert.CurveClass, ...], "
            "q_scaled: int, notes: tuple[str, ...] = ())",
@@ -392,6 +394,30 @@ def test_value_class_constructors(record):
 def test_value_class_refuses(cls, args, text):
     with pytest.raises(TypeError, match=re.escape(text)):
         cls(*args)
+
+
+# public functions that answered these arguments, or built a value the
+# checked constructor refuses, before they refused a non-int by name
+NON_INT_CALLS = [
+    (brillnoether.necessary_condition, (9.0, 2, 1, 4), "float 9.0"),
+    (brillnoether.necessary_condition, (9, 2.0, 1, 4), "float 2.0"),
+    (brillnoether.necessary_condition, (9, 2, True, 4), "bool True"),
+    (brillnoether.necessary_condition, (9, 2, 1, 4.0), "float 4.0"),
+    (pencil.random_pencil, (2.5, Random(0)), "float 2.5"),
+    (pencil.random_pencil, (True, Random(0)), "bool True"),
+    (pencil.random_coprime_pencil, (2.0, Random(1)), "float 2.0"),
+    (gonality.delta0, (2.5, 3), "float 2.5"),
+    (gonality.delta0, (3, 4.0), "float 4.0"),
+    (hilbert.q_candidate_count, (3.0, 3), "float 3.0"),
+    (hilbert.q_candidate_count, (3, 3.5), "float 3.5"),
+]
+
+
+@pytest.mark.parametrize("function, args, text", NON_INT_CALLS, ids=[
+    f"{function.__name__}-{n}" for n, (function, _, _) in enumerate(NON_INT_CALLS)])
+def test_function_refuses_non_int(function, args, text):
+    with pytest.raises(TypeError, match=re.escape(f"need integers, got the {text}")):
+        function(*args)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[record.cls.__name__ for record in RECORDS])
